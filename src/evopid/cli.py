@@ -20,7 +20,7 @@ from .harness import (
     run_experiment,
 )
 from .metrics import step_metrics
-from .plant import simulate_route
+from .plant import SimulationDiverged, simulate_route
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +131,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
             return _cmd_step(args)
         if args.command == "oracle":
             return _cmd_oracle(args)
-    except (ConfigError, EvaluationError, ValueError, OSError) as exc:
+    except (ConfigError, EvaluationError, SimulationDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -26,6 +26,17 @@ class EvaluationError(RuntimeError):
         self.member = member
 
 
+def _require_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first of the given fields that holds a NaN or an infinity.
+
+    A field may hold one number or a tuple of them.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Gains:
     """One controller's PID gains. All three are nonnegative and finite."""
@@ -88,6 +99,7 @@ class MutationSpec:
     sigma_scaled: float = 0.5
 
     def __post_init__(self):
+        _require_finite(self, "sigma_absolute", "sigma_scaled")
         if self.sigma_absolute <= 0 or self.sigma_scaled <= 0:
             raise ValueError("mutation sigmas must be > 0")
 
@@ -101,6 +113,7 @@ class InitSpec:
     kd_bounds: tuple[float, float] = (0.0, 0.01)
 
     def __post_init__(self):
+        _require_finite(self, "kp_bounds", "ki_bounds", "kd_bounds")
         for name in ("kp_bounds", "ki_bounds", "kd_bounds"):
             low, high = getattr(self, name)
             if not (0.0 <= low <= high):
@@ -289,26 +302,32 @@ def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
     """Run the full tuning loop: evaluate, select, stop-check, mutate.
 
     The evaluator maps an Individual to (ae_linear, ae_angular) and must be
-    deterministic. The loop stops once the fittest members of a generation have
-    both channel errors strictly below ``ae_target``, or after evaluating
-    ``max_generations`` full populations. Returns the composite best individual
-    over the entire history together with the per-generation records.
+    deterministic: it is called once per distinct individual. The loop stops
+    once the fittest members of a generation have both channel errors strictly
+    below ``ae_target``, or after evaluating ``max_generations`` full
+    populations. Returns the composite best individual over the entire history
+    together with the per-generation records.
     """
     rng = random.Random(config.rng_seed)
     population = init_population(config, rng)
     history: list[GenerationRecord] = []
+    # the evaluator is deterministic, so a repeated individual (usually the elitist parent) reuses its score
+    scores: dict[Individual, tuple[float, float]] = {}
     while True:
         members = []
         for i, individual in enumerate(population.members):
-            try:
-                ae_linear, ae_angular = evaluator(individual)
-            except Exception as exc:
-                raise EvaluationError(
-                    f"evaluator failed at generation {population.generation_index}, member {i}: {exc}",
-                    generation=population.generation_index,
-                    member=i,
-                ) from exc
-            members.append(MemberRecord(individual, float(ae_linear), float(ae_angular)))
+            score = scores.get(individual)
+            if score is None:
+                try:
+                    ae_linear, ae_angular = evaluator(individual)
+                except Exception as exc:
+                    raise EvaluationError(
+                        f"evaluator failed at generation {population.generation_index}, member {i}: {exc}",
+                        generation=population.generation_index,
+                        member=i,
+                    ) from exc
+                score = scores[individual] = (float(ae_linear), float(ae_angular))
+            members.append(MemberRecord(individual, *score))
         record = GenerationRecord.from_evaluations(population.generation_index, tuple(members))
         history.append(record)
 

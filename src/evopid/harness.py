@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .ep import (
     EPConfig,
@@ -180,6 +183,8 @@ def parse_config_file(path: Path) -> dict[str, float]:
             overrides[key] = CONFIG_KEYS[key](value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+        if not math.isfinite(overrides[key]):
+            raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {value.strip()!r}")
     return overrides
 
 
@@ -341,19 +346,18 @@ def load_generations(path: Path) -> list[GenerationRecord]:
 
 def export_trace(trace, path: Path) -> None:
     """Both channels' sampled route run as CSV (columns: t, desired/actual per channel)."""
+    columns = (
+        trace.linear.time,
+        trace.linear.desired,
+        trace.linear.actual,
+        trace.angular.desired,
+        trace.angular.actual,
+    )
+    # repr of a Python float round-trips at full precision and never needs CSV quoting
+    rows = zip(*(map(repr, np.asarray(column, dtype=float).tolist()) for column in columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER)
-        for i in range(len(trace.linear)):
-            writer.writerow(
-                [
-                    repr(float(trace.linear.time[i])),
-                    repr(float(trace.linear.desired[i])),
-                    repr(float(trace.linear.actual[i])),
-                    repr(float(trace.angular.desired[i])),
-                    repr(float(trace.angular.actual[i])),
-                ]
-            )
+        fh.write(",".join(TRACE_HEADER) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _spec_as_dict(spec: ExperimentSpec) -> dict:

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ep import Individual
-from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, SimulationDiverged, simulate_route
+from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _run_channel, _sample_count
 
 # Finite stand-in fitness for unstable gains; must lose every selection.
 DIVERGENCE_AE = 1.0e6
@@ -64,13 +64,20 @@ def fitness_of(
     """Simulate the route once and average the error per channel.
 
     A diverging simulation is absorbed into ``divergence_ae`` on both channels
-    so unstable gains stay comparable and always rank last.
+    so unstable gains stay comparable and always rank last. The linear channel
+    runs first; if it diverges the angular one is not run.
     """
-    try:
-        trace = simulate_route(individual, route, params, sim)
-    except SimulationDiverged:
-        return FitnessRecord(divergence_ae, divergence_ae)
-    return FitnessRecord(average_error(trace.linear), average_error(trace.angular))
+    dt = sim.dt
+    n_samples = _sample_count(route, sim)
+    if n_samples == 0:
+        raise ValueError("the route has no samples at this sample rate")
+    errors = []
+    for gains, channel in ((individual.linear, params.linear), (individual.angular, params.angular)):
+        total, diverged_at = _run_channel(gains, route, channel, dt, n_samples)
+        if diverged_at is not None:
+            return FitnessRecord(divergence_ae, divergence_ae)
+        errors.append(total / n_samples)
+    return FitnessRecord(*errors)
 
 
 def step_metrics(channel: ChannelTrace, route: RouteSpec) -> StepMetrics:

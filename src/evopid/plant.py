@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ep import Individual
-from .pid import pid_reset, pid_step
+from .ep import Gains, Individual, _require_finite
+from .pid import pid_step  # noqa: F401  perfbench/tracing.py wraps evopid.plant.pid_step
 
 
 class SimulationDiverged(RuntimeError):
@@ -35,6 +35,7 @@ class ChannelParams:
     initial_velocity: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self, "dc_gain", "time_constant", "actuator_limit", "initial_velocity")
         if self.dc_gain <= 0:
             raise ValueError("dc_gain must be > 0")
         if self.time_constant <= 0:
@@ -58,6 +59,7 @@ class RouteSpec:
     phase_duration: float = 3.0
 
     def __post_init__(self):
+        _require_finite(self, "start", "end", "phase_duration")
         if self.phase_duration <= 0:
             raise ValueError("phase_duration must be > 0")
 
@@ -71,6 +73,7 @@ class SimConfig:
     sample_rate: float = 50.0
 
     def __post_init__(self):
+        _require_finite(self, "sample_rate")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be > 0")
 
@@ -125,6 +128,61 @@ def plant_step(velocity: float, command: float, params: ChannelParams, dt: float
     return target + (velocity - target) * math.exp(-dt / params.time_constant)
 
 
+def _sample_count(route: RouteSpec, sim: SimConfig) -> int:
+    """Samples in one run of the route; checks once that the last one lies inside the route window."""
+    n_samples = int(round(route.total_duration * sim.sample_rate))
+    if n_samples:
+        route_setpoint(route, (n_samples - 1) * sim.dt)
+    return n_samples
+
+
+def _run_channel(
+    gains: Gains,
+    route: RouteSpec,
+    channel: ChannelParams,
+    dt: float,
+    n_samples: int,
+    actual: list[float] | None = None,
+) -> tuple[float, int | None]:
+    """One channel's closed loop along the route, fused into a single pass.
+
+    Performs exactly the float operations of route_setpoint, pid_step and
+    plant_step, in their order, so results are bit-identical to chaining them.
+    Appends the measurement of each sample to ``actual`` when given. Returns the
+    sum of |setpoint - measurement| over the samples in time order, and the
+    index of the sample whose step made the velocity nonfinite (None if none
+    did; the run stops there).
+    """
+    kp, ki, kd = gains.kp, gains.ki, gains.kd
+    start, end, switch = route.start, route.end, route.phase_duration
+    limit = channel.actuator_limit
+    dc_gain = channel.dc_gain
+    decay = math.exp(-dt / channel.time_constant)
+    isfinite = math.isfinite
+    velocity = channel.initial_velocity
+    integral = 0.0
+    prev_error = 0.0
+    total = 0.0
+    for k in range(n_samples):
+        if actual is not None:
+            actual.append(velocity)
+        error = (start if k * dt < switch else end) - velocity
+        total += abs(error)
+        integral = integral + error * dt
+        derivative = (error - prev_error) / dt if k else 0.0
+        prev_error = error
+        command = kp * error + ki * integral + kd * derivative
+        if command > limit:
+            command = limit
+        elif command < -limit:
+            command = -limit
+        target = command * dc_gain
+        velocity = target + (velocity - target) * decay
+        if not isfinite(velocity):
+            return total, k
+    return total, None
+
+
 def simulate_route(
     individual: Individual, route: RouteSpec, params: PlantParams, sim: SimConfig
 ) -> SimTrace:
@@ -136,26 +194,17 @@ def simulate_route(
     SimulationDiverged if a velocity goes nonfinite.
     """
     dt = sim.dt
-    n_samples = int(round(route.total_duration * sim.sample_rate))
+    n_samples = _sample_count(route, sim)
     traces = []
     for name, gains, channel in (
         ("linear", individual.linear, params.linear),
         ("angular", individual.angular, params.angular),
     ):
-        state = pid_reset()
-        velocity = channel.initial_velocity
-        times = []
-        desired = []
-        actual = []
-        for k in range(n_samples):
-            t = k * dt
-            setpoint = route_setpoint(route, t)
-            times.append(t)
-            desired.append(setpoint)
-            actual.append(velocity)
-            command, state = pid_step(state, gains, setpoint, velocity, dt)
-            velocity = plant_step(velocity, command, channel, dt)
-            if not math.isfinite(velocity):
-                raise SimulationDiverged(name, k)
-        traces.append(ChannelTrace(np.asarray(times), np.asarray(desired), np.asarray(actual)))
+        actual: list[float] = []
+        _, diverged_at = _run_channel(gains, route, channel, dt, n_samples, actual)
+        if diverged_at is not None:
+            raise SimulationDiverged(name, diverged_at)
+        time = np.arange(n_samples) * dt
+        desired = np.where(time < route.phase_duration, route.start, route.end)
+        traces.append(ChannelTrace(time, desired, np.asarray(actual)))
     return SimTrace(linear=traces[0], angular=traces[1])

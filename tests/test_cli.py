@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+import evopid.harness
 from evopid.cli import cli_main
 
 
@@ -99,3 +102,44 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "linear" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("plant.linear.time_constant", "nan"),
+        ("plant.angular.dc_gain", "inf"),
+        ("plant.linear.initial_velocity", "-inf"),
+        ("route.train.start", "nan"),
+        ("route.test.phase_duration", "inf"),
+        ("sim.sample_rate", "nan"),
+        ("ep.ae_target", "inf"),
+        ("mutation.sigma_scaled", "nan"),
+        ("init.kp.high", "inf"),
+    ],
+)
+def test_tune_rejects_nonfinite_config_values(tmp_path, capsys, monkeypatch, key, value):
+    evaluations = []
+    monkeypatch.setattr(evopid.harness, "fitness_of", lambda *args: evaluations.append(args))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    out = tmp_path / "run"
+    rc = cli_main(["tune", "--experiment", "2", "--out", str(out), "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert evaluations == []
+    assert not out.exists()
+
+
+def test_step_reports_divergence_as_error(tmp_path, capsys):
+    # from -5 m/s, kp*e overflows to +inf and on the next sample kd*D to -inf: NaN command at sample 1
+    cfg = tmp_path / "low.cfg"
+    cfg.write_text("plant.linear.initial_velocity = -5\n")
+    out = tmp_path / "t.csv"
+    rc = cli_main(
+        ["step", "--gains", "1e308,0,1e308,0,0,0", "--route", "train", "--out", str(out), "--config", str(cfg)]
+    )
+    assert rc == 1
+    assert "error: linear velocity became nonfinite at sample 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -324,6 +325,24 @@ def test_run_ep_wraps_evaluator_failures():
     assert excinfo.value.member == 0
 
 
+def test_run_ep_evaluates_each_distinct_individual_once():
+    calls = Counter()
+
+    def evaluator(individual):
+        calls[individual] += 1
+        flat = individual.as_flat()
+        return (sum(flat[:3]), sum(flat[3:]))
+
+    config = EPConfig(population_size=5, max_generations=8, rng_seed=2)
+    _, history, _ = run_ep(config, evaluator)
+    members = [m for record in history for m in record.members]
+    assert set(calls) == {m.individual for m in members}
+    assert set(calls.values()) == {1}
+    assert len(calls) < len(members)  # the elitist parent came back at least once
+    for m in members:
+        assert (m.ae_linear, m.ae_angular) == evaluator(m.individual)
+
+
 def test_run_ep_deterministic_history():
     def evaluator(individual):
         flat = individual.as_flat()
@@ -406,3 +425,15 @@ def test_mutationspec_validation():
         MutationSpec(MutationKind.SCALED, sigma_scaled=0.0)
     with pytest.raises(ValueError):
         MutationSpec(MutationKind.ABSOLUTE, sigma_absolute=-0.05)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_specs_reject_nonfinite_values(bad):
+    with pytest.raises(ValueError, match="sigma_scaled"):
+        MutationSpec(MutationKind.SCALED, sigma_scaled=bad)
+    with pytest.raises(ValueError, match="sigma_absolute"):
+        MutationSpec(MutationKind.ABSOLUTE, sigma_absolute=bad)
+    with pytest.raises(ValueError, match="kp_bounds"):
+        InitSpec(kp_bounds=(0.0, bad))
+    with pytest.raises(ValueError, match="kd_bounds"):
+        InitSpec(kd_bounds=(bad, 0.01))

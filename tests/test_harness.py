@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -28,6 +29,7 @@ from evopid import (
     run_ep,
     simulate_route,
 )
+import evopid.harness
 from evopid.harness import ConfigError, GENERATIONS_HEADER, TRACE_HEADER
 
 
@@ -140,6 +142,14 @@ def test_parse_config_file_bad_number(tmp_path):
     cfg.write_text("ep.ae_target = tiny\n")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config_file(cfg)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_parse_config_file_rejects_nonfinite_values(tmp_path, value):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"plant.linear.time_constant = {value}\n")
+    with pytest.raises(ConfigError, match=r"c\.cfg:1: plant\.linear\.time_constant must be finite"):
+        parse_config_file(path)
 
 
 def test_parse_config_file_missing(tmp_path):
@@ -257,6 +267,35 @@ def small_run(tmp_path_factory):
     spec = build_experiment_spec(2, seed=5, output_dir=out, overrides={"ep.max_generations": 4})
     record = run_experiment(spec)
     return spec, record
+
+
+# SHA-256 of the outputs of experiment 2, seed 0, 20 generations, written by the per-sample
+# simulation that evaluated every member of every generation
+PINNED_EXP2_SEED0_G20 = {
+    "generations.csv": "0b850517772b1d22d32e8324a11a81fb1233452a2f31847ab832c3a230436438",
+    "best_train_trace.csv": "2ddd69f534fafc1cbb3f4292a9fe9378c16c5f35d6e9955cbc14b2e3eadde592",
+    "best_test_trace.csv": "4cff9818ec00c1cf34f9581ba343a9121c70c8b08644e826d95efd3c60ae27ed",
+}
+
+
+def test_run_experiment_scores_each_distinct_individual_once_with_pinned_bytes(tmp_path, monkeypatch):
+    train_calls = []
+    real_fitness_of = evopid.harness.fitness_of
+
+    def counting_fitness_of(individual, route, *args):
+        if route is spec.train_route:
+            train_calls.append(individual)
+        return real_fitness_of(individual, route, *args)
+
+    monkeypatch.setattr(evopid.harness, "fitness_of", counting_fitness_of)
+    spec = build_experiment_spec(2, seed=0, output_dir=tmp_path, overrides={"ep.max_generations": 20})
+    run_experiment(spec)
+    members = [m.individual for record in load_generations(tmp_path / "generations.csv") for m in record.members]
+    assert len(members) == 200
+    assert set(train_calls) == set(members)
+    assert len(train_calls) == len(set(train_calls)) == 192
+    for name, digest in PINNED_EXP2_SEED0_G20.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_run_experiment_writes_all_outputs(small_run):

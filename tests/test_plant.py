@@ -80,6 +80,25 @@ def test_channel_params_validation():
         ChannelParams(actuator_limit=0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: ChannelParams(dc_gain=v), "dc_gain"),
+        (lambda v: ChannelParams(time_constant=v), "time_constant"),
+        (lambda v: ChannelParams(actuator_limit=v), "actuator_limit"),
+        (lambda v: ChannelParams(initial_velocity=v), "initial_velocity"),
+        (lambda v: RouteSpec(v, 0.3), "start"),
+        (lambda v: RouteSpec(-0.3, v), "end"),
+        (lambda v: RouteSpec(-0.3, 0.3, phase_duration=v), "phase_duration"),
+        (lambda v: SimConfig(sample_rate=v), "sample_rate"),
+    ],
+)
+def test_plant_specs_reject_nonfinite_values(make, field, bad):
+    with pytest.raises(ValueError, match=field):
+        make(bad)
+
+
 def test_sim_config_dt():
     assert SimConfig().dt == 0.02
     with pytest.raises(ValueError):
