@@ -20,7 +20,6 @@ from .ep import (
     mutate_scaled,
     next_generation,
     run_ep,
-    select_fittest,
 )
 from .harness import (
     ChannelResult,

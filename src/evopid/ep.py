@@ -254,18 +254,6 @@ def init_population(config: EPConfig, rng: random.Random) -> Population:
     return Population(0, tuple(members))
 
 
-def select_fittest(record: GenerationRecord) -> tuple[int, int]:
-    """Indices of the lowest finite ae_linear and ae_angular (independently; ties -> lowest index)."""
-    li = _argmin_finite(m.ae_linear for m in record.members)
-    ai = _argmin_finite(m.ae_angular for m in record.members)
-    if li is None or ai is None:
-        raise EvaluationError(
-            f"generation {record.generation_index}: no member has a finite average error",
-            generation=record.generation_index,
-        )
-    return li, ai
-
-
 def composite_parent(prev: Population, record: GenerationRecord) -> Individual:
     """Splice the best linear gains and the best angular gains into one parent."""
     return Individual(

@@ -21,9 +21,10 @@ from .ep import (
     MutationKind,
     MutationSpec,
     StopReason,
+    _require_finite,
     run_ep,
 )
-from .metrics import StepMetrics, fitness_of, step_metrics
+from .metrics import StepMetrics, _fitness_batch, fitness_of, step_metrics
 from .plant import ChannelParams, PlantParams, RouteSpec, SimConfig, simulate_route
 
 DEFAULT_TRAIN_ROUTE = RouteSpec(start=-0.3, end=0.3)
@@ -48,6 +49,9 @@ GENERATIONS_HEADER = (
     "ae_linear",
     "ae_angular",
 )
+
+# grid points per batched kernel call in grid_oracle; bounds its memory on large grids
+_ORACLE_CHUNK = 4096
 
 TRACE_HEADER = ("t", "desired_linear", "actual_linear", "desired_angular", "actual_angular")
 
@@ -154,6 +158,7 @@ class GainGrid:
             values = getattr(self, name)
             if len(values) == 0:
                 raise ValueError(f"{name} must be nonempty")
+            _require_finite(self, name)
             if any(v < 0 for v in values):
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -205,6 +210,8 @@ def parse_grid_file(path: Path) -> GainGrid:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
         if not values:
             raise ConfigError(f"{path}:{lineno}: {key} lists no values")
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{path}:{lineno}: {key} values must be finite, got {value.strip()!r}")
         axes[key] = values
     if not axes:
         raise ConfigError(f"{path}: grid file defines no gain values")
@@ -505,22 +512,29 @@ def grid_oracle(
     """Exhaustive per-channel argmin over the gain grid; ties go to the smallest gains.
 
     Every grid point is simulated with the same gains on both channels, which is
-    enough because the channels never couple.
+    enough because the channels never couple. Points are scored in batches of
+    _ORACLE_CHUNK, so memory stays flat however large the grid.
     """
-    best: dict[str, tuple[float, Gains] | None] = {"linear": None, "angular": None}
-    for kp in sorted(grid.kp_values):
-        for ki in sorted(grid.ki_values):
-            for kd in sorted(grid.kd_values):
-                gains = Gains(kp, ki, kd)
-                fitness = fitness_of(Individual(gains, gains), route, params, sim)
-                for name, ae in (("linear", fitness.ae_linear), ("angular", fitness.ae_angular)):
-                    # strict < keeps the first (lexicographically smallest) gains on ties
-                    if best[name] is None or ae < best[name][0]:
-                        best[name] = (ae, gains)
-    assert best["linear"] is not None and best["angular"] is not None
-    return GridOracleResult(
-        linear_gains=best["linear"][1],
-        angular_gains=best["angular"][1],
-        ae_linear=best["linear"][0],
-        ae_angular=best["angular"][0],
+    axes = [sorted(values) for values in (grid.kp_values, grid.ki_values, grid.kd_values)]
+    columns = [np.array(axis, dtype=float) for axis in axes]
+    shape = tuple(len(axis) for axis in axes)
+    size = math.prod(shape)
+    # per channel (AE, flat index); the flat index runs over (kp, ki, kd) in row-major order
+    best: list[tuple[float, int] | None] = [None, None]
+    for lo in range(0, size, _ORACLE_CHUNK):
+        index = np.unravel_index(np.arange(lo, min(lo + _ORACLE_CHUNK, size)), shape)
+        triples = np.column_stack([column[i] for column, i in zip(columns, index)])
+        ae = _fitness_batch(np.hstack((triples, triples)), route, params, sim)
+        for c in range(2):
+            # argmin keeps the first of equal minima, and strict < an earlier chunk's,
+            # so ties go to the lexicographically smallest gains
+            j = int(np.argmin(ae[:, c]))
+            if best[c] is None or ae[j, c] < best[c][0]:
+                best[c] = (float(ae[j, c]), lo + j)
+    assert best[0] is not None and best[1] is not None
+    # index the sorted axes themselves, so the gains are the caller's own values
+    (ae_linear, i_linear), (ae_angular, i_angular) = best
+    linear, angular = (
+        Gains(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, shape)))) for flat in (i_linear, i_angular)
     )
+    return GridOracleResult(linear_gains=linear, angular_gains=angular, ae_linear=ae_linear, ae_angular=ae_angular)

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ep import Individual
-from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _run_channel, _sample_count
+from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _run_batch, _run_channel, _sample_count
 
 # Finite stand-in fitness for unstable gains; must lose every selection.
 DIVERGENCE_AE = 1.0e6
@@ -78,6 +78,22 @@ def fitness_of(
             return FitnessRecord(divergence_ae, divergence_ae)
         errors.append(total / n_samples)
     return FitnessRecord(*errors)
+
+
+def _fitness_batch(gains: np.ndarray, route: RouteSpec, params: PlantParams, sim: SimConfig) -> np.ndarray:
+    """fitness_of for every row of an (n, 6) gain array, as an (n, 2) array of AEs.
+
+    Each row is == to fitness_of on the same gains, divergence rule included. The
+    NumPy time loop costs about as much at n = 1 as at n = 20, so only calls that
+    score many gain sets at once gain by it; fitness_of stays the per-individual path.
+    """
+    n_samples = _sample_count(route, sim)
+    if n_samples == 0:
+        raise ValueError("the route has no samples at this sample rate")
+    totals, finite = _run_batch(gains, route, params, sim.dt, n_samples)
+    ae = totals / n_samples
+    ae[~finite] = DIVERGENCE_AE
+    return ae
 
 
 def step_metrics(channel: ChannelTrace, route: RouteSpec) -> StepMetrics:

@@ -82,6 +82,26 @@ def test_oracle_rejects_bad_grid_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["kp = nan, 0.5", "kd = 0, inf", "ki = -inf"])
+def test_oracle_rejects_nonfinite_grid_values(tmp_path, capsys, line):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(f"# grid\n{line}\n")
+    rc = cli_main(["oracle", "--grid", str(grid)])
+    assert rc == 1
+    key = line.split()[0]
+    assert f"error: {grid}:2: {key} values must be finite" in capsys.readouterr().err
+
+
+def test_step_rejects_route_over_the_sample_cap(tmp_path, capsys):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("route.train.phase_duration = 1e9\n")
+    out = tmp_path / "t.csv"
+    rc = cli_main(["step", "--gains", "0.5,0,0,0.5,0,0", "--route", "train", "--out", str(out), "--config", str(cfg)])
+    assert rc == 1
+    assert "error: a route of 2000000000.0 s at 50.0 Hz" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file_reports_error(capsys):
     rc = cli_main(["tune", "--experiment", "1", "--config", "does/not/exist.cfg"])
     assert rc == 1

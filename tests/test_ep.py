@@ -23,7 +23,6 @@ from evopid import (
     mutate_scaled,
     next_generation,
     run_ep,
-    select_fittest,
 )
 from evopid.metrics import fitness_of
 
@@ -197,34 +196,33 @@ def _record(ae_pairs, generation=0):
     return GenerationRecord.from_evaluations(generation, members)
 
 
+def _fittest(ae_pairs):
+    record = _record(ae_pairs)
+    return record.fittest_linear_index, record.fittest_angular_index
+
+
 def test_select_fittest_independent_channels():
-    record = _record([(0.3, 0.05), (0.1, 0.4), (0.2, 0.4)])
-    assert select_fittest(record) == (1, 0)
-    assert (record.fittest_linear_index, record.fittest_angular_index) == (1, 0)
+    assert _fittest([(0.3, 0.05), (0.1, 0.4), (0.2, 0.4)]) == (1, 0)
 
 
 def test_select_fittest_single_member():
-    assert select_fittest(_record([(0.7, 0.9)])) == (0, 0)
+    assert _fittest([(0.7, 0.9)]) == (0, 0)
 
 
 def test_select_fittest_tie_breaks_to_lowest_index():
-    assert select_fittest(_record([(0.2, 0.5), (0.2, 0.5)])) == (0, 0)
+    assert _fittest([(0.2, 0.5), (0.2, 0.5)]) == (0, 0)
 
 
 def test_select_fittest_skips_nonfinite():
-    record = _record([(math.nan, 0.2), (0.5, math.inf), (0.6, 0.3)])
-    assert select_fittest(record) == (1, 0)
+    assert _fittest([(math.nan, 0.2), (0.5, math.inf), (0.6, 0.3)]) == (1, 0)
 
 
 def test_select_fittest_all_nonfinite_raises():
-    members = tuple(
-        MemberRecord(Individual.from_flat([0.1] * 6), math.nan, 0.5) for _ in range(3)
-    )
-    bare = GenerationRecord(0, members, 0, 0)
-    with pytest.raises(EvaluationError):
-        select_fittest(bare)
-    with pytest.raises(EvaluationError):
-        GenerationRecord.from_evaluations(0, members)
+    for lin, ang in ((math.nan, 0.5), (0.5, math.inf)):
+        members = tuple(MemberRecord(Individual.from_flat([0.1] * 6), lin, ang) for _ in range(3))
+        with pytest.raises(EvaluationError) as excinfo:
+            GenerationRecord.from_evaluations(4, members)
+        assert excinfo.value.generation == 4
 
 
 # ---------------------------------------------------------------- next generation

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -30,7 +32,7 @@ from evopid import (
     simulate_route,
 )
 import evopid.harness
-from evopid.harness import ConfigError, GENERATIONS_HEADER, TRACE_HEADER
+from evopid.harness import CONFIG_KEYS, EXPERIMENT_TABLE, GENERATIONS_HEADER, TRACE_HEADER, ConfigError
 
 
 def _toy_history(population_size=4, generations=3, seed=2):
@@ -178,6 +180,9 @@ def test_gain_grid_validation():
         GainGrid((), (0.0,), (0.0,))
     with pytest.raises(ValueError):
         GainGrid((0.1,), (-0.5,), (0.0,))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="kd_values must be finite"):
+            GainGrid((0.1,), (0.0,), (0.0, bad))
 
 
 # ---------------------------------------------------------------- generations CSV
@@ -347,6 +352,71 @@ def test_run_experiment_deterministic_csv(tmp_path):
     assert (tmp_path / "a" / "generations.csv").read_bytes() == (
         tmp_path / "b" / "generations.csv"
     ).read_bytes()
+
+
+def _overrides_from_result(experiment: dict) -> dict:
+    """Config overrides read back from the "experiment" block of result.json."""
+    overrides = {
+        "ep.population_size": experiment["population_size"],
+        "ep.max_generations": experiment["max_generations"],
+        "ep.ae_target": experiment["ae_target"],
+        "mutation.sigma_absolute": experiment["sigma_absolute"],
+        "mutation.sigma_scaled": experiment["sigma_scaled"],
+        "sim.sample_rate": experiment["sample_rate"],
+    }
+    for gain, (low, high) in experiment["init_bounds"].items():
+        overrides[f"init.{gain}.low"], overrides[f"init.{gain}.high"] = low, high
+    for block, prefix in (("plant", "plant"), ("routes", "route")):
+        for name, fields in experiment[block].items():
+            for field, value in fields.items():
+                overrides[f"{prefix}.{name}.{field}"] = value
+    return overrides
+
+
+def test_result_json_alone_reproduces_the_run(tmp_path):
+    # every key off its default, so a setting that result.json failed to record would show
+    overrides = {
+        "plant.linear.dc_gain": 1.1,
+        "plant.linear.time_constant": 0.45,
+        "plant.linear.actuator_limit": 1.8,
+        "plant.linear.initial_velocity": 0.05,
+        "plant.angular.dc_gain": 0.9,
+        "plant.angular.time_constant": 0.35,
+        "plant.angular.actuator_limit": 2.2,
+        "plant.angular.initial_velocity": -0.1,
+        "route.train.start": -0.25,
+        "route.train.end": 0.35,
+        "route.train.phase_duration": 2.5,
+        "route.test.start": 0.15,
+        "route.test.end": 0.65,
+        "route.test.phase_duration": 2.0,
+        "sim.sample_rate": 40.0,
+        "ep.population_size": 6,
+        "ep.max_generations": 5,
+        "ep.ae_target": 0.02,
+        "mutation.sigma_absolute": 0.07,
+        "mutation.sigma_scaled": 0.4,
+        "init.kp.low": 0.1,
+        "init.kp.high": 0.9,
+        "init.ki.low": 0.01,
+        "init.ki.high": 0.08,
+        "init.kd.low": 0.001,
+        "init.kd.high": 0.02,
+    }
+    assert set(overrides) == set(CONFIG_KEYS)
+    first, again = tmp_path / "first", tmp_path / "again"
+    spec = build_experiment_spec(3, seed=11, output_dir=first, overrides=overrides)
+    run_experiment(spec)
+
+    experiment = json.loads((first / "result.json").read_text())["experiment"]
+    assert experiment["mutation"] == EXPERIMENT_TABLE[experiment["id"]][0].value
+    rebuilt = build_experiment_spec(
+        experiment["id"], seed=experiment["seed"], output_dir=again, overrides=_overrides_from_result(experiment)
+    )
+    assert rebuilt == dataclasses.replace(spec, output_dir=again)
+    run_experiment(rebuilt)
+    for name in ("generations.csv", "best_train_trace.csv", "best_test_trace.csv"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
 def test_render_result_table_columns(small_run):

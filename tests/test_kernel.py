@@ -1,12 +1,15 @@
-"""The fused simulation loop behind simulate_route and fitness_of against the per-sample reference.
+"""The simulation kernels against their plain references.
 
-The reference below chains route_setpoint, pid_step and plant_step one sample at
-a time and reduces with average_error. Both paths must agree exactly: the same
-arrays, the same average errors and the same divergence sample, not merely
-close values.
+The fused loop behind simulate_route and fitness_of is checked against a
+reference that chains route_setpoint, pid_step and plant_step one sample at a
+time and reduces with average_error. The batched kernel behind grid_oracle is
+checked row by row against fitness_of, and grid_oracle against the per-point
+loop it replaced. Every pair must agree exactly: the same arrays, the same
+average errors and the same divergence sample, not merely close values.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +21,9 @@ from evopid import (
     ChannelParams,
     ChannelTrace,
     FitnessRecord,
+    GainGrid,
     Gains,
+    GridOracleResult,
     Individual,
     PlantParams,
     RouteSpec,
@@ -27,12 +32,15 @@ from evopid import (
     SimulationDiverged,
     average_error,
     fitness_of,
+    grid_oracle,
     pid_reset,
     pid_step,
     plant_step,
     route_setpoint,
     simulate_route,
 )
+import evopid.harness
+from evopid.metrics import _fitness_batch
 
 
 def reference_simulate_route(individual, route, params, sim):
@@ -166,3 +174,130 @@ def test_integer_route_and_start_velocity_match_reference(sim):
     individual = Individual(Gains(0.8, 0.2, 0.01), Gains(2.0, 0.0, 0.0))
     assert simulate_route(individual, route, params, sim).linear.desired.dtype == np.int64
     assert_same_run(individual, route, params, sim)
+
+
+# ---------------------------------------------------------------- batched kernel
+
+
+def assert_batch_matches_fitness_of(individuals, route, params, sim):
+    ae = _fitness_batch(np.array([ind.as_flat() for ind in individuals]), route, params, sim)
+    assert ae.shape == (len(individuals), 2)
+    for individual, row in zip(individuals, ae.tolist()):
+        assert tuple(row) == fitness_of(individual, route, params, sim), individual
+
+
+@settings(max_examples=60)
+@given(
+    individuals=st.lists(st.builds(Individual, gains, gains), min_size=1, max_size=6),
+    linear_plant=channels,
+    angular_plant=channels,
+    route=routes,
+    sample_rate=st.floats(5.0, 100.0),
+)
+@example(  # a non-integer sample count, nonzero start velocities and kp at its bound
+    individuals=[Individual(Gains(50.0, 10.0, 2.0), Gains(0.0, 0.0, 0.0)), Individual(Gains(0.3, 0.0, 0.0), Gains(50.0, 0.0, 0.0))],
+    linear_plant=ChannelParams(initial_velocity=0.7),
+    angular_plant=ChannelParams(time_constant=0.3, initial_velocity=-1.5),
+    route=RouteSpec(-0.3, 0.3, phase_duration=0.3337),
+    sample_rate=47.3,
+)
+@example(  # an integer route and integer start velocities
+    individuals=[Individual(Gains(0.8, 0.2, 0.01), Gains(2.0, 0.0, 0.0))],
+    linear_plant=ChannelParams(initial_velocity=0),
+    angular_plant=ChannelParams(time_constant=0.3, initial_velocity=1),
+    route=RouteSpec(0, 1, phase_duration=1),
+    sample_rate=50.0,
+)
+def test_batch_rows_match_fitness_of(individuals, linear_plant, angular_plant, route, sample_rate):
+    assert_batch_matches_fitness_of(individuals, route, PlantParams(linear_plant, angular_plant), SimConfig(sample_rate))
+
+
+def test_batch_divergence_on_either_channel_matches_fitness_of(sim, train_route):
+    # the forced inf - inf of test_forced_divergence_matches_reference, on one channel per row,
+    # next to a calm row that must stay unaffected
+    huge = Gains(1e308, 0.0, 1e308)
+    calm = Gains(0.1, 0.0, 0.0)
+    params = PlantParams(ChannelParams(initial_velocity=-5.0), ChannelParams(time_constant=0.3, initial_velocity=-5.0))
+    individuals = [Individual(huge, calm), Individual(calm, calm), Individual(calm, huge)]
+    ae = _fitness_batch(np.array([ind.as_flat() for ind in individuals]), train_route, params, sim)
+    assert ae[0].tolist() == ae[2].tolist() == [DIVERGENCE_AE, DIVERGENCE_AE]
+    assert ae[1].tolist() != [DIVERGENCE_AE, DIVERGENCE_AE]
+    assert_batch_matches_fitness_of(individuals, train_route, params, sim)
+
+
+def test_batch_route_without_samples_raises_like_fitness_of(plant):
+    route, sim = RouteSpec(0.0, 1.0, phase_duration=0.1), SimConfig(2.0)
+    individual = Individual(Gains(1.0, 0.0, 0.0), Gains(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError) as excinfo:
+        fitness_of(individual, route, plant, sim)
+    with pytest.raises(ValueError, match=re.escape(str(excinfo.value))):
+        _fitness_batch(np.array([individual.as_flat()]), route, plant, sim)
+
+
+# ---------------------------------------------------------------- grid oracle
+
+
+def reference_grid_oracle(route, params, sim, grid):
+    """One fitness_of per grid point in lexicographic order; strict < keeps the first of equal AEs."""
+    best = {"linear": None, "angular": None}
+    for kp in sorted(grid.kp_values):
+        for ki in sorted(grid.ki_values):
+            for kd in sorted(grid.kd_values):
+                gains = Gains(kp, ki, kd)
+                fitness = fitness_of(Individual(gains, gains), route, params, sim)
+                for name, ae in (("linear", fitness.ae_linear), ("angular", fitness.ae_angular)):
+                    if best[name] is None or ae < best[name][0]:
+                        best[name] = (ae, gains)
+    return GridOracleResult(
+        linear_gains=best["linear"][1],
+        angular_gains=best["angular"][1],
+        ae_linear=best["linear"][0],
+        ae_angular=best["angular"][0],
+    )
+
+
+def assert_oracle_matches_reference(route, params, sim, grid):
+    got = grid_oracle(route, params, sim, grid)
+    # repr also tells 1 from 1.0: the gains must be the grid's own values
+    assert repr(got) == repr(reference_grid_oracle(route, params, sim, grid))
+    return got
+
+
+def test_oracle_matches_reference_on_a_dense_grid(plant, sim, train_route):
+    grid = GainGrid(tuple(j / 5 for j in range(8)), tuple(j / 30 for j in range(4)), (0.0, 0.01, 0.02))
+    assert_oracle_matches_reference(train_route, plant, sim, grid)
+
+
+def test_oracle_matches_reference_on_duplicate_axis_values(plant, sim, train_route):
+    # 1.0 and 1 are equal values of different types; sorted keeps them in the given order
+    grid = GainGrid((1.0, 0.5, 1, 0.5), (0.0, 0.02, 0.0), (0.0,))
+    assert_oracle_matches_reference(train_route, plant, sim, grid)
+
+
+def test_oracle_matches_reference_on_integer_grid(plant, sim, train_route):
+    grid = GainGrid((0, 1, 2, 3), (0, 1), (0,))
+    result = assert_oracle_matches_reference(train_route, plant, sim, grid)
+    assert all(type(v) is int for v in result.linear_gains.as_tuple() + result.angular_gains.as_tuple())
+
+
+def test_oracle_all_diverged_tie_goes_to_first_point(sim, train_route):
+    params = PlantParams(ChannelParams(initial_velocity=-5.0), ChannelParams(time_constant=0.3, initial_velocity=-5.0))
+    grid = GainGrid((1.5e308, 1e308), (0.0,), (1e308, 1.2e308))
+    for kp in grid.kp_values:
+        for kd in grid.kd_values:
+            gains = Gains(kp, 0.0, kd)
+            assert fitness_of(Individual(gains, gains), train_route, params, sim) == (DIVERGENCE_AE, DIVERGENCE_AE)
+    result = assert_oracle_matches_reference(train_route, params, sim, grid)
+    assert result.linear_gains == result.angular_gains == Gains(1e308, 0.0, 1e308)
+    assert (result.ae_linear, result.ae_angular) == (DIVERGENCE_AE, DIVERGENCE_AE)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 5, 7])
+def test_oracle_matches_reference_across_chunks(chunk, monkeypatch, plant, sim, train_route):
+    monkeypatch.setattr(evopid.harness, "_ORACLE_CHUNK", chunk)
+    grid = GainGrid((0.2, 0.6, 1.0, 1.4), (0.0, 0.05), (0.0, 0.01))
+    assert_oracle_matches_reference(train_route, plant, sim, grid)
+    # on a null route from rest every point ties at AE 0; the first chunk's first point must win
+    tie = GainGrid((0.3, 0.1, 0.2), (0.2, 0.0), (0.5, 0.4))
+    result = assert_oracle_matches_reference(RouteSpec(0.0, 0.0), plant, sim, tie)
+    assert result.linear_gains == result.angular_gains == Gains(0.1, 0.0, 0.4)

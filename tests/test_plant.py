@@ -7,16 +7,20 @@ from hypothesis import strategies as st
 
 from evopid import (
     ChannelParams,
+    GainGrid,
     Gains,
     Individual,
     PlantParams,
     RouteSpec,
     SimConfig,
     SimulationDiverged,
+    fitness_of,
+    grid_oracle,
     plant_step,
     route_setpoint,
     simulate_route,
 )
+from evopid.plant import _MAX_SAMPLES, _sample_count
 
 ZERO = Individual.from_flat([0.0] * 6)
 
@@ -103,6 +107,26 @@ def test_sim_config_dt():
     assert SimConfig().dt == 0.02
     with pytest.raises(ValueError):
         SimConfig(sample_rate=0.0)
+
+
+@pytest.mark.parametrize("phase_duration", [1e9, 1e308])
+def test_route_longer_than_the_sample_cap_is_rejected_before_running(phase_duration, plant):
+    # 1e308 s per phase makes the route's duration infinite
+    route, sim = RouteSpec(-0.3, 0.3, phase_duration=phase_duration), SimConfig()
+    point = GainGrid((0.5,), (0.0,), (0.0,))
+    for run in (
+        lambda: simulate_route(ZERO, route, plant, sim),
+        lambda: fitness_of(ZERO, route, plant, sim),
+        lambda: grid_oracle(route, plant, sim, point),
+    ):
+        with pytest.raises(ValueError, match=f"{phase_duration * 2!r} s at 50.0 Hz .* limit of 10,000,000"):
+            run()
+
+
+def test_route_at_the_sample_cap_is_accepted():
+    # only counted: 2 * 100,000 s at 50 Hz is exactly the cap
+    route = RouteSpec(-0.3, 0.3, phase_duration=_MAX_SAMPLES / 100)
+    assert _sample_count(route, SimConfig(50.0)) == _MAX_SAMPLES
 
 
 # ---------------------------------------------------------------- route simulation
