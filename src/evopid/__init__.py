@@ -2,9 +2,7 @@
 
 from .ep import (
     EPConfig,
-    EPResult,
     EvaluationError,
-    FLAT_GAIN_FIELDS,
     Gains,
     GenerationRecord,
     Individual,
@@ -12,7 +10,6 @@ from .ep import (
     MemberRecord,
     MutationKind,
     MutationSpec,
-    Population,
     StopReason,
     init_population,
     mutate_absolute,
@@ -22,15 +19,11 @@ from .ep import (
     run_ep,
 )
 from .harness import (
-    ChannelResult,
     ConfigError,
-    DEFAULT_TEST_ROUTE,
-    DEFAULT_TRAIN_ROUTE,
     EXPERIMENT_TABLE,
     ExperimentSpec,
     GainGrid,
     GridOracleResult,
-    ResultRecord,
     build_environment,
     build_experiment_spec,
     export_generations,
@@ -42,7 +35,7 @@ from .harness import (
     render_result_table,
     run_experiment,
 )
-from .metrics import DIVERGENCE_AE, FitnessRecord, StepMetrics, average_error, fitness_of, step_metrics
+from .metrics import DIVERGENCE_AE, FitnessRecord, average_error, fitness_of, step_metrics
 from .pid import PidState, pid_reset, pid_step
 from .plant import (
     ChannelParams,

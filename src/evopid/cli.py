@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
 
@@ -12,6 +14,7 @@ from .harness import (
     ConfigError,
     build_environment,
     build_experiment_spec,
+    check_step_route,
     grid_oracle,
     export_trace,
     parse_config_file,
@@ -81,6 +84,7 @@ def _cmd_step(args: argparse.Namespace) -> int:
     individual = _parse_gains(args.gains)
     plant, sim, routes = build_environment(_overrides(args.config))
     route = routes[args.route]
+    check_step_route(args.route, route, sim)
     trace = simulate_route(individual, route, plant, sim)
     export_trace(trace, args.out)
     print(f"wrote trace to {args.out}")
@@ -98,19 +102,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     grid = parse_grid_file(args.grid)
     plant, sim, routes = build_environment(_overrides(args.config))
     result = grid_oracle(routes[args.route], plant, sim, grid)
+    payload = {"route": args.route}
     for name, gains, ae in (
         ("linear", result.linear_gains, result.ae_linear),
         ("angular", result.angular_gains, result.ae_angular),
     ):
-        print(f"{name:7s} kp={gains.kp:.6g} ki={gains.ki:.6g} kd={gains.kd:.6g}  ae={ae:.6g}")
+        fields = asdict(gains)
+        payload[name] = {**fields, "ae": ae}
+        gains_text = " ".join(f"{k}={v:.6g}" for k, v in fields.items())
+        print(f"{name:7s} {gains_text}  ae={ae:.6g}")
     if args.out is not None:
-        import json
-
-        payload = {
-            "route": args.route,
-            "linear": {"kp": result.linear_gains.kp, "ki": result.linear_gains.ki, "kd": result.linear_gains.kd, "ae": result.ae_linear},
-            "angular": {"kp": result.angular_gains.kp, "ki": result.angular_gains.ki, "kd": result.angular_gains.kd, "ae": result.ae_angular},
-        }
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

@@ -120,6 +120,12 @@ class InitSpec:
                 raise ValueError(f"{name} must satisfy 0 <= low <= high, got ({low}, {high})")
 
 
+# Most members one run may evaluate (population size times generations). The history
+# keeps every member, about 700 bytes each, so this bounds a run near 0.7 GB and some
+# minutes of evaluation; the largest preset, experiment 3, evaluates 2,000.
+_MAX_MEMBERS = 1_000_000
+
+
 @dataclass(frozen=True)
 class EPConfig:
     population_size: int
@@ -134,6 +140,11 @@ class EPConfig:
             raise ValueError("population_size must be >= 1")
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
+        if self.population_size * self.max_generations > _MAX_MEMBERS:
+            raise ValueError(
+                f"population_size {self.population_size} times max_generations {self.max_generations} "
+                f"is more than the limit of {_MAX_MEMBERS:,} members per run"
+            )
         if not self.ae_target > 0:
             raise ValueError("ae_target must be > 0")
         if not 0 <= self.rng_seed < 2**64:

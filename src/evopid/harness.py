@@ -5,18 +5,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .ep import (
+    FLAT_GAIN_FIELDS,
     EPConfig,
     GenerationRecord,
     Gains,
     Individual,
-    InitSpec,
     MemberRecord,
     MutationKind,
     MutationSpec,
@@ -25,7 +25,7 @@ from .ep import (
     run_ep,
 )
 from .metrics import StepMetrics, _fitness_batch, fitness_of, step_metrics
-from .plant import ChannelParams, PlantParams, RouteSpec, SimConfig, simulate_route
+from .plant import PlantParams, RouteSpec, SimConfig, _sample_count, simulate_route
 
 DEFAULT_TRAIN_ROUTE = RouteSpec(start=-0.3, end=0.3)
 DEFAULT_TEST_ROUTE = RouteSpec(start=0.1, end=0.7)
@@ -37,53 +37,46 @@ EXPERIMENT_TABLE = {
     3: (MutationKind.SCALED, 20),
 }
 
-GENERATIONS_HEADER = (
-    "generation",
-    "member",
-    "kpv",
-    "kiv",
-    "kdv",
-    "kpa",
-    "kia",
-    "kda",
-    "ae_linear",
-    "ae_angular",
-)
+GENERATIONS_HEADER = ("generation", "member", *FLAT_GAIN_FIELDS, "ae_linear", "ae_angular")
 
 # grid points per batched kernel call in grid_oracle; bounds its memory on large grids
 _ORACLE_CHUNK = 4096
 
 TRACE_HEADER = ("t", "desired_linear", "actual_linear", "desired_angular", "actual_angular")
 
-# every key accepted in a flat `key = value` config file, with its parsed type
-CONFIG_KEYS: dict[str, type] = {
-    "plant.linear.dc_gain": float,
-    "plant.linear.time_constant": float,
-    "plant.linear.actuator_limit": float,
-    "plant.linear.initial_velocity": float,
-    "plant.angular.dc_gain": float,
-    "plant.angular.time_constant": float,
-    "plant.angular.actuator_limit": float,
-    "plant.angular.initial_velocity": float,
-    "route.train.start": float,
-    "route.train.end": float,
-    "route.train.phase_duration": float,
-    "route.test.start": float,
-    "route.test.end": float,
-    "route.test.phase_duration": float,
-    "sim.sample_rate": float,
-    "ep.population_size": int,
-    "ep.max_generations": int,
-    "ep.ae_target": float,
-    "mutation.sigma_absolute": float,
-    "mutation.sigma_scaled": float,
-    "init.kp.low": float,
-    "init.kp.high": float,
-    "init.ki.low": float,
-    "init.ki.high": float,
-    "init.kd.low": float,
-    "init.kd.high": float,
+# Every setting a run takes from outside: dotted config key -> (parsed type, path to the field
+# in an ExperimentSpec; an int step indexes a tuple). The order is the order of result.json.
+CONFIG_TABLE: dict[str, tuple[type, tuple[str | int, ...]]] = {
+    "plant.linear.dc_gain": (float, ("plant", "linear", "dc_gain")),
+    "plant.linear.time_constant": (float, ("plant", "linear", "time_constant")),
+    "plant.linear.actuator_limit": (float, ("plant", "linear", "actuator_limit")),
+    "plant.linear.initial_velocity": (float, ("plant", "linear", "initial_velocity")),
+    "plant.angular.dc_gain": (float, ("plant", "angular", "dc_gain")),
+    "plant.angular.time_constant": (float, ("plant", "angular", "time_constant")),
+    "plant.angular.actuator_limit": (float, ("plant", "angular", "actuator_limit")),
+    "plant.angular.initial_velocity": (float, ("plant", "angular", "initial_velocity")),
+    "route.train.start": (float, ("train_route", "start")),
+    "route.train.end": (float, ("train_route", "end")),
+    "route.train.phase_duration": (float, ("train_route", "phase_duration")),
+    "route.test.start": (float, ("test_route", "start")),
+    "route.test.end": (float, ("test_route", "end")),
+    "route.test.phase_duration": (float, ("test_route", "phase_duration")),
+    "sim.sample_rate": (float, ("sim", "sample_rate")),
+    "ep.population_size": (int, ("ep", "population_size")),
+    "ep.max_generations": (int, ("ep", "max_generations")),
+    "ep.ae_target": (float, ("ep", "ae_target")),
+    "mutation.sigma_absolute": (float, ("ep", "mutation", "sigma_absolute")),
+    "mutation.sigma_scaled": (float, ("ep", "mutation", "sigma_scaled")),
+    "init.kp.low": (float, ("ep", "init", "kp_bounds", 0)),
+    "init.kp.high": (float, ("ep", "init", "kp_bounds", 1)),
+    "init.ki.low": (float, ("ep", "init", "ki_bounds", 0)),
+    "init.ki.high": (float, ("ep", "init", "ki_bounds", 1)),
+    "init.kd.low": (float, ("ep", "init", "kd_bounds", 0)),
+    "init.kd.high": (float, ("ep", "init", "kd_bounds", 1)),
 }
+
+# every key accepted in a flat `key = value` config file, with its parsed type
+CONFIG_KEYS: dict[str, type] = {key: kind for key, (kind, _) in CONFIG_TABLE.items()}
 
 
 class ConfigError(ValueError):
@@ -229,38 +222,38 @@ def _read_lines(path: Path) -> list[str]:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
+def _field(node, path: tuple[str | int, ...]):
+    """The value at a CONFIG_TABLE path inside nested dataclasses and tuples."""
+    for step in path:
+        node = node[step] if isinstance(step, int) else getattr(node, step)
+    return node
+
+
+def _replace_fields(node, values: Mapping[tuple[str | int, ...], object]):
+    """A copy of ``node`` with the value at each path replaced.
+
+    Each dataclass or tuple on the paths is rebuilt once with all of its new values, so
+    its checks see only the final combination (a low bound may pass the old high one).
+    """
+    by_step: dict[str | int, dict[tuple[str | int, ...], object]] = {}
+    for (step, *rest), value in values.items():
+        by_step.setdefault(step, {})[tuple(rest)] = value
+    new = {
+        step: sub[()] if () in sub else _replace_fields(_field(node, (step,)), sub)
+        for step, sub in by_step.items()
+    }
+    if isinstance(node, tuple):
+        return tuple(new.get(i, old) for i, old in enumerate(node))
+    return replace(node, **new)
+
+
 def build_environment(
     overrides: Mapping[str, float] | None = None,
 ) -> tuple[PlantParams, SimConfig, dict[str, RouteSpec]]:
     """Plant, sim settings, and the train/test routes, with config overrides applied."""
-    ov = dict(overrides or {})
-
-    def channel(prefix: str, default: ChannelParams) -> ChannelParams:
-        return ChannelParams(
-            dc_gain=ov.get(f"{prefix}.dc_gain", default.dc_gain),
-            time_constant=ov.get(f"{prefix}.time_constant", default.time_constant),
-            actuator_limit=ov.get(f"{prefix}.actuator_limit", default.actuator_limit),
-            initial_velocity=ov.get(f"{prefix}.initial_velocity", default.initial_velocity),
-        )
-
-    def route(prefix: str, default: RouteSpec) -> RouteSpec:
-        return RouteSpec(
-            start=ov.get(f"{prefix}.start", default.start),
-            end=ov.get(f"{prefix}.end", default.end),
-            phase_duration=ov.get(f"{prefix}.phase_duration", default.phase_duration),
-        )
-
-    defaults = PlantParams()
-    plant = PlantParams(
-        linear=channel("plant.linear", defaults.linear),
-        angular=channel("plant.angular", defaults.angular),
-    )
-    sim = SimConfig(sample_rate=ov.get("sim.sample_rate", SimConfig().sample_rate))
-    routes = {
-        "train": route("route.train", DEFAULT_TRAIN_ROUTE),
-        "test": route("route.test", DEFAULT_TEST_ROUTE),
-    }
-    return plant, sim, routes
+    # every preset shares the plant, sim and routes; the EP overrides are checked all the same
+    spec = build_experiment_spec(1, overrides=overrides)
+    return spec.plant, spec.sim, {"train": spec.train_route, "test": spec.test_route}
 
 
 def build_experiment_spec(
@@ -269,51 +262,44 @@ def build_experiment_spec(
     output_dir: Path | str | None = None,
     overrides: Mapping[str, float] | None = None,
 ) -> ExperimentSpec:
-    """Assemble a preset experiment; config overrides may adjust everything but the mutation kind."""
+    """Assemble a preset experiment; config overrides may adjust everything but the mutation kind.
+
+    Raises ConfigError on a key that is not in CONFIG_TABLE.
+    """
     if experiment_id not in EXPERIMENT_TABLE:
         raise ValueError(f"experiment id must be one of {sorted(EXPERIMENT_TABLE)}")
-    ov = dict(overrides or {})
-    kind, default_size = EXPERIMENT_TABLE[experiment_id]
-    ep_defaults = EPConfig(population_size=default_size)
-    mut_defaults = MutationSpec(kind)
-    init_defaults = InitSpec()
-    ep = EPConfig(
-        population_size=int(ov.get("ep.population_size", default_size)),
-        max_generations=int(ov.get("ep.max_generations", ep_defaults.max_generations)),
-        ae_target=ov.get("ep.ae_target", ep_defaults.ae_target),
-        mutation=MutationSpec(
-            kind=kind,
-            sigma_absolute=ov.get("mutation.sigma_absolute", mut_defaults.sigma_absolute),
-            sigma_scaled=ov.get("mutation.sigma_scaled", mut_defaults.sigma_scaled),
-        ),
-        init=InitSpec(
-            kp_bounds=(
-                ov.get("init.kp.low", init_defaults.kp_bounds[0]),
-                ov.get("init.kp.high", init_defaults.kp_bounds[1]),
-            ),
-            ki_bounds=(
-                ov.get("init.ki.low", init_defaults.ki_bounds[0]),
-                ov.get("init.ki.high", init_defaults.ki_bounds[1]),
-            ),
-            kd_bounds=(
-                ov.get("init.kd.low", init_defaults.kd_bounds[0]),
-                ov.get("init.kd.high", init_defaults.kd_bounds[1]),
-            ),
-        ),
-        rng_seed=seed,
-    )
-    plant, sim, routes = build_environment(ov)
+    kind, population_size = EXPERIMENT_TABLE[experiment_id]
     if output_dir is None:
         output_dir = Path("results") / f"experiment_{experiment_id}"
-    return ExperimentSpec(
+    preset = ExperimentSpec(
         experiment_id=experiment_id,
-        ep=ep,
-        plant=plant,
-        sim=sim,
-        train_route=routes["train"],
-        test_route=routes["test"],
+        ep=EPConfig(population_size=population_size, mutation=MutationSpec(kind), rng_seed=seed),
+        plant=PlantParams(),
+        sim=SimConfig(),
+        train_route=DEFAULT_TRAIN_ROUTE,
+        test_route=DEFAULT_TEST_ROUTE,
         output_dir=Path(output_dir),
     )
+    values = {}
+    for key, value in (overrides or {}).items():
+        if key not in CONFIG_TABLE:
+            raise ConfigError(f"unknown config key {key!r} (valid keys: {', '.join(sorted(CONFIG_TABLE))})")
+        parse, path = CONFIG_TABLE[key]
+        values[path] = parse(value)
+    return _replace_fields(preset, values)
+
+
+def check_step_route(name: str, route: RouteSpec, sim: SimConfig) -> None:
+    """Raise ValueError, naming the route, unless step_metrics is defined on a run of it."""
+    if route.start == route.end:
+        raise ValueError(f"the {name} route has no step: start equals end ({route.start!r})")
+    n_samples = _sample_count(route, sim)
+    # the last of simulate_route's sample times (negative when there are none)
+    if (n_samples - 1) * sim.dt < route.phase_duration:
+        raise ValueError(
+            f"the {name} route gets no sample in its second phase: {n_samples} samples at "
+            f"{sim.sample_rate!r} Hz, second phase from {route.phase_duration!r} s"
+        )
 
 
 def export_generations(history: Sequence[GenerationRecord], path: Path) -> None:
@@ -368,40 +354,12 @@ def export_trace(trace, path: Path) -> None:
 
 
 def _spec_as_dict(spec: ExperimentSpec) -> dict:
-    def route_dict(r: RouteSpec) -> dict:
-        return {"start": r.start, "end": r.end, "phase_duration": r.phase_duration}
-
-    def channel_dict(c: ChannelParams) -> dict:
-        return {
-            "dc_gain": c.dc_gain,
-            "time_constant": c.time_constant,
-            "actuator_limit": c.actuator_limit,
-            "initial_velocity": c.initial_velocity,
-        }
-
+    """The run's settings; build_experiment_spec(id, seed=seed, overrides=config) rebuilds the spec."""
     return {
         "id": spec.experiment_id,
         "seed": spec.ep.rng_seed,
         "mutation": spec.ep.mutation.kind.value,
-        "population_size": spec.ep.population_size,
-        "max_generations": spec.ep.max_generations,
-        "ae_target": spec.ep.ae_target,
-        "sigma_absolute": spec.ep.mutation.sigma_absolute,
-        "sigma_scaled": spec.ep.mutation.sigma_scaled,
-        "init_bounds": {
-            "kp": list(spec.ep.init.kp_bounds),
-            "ki": list(spec.ep.init.ki_bounds),
-            "kd": list(spec.ep.init.kd_bounds),
-        },
-        "sample_rate": spec.sim.sample_rate,
-        "plant": {
-            "linear": channel_dict(spec.plant.linear),
-            "angular": channel_dict(spec.plant.angular),
-        },
-        "routes": {
-            "train": route_dict(spec.train_route),
-            "test": route_dict(spec.test_route),
-        },
+        "config": {key: _field(spec, path) for key, (_, path) in CONFIG_TABLE.items()},
         "output_dir": str(spec.output_dir),
     }
 
@@ -462,6 +420,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     def evaluator(individual: Individual) -> tuple[float, float]:
         return fitness_of(individual, spec.train_route, spec.plant, spec.sim)
 
+    check_step_route("train", spec.train_route, spec.sim)
+    check_step_route("test", spec.test_route, spec.sim)
     best, history, stop_reason = run_ep(spec.ep, evaluator)
 
     ae_train_linear = min(m.ae_linear for record in history for m in record.members)

@@ -13,7 +13,7 @@ class PidState(NamedTuple):
     first_sample_seen: bool = False
 
 
-def pid_reset(state: PidState | None = None) -> PidState:
+def pid_reset() -> PidState:
     """Fresh state: zero integral, derivative contributes 0 on the next sample."""
     return PidState()
 

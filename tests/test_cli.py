@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import evopid.cli
 import evopid.harness
 from evopid.cli import cli_main
 
@@ -100,6 +101,57 @@ def test_step_rejects_route_over_the_sample_cap(tmp_path, capsys):
     assert rc == 1
     assert "error: a route of 2000000000.0 s at 50.0 Hz" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("route.test.start = 0.5\nroute.test.end = 0.5\n", "the test route has no step: start equals end (0.5)"),
+        ("route.train.phase_duration = 0.01\n", "the train route gets no sample in its second phase"),
+    ],
+)
+def test_tune_rejects_a_route_without_a_step_before_tuning(tmp_path, capsys, monkeypatch, lines, message):
+    def no_run_ep(*args):
+        raise AssertionError("run_ep was called")
+
+    monkeypatch.setattr(evopid.harness, "run_ep", no_run_ep)
+    cfg = tmp_path / "route.cfg"
+    cfg.write_text(lines)
+    out = tmp_path / "run"
+    rc = cli_main(["tune", "--experiment", "3", "--out", str(out), "--config", str(cfg)])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("route.train.start = 0.5\nroute.train.end = 0.5\n", "the train route has no step"),
+        ("route.train.phase_duration = 0.01\n", "the train route gets no sample in its second phase"),
+    ],
+)
+def test_step_rejects_a_route_without_a_step_before_simulating(tmp_path, capsys, monkeypatch, lines, message):
+    def no_simulate_route(*args):
+        raise AssertionError("simulate_route was called")
+
+    monkeypatch.setattr(evopid.cli, "simulate_route", no_simulate_route)
+    cfg = tmp_path / "route.cfg"
+    cfg.write_text(lines)
+    out = tmp_path / "t.csv"
+    rc = cli_main(["step", "--gains", "0.5,0,0,0.5,0,0", "--route", "train", "--out", str(out), "--config", str(cfg)])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_accepts_a_route_without_a_step(tmp_path, capsys):
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text("route.train.start = 0\nroute.train.end = 0\n")
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("kp = 0, 0.5\n")
+    assert cli_main(["oracle", "--grid", str(grid), "--config", str(cfg)]) == 0
+    assert "ae=0" in capsys.readouterr().out
 
 
 def test_missing_config_file_reports_error(capsys):

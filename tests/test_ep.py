@@ -24,6 +24,7 @@ from evopid import (
     next_generation,
     run_ep,
 )
+from evopid.ep import _MAX_MEMBERS
 from evopid.metrics import fitness_of
 
 
@@ -409,6 +410,15 @@ def test_epconfig_validation():
         EPConfig(population_size=1, rng_seed=-1)
     with pytest.raises(ValueError):
         EPConfig(population_size=1, rng_seed=2**64)
+
+
+def test_epconfig_caps_population_times_generations():
+    # constructed only: a run at these sizes would take hours and gigabytes
+    EPConfig(population_size=_MAX_MEMBERS, max_generations=1)
+    EPConfig(population_size=1, max_generations=_MAX_MEMBERS)
+    for size, generations in ((_MAX_MEMBERS + 1, 1), (1, _MAX_MEMBERS + 1), (2_000_000_000, 100)):
+        with pytest.raises(ValueError, match="more than the limit of 1,000,000 members per run"):
+            EPConfig(population_size=size, max_generations=generations)
 
 
 def test_initspec_validation():

