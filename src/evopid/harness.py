@@ -14,6 +14,7 @@ import numpy as np
 from .ep import (
     FLAT_GAIN_FIELDS,
     EPConfig,
+    EvaluationError,
     GenerationRecord,
     Gains,
     Individual,
@@ -24,7 +25,7 @@ from .ep import (
     _require_finite,
     run_ep,
 )
-from .metrics import StepMetrics, _fitness_batch, fitness_of, step_metrics
+from .metrics import DIVERGENCE_AE, StepMetrics, _fitness_batch, fitness_of, step_metrics
 from .plant import PlantParams, RouteSpec, SimConfig, _sample_count, simulate_route
 
 DEFAULT_TRAIN_ROUTE = RouteSpec(start=-0.3, end=0.3)
@@ -264,7 +265,8 @@ def build_experiment_spec(
 ) -> ExperimentSpec:
     """Assemble a preset experiment; config overrides may adjust everything but the mutation kind.
 
-    Raises ConfigError on a key that is not in CONFIG_TABLE.
+    Raises ConfigError on a key that is not in CONFIG_TABLE, on a bool, and on a
+    value an int key would truncate (2.7 for a population size).
     """
     if experiment_id not in EXPERIMENT_TABLE:
         raise ValueError(f"experiment id must be one of {sorted(EXPERIMENT_TABLE)}")
@@ -285,7 +287,15 @@ def build_experiment_spec(
         if key not in CONFIG_TABLE:
             raise ConfigError(f"unknown config key {key!r} (valid keys: {', '.join(sorted(CONFIG_TABLE))})")
         parse, path = CONFIG_TABLE[key]
-        values[path] = parse(value)
+        if isinstance(value, (bool, np.bool_)):
+            raise ConfigError(f"{key} must be a number, got {value!r}")
+        try:
+            number = parse(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from None
+        if parse is int and number != value:
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        values[path] = number
     return _replace_fields(preset, values)
 
 
@@ -414,7 +424,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     """Tune on the train route, re-evaluate the winner on the test route, log everything.
 
     Writes generations.csv, best_train_trace.csv, best_test_trace.csv, and
-    result.json into the spec's output directory.
+    result.json into the spec's output directory. Raises EvaluationError, and
+    writes nothing, when every member of every generation diverged.
     """
 
     def evaluator(individual: Individual) -> tuple[float, float]:
@@ -423,9 +434,15 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     check_step_route("train", spec.train_route, spec.sim)
     check_step_route("test", spec.test_route, spec.sim)
     best, history, stop_reason = run_ep(spec.ep, evaluator)
+    members = [m for record in history for m in record.members]
+    if all(m.ae_linear == m.ae_angular == DIVERGENCE_AE for m in members):
+        raise EvaluationError(
+            f"all {len(members)} members of {len(history)} generations diverged on the train route; "
+            "there are no gains to replay"
+        )
 
-    ae_train_linear = min(m.ae_linear for record in history for m in record.members)
-    ae_train_angular = min(m.ae_angular for record in history for m in record.members)
+    ae_train_linear = min(m.ae_linear for m in members)
+    ae_train_angular = min(m.ae_angular for m in members)
     test_fitness = fitness_of(best, spec.test_route, spec.plant, spec.sim)
 
     train_trace = simulate_route(best, spec.train_route, spec.plant, spec.sim)

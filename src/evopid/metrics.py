@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,7 +66,7 @@ def fitness_of(
 
     A diverging simulation is absorbed into ``divergence_ae`` on both channels
     so unstable gains stay comparable and always rank last. The linear channel
-    runs first; if it diverges the angular one is not run.
+    runs first; if its final velocity is nonfinite the angular one is not run.
     """
     dt = sim.dt
     n_samples = _sample_count(route, sim)
@@ -73,8 +74,8 @@ def fitness_of(
         raise ValueError("the route has no samples at this sample rate")
     errors = []
     for gains, channel in ((individual.linear, params.linear), (individual.angular, params.angular)):
-        total, diverged_at = _run_channel(gains, route, channel, dt, n_samples)
-        if diverged_at is not None:
+        total, final_velocity = _run_channel(gains, route, channel, dt, n_samples)
+        if not math.isfinite(final_velocity):
             return FitnessRecord(divergence_ae, divergence_ae)
         errors.append(total / n_samples)
     return FitnessRecord(*errors)

@@ -152,6 +152,21 @@ def _sample_count(route: RouteSpec, sim: SimConfig) -> int:
     return n_samples
 
 
+def _phase_switch(route: RouteSpec, dt: float, n_samples: int) -> int:
+    """Index of the first sample of the route's second phase: the first k with k * dt >= phase_duration.
+
+    Capped at n_samples. The float product k * dt is the sample time every other path
+    uses, so the guess ceil(phase_duration / dt) is moved by that same test until exact.
+    """
+    switch = route.phase_duration
+    k = math.ceil(switch / dt)
+    while k > 0 and (k - 1) * dt >= switch:
+        k -= 1
+    while k * dt < switch:
+        k += 1
+    return min(k, n_samples)
+
+
 def _run_channel(
     gains: Gains,
     route: RouteSpec,
@@ -159,44 +174,53 @@ def _run_channel(
     dt: float,
     n_samples: int,
     actual: list[float] | None = None,
-) -> tuple[float, int | None]:
+) -> tuple[float, float]:
     """One channel's closed loop along the route, fused into a single pass.
 
     Performs exactly the float operations of route_setpoint, pid_step and
     plant_step, in their order, so results are bit-identical to chaining them.
+    The samples run in two stretches split at _phase_switch, ``start`` then
+    ``end``, so no sample tests its time. The previous error starts as the first
+    error, which makes sample 0's derivative (e - e) / dt exactly the 0.0 that
+    pid_step uses there (NaN only if the first error itself overflows; the run
+    then diverges on sample 0, where the per-sample functions may reach sample 1).
     Appends the measurement of each sample to ``actual`` when given. Returns the
-    sum of |setpoint - measurement| over the samples in time order, and the
-    index of the sample whose step made the velocity nonfinite (None if none
-    did; the run stops there).
+    sum of |setpoint - measurement| over the samples in time order, and the final
+    velocity. The run does not stop where the velocity goes nonfinite: it never
+    turns finite again (a NaN stays NaN, and an infinity meets the clipped command
+    and stays infinite or turns NaN), so a nonfinite final velocity is the
+    divergence verdict, and the sum is then meaningless.
     """
     kp, ki, kd = gains.kp, gains.ki, gains.kd
-    start, end, switch = route.start, route.end, route.phase_duration
+    start, end = route.start, route.end
     limit = channel.actuator_limit
+    neg_limit = -limit
     dc_gain = channel.dc_gain
     decay = math.exp(-dt / channel.time_constant)
-    isfinite = math.isfinite
+    record = actual is not None
+    append = actual.append if record else None
+    k_switch = _phase_switch(route, dt, n_samples)
     velocity = channel.initial_velocity
     integral = 0.0
-    prev_error = 0.0
+    prev_error = start - velocity
     total = 0.0
-    for k in range(n_samples):
-        if actual is not None:
-            actual.append(velocity)
-        error = (start if k * dt < switch else end) - velocity
-        total += abs(error)
-        integral = integral + error * dt
-        derivative = (error - prev_error) / dt if k else 0.0
-        prev_error = error
-        command = kp * error + ki * integral + kd * derivative
-        if command > limit:
-            command = limit
-        elif command < -limit:
-            command = -limit
-        target = command * dc_gain
-        velocity = target + (velocity - target) * decay
-        if not isfinite(velocity):
-            return total, k
-    return total, None
+    for setpoint, count in ((start, k_switch), (end, n_samples - k_switch)):
+        for _ in range(count):
+            if record:
+                append(velocity)
+            error = setpoint - velocity
+            total += abs(error)
+            integral = integral + error * dt
+            derivative = (error - prev_error) / dt
+            prev_error = error
+            command = kp * error + ki * integral + kd * derivative
+            if command > limit:
+                command = limit
+            elif command < neg_limit:
+                command = neg_limit
+            target = command * dc_gain
+            velocity = target + (velocity - target) * decay
+    return total, velocity
 
 
 def _run_batch(
@@ -207,12 +231,11 @@ def _run_batch(
     Rows hold the flat gains kpv, kiv, kdv, kpa, kia, kda. Both channels of every
     row are stacked into one batch of 2n lanes, each with its own limit, DC gain,
     decay and start velocity, and every lane performs _run_channel's float
-    operations in its order, so its error sum is bit-identical to it. Returns the
-    (n, 2) error sums, linear then angular, and an (n,) mask of the rows whose
-    velocity stayed finite on both channels. A lane does not stop where it
-    diverges: a nonfinite velocity never turns finite again (a NaN stays NaN, and
-    an infinity meets the clipped command and stays infinite or turns NaN), so the
-    final velocity gives _run_channel's verdict.
+    operations in its order and on its schedule (two stretches split at
+    _phase_switch, the previous error seeded with the first), so its error sum is
+    bit-identical to it. Returns the (n, 2) error sums, linear then angular, and
+    an (n,) mask of the rows whose final velocity is finite on both channels,
+    which is _run_channel's divergence verdict.
     """
     n = len(gains)
     kp, ki, kd = (np.concatenate((gains[:, j], gains[:, j + 3])) for j in range(3))
@@ -226,25 +249,27 @@ def _run_batch(
     dc_gain = per_lane([c.dc_gain for c in channels])
     decay = per_lane([math.exp(-dt / c.time_constant) for c in channels])
     velocity = per_lane([c.initial_velocity for c in channels])
-    start, end, switch = route.start, route.end, route.phase_duration
-    error, prev_error, command, scratch = (np.empty(2 * n) for _ in range(4))
-    integral, derivative, total = (np.zeros(2 * n) for _ in range(3))
+    start, end = route.start, route.end
+    k_switch = _phase_switch(route, dt, n_samples)
+    error, command, scratch, derivative = (np.empty(2 * n) for _ in range(4))
+    prev_error = np.subtract(start, velocity)
+    integral, total = np.zeros(2 * n), np.zeros(2 * n)
     with np.errstate(all="ignore"):
-        for k in range(n_samples):
-            np.subtract(start if k * dt < switch else end, velocity, out=error)
-            np.add(total, np.abs(error, out=scratch), out=total)
-            np.add(integral, np.multiply(error, dt, out=scratch), out=integral)
-            if k:
+        for setpoint, count in ((start, k_switch), (end, n_samples - k_switch)):
+            for _ in range(count):
+                np.subtract(setpoint, velocity, out=error)
+                np.add(total, np.abs(error, out=scratch), out=total)
+                np.add(integral, np.multiply(error, dt, out=scratch), out=integral)
                 np.divide(np.subtract(error, prev_error, out=derivative), dt, out=derivative)
-            # kp*e + ki*I + kd*D, left to right; D is 0 on sample 0 and is added all the same
-            np.multiply(kp, error, out=command)
-            np.add(command, np.multiply(ki, integral, out=scratch), out=command)
-            np.add(command, np.multiply(kd, derivative, out=scratch), out=command)
-            np.maximum(command, neg_limit, out=command)
-            np.minimum(command, limit, out=command)
-            target = np.multiply(command, dc_gain, out=command)
-            np.add(target, np.multiply(np.subtract(velocity, target, out=scratch), decay, out=scratch), out=velocity)
-            error, prev_error = prev_error, error
+                # kp*e + ki*I + kd*D, left to right
+                np.multiply(kp, error, out=command)
+                np.add(command, np.multiply(ki, integral, out=scratch), out=command)
+                np.add(command, np.multiply(kd, derivative, out=scratch), out=command)
+                np.maximum(command, neg_limit, out=command)
+                np.minimum(command, limit, out=command)
+                target = np.multiply(command, dc_gain, out=command)
+                np.add(target, np.multiply(np.subtract(velocity, target, out=scratch), decay, out=scratch), out=velocity)
+                error, prev_error = prev_error, error
     finite = np.isfinite(velocity).reshape(2, n).all(axis=0)
     return total.reshape(2, n).T, finite
 
@@ -257,7 +282,8 @@ def simulate_route(
     PID states start fresh and both channels start from their configured initial
     velocity (each run is independent of any previous one). At every sample the
     recorded ``actual`` is the measurement the controller acted on. Raises
-    SimulationDiverged if a velocity goes nonfinite.
+    SimulationDiverged, naming the channel and the sample whose step did it, if
+    a final velocity is nonfinite.
     """
     dt = sim.dt
     n_samples = _sample_count(route, sim)
@@ -266,11 +292,14 @@ def simulate_route(
         ("linear", individual.linear, params.linear),
         ("angular", individual.angular, params.angular),
     ):
-        actual: list[float] = []
-        _, diverged_at = _run_channel(gains, route, channel, dt, n_samples, actual)
-        if diverged_at is not None:
-            raise SimulationDiverged(name, diverged_at)
+        recorded: list[float] = []
+        _, final_velocity = _run_channel(gains, route, channel, dt, n_samples, recorded)
+        actual = np.asarray(recorded)
+        if not math.isfinite(final_velocity):
+            # actual[k + 1] is the velocity sample k's step produced; the last step's is not recorded
+            nonfinite = np.flatnonzero(~np.isfinite(actual[1:]))
+            raise SimulationDiverged(name, int(nonfinite[0]) if nonfinite.size else n_samples - 1)
         time = np.arange(n_samples) * dt
         desired = np.where(time < route.phase_duration, route.start, route.end)
-        traces.append(ChannelTrace(time, desired, np.asarray(actual)))
+        traces.append(ChannelTrace(time, desired, actual))
     return SimTrace(linear=traces[0], angular=traces[1])

@@ -215,3 +215,18 @@ def test_step_reports_divergence_as_error(tmp_path, capsys):
     assert rc == 1
     assert "error: linear velocity became nonfinite at sample 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_tune_reports_a_run_where_every_member_diverged(tmp_path, capsys):
+    # kp and kd near 1e308 from -5 m/s diverge on sample 1 for every member of every generation
+    cfg = tmp_path / "diverging.cfg"
+    cfg.write_text(
+        "init.kp.low = 1e308\ninit.kp.high = 1e308\ninit.kd.low = 1e308\ninit.kd.high = 1e308\n"
+        "plant.linear.initial_velocity = -5\nplant.angular.initial_velocity = -5\nep.max_generations = 3\n"
+    )
+    out = tmp_path / "run"
+    rc = cli_main(["tune", "--experiment", "1", "--out", str(out), "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: all 30 members of 3 generations diverged on the train route; there are no gains to replay\n"
+    assert not out.exists()

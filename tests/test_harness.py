@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -122,6 +123,33 @@ def test_unknown_override_key_is_rejected():
 def test_population_times_generations_cap_applies_to_overrides():
     with pytest.raises(ValueError, match="more than the limit of 1,000,000 members per run"):
         build_experiment_spec(2, overrides={"ep.population_size": 2_000_000_000})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("ep.population_size", 2.7, "ep.population_size must be an integer, got 2.7"),
+        ("ep.max_generations", 1.5, "ep.max_generations must be an integer, got 1.5"),
+        ("ep.max_generations", float("inf"), "bad value for ep.max_generations"),
+    ],
+)
+def test_int_key_rejects_a_value_it_would_truncate(key, value, message):
+    # int(2.7) would quietly give a population of 2
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_experiment_spec(2, overrides={key: value})
+
+
+@pytest.mark.parametrize("key", ["ep.max_generations", "ep.population_size", "sim.sample_rate"])
+def test_override_rejects_a_bool(key):
+    # True would otherwise count as 1
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be a number, got True")):
+        build_experiment_spec(2, overrides={key: True})
+
+
+def test_int_key_accepts_an_integral_float():
+    spec = build_experiment_spec(2, overrides={"ep.population_size": 4.0, "ep.max_generations": 7})
+    assert (spec.ep.population_size, spec.ep.max_generations) == (4, 7)
+    assert type(spec.ep.population_size) is int
 
 
 @pytest.mark.parametrize("key", list(CONFIG_KEYS))

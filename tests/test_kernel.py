@@ -8,6 +8,7 @@ loop it replaced. Every pair must agree exactly: the same arrays, the same
 average errors and the same divergence sample, not merely close values.
 """
 
+import itertools
 import math
 import re
 
@@ -41,6 +42,7 @@ from evopid import (
 )
 import evopid.harness
 from evopid.metrics import _fitness_batch
+from evopid.plant import _phase_switch
 
 
 def reference_simulate_route(individual, route, params, sim):
@@ -174,6 +176,37 @@ def test_integer_route_and_start_velocity_match_reference(sim):
     individual = Individual(Gains(0.8, 0.2, 0.01), Gains(2.0, 0.0, 0.0))
     assert simulate_route(individual, route, params, sim).linear.desired.dtype == np.int64
     assert_same_run(individual, route, params, sim)
+
+
+def test_divergence_on_the_final_sample_matches_reference():
+    # two samples: the inf - inf of test_forced_divergence_matches_reference lands on the last one,
+    # whose velocity is never recorded, so the index comes from the final velocity alone
+    individual = Individual(Gains(1e308, 0.0, 1e308), Gains(0.1, 0.0, 0.0))
+    route, sim = RouteSpec(-0.3, -0.3, phase_duration=0.02), SimConfig(50.0)
+    params = PlantParams(linear=ChannelParams(initial_velocity=-5.0))
+    with pytest.raises(SimulationDiverged) as excinfo:
+        reference_simulate_route(individual, route, params, sim)
+    assert (excinfo.value.channel, excinfo.value.sample_index) == ("linear", 1)
+    assert_same_run(individual, route, params, sim)
+
+
+@settings(max_examples=200)
+@given(
+    phase_duration=st.floats(0.001, 10.0),
+    sample_rate=st.floats(1.0, 500.0),
+    cap=st.integers(0, 5000),
+)
+@example(phase_duration=0.06, sample_rate=50.0, cap=5000)
+@example(phase_duration=3.0, sample_rate=50.0, cap=5000)
+@example(phase_duration=0.3337, sample_rate=47.3, cap=5000)
+@example(phase_duration=0.14, sample_rate=50.0, cap=5000)  # ceil(7.000000000000001) is one too many
+@example(phase_duration=3.5, sample_rate=196.0, cap=5000)  # 686 * dt is 3.4999999999999996, one too few
+@example(phase_duration=3.0, sample_rate=50.0, cap=0)
+def test_phase_switch_is_the_first_sample_of_the_second_phase(phase_duration, sample_rate, cap):
+    route, dt = RouteSpec(0.0, 1.0, phase_duration), SimConfig(sample_rate).dt
+    first = next(k for k in itertools.count() if k * dt >= phase_duration)
+    assert _phase_switch(route, dt, cap) == min(first, cap)
+    assert _phase_switch(route, dt, first + 1) == first
 
 
 # ---------------------------------------------------------------- batched kernel
