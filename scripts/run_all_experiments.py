@@ -28,7 +28,7 @@ def main() -> None:
             overrides=overrides,
         )
         print(f"running experiment {experiment_id} "
-              f"({spec.mutation_kind.value} mutation, population {spec.population_size}) ...")
+              f"({spec.ep.mutation.kind.value} mutation, population {spec.ep.population_size}) ...")
         record = run_experiment(spec)
         records.append(record)
 

@@ -73,18 +73,6 @@ class Individual:
         return cls(Gains(*values[:3]), Gains(*values[3:]))
 
 
-@dataclass(frozen=True)
-class Population:
-    generation_index: int
-    members: tuple[Individual, ...]
-
-    def __post_init__(self):
-        if self.generation_index < 0:
-            raise ValueError("generation_index must be >= 0")
-        if len(self.members) < 1:
-            raise ValueError("population must have at least one member")
-
-
 class MutationKind(enum.Enum):
     ABSOLUTE = "absolute"
     SCALED = "scaled"
@@ -250,7 +238,7 @@ def mutate_individual(parent: Individual, spec: MutationSpec, rng: random.Random
     return Individual.from_flat([op(v, sigma, rng) for v in parent.as_flat()])
 
 
-def init_population(config: EPConfig, rng: random.Random) -> Population:
+def init_population(config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:
     """Draw generation 0 uniformly from the init bounds.
 
     Draw order is fixed (member 0..n-1; within a member kpv, kiv, kdv, kpa,
@@ -262,24 +250,24 @@ def init_population(config: EPConfig, rng: random.Random) -> Population:
         lin = Gains(rng.uniform(*b.kp_bounds), rng.uniform(*b.ki_bounds), rng.uniform(*b.kd_bounds))
         ang = Gains(rng.uniform(*b.kp_bounds), rng.uniform(*b.ki_bounds), rng.uniform(*b.kd_bounds))
         members.append(Individual(lin, ang))
-    return Population(0, tuple(members))
+    return tuple(members)
 
 
-def composite_parent(prev: Population, record: GenerationRecord) -> Individual:
+def composite_parent(record: GenerationRecord) -> Individual:
     """Splice the best linear gains and the best angular gains into one parent."""
     return Individual(
-        linear=prev.members[record.fittest_linear_index].linear,
-        angular=prev.members[record.fittest_angular_index].angular,
+        linear=record.members[record.fittest_linear_index].individual.linear,
+        angular=record.members[record.fittest_angular_index].individual.angular,
     )
 
 
-def next_generation(prev: Population, record: GenerationRecord, config: EPConfig, rng: random.Random) -> Population:
+def next_generation(record: GenerationRecord, config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:
     """Build the successor population: the composite parent (member 0, unmutated) plus mutants of it."""
-    parent = composite_parent(prev, record)
+    parent = composite_parent(record)
     members = [parent]
     for _ in range(config.population_size - 1):
         members.append(mutate_individual(parent, config.mutation, rng))
-    return Population(prev.generation_index + 1, tuple(members))
+    return tuple(members)
 
 
 def _best_composite(history: Sequence[GenerationRecord]) -> Individual:
@@ -313,21 +301,22 @@ def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
     # the evaluator is deterministic, so a repeated individual (usually the elitist parent) reuses its score
     scores: dict[Individual, tuple[float, float]] = {}
     while True:
+        generation = len(history)
         members = []
-        for i, individual in enumerate(population.members):
+        for i, individual in enumerate(population):
             score = scores.get(individual)
             if score is None:
                 try:
                     ae_linear, ae_angular = evaluator(individual)
                 except Exception as exc:
                     raise EvaluationError(
-                        f"evaluator failed at generation {population.generation_index}, member {i}: {exc}",
-                        generation=population.generation_index,
+                        f"evaluator failed at generation {generation}, member {i}: {exc}",
+                        generation=generation,
                         member=i,
                     ) from exc
                 score = scores[individual] = (float(ae_linear), float(ae_angular))
             members.append(MemberRecord(individual, *score))
-        record = GenerationRecord.from_evaluations(population.generation_index, tuple(members))
+        record = GenerationRecord.from_evaluations(generation, tuple(members))
         history.append(record)
 
         best_lin = record.members[record.fittest_linear_index].ae_linear
@@ -338,6 +327,6 @@ def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
         if len(history) >= config.max_generations:
             stop_reason = StopReason.GENERATION_LIMIT
             break
-        population = next_generation(population, record, config, rng)
+        population = next_generation(record, config, rng)
 
     return EPResult(_best_composite(history), tuple(history), stop_reason)

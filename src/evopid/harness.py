@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,7 +26,7 @@ from .ep import (
     run_ep,
 )
 from .metrics import DIVERGENCE_AE, StepMetrics, _fitness_batch, fitness_of, step_metrics
-from .plant import PlantParams, RouteSpec, SimConfig, _sample_count, simulate_route
+from .plant import PlantParams, RouteSpec, SimConfig, _phase_switch, _sample_count, simulate_route
 
 DEFAULT_TRAIN_ROUTE = RouteSpec(start=-0.3, end=0.3)
 DEFAULT_TEST_ROUTE = RouteSpec(start=0.1, end=0.7)
@@ -76,9 +76,6 @@ CONFIG_TABLE: dict[str, tuple[type, tuple[str | int, ...]]] = {
     "init.kd.high": (float, ("ep", "init", "kd_bounds", 1)),
 }
 
-# every key accepted in a flat `key = value` config file, with its parsed type
-CONFIG_KEYS: dict[str, type] = {key: kind for key, (kind, _) in CONFIG_TABLE.items()}
-
 
 class ConfigError(ValueError):
     """A config or grid file could not be parsed or used an unknown key."""
@@ -105,14 +102,6 @@ class ExperimentSpec:
                 f"experiment {self.experiment_id} uses the {kind.value} mutation, "
                 f"got {self.ep.mutation.kind.value}"
             )
-
-    @property
-    def mutation_kind(self) -> MutationKind:
-        return self.ep.mutation.kind
-
-    @property
-    def population_size(self) -> int:
-        return self.ep.population_size
 
 
 @dataclass(frozen=True)
@@ -176,10 +165,10 @@ def parse_config_file(path: Path) -> dict[str, float]:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} (valid keys: {', '.join(sorted(CONFIG_KEYS))})")
+        if key not in CONFIG_TABLE:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} (valid keys: {', '.join(sorted(CONFIG_TABLE))})")
         try:
-            overrides[key] = CONFIG_KEYS[key](value.strip())
+            overrides[key] = CONFIG_TABLE[key][0](value.strip())
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
         if not math.isfinite(overrides[key]):
@@ -265,8 +254,9 @@ def build_experiment_spec(
 ) -> ExperimentSpec:
     """Assemble a preset experiment; config overrides may adjust everything but the mutation kind.
 
-    Raises ConfigError on a key that is not in CONFIG_TABLE, on a bool, and on a
-    value an int key would truncate (2.7 for a population size).
+    Raises ConfigError on a key that is not in CONFIG_TABLE, on a bool, on a value
+    an int key would truncate (2.7 for a population size), and on a route start
+    whose first error against a channel's initial velocity overflows.
     """
     if experiment_id not in EXPERIMENT_TABLE:
         raise ValueError(f"experiment id must be one of {sorted(EXPERIMENT_TABLE)}")
@@ -296,7 +286,15 @@ def build_experiment_spec(
         if parse is int and number != value:
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         values[path] = number
-    return _replace_fields(preset, values)
+    spec = _replace_fields(preset, values)
+    for route_name, route in (("train", spec.train_route), ("test", spec.test_route)):
+        for channel_name, channel in (("linear", spec.plant.linear), ("angular", spec.plant.angular)):
+            if not math.isfinite(route.start - channel.initial_velocity):
+                raise ConfigError(
+                    f"route.{route_name}.start - plant.{channel_name}.initial_velocity must be finite, "
+                    f"got {route.start!r} - {channel.initial_velocity!r}"
+                )
+    return spec
 
 
 def check_step_route(name: str, route: RouteSpec, sim: SimConfig) -> None:
@@ -304,8 +302,7 @@ def check_step_route(name: str, route: RouteSpec, sim: SimConfig) -> None:
     if route.start == route.end:
         raise ValueError(f"the {name} route has no step: start equals end ({route.start!r})")
     n_samples = _sample_count(route, sim)
-    # the last of simulate_route's sample times (negative when there are none)
-    if (n_samples - 1) * sim.dt < route.phase_duration:
+    if _phase_switch(route, sim.dt, n_samples) == n_samples:
         raise ValueError(
             f"the {name} route gets no sample in its second phase: {n_samples} samples at "
             f"{sim.sample_rate!r} Hz, second phase from {route.phase_duration!r} s"
@@ -375,24 +372,12 @@ def _spec_as_dict(spec: ExperimentSpec) -> dict:
 
 
 def result_as_dict(record: ResultRecord, spec: ExperimentSpec) -> dict:
-    def channel_dict(c: ChannelResult) -> dict:
-        return {"kp": c.kp, "ki": c.ki, "kd": c.kd, "ae_train": c.ae_train, "ae_test": c.ae_test}
-
     return {
         "experiment": _spec_as_dict(spec),
-        "result": {
-            "linear": channel_dict(record.linear),
-            "angular": channel_dict(record.angular),
-        },
+        "result": {"linear": asdict(record.linear), "angular": asdict(record.angular)},
         "step_metrics": {
-            "train": {
-                "linear": record.step_train_linear.as_dict(),
-                "angular": record.step_train_angular.as_dict(),
-            },
-            "test": {
-                "linear": record.step_test_linear.as_dict(),
-                "angular": record.step_test_angular.as_dict(),
-            },
+            "train": {"linear": asdict(record.step_train_linear), "angular": asdict(record.step_train_angular)},
+            "test": {"linear": asdict(record.step_test_linear), "angular": asdict(record.step_test_angular)},
         },
         "stop_reason": record.stop_reason.value,
         "generations_run": record.generations_run,

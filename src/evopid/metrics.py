@@ -36,13 +36,6 @@ class StepMetrics:
     overshoot: float
     steady_state_error: float
 
-    def as_dict(self) -> dict:
-        return {
-            "rise_time": self.rise_time,
-            "overshoot": self.overshoot,
-            "steady_state_error": self.steady_state_error,
-        }
-
 
 def average_error(channel: ChannelTrace) -> float:
     """Mean |desired - actual| over every sample of the run, streamed in order."""
@@ -55,16 +48,10 @@ def average_error(channel: ChannelTrace) -> float:
     return float(total / n)
 
 
-def fitness_of(
-    individual: Individual,
-    route: RouteSpec,
-    params: PlantParams,
-    sim: SimConfig,
-    divergence_ae: float = DIVERGENCE_AE,
-) -> FitnessRecord:
+def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, sim: SimConfig) -> FitnessRecord:
     """Simulate the route once and average the error per channel.
 
-    A diverging simulation is absorbed into ``divergence_ae`` on both channels
+    A diverging simulation is absorbed into DIVERGENCE_AE on both channels
     so unstable gains stay comparable and always rank last. The linear channel
     runs first; if its final velocity is nonfinite the angular one is not run.
     """
@@ -76,7 +63,7 @@ def fitness_of(
     for gains, channel in ((individual.linear, params.linear), (individual.angular, params.angular)):
         total, final_velocity = _run_channel(gains, route, channel, dt, n_samples)
         if not math.isfinite(final_velocity):
-            return FitnessRecord(divergence_ae, divergence_ae)
+            return FitnessRecord(DIVERGENCE_AE, DIVERGENCE_AE)
         errors.append(total / n_samples)
     return FitnessRecord(*errors)
 

@@ -182,8 +182,7 @@ def _run_channel(
     The samples run in two stretches split at _phase_switch, ``start`` then
     ``end``, so no sample tests its time. The previous error starts as the first
     error, which makes sample 0's derivative (e - e) / dt exactly the 0.0 that
-    pid_step uses there (NaN only if the first error itself overflows; the run
-    then diverges on sample 0, where the per-sample functions may reach sample 1).
+    pid_step uses there (build_experiment_spec keeps that first error finite).
     Appends the measurement of each sample to ``actual`` when given. Returns the
     sum of |setpoint - measurement| over the samples in time order, and the final
     velocity. The run does not stop where the velocity goes nonfinite: it never

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +147,16 @@ def test_step_rejects_a_route_without_a_step_before_simulating(tmp_path, capsys,
     assert not out.exists()
 
 
+def test_step_rejects_an_overflowing_first_error(tmp_path, capsys):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text("route.train.start = 1e308\nplant.linear.initial_velocity = -1e308\n")
+    out = tmp_path / "t.csv"
+    rc = cli_main(["step", "--gains", "1,1,1,1,1,1", "--route", "train", "--out", str(out), "--config", str(cfg)])
+    assert rc == 1
+    assert "error: route.train.start - plant.linear.initial_velocity must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oracle_accepts_a_route_without_a_step(tmp_path, capsys):
     cfg = tmp_path / "flat.cfg"
     cfg.write_text("route.train.start = 0\nroute.train.end = 0\n")
@@ -167,10 +179,14 @@ def test_unknown_subcommand(capsys):
 def test_module_entry_point(tmp_path):
     grid = tmp_path / "grid.cfg"
     grid.write_text("kp = 0.5\n")
+    # the child imports evopid from where this process did, installed or not
+    source_root = str(Path(evopid.cli.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, (source_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "evopid.cli", "oracle", "--grid", str(grid)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert "linear" in proc.stdout

@@ -154,7 +154,7 @@ def test_mutate_individual_deterministic_and_valid():
 def test_init_population_degenerate_interval():
     config = EPConfig(population_size=5, init=InitSpec(kp_bounds=(0.5, 0.5)))
     pop = init_population(config, random.Random(11))
-    assert all(m.linear.kp == 0.5 and m.angular.kp == 0.5 for m in pop.members)
+    assert all(m.linear.kp == 0.5 and m.angular.kp == 0.5 for m in pop)
 
 
 def test_init_population_deterministic():
@@ -165,9 +165,8 @@ def test_init_population_deterministic():
 def test_init_population_within_bounds():
     config = EPConfig(population_size=10)
     pop = init_population(config, random.Random(0))
-    assert pop.generation_index == 0
-    assert len(pop.members) == 10
-    for m in pop.members:
+    assert len(pop) == 10
+    for m in pop:
         for gains in (m.linear, m.angular):
             assert 0.0 <= gains.kp <= 1.0
             assert 0.0 <= gains.ki <= 0.1
@@ -180,7 +179,7 @@ def test_init_population_sample_statistics():
     draws = []
     for seed in range(300):
         pop = init_population(config, random.Random(seed))
-        draws.extend(m.linear.kp for m in pop.members)
+        draws.extend(m.linear.kp for m in pop)
     n = len(draws)
     stderr = math.sqrt(1.0 / 12.0 / n)
     assert abs(sum(draws) / n - 0.5) < 3 * stderr
@@ -236,36 +235,33 @@ def test_next_generation_splices_composite_parent():
         0,
         tuple(
             MemberRecord(ind, lin, ang)
-            for ind, (lin, ang) in zip(pop.members, [(0.5, 0.1), (0.1, 0.5), (0.9, 0.9)])
+            for ind, (lin, ang) in zip(pop, [(0.5, 0.1), (0.1, 0.5), (0.9, 0.9)])
         ),
     )
-    succ = next_generation(pop, record, config, random.Random(2))
-    assert succ.generation_index == 1
-    assert len(succ.members) == 3
+    succ = next_generation(record, config, random.Random(2))
+    assert len(succ) == 3
     # member 0 is the unmutated composite of the two per-channel winners
-    assert succ.members[0].linear == pop.members[1].linear
-    assert succ.members[0].angular == pop.members[0].angular
+    assert succ[0].linear == pop[1].linear
+    assert succ[0].angular == pop[0].angular
 
 
 def test_next_generation_size_one_is_pure_elitism():
     config = EPConfig(population_size=1)
     pop = init_population(config, random.Random(5))
     record = GenerationRecord.from_evaluations(
-        0, (MemberRecord(pop.members[0], 0.4, 0.4),)
+        0, (MemberRecord(pop[0], 0.4, 0.4),)
     )
-    succ = next_generation(pop, record, config, random.Random(6))
-    assert succ.members == (pop.members[0],)
+    succ = next_generation(record, config, random.Random(6))
+    assert succ == (pop[0],)
 
 
 def test_next_generation_deterministic():
     config = EPConfig(population_size=4)
     pop = init_population(config, random.Random(9))
     record = GenerationRecord.from_evaluations(
-        0, tuple(MemberRecord(m, 0.1 * (i + 1), 0.2 * (i + 1)) for i, m in enumerate(pop.members))
+        0, tuple(MemberRecord(m, 0.1 * (i + 1), 0.2 * (i + 1)) for i, m in enumerate(pop))
     )
-    assert next_generation(pop, record, config, random.Random(3)) == next_generation(
-        pop, record, config, random.Random(3)
-    )
+    assert next_generation(record, config, random.Random(3)) == next_generation(record, config, random.Random(3))
 
 
 def test_next_generation_zero_kd_absorbed_forever():
@@ -275,10 +271,10 @@ def test_next_generation_zero_kd_absorbed_forever():
     for generation in range(5):
         record = GenerationRecord.from_evaluations(
             generation,
-            tuple(MemberRecord(m, 0.5, 0.5) for m in pop.members),
+            tuple(MemberRecord(m, 0.5, 0.5) for m in pop),
         )
-        pop = next_generation(pop, record, config, rng)
-        assert all(m.linear.kd == 0.0 and m.angular.kd == 0.0 for m in pop.members)
+        pop = next_generation(record, config, rng)
+        assert all(m.linear.kd == 0.0 and m.angular.kd == 0.0 for m in pop)
 
 
 # ---------------------------------------------------------------- run_ep
@@ -303,6 +299,7 @@ def test_run_ep_exhausts_generation_limit():
     best, history, stop_reason = run_ep(config, lambda ind: (0.5, 0.5))
     assert stop_reason is StopReason.GENERATION_LIMIT
     assert len(history) == 7
+    assert [r.generation_index for r in history] == list(range(7))
     assert all(len(r.members) == 3 for r in history)
 
 
@@ -322,6 +319,21 @@ def test_run_ep_wraps_evaluator_failures():
         run_ep(config, evaluator)
     assert excinfo.value.generation == 0
     assert excinfo.value.member == 0
+
+    # with equal scores the parent is always member 0 of generation 0, scored once, so the
+    # calls are generation 0's two members, then member 1 of generations 1 and 2
+    calls = []
+
+    def fails_on_fourth_call(individual):
+        calls.append(individual)
+        if len(calls) == 4:
+            raise RuntimeError("boom")
+        return (0.5, 0.5)
+
+    with pytest.raises(EvaluationError) as excinfo:
+        run_ep(EPConfig(population_size=2, max_generations=5, rng_seed=0), fails_on_fourth_call)
+    assert excinfo.value.generation == 2
+    assert excinfo.value.member == 1
 
 
 def test_run_ep_evaluates_each_distinct_individual_once():

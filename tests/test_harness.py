@@ -34,7 +34,7 @@ from evopid import (
 )
 import evopid.harness
 from evopid.harness import (
-    CONFIG_KEYS,
+    CONFIG_TABLE,
     EXPERIMENT_TABLE,
     GENERATIONS_HEADER,
     TRACE_HEADER,
@@ -59,9 +59,9 @@ def test_experiment_table_defaults():
     spec1 = build_experiment_spec(1)
     spec2 = build_experiment_spec(2)
     spec3 = build_experiment_spec(3)
-    assert (spec1.mutation_kind, spec1.population_size) == (MutationKind.ABSOLUTE, 10)
-    assert (spec2.mutation_kind, spec2.population_size) == (MutationKind.SCALED, 10)
-    assert (spec3.mutation_kind, spec3.population_size) == (MutationKind.SCALED, 20)
+    assert (spec1.ep.mutation.kind, spec1.ep.population_size) == (MutationKind.ABSOLUTE, 10)
+    assert (spec2.ep.mutation.kind, spec2.ep.population_size) == (MutationKind.SCALED, 10)
+    assert (spec3.ep.mutation.kind, spec3.ep.population_size) == (MutationKind.SCALED, 20)
     assert spec1.train_route == RouteSpec(-0.3, 0.3)
     assert spec1.test_route == RouteSpec(0.1, 0.7)
     assert spec1.ep.max_generations == 100
@@ -146,18 +146,31 @@ def test_override_rejects_a_bool(key):
         build_experiment_spec(2, overrides={key: True})
 
 
+@pytest.mark.parametrize("route", ["train", "test"])
+@pytest.mark.parametrize("channel", ["linear", "angular"])
+def test_overflowing_first_error_is_rejected(route, channel):
+    # 1e308 - -1e308 is inf, and the kernel's first derivative would be inf - inf
+    start, velocity = f"route.{route}.start", f"plant.{channel}.initial_velocity"
+    with pytest.raises(ConfigError, match=re.escape(f"{start} - {velocity} must be finite, got 1e+308 - -1e+308")):
+        build_experiment_spec(2, overrides={start: 1e308, velocity: -1e308})
+    # each value alone, and a large difference that stays finite, are accepted
+    build_experiment_spec(2, overrides={start: 1e308})
+    build_experiment_spec(2, overrides={velocity: -1e308})
+    build_experiment_spec(2, overrides={start: 1e308, velocity: -1e307})
+
+
 def test_int_key_accepts_an_integral_float():
     spec = build_experiment_spec(2, overrides={"ep.population_size": 4.0, "ep.max_generations": 7})
     assert (spec.ep.population_size, spec.ep.max_generations) == (4, 7)
     assert type(spec.ep.population_size) is int
 
 
-@pytest.mark.parametrize("key", list(CONFIG_KEYS))
+@pytest.mark.parametrize("key", list(CONFIG_TABLE))
 def test_each_config_key_sets_its_own_field(small_run, key):
     _, record = small_run
     default = result_as_dict(record, build_experiment_spec(3))["experiment"]["config"]
-    assert list(default) == list(CONFIG_KEYS)
-    value = default[key] + 1 if CONFIG_KEYS[key] is int else default[key] * 1.5 + 0.01
+    assert list(default) == list(CONFIG_TABLE)
+    value = default[key] + 1 if CONFIG_TABLE[key][0] is int else default[key] * 1.5 + 0.01
     config = result_as_dict(record, build_experiment_spec(3, overrides={key: value}))["experiment"]["config"]
     assert {k: v for k, v in config.items() if v != default[k]} == {key: value}
 
@@ -336,12 +349,14 @@ def small_run(tmp_path_factory):
     return spec, record
 
 
-# SHA-256 of the outputs of experiment 2, seed 0, 20 generations, written by the per-sample
-# simulation that evaluated every member of every generation
+# SHA-256 of the outputs of experiment 2, seed 0, 20 generations, written to the relative
+# directory "out"; the CSVs as first written by the per-sample simulation that evaluated
+# every member of every generation, result.json as first written with its config block
 PINNED_EXP2_SEED0_G20 = {
     "generations.csv": "0b850517772b1d22d32e8324a11a81fb1233452a2f31847ab832c3a230436438",
     "best_train_trace.csv": "2ddd69f534fafc1cbb3f4292a9fe9378c16c5f35d6e9955cbc14b2e3eadde592",
     "best_test_trace.csv": "4cff9818ec00c1cf34f9581ba343a9121c70c8b08644e826d95efd3c60ae27ed",
+    "result.json": "3ab5ddec1dab2bdb3064c1951617c991e17a2cb6b1238d5b9693ef278c636d86",
 }
 
 
@@ -355,14 +370,17 @@ def test_run_experiment_scores_each_distinct_individual_once_with_pinned_bytes(t
         return real_fitness_of(individual, route, *args)
 
     monkeypatch.setattr(evopid.harness, "fitness_of", counting_fitness_of)
-    spec = build_experiment_spec(2, seed=0, output_dir=tmp_path, overrides={"ep.max_generations": 20})
+    # a relative output_dir, because result.json records it
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    spec = build_experiment_spec(2, seed=0, output_dir="out", overrides={"ep.max_generations": 20})
     run_experiment(spec)
-    members = [m.individual for record in load_generations(tmp_path / "generations.csv") for m in record.members]
+    members = [m.individual for record in load_generations(out / "generations.csv") for m in record.members]
     assert len(members) == 200
     assert set(train_calls) == set(members)
     assert len(train_calls) == len(set(train_calls)) == 192
     for name, digest in PINNED_EXP2_SEED0_G20.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_run_experiment_writes_all_outputs(small_run):
@@ -446,7 +464,7 @@ def test_result_json_alone_reproduces_the_run(tmp_path):
         "init.kd.low": 0.001,
         "init.kd.high": 0.02,
     }
-    assert set(overrides) == set(CONFIG_KEYS)
+    assert set(overrides) == set(CONFIG_TABLE)
     first, again = tmp_path / "first", tmp_path / "again"
     spec = build_experiment_spec(3, seed=11, output_dir=first, overrides=overrides)
     run_experiment(spec)
