@@ -124,6 +124,10 @@ class EPConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "max_generations", "rng_seed"):
+            # not isinstance: a bool is an int, and True would count as 1
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
         if self.max_generations < 1:
@@ -159,8 +163,8 @@ class GenerationRecord:
 
     @classmethod
     def from_evaluations(cls, generation_index: int, members: tuple[MemberRecord, ...]) -> GenerationRecord:
-        li = _argmin_finite(m.ae_linear for m in members)
-        ai = _argmin_finite(m.ae_angular for m in members)
+        li = _argmin_finite([m.ae_linear for m in members])
+        ai = _argmin_finite([m.ae_angular for m in members])
         if li is None or ai is None:
             raise EvaluationError(
                 f"generation {generation_index}: no member has a finite average error on "
@@ -184,14 +188,9 @@ class EPResult(NamedTuple):
 Evaluator = Callable[[Individual], tuple[float, float]]
 
 
-def _argmin_finite(values) -> int | None:
-    best_i = None
-    best_v = math.inf
-    for i, v in enumerate(values):
-        # strict < keeps the lowest index on ties
-        if math.isfinite(v) and v < best_v:
-            best_i, best_v = i, v
-    return best_i
+def _argmin_finite(values: list[float]) -> int | None:
+    """Index of the least finite value, the lowest of equal ones; None when no value is finite."""
+    return min((i for i, v in enumerate(values) if math.isfinite(v)), key=values.__getitem__, default=None)
 
 
 def _check_mutation_args(value: float, sigma: float) -> None:
@@ -253,36 +252,19 @@ def init_population(config: EPConfig, rng: random.Random) -> tuple[Individual, .
     return tuple(members)
 
 
-def composite_parent(record: GenerationRecord) -> Individual:
-    """Splice the best linear gains and the best angular gains into one parent."""
-    return Individual(
-        linear=record.members[record.fittest_linear_index].individual.linear,
-        angular=record.members[record.fittest_angular_index].individual.angular,
-    )
-
-
 def next_generation(record: GenerationRecord, config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:
-    """Build the successor population: the composite parent (member 0, unmutated) plus mutants of it."""
-    parent = composite_parent(record)
+    """Build the successor population: the composite parent (member 0, unmutated) plus mutants of it.
+
+    The composite parent splices the generation's best linear gains and best angular gains.
+    """
+    parent = Individual(
+        record.members[record.fittest_linear_index].individual.linear,
+        record.members[record.fittest_angular_index].individual.angular,
+    )
     members = [parent]
     for _ in range(config.population_size - 1):
         members.append(mutate_individual(parent, config.mutation, rng))
     return tuple(members)
-
-
-def _best_composite(history: Sequence[GenerationRecord]) -> Individual:
-    best_lin_ae = math.inf
-    best_ang_ae = math.inf
-    best_lin = None
-    best_ang = None
-    for record in history:
-        for m in record.members:
-            if math.isfinite(m.ae_linear) and m.ae_linear < best_lin_ae:
-                best_lin_ae, best_lin = m.ae_linear, m.individual.linear
-            if math.isfinite(m.ae_angular) and m.ae_angular < best_ang_ae:
-                best_ang_ae, best_ang = m.ae_angular, m.individual.angular
-    assert best_lin is not None and best_ang is not None
-    return Individual(linear=best_lin, angular=best_ang)
 
 
 def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
@@ -298,6 +280,8 @@ def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
     rng = random.Random(config.rng_seed)
     population = init_population(config, rng)
     history: list[GenerationRecord] = []
+    # the fittest member so far on each channel; strict < keeps the earliest of equal minima
+    best_lin = best_ang = None
     # the evaluator is deterministic, so a repeated individual (usually the elitist parent) reuses its score
     scores: dict[Individual, tuple[float, float]] = {}
     while True:
@@ -318,10 +302,13 @@ def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
             members.append(MemberRecord(individual, *score))
         record = GenerationRecord.from_evaluations(generation, tuple(members))
         history.append(record)
-
-        best_lin = record.members[record.fittest_linear_index].ae_linear
-        best_ang = record.members[record.fittest_angular_index].ae_angular
-        if best_lin < config.ae_target and best_ang < config.ae_target:
+        fittest_linear = record.members[record.fittest_linear_index]
+        fittest_angular = record.members[record.fittest_angular_index]
+        if best_lin is None or fittest_linear.ae_linear < best_lin.ae_linear:
+            best_lin = fittest_linear
+        if best_ang is None or fittest_angular.ae_angular < best_ang.ae_angular:
+            best_ang = fittest_angular
+        if fittest_linear.ae_linear < config.ae_target and fittest_angular.ae_angular < config.ae_target:
             stop_reason = StopReason.TARGET_REACHED
             break
         if len(history) >= config.max_generations:
@@ -329,4 +316,4 @@ def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
             break
         population = next_generation(record, config, rng)
 
-    return EPResult(_best_composite(history), tuple(history), stop_reason)
+    return EPResult(Individual(best_lin.individual.linear, best_ang.individual.angular), tuple(history), stop_reason)

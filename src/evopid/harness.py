@@ -22,11 +22,13 @@ from .ep import (
     MutationKind,
     MutationSpec,
     StopReason,
+    _MAX_MEMBERS,
     _require_finite,
     run_ep,
 )
-from .metrics import DIVERGENCE_AE, StepMetrics, _fitness_batch, fitness_of, step_metrics
-from .plant import PlantParams, RouteSpec, SimConfig, _phase_switch, _sample_count, simulate_route
+from .metrics import DIVERGENCE_AE, FitnessRecord, StepMetrics, _fitness_batch, average_error, fitness_of
+from .metrics import step_metrics
+from .plant import PlantParams, RouteSpec, SimConfig, _check_first_error, _phase_switch, _sample_count, simulate_route
 
 DEFAULT_TRAIN_ROUTE = RouteSpec(start=-0.3, end=0.3)
 DEFAULT_TEST_ROUTE = RouteSpec(start=0.1, end=0.7)
@@ -81,6 +83,12 @@ class ConfigError(ValueError):
     """A config or grid file could not be parsed or used an unknown key."""
 
 
+def _check_experiment_id(experiment_id) -> None:
+    # `in` alone would take True or 1.0 for experiment 1
+    if type(experiment_id) is not int or experiment_id not in EXPERIMENT_TABLE:
+        raise ValueError(f"experiment id must be one of {sorted(EXPERIMENT_TABLE)}, got {experiment_id!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One preset tuning run: EP settings, plant, routes, and where to write outputs."""
@@ -94,8 +102,7 @@ class ExperimentSpec:
     output_dir: Path
 
     def __post_init__(self):
-        if self.experiment_id not in EXPERIMENT_TABLE:
-            raise ValueError(f"experiment id must be one of {sorted(EXPERIMENT_TABLE)}")
+        _check_experiment_id(self.experiment_id)
         kind, _ = EXPERIMENT_TABLE[self.experiment_id]
         if self.ep.mutation.kind is not kind:
             raise ValueError(
@@ -105,25 +112,14 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True)
-class ChannelResult:
-    kp: float
-    ki: float
-    kd: float
-    ae_train: float
-    ae_test: float
-
-
-@dataclass(frozen=True)
 class ResultRecord:
-    """Best gains per channel with their train/test errors and step metrics."""
+    """The composite best gains, their AE on each route's replay, and step metrics per route and channel."""
 
     experiment_id: int
-    linear: ChannelResult
-    angular: ChannelResult
-    step_train_linear: StepMetrics
-    step_train_angular: StepMetrics
-    step_test_linear: StepMetrics
-    step_test_angular: StepMetrics
+    best: Individual
+    ae_train: FitnessRecord
+    ae_test: FitnessRecord
+    step: dict[str, dict[str, StepMetrics]]
     stop_reason: StopReason
     generations_run: int
 
@@ -144,6 +140,9 @@ class GainGrid:
             _require_finite(self, name)
             if any(v < 0 for v in values):
                 raise ValueError(f"{name} must be nonnegative")
+        points = len(self.kp_values) * len(self.ki_values) * len(self.kd_values)
+        if points > _MAX_MEMBERS:
+            raise ValueError(f"a grid of {points:,} points is more than the limit of {_MAX_MEMBERS:,}")
 
 
 @dataclass(frozen=True)
@@ -154,39 +153,51 @@ class GridOracleResult:
     ae_angular: float
 
 
-def parse_config_file(path: Path) -> dict[str, float]:
-    """Read a flat `key = value` override file (# comments and blank lines allowed)."""
-    overrides: dict[str, float] = {}
-    for lineno, raw in enumerate(_read_lines(path), start=1):
+def _read_assignments(path: Path) -> dict[str, tuple[int, str]]:
+    """A file's `key = value` lines as key -> (line number, value text); `#` comments and blank lines are skipped.
+
+    Raises ConfigError, naming the file and line, on a read error, a line without `=` and a repeated key.
+    """
+    try:
+        lines = Path(path).read_text().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    assignments: dict[str, tuple[int, str]] = {}
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
         key = key.strip()
+        if not eq:
+            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw.strip()!r}")
+        if key in assignments:
+            raise ConfigError(f"{path}:{lineno}: {key} is given again; line {assignments[key][0]} gave it first")
+        assignments[key] = (lineno, value.strip())
+    return assignments
+
+
+def parse_config_file(path: Path) -> dict[str, float]:
+    """Read a flat `key = value` override file (# comments and blank lines allowed)."""
+    overrides: dict[str, float] = {}
+    for key, (lineno, value) in _read_assignments(path).items():
         if key not in CONFIG_TABLE:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r} (valid keys: {', '.join(sorted(CONFIG_TABLE))})")
         try:
-            overrides[key] = CONFIG_TABLE[key][0](value.strip())
+            overrides[key] = CONFIG_TABLE[key][0](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
         if not math.isfinite(overrides[key]):
-            raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {value.strip()!r}")
+            raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {value!r}")
     return overrides
 
 
 def parse_grid_file(path: Path) -> GainGrid:
     """Read per-gain value lists: lines `kp = v1, v2, ...`; a missing gain defaults to 0."""
     axes: dict[str, tuple[float, ...]] = {}
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not eq or key not in ("kp", "ki", "kd"):
-            raise ConfigError(f"{path}:{lineno}: expected `kp|ki|kd = values`, got {raw.strip()!r}")
+    for key, (lineno, value) in _read_assignments(path).items():
+        if key not in ("kp", "ki", "kd"):
+            raise ConfigError(f"{path}:{lineno}: expected `kp|ki|kd = values`, got key {key!r}")
         try:
             values = tuple(float(v) for v in value.replace(",", " ").split())
         except ValueError as exc:
@@ -194,22 +205,11 @@ def parse_grid_file(path: Path) -> GainGrid:
         if not values:
             raise ConfigError(f"{path}:{lineno}: {key} lists no values")
         if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"{path}:{lineno}: {key} values must be finite, got {value.strip()!r}")
+            raise ConfigError(f"{path}:{lineno}: {key} values must be finite, got {value!r}")
         axes[key] = values
     if not axes:
         raise ConfigError(f"{path}: grid file defines no gain values")
-    return GainGrid(
-        kp_values=axes.get("kp", (0.0,)),
-        ki_values=axes.get("ki", (0.0,)),
-        kd_values=axes.get("kd", (0.0,)),
-    )
-
-
-def _read_lines(path: Path) -> list[str]:
-    try:
-        return Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    return GainGrid(*(axes.get(key, (0.0,)) for key in ("kp", "ki", "kd")))
 
 
 def _field(node, path: tuple[str | int, ...]):
@@ -258,8 +258,7 @@ def build_experiment_spec(
     an int key would truncate (2.7 for a population size), and on a route start
     whose first error against a channel's initial velocity overflows.
     """
-    if experiment_id not in EXPERIMENT_TABLE:
-        raise ValueError(f"experiment id must be one of {sorted(EXPERIMENT_TABLE)}")
+    _check_experiment_id(experiment_id)
     kind, population_size = EXPERIMENT_TABLE[experiment_id]
     if output_dir is None:
         output_dir = Path("results") / f"experiment_{experiment_id}"
@@ -287,13 +286,11 @@ def build_experiment_spec(
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         values[path] = number
     spec = _replace_fields(preset, values)
-    for route_name, route in (("train", spec.train_route), ("test", spec.test_route)):
-        for channel_name, channel in (("linear", spec.plant.linear), ("angular", spec.plant.angular)):
-            if not math.isfinite(route.start - channel.initial_velocity):
-                raise ConfigError(
-                    f"route.{route_name}.start - plant.{channel_name}.initial_velocity must be finite, "
-                    f"got {route.start!r} - {channel.initial_velocity!r}"
-                )
+    for name, route in (("train", spec.train_route), ("test", spec.test_route)):
+        try:
+            _check_first_error(route, spec.plant, f"route.{name}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return spec
 
 
@@ -374,10 +371,13 @@ def _spec_as_dict(spec: ExperimentSpec) -> dict:
 def result_as_dict(record: ResultRecord, spec: ExperimentSpec) -> dict:
     return {
         "experiment": _spec_as_dict(spec),
-        "result": {"linear": asdict(record.linear), "angular": asdict(record.angular)},
+        "result": {
+            name: {**asdict(getattr(record.best, name)), "ae_train": record.ae_train[i], "ae_test": record.ae_test[i]}
+            for i, name in enumerate(("linear", "angular"))
+        },
         "step_metrics": {
-            "train": {"linear": asdict(record.step_train_linear), "angular": asdict(record.step_train_angular)},
-            "test": {"linear": asdict(record.step_test_linear), "angular": asdict(record.step_test_angular)},
+            route: {name: asdict(metrics) for name, metrics in channels.items()}
+            for route, channels in record.step.items()
         },
         "stop_reason": record.stop_reason.value,
         "generations_run": record.generations_run,
@@ -389,24 +389,15 @@ def render_result_table(records: Sequence[ResultRecord]) -> str:
     header = ("Experiment", "Type", "kp", "ki", "kd", "AE train", "AE test")
     rows = [header]
     for record in records:
-        for label, channel in (("Linear", record.linear), ("Angular", record.angular)):
-            rows.append(
-                (
-                    str(record.experiment_id),
-                    label,
-                    f"{channel.kp:.6g}",
-                    f"{channel.ki:.6g}",
-                    f"{channel.kd:.6g}",
-                    f"{channel.ae_train:.6g}",
-                    f"{channel.ae_test:.6g}",
-                )
-            )
+        for i, name in enumerate(("linear", "angular")):
+            numbers = (*getattr(record.best, name).as_tuple(), record.ae_train[i], record.ae_test[i])
+            rows.append((str(record.experiment_id), name.capitalize(), *(f"{v:.6g}" for v in numbers)))
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows)
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultRecord:
-    """Tune on the train route, re-evaluate the winner on the test route, log everything.
+    """Tune on the train route, replay the winner on both routes, log everything.
 
     Writes generations.csv, best_train_trace.csv, best_test_trace.csv, and
     result.json into the spec's output directory. Raises EvaluationError, and
@@ -416,52 +407,30 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     def evaluator(individual: Individual) -> tuple[float, float]:
         return fitness_of(individual, spec.train_route, spec.plant, spec.sim)
 
-    check_step_route("train", spec.train_route, spec.sim)
-    check_step_route("test", spec.test_route, spec.sim)
+    routes = {"train": spec.train_route, "test": spec.test_route}
+    for name, route in routes.items():
+        check_step_route(name, route, spec.sim)
     best, history, stop_reason = run_ep(spec.ep, evaluator)
-    members = [m for record in history for m in record.members]
-    if all(m.ae_linear == m.ae_angular == DIVERGENCE_AE for m in members):
+    if all(m.ae_linear == m.ae_angular == DIVERGENCE_AE for record in history for m in record.members):
         raise EvaluationError(
-            f"all {len(members)} members of {len(history)} generations diverged on the train route; "
-            "there are no gains to replay"
+            f"all {spec.ep.population_size * len(history)} members of {len(history)} generations diverged "
+            "on the train route; there are no gains to replay"
         )
 
-    ae_train_linear = min(m.ae_linear for m in members)
-    ae_train_angular = min(m.ae_angular for m in members)
-    test_fitness = fitness_of(best, spec.test_route, spec.plant, spec.sim)
-
-    train_trace = simulate_route(best, spec.train_route, spec.plant, spec.sim)
-    test_trace = simulate_route(best, spec.test_route, spec.plant, spec.sim)
-
-    record = ResultRecord(
-        experiment_id=spec.experiment_id,
-        linear=ChannelResult(
-            kp=best.linear.kp,
-            ki=best.linear.ki,
-            kd=best.linear.kd,
-            ae_train=ae_train_linear,
-            ae_test=test_fitness.ae_linear,
-        ),
-        angular=ChannelResult(
-            kp=best.angular.kp,
-            ki=best.angular.ki,
-            kd=best.angular.kd,
-            ae_train=ae_train_angular,
-            ae_test=test_fitness.ae_angular,
-        ),
-        step_train_linear=step_metrics(train_trace.linear, spec.train_route),
-        step_train_angular=step_metrics(train_trace.angular, spec.train_route),
-        step_test_linear=step_metrics(test_trace.linear, spec.test_route),
-        step_test_angular=step_metrics(test_trace.angular, spec.test_route),
-        stop_reason=stop_reason,
-        generations_run=len(history),
-    )
+    # each route is simulated once: its replay gives the trace, the AE and the step metrics
+    traces, ae, step = {}, {}, {}
+    for name, route in routes.items():
+        trace = traces[name] = simulate_route(best, route, spec.plant, spec.sim)
+        channels = {"linear": trace.linear, "angular": trace.angular}
+        ae[name] = FitnessRecord(*(average_error(channel) for channel in channels.values()))
+        step[name] = {channel: step_metrics(samples, route) for channel, samples in channels.items()}
+    record = ResultRecord(spec.experiment_id, best, ae["train"], ae["test"], step, stop_reason, len(history))
 
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)
     export_generations(history, out / "generations.csv")
-    export_trace(train_trace, out / "best_train_trace.csv")
-    export_trace(test_trace, out / "best_test_trace.csv")
+    for name, trace in traces.items():
+        export_trace(trace, out / f"best_{name}_trace.csv")
     with open(out / "result.json", "w") as fh:
         json.dump(result_as_dict(record, spec), fh, indent=2)
         fh.write("\n")

@@ -9,7 +9,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .ep import Individual
-from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _run_batch, _run_channel, _sample_count
+from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _check_first_error, _run_batch, _run_channel
+from .plant import _sample_count
 
 # Finite stand-in fitness for unstable gains; must lose every selection.
 DIVERGENCE_AE = 1.0e6
@@ -59,6 +60,7 @@ def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, si
     n_samples = _sample_count(route, sim)
     if n_samples == 0:
         raise ValueError("the route has no samples at this sample rate")
+    _check_first_error(route, params)
     errors = []
     for gains, channel in ((individual.linear, params.linear), (individual.angular, params.angular)):
         total, final_velocity = _run_channel(gains, route, channel, dt, n_samples)
@@ -78,6 +80,7 @@ def _fitness_batch(gains: np.ndarray, route: RouteSpec, params: PlantParams, sim
     n_samples = _sample_count(route, sim)
     if n_samples == 0:
         raise ValueError("the route has no samples at this sample rate")
+    _check_first_error(route, params)
     totals, finite = _run_batch(gains, route, params, sim.dt, n_samples)
     ae = totals / n_samples
     ae[~finite] = DIVERGENCE_AE

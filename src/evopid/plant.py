@@ -152,6 +152,16 @@ def _sample_count(route: RouteSpec, sim: SimConfig) -> int:
     return n_samples
 
 
+def _check_first_error(route: RouteSpec, params: PlantParams, route_name: str = "route") -> None:
+    """Raise ValueError, naming the channel, if its first error route.start - initial_velocity overflows."""
+    for name, channel in (("linear", params.linear), ("angular", params.angular)):
+        if not math.isfinite(route.start - channel.initial_velocity):
+            raise ValueError(
+                f"{route_name}.start - plant.{name}.initial_velocity must be finite, "
+                f"got {route.start!r} - {channel.initial_velocity!r}"
+            )
+
+
 def _phase_switch(route: RouteSpec, dt: float, n_samples: int) -> int:
     """Index of the first sample of the route's second phase: the first k with k * dt >= phase_duration.
 
@@ -182,7 +192,7 @@ def _run_channel(
     The samples run in two stretches split at _phase_switch, ``start`` then
     ``end``, so no sample tests its time. The previous error starts as the first
     error, which makes sample 0's derivative (e - e) / dt exactly the 0.0 that
-    pid_step uses there (build_experiment_spec keeps that first error finite).
+    pid_step uses there (every caller checks that first error with _check_first_error).
     Appends the measurement of each sample to ``actual`` when given. Returns the
     sum of |setpoint - measurement| over the samples in time order, and the final
     velocity. The run does not stop where the velocity goes nonfinite: it never
@@ -286,6 +296,7 @@ def simulate_route(
     """
     dt = sim.dt
     n_samples = _sample_count(route, sim)
+    _check_first_error(route, params)
     traces = []
     for name, gains, channel in (
         ("linear", individual.linear, params.linear),

@@ -95,6 +95,18 @@ def test_oracle_rejects_nonfinite_grid_values(tmp_path, capsys, line):
     assert f"error: {grid}:2: {key} values must be finite" in capsys.readouterr().err
 
 
+def test_oracle_rejects_a_grid_over_the_point_cap(tmp_path, capsys, monkeypatch):
+    def no_grid_oracle(*args):
+        raise AssertionError("grid_oracle was called")
+
+    monkeypatch.setattr(evopid.cli, "grid_oracle", no_grid_oracle)
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(f"kp = {', '.join(map(str, range(1001)))}\nki = {' '.join(map(str, range(1000)))}\n")
+    rc = cli_main(["oracle", "--grid", str(grid)])
+    assert rc == 1
+    assert "error: a grid of 1,001,000 points is more than the limit of 1,000,000" in capsys.readouterr().err
+
+
 def test_step_rejects_route_over_the_sample_cap(tmp_path, capsys):
     cfg = tmp_path / "long.cfg"
     cfg.write_text("route.train.phase_duration = 1e9\n")

@@ -381,6 +381,49 @@ def test_run_ep_best_is_composite_argmin_over_history():
     assert best.angular == expected_angular
 
 
+def _best_composite(history):
+    """Reference for run_ep's best: one scan of every member of every generation, in order.
+
+    Per channel it keeps the first member with the least finite AE (strict <), and
+    splices the two winners' gains into one individual.
+    """
+    best_lin_ae = best_ang_ae = math.inf
+    best_lin = best_ang = None
+    for record in history:
+        for m in record.members:
+            if math.isfinite(m.ae_linear) and m.ae_linear < best_lin_ae:
+                best_lin_ae, best_lin = m.ae_linear, m.individual.linear
+            if math.isfinite(m.ae_angular) and m.ae_angular < best_ang_ae:
+                best_ang_ae, best_ang = m.ae_angular, m.individual.angular
+    return Individual(best_lin, best_ang)
+
+
+def _coupled_quantized_evaluator(individual):
+    # each channel's AE depends on the other channel's gains, so a composite scores unlike its
+    # sources, and rounding to 0.1 makes equal AEs common within and across generations;
+    # a large kd is scored inf on the linear channel and nan on the angular one
+    kpv, kiv, kdv, kpa, kia, kda = individual.as_flat()
+    ae_linear = math.inf if kdv > 0.009 else round(kpv + kiv + 0.3 * kpa, 1)
+    ae_angular = math.nan if kda > 0.0095 else round(kpa + kia + 0.3 * kpv, 1)
+    return ae_linear, ae_angular
+
+
+@pytest.mark.parametrize("kind", list(MutationKind))
+def test_run_ep_best_matches_a_scan_of_the_history_under_coupled_tied_scores(kind):
+    ties_across_generations = composite_differs = 0
+    for seed in range(100):
+        config = EPConfig(population_size=4, max_generations=8, mutation=MutationSpec(kind), rng_seed=seed)
+        best, history, _ = run_ep(config, _coupled_quantized_evaluator)
+        assert best == _best_composite(history), seed
+        fittest = [r.members[r.fittest_linear_index].ae_linear for r in history]
+        ties_across_generations += len(fittest) > len(set(fittest))
+        last = history[-1]
+        composite_differs += best.linear != last.members[last.fittest_linear_index].individual.linear
+    # the evaluator really exercises the tie rule and the difference from the last generation's winners
+    assert ties_across_generations > 50
+    assert composite_differs > 0
+
+
 @settings(max_examples=5)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_run_ep_surrogate_best_ae_monotone(seed, plant, sim, train_route):
@@ -422,6 +465,14 @@ def test_epconfig_validation():
         EPConfig(population_size=1, rng_seed=-1)
     with pytest.raises(ValueError):
         EPConfig(population_size=1, rng_seed=2**64)
+
+
+@pytest.mark.parametrize("name", ["population_size", "max_generations", "rng_seed"])
+@pytest.mark.parametrize("bad", [True, False, 2.5, 3.0, "3", None])
+def test_epconfig_requires_int_run_settings(name, bad):
+    fields = {"population_size": 2, "max_generations": 3, "rng_seed": 4, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be an int"):
+        EPConfig(**fields)
 
 
 def test_epconfig_caps_population_times_generations():

@@ -31,6 +31,7 @@ from evopid import (
     run_experiment,
     run_ep,
     simulate_route,
+    step_metrics,
 )
 import evopid.harness
 from evopid.harness import (
@@ -71,6 +72,19 @@ def test_experiment_table_defaults():
 def test_build_experiment_spec_rejects_unknown_id():
     with pytest.raises(ValueError, match=r"\[1, 2, 3\]"):
         build_experiment_spec(4)
+
+
+@pytest.mark.parametrize("experiment_id", [True, 1.0, "1"])
+def test_build_experiment_spec_rejects_a_non_int_id(experiment_id):
+    # True == 1.0 == 1, so a table lookup alone would run experiment 1 and record the id as given
+    with pytest.raises(ValueError, match=re.escape(f"one of [1, 2, 3], got {experiment_id!r}")):
+        build_experiment_spec(experiment_id)
+
+
+@pytest.mark.parametrize("seed", [True, 2.5, 3.0])
+def test_build_experiment_spec_rejects_a_non_int_seed(seed):
+    with pytest.raises(ValueError, match=re.escape(f"rng_seed must be an int, got {seed!r}")):
+        build_experiment_spec(1, seed=seed)
 
 
 def test_experiment_spec_rejects_mutation_kind_mismatch():
@@ -229,6 +243,13 @@ def test_parse_config_file_rejects_nonfinite_values(tmp_path, value):
         parse_config_file(path)
 
 
+def test_parse_config_file_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("ep.population_size = 3\n# comment\n\nep.ae_target = 0.5\nep.population_size = 4\n")
+    with pytest.raises(ConfigError, match=r"c\.cfg:5: ep\.population_size is given again; line 1 gave it first"):
+        parse_config_file(path)
+
+
 def test_parse_config_file_missing(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config_file(tmp_path / "nope.cfg")
@@ -248,6 +269,20 @@ def test_parse_grid_file_rejects_unknown_axis(tmp_path):
     grid_file.write_text("kq = 0.5\n")
     with pytest.raises(ConfigError):
         parse_grid_file(grid_file)
+
+
+def test_parse_grid_file_rejects_a_repeated_gain(tmp_path):
+    grid_file = tmp_path / "grid.cfg"
+    grid_file.write_text("kp = 1\nki = 0\nkp = 2  # not the last value wins\n")
+    with pytest.raises(ConfigError, match=r"grid\.cfg:3: kp is given again; line 1 gave it first"):
+        parse_grid_file(grid_file)
+
+
+def test_gain_grid_caps_its_point_count():
+    # constructed only, never scored
+    GainGrid(tuple(range(100)), tuple(range(100)), tuple(range(100)))
+    with pytest.raises(ValueError, match="a grid of 1,001,000 points is more than the limit of 1,000,000"):
+        GainGrid(tuple(range(1001)), tuple(range(1000)), (0.0,))
 
 
 def test_gain_grid_validation():
@@ -393,22 +428,30 @@ def test_run_experiment_result_consistency(small_run):
     spec, record = small_run
     history = load_generations(spec.output_dir / "generations.csv")
     assert len(history) == record.generations_run
-    assert record.linear.ae_train == min(m.ae_linear for r in history for m in r.members)
-    assert record.angular.ae_train == min(m.ae_angular for r in history for m in r.members)
+    assert record.ae_train.ae_linear == min(m.ae_linear for r in history for m in r.members)
+    assert record.ae_train.ae_angular == min(m.ae_angular for r in history for m in r.members)
 
 
 def test_run_experiment_reported_gains_are_the_best_individuals(small_run):
     spec, record = small_run
-    best = Individual(
-        Gains(record.linear.kp, record.linear.ki, record.linear.kd),
-        Gains(record.angular.kp, record.angular.ki, record.angular.kd),
-    )
+    best = Individual(record.best.linear, record.best.angular)
     fitness = fitness_of(best, spec.train_route, spec.plant, spec.sim)
-    assert fitness.ae_linear == record.linear.ae_train
-    assert fitness.ae_angular == record.angular.ae_train
+    assert fitness.ae_linear == record.ae_train.ae_linear
+    assert fitness.ae_angular == record.ae_train.ae_angular
     test_fitness = fitness_of(best, spec.test_route, spec.plant, spec.sim)
-    assert test_fitness.ae_linear == record.linear.ae_test
-    assert test_fitness.ae_angular == record.angular.ae_test
+    assert test_fitness.ae_linear == record.ae_test.ae_linear
+    assert test_fitness.ae_angular == record.ae_test.ae_angular
+
+
+def test_run_experiment_step_metrics_are_the_replays(small_run):
+    spec, record = small_run
+    assert list(record.step) == ["train", "test"]
+    for name, route in (("train", spec.train_route), ("test", spec.test_route)):
+        trace = simulate_route(record.best, route, spec.plant, spec.sim)
+        assert record.step[name] == {
+            "linear": step_metrics(trace.linear, route),
+            "angular": step_metrics(trace.angular, route),
+        }
 
 
 def test_run_experiment_result_json_contents(small_run):
@@ -417,7 +460,7 @@ def test_run_experiment_result_json_contents(small_run):
     assert payload["experiment"]["id"] == 2
     assert payload["experiment"]["seed"] == 5
     assert payload["experiment"]["mutation"] == "scaled"
-    assert payload["result"]["linear"]["ae_train"] == record.linear.ae_train
+    assert payload["result"]["linear"]["ae_train"] == record.ae_train.ae_linear
     assert payload["stop_reason"] in {r.value for r in StopReason}
     assert payload["generations_run"] == record.generations_run
     assert set(payload["step_metrics"]) == {"train", "test"}

@@ -20,6 +20,7 @@ from evopid import (
     route_setpoint,
     simulate_route,
 )
+from evopid.metrics import _fitness_batch
 from evopid.plant import _MAX_SAMPLES, _sample_count
 
 ZERO = Individual.from_flat([0.0] * 6)
@@ -127,6 +128,30 @@ def test_route_at_the_sample_cap_is_accepted():
     # only counted: 2 * 100,000 s at 50 Hz is exactly the cap
     route = RouteSpec(-0.3, 0.3, phase_duration=_MAX_SAMPLES / 100)
     assert _sample_count(route, SimConfig(50.0)) == _MAX_SAMPLES
+
+
+@pytest.mark.parametrize("phase_duration", [0.01, 3.0])
+@pytest.mark.parametrize("channel", ["linear", "angular"])
+def test_overflowing_first_error_is_rejected_on_every_simulation_path(phase_duration, channel):
+    # 1e308 - -1e308 is inf; the kernels would seed their first derivative with inf - inf.
+    # On the 1-sample route fitness_of used to score (1e6, 1e6) where the per-sample reference AE is inf.
+    route, sim = RouteSpec(1e308, 1e308, phase_duration=phase_duration), SimConfig()
+    plant = PlantParams(**{channel: ChannelParams(initial_velocity=-1e308)})
+    ones = Individual.from_flat([1.0] * 6)
+    for run in (
+        lambda: simulate_route(ones, route, plant, sim),
+        lambda: fitness_of(ones, route, plant, sim),
+        lambda: _fitness_batch(np.ones((3, 6)), route, plant, sim),
+    ):
+        with pytest.raises(ValueError, match=f"plant.{channel}.initial_velocity must be finite, got 1e\\+308 - -1e\\+308"):
+            run()
+    # a large first error that stays finite is simulated as before (one sample, so nothing overflows later)
+    one_sample = RouteSpec(1e308, 1e308, phase_duration=0.01)
+    finite = PlantParams(**{channel: ChannelParams(initial_velocity=-1e307)})
+    ae = fitness_of(ZERO, one_sample, finite, sim)
+    assert all(math.isfinite(v) and v > 1e307 for v in ae)
+    assert _fitness_batch(np.zeros((1, 6)), one_sample, finite, sim).tolist() == [list(ae)]
+    simulate_route(ZERO, one_sample, finite, sim)
 
 
 # ---------------------------------------------------------------- route simulation
