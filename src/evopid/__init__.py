@@ -36,15 +36,17 @@ from .harness import (
     run_experiment,
 )
 from .metrics import DIVERGENCE_AE, FitnessRecord, average_error, fitness_of, step_metrics
-from .pid import PidState, pid_reset, pid_step
 from .plant import (
     ChannelParams,
     ChannelTrace,
+    PidState,
     PlantParams,
     RouteSpec,
     SimConfig,
     SimTrace,
     SimulationDiverged,
+    pid_reset,
+    pid_step,
     plant_step,
     route_setpoint,
     simulate_route,

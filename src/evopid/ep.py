@@ -87,6 +87,8 @@ class MutationSpec:
     sigma_scaled: float = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.kind, MutationKind):
+            raise ValueError(f"kind must be a MutationKind, got {self.kind!r}")
         _require_finite(self, "sigma_absolute", "sigma_scaled")
         if self.sigma_absolute <= 0 or self.sigma_scaled <= 0:
             raise ValueError("mutation sigmas must be > 0")
@@ -137,6 +139,7 @@ class EPConfig:
                 f"population_size {self.population_size} times max_generations {self.max_generations} "
                 f"is more than the limit of {_MAX_MEMBERS:,} members per run"
             )
+        _require_finite(self, "ae_target")
         if not self.ae_target > 0:
             raise ValueError("ae_target must be > 0")
         if not 0 <= self.rng_seed < 2**64:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -447,25 +448,17 @@ def grid_oracle(
     _ORACLE_CHUNK, so memory stays flat however large the grid.
     """
     axes = [sorted(values) for values in (grid.kp_values, grid.ki_values, grid.kd_values)]
-    columns = [np.array(axis, dtype=float) for axis in axes]
-    shape = tuple(len(axis) for axis in axes)
-    size = math.prod(shape)
-    # per channel (AE, flat index); the flat index runs over (kp, ki, kd) in row-major order
-    best: list[tuple[float, int] | None] = [None, None]
-    for lo in range(0, size, _ORACLE_CHUNK):
-        index = np.unravel_index(np.arange(lo, min(lo + _ORACLE_CHUNK, size)), shape)
-        triples = np.column_stack([column[i] for column, i in zip(columns, index)])
+    # walked in (kp, ki, kd) row-major order; each point stays the caller's own values
+    points = itertools.product(*axes)
+    best: list[tuple[float, tuple] | None] = [None, None]  # per channel (AE, point)
+    while chunk := list(itertools.islice(points, _ORACLE_CHUNK)):
+        triples = np.array(chunk, dtype=float)
         ae = _fitness_batch(np.hstack((triples, triples)), route, params, sim)
         for c in range(2):
             # argmin keeps the first of equal minima, and strict < an earlier chunk's,
             # so ties go to the lexicographically smallest gains
             j = int(np.argmin(ae[:, c]))
             if best[c] is None or ae[j, c] < best[c][0]:
-                best[c] = (float(ae[j, c]), lo + j)
-    assert best[0] is not None and best[1] is not None
-    # index the sorted axes themselves, so the gains are the caller's own values
-    (ae_linear, i_linear), (ae_angular, i_angular) = best
-    linear, angular = (
-        Gains(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, shape)))) for flat in (i_linear, i_angular)
-    )
-    return GridOracleResult(linear_gains=linear, angular_gains=angular, ae_linear=ae_linear, ae_angular=ae_angular)
+                best[c] = (float(ae[j, c]), chunk[j])
+    (ae_linear, linear), (ae_angular, angular) = best
+    return GridOracleResult(Gains(*linear), Gains(*angular), ae_linear=ae_linear, ae_angular=ae_angular)

@@ -1,19 +1,20 @@
-"""Surrogate two-channel vehicle plant and the timed setpoint route it drives.
+"""Surrogate two-channel vehicle plant, the timed setpoint route it drives, and its PID loop.
 
 Each channel (linear and angular velocity) is a first-order lag with actuator
 saturation, advanced by its exact discretization so any sample rate is stable.
-The channels do not couple.
+The channels do not couple. Each is driven by a discrete-time positional PID
+controller at a fixed sample rate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .ep import Gains, Individual, _require_finite
-from .pid import pid_step  # noqa: F401  perfbench/tracing.py wraps evopid.plant.pid_step
 
 
 class SimulationDiverged(RuntimeError):
@@ -108,6 +109,35 @@ class SimTrace:
             raise ValueError("both channels must have equal length")
 
 
+# The per-sample reference: pid_step, route_setpoint and plant_step, chained one sample at a time.
+# No simulation path calls them; tests/test_kernel.py requires _run_channel and _run_batch to match them.
+class PidState(NamedTuple):
+    integral: float = 0.0
+    prev_error: float = 0.0
+    first_sample_seen: bool = False
+
+
+def pid_reset() -> PidState:
+    """Fresh state: zero integral, derivative contributes 0 on the next sample."""
+    return PidState()
+
+
+def pid_step(state: PidState, gains: Gains, setpoint: float, measurement: float, dt: float) -> tuple[float, PidState]:
+    """Advance the controller by one sample and return (control output, new state).
+
+    Rectangular integration, backward-difference derivative on the error. The
+    derivative term is forced to 0 on the first sample after a reset. The output
+    is not clamped; actuator saturation belongs to the plant.
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be > 0, got {dt!r}")
+    error = setpoint - measurement
+    integral = state.integral + error * dt
+    derivative = (error - state.prev_error) / dt if state.first_sample_seen else 0.0
+    output = gains.kp * error + gains.ki * integral + gains.kd * derivative
+    return output, PidState(integral, error, True)
+
+
 def route_setpoint(route: RouteSpec, t: float) -> float:
     """Desired velocity at time t: ``start`` before phase_duration, ``end`` from it on."""
     if not 0.0 <= t < route.total_duration:
@@ -135,9 +165,10 @@ _MAX_SAMPLES = 10_000_000
 
 
 def _sample_count(route: RouteSpec, sim: SimConfig) -> int:
-    """Samples in one run of the route; checks once that the last one lies inside the route window.
+    """Samples in one run of the route: round(total_duration * sample_rate).
 
-    Raises ValueError when the route would take more than _MAX_SAMPLES samples.
+    Raises ValueError when the route would take more than _MAX_SAMPLES samples. The last
+    sample lies in the route window: (n - 1) * dt <= total_duration - dt / 2, a margin float error cannot close.
     """
     samples = route.total_duration * sim.sample_rate
     # compared as a float first: an infinite duration cannot be rounded to an int
@@ -146,10 +177,7 @@ def _sample_count(route: RouteSpec, sim: SimConfig) -> int:
             f"a route of {route.total_duration!r} s at {sim.sample_rate!r} Hz takes {samples:.6g} samples "
             f"per channel, more than the limit of {_MAX_SAMPLES:,}"
         )
-    n_samples = int(round(samples))
-    if n_samples:
-        route_setpoint(route, (n_samples - 1) * sim.dt)
-    return n_samples
+    return int(round(samples))
 
 
 def _check_first_error(route: RouteSpec, params: PlantParams, route_name: str = "route") -> None:

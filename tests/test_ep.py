@@ -496,6 +496,10 @@ def test_mutationspec_validation():
         MutationSpec(MutationKind.SCALED, sigma_scaled=0.0)
     with pytest.raises(ValueError):
         MutationSpec(MutationKind.ABSOLUTE, sigma_absolute=-0.05)
+    # a kind that is not a MutationKind used to run the scaled operator
+    for kind in ("absolute", None):
+        with pytest.raises(ValueError, match="kind must be a MutationKind"):
+            MutationSpec(kind)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -508,3 +512,5 @@ def test_specs_reject_nonfinite_values(bad):
         InitSpec(kp_bounds=(0.0, bad))
     with pytest.raises(ValueError, match="kd_bounds"):
         InitSpec(kd_bounds=(bad, 0.01))
+    with pytest.raises(ValueError, match="ae_target"):
+        EPConfig(population_size=1, ae_target=bad)

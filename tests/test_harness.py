@@ -87,6 +87,12 @@ def test_build_experiment_spec_rejects_a_non_int_seed(seed):
         build_experiment_spec(1, seed=seed)
 
 
+def test_build_experiment_spec_rejects_an_infinite_ae_target():
+    # it used to stop the run after generation 0 as "target reached" and write Infinity into result.json
+    with pytest.raises(ValueError, match="ae_target must be finite, got inf"):
+        build_experiment_spec(2, overrides={"ep.ae_target": math.inf})
+
+
 def test_experiment_spec_rejects_mutation_kind_mismatch():
     with pytest.raises(ValueError, match="absolute"):
         ExperimentSpec(

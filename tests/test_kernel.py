@@ -32,15 +32,18 @@ from evopid import (
     SimTrace,
     SimulationDiverged,
     average_error,
+    build_experiment_spec,
     fitness_of,
     grid_oracle,
     pid_reset,
     pid_step,
     plant_step,
     route_setpoint,
+    run_experiment,
     simulate_route,
 )
 import evopid.harness
+import evopid.plant
 from evopid.metrics import _fitness_batch
 from evopid.plant import _phase_switch
 
@@ -265,6 +268,21 @@ def test_batch_route_without_samples_raises_like_fitness_of(plant):
         fitness_of(individual, route, plant, sim)
     with pytest.raises(ValueError, match=re.escape(str(excinfo.value))):
         _fitness_batch(np.array([individual.as_flat()]), route, plant, sim)
+
+
+def test_no_simulation_path_calls_the_reference(monkeypatch, tmp_path, plant, sim, train_route):
+    def reference_called(*args):
+        raise AssertionError("a simulation path called the per-sample reference")
+
+    for name in ("route_setpoint", "pid_step", "plant_step"):
+        monkeypatch.setattr(evopid.plant, name, reference_called)
+    individual = Individual.from_flat([0.5, 0.05, 0.001, 0.4, 0.02, 0.0])
+    fitness_of(individual, train_route, plant, sim)
+    simulate_route(individual, train_route, plant, sim)
+    grid_oracle(train_route, plant, sim, GainGrid((0.2, 0.6), (0.0, 0.05), (0.0,)))
+    spec = build_experiment_spec(2, output_dir=tmp_path, overrides={"ep.max_generations": 2})
+    assert run_experiment(spec).generations_run == 2
+    assert (tmp_path / "result.json").is_file()
 
 
 # ---------------------------------------------------------------- grid oracle

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evopid import (
@@ -122,6 +122,25 @@ def test_route_longer_than_the_sample_cap_is_rejected_before_running(phase_durat
     ):
         with pytest.raises(ValueError, match=f"{phase_duration * 2!r} s at 50.0 Hz .* limit of 10,000,000"):
             run()
+
+
+@settings(max_examples=200)
+@given(
+    phase_duration=st.floats(1e-6, 1e5, allow_subnormal=False),
+    sample_rate=st.floats(1e-3, 1e4, allow_subnormal=False),
+)
+@example(phase_duration=0.3337, sample_rate=47.3)  # 31.57 samples
+@example(phase_duration=3.5, sample_rate=196.0)  # 686 * dt is 3.4999999999999996
+@example(phase_duration=_MAX_SAMPLES / 100, sample_rate=50.0)  # exactly the cap
+@example(phase_duration=49_999.998, sample_rate=100.0)  # 9,999,999.6 samples round up to the cap
+def test_last_sample_lies_inside_the_route_window(phase_duration, sample_rate):
+    # why _sample_count needs no window check: rounding leaves the last sample dt / 2 short of the end
+    route, sim = RouteSpec(-0.3, 0.3, phase_duration=phase_duration), SimConfig(sample_rate)
+    assume(route.total_duration * sim.sample_rate <= _MAX_SAMPLES)
+    n = _sample_count(route, sim)
+    assert (n - 1) * sim.dt < route.total_duration
+    if n:
+        assert route_setpoint(route, (n - 1) * sim.dt) in (route.start, route.end)
 
 
 def test_route_at_the_sample_cap_is_accepted():
