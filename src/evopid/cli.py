@@ -14,7 +14,6 @@ from .harness import (
     ConfigError,
     build_environment,
     build_experiment_spec,
-    check_step_route,
     grid_oracle,
     export_trace,
     parse_config_file,
@@ -23,7 +22,7 @@ from .harness import (
     run_experiment,
 )
 from .metrics import step_metrics
-from .plant import SimulationDiverged, simulate_route
+from .plant import SimulationDiverged, check_step_route, simulate_route
 
 
 def build_parser() -> argparse.ArgumentParser:

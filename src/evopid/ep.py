@@ -27,19 +27,22 @@ class EvaluationError(RuntimeError):
 
 
 def _require_finite(obj, *names: str) -> None:
-    """Raise ValueError naming the first of the given fields that holds a NaN or an infinity.
+    """Raise ValueError naming the first of the given fields that holds a bool, a NaN or an infinity.
 
     A field may hold one number or a tuple of them.
     """
     for name in names:
         value = getattr(obj, name)
-        if not all(math.isfinite(v) for v in (value if isinstance(value, tuple) else (value,))):
+        values = value if isinstance(value, tuple) else (value,)
+        if any(type(v) is bool for v in values):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        if not all(math.isfinite(v) for v in values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
 class Gains:
-    """One controller's PID gains. All three are nonnegative and finite."""
+    """One controller's PID gains. All three are nonnegative and finite, and none is a bool."""
 
     kp: float
     ki: float
@@ -48,8 +51,8 @@ class Gains:
     def __post_init__(self):
         for name in ("kp", "ki", "kd"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+            if type(v) is bool or not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.kp, self.ki, self.kd)

@@ -29,7 +29,7 @@ from .ep import (
 )
 from .metrics import DIVERGENCE_AE, FitnessRecord, StepMetrics, _fitness_batch, average_error, fitness_of
 from .metrics import step_metrics
-from .plant import PlantParams, RouteSpec, SimConfig, _check_first_error, _phase_switch, _sample_count, simulate_route
+from .plant import PlantParams, RouteSpec, SimConfig, _check_first_error, check_step_route, simulate_route
 
 DEFAULT_TRAIN_ROUTE = RouteSpec(start=-0.3, end=0.3)
 DEFAULT_TEST_ROUTE = RouteSpec(start=0.1, end=0.7)
@@ -293,18 +293,6 @@ def build_experiment_spec(
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     return spec
-
-
-def check_step_route(name: str, route: RouteSpec, sim: SimConfig) -> None:
-    """Raise ValueError, naming the route, unless step_metrics is defined on a run of it."""
-    if route.start == route.end:
-        raise ValueError(f"the {name} route has no step: start equals end ({route.start!r})")
-    n_samples = _sample_count(route, sim)
-    if _phase_switch(route, sim.dt, n_samples) == n_samples:
-        raise ValueError(
-            f"the {name} route gets no sample in its second phase: {n_samples} samples at "
-            f"{sim.sample_rate!r} Hz, second phase from {route.phase_duration!r} s"
-        )
 
 
 def export_generations(history: Sequence[GenerationRecord], path: Path) -> None:

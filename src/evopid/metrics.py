@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .ep import Individual
-from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _check_first_error, _run_batch, _run_channel
-from .plant import _sample_count
+from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _check_first_error, _run_batch, _run_channel, _schedule
 
-# Finite stand-in fitness for unstable gains; must lose every selection.
-DIVERGENCE_AE = 1.0e6
+# Finite stand-in fitness for unstable gains; must lose every selection, so no finite average can exceed it.
+DIVERGENCE_AE = sys.float_info.max
 
 
 class FitnessRecord(NamedTuple):
@@ -56,14 +56,12 @@ def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, si
     so unstable gains stay comparable and always rank last. The linear channel
     runs first; if its final velocity is nonfinite the angular one is not run.
     """
-    dt = sim.dt
-    n_samples = _sample_count(route, sim)
-    if n_samples == 0:
-        raise ValueError("the route has no samples at this sample rate")
+    schedule = _schedule(route, sim)
     _check_first_error(route, params)
+    n_samples = sum(count for _, count in schedule)
     errors = []
     for gains, channel in ((individual.linear, params.linear), (individual.angular, params.angular)):
-        total, final_velocity = _run_channel(gains, route, channel, dt, n_samples)
+        total, final_velocity = _run_channel(gains, schedule, channel, sim.dt)
         if not math.isfinite(final_velocity):
             return FitnessRecord(DIVERGENCE_AE, DIVERGENCE_AE)
         errors.append(total / n_samples)
@@ -77,12 +75,10 @@ def _fitness_batch(gains: np.ndarray, route: RouteSpec, params: PlantParams, sim
     NumPy time loop costs about as much at n = 1 as at n = 20, so only calls that
     score many gain sets at once gain by it; fitness_of stays the per-individual path.
     """
-    n_samples = _sample_count(route, sim)
-    if n_samples == 0:
-        raise ValueError("the route has no samples at this sample rate")
+    schedule = _schedule(route, sim)
     _check_first_error(route, params)
-    totals, finite = _run_batch(gains, route, params, sim.dt, n_samples)
-    ae = totals / n_samples
+    totals, finite = _run_batch(gains, schedule, params, sim.dt)
+    ae = totals / sum(count for _, count in schedule)
     ae[~finite] = DIVERGENCE_AE
     return ae
 

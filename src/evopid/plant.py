@@ -164,11 +164,13 @@ def plant_step(velocity: float, command: float, params: ChannelParams, dt: float
 _MAX_SAMPLES = 10_000_000
 
 
-def _sample_count(route: RouteSpec, sim: SimConfig) -> int:
-    """Samples in one run of the route: round(total_duration * sample_rate).
+def _schedule(route: RouteSpec, sim: SimConfig) -> tuple[tuple[float, int], tuple[float, int]]:
+    """One run of the route as (setpoint, sample count) stretches: ((start, k), (end, n - k)).
 
-    Raises ValueError when the route would take more than _MAX_SAMPLES samples. The last
-    sample lies in the route window: (n - 1) * dt <= total_duration - dt / 2, a margin float error cannot close.
+    n = round(total_duration * sample_rate), so the last sample lies at most total_duration - dt / 2.
+    k is the first k with k * dt >= phase_duration, capped at n; the guess ceil(phase_duration / dt)
+    is moved by that test, on the float k * dt every path uses, until exact. Raises ValueError
+    when the route has no samples or more than _MAX_SAMPLES.
     """
     samples = route.total_duration * sim.sample_rate
     # compared as a float first: an infinite duration cannot be rounded to an int
@@ -177,7 +179,29 @@ def _sample_count(route: RouteSpec, sim: SimConfig) -> int:
             f"a route of {route.total_duration!r} s at {sim.sample_rate!r} Hz takes {samples:.6g} samples "
             f"per channel, more than the limit of {_MAX_SAMPLES:,}"
         )
-    return int(round(samples))
+    n = int(round(samples))
+    if n == 0:
+        raise ValueError("the route has no samples at this sample rate")
+    dt, switch = sim.dt, route.phase_duration
+    k = math.ceil(switch / dt)
+    while k > 0 and (k - 1) * dt >= switch:
+        k -= 1
+    while k * dt < switch:
+        k += 1
+    k = min(k, n)
+    return (route.start, k), (route.end, n - k)
+
+
+def check_step_route(name: str, route: RouteSpec, sim: SimConfig) -> None:
+    """Raise ValueError, naming the route, unless step_metrics is defined on a run of it."""
+    if route.start == route.end:
+        raise ValueError(f"the {name} route has no step: start equals end ({route.start!r})")
+    (_, k), (_, rest) = _schedule(route, sim)
+    if rest == 0:
+        raise ValueError(
+            f"the {name} route gets no sample in its second phase: {k} samples at "
+            f"{sim.sample_rate!r} Hz, second phase from {route.phase_duration!r} s"
+        )
 
 
 def _check_first_error(route: RouteSpec, params: PlantParams, route_name: str = "route") -> None:
@@ -190,37 +214,17 @@ def _check_first_error(route: RouteSpec, params: PlantParams, route_name: str = 
             )
 
 
-def _phase_switch(route: RouteSpec, dt: float, n_samples: int) -> int:
-    """Index of the first sample of the route's second phase: the first k with k * dt >= phase_duration.
-
-    Capped at n_samples. The float product k * dt is the sample time every other path
-    uses, so the guess ceil(phase_duration / dt) is moved by that same test until exact.
-    """
-    switch = route.phase_duration
-    k = math.ceil(switch / dt)
-    while k > 0 and (k - 1) * dt >= switch:
-        k -= 1
-    while k * dt < switch:
-        k += 1
-    return min(k, n_samples)
-
-
 def _run_channel(
-    gains: Gains,
-    route: RouteSpec,
-    channel: ChannelParams,
-    dt: float,
-    n_samples: int,
-    actual: list[float] | None = None,
+    gains: Gains, schedule: tuple, channel: ChannelParams, dt: float, actual: list[float] | None = None
 ) -> tuple[float, float]:
     """One channel's closed loop along the route, fused into a single pass.
 
     Performs exactly the float operations of route_setpoint, pid_step and
     plant_step, in their order, so results are bit-identical to chaining them.
-    The samples run in two stretches split at _phase_switch, ``start`` then
-    ``end``, so no sample tests its time. The previous error starts as the first
-    error, which makes sample 0's derivative (e - e) / dt exactly the 0.0 that
-    pid_step uses there (every caller checks that first error with _check_first_error).
+    The samples run in the two stretches of _schedule, ``start`` then ``end``,
+    so no sample tests its time. The previous error starts as the first error,
+    which makes sample 0's derivative (e - e) / dt exactly the 0.0 that pid_step
+    uses there (every caller checks that first error with _check_first_error).
     Appends the measurement of each sample to ``actual`` when given. Returns the
     sum of |setpoint - measurement| over the samples in time order, and the final
     velocity. The run does not stop where the velocity goes nonfinite: it never
@@ -229,19 +233,17 @@ def _run_channel(
     divergence verdict, and the sum is then meaningless.
     """
     kp, ki, kd = gains.kp, gains.ki, gains.kd
-    start, end = route.start, route.end
     limit = channel.actuator_limit
     neg_limit = -limit
     dc_gain = channel.dc_gain
     decay = math.exp(-dt / channel.time_constant)
     record = actual is not None
     append = actual.append if record else None
-    k_switch = _phase_switch(route, dt, n_samples)
     velocity = channel.initial_velocity
     integral = 0.0
-    prev_error = start - velocity
+    prev_error = schedule[0][0] - velocity
     total = 0.0
-    for setpoint, count in ((start, k_switch), (end, n_samples - k_switch)):
+    for setpoint, count in schedule:
         for _ in range(count):
             if record:
                 append(velocity)
@@ -260,16 +262,13 @@ def _run_channel(
     return total, velocity
 
 
-def _run_batch(
-    gains: np.ndarray, route: RouteSpec, params: PlantParams, dt: float, n_samples: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _run_batch(gains: np.ndarray, schedule: tuple, params: PlantParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """_run_channel for every row of an (n, 6) gain array, in one NumPy time loop.
 
     Rows hold the flat gains kpv, kiv, kdv, kpa, kia, kda. Both channels of every
     row are stacked into one batch of 2n lanes, each with its own limit, DC gain,
     decay and start velocity, and every lane performs _run_channel's float
-    operations in its order and on its schedule (two stretches split at
-    _phase_switch, the previous error seeded with the first), so its error sum is
+    operations in its order and on the same schedule, so its error sum is
     bit-identical to it. Returns the (n, 2) error sums, linear then angular, and
     an (n,) mask of the rows whose final velocity is finite on both channels,
     which is _run_channel's divergence verdict.
@@ -286,13 +285,11 @@ def _run_batch(
     dc_gain = per_lane([c.dc_gain for c in channels])
     decay = per_lane([math.exp(-dt / c.time_constant) for c in channels])
     velocity = per_lane([c.initial_velocity for c in channels])
-    start, end = route.start, route.end
-    k_switch = _phase_switch(route, dt, n_samples)
     error, command, scratch, derivative = (np.empty(2 * n) for _ in range(4))
-    prev_error = np.subtract(start, velocity)
+    prev_error = np.subtract(schedule[0][0], velocity)
     integral, total = np.zeros(2 * n), np.zeros(2 * n)
     with np.errstate(all="ignore"):
-        for setpoint, count in ((start, k_switch), (end, n_samples - k_switch)):
+        for setpoint, count in schedule:
             for _ in range(count):
                 np.subtract(setpoint, velocity, out=error)
                 np.add(total, np.abs(error, out=scratch), out=total)
@@ -311,9 +308,7 @@ def _run_batch(
     return total.reshape(2, n).T, finite
 
 
-def simulate_route(
-    individual: Individual, route: RouteSpec, params: PlantParams, sim: SimConfig
-) -> SimTrace:
+def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams, sim: SimConfig) -> SimTrace:
     """Drive both channels along the route with their own PID controllers.
 
     PID states start fresh and both channels start from their configured initial
@@ -323,21 +318,21 @@ def simulate_route(
     a final velocity is nonfinite.
     """
     dt = sim.dt
-    n_samples = _sample_count(route, sim)
+    schedule = _schedule(route, sim)
     _check_first_error(route, params)
+    setpoints, counts = zip(*schedule)
+    time, desired = np.arange(sum(counts)) * dt, np.repeat(setpoints, counts)
     traces = []
     for name, gains, channel in (
         ("linear", individual.linear, params.linear),
         ("angular", individual.angular, params.angular),
     ):
         recorded: list[float] = []
-        _, final_velocity = _run_channel(gains, route, channel, dt, n_samples, recorded)
+        _, final_velocity = _run_channel(gains, schedule, channel, dt, recorded)
         actual = np.asarray(recorded)
         if not math.isfinite(final_velocity):
             # actual[k + 1] is the velocity sample k's step produced; the last step's is not recorded
             nonfinite = np.flatnonzero(~np.isfinite(actual[1:]))
-            raise SimulationDiverged(name, int(nonfinite[0]) if nonfinite.size else n_samples - 1)
-        time = np.arange(n_samples) * dt
-        desired = np.where(time < route.phase_duration, route.start, route.end)
+            raise SimulationDiverged(name, int(nonfinite[0]) if nonfinite.size else len(time) - 1)
         traces.append(ChannelTrace(time, desired, actual))
     return SimTrace(linear=traces[0], angular=traces[1])

@@ -445,6 +445,9 @@ def test_gains_rejects_negative_and_nonfinite():
         Gains(0.1, math.nan, 0.0)
     with pytest.raises(ValueError):
         Gains(0.1, 0.0, math.inf)
+    # a bool is not a number: True would count as 1
+    with pytest.raises(ValueError, match="kp must be a finite number >= 0, got True"):
+        Gains(True, 0.0, 0.0)
 
 
 def test_individual_flat_round_trip():
@@ -502,7 +505,7 @@ def test_mutationspec_validation():
             MutationSpec(kind)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
 def test_specs_reject_nonfinite_values(bad):
     with pytest.raises(ValueError, match="sigma_scaled"):
         MutationSpec(MutationKind.SCALED, sigma_scaled=bad)

@@ -299,6 +299,9 @@ def test_gain_grid_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="kd_values must be finite"):
             GainGrid((0.1,), (0.0,), (0.0, bad))
+    # a bool is not a number: the oracle used to return Gains(kp=True, ki=False, kd=0)
+    with pytest.raises(ValueError, match=re.escape("kp_values must be a number, got (True, 0.5)")):
+        GainGrid((True, 0.5), (False,), (0,))
 
 
 # ---------------------------------------------------------------- generations CSV

@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from evopid import (
@@ -45,7 +45,7 @@ from evopid import (
 import evopid.harness
 import evopid.plant
 from evopid.metrics import _fitness_batch
-from evopid.plant import _phase_switch
+from evopid.plant import _schedule
 
 
 def reference_simulate_route(individual, route, params, sim):
@@ -158,18 +158,18 @@ def test_forced_divergence_matches_reference(channel, sim, train_route):
         reference_simulate_route(individual, train_route, params, sim)
     assert (excinfo.value.channel, excinfo.value.sample_index) == (channel, 1)
     assert_same_run(individual, train_route, params, sim)
-    assert fitness_of(individual, train_route, params, sim) == (1e6, 1e6)
+    assert fitness_of(individual, train_route, params, sim) == (DIVERGENCE_AE, DIVERGENCE_AE)
 
 
 def test_route_without_samples_matches_reference(plant):
-    # 2 * 0.1 s at 2 Hz rounds to 0 samples: empty traces, and no average error to take
+    # 2 * 0.1 s at 2 Hz rounds to 0 samples: no average error to take, so no run either
     route, sim = RouteSpec(0.0, 1.0, phase_duration=0.1), SimConfig(2.0)
     individual = Individual(Gains(1.0, 0.0, 0.0), Gains(1.0, 0.0, 0.0))
-    assert len(simulate_route(individual, route, plant, sim).linear) == 0
     with pytest.raises(ValueError):
         reference_fitness(individual, route, plant, sim)
-    with pytest.raises(ValueError):
-        fitness_of(individual, route, plant, sim)
+    for run in (fitness_of, simulate_route):
+        with pytest.raises(ValueError, match="the route has no samples at this sample rate"):
+            run(individual, route, plant, sim)
 
 
 def test_integer_route_and_start_velocity_match_reference(sim):
@@ -197,19 +197,19 @@ def test_divergence_on_the_final_sample_matches_reference():
 @given(
     phase_duration=st.floats(0.001, 10.0),
     sample_rate=st.floats(1.0, 500.0),
-    cap=st.integers(0, 5000),
 )
-@example(phase_duration=0.06, sample_rate=50.0, cap=5000)
-@example(phase_duration=3.0, sample_rate=50.0, cap=5000)
-@example(phase_duration=0.3337, sample_rate=47.3, cap=5000)
-@example(phase_duration=0.14, sample_rate=50.0, cap=5000)  # ceil(7.000000000000001) is one too many
-@example(phase_duration=3.5, sample_rate=196.0, cap=5000)  # 686 * dt is 3.4999999999999996, one too few
-@example(phase_duration=3.0, sample_rate=50.0, cap=0)
-def test_phase_switch_is_the_first_sample_of_the_second_phase(phase_duration, sample_rate, cap):
-    route, dt = RouteSpec(0.0, 1.0, phase_duration), SimConfig(sample_rate).dt
-    first = next(k for k in itertools.count() if k * dt >= phase_duration)
-    assert _phase_switch(route, dt, cap) == min(first, cap)
-    assert _phase_switch(route, dt, first + 1) == first
+@example(phase_duration=0.06, sample_rate=50.0)
+@example(phase_duration=3.0, sample_rate=50.0)
+@example(phase_duration=0.3337, sample_rate=47.3)
+@example(phase_duration=0.14, sample_rate=50.0)  # ceil(7.000000000000001) is one too many
+@example(phase_duration=3.5, sample_rate=196.0)  # 686 * dt is 3.4999999999999996, one too few
+@example(phase_duration=0.01, sample_rate=50.0)  # the route's one sample caps the switch: ((0.0, 1), (1.0, 0))
+def test_phase_switch_is_the_first_sample_of_the_second_phase(phase_duration, sample_rate):
+    route, sim = RouteSpec(0.0, 1.0, phase_duration), SimConfig(sample_rate)
+    n = int(round(route.total_duration * sample_rate))
+    assume(n > 0)
+    first = next(k for k in itertools.count() if k * sim.dt >= phase_duration)
+    assert _schedule(route, sim) == ((0.0, min(first, n)), (1.0, n - min(first, n)))
 
 
 # ---------------------------------------------------------------- batched kernel

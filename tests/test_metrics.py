@@ -7,13 +7,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evopid import (
+    DIVERGENCE_AE,
     ChannelParams,
     ChannelTrace,
+    GenerationRecord,
     Gains,
     Individual,
+    MemberRecord,
     PlantParams,
     RouteSpec,
     average_error,
+    build_experiment_spec,
     fitness_of,
     step_metrics,
 )
@@ -121,7 +125,21 @@ def test_fitness_absorbs_divergence_into_worst_case(sim, train_route):
     )
     unstable = Individual(Gains(1e8, 0.0, 0.0), Gains(0.1, 0.0, 0.0))
     record = fitness_of(unstable, train_route, params, sim)
-    assert record == (1.0e6, 1.0e6)
+    assert record == (DIVERGENCE_AE, DIVERGENCE_AE)
+
+
+def test_divergence_loses_selection_to_a_large_finite_error():
+    # from 1e8 m/s even a stable member's linear AE is about 8.5e6, so a stand-in of 1e6 would win
+    spec = build_experiment_spec(2, overrides={"plant.linear.initial_velocity": 1e8})
+    diverging = Individual(Gains(1e308, 0.0, 1e308), Gains(0.1, 0.0, 0.0))
+    stable = Individual(Gains(0.5, 0.01, 0.0), Gains(0.1, 0.0, 0.0))
+    members = tuple(
+        MemberRecord(individual, *fitness_of(individual, spec.train_route, spec.plant, spec.sim))
+        for individual in (diverging, stable)
+    )
+    assert members[0].ae_linear == DIVERGENCE_AE
+    assert GenerationRecord.from_evaluations(0, members).fittest_linear_index == 1
+    assert members[1].ae_linear > 1e6
 
 
 def test_fitness_values_finite_and_nonnegative(plant, sim, train_route):

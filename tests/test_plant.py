@@ -21,7 +21,7 @@ from evopid import (
     simulate_route,
 )
 from evopid.metrics import _fitness_batch
-from evopid.plant import _MAX_SAMPLES, _sample_count
+from evopid.plant import _MAX_SAMPLES, _schedule
 
 ZERO = Individual.from_flat([0.0] * 6)
 
@@ -85,7 +85,7 @@ def test_channel_params_validation():
         ChannelParams(actuator_limit=0.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
 @pytest.mark.parametrize(
     "make, field",
     [
@@ -134,19 +134,18 @@ def test_route_longer_than_the_sample_cap_is_rejected_before_running(phase_durat
 @example(phase_duration=_MAX_SAMPLES / 100, sample_rate=50.0)  # exactly the cap
 @example(phase_duration=49_999.998, sample_rate=100.0)  # 9,999,999.6 samples round up to the cap
 def test_last_sample_lies_inside_the_route_window(phase_duration, sample_rate):
-    # why _sample_count needs no window check: rounding leaves the last sample dt / 2 short of the end
+    # why _schedule needs no window check: rounding leaves the last sample dt / 2 short of the end
     route, sim = RouteSpec(-0.3, 0.3, phase_duration=phase_duration), SimConfig(sample_rate)
-    assume(route.total_duration * sim.sample_rate <= _MAX_SAMPLES)
-    n = _sample_count(route, sim)
+    assume(0.5 < route.total_duration * sim.sample_rate <= _MAX_SAMPLES)
+    n = sum(count for _, count in _schedule(route, sim))
     assert (n - 1) * sim.dt < route.total_duration
-    if n:
-        assert route_setpoint(route, (n - 1) * sim.dt) in (route.start, route.end)
+    assert route_setpoint(route, (n - 1) * sim.dt) in (route.start, route.end)
 
 
 def test_route_at_the_sample_cap_is_accepted():
     # only counted: 2 * 100,000 s at 50 Hz is exactly the cap
     route = RouteSpec(-0.3, 0.3, phase_duration=_MAX_SAMPLES / 100)
-    assert _sample_count(route, SimConfig(50.0)) == _MAX_SAMPLES
+    assert _schedule(route, SimConfig(50.0)) == ((-0.3, _MAX_SAMPLES // 2), (0.3, _MAX_SAMPLES // 2))
 
 
 @pytest.mark.parametrize("phase_duration", [0.01, 3.0])
