@@ -37,6 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     tune.add_argument("--out", type=Path, default=None, help="output directory (default results/experiment_N)")
     tune.add_argument("--config", type=Path, default=None, help="flat key=value override file")
+    tune.set_defaults(run=_cmd_tune)
 
     step = sub.add_parser("step", help="simulate one gain set on a route and report step metrics")
     step.add_argument(
@@ -47,12 +48,14 @@ def build_parser() -> argparse.ArgumentParser:
     step.add_argument("--route", required=True, choices=("train", "test"))
     step.add_argument("--out", type=Path, default=Path("step_trace.csv"), help="trace CSV path")
     step.add_argument("--config", type=Path, default=None, help="flat key=value override file")
+    step.set_defaults(run=_cmd_step)
 
     oracle = sub.add_parser("oracle", help="exhaustive grid search baseline over gain values")
     oracle.add_argument("--grid", type=Path, required=True, help="grid file: lines `kp|ki|kd = v1, v2, ...`")
     oracle.add_argument("--route", choices=("train", "test"), default="train")
     oracle.add_argument("--out", type=Path, default=None, help="optional JSON output path")
     oracle.add_argument("--config", type=Path, default=None, help="flat key=value override file")
+    oracle.set_defaults(run=_cmd_oracle)
 
     return parser
 
@@ -83,7 +86,7 @@ def _cmd_step(args: argparse.Namespace) -> int:
     individual = _parse_gains(args.gains)
     plant, sim, routes = build_environment(_overrides(args.config))
     route = routes[args.route]
-    check_step_route(args.route, route, sim)
+    check_step_route(args.route, route, plant, sim)
     trace = simulate_route(individual, route, plant, sim)
     export_trace(trace, args.out)
     print(f"wrote trace to {args.out}")
@@ -125,16 +128,10 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     try:
-        if args.command == "tune":
-            return _cmd_tune(args)
-        if args.command == "step":
-            return _cmd_step(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
+        return args.run(args)
     except (ConfigError, EvaluationError, SimulationDiverged, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main() -> None:

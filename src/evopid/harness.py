@@ -29,7 +29,7 @@ from .ep import (
 )
 from .metrics import DIVERGENCE_AE, FitnessRecord, StepMetrics, _fitness_batch, average_error, fitness_of
 from .metrics import step_metrics
-from .plant import PlantParams, RouteSpec, SimConfig, _check_first_error, check_step_route, simulate_route
+from .plant import PlantParams, RouteSpec, SimConfig, _schedule, check_step_route, simulate_route
 
 DEFAULT_TRAIN_ROUTE = RouteSpec(start=-0.3, end=0.3)
 DEFAULT_TEST_ROUTE = RouteSpec(start=0.1, end=0.7)
@@ -256,8 +256,9 @@ def build_experiment_spec(
     """Assemble a preset experiment; config overrides may adjust everything but the mutation kind.
 
     Raises ConfigError on a key that is not in CONFIG_TABLE, on a bool, on a value
-    an int key would truncate (2.7 for a population size), and on a route start
-    whose first error against a channel's initial velocity overflows.
+    an int key would truncate (2.7 for a population size), and, naming the route key,
+    on a route _schedule rejects: no samples, more than its sample cap, or a first
+    error against a channel's initial velocity that overflows.
     """
     _check_experiment_id(experiment_id)
     kind, population_size = EXPERIMENT_TABLE[experiment_id]
@@ -289,9 +290,9 @@ def build_experiment_spec(
     spec = _replace_fields(preset, values)
     for name, route in (("train", spec.train_route), ("test", spec.test_route)):
         try:
-            _check_first_error(route, spec.plant, f"route.{name}")
+            _schedule(route, spec.plant, spec.sim)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"route.{name}: {exc}") from None
     return spec
 
 
@@ -398,7 +399,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
 
     routes = {"train": spec.train_route, "test": spec.test_route}
     for name, route in routes.items():
-        check_step_route(name, route, spec.sim)
+        check_step_route(name, route, spec.plant, spec.sim)
     best, history, stop_reason = run_ep(spec.ep, evaluator)
     if all(m.ae_linear == m.ae_angular == DIVERGENCE_AE for record in history for m in record.members):
         raise EvaluationError(
@@ -440,8 +441,7 @@ def grid_oracle(
     points = itertools.product(*axes)
     best: list[tuple[float, tuple] | None] = [None, None]  # per channel (AE, point)
     while chunk := list(itertools.islice(points, _ORACLE_CHUNK)):
-        triples = np.array(chunk, dtype=float)
-        ae = _fitness_batch(np.hstack((triples, triples)), route, params, sim)
+        ae = _fitness_batch(np.array(chunk, dtype=float), route, params, sim)
         for c in range(2):
             # argmin keeps the first of equal minima, and strict < an earlier chunk's,
             # so ties go to the lexicographically smallest gains

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ep import Individual
-from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _check_first_error, _run_batch, _run_channel, _schedule
+from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _run_batch, _run_channel, _schedule
 
 # Finite stand-in fitness for unstable gains; must lose every selection, so no finite average can exceed it.
 DIVERGENCE_AE = sys.float_info.max
@@ -56,8 +56,7 @@ def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, si
     so unstable gains stay comparable and always rank last. The linear channel
     runs first; if its final velocity is nonfinite the angular one is not run.
     """
-    schedule = _schedule(route, sim)
-    _check_first_error(route, params)
+    schedule = _schedule(route, params, sim)
     n_samples = sum(count for _, count in schedule)
     errors = []
     for gains, channel in ((individual.linear, params.linear), (individual.angular, params.angular)):
@@ -69,17 +68,17 @@ def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, si
 
 
 def _fitness_batch(gains: np.ndarray, route: RouteSpec, params: PlantParams, sim: SimConfig) -> np.ndarray:
-    """fitness_of for every row of an (n, 6) gain array, as an (n, 2) array of AEs.
+    """fitness_of(Individual(g, g), ...) for every kp, ki, kd row g of an (n, 3) array, as (n, 2) AEs.
 
-    Each row is == to fitness_of on the same gains, divergence rule included. The
-    NumPy time loop costs about as much at n = 1 as at n = 20, so only calls that
-    score many gain sets at once gain by it; fitness_of stays the per-individual path.
+    Each row is == to fitness_of, divergence rule included: a nonfinite final
+    velocity on either channel scores both DIVERGENCE_AE. The NumPy time loop costs
+    about as much at n = 1 as at n = 20, so only calls that score many gain sets at
+    once gain by it; fitness_of stays the per-individual path.
     """
-    schedule = _schedule(route, sim)
-    _check_first_error(route, params)
-    totals, finite = _run_batch(gains, schedule, params, sim.dt)
+    schedule = _schedule(route, params, sim)
+    totals, final_velocity = _run_batch(gains, schedule, params, sim.dt)
     ae = totals / sum(count for _, count in schedule)
-    ae[~finite] = DIVERGENCE_AE
+    ae[~np.isfinite(final_velocity).all(axis=1)] = DIVERGENCE_AE
     return ae
 
 

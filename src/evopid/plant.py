@@ -164,13 +164,14 @@ def plant_step(velocity: float, command: float, params: ChannelParams, dt: float
 _MAX_SAMPLES = 10_000_000
 
 
-def _schedule(route: RouteSpec, sim: SimConfig) -> tuple[tuple[float, int], tuple[float, int]]:
-    """One run of the route as (setpoint, sample count) stretches: ((start, k), (end, n - k)).
+def _schedule(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tuple[float, int], tuple[float, int]]:
+    """The gate of every route run: the run as (setpoint, sample count) stretches, ((start, k), (end, n - k)).
 
     n = round(total_duration * sample_rate), so the last sample lies at most total_duration - dt / 2.
     k is the first k with k * dt >= phase_duration, capped at n; the guess ceil(phase_duration / dt)
     is moved by that test, on the float k * dt every path uses, until exact. Raises ValueError
-    when the route has no samples or more than _MAX_SAMPLES.
+    when the route has no samples or more than _MAX_SAMPLES, and, naming the channel, when a first
+    error route.start - initial_velocity overflows: the kernels seed their first derivative with it.
     """
     samples = route.total_duration * sim.sample_rate
     # compared as a float first: an infinite duration cannot be rounded to an int
@@ -182,6 +183,12 @@ def _schedule(route: RouteSpec, sim: SimConfig) -> tuple[tuple[float, int], tupl
     n = int(round(samples))
     if n == 0:
         raise ValueError("the route has no samples at this sample rate")
+    for name, channel in (("linear", params.linear), ("angular", params.angular)):
+        if not math.isfinite(route.start - channel.initial_velocity):
+            raise ValueError(
+                f"route.start - plant.{name}.initial_velocity must be finite, "
+                f"got {route.start!r} - {channel.initial_velocity!r}"
+            )
     dt, switch = sim.dt, route.phase_duration
     k = math.ceil(switch / dt)
     while k > 0 and (k - 1) * dt >= switch:
@@ -192,26 +199,16 @@ def _schedule(route: RouteSpec, sim: SimConfig) -> tuple[tuple[float, int], tupl
     return (route.start, k), (route.end, n - k)
 
 
-def check_step_route(name: str, route: RouteSpec, sim: SimConfig) -> None:
+def check_step_route(name: str, route: RouteSpec, params: PlantParams, sim: SimConfig) -> None:
     """Raise ValueError, naming the route, unless step_metrics is defined on a run of it."""
     if route.start == route.end:
         raise ValueError(f"the {name} route has no step: start equals end ({route.start!r})")
-    (_, k), (_, rest) = _schedule(route, sim)
+    (_, k), (_, rest) = _schedule(route, params, sim)
     if rest == 0:
         raise ValueError(
             f"the {name} route gets no sample in its second phase: {k} samples at "
             f"{sim.sample_rate!r} Hz, second phase from {route.phase_duration!r} s"
         )
-
-
-def _check_first_error(route: RouteSpec, params: PlantParams, route_name: str = "route") -> None:
-    """Raise ValueError, naming the channel, if its first error route.start - initial_velocity overflows."""
-    for name, channel in (("linear", params.linear), ("angular", params.angular)):
-        if not math.isfinite(route.start - channel.initial_velocity):
-            raise ValueError(
-                f"{route_name}.start - plant.{name}.initial_velocity must be finite, "
-                f"got {route.start!r} - {channel.initial_velocity!r}"
-            )
 
 
 def _run_channel(
@@ -224,7 +221,7 @@ def _run_channel(
     The samples run in the two stretches of _schedule, ``start`` then ``end``,
     so no sample tests its time. The previous error starts as the first error,
     which makes sample 0's derivative (e - e) / dt exactly the 0.0 that pid_step
-    uses there (every caller checks that first error with _check_first_error).
+    uses there (_schedule has checked that the first error is finite).
     Appends the measurement of each sample to ``actual`` when given. Returns the
     sum of |setpoint - measurement| over the samples in time order, and the final
     velocity. The run does not stop where the velocity goes nonfinite: it never
@@ -263,18 +260,16 @@ def _run_channel(
 
 
 def _run_batch(gains: np.ndarray, schedule: tuple, params: PlantParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """_run_channel for every row of an (n, 6) gain array, in one NumPy time loop.
+    """_run_channel for every kp, ki, kd row of an (n, 3) array on both channels, in one NumPy time loop.
 
-    Rows hold the flat gains kpv, kiv, kdv, kpa, kia, kda. Both channels of every
-    row are stacked into one batch of 2n lanes, each with its own limit, DC gain,
-    decay and start velocity, and every lane performs _run_channel's float
-    operations in its order and on the same schedule, so its error sum is
-    bit-identical to it. Returns the (n, 2) error sums, linear then angular, and
-    an (n,) mask of the rows whose final velocity is finite on both channels,
-    which is _run_channel's divergence verdict.
+    Every row runs on both channels as one batch of 2n lanes, each with its channel's
+    limit, DC gain, decay and start velocity, and every lane performs _run_channel's
+    float operations in its order and on the same schedule, so it is bit-identical
+    to it. Returns _run_channel's two results as (n, 2) arrays, linear then angular:
+    the error sums and the final velocities.
     """
     n = len(gains)
-    kp, ki, kd = (np.concatenate((gains[:, j], gains[:, j + 3])) for j in range(3))
+    kp, ki, kd = np.tile(gains.T, 2)
     channels = (params.linear, params.angular)
 
     def per_lane(values) -> np.ndarray:
@@ -304,8 +299,7 @@ def _run_batch(gains: np.ndarray, schedule: tuple, params: PlantParams, dt: floa
                 target = np.multiply(command, dc_gain, out=command)
                 np.add(target, np.multiply(np.subtract(velocity, target, out=scratch), decay, out=scratch), out=velocity)
                 error, prev_error = prev_error, error
-    finite = np.isfinite(velocity).reshape(2, n).all(axis=0)
-    return total.reshape(2, n).T, finite
+    return total.reshape(2, n).T, velocity.reshape(2, n).T
 
 
 def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams, sim: SimConfig) -> SimTrace:
@@ -318,8 +312,7 @@ def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams
     a final velocity is nonfinite.
     """
     dt = sim.dt
-    schedule = _schedule(route, sim)
-    _check_first_error(route, params)
+    schedule = _schedule(route, params, sim)
     setpoints, counts = zip(*schedule)
     time, desired = np.arange(sum(counts)) * dt, np.repeat(setpoints, counts)
     traces = []

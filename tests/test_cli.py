@@ -113,7 +113,7 @@ def test_step_rejects_route_over_the_sample_cap(tmp_path, capsys):
     out = tmp_path / "t.csv"
     rc = cli_main(["step", "--gains", "0.5,0,0,0.5,0,0", "--route", "train", "--out", str(out), "--config", str(cfg)])
     assert rc == 1
-    assert "error: a route of 2000000000.0 s at 50.0 Hz" in capsys.readouterr().err
+    assert "error: route.train: a route of 2000000000.0 s at 50.0 Hz" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -138,11 +138,20 @@ def test_tune_rejects_a_route_without_a_step_before_tuning(tmp_path, capsys, mon
     assert not out.exists()
 
 
+# routes no command can run, set on the test route while the train route is the one run:
+# every route is checked where the config enters
+UNRUNNABLE_TEST_ROUTES = [
+    ("route.test.phase_duration = 0.001\n", "route.test: the route has no samples at this sample rate"),
+    ("route.test.phase_duration = 1e9\n", "route.test: a route of 2000000000.0 s at 50.0 Hz takes 1e+11 samples"),
+]
+
+
 @pytest.mark.parametrize(
     "lines, message",
     [
         ("route.train.start = 0.5\nroute.train.end = 0.5\n", "the train route has no step"),
         ("route.train.phase_duration = 0.01\n", "the train route gets no sample in its second phase"),
+        *UNRUNNABLE_TEST_ROUTES,
     ],
 )
 def test_step_rejects_a_route_without_a_step_before_simulating(tmp_path, capsys, monkeypatch, lines, message):
@@ -165,7 +174,24 @@ def test_step_rejects_an_overflowing_first_error(tmp_path, capsys):
     out = tmp_path / "t.csv"
     rc = cli_main(["step", "--gains", "1,1,1,1,1,1", "--route", "train", "--out", str(out), "--config", str(cfg)])
     assert rc == 1
-    assert "error: route.train.start - plant.linear.initial_velocity must be finite" in capsys.readouterr().err
+    assert "error: route.train: route.start - plant.linear.initial_velocity must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, message", UNRUNNABLE_TEST_ROUTES)
+def test_oracle_rejects_a_route_it_cannot_run_before_scoring(tmp_path, capsys, monkeypatch, lines, message):
+    def no_grid_oracle(*args):
+        raise AssertionError("grid_oracle was called")
+
+    monkeypatch.setattr(evopid.cli, "grid_oracle", no_grid_oracle)
+    cfg = tmp_path / "route.cfg"
+    cfg.write_text(lines)
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("kp = 0, 0.5\n")
+    out = tmp_path / "oracle.json"
+    rc = cli_main(["oracle", "--grid", str(grid), "--route", "train", "--out", str(out), "--config", str(cfg)])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

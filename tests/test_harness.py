@@ -34,6 +34,7 @@ from evopid import (
     step_metrics,
 )
 import evopid.harness
+from evopid.cli import cli_main
 from evopid.harness import (
     CONFIG_TABLE,
     EXPERIMENT_TABLE,
@@ -171,7 +172,8 @@ def test_override_rejects_a_bool(key):
 def test_overflowing_first_error_is_rejected(route, channel):
     # 1e308 - -1e308 is inf, and the kernel's first derivative would be inf - inf
     start, velocity = f"route.{route}.start", f"plant.{channel}.initial_velocity"
-    with pytest.raises(ConfigError, match=re.escape(f"{start} - {velocity} must be finite, got 1e+308 - -1e+308")):
+    message = f"route.{route}: route.start - {velocity} must be finite, got 1e+308 - -1e+308"
+    with pytest.raises(ConfigError, match=re.escape(message)):
         build_experiment_spec(2, overrides={start: 1e308, velocity: -1e308})
     # each value alone, and a large difference that stays finite, are accepted
     build_experiment_spec(2, overrides={start: 1e308})
@@ -284,6 +286,22 @@ def test_parse_grid_file_rejects_a_repeated_gain(tmp_path):
         parse_grid_file(grid_file)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("kp = 0.5\nki = 0, x\n", "grid.cfg:2: bad value for ki: could not convert string to float: 'x'"),
+        ("kp = 0.5\nkd =\n", "grid.cfg:2: kd lists no values"),
+        ("# comments only\n\n", "grid.cfg: grid file defines no gain values"),
+    ],
+    ids=["bad number", "no values", "no gain lines"],
+)
+def test_parse_grid_file_rejects_a_malformed_file(tmp_path, text, message):
+    grid_file = tmp_path / "grid.cfg"
+    grid_file.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_grid_file(grid_file)
+
+
 def test_gain_grid_caps_its_point_count():
     # constructed only, never scored
     GainGrid(tuple(range(100)), tuple(range(100)), tuple(range(100)))
@@ -323,6 +341,13 @@ def test_export_generations_round_trip(tmp_path):
     path = tmp_path / "generations.csv"
     export_generations(history, path)
     assert load_generations(path) == list(history)
+
+
+def test_load_generations_rejects_a_foreign_header(tmp_path):
+    path = tmp_path / "generations.csv"
+    path.write_text("generation,member,kp,ki\n0,0,0.5,0.1\n")
+    with pytest.raises(ValueError, match=re.escape("generations.csv: unexpected header ['generation', 'member', 'kp', 'ki']")):
+        load_generations(path)
 
 
 def test_export_generations_deterministic_bytes(tmp_path):
@@ -425,6 +450,27 @@ def test_run_experiment_scores_each_distinct_individual_once_with_pinned_bytes(t
     assert len(train_calls) == len(set(train_calls)) == 192
     for name, digest in PINNED_EXP2_SEED0_G20.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+# SHA-256 of the file each command writes to "out", run where grid.cfg holds PINNED_GRID;
+# pinned from the batch kernel that took six gain columns per row
+PINNED_GRID = "kp = 0, 2, 8, 32, 128\nki = 0, 1, 4, 16\nkd = 0, 0.05, 0.2\n"
+PINNED_CLI_OUTPUTS = {
+    "oracle --grid grid.cfg --route train --out out": (
+        "816aaf623367d61fa39d061df475c95245f6b440cb593a26da47da77e9ff472e"
+    ),
+    "step --gains 0.5,0.05,0.001,0.4,0.02,0 --route test --out out": (
+        "53ca5dd2e30f5b4bd6b552c4ffb529af8a461edb8a6bb6519b5666eda6a6c720"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED_CLI_OUTPUTS), ids=lambda command: command.split()[0])
+def test_oracle_and_step_write_pinned_bytes(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.cfg").write_text(PINNED_GRID)
+    assert cli_main(command.split()) == 0
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == PINNED_CLI_OUTPUTS[command]
 
 
 def test_run_experiment_writes_all_outputs(small_run):

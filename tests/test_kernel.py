@@ -11,6 +11,7 @@ average errors and the same divergence sample, not merely close values.
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from evopid import (
 import evopid.harness
 import evopid.plant
 from evopid.metrics import _fitness_batch
-from evopid.plant import _schedule
+from evopid.plant import _run_batch, _run_channel, _schedule
 
 
 def reference_simulate_route(individual, route, params, sim):
@@ -209,56 +210,68 @@ def test_phase_switch_is_the_first_sample_of_the_second_phase(phase_duration, sa
     n = int(round(route.total_duration * sample_rate))
     assume(n > 0)
     first = next(k for k in itertools.count() if k * sim.dt >= phase_duration)
-    assert _schedule(route, sim) == ((0.0, min(first, n)), (1.0, n - min(first, n)))
+    assert _schedule(route, PlantParams(), sim) == ((0.0, min(first, n)), (1.0, n - min(first, n)))
 
 
 # ---------------------------------------------------------------- batched kernel
 
 
-def assert_batch_matches_fitness_of(individuals, route, params, sim):
-    ae = _fitness_batch(np.array([ind.as_flat() for ind in individuals]), route, params, sim)
-    assert ae.shape == (len(individuals), 2)
-    for individual, row in zip(individuals, ae.tolist()):
-        assert tuple(row) == fitness_of(individual, route, params, sim), individual
+def assert_batch_matches_fitness_of(triples, route, params, sim):
+    # each kp, ki, kd row runs on both channels, so it is scored like Individual(g, g)
+    rows = np.array([g.as_tuple() for g in triples])
+    ae = _fitness_batch(rows, route, params, sim)
+    assert ae.shape == (len(triples), 2)
+    schedule = _schedule(route, params, sim)
+    _, final_velocity = _run_batch(rows, schedule, params, sim.dt)
+    for g, row, finals in zip(triples, ae.tolist(), final_velocity.tolist()):
+        assert tuple(row) == fitness_of(Individual(g, g), route, params, sim), g
+        # the kernel's other result: repr also matches a NaN to a NaN
+        assert repr(finals) == repr([_run_channel(g, schedule, c, sim.dt)[1] for c in (params.linear, params.angular)]), g
 
 
 @settings(max_examples=60)
 @given(
-    individuals=st.lists(st.builds(Individual, gains, gains), min_size=1, max_size=6),
+    triples=st.lists(gains, min_size=1, max_size=6),
     linear_plant=channels,
     angular_plant=channels,
     route=routes,
     sample_rate=st.floats(5.0, 100.0),
 )
 @example(  # a non-integer sample count, nonzero start velocities and kp at its bound
-    individuals=[Individual(Gains(50.0, 10.0, 2.0), Gains(0.0, 0.0, 0.0)), Individual(Gains(0.3, 0.0, 0.0), Gains(50.0, 0.0, 0.0))],
+    triples=[Gains(50.0, 10.0, 2.0), Gains(0.0, 0.0, 0.0), Gains(0.3, 0.0, 0.0), Gains(50.0, 0.0, 0.0)],
     linear_plant=ChannelParams(initial_velocity=0.7),
     angular_plant=ChannelParams(time_constant=0.3, initial_velocity=-1.5),
     route=RouteSpec(-0.3, 0.3, phase_duration=0.3337),
     sample_rate=47.3,
 )
 @example(  # an integer route and integer start velocities
-    individuals=[Individual(Gains(0.8, 0.2, 0.01), Gains(2.0, 0.0, 0.0))],
+    triples=[Gains(0.8, 0.2, 0.01), Gains(2.0, 0.0, 0.0)],
     linear_plant=ChannelParams(initial_velocity=0),
     angular_plant=ChannelParams(time_constant=0.3, initial_velocity=1),
     route=RouteSpec(0, 1, phase_duration=1),
     sample_rate=50.0,
 )
-def test_batch_rows_match_fitness_of(individuals, linear_plant, angular_plant, route, sample_rate):
-    assert_batch_matches_fitness_of(individuals, route, PlantParams(linear_plant, angular_plant), SimConfig(sample_rate))
+def test_batch_rows_match_fitness_of(triples, linear_plant, angular_plant, route, sample_rate):
+    assert_batch_matches_fitness_of(triples, route, PlantParams(linear_plant, angular_plant), SimConfig(sample_rate))
 
 
 def test_batch_divergence_on_either_channel_matches_fitness_of(sim, train_route):
-    # the forced inf - inf of test_forced_divergence_matches_reference, on one channel per row,
-    # next to a calm row that must stay unaffected
+    # the forced inf - inf of test_forced_divergence_matches_reference, on the one channel that starts
+    # at -5 m/s: the other starts at rest and stays finite, yet the row scores DIVERGENCE_AE on both,
+    # and the calm row beside it is unaffected
     huge = Gains(1e308, 0.0, 1e308)
     calm = Gains(0.1, 0.0, 0.0)
-    params = PlantParams(ChannelParams(initial_velocity=-5.0), ChannelParams(time_constant=0.3, initial_velocity=-5.0))
-    individuals = [Individual(huge, calm), Individual(calm, calm), Individual(calm, huge)]
-    ae = _fitness_batch(np.array([ind.as_flat() for ind in individuals]), train_route, params, sim)
-    assert ae[0].tolist() == ae[2].tolist() == [DIVERGENCE_AE, DIVERGENCE_AE]
-    assert ae[1].tolist() != [DIVERGENCE_AE, DIVERGENCE_AE]
-    assert_batch_matches_fitness_of(individuals, train_route, params, sim)
+    rows = np.array([huge.as_tuple(), calm.as_tuple()])
+    for c, diverging in enumerate(("linear", "angular")):
+        channels = {"linear": ChannelParams(), "angular": ChannelParams(time_constant=0.3)}
+        channels[diverging] = replace(channels[diverging], initial_velocity=-5.0)
+        params = PlantParams(**channels)
+        _, final_velocity = _run_batch(rows, _schedule(train_route, params, sim), params, sim.dt)
+        assert np.isfinite(final_velocity).tolist() == [[c != 0, c != 1], [True, True]]
+        ae = _fitness_batch(rows, train_route, params, sim)
+        assert ae[0].tolist() == [DIVERGENCE_AE, DIVERGENCE_AE]
+        assert DIVERGENCE_AE not in ae[1]
+        assert_batch_matches_fitness_of([huge, calm], train_route, params, sim)
 
 
 def test_batch_route_without_samples_raises_like_fitness_of(plant):
@@ -267,7 +280,7 @@ def test_batch_route_without_samples_raises_like_fitness_of(plant):
     with pytest.raises(ValueError) as excinfo:
         fitness_of(individual, route, plant, sim)
     with pytest.raises(ValueError, match=re.escape(str(excinfo.value))):
-        _fitness_batch(np.array([individual.as_flat()]), route, plant, sim)
+        _fitness_batch(np.array([individual.linear.as_tuple()]), route, plant, sim)
 
 
 def test_no_simulation_path_calls_the_reference(monkeypatch, tmp_path, plant, sim, train_route):

@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from evopid import (
     ChannelParams,
+    ChannelTrace,
     GainGrid,
     Gains,
     Individual,
     PlantParams,
     RouteSpec,
     SimConfig,
+    SimTrace,
     SimulationDiverged,
     fitness_of,
     grid_oracle,
@@ -104,6 +106,19 @@ def test_plant_specs_reject_nonfinite_values(make, field, bad):
         make(bad)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: ChannelTrace(np.zeros(3), np.zeros(3), np.zeros(2)), "time, desired, and actual must have equal length"),
+        (lambda: SimTrace(ChannelTrace(*[np.zeros(3)] * 3), ChannelTrace(*[np.zeros(2)] * 3)), "both channels must have equal length"),
+    ],
+    ids=["channel", "both channels"],
+)
+def test_traces_reject_unequal_lengths(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_sim_config_dt():
     assert SimConfig().dt == 0.02
     with pytest.raises(ValueError):
@@ -137,7 +152,7 @@ def test_last_sample_lies_inside_the_route_window(phase_duration, sample_rate):
     # why _schedule needs no window check: rounding leaves the last sample dt / 2 short of the end
     route, sim = RouteSpec(-0.3, 0.3, phase_duration=phase_duration), SimConfig(sample_rate)
     assume(0.5 < route.total_duration * sim.sample_rate <= _MAX_SAMPLES)
-    n = sum(count for _, count in _schedule(route, sim))
+    n = sum(count for _, count in _schedule(route, PlantParams(), sim))
     assert (n - 1) * sim.dt < route.total_duration
     assert route_setpoint(route, (n - 1) * sim.dt) in (route.start, route.end)
 
@@ -145,7 +160,7 @@ def test_last_sample_lies_inside_the_route_window(phase_duration, sample_rate):
 def test_route_at_the_sample_cap_is_accepted():
     # only counted: 2 * 100,000 s at 50 Hz is exactly the cap
     route = RouteSpec(-0.3, 0.3, phase_duration=_MAX_SAMPLES / 100)
-    assert _schedule(route, SimConfig(50.0)) == ((-0.3, _MAX_SAMPLES // 2), (0.3, _MAX_SAMPLES // 2))
+    assert _schedule(route, PlantParams(), SimConfig(50.0)) == ((-0.3, _MAX_SAMPLES // 2), (0.3, _MAX_SAMPLES // 2))
 
 
 @pytest.mark.parametrize("phase_duration", [0.01, 3.0])
@@ -159,7 +174,7 @@ def test_overflowing_first_error_is_rejected_on_every_simulation_path(phase_dura
     for run in (
         lambda: simulate_route(ones, route, plant, sim),
         lambda: fitness_of(ones, route, plant, sim),
-        lambda: _fitness_batch(np.ones((3, 6)), route, plant, sim),
+        lambda: _fitness_batch(np.ones((3, 3)), route, plant, sim),
     ):
         with pytest.raises(ValueError, match=f"plant.{channel}.initial_velocity must be finite, got 1e\\+308 - -1e\\+308"):
             run()
@@ -168,7 +183,7 @@ def test_overflowing_first_error_is_rejected_on_every_simulation_path(phase_dura
     finite = PlantParams(**{channel: ChannelParams(initial_velocity=-1e307)})
     ae = fitness_of(ZERO, one_sample, finite, sim)
     assert all(math.isfinite(v) and v > 1e307 for v in ae)
-    assert _fitness_batch(np.zeros((1, 6)), one_sample, finite, sim).tolist() == [list(ae)]
+    assert _fitness_batch(np.zeros((1, 3)), one_sample, finite, sim).tolist() == [list(ae)]
     simulate_route(ZERO, one_sample, finite, sim)
 
 
