@@ -313,7 +313,7 @@ def export_generations(history: Sequence[GenerationRecord], path: Path) -> None:
 
 
 def load_generations(path: Path) -> list[GenerationRecord]:
-    """Rebuild the generation history written by export_generations."""
+    """Rebuild the generation history written by export_generations; a malformed row raises naming its line."""
     groups: dict[int, list[MemberRecord]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -321,9 +321,14 @@ def load_generations(path: Path) -> list[GenerationRecord]:
         if tuple(header) != GENERATIONS_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
         for row in reader:
-            generation = int(row[0])
-            gains = [float(v) for v in row[2:8]]
-            member = MemberRecord(Individual.from_flat(gains), float(row[8]), float(row[9]))
+            try:
+                if len(row) != len(GENERATIONS_HEADER):
+                    raise ValueError(f"expected {len(GENERATIONS_HEADER)} columns, got {len(row)}")
+                gains = [float(v) for v in row[2:8]]
+                member = MemberRecord(Individual.from_flat(gains), float(row[8]), float(row[9]))
+                generation = int(row[0])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             groups.setdefault(generation, []).append(member)
     return [
         GenerationRecord.from_evaluations(generation, tuple(members))

@@ -60,7 +60,7 @@ def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, si
     n_samples = sum(count for _, count in schedule)
     errors = []
     for gains, channel in ((individual.linear, params.linear), (individual.angular, params.angular)):
-        total, final_velocity = _run_channel(gains, schedule, channel, sim.dt)
+        total, final_velocity, _ = _run_channel(gains, schedule, channel, sim.dt)
         if not math.isfinite(final_velocity):
             return FitnessRecord(DIVERGENCE_AE, DIVERGENCE_AE)
         errors.append(total / n_samples)

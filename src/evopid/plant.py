@@ -8,8 +8,13 @@ controller at a fixed sample rate.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -195,6 +200,10 @@ def _schedule(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tu
         k -= 1
     while k * dt < switch:
         k += 1
+    # k <= n whenever n >= 1, so this never binds: with s = phase_duration * sample_rate, n rounds 2s, so
+    # n >= 2s - 1/2 and n >= 1 give n - s >= max(s - 1/2, 1 - s) >= 1/4 sample, far above the float error
+    # of n * dt at n <= _MAX_SAMPLES; hence n * dt >= phase_duration, and k is the first such sample.
+    # It stays as the bound of the C kernel's buffer, which takes k + (n - k) samples and needs both >= 0.
     k = min(k, n)
     return (route.start, k), (route.end, n - k)
 
@@ -211,10 +220,10 @@ def check_step_route(name: str, route: RouteSpec, params: PlantParams, sim: SimC
         )
 
 
-def _run_channel(
+def _run_channel_py(
     gains: Gains, schedule: tuple, channel: ChannelParams, dt: float, actual: list[float] | None = None
 ) -> tuple[float, float]:
-    """One channel's closed loop along the route, fused into a single pass.
+    """One channel's closed loop along the route, fused into a single pass: the C kernel's fallback and reference.
 
     Performs exactly the float operations of route_setpoint, pid_step and
     plant_step, in their order, so results are bit-identical to chaining them.
@@ -257,6 +266,116 @@ def _run_channel(
             target = command * dc_gain
             velocity = target + (velocity - target) * decay
     return total, velocity
+
+
+# _run_channel_py transcribed to C; -ffp-contract=off keeps a * b + c from fusing into one rounding.
+_KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
+_KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _call_kernel(
+    kernel, gains: Gains, schedule: tuple, channel: ChannelParams, dt: float, actual: np.ndarray | None
+) -> tuple[float, float]:
+    """The C kernel's (error sum, final velocity); it writes each sample's measurement into ``actual`` when given."""
+    (start, first), (end, second) = schedule
+    # the kernel writes first + second doubles through actual's pointer
+    if actual is not None and (
+        first < 0 or second < 0 or first + second != len(actual) or actual.dtype != np.float64
+        or not actual.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"a schedule of {first} + {second} samples does not fit a {actual.dtype} buffer of {len(actual)}"
+        )
+    final_velocity = ctypes.c_double()
+    decay = math.exp(-dt / channel.time_constant)
+    total = kernel(
+        *gains.as_tuple(), channel.actuator_limit, channel.dc_gain, decay, dt, channel.initial_velocity,
+        start, first, end, second, None if actual is None else actual.ctypes.data, final_velocity,
+    )
+    return total, final_velocity.value
+
+
+def _load_kernel(cache_dir: Path, flags: tuple[str, ...] = _KERNEL_FLAGS):
+    """_kernel.c's function through ctypes, compiled by cc into cache_dir on a miss; None on any failure.
+
+    The library is named by the hash of the source and flags and written by atomic rename, so
+    no process loads a stale or half-written one, and it is loaded only from a directory that
+    this user owns and no one else can write. It is used only if it matches _run_channel_py on
+    a fixed run. Nothing is printed, the compiler's own output included.
+    """
+    # imported on first use, so that importing evopid costs no more than before
+    import hashlib
+    import subprocess
+
+    try:
+        cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
+        owner = cache_dir.stat()
+        # a library that someone else could have written would run their code
+        if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
+            return None
+        digest = hashlib.sha256(b"\0".join([_KERNEL_SOURCE.read_bytes(), *map(str.encode, flags)])).hexdigest()
+        library = cache_dir / f"kernel-{digest[:16]}.so"
+        if not library.exists():
+            fd, partial = tempfile.mkstemp(suffix=".so", prefix=".kernel-", dir=cache_dir)
+            os.close(fd)
+            try:
+                subprocess.run(
+                    ["cc", *flags, "-o", partial, str(_KERNEL_SOURCE)],
+                    stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=120,
+                )
+                os.replace(partial, library)
+            finally:
+                Path(partial).unlink(missing_ok=True)
+        kernel = ctypes.CDLL(str(library)).evopid_run_channel
+    except (OSError, subprocess.SubprocessError, AttributeError):
+        return None
+    double = ctypes.c_double
+    kernel.argtypes = (double,) * 9 + (ctypes.c_int64, double, ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(double))
+    kernel.restype = double
+    # both stretches, both clamps and a nonzero start velocity
+    run = (Gains(50.0, 10.0, 2.0), ((-1.0, 150), (1.0, 150)), ChannelParams(initial_velocity=0.3), 0.02)
+    recorded, actual = [], np.empty(300)
+    if _call_kernel(kernel, *run, actual) != _run_channel_py(*run, recorded) or actual.tolist() != recorded:
+        return None
+    return kernel
+
+
+def _doubles_exactly(*numbers) -> bool:
+    """Whether every number is a float, or an int of at most 2**53 in size, so a double holds it exactly."""
+    return all(type(v) is float or (type(v) is int and abs(v) <= 2**53) for v in numbers)
+
+
+@functools.cache
+def _c_kernel():
+    """The C kernel from the per-user cache ($XDG_CACHE_HOME or ~/.cache, then evopid/), or None; loaded once."""
+    return _load_kernel(Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "evopid")
+
+
+def _run_channel(
+    gains: Gains, schedule: tuple, channel: ChannelParams, dt: float, record: bool = False
+) -> tuple[float, float, np.ndarray | None]:
+    """_run_channel_py's (error sum, final velocity), and with ``record`` each sample's measurement as an array.
+
+    The C kernel runs when it has loaded and a double holds every number it reads exactly, the
+    first error start - initial_velocity included: Python takes an int - int, and kp times it,
+    exactly. A one-sample recording takes the Python loop too: its array keeps initial_velocity's
+    type, as np.asarray of the loop's list does. Either way the results are bit-identical.
+    """
+    (start, first), (end, second) = schedule
+    velocity = channel.initial_velocity
+    kernel = _c_kernel()
+    if (
+        kernel is None
+        or (record and first + second == 1)
+        or not _doubles_exactly(
+            *gains.as_tuple(), channel.actuator_limit, channel.dc_gain, velocity, start, end, start - velocity, dt
+        )
+    ):
+        recorded = [] if record else None
+        total, velocity = _run_channel_py(gains, schedule, channel, dt, recorded)
+        return total, velocity, None if recorded is None else np.asarray(recorded)
+    actual = np.empty(first + second) if record else None
+    return (*_call_kernel(kernel, gains, schedule, channel, dt, actual), actual)
 
 
 def _run_batch(gains: np.ndarray, schedule: tuple, params: PlantParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -320,9 +439,7 @@ def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams
         ("linear", individual.linear, params.linear),
         ("angular", individual.angular, params.angular),
     ):
-        recorded: list[float] = []
-        _, final_velocity = _run_channel(gains, schedule, channel, dt, recorded)
-        actual = np.asarray(recorded)
+        _, final_velocity, actual = _run_channel(gains, schedule, channel, dt, record=True)
         if not math.isfinite(final_velocity):
             # actual[k + 1] is the velocity sample k's step produced; the last step's is not recorded
             nonfinite = np.flatnonzero(~np.isfinite(actual[1:]))

@@ -350,6 +350,21 @@ def test_load_generations_rejects_a_foreign_header(tmp_path):
         load_generations(path)
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,0,0.5,0.1,0,0.5,0.1,0", "expected 10 columns, got 8"),  # six gains, no AE columns
+        ("0,0,0.5,0.1", "expected 10 columns, got 4"),  # two gains
+        ("0,0,0.5,0.1,0,0.5,0.1,0,x,0.2", "could not convert string to float: 'x'"),
+    ],
+)
+def test_load_generations_names_the_line_of_a_malformed_row(tmp_path, row, message):
+    path = tmp_path / "generations.csv"
+    path.write_text(",".join(GENERATIONS_HEADER) + "\n0,0,0.5,0.1,0,0.5,0.1,0,0.3,0.2\n" + row + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"generations.csv:3: {message}")):
+        load_generations(path)
+
+
 def test_export_generations_deterministic_bytes(tmp_path):
     history = _toy_history()
     export_generations(history, tmp_path / "a.csv")

@@ -2,15 +2,21 @@
 
 The fused loop behind simulate_route and fitness_of is checked against a
 reference that chains route_setpoint, pid_step and plant_step one sample at a
-time and reduces with average_error. The batched kernel behind grid_oracle is
-checked row by row against fitness_of, and grid_oracle against the per-point
-loop it replaced. Every pair must agree exactly: the same arrays, the same
-average errors and the same divergence sample, not merely close values.
+time and reduces with average_error. It runs on each kernel in turn: the C
+kernel, compiled here with warnings as errors, and the Python loop it falls back
+to. The batched kernel behind grid_oracle is checked row by row against
+fitness_of, and grid_oracle against the per-point loop it replaced. Every pair
+must agree exactly: the same arrays, the same average errors and the same
+divergence sample, not merely close values.
 """
 
+import contextlib
+import functools
 import itertools
+import json
 import math
 import re
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -46,7 +52,36 @@ from evopid import (
 import evopid.harness
 import evopid.plant
 from evopid.metrics import _fitness_batch
-from evopid.plant import _run_batch, _run_channel, _schedule
+from evopid.plant import _KERNEL_FLAGS, _call_kernel, _load_kernel, _run_batch, _run_channel, _run_channel_py, _schedule
+
+NO_CC = "no C compiler: cc is not on PATH, so only the Python loop is tested"
+
+
+@pytest.fixture(scope="session")
+def c_kernel(tmp_path_factory):
+    """The C kernel compiled into a fresh cache with every warning an error, or None without cc."""
+    if shutil.which("cc") is None:
+        return None
+    kernel = _load_kernel(tmp_path_factory.mktemp("kernel"), (*_KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror"))
+    assert kernel is not None, "the C kernel failed to compile, load or match the Python loop"
+    return kernel
+
+
+@pytest.fixture(scope="session")
+def kernels(c_kernel):
+    """Each kernel _run_channel can run on: the C kernel when cc is on PATH, then the Python loop (None)."""
+    return [None] if c_kernel is None else [c_kernel, None]
+
+
+@contextlib.contextmanager
+def using(kernel):
+    """Make _run_channel take the given C kernel, or the Python loop for None."""
+    saved = evopid.plant._c_kernel
+    evopid.plant._c_kernel = lambda: kernel
+    try:
+        yield
+    finally:
+        evopid.plant._c_kernel = saved
 
 
 def reference_simulate_route(individual, route, params, sim):
@@ -82,22 +117,27 @@ def reference_fitness(individual, route, params, sim):
     return FitnessRecord(average_error(trace.linear), average_error(trace.angular))
 
 
-def assert_same_run(individual, route, params, sim):
+def assert_same_run(individual, route, params, sim, kernels):
     try:
-        expected = reference_simulate_route(individual, route, params, sim)
+        expected, diverged = reference_simulate_route(individual, route, params, sim), None
     except SimulationDiverged as exc:
-        with pytest.raises(SimulationDiverged) as excinfo:
-            simulate_route(individual, route, params, sim)
-        assert (excinfo.value.channel, excinfo.value.sample_index) == (exc.channel, exc.sample_index)
-    else:
-        got = simulate_route(individual, route, params, sim)
-        for name in ("linear", "angular"):
-            for field in ("time", "desired", "actual"):
-                a = getattr(getattr(got, name), field)
-                b = getattr(getattr(expected, name), field)
-                assert a.dtype == b.dtype, (name, field)
-                assert np.array_equal(a, b), (name, field)
-    assert fitness_of(individual, route, params, sim) == reference_fitness(individual, route, params, sim)
+        expected, diverged = None, exc
+    fitness = reference_fitness(individual, route, params, sim)
+    for kernel in kernels:
+        with using(kernel):
+            if diverged is not None:
+                with pytest.raises(SimulationDiverged) as excinfo:
+                    simulate_route(individual, route, params, sim)
+                assert (excinfo.value.channel, excinfo.value.sample_index) == (diverged.channel, diverged.sample_index)
+            else:
+                got = simulate_route(individual, route, params, sim)
+                for name in ("linear", "angular"):
+                    for field in ("time", "desired", "actual"):
+                        a = getattr(getattr(got, name), field)
+                        b = getattr(getattr(expected, name), field)
+                        assert a.dtype == b.dtype, (name, field)
+                        assert np.array_equal(a, b), (name, field)
+            assert fitness_of(individual, route, params, sim) == fitness
 
 
 gains = st.builds(
@@ -138,14 +178,16 @@ routes = st.builds(
     route=RouteSpec(-0.3, 0.3, phase_duration=0.3337),
     sample_rate=47.3,
 )
-def test_fused_loop_matches_per_sample_reference(linear, angular, linear_plant, angular_plant, route, sample_rate):
+def test_fused_loop_matches_per_sample_reference(
+    linear, angular, linear_plant, angular_plant, route, sample_rate, kernels
+):
     assert_same_run(
-        Individual(linear, angular), route, PlantParams(linear_plant, angular_plant), SimConfig(sample_rate)
+        Individual(linear, angular), route, PlantParams(linear_plant, angular_plant), SimConfig(sample_rate), kernels
     )
 
 
 @pytest.mark.parametrize("channel", ["linear", "angular"])
-def test_forced_divergence_matches_reference(channel, sim, train_route):
+def test_forced_divergence_matches_reference(channel, sim, train_route, kernels):
     # From -5 m/s the first error is large enough that kp*e overflows to +inf; on sample 1 the error
     # shrinks, kd*D overflows to -inf, and inf - inf makes the command NaN.
     huge = Gains(1e308, 0.0, 1e308)
@@ -158,31 +200,35 @@ def test_forced_divergence_matches_reference(channel, sim, train_route):
     with pytest.raises(SimulationDiverged) as excinfo:
         reference_simulate_route(individual, train_route, params, sim)
     assert (excinfo.value.channel, excinfo.value.sample_index) == (channel, 1)
-    assert_same_run(individual, train_route, params, sim)
-    assert fitness_of(individual, train_route, params, sim) == (DIVERGENCE_AE, DIVERGENCE_AE)
+    assert_same_run(individual, train_route, params, sim, kernels)
+    for kernel in kernels:
+        with using(kernel):
+            assert fitness_of(individual, train_route, params, sim) == (DIVERGENCE_AE, DIVERGENCE_AE)
 
 
-def test_route_without_samples_matches_reference(plant):
+def test_route_without_samples_matches_reference(plant, kernels):
     # 2 * 0.1 s at 2 Hz rounds to 0 samples: no average error to take, so no run either
     route, sim = RouteSpec(0.0, 1.0, phase_duration=0.1), SimConfig(2.0)
     individual = Individual(Gains(1.0, 0.0, 0.0), Gains(1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         reference_fitness(individual, route, plant, sim)
-    for run in (fitness_of, simulate_route):
-        with pytest.raises(ValueError, match="the route has no samples at this sample rate"):
+    for kernel, run in itertools.product(kernels, (fitness_of, simulate_route)):
+        with using(kernel), pytest.raises(ValueError, match="the route has no samples at this sample rate"):
             run(individual, route, plant, sim)
 
 
-def test_integer_route_and_start_velocity_match_reference(sim):
+def test_integer_route_and_start_velocity_match_reference(sim, kernels):
     # ints stay ints in the reference's first error and in its desired array
     route = RouteSpec(0, 1, phase_duration=1)
     params = PlantParams(ChannelParams(initial_velocity=0), ChannelParams(initial_velocity=1))
     individual = Individual(Gains(0.8, 0.2, 0.01), Gains(2.0, 0.0, 0.0))
-    assert simulate_route(individual, route, params, sim).linear.desired.dtype == np.int64
-    assert_same_run(individual, route, params, sim)
+    for kernel in kernels:
+        with using(kernel):
+            assert simulate_route(individual, route, params, sim).linear.desired.dtype == np.int64
+    assert_same_run(individual, route, params, sim, kernels)
 
 
-def test_divergence_on_the_final_sample_matches_reference():
+def test_divergence_on_the_final_sample_matches_reference(kernels):
     # two samples: the inf - inf of test_forced_divergence_matches_reference lands on the last one,
     # whose velocity is never recorded, so the index comes from the final velocity alone
     individual = Individual(Gains(1e308, 0.0, 1e308), Gains(0.1, 0.0, 0.0))
@@ -191,7 +237,7 @@ def test_divergence_on_the_final_sample_matches_reference():
     with pytest.raises(SimulationDiverged) as excinfo:
         reference_simulate_route(individual, route, params, sim)
     assert (excinfo.value.channel, excinfo.value.sample_index) == ("linear", 1)
-    assert_same_run(individual, route, params, sim)
+    assert_same_run(individual, route, params, sim, kernels)
 
 
 @settings(max_examples=200)
@@ -213,20 +259,158 @@ def test_phase_switch_is_the_first_sample_of_the_second_phase(phase_duration, sa
     assert _schedule(route, PlantParams(), sim) == ((0.0, min(first, n)), (1.0, n - min(first, n)))
 
 
+# ---------------------------------------------------------------- the C kernel and its fallback
+
+
+@pytest.mark.parametrize("start, velocity", [(2**53 + 1, 1), (1, 2**53 + 1)])
+def test_int_first_error_beyond_2_53_matches_reference(start, velocity, sim, kernels, c_kernel):
+    # Python subtracts the two ints exactly; the C kernel would subtract their doubles and lose the 1.
+    # One sample, whose error is the whole AE: on longer routes the difference rounds away.
+    route = RouteSpec(start, 0, phase_duration=0.01)
+    params = PlantParams(ChannelParams(initial_velocity=velocity), ChannelParams(time_constant=0.3))
+    individual = Individual(Gains(1.0, 0.5, 0.01), Gains(1.0, 0.0, 0.0))
+    assert_same_run(individual, route, params, sim, kernels)
+    if c_kernel is not None:
+        # the kernel itself gets this case wrong, so the dispatch is what keeps it exact
+        schedule, gains = _schedule(route, params, sim), individual.linear
+        assert _call_kernel(c_kernel, gains, schedule, params.linear, sim.dt, None) != _run_channel_py(
+            gains, schedule, params.linear, sim.dt
+        )
+
+
+def test_one_sample_route_keeps_an_int_start_velocity(kernels):
+    # 2 * 0.01 s at 50 Hz is one sample, whose measurement is the start velocity itself
+    route, sim = RouteSpec(0.0, 1.0, phase_duration=0.01), SimConfig(50.0)
+    params = PlantParams(ChannelParams(initial_velocity=0), ChannelParams(time_constant=0.3, initial_velocity=1))
+    individual = Individual(Gains(0.8, 0.2, 0.01), Gains(2.0, 0.0, 0.0))
+    for kernel in kernels:
+        with using(kernel):
+            assert simulate_route(individual, route, params, sim).linear.actual.dtype == np.int64
+    assert_same_run(individual, route, params, sim, kernels)
+
+
+@pytest.mark.parametrize(
+    "route, channel, gains, record, in_c",
+    [
+        (RouteSpec(-0.3, 0.3), ChannelParams(), Gains(0.5, 0.05, 0.001), True, True),
+        (RouteSpec(2**53, 1), ChannelParams(initial_velocity=0), Gains(3, 0, 0), False, True),
+        (RouteSpec(2**53 + 1, 1), ChannelParams(), Gains(0.5, 0.05, 0.001), False, False),
+        (RouteSpec(2**53, 1), ChannelParams(initial_velocity=-1), Gains(3, 0, 0), False, False),
+        (RouteSpec(-0.3, 0.3), ChannelParams(actuator_limit=2**53 + 1), Gains(0.5, 0.05, 0.001), False, False),
+        (RouteSpec(-0.3, 0.3), ChannelParams(), Gains(np.float64(0.5), 0.05, 0.001), False, False),
+        (RouteSpec(-0.3, 0.3, phase_duration=0.01), ChannelParams(), Gains(0.5, 0.05, 0.001), True, False),
+    ],
+    ids=["floats", "ints-to-2**53", "int-beyond-2**53", "int-first-error-beyond-2**53", "int-limit-beyond-2**53",
+         "numpy-scalar", "one-sample-record"],
+)
+def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, gains, record, in_c, c_kernel, sim):
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return c_kernel(*args)
+
+    schedule = _schedule(route, PlantParams(channel, channel), sim)
+    with using(spy):
+        total, velocity, actual = _run_channel(gains, schedule, channel, sim.dt, record)
+    assert len(calls) == in_c
+    recorded = [] if record else None
+    assert (total, velocity) == _run_channel_py(gains, schedule, channel, sim.dt, recorded)
+    assert (actual is None) if not record else (actual.tolist() == recorded)
+
+
+@pytest.mark.parametrize(
+    "schedule, buffer",
+    [
+        (((0.0, 3), (1.0, 3)), np.empty(5)),
+        (((0.0, 3), (1.0, -1)), np.empty(2)),
+        (((0.0, -1), (1.0, 3)), np.empty(2)),
+        (((0.0, 3), (1.0, 3)), np.empty(6, dtype=np.float32)),
+        (((0.0, 3), (1.0, 3)), np.empty(12)[::2]),
+    ],
+    ids=["short", "negative-second", "negative-first", "float32", "strided"],
+)
+def test_kernel_call_rejects_a_buffer_that_does_not_fit(schedule, buffer):
+    def kernel(*args):
+        pytest.fail("the kernel was handed a buffer that does not fit")
+
+    with pytest.raises(ValueError, match="samples does not fit a"):
+        _call_kernel(kernel, Gains(1.0, 0.0, 0.0), schedule, ChannelParams(), 0.02, buffer)
+
+
+def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatch):
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "evopid"
+    assert evopid.plant._c_kernel.__wrapped__() is not None
+    (library,) = cache.iterdir()  # no partial file is left beside it
+    assert re.fullmatch(r"kernel-[0-9a-f]{16}\.so", library.name)
+    assert cache.stat().st_mode & 0o777 == 0o700
+    # other flags name another library
+    assert _load_kernel(cache, (*_KERNEL_FLAGS, "-O1")) is not None
+    assert len(list(cache.iterdir())) == 2
+    # with no compiler the cached library is loaded
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    assert _load_kernel(cache) is not None
+    # a library that others could have written is not
+    cache.chmod(0o777)
+    assert _load_kernel(cache) is None
+
+
+def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_path, monkeypatch):
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    monkeypatch.setattr(evopid.plant, "_run_channel_py", lambda *args: (0.0, 0.0))
+    assert _load_kernel(tmp_path) is None
+
+
+@pytest.mark.parametrize(
+    "cc",
+    [None, "echo 'cc: error: no such option' >&2\nexit 1", 'while [ "$1" != -o ]; do shift; done\necho garbage > "$2"'],
+    ids=["missing", "failing", "unloadable"],
+)
+def test_failed_build_falls_back_silently_to_identical_outputs(cc, c_kernel, tmp_path, monkeypatch, capfd):
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    if cc is not None:
+        (bin_dir / "cc").write_text(f"#!/bin/sh\n{cc}\n")
+        (bin_dir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(evopid.plant, "_c_kernel", functools.cache(evopid.plant._c_kernel.__wrapped__))
+    spec = build_experiment_spec(3, output_dir=tmp_path / "fallback", overrides={"ep.max_generations": 3})
+    run_experiment(spec)
+    assert evopid.plant._c_kernel() is None
+    assert capfd.readouterr() == ("", "")
+    with using(c_kernel):
+        run_experiment(replace(spec, output_dir=tmp_path / "c"))
+    for name in ("generations.csv", "best_train_trace.csv", "best_test_trace.csv"):
+        assert (tmp_path / "fallback" / name).read_bytes() == (tmp_path / "c" / name).read_bytes(), name
+    results = [json.loads((tmp_path / d / "result.json").read_text()) for d in ("fallback", "c")]
+    for result in results:
+        result["experiment"].pop("output_dir")
+    assert results[0] == results[1]
+
+
 # ---------------------------------------------------------------- batched kernel
 
 
-def assert_batch_matches_fitness_of(triples, route, params, sim):
+def assert_batch_matches_fitness_of(triples, route, params, sim, kernels):
     # each kp, ki, kd row runs on both channels, so it is scored like Individual(g, g)
     rows = np.array([g.as_tuple() for g in triples])
     ae = _fitness_batch(rows, route, params, sim)
     assert ae.shape == (len(triples), 2)
     schedule = _schedule(route, params, sim)
     _, final_velocity = _run_batch(rows, schedule, params, sim.dt)
-    for g, row, finals in zip(triples, ae.tolist(), final_velocity.tolist()):
-        assert tuple(row) == fitness_of(Individual(g, g), route, params, sim), g
-        # the kernel's other result: repr also matches a NaN to a NaN
-        assert repr(finals) == repr([_run_channel(g, schedule, c, sim.dt)[1] for c in (params.linear, params.angular)]), g
+    for kernel, (g, row, finals) in itertools.product(kernels, zip(triples, ae.tolist(), final_velocity.tolist())):
+        with using(kernel):
+            assert tuple(row) == fitness_of(Individual(g, g), route, params, sim), g
+            # the kernel's other result: repr also matches a NaN to a NaN
+            channels = (params.linear, params.angular)
+            assert repr(finals) == repr([_run_channel(g, schedule, c, sim.dt)[1] for c in channels]), g
 
 
 @settings(max_examples=60)
@@ -251,11 +435,12 @@ def assert_batch_matches_fitness_of(triples, route, params, sim):
     route=RouteSpec(0, 1, phase_duration=1),
     sample_rate=50.0,
 )
-def test_batch_rows_match_fitness_of(triples, linear_plant, angular_plant, route, sample_rate):
-    assert_batch_matches_fitness_of(triples, route, PlantParams(linear_plant, angular_plant), SimConfig(sample_rate))
+def test_batch_rows_match_fitness_of(triples, linear_plant, angular_plant, route, sample_rate, kernels):
+    params = PlantParams(linear_plant, angular_plant)
+    assert_batch_matches_fitness_of(triples, route, params, SimConfig(sample_rate), kernels)
 
 
-def test_batch_divergence_on_either_channel_matches_fitness_of(sim, train_route):
+def test_batch_divergence_on_either_channel_matches_fitness_of(sim, train_route, kernels):
     # the forced inf - inf of test_forced_divergence_matches_reference, on the one channel that starts
     # at -5 m/s: the other starts at rest and stays finite, yet the row scores DIVERGENCE_AE on both,
     # and the calm row beside it is unaffected
@@ -271,31 +456,34 @@ def test_batch_divergence_on_either_channel_matches_fitness_of(sim, train_route)
         ae = _fitness_batch(rows, train_route, params, sim)
         assert ae[0].tolist() == [DIVERGENCE_AE, DIVERGENCE_AE]
         assert DIVERGENCE_AE not in ae[1]
-        assert_batch_matches_fitness_of([huge, calm], train_route, params, sim)
+        assert_batch_matches_fitness_of([huge, calm], train_route, params, sim, kernels)
 
 
-def test_batch_route_without_samples_raises_like_fitness_of(plant):
+def test_batch_route_without_samples_raises_like_fitness_of(plant, kernels):
     route, sim = RouteSpec(0.0, 1.0, phase_duration=0.1), SimConfig(2.0)
     individual = Individual(Gains(1.0, 0.0, 0.0), Gains(1.0, 0.0, 0.0))
-    with pytest.raises(ValueError) as excinfo:
-        fitness_of(individual, route, plant, sim)
-    with pytest.raises(ValueError, match=re.escape(str(excinfo.value))):
-        _fitness_batch(np.array([individual.linear.as_tuple()]), route, plant, sim)
+    for kernel in kernels:
+        with using(kernel), pytest.raises(ValueError) as excinfo:
+            fitness_of(individual, route, plant, sim)
+        with pytest.raises(ValueError, match=re.escape(str(excinfo.value))):
+            _fitness_batch(np.array([individual.linear.as_tuple()]), route, plant, sim)
 
 
-def test_no_simulation_path_calls_the_reference(monkeypatch, tmp_path, plant, sim, train_route):
+def test_no_simulation_path_calls_the_reference(monkeypatch, tmp_path, plant, sim, train_route, kernels):
     def reference_called(*args):
         raise AssertionError("a simulation path called the per-sample reference")
 
     for name in ("route_setpoint", "pid_step", "plant_step"):
         monkeypatch.setattr(evopid.plant, name, reference_called)
     individual = Individual.from_flat([0.5, 0.05, 0.001, 0.4, 0.02, 0.0])
-    fitness_of(individual, train_route, plant, sim)
-    simulate_route(individual, train_route, plant, sim)
-    grid_oracle(train_route, plant, sim, GainGrid((0.2, 0.6), (0.0, 0.05), (0.0,)))
-    spec = build_experiment_spec(2, output_dir=tmp_path, overrides={"ep.max_generations": 2})
-    assert run_experiment(spec).generations_run == 2
-    assert (tmp_path / "result.json").is_file()
+    for i, kernel in enumerate(kernels):
+        with using(kernel):
+            fitness_of(individual, train_route, plant, sim)
+            simulate_route(individual, train_route, plant, sim)
+            grid_oracle(train_route, plant, sim, GainGrid((0.2, 0.6), (0.0, 0.05), (0.0,)))
+            spec = build_experiment_spec(2, output_dir=tmp_path / str(i), overrides={"ep.max_generations": 2})
+            assert run_experiment(spec).generations_run == 2
+            assert (tmp_path / str(i) / "result.json").is_file()
 
 
 # ---------------------------------------------------------------- grid oracle
@@ -320,48 +508,50 @@ def reference_grid_oracle(route, params, sim, grid):
     )
 
 
-def assert_oracle_matches_reference(route, params, sim, grid):
+def assert_oracle_matches_reference(route, params, sim, grid, kernels):
     got = grid_oracle(route, params, sim, grid)
-    # repr also tells 1 from 1.0: the gains must be the grid's own values
-    assert repr(got) == repr(reference_grid_oracle(route, params, sim, grid))
+    for kernel in kernels:
+        with using(kernel):
+            # repr also tells 1 from 1.0: the gains must be the grid's own values
+            assert repr(got) == repr(reference_grid_oracle(route, params, sim, grid))
     return got
 
 
-def test_oracle_matches_reference_on_a_dense_grid(plant, sim, train_route):
+def test_oracle_matches_reference_on_a_dense_grid(plant, sim, train_route, kernels):
     grid = GainGrid(tuple(j / 5 for j in range(8)), tuple(j / 30 for j in range(4)), (0.0, 0.01, 0.02))
-    assert_oracle_matches_reference(train_route, plant, sim, grid)
+    assert_oracle_matches_reference(train_route, plant, sim, grid, kernels)
 
 
-def test_oracle_matches_reference_on_duplicate_axis_values(plant, sim, train_route):
+def test_oracle_matches_reference_on_duplicate_axis_values(plant, sim, train_route, kernels):
     # 1.0 and 1 are equal values of different types; sorted keeps them in the given order
     grid = GainGrid((1.0, 0.5, 1, 0.5), (0.0, 0.02, 0.0), (0.0,))
-    assert_oracle_matches_reference(train_route, plant, sim, grid)
+    assert_oracle_matches_reference(train_route, plant, sim, grid, kernels)
 
 
-def test_oracle_matches_reference_on_integer_grid(plant, sim, train_route):
+def test_oracle_matches_reference_on_integer_grid(plant, sim, train_route, kernels):
     grid = GainGrid((0, 1, 2, 3), (0, 1), (0,))
-    result = assert_oracle_matches_reference(train_route, plant, sim, grid)
+    result = assert_oracle_matches_reference(train_route, plant, sim, grid, kernels)
     assert all(type(v) is int for v in result.linear_gains.as_tuple() + result.angular_gains.as_tuple())
 
 
-def test_oracle_all_diverged_tie_goes_to_first_point(sim, train_route):
+def test_oracle_all_diverged_tie_goes_to_first_point(sim, train_route, kernels):
     params = PlantParams(ChannelParams(initial_velocity=-5.0), ChannelParams(time_constant=0.3, initial_velocity=-5.0))
     grid = GainGrid((1.5e308, 1e308), (0.0,), (1e308, 1.2e308))
-    for kp in grid.kp_values:
-        for kd in grid.kd_values:
-            gains = Gains(kp, 0.0, kd)
+    for kernel, kp, kd in itertools.product(kernels, grid.kp_values, grid.kd_values):
+        gains = Gains(kp, 0.0, kd)
+        with using(kernel):
             assert fitness_of(Individual(gains, gains), train_route, params, sim) == (DIVERGENCE_AE, DIVERGENCE_AE)
-    result = assert_oracle_matches_reference(train_route, params, sim, grid)
+    result = assert_oracle_matches_reference(train_route, params, sim, grid, kernels)
     assert result.linear_gains == result.angular_gains == Gains(1e308, 0.0, 1e308)
     assert (result.ae_linear, result.ae_angular) == (DIVERGENCE_AE, DIVERGENCE_AE)
 
 
 @pytest.mark.parametrize("chunk", [1, 4, 5, 7])
-def test_oracle_matches_reference_across_chunks(chunk, monkeypatch, plant, sim, train_route):
+def test_oracle_matches_reference_across_chunks(chunk, monkeypatch, plant, sim, train_route, kernels):
     monkeypatch.setattr(evopid.harness, "_ORACLE_CHUNK", chunk)
     grid = GainGrid((0.2, 0.6, 1.0, 1.4), (0.0, 0.05), (0.0, 0.01))
-    assert_oracle_matches_reference(train_route, plant, sim, grid)
+    assert_oracle_matches_reference(train_route, plant, sim, grid, kernels)
     # on a null route from rest every point ties at AE 0; the first chunk's first point must win
     tie = GainGrid((0.3, 0.1, 0.2), (0.2, 0.0), (0.5, 0.4))
-    result = assert_oracle_matches_reference(RouteSpec(0.0, 0.0), plant, sim, tie)
+    result = assert_oracle_matches_reference(RouteSpec(0.0, 0.0), plant, sim, tie, kernels)
     assert result.linear_gains == result.angular_gains == Gains(0.1, 0.0, 0.4)
