@@ -27,7 +27,7 @@ from .ep import (
     _require_finite,
     run_ep,
 )
-from .metrics import DIVERGENCE_AE, FitnessRecord, StepMetrics, _fitness_batch, average_error, fitness_of
+from .metrics import DIVERGENCE_AE, FitnessRecord, StepMetrics, _fitness_rows, average_error, fitness_of
 from .metrics import step_metrics
 from .plant import PlantParams, RouteSpec, SimConfig, _schedule, check_step_route, simulate_route
 
@@ -446,7 +446,8 @@ def grid_oracle(
     points = itertools.product(*axes)
     best: list[tuple[float, tuple] | None] = [None, None]  # per channel (AE, point)
     while chunk := list(itertools.islice(points, _ORACLE_CHUNK)):
-        ae = _fitness_batch(np.array(chunk, dtype=float), route, params, sim)
+        # each point runs as the row [g, g]: the same gains on both channels
+        ae = np.array(_fitness_rows([point + point for point in chunk], route, params, sim))
         for c in range(2):
             # argmin keeps the first of equal minima, and strict < an earlier chunk's,
             # so ties go to the lexicographically smallest gains

@@ -10,7 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ep import Individual
-from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _run_batch, _run_channel, _schedule
+from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _schedule, _simulate
 
 # Finite stand-in fitness for unstable gains; must lose every selection, so no finite average can exceed it.
 DIVERGENCE_AE = sys.float_info.max
@@ -53,33 +53,24 @@ def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, si
     """Simulate the route once and average the error per channel.
 
     A diverging simulation is absorbed into DIVERGENCE_AE on both channels
-    so unstable gains stay comparable and always rank last. The linear channel
-    runs first; if its final velocity is nonfinite the angular one is not run.
+    so unstable gains stay comparable and always rank last. Both channels
+    always run; a nonfinite final velocity on either one scores both.
     """
+    (record,) = _fitness_rows([individual.as_flat()], route, params, sim)
+    return record
+
+
+def _fitness_rows(rows, route: RouteSpec, params: PlantParams, sim: SimConfig) -> list[FitnessRecord]:
+    """fitness_of for each row of six gains (linear kp, ki, kd, then angular), all in one simulation call."""
     schedule = _schedule(route, params, sim)
     n_samples = sum(count for _, count in schedule)
-    errors = []
-    for gains, channel in ((individual.linear, params.linear), (individual.angular, params.angular)):
-        total, final_velocity, _ = _run_channel(gains, schedule, channel, sim.dt)
-        if not math.isfinite(final_velocity):
-            return FitnessRecord(DIVERGENCE_AE, DIVERGENCE_AE)
-        errors.append(total / n_samples)
-    return FitnessRecord(*errors)
-
-
-def _fitness_batch(gains: np.ndarray, route: RouteSpec, params: PlantParams, sim: SimConfig) -> np.ndarray:
-    """fitness_of(Individual(g, g), ...) for every kp, ki, kd row g of an (n, 3) array, as (n, 2) AEs.
-
-    Each row is == to fitness_of, divergence rule included: a nonfinite final
-    velocity on either channel scores both DIVERGENCE_AE. The NumPy time loop costs
-    about as much at n = 1 as at n = 20, so only calls that score many gain sets at
-    once gain by it; fitness_of stays the per-individual path.
-    """
-    schedule = _schedule(route, params, sim)
-    totals, final_velocity = _run_batch(gains, schedule, params, sim.dt)
-    ae = totals / sum(count for _, count in schedule)
-    ae[~np.isfinite(final_velocity).all(axis=1)] = DIVERGENCE_AE
-    return ae
+    results, _ = _simulate(rows, schedule, params, sim.dt)
+    return [
+        FitnessRecord(linear / n_samples, angular / n_samples)
+        if math.isfinite(final_linear) and math.isfinite(final_angular)
+        else FitnessRecord(DIVERGENCE_AE, DIVERGENCE_AE)
+        for linear, angular, final_linear, final_angular in results.tolist()
+    ]
 
 
 def step_metrics(channel: ChannelTrace, route: RouteSpec) -> StepMetrics:

@@ -115,7 +115,7 @@ class SimTrace:
 
 
 # The per-sample reference: pid_step, route_setpoint and plant_step, chained one sample at a time.
-# No simulation path calls them; tests/test_kernel.py requires _run_channel and _run_batch to match them.
+# No simulation path calls them; tests/test_kernel.py requires both implementations of _simulate to match them.
 class PidState(NamedTuple):
     integral: float = 0.0
     prev_error: float = 0.0
@@ -189,7 +189,8 @@ def _schedule(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tu
     if n == 0:
         raise ValueError("the route has no samples at this sample rate")
     for name, channel in (("linear", params.linear), ("angular", params.angular)):
-        if not math.isfinite(route.start - channel.initial_velocity):
+        # on the doubles the kernels read: the exact difference of two ints may not convert to one
+        if not math.isfinite(float(route.start) - float(channel.initial_velocity)):
             raise ValueError(
                 f"route.start - plant.{name}.initial_velocity must be finite, "
                 f"got {route.start!r} - {channel.initial_velocity!r}"
@@ -220,79 +221,91 @@ def check_step_route(name: str, route: RouteSpec, params: PlantParams, sim: SimC
         )
 
 
-def _run_channel_py(
-    gains: Gains, schedule: tuple, channel: ChannelParams, dt: float, actual: list[float] | None = None
-) -> tuple[float, float]:
-    """One channel's closed loop along the route, fused into a single pass: the C kernel's fallback and reference.
+def _run_rows_py(
+    rows: int, gains, plant, dt: float, start: float, first: int, end: float, second: int, results, actual
+) -> None:
+    """_kernel.c's evopid_run in Python, its fallback and reference: the same arguments and results.
 
-    Performs exactly the float operations of route_setpoint, pid_step and
-    plant_step, in their order, so results are bit-identical to chaining them.
-    The samples run in the two stretches of _schedule, ``start`` then ``end``,
-    so no sample tests its time. The previous error starts as the first error,
-    which makes sample 0's derivative (e - e) / dt exactly the 0.0 that pid_step
-    uses there (_schedule has checked that the first error is finite).
-    Appends the measurement of each sample to ``actual`` when given. Returns the
-    sum of |setpoint - measurement| over the samples in time order, and the final
-    velocity. The run does not stop where the velocity goes nonfinite: it never
-    turns finite again (a NaN stays NaN, and an infinity meets the clipped command
-    and stays infinite or turns NaN), so a nonfinite final velocity is the
-    divergence verdict, and the sum is then meaningless.
+    For each of ``rows`` rows of six gains, linear kp, ki, kd then angular, it runs
+    both channels' closed loops along the route, each fused into a single pass: the
+    linear one, then the angular one, where C runs the two side by side. They share
+    no value, so each channel performs the same float operations in C, in the same
+    order. Each performs exactly the float operations of route_setpoint, pid_step
+    and plant_step, in their order, so results are bit-identical to chaining them.
+    The samples run in the two stretches of _schedule, ``start`` for ``first``
+    samples then ``end`` for ``second``, so no sample tests its time. The previous
+    error starts as the first error, which makes sample 0's derivative (e - e) / dt
+    exactly the 0.0 that pid_step uses there (_schedule has checked that the first
+    error is finite). Row r writes its two error sums, the sums of
+    |setpoint - measurement| over the samples in time order, to results[r, :2] and
+    its two final velocities to results[r, 2:], linear then angular; actual[r, c],
+    when given, receives channel c's measurement of each sample. A run does not stop
+    where the velocity goes nonfinite: it never turns finite again (a NaN stays NaN,
+    and an infinity meets the clipped command and stays infinite or turns NaN), so a
+    nonfinite final velocity is the divergence verdict, and the sum is then meaningless.
     """
-    kp, ki, kd = gains.kp, gains.ki, gains.kd
-    limit = channel.actuator_limit
-    neg_limit = -limit
-    dc_gain = channel.dc_gain
-    decay = math.exp(-dt / channel.time_constant)
-    record = actual is not None
-    append = actual.append if record else None
-    velocity = channel.initial_velocity
-    integral = 0.0
-    prev_error = schedule[0][0] - velocity
-    total = 0.0
-    for setpoint, count in schedule:
-        for _ in range(count):
-            if record:
-                append(velocity)
-            error = setpoint - velocity
-            total += abs(error)
-            integral = integral + error * dt
-            derivative = (error - prev_error) / dt
-            prev_error = error
-            command = kp * error + ki * integral + kd * derivative
-            if command > limit:
-                command = limit
-            elif command < neg_limit:
-                command = neg_limit
-            target = command * dc_gain
-            velocity = target + (velocity - target) * decay
-    return total, velocity
+    channels, rows_of_gains = plant.tolist(), gains.tolist()
+    for r in range(rows):
+        for c, (limit, dc_gain, decay, velocity) in enumerate(channels):
+            kp, ki, kd = rows_of_gains[r][3 * c : 3 * c + 3]
+            neg_limit = -limit
+            recorded = [] if actual is not None else None
+            integral = 0.0
+            prev_error = start - velocity
+            total = 0.0
+            for setpoint, count in ((start, first), (end, second)):
+                for _ in range(count):
+                    if recorded is not None:
+                        recorded.append(velocity)
+                    error = setpoint - velocity
+                    total += abs(error)
+                    integral = integral + error * dt
+                    derivative = (error - prev_error) / dt
+                    prev_error = error
+                    command = kp * error + ki * integral + kd * derivative
+                    if command > limit:
+                        command = limit
+                    elif command < neg_limit:
+                        command = neg_limit
+                    target = command * dc_gain
+                    velocity = target + (velocity - target) * decay
+            results[r, c], results[r, 2 + c] = total, velocity
+            if recorded is not None:
+                actual[r, c] = recorded
 
 
-# _run_channel_py transcribed to C; -ffp-contract=off keeps a * b + c from fusing into one rounding.
+# _run_rows_py transcribed to C; -ffp-contract=off keeps a * b + c from fusing into one rounding.
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-def _call_kernel(
-    kernel, gains: Gains, schedule: tuple, channel: ChannelParams, dt: float, actual: np.ndarray | None
-) -> tuple[float, float]:
-    """The C kernel's (error sum, final velocity); it writes each sample's measurement into ``actual`` when given."""
+def _run_checked(kernel, gains: np.ndarray, plant: np.ndarray, dt: float, schedule: tuple, results, actual) -> None:
+    """Run evopid_run through ctypes, or _run_rows_py for a None kernel, once every buffer is checked.
+
+    C trusts its pointers, so there must be a row, the sample counts must be >= 0 and every array
+    must be C-contiguous float64 of its shape: gains (rows, 6), plant (2, 4), results (rows, 4)
+    and actual, when given, (rows, 2, first + second). All is checked before any pointer is
+    handed over. dt and the route's two setpoints are handed over as doubles.
+    """
     (start, first), (end, second) = schedule
-    # the kernel writes first + second doubles through actual's pointer
-    if actual is not None and (
-        first < 0 or second < 0 or first + second != len(actual) or actual.dtype != np.float64
-        or not actual.flags.c_contiguous
-    ):
-        raise ValueError(
-            f"a schedule of {first} + {second} samples does not fit a {actual.dtype} buffer of {len(actual)}"
-        )
-    final_velocity = ctypes.c_double()
-    decay = math.exp(-dt / channel.time_constant)
-    total = kernel(
-        *gains.as_tuple(), channel.actuator_limit, channel.dc_gain, decay, dt, channel.initial_velocity,
-        start, first, end, second, None if actual is None else actual.ctypes.data, final_velocity,
-    )
-    return total, final_velocity.value
+    rows = len(gains)
+    if rows < 1 or first < 0 or second < 0:
+        raise ValueError(f"a run takes a row and sample counts >= 0, got {rows} rows of {first} + {second} samples")
+    shapes = {"gains": (rows, 6), "plant": (2, 4), "results": (rows, 4), "actual": (rows, 2, first + second)}
+    for (name, shape), array in zip(shapes.items(), (gains, plant, results, actual)):
+        if array is not None and (array.shape != shape or array.dtype != np.float64 or not array.flags.c_contiguous):
+            raise ValueError(
+                f"{name} does not fit: the kernel takes a contiguous float64 array of shape {shape}, "
+                f"got {array.dtype} of shape {array.shape}"
+            )
+    dt, start, end = float(dt), float(start), float(end)
+    if kernel is None:
+        _run_rows_py(rows, gains, plant, dt, start, first, end, second, results, actual)
+    else:
+        # a ctypes double over each array's first element, which ctypes passes by reference
+        at = ctypes.c_double.from_buffer
+        data = None if actual is None else at(actual)
+        kernel(rows, at(gains), at(plant), dt, start, first, end, second, at(results), data)
 
 
 def _load_kernel(cache_dir: Path, flags: tuple[str, ...] = _KERNEL_FLAGS):
@@ -300,7 +313,7 @@ def _load_kernel(cache_dir: Path, flags: tuple[str, ...] = _KERNEL_FLAGS):
 
     The library is named by the hash of the source and flags and written by atomic rename, so
     no process loads a stale or half-written one, and it is loaded only from a directory that
-    this user owns and no one else can write. It is used only if it matches _run_channel_py on
+    this user owns and no one else can write. It is used only if it matches _run_rows_py on
     a fixed run. Nothing is printed, the compiler's own output included.
     """
     # imported on first use, so that importing evopid costs no more than before
@@ -326,23 +339,23 @@ def _load_kernel(cache_dir: Path, flags: tuple[str, ...] = _KERNEL_FLAGS):
                 os.replace(partial, library)
             finally:
                 Path(partial).unlink(missing_ok=True)
-        kernel = ctypes.CDLL(str(library)).evopid_run_channel
+        kernel = ctypes.CDLL(str(library)).evopid_run
     except (OSError, subprocess.SubprocessError, AttributeError):
         return None
-    double = ctypes.c_double
-    kernel.argtypes = (double,) * 9 + (ctypes.c_int64, double, ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(double))
-    kernel.restype = double
-    # both stretches, both clamps and a nonzero start velocity
-    run = (Gains(50.0, 10.0, 2.0), ((-1.0, 150), (1.0, 150)), ChannelParams(initial_velocity=0.3), 0.02)
-    recorded, actual = [], np.empty(300)
-    if _call_kernel(kernel, *run, actual) != _run_channel_py(*run, recorded) or actual.tolist() != recorded:
+    count, double = ctypes.c_int64, ctypes.c_double
+    pointer = ctypes.POINTER(double)
+    kernel.argtypes = (count, pointer, pointer, double, double, count, double, count, pointer, pointer)
+    kernel.restype = None
+    # two rows and two unlike channels, recorded: a slip in a row stride or a channel offset shows;
+    # both stretches, both clamps and nonzero start velocities
+    gains = np.array([(50.0, 10.0, 2.0, 0.5, 0.05, 0.001), (3.0, 0.1, 0.02, 40.0, 5.0, 1.0)])
+    plant = np.array([(2.0, 1.0, math.exp(-0.02 / 0.5), 0.3), (1.5, 0.8, math.exp(-0.02 / 0.3), -0.4)])
+    got, want = [(np.empty((2, 4)), np.empty((2, 2, 300))) for _ in range(2)]
+    for run, (results, actual) in ((kernel, got), (None, want)):
+        _run_checked(run, gains, plant, 0.02, ((-1.0, 150), (1.0, 150)), results, actual)
+    if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
         return None
     return kernel
-
-
-def _doubles_exactly(*numbers) -> bool:
-    """Whether every number is a float, or an int of at most 2**53 in size, so a double holds it exactly."""
-    return all(type(v) is float or (type(v) is int and abs(v) <= 2**53) for v in numbers)
 
 
 @functools.cache
@@ -351,74 +364,22 @@ def _c_kernel():
     return _load_kernel(Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "evopid")
 
 
-def _run_channel(
-    gains: Gains, schedule: tuple, channel: ChannelParams, dt: float, record: bool = False
-) -> tuple[float, float, np.ndarray | None]:
-    """_run_channel_py's (error sum, final velocity), and with ``record`` each sample's measurement as an array.
+def _simulate(rows, schedule: tuple, params: PlantParams, dt: float, record: bool = False):
+    """Run every row of six gains (linear kp, ki, kd, then angular) on both channels along the schedule.
 
-    The C kernel runs when it has loaded and a double holds every number it reads exactly, the
-    first error start - initial_velocity included: Python takes an int - int, and kp times it,
-    exactly. A one-sample recording takes the Python loop too: its array keeps initial_velocity's
-    type, as np.asarray of the loop's list does. Either way the results are bit-identical.
+    The one entry of every simulation. It packs the gains and the plant into float64 arrays, so
+    every number is read as a double, and runs the C kernel when it has loaded, else _run_rows_py:
+    the two give the same bits. Returns the (rows, 4) results, per row the error sums and then the
+    final velocities, linear then angular; and with ``record`` the (rows, 2, n) measurements, else None.
     """
-    (start, first), (end, second) = schedule
-    velocity = channel.initial_velocity
-    kernel = _c_kernel()
-    if (
-        kernel is None
-        or (record and first + second == 1)
-        or not _doubles_exactly(
-            *gains.as_tuple(), channel.actuator_limit, channel.dc_gain, velocity, start, end, start - velocity, dt
-        )
-    ):
-        recorded = [] if record else None
-        total, velocity = _run_channel_py(gains, schedule, channel, dt, recorded)
-        return total, velocity, None if recorded is None else np.asarray(recorded)
-    actual = np.empty(first + second) if record else None
-    return (*_call_kernel(kernel, gains, schedule, channel, dt, actual), actual)
-
-
-def _run_batch(gains: np.ndarray, schedule: tuple, params: PlantParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """_run_channel for every kp, ki, kd row of an (n, 3) array on both channels, in one NumPy time loop.
-
-    Every row runs on both channels as one batch of 2n lanes, each with its channel's
-    limit, DC gain, decay and start velocity, and every lane performs _run_channel's
-    float operations in its order and on the same schedule, so it is bit-identical
-    to it. Returns _run_channel's two results as (n, 2) arrays, linear then angular:
-    the error sums and the final velocities.
-    """
-    n = len(gains)
-    kp, ki, kd = np.tile(gains.T, 2)
     channels = (params.linear, params.angular)
-
-    def per_lane(values) -> np.ndarray:
-        return np.repeat(np.array(values, dtype=float), n)
-
-    limit = per_lane([c.actuator_limit for c in channels])
-    neg_limit = -limit
-    dc_gain = per_lane([c.dc_gain for c in channels])
-    decay = per_lane([math.exp(-dt / c.time_constant) for c in channels])
-    velocity = per_lane([c.initial_velocity for c in channels])
-    error, command, scratch, derivative = (np.empty(2 * n) for _ in range(4))
-    prev_error = np.subtract(schedule[0][0], velocity)
-    integral, total = np.zeros(2 * n), np.zeros(2 * n)
-    with np.errstate(all="ignore"):
-        for setpoint, count in schedule:
-            for _ in range(count):
-                np.subtract(setpoint, velocity, out=error)
-                np.add(total, np.abs(error, out=scratch), out=total)
-                np.add(integral, np.multiply(error, dt, out=scratch), out=integral)
-                np.divide(np.subtract(error, prev_error, out=derivative), dt, out=derivative)
-                # kp*e + ki*I + kd*D, left to right
-                np.multiply(kp, error, out=command)
-                np.add(command, np.multiply(ki, integral, out=scratch), out=command)
-                np.add(command, np.multiply(kd, derivative, out=scratch), out=command)
-                np.maximum(command, neg_limit, out=command)
-                np.minimum(command, limit, out=command)
-                target = np.multiply(command, dc_gain, out=command)
-                np.add(target, np.multiply(np.subtract(velocity, target, out=scratch), decay, out=scratch), out=velocity)
-                error, prev_error = prev_error, error
-    return total.reshape(2, n).T, velocity.reshape(2, n).T
+    lags = [(c.actuator_limit, c.dc_gain, math.exp(-dt / c.time_constant), c.initial_velocity) for c in channels]
+    plant = np.array(lags, dtype=np.float64)
+    gains = np.array(rows, dtype=np.float64)
+    results = np.empty((len(gains), 4))
+    actual = np.empty((len(gains), 2, sum(count for _, count in schedule))) if record else None
+    _run_checked(_c_kernel(), gains, plant, dt, schedule, results, actual)
+    return results, actual
 
 
 def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams, sim: SimConfig) -> SimTrace:
@@ -426,23 +387,18 @@ def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams
 
     PID states start fresh and both channels start from their configured initial
     velocity (each run is independent of any previous one). At every sample the
-    recorded ``actual`` is the measurement the controller acted on. Raises
-    SimulationDiverged, naming the channel and the sample whose step did it, if
-    a final velocity is nonfinite.
+    recorded ``actual`` is the measurement the controller acted on, as a float64
+    array. Raises SimulationDiverged, naming the channel and the sample whose step
+    did it, if a final velocity is nonfinite; the linear channel is reported first.
     """
     dt = sim.dt
     schedule = _schedule(route, params, sim)
     setpoints, counts = zip(*schedule)
     time, desired = np.arange(sum(counts)) * dt, np.repeat(setpoints, counts)
-    traces = []
-    for name, gains, channel in (
-        ("linear", individual.linear, params.linear),
-        ("angular", individual.angular, params.angular),
-    ):
-        _, final_velocity, actual = _run_channel(gains, schedule, channel, dt, record=True)
-        if not math.isfinite(final_velocity):
+    results, actual = _simulate([individual.as_flat()], schedule, params, dt, record=True)
+    for c, name in enumerate(("linear", "angular")):
+        if not math.isfinite(results[0, 2 + c]):
             # actual[k + 1] is the velocity sample k's step produced; the last step's is not recorded
-            nonfinite = np.flatnonzero(~np.isfinite(actual[1:]))
+            nonfinite = np.flatnonzero(~np.isfinite(actual[0, c, 1:]))
             raise SimulationDiverged(name, int(nonfinite[0]) if nonfinite.size else len(time) - 1)
-        traces.append(ChannelTrace(time, desired, actual))
-    return SimTrace(linear=traces[0], angular=traces[1])
+    return SimTrace(*(ChannelTrace(time, desired, channel) for channel in actual[0]))

@@ -1,13 +1,13 @@
-"""The simulation kernels against their plain references.
+"""The one simulation entry against its plain references.
 
-The fused loop behind simulate_route and fitness_of is checked against a
-reference that chains route_setpoint, pid_step and plant_step one sample at a
-time and reduces with average_error. It runs on each kernel in turn: the C
-kernel, compiled here with warnings as errors, and the Python loop it falls back
-to. The batched kernel behind grid_oracle is checked row by row against
-fitness_of, and grid_oracle against the per-point loop it replaced. Every pair
-must agree exactly: the same arrays, the same average errors and the same
-divergence sample, not merely close values.
+plant._simulate, behind simulate_route, fitness_of and grid_oracle, is checked
+against a reference that chains route_setpoint, pid_step and plant_step one
+sample at a time and reduces with average_error. It runs on each implementation
+in turn: the C kernel, compiled here with warnings as errors, and its Python
+twin, which it falls back to. A call with many rows is checked row by row
+against one call per row, and grid_oracle against the per-point loop it
+replaced. Every pair must agree exactly: the same arrays, the same average
+errors and the same divergence sample, not merely close values.
 """
 
 import contextlib
@@ -17,7 +17,7 @@ import json
 import math
 import re
 import shutil
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -51,10 +51,10 @@ from evopid import (
 )
 import evopid.harness
 import evopid.plant
-from evopid.metrics import _fitness_batch
-from evopid.plant import _KERNEL_FLAGS, _call_kernel, _load_kernel, _run_batch, _run_channel, _run_channel_py, _schedule
+from evopid.metrics import _fitness_rows
+from evopid.plant import _KERNEL_FLAGS, _load_kernel, _run_checked, _schedule, _simulate
 
-NO_CC = "no C compiler: cc is not on PATH, so only the Python loop is tested"
+NO_CC = "no C compiler: cc is not on PATH, so only the Python twin is tested"
 
 
 @pytest.fixture(scope="session")
@@ -69,13 +69,13 @@ def c_kernel(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def kernels(c_kernel):
-    """Each kernel _run_channel can run on: the C kernel when cc is on PATH, then the Python loop (None)."""
+    """Each implementation _simulate can run on: the C kernel when cc is on PATH, then the Python twin (None)."""
     return [None] if c_kernel is None else [c_kernel, None]
 
 
 @contextlib.contextmanager
 def using(kernel):
-    """Make _run_channel take the given C kernel, or the Python loop for None."""
+    """Make _simulate take the given C kernel, or the Python twin for None."""
     saved = evopid.plant._c_kernel
     evopid.plant._c_kernel = lambda: kernel
     try:
@@ -262,48 +262,64 @@ def test_phase_switch_is_the_first_sample_of_the_second_phase(phase_duration, sa
 # ---------------------------------------------------------------- the C kernel and its fallback
 
 
+def rounded(route, params):
+    """The route and plant with every number as the double the kernels read."""
+    return (
+        RouteSpec(float(route.start), float(route.end), route.phase_duration),
+        PlantParams(*(ChannelParams(*map(float, astuple(c))) for c in (params.linear, params.angular))),
+    )
+
+
 @pytest.mark.parametrize("start, velocity", [(2**53 + 1, 1), (1, 2**53 + 1)])
-def test_int_first_error_beyond_2_53_matches_reference(start, velocity, sim, kernels, c_kernel):
-    # Python subtracts the two ints exactly; the C kernel would subtract their doubles and lose the 1.
-    # One sample, whose error is the whole AE: on longer routes the difference rounds away.
+def test_int_first_error_beyond_2_53_matches_reference(start, velocity, sim, kernels):
+    # Every number is read as a double, so 2**53 + 1 runs as 2**53 on both implementations: they give
+    # the reference's bits on the rounded doubles. One sample, whose error is the whole AE.
     route = RouteSpec(start, 0, phase_duration=0.01)
     params = PlantParams(ChannelParams(initial_velocity=velocity), ChannelParams(time_constant=0.3))
     individual = Individual(Gains(1.0, 0.5, 0.01), Gains(1.0, 0.0, 0.0))
-    assert_same_run(individual, route, params, sim, kernels)
-    if c_kernel is not None:
-        # the kernel itself gets this case wrong, so the dispatch is what keeps it exact
-        schedule, gains = _schedule(route, params, sim), individual.linear
-        assert _call_kernel(c_kernel, gains, schedule, params.linear, sim.dt, None) != _run_channel_py(
-            gains, schedule, params.linear, sim.dt
-        )
+    assert_same_run(individual, *rounded(route, params), sim, kernels)
+    expected = reference_fitness(individual, *rounded(route, params), sim)
+    assert expected.ae_linear == abs(float(start) - float(velocity)) != abs(start - velocity)
+    for kernel in kernels:
+        with using(kernel):
+            assert fitness_of(individual, route, params, sim) == expected
+            actual = simulate_route(individual, route, params, sim).linear.actual
+            assert actual.dtype == np.float64 and actual.tolist() == [float(velocity)]
 
 
-def test_one_sample_route_keeps_an_int_start_velocity(kernels):
-    # 2 * 0.01 s at 50 Hz is one sample, whose measurement is the start velocity itself
-    route, sim = RouteSpec(0.0, 1.0, phase_duration=0.01), SimConfig(50.0)
+def test_one_sample_route_keeps_an_int_start_velocity(sim, kernels):
+    # 2 * 0.01 s at 50 Hz is one sample, whose measurement is the start velocity itself: its value is
+    # kept, as the float64 that every recording is, and both implementations give the same bits
+    route = RouteSpec(0.0, 1.0, phase_duration=0.01)
     params = PlantParams(ChannelParams(initial_velocity=0), ChannelParams(time_constant=0.3, initial_velocity=1))
     individual = Individual(Gains(0.8, 0.2, 0.01), Gains(2.0, 0.0, 0.0))
     for kernel in kernels:
         with using(kernel):
-            assert simulate_route(individual, route, params, sim).linear.actual.dtype == np.int64
-    assert_same_run(individual, route, params, sim, kernels)
+            trace = simulate_route(individual, route, params, sim)
+            for channel, velocity in ((trace.linear, 0.0), (trace.angular, 1.0)):
+                assert channel.actual.dtype == np.float64 and channel.actual.tolist() == [velocity]
+    assert_same_run(individual, *rounded(route, params), sim, kernels)
 
 
 @pytest.mark.parametrize(
-    "route, channel, gains, record, in_c",
+    "route, channel, gains, record",
     [
-        (RouteSpec(-0.3, 0.3), ChannelParams(), Gains(0.5, 0.05, 0.001), True, True),
-        (RouteSpec(2**53, 1), ChannelParams(initial_velocity=0), Gains(3, 0, 0), False, True),
-        (RouteSpec(2**53 + 1, 1), ChannelParams(), Gains(0.5, 0.05, 0.001), False, False),
-        (RouteSpec(2**53, 1), ChannelParams(initial_velocity=-1), Gains(3, 0, 0), False, False),
-        (RouteSpec(-0.3, 0.3), ChannelParams(actuator_limit=2**53 + 1), Gains(0.5, 0.05, 0.001), False, False),
-        (RouteSpec(-0.3, 0.3), ChannelParams(), Gains(np.float64(0.5), 0.05, 0.001), False, False),
-        (RouteSpec(-0.3, 0.3, phase_duration=0.01), ChannelParams(), Gains(0.5, 0.05, 0.001), True, False),
+        (RouteSpec(-0.3, 0.3), ChannelParams(), Gains(0.5, 0.05, 0.001), True),
+        (RouteSpec(2**53, 1), ChannelParams(initial_velocity=0), Gains(3, 0, 0), False),
+        (RouteSpec(2**53 + 1, 1), ChannelParams(), Gains(0.5, 0.05, 0.001), False),
+        (RouteSpec(2**53, 1), ChannelParams(initial_velocity=-1), Gains(3, 0, 0), False),
+        (RouteSpec(-0.3, 0.3), ChannelParams(actuator_limit=2**53 + 1), Gains(0.5, 0.05, 0.001), False),
+        (RouteSpec(-0.3, 0.3), ChannelParams(), Gains(np.float64(0.5), 0.05, 0.001), False),
+        (RouteSpec(-0.3, 0.3, phase_duration=0.01), ChannelParams(), Gains(0.5, 0.05, 0.001), True),
+        (RouteSpec(np.float32(-0.3), np.float32(0.3)), ChannelParams(), Gains(0.5, 0.05, 0.001), True),
     ],
     ids=["floats", "ints-to-2**53", "int-beyond-2**53", "int-first-error-beyond-2**53", "int-limit-beyond-2**53",
-         "numpy-scalar", "one-sample-record"],
+         "numpy-scalar", "one-sample-record", "float32-route"],
 )
-def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, gains, record, in_c, c_kernel, sim):
+def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, gains, record, c_kernel, sim):
+    # Every number is read as a double, so C is exact on every input: each call takes it once, and it
+    # gives the Python twin's bits, also for ints beyond 2**53, NumPy scalars and one-sample recordings;
+    # a float32 setpoint is read as its double, not left to NumPy's float32 arithmetic in the twin
     if c_kernel is None:
         pytest.skip(NO_CC)
     calls = []
@@ -312,32 +328,49 @@ def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, g
         calls.append(args)
         return c_kernel(*args)
 
-    schedule = _schedule(route, PlantParams(channel, channel), sim)
+    params = PlantParams(channel, channel)
+    schedule, rows = _schedule(route, params, sim), [gains.as_tuple() * 2]
     with using(spy):
-        total, velocity, actual = _run_channel(gains, schedule, channel, sim.dt, record)
-    assert len(calls) == in_c
-    recorded = [] if record else None
-    assert (total, velocity) == _run_channel_py(gains, schedule, channel, sim.dt, recorded)
-    assert (actual is None) if not record else (actual.tolist() == recorded)
+        results, actual = _simulate(rows, schedule, params, sim.dt, record)
+    assert len(calls) == 1
+    with using(None):
+        expected, expected_actual = _simulate(rows, schedule, params, sim.dt, record)
+    assert results.tobytes() == expected.tobytes()
+    if record:
+        assert actual.dtype == np.float64 and actual.tobytes() == expected_actual.tobytes()
+    else:
+        assert actual is expected_actual is None
 
 
 @pytest.mark.parametrize(
-    "schedule, buffer",
+    "schedule, replaced",
     [
-        (((0.0, 3), (1.0, 3)), np.empty(5)),
-        (((0.0, 3), (1.0, -1)), np.empty(2)),
-        (((0.0, -1), (1.0, 3)), np.empty(2)),
-        (((0.0, 3), (1.0, 3)), np.empty(6, dtype=np.float32)),
-        (((0.0, 3), (1.0, 3)), np.empty(12)[::2]),
+        (((0.0, 3), (1.0, 3)), {"actual": np.empty((2, 2, 5))}),
+        (((0.0, 3), (1.0, -1)), {"actual": np.empty((2, 2, 2))}),
+        (((0.0, -1), (1.0, 3)), {"actual": np.empty((2, 2, 2))}),
+        (((0.0, 3), (1.0, 3)), {"actual": np.empty((2, 2, 6), dtype=np.float32)}),
+        (((0.0, 3), (1.0, 3)), {"actual": np.empty((2, 2, 12))[:, :, ::2]}),
+        (((0.0, 3), (1.0, 3)), {"actual": np.empty((2, 6))}),
+        (((0.0, 3), (1.0, 3)), {"gains": np.zeros((0, 6)), "results": np.empty((0, 4)), "actual": np.empty((0, 2, 6))}),
+        (((0.0, 3), (1.0, 3)), {"gains": np.zeros((2, 3))}),
+        (((0.0, 3), (1.0, 3)), {"gains": np.zeros((2, 6), order="F")}),
+        (((0.0, 3), (1.0, 3)), {"plant": np.ones((4, 2))}),
+        (((0.0, 3), (1.0, 3)), {"results": np.empty((1, 4))}),
+        (((0.0, 3), (1.0, 3)), {"results": np.empty((2, 4), dtype=np.float32)}),
     ],
-    ids=["short", "negative-second", "negative-first", "float32", "strided"],
+    ids=["short", "negative-second", "negative-first", "float32", "strided", "actual-without-rows",
+         "no-rows", "gains-of-three", "gains-fortran", "plant-transposed", "results-one-row-short", "results-float32"],
 )
-def test_kernel_call_rejects_a_buffer_that_does_not_fit(schedule, buffer):
+def test_kernel_call_rejects_a_buffer_that_does_not_fit(schedule, replaced):
+    # two rows: gains (2, 6), plant (2, 4), results (2, 4) and actual (2, 2, 6), some of them replaced
     def kernel(*args):
         pytest.fail("the kernel was handed a buffer that does not fit")
 
-    with pytest.raises(ValueError, match="samples does not fit a"):
-        _call_kernel(kernel, Gains(1.0, 0.0, 0.0), schedule, ChannelParams(), 0.02, buffer)
+    buffers = {"gains": np.zeros((2, 6)), "plant": np.ones((2, 4)), "results": np.empty((2, 4))}
+    buffers["actual"] = np.empty((2, 2, 6))
+    buffers.update(replaced)
+    with pytest.raises(ValueError, match="does not fit|a run takes a row and sample counts >= 0"):
+        _run_checked(kernel, buffers["gains"], buffers["plant"], 0.02, schedule, buffers["results"], buffers["actual"])
 
 
 def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatch):
@@ -363,8 +396,30 @@ def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatc
 def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_path, monkeypatch):
     if c_kernel is None:
         pytest.skip(NO_CC)
-    monkeypatch.setattr(evopid.plant, "_run_channel_py", lambda *args: (0.0, 0.0))
+    monkeypatch.setattr(evopid.plant, "_run_rows_py", lambda *args: args[8].fill(0.0))
     assert _load_kernel(tmp_path) is None
+
+
+@pytest.mark.parametrize(
+    "slip",
+    [
+        ("gains + 6 * r + 3 * c", "gains + 3 * r + 3 * c"),
+        ("gains + 6 * r + 3 * c", "gains + 6 * r"),
+        ("plant + 4 * c;", "plant;"),
+        ("(2 * r + c) * (first + second)", "(r + c) * (first + second)"),
+        ("results[4 * r + 2 + c]", "results[4 * r + 2]"),
+    ],
+    ids=["gains-row-stride", "gains-channel-offset", "plant-channel-offset", "actual-offset", "results-offset"],
+)
+def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
+    # the self-check runs two rows of unlike channels, recorded, so each slip changes some output
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    source = evopid.plant._KERNEL_SOURCE.read_text()
+    assert source.count(slip[0]) == 1
+    (tmp_path / "_kernel.c").write_text(source.replace(*slip))
+    monkeypatch.setattr(evopid.plant, "_KERNEL_SOURCE", tmp_path / "_kernel.c")
+    assert _load_kernel(tmp_path / "cache") is None
 
 
 @pytest.mark.parametrize(
@@ -395,49 +450,60 @@ def test_failed_build_falls_back_silently_to_identical_outputs(cc, c_kernel, tmp
     assert results[0] == results[1]
 
 
-# ---------------------------------------------------------------- batched kernel
+# ---------------------------------------------------------------- many rows in one call
 
 
-def assert_batch_matches_fitness_of(triples, route, params, sim, kernels):
-    # each kp, ki, kd row runs on both channels, so it is scored like Individual(g, g)
-    rows = np.array([g.as_tuple() for g in triples])
-    ae = _fitness_batch(rows, route, params, sim)
-    assert ae.shape == (len(triples), 2)
+def assert_batch_matches_fitness_of(individuals, route, params, sim, kernels):
+    # one call with every row against one call per row: the results and measurements bit for bit,
+    # and each score == fitness_of; tobytes also matches a NaN to a NaN
+    rows = [individual.as_flat() for individual in individuals]
     schedule = _schedule(route, params, sim)
-    _, final_velocity = _run_batch(rows, schedule, params, sim.dt)
-    for kernel, (g, row, finals) in itertools.product(kernels, zip(triples, ae.tolist(), final_velocity.tolist())):
+    for kernel in kernels:
         with using(kernel):
-            assert tuple(row) == fitness_of(Individual(g, g), route, params, sim), g
-            # the kernel's other result: repr also matches a NaN to a NaN
-            channels = (params.linear, params.angular)
-            assert repr(finals) == repr([_run_channel(g, schedule, c, sim.dt)[1] for c in channels]), g
+            results, actual = _simulate(rows, schedule, params, sim.dt, record=True)
+            assert results.shape == (len(rows), 4)
+            assert actual.shape == (len(rows), 2, sum(count for _, count in schedule))
+            scores = _fitness_rows(rows, route, params, sim)
+            for individual, row, result, measured, score in zip(individuals, rows, results, actual, scores):
+                one, one_actual = _simulate([row], schedule, params, sim.dt, record=True)
+                assert result.tobytes() == one[0].tobytes(), individual
+                assert measured.tobytes() == one_actual[0].tobytes(), individual
+                assert score == fitness_of(individual, route, params, sim), individual
 
 
 @settings(max_examples=60)
 @given(
-    triples=st.lists(gains, min_size=1, max_size=6),
+    individuals=st.lists(st.builds(Individual, gains, gains), min_size=1, max_size=6),
     linear_plant=channels,
     angular_plant=channels,
     route=routes,
     sample_rate=st.floats(5.0, 100.0),
 )
 @example(  # a non-integer sample count, nonzero start velocities and kp at its bound
-    triples=[Gains(50.0, 10.0, 2.0), Gains(0.0, 0.0, 0.0), Gains(0.3, 0.0, 0.0), Gains(50.0, 0.0, 0.0)],
+    individuals=[
+        Individual(Gains(50.0, 10.0, 2.0), Gains(50.0, 10.0, 2.0)),
+        Individual(Gains(0.0, 0.0, 0.0), Gains(0.0, 0.0, 0.0)),
+        Individual(Gains(0.3, 0.0, 0.0), Gains(50.0, 0.0, 0.0)),
+        Individual(Gains(50.0, 0.0, 0.0), Gains(0.3, 0.0, 0.0)),
+    ],
     linear_plant=ChannelParams(initial_velocity=0.7),
     angular_plant=ChannelParams(time_constant=0.3, initial_velocity=-1.5),
     route=RouteSpec(-0.3, 0.3, phase_duration=0.3337),
     sample_rate=47.3,
 )
 @example(  # an integer route and integer start velocities
-    triples=[Gains(0.8, 0.2, 0.01), Gains(2.0, 0.0, 0.0)],
+    individuals=[
+        Individual(Gains(0.8, 0.2, 0.01), Gains(0.8, 0.2, 0.01)),
+        Individual(Gains(2.0, 0.0, 0.0), Gains(2.0, 0.0, 0.0)),
+    ],
     linear_plant=ChannelParams(initial_velocity=0),
     angular_plant=ChannelParams(time_constant=0.3, initial_velocity=1),
     route=RouteSpec(0, 1, phase_duration=1),
     sample_rate=50.0,
 )
-def test_batch_rows_match_fitness_of(triples, linear_plant, angular_plant, route, sample_rate, kernels):
+def test_batch_rows_match_fitness_of(individuals, linear_plant, angular_plant, route, sample_rate, kernels):
     params = PlantParams(linear_plant, angular_plant)
-    assert_batch_matches_fitness_of(triples, route, params, SimConfig(sample_rate), kernels)
+    assert_batch_matches_fitness_of(individuals, route, params, SimConfig(sample_rate), kernels)
 
 
 def test_batch_divergence_on_either_channel_matches_fitness_of(sim, train_route, kernels):
@@ -446,17 +512,20 @@ def test_batch_divergence_on_either_channel_matches_fitness_of(sim, train_route,
     # and the calm row beside it is unaffected
     huge = Gains(1e308, 0.0, 1e308)
     calm = Gains(0.1, 0.0, 0.0)
-    rows = np.array([huge.as_tuple(), calm.as_tuple()])
+    individuals = [Individual(huge, huge), Individual(calm, calm)]
+    rows = [individual.as_flat() for individual in individuals]
     for c, diverging in enumerate(("linear", "angular")):
         channels = {"linear": ChannelParams(), "angular": ChannelParams(time_constant=0.3)}
         channels[diverging] = replace(channels[diverging], initial_velocity=-5.0)
         params = PlantParams(**channels)
-        _, final_velocity = _run_batch(rows, _schedule(train_route, params, sim), params, sim.dt)
-        assert np.isfinite(final_velocity).tolist() == [[c != 0, c != 1], [True, True]]
-        ae = _fitness_batch(rows, train_route, params, sim)
-        assert ae[0].tolist() == [DIVERGENCE_AE, DIVERGENCE_AE]
-        assert DIVERGENCE_AE not in ae[1]
-        assert_batch_matches_fitness_of([huge, calm], train_route, params, sim, kernels)
+        for kernel in kernels:
+            with using(kernel):
+                results, _ = _simulate(rows, _schedule(train_route, params, sim), params, sim.dt)
+                assert np.isfinite(results[:, 2:]).tolist() == [[c != 0, c != 1], [True, True]]
+                scores = _fitness_rows(rows, train_route, params, sim)
+                assert scores[0] == (DIVERGENCE_AE, DIVERGENCE_AE)
+                assert DIVERGENCE_AE not in scores[1]
+        assert_batch_matches_fitness_of(individuals, train_route, params, sim, kernels)
 
 
 def test_batch_route_without_samples_raises_like_fitness_of(plant, kernels):
@@ -466,7 +535,21 @@ def test_batch_route_without_samples_raises_like_fitness_of(plant, kernels):
         with using(kernel), pytest.raises(ValueError) as excinfo:
             fitness_of(individual, route, plant, sim)
         with pytest.raises(ValueError, match=re.escape(str(excinfo.value))):
-            _fitness_batch(np.array([individual.linear.as_tuple()]), route, plant, sim)
+            _fitness_rows([individual.as_flat()] * 2, route, plant, sim)
+        with pytest.raises(ValueError, match=re.escape(str(excinfo.value))):
+            grid_oracle(route, plant, sim, GainGrid((1.0,), (0.0,), (0.0,)))
+
+
+def test_fitness_of_matches_the_replayed_average_error_beyond_2_53(kernels):
+    # the kernels' first error and average_error's desired - actual both read 2**53 + 1 as the double 2**53
+    route, sim = RouteSpec(2**53 + 1, 0, phase_duration=0.1), SimConfig(50.0)
+    params = PlantParams(ChannelParams(initial_velocity=1))
+    gains = Gains(1, 0.5, 0.01)
+    individual = Individual(gains, gains)
+    for kernel in kernels:
+        with using(kernel):
+            ae = fitness_of(individual, route, params, sim).ae_linear
+            assert ae == average_error(simulate_route(individual, route, params, sim).linear) == 4503599627370495.0
 
 
 def test_no_simulation_path_calls_the_reference(monkeypatch, tmp_path, plant, sim, train_route, kernels):

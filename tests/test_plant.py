@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from evopid import (
     route_setpoint,
     simulate_route,
 )
-from evopid.metrics import _fitness_batch
 from evopid.plant import _MAX_SAMPLES, _schedule
 
 ZERO = Individual.from_flat([0.0] * 6)
@@ -168,22 +168,26 @@ def test_route_at_the_sample_cap_is_accepted():
 def test_overflowing_first_error_is_rejected_on_every_simulation_path(phase_duration, channel):
     # 1e308 - -1e308 is inf; the kernels would seed their first derivative with inf - inf.
     # On the 1-sample route fitness_of used to score (1e6, 1e6) where the per-sample reference AE is inf.
-    route, sim = RouteSpec(1e308, 1e308, phase_duration=phase_duration), SimConfig()
-    plant = PlantParams(**{channel: ChannelParams(initial_velocity=-1e308)})
-    ones = Individual.from_flat([1.0] * 6)
-    for run in (
-        lambda: simulate_route(ones, route, plant, sim),
-        lambda: fitness_of(ones, route, plant, sim),
-        lambda: _fitness_batch(np.ones((3, 3)), route, plant, sim),
-    ):
-        with pytest.raises(ValueError, match=f"plant.{channel}.initial_velocity must be finite, got 1e\\+308 - -1e\\+308"):
-            run()
+    # The ints are subtracted as the doubles the kernels read: their exact difference is no double at all.
+    ones, sim = Individual.from_flat([1.0] * 6), SimConfig()
+    for start, velocity in ((1e308, -1e308), (int(1.7e308), -int(1.7e308))):
+        route = RouteSpec(start, start, phase_duration=phase_duration)
+        plant = PlantParams(**{channel: ChannelParams(initial_velocity=velocity)})
+        for run in (
+            lambda: simulate_route(ones, route, plant, sim),
+            lambda: fitness_of(ones, route, plant, sim),
+            lambda: grid_oracle(route, plant, sim, GainGrid((1.0, 2.0, 3.0), (1.0,), (1.0,))),
+        ):
+            message = f"plant.{channel}.initial_velocity must be finite, got {start!r} - {velocity!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run()
     # a large first error that stays finite is simulated as before (one sample, so nothing overflows later)
     one_sample = RouteSpec(1e308, 1e308, phase_duration=0.01)
     finite = PlantParams(**{channel: ChannelParams(initial_velocity=-1e307)})
     ae = fitness_of(ZERO, one_sample, finite, sim)
     assert all(math.isfinite(v) and v > 1e307 for v in ae)
-    assert _fitness_batch(np.zeros((1, 3)), one_sample, finite, sim).tolist() == [list(ae)]
+    oracle = grid_oracle(one_sample, finite, sim, GainGrid((0.0,), (0.0,), (0.0,)))
+    assert (oracle.ae_linear, oracle.ae_angular) == ae
     simulate_route(ZERO, one_sample, finite, sim)
 
 
