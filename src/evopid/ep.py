@@ -49,8 +49,7 @@ class Gains:
     kd: float
 
     def __post_init__(self):
-        for name in ("kp", "ki", "kd"):
-            v = getattr(self, name)
+        for name, v in (("kp", self.kp), ("ki", self.ki), ("kd", self.kd)):
             if type(v) is bool or not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
 
@@ -206,9 +205,11 @@ def _check_mutation_args(value: float, sigma: float) -> None:
         raise ValueError(f"sigma must be > 0, got {sigma!r}")
 
 
-def _clamp_additive(value: float, add: float) -> float:
-    # Halve the perturbation until the result is nonnegative. With value == 0 and
-    # add < 0 the loop would never exit, so return its limit (0) directly.
+def _clamp_additive(value: float, add: float, sigma: float) -> float:
+    # Halve the perturbation until the result is nonnegative. Halving never ends on -inf, so a nonfinite
+    # step is an error; with value == 0 and add < 0 it would never end either, so return its limit (0).
+    if not math.isfinite(add):
+        raise ValueError(f"mutating {value!r} with sigma {sigma!r} drew a nonfinite step {add!r}")
     if value == 0.0 and add < 0.0:
         return 0.0
     while value + add < 0.0:
@@ -219,7 +220,7 @@ def _clamp_additive(value: float, add: float) -> float:
 def mutate_absolute(value: float, sigma: float, rng: random.Random) -> float:
     """Additive Gaussian mutation: value + N(0, sigma), perturbation halved until nonnegative."""
     _check_mutation_args(value, sigma)
-    return _clamp_additive(value, rng.gauss(0.0, sigma))
+    return _clamp_additive(value, rng.gauss(0.0, sigma), sigma)
 
 
 def mutate_scaled(value: float, sigma: float, rng: random.Random) -> float:
@@ -231,16 +232,22 @@ def mutate_scaled(value: float, sigma: float, rng: random.Random) -> float:
     The Gaussian draw is consumed even then, keeping the stream position fixed.
     """
     _check_mutation_args(value, sigma)
-    return _clamp_additive(value, value * rng.gauss(0.0, sigma))
+    return _clamp_additive(value, value * rng.gauss(0.0, sigma), sigma)
 
 
 def mutate_individual(parent: Individual, spec: MutationSpec, rng: random.Random) -> Individual:
-    """Mutate all six gains independently, in the fixed order kpv, kiv, kdv, kpa, kia, kda."""
-    if spec.kind is MutationKind.ABSOLUTE:
-        op, sigma = mutate_absolute, spec.sigma_absolute
-    else:
-        op, sigma = mutate_scaled, spec.sigma_scaled
-    return Individual.from_flat([op(v, sigma, rng) for v in parent.as_flat()])
+    """Mutate all six gains independently, in the fixed order kpv, kiv, kdv, kpa, kia, kda.
+
+    The draws and gains of mutate_absolute or mutate_scaled on each gain, but only sigma is checked:
+    the parent's Gains holds finite values >= 0, and Gains checks each mutant.
+    """
+    scaled = spec.kind is MutationKind.SCALED
+    sigma = spec.sigma_scaled if scaled else spec.sigma_absolute
+    if not sigma > 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma!r}")
+    gauss = rng.gauss
+    flat = [_clamp_additive(v, v * gauss(0.0, sigma) if scaled else gauss(0.0, sigma), sigma) for v in parent.as_flat()]
+    return Individual(Gains(*flat[:3]), Gains(*flat[3:]))
 
 
 def init_population(config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:

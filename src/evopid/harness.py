@@ -313,7 +313,7 @@ def export_generations(history: Sequence[GenerationRecord], path: Path) -> None:
 
 
 def load_generations(path: Path) -> list[GenerationRecord]:
-    """Rebuild the generation history written by export_generations; a malformed row raises naming its line."""
+    """Rebuild the history export_generations wrote; an error names the file, and a malformed row its line."""
     groups: dict[int, list[MemberRecord]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -330,10 +330,10 @@ def load_generations(path: Path) -> list[GenerationRecord]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             groups.setdefault(generation, []).append(member)
-    return [
-        GenerationRecord.from_evaluations(generation, tuple(members))
-        for generation, members in sorted(groups.items())
-    ]
+    try:
+        return [GenerationRecord.from_evaluations(number, tuple(members)) for number, members in sorted(groups.items())]
+    except EvaluationError as exc:
+        raise EvaluationError(f"{path}: {exc}", generation=exc.generation) from None
 
 
 def export_trace(trace, path: Path) -> None:

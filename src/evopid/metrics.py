@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .ep import Individual
-from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _schedule, _simulate
+from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _prepare, _simulate
 
 # Finite stand-in fitness for unstable gains; must lose every selection, so no finite average can exceed it.
 DIVERGENCE_AE = sys.float_info.max
@@ -60,11 +61,17 @@ def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, si
     return record
 
 
+# _prepare, kept for the next score of the route. Equal keys can differ (1 == 1.0, 0.0 == -0.0), but every number is
+# read as a double, so the kernel gets the same doubles up to the sign of a zero in start, end or initial_velocity.
+# A zero meets only +, -, *, fabs, comparisons and division by dt, so the error sums and the finiteness verdict are
+# bit-identical; the measurements are not, so simulate_route calls _prepare itself. The shared plant is never written.
+_prepared = functools.lru_cache(maxsize=8)(_prepare)
+
+
 def _fitness_rows(rows, route: RouteSpec, params: PlantParams, sim: SimConfig) -> list[FitnessRecord]:
     """fitness_of for each row of six gains (linear kp, ki, kd, then angular), all in one simulation call."""
-    schedule = _schedule(route, params, sim)
-    n_samples = sum(count for _, count in schedule)
-    results, _ = _simulate(rows, schedule, params, sim.dt)
+    schedule, n_samples, plant = _prepared(route, params, sim)
+    results, _ = _simulate(rows, schedule, plant, sim.dt)
     return [
         FitnessRecord(linear / n_samples, angular / n_samples)
         if math.isfinite(final_linear) and math.isfinite(final_angular)

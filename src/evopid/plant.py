@@ -71,7 +71,7 @@ class RouteSpec:
 
     @property
     def total_duration(self) -> float:
-        return 2.0 * self.phase_duration
+        return 2.0 * float(self.phase_duration)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class SimConfig:
 
     @property
     def dt(self) -> float:
-        return 1.0 / self.sample_rate
+        return 1.0 / float(self.sample_rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,13 +172,13 @@ _MAX_SAMPLES = 10_000_000
 def _schedule(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tuple[float, int], tuple[float, int]]:
     """The gate of every route run: the run as (setpoint, sample count) stretches, ((start, k), (end, n - k)).
 
-    n = round(total_duration * sample_rate), so the last sample lies at most total_duration - dt / 2.
+    On doubles, n = round(total_duration * sample_rate), so the last sample lies at most total_duration - dt / 2.
     k is the first k with k * dt >= phase_duration, capped at n; the guess ceil(phase_duration / dt)
     is moved by that test, on the float k * dt every path uses, until exact. Raises ValueError
     when the route has no samples or more than _MAX_SAMPLES, and, naming the channel, when a first
     error route.start - initial_velocity overflows: the kernels seed their first derivative with it.
     """
-    samples = route.total_duration * sim.sample_rate
+    samples = route.total_duration * float(sim.sample_rate)
     # compared as a float first: an infinite duration cannot be rounded to an int
     if samples > _MAX_SAMPLES:
         raise ValueError(
@@ -195,7 +195,7 @@ def _schedule(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tu
                 f"route.start - plant.{name}.initial_velocity must be finite, "
                 f"got {route.start!r} - {channel.initial_velocity!r}"
             )
-    dt, switch = sim.dt, route.phase_duration
+    dt, switch = sim.dt, float(route.phase_duration)
     k = math.ceil(switch / dt)
     while k > 0 and (k - 1) * dt >= switch:
         k -= 1
@@ -277,6 +277,7 @@ def _run_rows_py(
 # _run_rows_py transcribed to C; -ffp-contract=off keeps a * b + c from fusing into one rounding.
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _run_checked(kernel, gains: np.ndarray, plant: np.ndarray, dt: float, schedule: tuple, results, actual) -> None:
@@ -291,9 +292,9 @@ def _run_checked(kernel, gains: np.ndarray, plant: np.ndarray, dt: float, schedu
     rows = len(gains)
     if rows < 1 or first < 0 or second < 0:
         raise ValueError(f"a run takes a row and sample counts >= 0, got {rows} rows of {first} + {second} samples")
-    shapes = {"gains": (rows, 6), "plant": (2, 4), "results": (rows, 4), "actual": (rows, 2, first + second)}
-    for (name, shape), array in zip(shapes.items(), (gains, plant, results, actual)):
-        if array is not None and (array.shape != shape or array.dtype != np.float64 or not array.flags.c_contiguous):
+    shapes = (("gains", (rows, 6)), ("plant", (2, 4)), ("results", (rows, 4)), ("actual", (rows, 2, first + second)))
+    for (name, shape), array in zip(shapes, (gains, plant, results, actual)):
+        if array is not None and (array.shape != shape or array.dtype != _FLOAT64 or not array.flags.c_contiguous):
             raise ValueError(
                 f"{name} does not fit: the kernel takes a contiguous float64 array of shape {shape}, "
                 f"got {array.dtype} of shape {array.shape}"
@@ -364,17 +365,22 @@ def _c_kernel():
     return _load_kernel(Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "evopid")
 
 
-def _simulate(rows, schedule: tuple, params: PlantParams, dt: float, record: bool = False):
+def _prepare(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tuple, int, np.ndarray]:
+    """_schedule, the sample count and the (2, 4) plant: per channel limit, DC gain, decay and start velocity."""
+    schedule, dt = _schedule(route, params, sim), sim.dt
+    channels = (params.linear, params.angular)
+    lags = [(c.actuator_limit, c.dc_gain, math.exp(-dt / float(c.time_constant)), c.initial_velocity) for c in channels]
+    return schedule, sum(count for _, count in schedule), np.array(lags, dtype=np.float64)
+
+
+def _simulate(rows, schedule: tuple, plant: np.ndarray, dt: float, record: bool = False):
     """Run every row of six gains (linear kp, ki, kd, then angular) on both channels along the schedule.
 
-    The one entry of every simulation. It packs the gains and the plant into float64 arrays, so
-    every number is read as a double, and runs the C kernel when it has loaded, else _run_rows_py:
-    the two give the same bits. Returns the (rows, 4) results, per row the error sums and then the
-    final velocities, linear then angular; and with ``record`` the (rows, 2, n) measurements, else None.
+    The one entry of every simulation, on a plant from _prepare. It packs the gains as float64, so every
+    number is read as a double, and runs the C kernel when it has loaded, else _run_rows_py: the two
+    give the same bits. Returns the (rows, 4) results, per row the error sums and then the final
+    velocities, linear then angular; and with ``record`` the (rows, 2, n) measurements, else None.
     """
-    channels = (params.linear, params.angular)
-    lags = [(c.actuator_limit, c.dc_gain, math.exp(-dt / c.time_constant), c.initial_velocity) for c in channels]
-    plant = np.array(lags, dtype=np.float64)
     gains = np.array(rows, dtype=np.float64)
     results = np.empty((len(gains), 4))
     actual = np.empty((len(gains), 2, sum(count for _, count in schedule))) if record else None
@@ -392,10 +398,10 @@ def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams
     did it, if a final velocity is nonfinite; the linear channel is reported first.
     """
     dt = sim.dt
-    schedule = _schedule(route, params, sim)
+    schedule, n, plant = _prepare(route, params, sim)
     setpoints, counts = zip(*schedule)
-    time, desired = np.arange(sum(counts)) * dt, np.repeat(setpoints, counts)
-    results, actual = _simulate([individual.as_flat()], schedule, params, dt, record=True)
+    time, desired = np.arange(n) * dt, np.repeat(setpoints, counts)
+    results, actual = _simulate([individual.as_flat()], schedule, plant, dt, record=True)
     for c, name in enumerate(("linear", "angular")):
         if not math.isfinite(results[0, 2 + c]):
             # actual[k + 1] is the velocity sample k's step produced; the last step's is not recorded

@@ -1,3 +1,6 @@
+import contextlib
+import signal
+
 import pytest
 from hypothesis import settings
 
@@ -30,3 +33,24 @@ def train_route(environment):
 @pytest.fixture(scope="session")
 def test_route(environment):
     return environment[2]["test"]
+
+
+@pytest.fixture
+def time_limit():
+    """A context manager that fails the test, instead of hanging the suite, if its body runs over the given seconds."""
+
+    @contextlib.contextmanager
+    def limit(seconds: int):
+        def expired(signum, frame):
+            # pytest.fail raises a BaseException, which no `except Exception` in the code under test catches
+            pytest.fail(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

@@ -178,6 +178,24 @@ def test_step_rejects_an_overflowing_first_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, line",
+    [(1, "mutation.sigma_absolute = 1e308"), (2, "mutation.sigma_scaled = 1e300")],
+    ids=["absolute", "scaled"],
+)
+def test_tune_rejects_a_mutation_step_that_overflows(tmp_path, capsys, time_limit, experiment, line):
+    # a draw of sigma * N(0, 1), or a gain near 1e300 times one, overflows; halving never brings -inf to
+    # >= 0, so the run must stop with an error at the first nonfinite step instead of hanging
+    cfg = tmp_path / "sigma.cfg"
+    cfg.write_text(line + "\n")
+    with time_limit(10):
+        rc = cli_main(["tune", "--experiment", str(experiment), "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mutating ") and " drew a nonfinite step " in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("lines, message", UNRUNNABLE_TEST_ROUTES)
 def test_oracle_rejects_a_route_it_cannot_run_before_scoring(tmp_path, capsys, monkeypatch, lines, message):
     def no_grid_oracle(*args):

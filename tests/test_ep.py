@@ -1,9 +1,11 @@
 import math
 import random
+import re
+import types
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evopid import (
@@ -146,6 +148,83 @@ def test_mutate_individual_deterministic_and_valid():
     b = mutate_individual(parent, spec, random.Random(7))
     assert a == b
     assert all(v >= 0 and math.isfinite(v) for v in a.as_flat())
+
+
+@pytest.mark.parametrize(
+    "op, value, draw",
+    [
+        (mutate_absolute, 1.0, -math.inf),
+        (mutate_absolute, 1.0, math.inf),
+        (mutate_absolute, 0.0, math.nan),
+        (mutate_scaled, 1e10, -1e300),  # value * draw overflows to -inf
+        (mutate_scaled, 1e10, 1e300),
+        (mutate_scaled, 0.0, math.inf),  # 0 * inf is nan, even on the absorbing 0
+    ],
+)
+def test_nonfinite_step_is_rejected_before_halving(op, value, draw, time_limit):
+    # halving -inf gives -inf, so the clamp loop would never end on it: every nonfinite step is an error
+    with time_limit(5), pytest.raises(ValueError, match=r"^mutating .* with sigma 0\.5 drew a nonfinite step"):
+        op(value, 0.5, FakeRng([draw]))
+
+
+@pytest.mark.parametrize("kind", list(MutationKind))
+def test_mutate_individual_rejects_a_nonfinite_step(kind, time_limit):
+    parent = Individual.from_flat([1e10] * 6)
+    rng = FakeRng([0.01, 0.02, -1e300 if kind is MutationKind.SCALED else -math.inf, 0.04, 0.05, 0.06])
+    message = r"^mutating 10000000000\.0 with sigma .* drew a nonfinite step -inf"
+    with time_limit(5), pytest.raises(ValueError, match=message):
+        mutate_individual(parent, MutationSpec(kind), rng)
+
+
+def mutate_by_operators(parent, spec, rng):
+    """mutate_individual's reference: the public operator, with its argument check, on each gain in turn."""
+    if spec.kind is MutationKind.SCALED:
+        op, sigma = mutate_scaled, spec.sigma_scaled
+    else:
+        op, sigma = mutate_absolute, spec.sigma_absolute
+    return Individual.from_flat([op(v, sigma, rng) for v in parent.as_flat()])
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("kind", list(MutationKind))
+def test_mutate_individual_checks_sigma_like_the_operators(kind, sigma):
+    # MutationSpec rejects such a sigma where it is built; a spec that never passed that check is caught here
+    spec = types.SimpleNamespace(kind=kind, sigma_absolute=sigma, sigma_scaled=sigma)
+    parent = Individual.from_flat([0.5] * 6)
+    for mutate in (mutate_by_operators, mutate_individual):
+        with pytest.raises(ValueError, match=f"^sigma must be > 0, got {sigma!r}$"):
+            mutate(parent, spec, random.Random(0))
+
+
+# zero gains (absorbing under the scaled operator), ordinary ones, and ones so large that a step overflows
+gain_values = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(1e300, 1.7e308))
+triples = st.builds(Gains, gain_values, gain_values, gain_values)
+
+
+@settings(max_examples=100)
+@given(
+    parent=st.builds(Individual, triples, triples),
+    kind=st.sampled_from(MutationKind),
+    sigma=st.sampled_from([0.05, 0.5, 1e300, 1e308]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(parent=Individual.from_flat([0.0] * 6), kind=MutationKind.SCALED, sigma=0.5, seed=0)  # stays at 0
+@example(parent=Individual.from_flat([0.5, 0.0, 1.7e308] * 2), kind=MutationKind.SCALED, sigma=0.5, seed=2)  # kd: inf
+@example(parent=Individual.from_flat([1e300] * 6), kind=MutationKind.SCALED, sigma=1e300, seed=0)  # step: inf
+@example(parent=Individual.from_flat([0.5] * 6), kind=MutationKind.ABSOLUTE, sigma=1e308, seed=5)  # step: -inf
+def test_mutate_individual_matches_the_public_operators(parent, kind, sigma, seed):
+    # the same gains, bit for bit, or the same error, and the generator left in the same state
+    spec = MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma)
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    try:
+        expected = mutate_by_operators(parent, spec, reference_rng)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            mutate_individual(parent, spec, rng)
+    else:
+        got = mutate_individual(parent, spec, rng)
+        assert [v.hex() for v in got.as_flat()] == [v.hex() for v in expected.as_flat()]
+    assert rng.getstate() == reference_rng.getstate()
 
 
 # ---------------------------------------------------------------- init

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from evopid import (
+    EvaluationError,
     EPConfig,
     ExperimentSpec,
     GainGrid,
@@ -363,6 +364,16 @@ def test_load_generations_names_the_line_of_a_malformed_row(tmp_path, row, messa
     path.write_text(",".join(GENERATIONS_HEADER) + "\n0,0,0.5,0.1,0,0.5,0.1,0,0.3,0.2\n" + row + "\n")
     with pytest.raises(ValueError, match=re.escape(f"generations.csv:3: {message}")):
         load_generations(path)
+
+
+def test_load_generations_names_the_file_of_a_generation_without_a_finite_error(tmp_path):
+    path = tmp_path / "generations.csv"
+    rows = ("0,0,0.5,0.1,0,0.5,0.1,0,inf,0.2", "0,1,0.5,0.1,0,0.5,0.1,0,nan,0.3")
+    path.write_text("\n".join((",".join(GENERATIONS_HEADER), *rows)) + "\n")
+    message = f"{path}: generation 0: no member has a finite average error on the linear channel"
+    with pytest.raises(EvaluationError, match=re.escape(message)) as excinfo:
+        load_generations(path)
+    assert excinfo.value.generation == 0
 
 
 def test_export_generations_deterministic_bytes(tmp_path):

@@ -51,8 +51,8 @@ from evopid import (
 )
 import evopid.harness
 import evopid.plant
-from evopid.metrics import _fitness_rows
-from evopid.plant import _KERNEL_FLAGS, _load_kernel, _run_checked, _schedule, _simulate
+from evopid.metrics import _fitness_rows, _prepared
+from evopid.plant import _KERNEL_FLAGS, _load_kernel, _prepare, _run_checked, _run_rows_py, _schedule, _simulate
 
 NO_CC = "no C compiler: cc is not on PATH, so only the Python twin is tested"
 
@@ -331,10 +331,10 @@ def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, g
     params = PlantParams(channel, channel)
     schedule, rows = _schedule(route, params, sim), [gains.as_tuple() * 2]
     with using(spy):
-        results, actual = _simulate(rows, schedule, params, sim.dt, record)
+        results, actual = _simulate(rows, schedule, _prepare(route, params, sim)[2], sim.dt, record)
     assert len(calls) == 1
     with using(None):
-        expected, expected_actual = _simulate(rows, schedule, params, sim.dt, record)
+        expected, expected_actual = _simulate(rows, schedule, _prepare(route, params, sim)[2], sim.dt, record)
     assert results.tobytes() == expected.tobytes()
     if record:
         assert actual.dtype == np.float64 and actual.tobytes() == expected_actual.tobytes()
@@ -460,12 +460,12 @@ def assert_batch_matches_fitness_of(individuals, route, params, sim, kernels):
     schedule = _schedule(route, params, sim)
     for kernel in kernels:
         with using(kernel):
-            results, actual = _simulate(rows, schedule, params, sim.dt, record=True)
+            results, actual = _simulate(rows, schedule, _prepare(route, params, sim)[2], sim.dt, record=True)
             assert results.shape == (len(rows), 4)
             assert actual.shape == (len(rows), 2, sum(count for _, count in schedule))
             scores = _fitness_rows(rows, route, params, sim)
             for individual, row, result, measured, score in zip(individuals, rows, results, actual, scores):
-                one, one_actual = _simulate([row], schedule, params, sim.dt, record=True)
+                one, one_actual = _simulate([row], schedule, _prepare(route, params, sim)[2], sim.dt, record=True)
                 assert result.tobytes() == one[0].tobytes(), individual
                 assert measured.tobytes() == one_actual[0].tobytes(), individual
                 assert score == fitness_of(individual, route, params, sim), individual
@@ -520,7 +520,8 @@ def test_batch_divergence_on_either_channel_matches_fitness_of(sim, train_route,
         params = PlantParams(**channels)
         for kernel in kernels:
             with using(kernel):
-                results, _ = _simulate(rows, _schedule(train_route, params, sim), params, sim.dt)
+                schedule, _, packed = _prepare(train_route, params, sim)
+                results, _ = _simulate(rows, schedule, packed, sim.dt)
                 assert np.isfinite(results[:, 2:]).tolist() == [[c != 0, c != 1], [True, True]]
                 scores = _fitness_rows(rows, train_route, params, sim)
                 assert scores[0] == (DIVERGENCE_AE, DIVERGENCE_AE)
@@ -550,6 +551,98 @@ def test_fitness_of_matches_the_replayed_average_error_beyond_2_53(kernels):
         with using(kernel):
             ae = fitness_of(individual, route, params, sim).ae_linear
             assert ae == average_error(simulate_route(individual, route, params, sim).linear) == 4503599627370495.0
+
+
+# ---------------------------------------------------------------- the route cache behind fitness_of
+
+
+def twin_fitness(individual, route, params, sim):
+    """fitness_of by hand: the Python twin on this environment's own preparation, not the cached one."""
+    schedule, n, plant = _prepare(route, params, sim)
+    (start, first), (end, second) = schedule
+    gains, results = np.array([individual.as_flat()]), np.empty((1, 4))
+    _run_rows_py(1, gains, plant, sim.dt, float(start), first, float(end), second, results, None)
+    linear, angular, final_linear, final_angular = results[0].tolist()
+    if not (math.isfinite(final_linear) and math.isfinite(final_angular)):
+        return FitnessRecord(DIVERGENCE_AE, DIVERGENCE_AE)
+    return FitnessRecord(linear / n, angular / n)
+
+
+def bits(record):
+    return [float(v).hex() for v in record]
+
+
+def float32_pair(phase_duration, sample_rate):
+    """An environment of NumPy float32 fields, and the equal one of their doubles."""
+    channels = (ChannelParams(0.9, 0.7, 1.5, -5.0), ChannelParams(time_constant=0.3))
+
+    def environment(cast):
+        return (
+            RouteSpec(cast(np.float32(-0.3)), cast(np.float32(0.3)), cast(np.float32(phase_duration))),
+            PlantParams(*(ChannelParams(*(cast(np.float32(v)) for v in astuple(c))) for c in channels)),
+            SimConfig(cast(np.float32(sample_rate))),
+        )
+
+    return environment(lambda v: v), environment(float)
+
+
+EQUAL_ENVIRONMENTS = [
+    pytest.param(
+        (RouteSpec(-1, 1, 1), PlantParams(ChannelParams(2, 1, 3, 1), ChannelParams(1, 1, 2, -1)), SimConfig(50)),
+        (
+            RouteSpec(-1.0, 1.0, 1.0),
+            PlantParams(ChannelParams(2.0, 1.0, 3.0, 1.0), ChannelParams(1.0, 1.0, 2.0, -1.0)),
+            SimConfig(50.0),
+        ),
+        id="int-float",
+    ),
+    pytest.param(
+        (RouteSpec(0.0, 0.5), PlantParams(ChannelParams(), ChannelParams(time_constant=0.3)), SimConfig()),
+        (
+            RouteSpec(-0.0, 0.5),
+            PlantParams(ChannelParams(initial_velocity=-0.0), ChannelParams(time_constant=0.3, initial_velocity=-0.0)),
+            SimConfig(),
+        ),
+        id="zero-signs",
+    ),
+    # float32 fields equal their doubles; read as doubles, they run as them, although in float32 arithmetic
+    # 1.1 s would switch phase one sample earlier and 2 * 1.015 s at 50 Hz would round to one sample more
+    pytest.param(*float32_pair(1.1, 50.0), id="float32-switch"),
+    pytest.param(*float32_pair(1.015, 50.0), id="float32-samples"),
+]
+
+
+@pytest.mark.parametrize("one, other", EQUAL_ENVIRONMENTS)
+def test_route_cache_gives_equal_environments_the_same_bits(one, other, kernels):
+    # equal environments share one cache entry, whichever is scored first, and every score is still the bits
+    # the Python twin gives on that environment's own preparation: zero gains keep a zero's sign through the
+    # first phase, and the huge gains diverge, so the verdict is covered as well
+    assert one == other and all(a is not b for a, b in zip(one, other))
+    individuals = [
+        Individual(Gains(0.0, 0.0, 0.0), Gains(0.0, 0.0, 0.0)),
+        Individual(Gains(0.8, 0.2, 0.01), Gains(2.0, 0.5, 0.0)),
+        Individual(Gains(1e308, 1e308, 1e308), Gains(0.1, 0.0, 0.0)),
+    ]
+    expected = [bits(twin_fitness(individual, *one)) for individual in individuals]
+    assert [bits(twin_fitness(individual, *other)) for individual in individuals] == expected
+    assert expected[2] == bits((DIVERGENCE_AE, DIVERGENCE_AE)) and expected[1] != expected[2]
+    for kernel in kernels:
+        with using(kernel):
+            for first, second in ((one, other), (other, one)):
+                _prepared.cache_clear()
+                for environment in (first, second):
+                    assert [bits(fitness_of(individual, *environment)) for individual in individuals] == expected
+                assert _prepared.cache_info().currsize == 1
+
+
+def test_route_cache_is_bounded(plant, sim):
+    _prepared.cache_clear()
+    maxsize = _prepared.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 64
+    individual = Individual(Gains(0.5, 0.0, 0.0), Gains(0.5, 0.0, 0.0))
+    for i in range(2 * maxsize):
+        fitness_of(individual, RouteSpec(0.0, 0.01 * (i + 1)), plant, sim)
+    assert _prepared.cache_info().currsize == maxsize
 
 
 def test_no_simulation_path_calls_the_reference(monkeypatch, tmp_path, plant, sim, train_route, kernels):
