@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -27,14 +28,14 @@ class EvaluationError(RuntimeError):
 
 
 def _require_finite(obj, *names: str) -> None:
-    """Raise ValueError naming the first of the given fields that holds a bool, a NaN or an infinity.
+    """Raise ValueError naming the first of the given fields that holds a bool, a non-real, a NaN or an infinity.
 
-    A field may hold one number or a tuple of them.
+    A field may hold one number or a tuple of them. A spec of real numbers is hashable, so it can key a cache.
     """
     for name in names:
         value = getattr(obj, name)
         values = value if isinstance(value, tuple) else (value,)
-        if any(type(v) is bool for v in values):
+        if any(type(v) is bool or not isinstance(v, numbers.Real) for v in values):
             raise ValueError(f"{name} must be a number, got {value!r}")
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"{name} must be finite, got {value!r}")
@@ -49,7 +50,8 @@ class Gains:
     kd: float
 
     def __post_init__(self):
-        for name, v in (("kp", self.kp), ("ki", self.ki), ("kd", self.kd)):
+        for name in ("kp", "ki", "kd"):
+            v = getattr(self, name)
             if type(v) is bool or not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
 
@@ -236,18 +238,12 @@ def mutate_scaled(value: float, sigma: float, rng: random.Random) -> float:
 
 
 def mutate_individual(parent: Individual, spec: MutationSpec, rng: random.Random) -> Individual:
-    """Mutate all six gains independently, in the fixed order kpv, kiv, kdv, kpa, kia, kda.
-
-    The draws and gains of mutate_absolute or mutate_scaled on each gain, but only sigma is checked:
-    the parent's Gains holds finite values >= 0, and Gains checks each mutant.
-    """
-    scaled = spec.kind is MutationKind.SCALED
-    sigma = spec.sigma_scaled if scaled else spec.sigma_absolute
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    gauss = rng.gauss
-    flat = [_clamp_additive(v, v * gauss(0.0, sigma) if scaled else gauss(0.0, sigma), sigma) for v in parent.as_flat()]
-    return Individual(Gains(*flat[:3]), Gains(*flat[3:]))
+    """Mutate all six gains independently, in the fixed order kpv, kiv, kdv, kpa, kia, kda."""
+    if spec.kind is MutationKind.ABSOLUTE:
+        op, sigma = mutate_absolute, spec.sigma_absolute
+    else:
+        op, sigma = mutate_scaled, spec.sigma_scaled
+    return Individual.from_flat([op(v, sigma, rng) for v in parent.as_flat()])
 
 
 def init_population(config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:

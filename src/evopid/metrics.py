@@ -61,11 +61,12 @@ def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, si
     return record
 
 
-# _prepare, kept for the next score of the route. Equal keys can differ (1 == 1.0, 0.0 == -0.0), but every number is
-# read as a double, so the kernel gets the same doubles up to the sign of a zero in start, end or initial_velocity.
-# A zero meets only +, -, *, fabs, comparisons and division by dt, so the error sums and the finiteness verdict are
-# bit-identical; the measurements are not, so simulate_route calls _prepare itself. The shared plant is never written.
-_prepared = functools.lru_cache(maxsize=8)(_prepare)
+# _prepare, kept for the next score: an EP run or an oracle scores one route, so one entry serves every lookup but a
+# process's first. Equal keys can differ (1 == 1.0, 0.0 == -0.0), but every number is read as a double, so the kernel
+# gets the same doubles up to the sign of a zero in start, end or initial_velocity. A zero meets only +, -, *, fabs,
+# comparisons and division by dt, so the error sums and the finiteness verdict are bit-identical; the measurements
+# are not, so simulate_route calls _prepare itself. The shared plant is never written.
+_prepared = functools.lru_cache(maxsize=1)(_prepare)
 
 
 def _fitness_rows(rows, route: RouteSpec, params: PlantParams, sim: SimConfig) -> list[FitnessRecord]:

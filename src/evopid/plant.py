@@ -144,23 +144,23 @@ def pid_step(state: PidState, gains: Gains, setpoint: float, measurement: float,
 
 
 def route_setpoint(route: RouteSpec, t: float) -> float:
-    """Desired velocity at time t: ``start`` before phase_duration, ``end`` from it on."""
+    """Desired velocity at time t: ``start`` before phase_duration (read as a double), ``end`` from it on."""
     if not 0.0 <= t < route.total_duration:
         raise ValueError(f"t={t!r} outside the route window [0, {route.total_duration})")
-    return route.start if t < route.phase_duration else route.end
+    return route.start if t < float(route.phase_duration) else route.end
 
 
 def plant_step(velocity: float, command: float, params: ChannelParams, dt: float) -> float:
-    """Advance the channel one step: saturate the command, then relax toward its DC target."""
+    """Advance the channel one step: saturate the command, then relax toward its DC target, on doubles."""
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    limit = params.actuator_limit
+    limit = float(params.actuator_limit)
     if command > limit:
         command = limit
     elif command < -limit:
         command = -limit
-    target = command * params.dc_gain
-    return target + (velocity - target) * math.exp(-dt / params.time_constant)
+    target = command * float(params.dc_gain)
+    return target + (velocity - target) * math.exp(-dt / float(params.time_constant))
 
 
 # Most samples one route run may take per channel. A simulation costs time and, in
@@ -277,7 +277,6 @@ def _run_rows_py(
 # _run_rows_py transcribed to C; -ffp-contract=off keeps a * b + c from fusing into one rounding.
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_FLOAT64 = np.dtype(np.float64)
 
 
 def _run_checked(kernel, gains: np.ndarray, plant: np.ndarray, dt: float, schedule: tuple, results, actual) -> None:
@@ -292,9 +291,9 @@ def _run_checked(kernel, gains: np.ndarray, plant: np.ndarray, dt: float, schedu
     rows = len(gains)
     if rows < 1 or first < 0 or second < 0:
         raise ValueError(f"a run takes a row and sample counts >= 0, got {rows} rows of {first} + {second} samples")
-    shapes = (("gains", (rows, 6)), ("plant", (2, 4)), ("results", (rows, 4)), ("actual", (rows, 2, first + second)))
-    for (name, shape), array in zip(shapes, (gains, plant, results, actual)):
-        if array is not None and (array.shape != shape or array.dtype != _FLOAT64 or not array.flags.c_contiguous):
+    shapes = {"gains": (rows, 6), "plant": (2, 4), "results": (rows, 4), "actual": (rows, 2, first + second)}
+    for (name, shape), array in zip(shapes.items(), (gains, plant, results, actual)):
+        if array is not None and (array.shape != shape or array.dtype != np.float64 or not array.flags.c_contiguous):
             raise ValueError(
                 f"{name} does not fit: the kernel takes a contiguous float64 array of shape {shape}, "
                 f"got {array.dtype} of shape {array.shape}"

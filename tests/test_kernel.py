@@ -85,15 +85,16 @@ def using(kernel):
 
 
 def reference_simulate_route(individual, route, params, sim):
+    # the chain starts from doubles, as the entry hands its kernel the setpoints and start velocities
     dt = sim.dt
-    n_samples = int(round(route.total_duration * sim.sample_rate))
+    n_samples = int(round(route.total_duration * float(sim.sample_rate)))
     traces = []
     for name, gains, channel in (
         ("linear", individual.linear, params.linear),
         ("angular", individual.angular, params.angular),
     ):
         state = pid_reset()
-        velocity = channel.initial_velocity
+        velocity = float(channel.initial_velocity)
         times, desired, actual = [], [], []
         for k in range(n_samples):
             t = k * dt
@@ -101,7 +102,7 @@ def reference_simulate_route(individual, route, params, sim):
             times.append(t)
             desired.append(setpoint)
             actual.append(velocity)
-            command, state = pid_step(state, gains, setpoint, velocity, dt)
+            command, state = pid_step(state, gains, float(setpoint), velocity, dt)
             velocity = plant_step(velocity, command, channel, dt)
             if not math.isfinite(velocity):
                 raise SimulationDiverged(name, k)
@@ -138,6 +139,23 @@ def assert_same_run(individual, route, params, sim, kernels):
                         assert a.dtype == b.dtype, (name, field)
                         assert np.array_equal(a, b), (name, field)
             assert fitness_of(individual, route, params, sim) == fitness
+
+
+def float32_pair(phase_duration, sample_rate):
+    """An environment of NumPy float32 fields, and the equal one of their doubles."""
+    channels = (ChannelParams(0.9, 0.7, 1.5, -5.0), ChannelParams(time_constant=0.3))
+
+    def environment(cast):
+        return (
+            RouteSpec(cast(np.float32(-0.3)), cast(np.float32(0.3)), cast(np.float32(phase_duration))),
+            PlantParams(*(ChannelParams(*(cast(np.float32(v)) for v in astuple(c))) for c in channels)),
+            SimConfig(cast(np.float32(sample_rate))),
+        )
+
+    return environment(lambda v: v), environment(float)
+
+
+FLOAT32_SWITCH, FLOAT32_SAMPLES = float32_pair(1.1, 50.0)[0], float32_pair(1.015, 50.0)[0]
 
 
 gains = st.builds(
@@ -177,6 +195,24 @@ routes = st.builds(
     angular_plant=ChannelParams(time_constant=0.3, initial_velocity=-1.5),
     route=RouteSpec(-0.3, 0.3, phase_duration=0.3337),
     sample_rate=47.3,
+)
+# float32 fields run as the doubles they equal: in float32 arithmetic 1.1 s would switch phase one sample
+# earlier, and 2 * 1.015 s at 50 Hz would round to one sample more
+@example(
+    linear=Gains(0.8, 0.2, 0.01),
+    angular=Gains(2.0, 0.5, 0.0),
+    linear_plant=FLOAT32_SWITCH[1].linear,
+    angular_plant=FLOAT32_SWITCH[1].angular,
+    route=FLOAT32_SWITCH[0],
+    sample_rate=FLOAT32_SWITCH[2].sample_rate,
+)
+@example(
+    linear=Gains(0.8, 0.2, 0.01),
+    angular=Gains(2.0, 0.5, 0.0),
+    linear_plant=FLOAT32_SAMPLES[1].linear,
+    angular_plant=FLOAT32_SAMPLES[1].angular,
+    route=FLOAT32_SAMPLES[0],
+    sample_rate=FLOAT32_SAMPLES[2].sample_rate,
 )
 def test_fused_loop_matches_per_sample_reference(
     linear, angular, linear_plant, angular_plant, route, sample_rate, kernels
@@ -218,7 +254,7 @@ def test_route_without_samples_matches_reference(plant, kernels):
 
 
 def test_integer_route_and_start_velocity_match_reference(sim, kernels):
-    # ints stay ints in the reference's first error and in its desired array
+    # ints stay ints in the desired array; the loops run on their doubles
     route = RouteSpec(0, 1, phase_duration=1)
     params = PlantParams(ChannelParams(initial_velocity=0), ChannelParams(initial_velocity=1))
     individual = Individual(Gains(0.8, 0.2, 0.01), Gains(2.0, 0.0, 0.0))
@@ -572,20 +608,6 @@ def bits(record):
     return [float(v).hex() for v in record]
 
 
-def float32_pair(phase_duration, sample_rate):
-    """An environment of NumPy float32 fields, and the equal one of their doubles."""
-    channels = (ChannelParams(0.9, 0.7, 1.5, -5.0), ChannelParams(time_constant=0.3))
-
-    def environment(cast):
-        return (
-            RouteSpec(cast(np.float32(-0.3)), cast(np.float32(0.3)), cast(np.float32(phase_duration))),
-            PlantParams(*(ChannelParams(*(cast(np.float32(v)) for v in astuple(c))) for c in channels)),
-            SimConfig(cast(np.float32(sample_rate))),
-        )
-
-    return environment(lambda v: v), environment(float)
-
-
 EQUAL_ENVIRONMENTS = [
     pytest.param(
         (RouteSpec(-1, 1, 1), PlantParams(ChannelParams(2, 1, 3, 1), ChannelParams(1, 1, 2, -1)), SimConfig(50)),
@@ -605,8 +627,7 @@ EQUAL_ENVIRONMENTS = [
         ),
         id="zero-signs",
     ),
-    # float32 fields equal their doubles; read as doubles, they run as them, although in float32 arithmetic
-    # 1.1 s would switch phase one sample earlier and 2 * 1.015 s at 50 Hz would round to one sample more
+    # float32 fields equal their doubles, and run as them (see test_fused_loop_matches_per_sample_reference)
     pytest.param(*float32_pair(1.1, 50.0), id="float32-switch"),
     pytest.param(*float32_pair(1.015, 50.0), id="float32-samples"),
 ]

@@ -87,23 +87,39 @@ def test_channel_params_validation():
         ChannelParams(actuator_limit=0.0)
 
 
+SPEC_FIELDS = [
+    (lambda v: ChannelParams(dc_gain=v), "dc_gain"),
+    (lambda v: ChannelParams(time_constant=v), "time_constant"),
+    (lambda v: ChannelParams(actuator_limit=v), "actuator_limit"),
+    (lambda v: ChannelParams(initial_velocity=v), "initial_velocity"),
+    (lambda v: RouteSpec(v, 0.3), "start"),
+    (lambda v: RouteSpec(-0.3, v), "end"),
+    (lambda v: RouteSpec(-0.3, 0.3, phase_duration=v), "phase_duration"),
+    (lambda v: SimConfig(sample_rate=v), "sample_rate"),
+]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])
-@pytest.mark.parametrize(
-    "make, field",
-    [
-        (lambda v: ChannelParams(dc_gain=v), "dc_gain"),
-        (lambda v: ChannelParams(time_constant=v), "time_constant"),
-        (lambda v: ChannelParams(actuator_limit=v), "actuator_limit"),
-        (lambda v: ChannelParams(initial_velocity=v), "initial_velocity"),
-        (lambda v: RouteSpec(v, 0.3), "start"),
-        (lambda v: RouteSpec(-0.3, v), "end"),
-        (lambda v: RouteSpec(-0.3, 0.3, phase_duration=v), "phase_duration"),
-        (lambda v: SimConfig(sample_rate=v), "sample_rate"),
-    ],
-)
+@pytest.mark.parametrize("make, field", SPEC_FIELDS)
 def test_plant_specs_reject_nonfinite_values(make, field, bad):
     with pytest.raises(ValueError, match=field):
         make(bad)
+
+
+@pytest.mark.parametrize("bad", [np.array(0.5), "0.5"], ids=["0-d-array", "str"])
+@pytest.mark.parametrize("make, field", SPEC_FIELDS)
+def test_plant_specs_reject_a_field_that_is_not_a_real_number(make, field, bad):
+    # a spec keys the scorers' route cache, so every field must be a hashable, immutable real number
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got {bad!r}")):
+        make(bad)
+
+
+def test_plant_specs_keep_numpy_scalars():
+    # a NumPy scalar is a real number, so it is kept and scores like the double it equals
+    route = RouteSpec(np.float64(-0.3), np.float32(0.25), np.float64(3.0))
+    individual = Individual.from_flat([0.5, 0.05, 0.005] * 2)
+    expected = fitness_of(individual, RouteSpec(-0.3, float(np.float32(0.25)), 3.0), PlantParams(), SimConfig())
+    assert fitness_of(individual, route, PlantParams(), SimConfig(np.int64(50))) == expected
 
 
 @pytest.mark.parametrize(
