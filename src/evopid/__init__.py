@@ -35,10 +35,11 @@ from .harness import (
     render_result_table,
     run_experiment,
 )
-from .metrics import DIVERGENCE_AE, FitnessRecord, average_error, fitness_of, step_metrics
+from .metrics import DIVERGENCE_AE, fitness_of, step_metrics
 from .plant import (
     ChannelParams,
     ChannelTrace,
+    FitnessRecord,
     PidState,
     PlantParams,
     RouteSpec,

@@ -43,7 +43,7 @@ def _require_finite(obj, *names: str) -> None:
 
 @dataclass(frozen=True)
 class Gains:
-    """One controller's PID gains. All three are nonnegative and finite, and none is a bool."""
+    """One controller's PID gains. All three are nonnegative, finite real numbers, and none is a bool."""
 
     kp: float
     ki: float
@@ -52,7 +52,9 @@ class Gains:
     def __post_init__(self):
         for name in ("kp", "ki", "kd"):
             v = getattr(self, name)
-            if type(v) is bool or not (math.isfinite(v) and v >= 0.0):
+            # _require_finite's test, but a float skips the slower isinstance: every mutant builds two Gains
+            real = type(v) is float or (type(v) is not bool and isinstance(v, numbers.Real))
+            if not (real and math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
 
     def as_tuple(self) -> tuple[float, float, float]:

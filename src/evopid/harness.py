@@ -27,9 +27,8 @@ from .ep import (
     _require_finite,
     run_ep,
 )
-from .metrics import DIVERGENCE_AE, FitnessRecord, StepMetrics, _fitness_rows, average_error, fitness_of
-from .metrics import step_metrics
-from .plant import PlantParams, RouteSpec, SimConfig, _schedule, check_step_route, simulate_route
+from .metrics import DIVERGENCE_AE, StepMetrics, _fitness_rows, fitness_of, step_metrics
+from .plant import FitnessRecord, PlantParams, RouteSpec, SimConfig, _schedule, check_step_route, simulate_route
 
 DEFAULT_TRAIN_ROUTE = RouteSpec(start=-0.3, end=0.3)
 DEFAULT_TEST_ROUTE = RouteSpec(start=0.1, end=0.7)
@@ -161,7 +160,7 @@ def _read_assignments(path: Path) -> dict[str, tuple[int, str]]:
     """
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     assignments: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -313,12 +312,12 @@ def export_generations(history: Sequence[GenerationRecord], path: Path) -> None:
 
 
 def load_generations(path: Path) -> list[GenerationRecord]:
-    """Rebuild the history export_generations wrote; an error names the file, and a malformed row its line."""
+    """Rebuild the nonempty history export_generations wrote; an error names the file, and a malformed row its line."""
     groups: dict[int, list[MemberRecord]] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != GENERATIONS_HEADER:
+        header = next(reader, None)
+        if header is not None and tuple(header) != GENERATIONS_HEADER:
             raise ValueError(f"{path}: unexpected header {header!r}")
         for row in reader:
             try:
@@ -330,6 +329,8 @@ def load_generations(path: Path) -> list[GenerationRecord]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             groups.setdefault(generation, []).append(member)
+    if not groups:
+        raise ValueError(f"{path}: the file holds no generations")
     try:
         return [GenerationRecord.from_evaluations(number, tuple(members)) for number, members in sorted(groups.items())]
     except EvaluationError as exc:
@@ -413,13 +414,12 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
         )
 
     # each route is simulated once: its replay gives the trace, the AE and the step metrics
-    traces, ae, step = {}, {}, {}
+    traces, step = {}, {}
     for name, route in routes.items():
         trace = traces[name] = simulate_route(best, route, spec.plant, spec.sim)
-        channels = {"linear": trace.linear, "angular": trace.angular}
-        ae[name] = FitnessRecord(*(average_error(channel) for channel in channels.values()))
-        step[name] = {channel: step_metrics(samples, route) for channel, samples in channels.items()}
-    record = ResultRecord(spec.experiment_id, best, ae["train"], ae["test"], step, stop_reason, len(history))
+        step[name] = {"linear": step_metrics(trace.linear, route), "angular": step_metrics(trace.angular, route)}
+    ae_train, ae_test = traces["train"].ae, traces["test"].ae
+    record = ResultRecord(spec.experiment_id, best, ae_train, ae_test, step, stop_reason, len(history))
 
     out = spec.output_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -6,22 +6,14 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .ep import Individual
-from .plant import ChannelTrace, PlantParams, RouteSpec, SimConfig, _prepare, _simulate
+from .plant import ChannelTrace, FitnessRecord, PlantParams, RouteSpec, SimConfig, _prepare, _simulate
 
 # Finite stand-in fitness for unstable gains; must lose every selection, so no finite average can exceed it.
 DIVERGENCE_AE = sys.float_info.max
-
-
-class FitnessRecord(NamedTuple):
-    """Per-channel average error of one route run. Both values finite and >= 0."""
-
-    ae_linear: float
-    ae_angular: float
 
 
 @dataclass(frozen=True)
@@ -37,17 +29,6 @@ class StepMetrics:
     rise_time: float | None
     overshoot: float
     steady_state_error: float
-
-
-def average_error(channel: ChannelTrace) -> float:
-    """Mean |desired - actual| over every sample of the run, streamed in order."""
-    n = len(channel)
-    if n == 0:
-        raise ValueError("average_error needs at least one sample")
-    total = 0.0
-    for d, a in zip(channel.desired, channel.actual):
-        total += abs(d - a)
-    return float(total / n)
 
 
 def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, sim: SimConfig) -> FitnessRecord:

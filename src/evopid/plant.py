@@ -104,10 +104,20 @@ class ChannelTrace:
         return len(self.time)
 
 
+class FitnessRecord(NamedTuple):
+    """Per-channel average error of one route run. Both values finite and >= 0."""
+
+    ae_linear: float
+    ae_angular: float
+
+
 @dataclass(frozen=True, eq=False)
 class SimTrace:
+    """Both channels' sampled run, and ``ae``: per channel, the run's error sum divided by its sample count."""
+
     linear: ChannelTrace
     angular: ChannelTrace
+    ae: FitnessRecord
 
     def __post_init__(self):
         if len(self.linear) != len(self.angular):
@@ -393,7 +403,8 @@ def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams
     PID states start fresh and both channels start from their configured initial
     velocity (each run is independent of any previous one). At every sample the
     recorded ``actual`` is the measurement the controller acted on, as a float64
-    array. Raises SimulationDiverged, naming the channel and the sample whose step
+    array, and ``ae`` is the run's average error per channel, as fitness_of scores
+    it. Raises SimulationDiverged, naming the channel and the sample whose step
     did it, if a final velocity is nonfinite; the linear channel is reported first.
     """
     dt = sim.dt
@@ -406,4 +417,5 @@ def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams
             # actual[k + 1] is the velocity sample k's step produced; the last step's is not recorded
             nonfinite = np.flatnonzero(~np.isfinite(actual[0, c, 1:]))
             raise SimulationDiverged(name, int(nonfinite[0]) if nonfinite.size else len(time) - 1)
-    return SimTrace(*(ChannelTrace(time, desired, channel) for channel in actual[0]))
+    ae = FitnessRecord(*(total / n for total in results[0, :2].tolist()))
+    return SimTrace(*(ChannelTrace(time, desired, channel) for channel in actual[0]), ae)

@@ -22,7 +22,6 @@ from evopid import (
     MutationKind,
     MutationSpec,
     StopReason,
-    average_error,
     build_experiment_spec,
     fitness_of,
     grid_oracle,
@@ -34,6 +33,7 @@ from evopid import (
     run_experiment,
 )
 from evopid.cli import cli_main
+from reference import average_error
 
 MUTATION_PROBE_VALUES = (0.0, 1e-9, 0.01, 0.1, 1.0)
 

@@ -4,6 +4,7 @@ import re
 import types
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -527,6 +528,11 @@ def test_gains_rejects_negative_and_nonfinite():
     # a bool is not a number: True would count as 1
     with pytest.raises(ValueError, match="kp must be a finite number >= 0, got True"):
         Gains(True, 0.0, 0.0)
+    # a 0-d array could be written in place and cannot be hashed; a string is no number at all
+    with pytest.raises(ValueError, match=re.escape("kp must be a finite number >= 0, got array(0.5)")):
+        Gains(np.array(0.5), 0.05, 0.005)
+    with pytest.raises(ValueError, match="kp must be a finite number >= 0, got '1'"):
+        Gains("1", 0, 0)
 
 
 def test_individual_flat_round_trip():

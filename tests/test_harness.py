@@ -262,6 +262,12 @@ def test_parse_config_file_rejects_a_repeated_key(tmp_path):
 def test_parse_config_file_missing(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config_file(tmp_path / "nope.cfg")
+    # a file that is not UTF-8 is named too, as a config file and as a grid file
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"kp = 0.5\xff\n")
+    for parse in (parse_config_file, parse_grid_file):
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read {path}: ") + ".*can't decode byte 0xff"):
+            parse(path)
 
 
 def test_parse_grid_file(tmp_path):
@@ -348,6 +354,14 @@ def test_load_generations_rejects_a_foreign_header(tmp_path):
     path = tmp_path / "generations.csv"
     path.write_text("generation,member,kp,ki\n0,0,0.5,0.1\n")
     with pytest.raises(ValueError, match=re.escape("generations.csv: unexpected header ['generation', 'member', 'kp', 'ki']")):
+        load_generations(path)
+
+
+@pytest.mark.parametrize("text", ["", ",".join(GENERATIONS_HEADER) + "\n"], ids=["empty", "header only"])
+def test_load_generations_names_a_file_without_generations(tmp_path, text):
+    path = tmp_path / "generations.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: the file holds no generations")):
         load_generations(path)
 
 

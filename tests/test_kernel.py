@@ -2,14 +2,15 @@
 
 plant._simulate, behind simulate_route, fitness_of and grid_oracle, is checked
 against a reference that chains route_setpoint, pid_step and plant_step one
-sample at a time and reduces with average_error. It runs on each implementation
-in turn: the C kernel, compiled here with warnings as errors, and its Python
-twin, which it falls back to. A call with many rows is checked row by row
-against one call per row, and grid_oracle against the per-point loop it
-replaced. Every pair must agree exactly: the same arrays, the same average
-errors and the same divergence sample, not merely close values.
+sample at a time and reduces with reference.average_error. It runs on each
+implementation in turn: the C kernel, compiled here with warnings as errors,
+and its Python twin, which it falls back to. A call with many rows is checked
+row by row against one call per row, and grid_oracle against the per-point
+loop it replaced. Every pair must agree exactly: the same arrays, the same
+average errors and the same divergence sample, not merely close values.
 """
 
+import ast
 import contextlib
 import functools
 import itertools
@@ -18,6 +19,7 @@ import math
 import re
 import shutil
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +40,6 @@ from evopid import (
     SimConfig,
     SimTrace,
     SimulationDiverged,
-    average_error,
     build_experiment_spec,
     fitness_of,
     grid_oracle,
@@ -53,6 +54,7 @@ import evopid.harness
 import evopid.plant
 from evopid.metrics import _fitness_rows, _prepared
 from evopid.plant import _KERNEL_FLAGS, _load_kernel, _prepare, _run_checked, _run_rows_py, _schedule, _simulate
+from reference import average_error
 
 NO_CC = "no C compiler: cc is not on PATH, so only the Python twin is tested"
 
@@ -107,15 +109,14 @@ def reference_simulate_route(individual, route, params, sim):
             if not math.isfinite(velocity):
                 raise SimulationDiverged(name, k)
         traces.append(ChannelTrace(np.asarray(times), np.asarray(desired), np.asarray(actual)))
-    return SimTrace(linear=traces[0], angular=traces[1])
+    return SimTrace(linear=traces[0], angular=traces[1], ae=FitnessRecord(*map(average_error, traces)))
 
 
 def reference_fitness(individual, route, params, sim):
     try:
-        trace = reference_simulate_route(individual, route, params, sim)
+        return reference_simulate_route(individual, route, params, sim).ae
     except SimulationDiverged:
         return FitnessRecord(DIVERGENCE_AE, DIVERGENCE_AE)
-    return FitnessRecord(average_error(trace.linear), average_error(trace.angular))
 
 
 def assert_same_run(individual, route, params, sim, kernels):
@@ -138,6 +139,7 @@ def assert_same_run(individual, route, params, sim, kernels):
                         b = getattr(getattr(expected, name), field)
                         assert a.dtype == b.dtype, (name, field)
                         assert np.array_equal(a, b), (name, field)
+                assert got.ae == expected.ae
             assert fitness_of(individual, route, params, sim) == fitness
 
 
@@ -586,7 +588,8 @@ def test_fitness_of_matches_the_replayed_average_error_beyond_2_53(kernels):
     for kernel in kernels:
         with using(kernel):
             ae = fitness_of(individual, route, params, sim).ae_linear
-            assert ae == average_error(simulate_route(individual, route, params, sim).linear) == 4503599627370495.0
+            trace = simulate_route(individual, route, params, sim)
+            assert ae == trace.ae.ae_linear == average_error(trace.linear) == 4503599627370495.0
 
 
 # ---------------------------------------------------------------- the route cache behind fitness_of
@@ -667,6 +670,12 @@ def test_route_cache_is_bounded(plant, sim):
 
 
 def test_no_simulation_path_calls_the_reference(monkeypatch, tmp_path, plant, sim, train_route, kernels):
+    # the reference reducer lives in tests/reference.py: no module of the package defines, imports or names it
+    for path in sorted(Path(evopid.plant.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [getattr(node, field, None) for field in ("name", "asname", "id", "attr")]
+            assert "average_error" not in names, (path.name, node.lineno)
+
     def reference_called(*args):
         raise AssertionError("a simulation path called the per-sample reference")
 

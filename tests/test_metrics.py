@@ -16,11 +16,11 @@ from evopid import (
     MemberRecord,
     PlantParams,
     RouteSpec,
-    average_error,
     build_experiment_spec,
     fitness_of,
     step_metrics,
 )
+from reference import average_error
 
 ZERO = Individual.from_flat([0.0] * 6)
 DT = 0.02

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from evopid import (
     ChannelParams,
     ChannelTrace,
+    FitnessRecord,
     GainGrid,
     Gains,
     Individual,
@@ -126,7 +127,10 @@ def test_plant_specs_keep_numpy_scalars():
     "make, message",
     [
         (lambda: ChannelTrace(np.zeros(3), np.zeros(3), np.zeros(2)), "time, desired, and actual must have equal length"),
-        (lambda: SimTrace(ChannelTrace(*[np.zeros(3)] * 3), ChannelTrace(*[np.zeros(2)] * 3)), "both channels must have equal length"),
+        (
+            lambda: SimTrace(ChannelTrace(*[np.zeros(3)] * 3), ChannelTrace(*[np.zeros(2)] * 3), FitnessRecord(0.0, 0.0)),
+            "both channels must have equal length",
+        ),
     ],
     ids=["channel", "both channels"],
 )
