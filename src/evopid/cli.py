@@ -114,7 +114,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         gains_text = " ".join(f"{k}={v:.6g}" for k, v in fields.items())
         print(f"{name:7s} {gains_text}  ae={ae:.6g}")
     if args.out is not None:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         print(f"wrote {args.out}")

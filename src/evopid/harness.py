@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -28,7 +29,7 @@ from .ep import (
     run_ep,
 )
 from .metrics import DIVERGENCE_AE, StepMetrics, _fitness_rows, fitness_of, step_metrics
-from .plant import FitnessRecord, PlantParams, RouteSpec, SimConfig, _schedule, check_step_route, simulate_route
+from .plant import FitnessRecord, PlantParams, RouteSpec, SimConfig, _prepare, check_step_route, simulate_route
 
 DEFAULT_TRAIN_ROUTE = RouteSpec(start=-0.3, end=0.3)
 DEFAULT_TEST_ROUTE = RouteSpec(start=0.1, end=0.7)
@@ -159,7 +160,7 @@ def _read_assignments(path: Path) -> dict[str, tuple[int, str]]:
     Raises ConfigError, naming the file and line, on a read error, a line without `=` and a repeated key.
     """
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     assignments: dict[str, tuple[int, str]] = {}
@@ -254,10 +255,10 @@ def build_experiment_spec(
 ) -> ExperimentSpec:
     """Assemble a preset experiment; config overrides may adjust everything but the mutation kind.
 
-    Raises ConfigError on a key that is not in CONFIG_TABLE, on a bool, on a value
-    an int key would truncate (2.7 for a population size), and, naming the route key,
-    on a route _schedule rejects: no samples, more than its sample cap, or a first
-    error against a channel's initial velocity that overflows.
+    Raises ConfigError, naming the key as parse_config_file does, on a key not in CONFIG_TABLE, on a
+    value that is not a finite real number (a bool, a string, a NaN), on one an int key would truncate
+    (2.7 for a population size), and, naming the route key, on a route _prepare rejects: no samples,
+    more than its sample cap, or a first error against a channel's initial velocity that overflows.
     """
     _check_experiment_id(experiment_id)
     kind, population_size = EXPERIMENT_TABLE[experiment_id]
@@ -277,19 +278,21 @@ def build_experiment_spec(
         if key not in CONFIG_TABLE:
             raise ConfigError(f"unknown config key {key!r} (valid keys: {', '.join(sorted(CONFIG_TABLE))})")
         parse, path = CONFIG_TABLE[key]
-        if isinstance(value, (bool, np.bool_)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(f"{key} must be a number, got {value!r}")
         try:
             number = parse(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from None
+        if not math.isfinite(number):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
         if parse is int and number != value:
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         values[path] = number
     spec = _replace_fields(preset, values)
     for name, route in (("train", spec.train_route), ("test", spec.test_route)):
         try:
-            _schedule(route, spec.plant, spec.sim)
+            _prepare(route, spec.plant, spec.sim)
         except ValueError as exc:
             raise ConfigError(f"route.{name}: {exc}") from None
     return spec
@@ -299,7 +302,7 @@ def export_generations(history: Sequence[GenerationRecord], path: Path) -> None:
     """One CSV row per (generation, member), floats at full round-trip precision."""
     if len(history) == 0:
         raise ValueError("history is empty")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(GENERATIONS_HEADER)
         for record in history:
@@ -312,27 +315,37 @@ def export_generations(history: Sequence[GenerationRecord], path: Path) -> None:
 
 
 def load_generations(path: Path) -> list[GenerationRecord]:
-    """Rebuild the nonempty history export_generations wrote; an error names the file, and a malformed row its line."""
-    groups: dict[int, list[MemberRecord]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and tuple(header) != GENERATIONS_HEADER:
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for row in reader:
-            try:
-                if len(row) != len(GENERATIONS_HEADER):
-                    raise ValueError(f"expected {len(GENERATIONS_HEADER)} columns, got {len(row)}")
-                gains = [float(v) for v in row[2:8]]
-                member = MemberRecord(Individual.from_flat(gains), float(row[8]), float(row[9]))
-                generation = int(row[0])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            groups.setdefault(generation, []).append(member)
+    """Rebuild the nonempty history export_generations wrote, in its row order; an error names the file and line."""
+    groups: list[list[MemberRecord]] = []  # per generation, its members
+    following = ((0, 0),)  # the (generation, member) pairs the next row may hold: (g, m + 1) or (g + 1, 0)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is not None and tuple(header) != GENERATIONS_HEADER:
+                raise ValueError(f"{path}: unexpected header {header!r}")
+            for row in reader:
+                try:
+                    if len(row) != len(GENERATIONS_HEADER):
+                        raise ValueError(f"expected {len(GENERATIONS_HEADER)} columns, got {len(row)}")
+                    gains = [float(v) for v in row[2:8]]
+                    member = MemberRecord(Individual.from_flat(gains), float(row[8]), float(row[9]))
+                    generation, index = int(row[0]), int(row[1])
+                    if (generation, index) not in following:
+                        expected = " or ".join(map(str, following))
+                        raise ValueError(f"expected (generation, member) {expected}, got {(generation, index)}")
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+                if index == 0:
+                    groups.append([])
+                groups[-1].append(member)
+                following = ((generation, index + 1), (generation + 1, 0))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from None
     if not groups:
         raise ValueError(f"{path}: the file holds no generations")
     try:
-        return [GenerationRecord.from_evaluations(number, tuple(members)) for number, members in sorted(groups.items())]
+        return [GenerationRecord.from_evaluations(number, tuple(members)) for number, members in enumerate(groups)]
     except EvaluationError as exc:
         raise EvaluationError(f"{path}: {exc}", generation=exc.generation) from None
 
@@ -348,7 +361,7 @@ def export_trace(trace, path: Path) -> None:
     )
     # repr of a Python float round-trips at full precision and never needs CSV quoting
     rows = zip(*(map(repr, np.asarray(column, dtype=float).tolist()) for column in columns))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
         fh.writelines(",".join(row) + "\n" for row in rows)
 
@@ -426,7 +439,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     export_generations(history, out / "generations.csv")
     for name, trace in traces.items():
         export_trace(trace, out / f"best_{name}_trace.csv")
-    with open(out / "result.json", "w") as fh:
+    with open(out / "result.json", "w", encoding="utf-8") as fh:
         json.dump(result_as_dict(record, spec), fh, indent=2)
         fh.write("\n")
     return record

@@ -179,13 +179,14 @@ def plant_step(velocity: float, command: float, params: ChannelParams, dt: float
 _MAX_SAMPLES = 10_000_000
 
 
-def _schedule(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tuple[float, int], tuple[float, int]]:
-    """The gate of every route run: the run as (setpoint, sample count) stretches, ((start, k), (end, n - k)).
+def _prepare(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tuple, int, np.ndarray]:
+    """The gate of every route run: its stretches ((start, k), (end, n - k)), its sample count n and its plant.
 
-    On doubles, n = round(total_duration * sample_rate), so the last sample lies at most total_duration - dt / 2.
-    k is the first k with k * dt >= phase_duration, capped at n; the guess ceil(phase_duration / dt)
-    is moved by that test, on the float k * dt every path uses, until exact. Raises ValueError
-    when the route has no samples or more than _MAX_SAMPLES, and, naming the channel, when a first
+    The stretches are (setpoint, sample count); the plant is (2, 4) float64, per channel the limit, DC gain,
+    decay and start velocity. On doubles, n = round(total_duration * sample_rate), so the last sample lies at
+    most total_duration - dt / 2. k is the first k with k * dt >= phase_duration, capped at n; the guess
+    ceil(phase_duration / dt) is moved by that test, on the float k * dt every path uses, until exact. Raises
+    ValueError when the route has no samples or more than _MAX_SAMPLES, and, naming the channel, when a first
     error route.start - initial_velocity overflows: the kernels seed their first derivative with it.
     """
     samples = route.total_duration * float(sim.sample_rate)
@@ -216,14 +217,16 @@ def _schedule(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tu
     # of n * dt at n <= _MAX_SAMPLES; hence n * dt >= phase_duration, and k is the first such sample.
     # It stays as the bound of the C kernel's buffer, which takes k + (n - k) samples and needs both >= 0.
     k = min(k, n)
-    return (route.start, k), (route.end, n - k)
+    channels = (params.linear, params.angular)
+    lags = [(c.actuator_limit, c.dc_gain, math.exp(-dt / float(c.time_constant)), c.initial_velocity) for c in channels]
+    return ((route.start, k), (route.end, n - k)), n, np.array(lags, dtype=np.float64)
 
 
 def check_step_route(name: str, route: RouteSpec, params: PlantParams, sim: SimConfig) -> None:
     """Raise ValueError, naming the route, unless step_metrics is defined on a run of it."""
     if route.start == route.end:
         raise ValueError(f"the {name} route has no step: start equals end ({route.start!r})")
-    (_, k), (_, rest) = _schedule(route, params, sim)
+    (_, k), (_, rest) = _prepare(route, params, sim)[0]
     if rest == 0:
         raise ValueError(
             f"the {name} route gets no sample in its second phase: {k} samples at "
@@ -242,10 +245,10 @@ def _run_rows_py(
     no value, so each channel performs the same float operations in C, in the same
     order. Each performs exactly the float operations of route_setpoint, pid_step
     and plant_step, in their order, so results are bit-identical to chaining them.
-    The samples run in the two stretches of _schedule, ``start`` for ``first``
+    The samples run in the two stretches of _prepare's schedule, ``start`` for ``first``
     samples then ``end`` for ``second``, so no sample tests its time. The previous
     error starts as the first error, which makes sample 0's derivative (e - e) / dt
-    exactly the 0.0 that pid_step uses there (_schedule has checked that the first
+    exactly the 0.0 that pid_step uses there (_prepare has checked that the first
     error is finite). Row r writes its two error sums, the sums of
     |setpoint - measurement| over the samples in time order, to results[r, :2] and
     its two final velocities to results[r, 2:], linear then angular; actual[r, c],
@@ -289,41 +292,12 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-def _run_checked(kernel, gains: np.ndarray, plant: np.ndarray, dt: float, schedule: tuple, results, actual) -> None:
-    """Run evopid_run through ctypes, or _run_rows_py for a None kernel, once every buffer is checked.
-
-    C trusts its pointers, so there must be a row, the sample counts must be >= 0 and every array
-    must be C-contiguous float64 of its shape: gains (rows, 6), plant (2, 4), results (rows, 4)
-    and actual, when given, (rows, 2, first + second). All is checked before any pointer is
-    handed over. dt and the route's two setpoints are handed over as doubles.
-    """
-    (start, first), (end, second) = schedule
-    rows = len(gains)
-    if rows < 1 or first < 0 or second < 0:
-        raise ValueError(f"a run takes a row and sample counts >= 0, got {rows} rows of {first} + {second} samples")
-    shapes = {"gains": (rows, 6), "plant": (2, 4), "results": (rows, 4), "actual": (rows, 2, first + second)}
-    for (name, shape), array in zip(shapes.items(), (gains, plant, results, actual)):
-        if array is not None and (array.shape != shape or array.dtype != np.float64 or not array.flags.c_contiguous):
-            raise ValueError(
-                f"{name} does not fit: the kernel takes a contiguous float64 array of shape {shape}, "
-                f"got {array.dtype} of shape {array.shape}"
-            )
-    dt, start, end = float(dt), float(start), float(end)
-    if kernel is None:
-        _run_rows_py(rows, gains, plant, dt, start, first, end, second, results, actual)
-    else:
-        # a ctypes double over each array's first element, which ctypes passes by reference
-        at = ctypes.c_double.from_buffer
-        data = None if actual is None else at(actual)
-        kernel(rows, at(gains), at(plant), dt, start, first, end, second, at(results), data)
-
-
-def _load_kernel(cache_dir: Path, flags: tuple[str, ...] = _KERNEL_FLAGS):
+def _load_kernel(cache_dir: Path):
     """_kernel.c's function through ctypes, compiled by cc into cache_dir on a miss; None on any failure.
 
-    The library is named by the hash of the source and flags and written by atomic rename, so
-    no process loads a stale or half-written one, and it is loaded only from a directory that
-    this user owns and no one else can write. It is used only if it matches _run_rows_py on
+    The library is named by the hash of _KERNEL_SOURCE and _KERNEL_FLAGS and written by atomic
+    rename, so no process loads a stale or half-written one, and it is loaded only from a directory
+    that this user owns and no one else can write. It is used only if it matches _run_rows_py on
     a fixed run. Nothing is printed, the compiler's own output included.
     """
     # imported on first use, so that importing evopid costs no more than before
@@ -336,14 +310,14 @@ def _load_kernel(cache_dir: Path, flags: tuple[str, ...] = _KERNEL_FLAGS):
         # a library that someone else could have written would run their code
         if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
             return None
-        digest = hashlib.sha256(b"\0".join([_KERNEL_SOURCE.read_bytes(), *map(str.encode, flags)])).hexdigest()
+        digest = hashlib.sha256(b"\0".join([_KERNEL_SOURCE.read_bytes(), *map(str.encode, _KERNEL_FLAGS)])).hexdigest()
         library = cache_dir / f"kernel-{digest[:16]}.so"
         if not library.exists():
             fd, partial = tempfile.mkstemp(suffix=".so", prefix=".kernel-", dir=cache_dir)
             os.close(fd)
             try:
                 subprocess.run(
-                    ["cc", *flags, "-o", partial, str(_KERNEL_SOURCE)],
+                    ["cc", *_KERNEL_FLAGS, "-o", partial, str(_KERNEL_SOURCE)],
                     stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=120,
                 )
                 os.replace(partial, library)
@@ -361,11 +335,10 @@ def _load_kernel(cache_dir: Path, flags: tuple[str, ...] = _KERNEL_FLAGS):
     gains = np.array([(50.0, 10.0, 2.0, 0.5, 0.05, 0.001), (3.0, 0.1, 0.02, 40.0, 5.0, 1.0)])
     plant = np.array([(2.0, 1.0, math.exp(-0.02 / 0.5), 0.3), (1.5, 0.8, math.exp(-0.02 / 0.3), -0.4)])
     got, want = [(np.empty((2, 4)), np.empty((2, 2, 300))) for _ in range(2)]
-    for run, (results, actual) in ((kernel, got), (None, want)):
-        _run_checked(run, gains, plant, 0.02, ((-1.0, 150), (1.0, 150)), results, actual)
-    if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
-        return None
-    return kernel
+    at = ctypes.c_double.from_buffer
+    kernel(2, at(gains), at(plant), 0.02, -1.0, 150, 1.0, 150, *map(at, got))
+    _run_rows_py(2, gains, plant, 0.02, -1.0, 150, 1.0, 150, *want)
+    return None if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)) else kernel
 
 
 @functools.cache
@@ -374,26 +347,38 @@ def _c_kernel():
     return _load_kernel(Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "evopid")
 
 
-def _prepare(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tuple, int, np.ndarray]:
-    """_schedule, the sample count and the (2, 4) plant: per channel limit, DC gain, decay and start velocity."""
-    schedule, dt = _schedule(route, params, sim), sim.dt
-    channels = (params.linear, params.angular)
-    lags = [(c.actuator_limit, c.dc_gain, math.exp(-dt / float(c.time_constant)), c.initial_velocity) for c in channels]
-    return schedule, sum(count for _, count in schedule), np.array(lags, dtype=np.float64)
-
-
 def _simulate(rows, schedule: tuple, plant: np.ndarray, dt: float, record: bool = False):
     """Run every row of six gains (linear kp, ki, kd, then angular) on both channels along the schedule.
 
-    The one entry of every simulation, on a plant from _prepare. It packs the gains as float64, so every
-    number is read as a double, and runs the C kernel when it has loaded, else _run_rows_py: the two
-    give the same bits. Returns the (rows, 4) results, per row the error sums and then the final
-    velocities, linear then angular; and with ``record`` the (rows, 2, n) measurements, else None.
+    The one checked entry of every simulation, on a schedule and plant from _prepare. It packs the gains as float64,
+    so every number is read as a double. C trusts its pointers, so before it hands one over it checks for a row,
+    sample counts >= 0, and gains and plant C-contiguous float64 of shapes (rows, 6) and (2, 4); it allocates the
+    buffers the kernel writes. It runs the C kernel when loaded, else _run_rows_py: the two give the same bits.
+    Returns the (rows, 4) results, per row the error sums and then the final velocities, linear then angular; and
+    with ``record`` the (rows, 2, n) measurements, else None.
     """
     gains = np.array(rows, dtype=np.float64)
-    results = np.empty((len(gains), 4))
-    actual = np.empty((len(gains), 2, sum(count for _, count in schedule))) if record else None
-    _run_checked(_c_kernel(), gains, plant, dt, schedule, results, actual)
+    (start, first), (end, second) = schedule
+    count = len(gains)
+    if count < 1 or first < 0 or second < 0:
+        raise ValueError(f"a run takes a row and sample counts >= 0, got {count} rows of {first} + {second} samples")
+    for name, array, shape in (("gains", gains, (count, 6)), ("plant", plant, (2, 4))):
+        if array.shape != shape or array.dtype != np.float64 or not array.flags.c_contiguous:
+            raise ValueError(
+                f"{name} does not fit: the kernel takes a contiguous float64 array of shape {shape}, "
+                f"got {array.dtype} of shape {array.shape}"
+            )
+    results = np.empty((count, 4))
+    actual = np.empty((count, 2, first + second)) if record else None
+    dt, start, end = float(dt), float(start), float(end)
+    kernel = _c_kernel()
+    if kernel is None:
+        _run_rows_py(count, gains, plant, dt, start, first, end, second, results, actual)
+    else:
+        # a ctypes double over each array's first element, which ctypes passes by reference
+        at = ctypes.c_double.from_buffer
+        data = None if actual is None else at(actual)
+        kernel(count, at(gains), at(plant), dt, start, first, end, second, at(results), data)
     return results, actual
 
 

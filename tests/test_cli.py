@@ -248,6 +248,23 @@ def test_module_entry_point(tmp_path):
     assert "linear" in proc.stdout
 
 
+def test_tune_reads_a_utf8_config_under_an_ascii_locale(tmp_path):
+    # the C locale's encoding is ASCII; every file is read and written as UTF-8 all the same
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text("# time constants in s, not \u00b5s\nep.max_generations = 2\n", encoding="utf-8")
+    source_root = str(Path(evopid.cli.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, (source_root, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "evopid.cli", "tune", "--experiment", "2", "--out", str(tmp_path / "run"),
+         "--config", str(cfg)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "run" / "result.json").read_text())["generations_run"] == 2
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -4,6 +4,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from evopid import (
@@ -166,6 +167,24 @@ def test_override_rejects_a_bool(key):
     # True would otherwise count as 1
     with pytest.raises(ConfigError, match=re.escape(f"{key} must be a number, got True")):
         build_experiment_spec(2, overrides={key: True})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("plant.linear.dc_gain", "2", "plant.linear.dc_gain must be a number, got '2'"),
+        ("ep.population_size", "10", "ep.population_size must be a number, got '10'"),
+        ("sim.sample_rate", None, "sim.sample_rate must be a number, got None"),
+        ("route.train.start", math.nan, "route.train.start must be finite, got nan"),
+        ("route.test.end", -math.inf, "route.test.end must be finite, got -inf"),
+        ("init.kp.high", np.float64(math.inf), "init.kp.high must be finite, got "),
+        ("ep.max_generations", math.nan, "bad value for ep.max_generations"),
+    ],
+)
+def test_override_follows_the_config_file_rules(key, value, message):
+    # a library override takes what a config file gives: a finite real number, rejected naming its key
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_experiment_spec(2, overrides={key: value})
 
 
 @pytest.mark.parametrize("route", ["train", "test"])
@@ -371,12 +390,39 @@ def test_load_generations_names_a_file_without_generations(tmp_path, text):
         ("0,0,0.5,0.1,0,0.5,0.1,0", "expected 10 columns, got 8"),  # six gains, no AE columns
         ("0,0,0.5,0.1", "expected 10 columns, got 4"),  # two gains
         ("0,0,0.5,0.1,0,0.5,0.1,0,x,0.2", "could not convert string to float: 'x'"),
+        ("0,abc,0.5,0.1,0,0.5,0.1,0,0.3,0.2", "invalid literal for int() with base 10: 'abc'"),
+        ("5,0,0.5,0.1,0,0.5,0.1,0,0.3,0.2", "expected (generation, member) (0, 1) or (1, 0), got (5, 0)"),
+        ("0,2,0.5,0.1,0,0.5,0.1,0,0.3,0.2", "expected (generation, member) (0, 1) or (1, 0), got (0, 2)"),
+        ("0,0,0.5,0.1,0,0.5,0.1,0,0.4,0.2", "expected (generation, member) (0, 1) or (1, 0), got (0, 0)"),
+        ("1,1,0.5,0.1,0,0.5,0.1,0,0.3,0.2", "expected (generation, member) (0, 1) or (1, 0), got (1, 1)"),
     ],
 )
 def test_load_generations_names_the_line_of_a_malformed_row(tmp_path, row, message):
     path = tmp_path / "generations.csv"
     path.write_text(",".join(GENERATIONS_HEADER) + "\n0,0,0.5,0.1,0,0.5,0.1,0,0.3,0.2\n" + row + "\n")
     with pytest.raises(ValueError, match=re.escape(f"generations.csv:3: {message}")):
+        load_generations(path)
+
+
+@pytest.mark.parametrize("first", ["1,0", "0,1", "-1,0"])
+def test_load_generations_requires_generation_0_member_0_first(tmp_path, first):
+    path = tmp_path / "generations.csv"
+    path.write_text(",".join(GENERATIONS_HEADER) + f"\n{first},0.5,0.1,0,0.5,0.1,0,0.3,0.2\n")
+    message = f"generations.csv:2: expected (generation, member) (0, 0), got ({first.replace(',', ', ')})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_generations(path)
+
+
+@pytest.mark.parametrize("at", ["header", "row"])
+def test_load_generations_names_a_file_that_is_not_utf8(tmp_path, at):
+    path = tmp_path / "generations.csv"
+    header, row = ",".join(GENERATIONS_HEADER).encode(), b"0,0,0.5,0.1,0,0.5,0.1,0,0.3,0.2"
+    if at == "header":
+        header = header.replace(b"member", b"memb\xffer")
+    else:
+        row = row.replace(b"0.3", b"0.3\xff")
+    path.write_bytes(header + b"\n" + row + b"\n")
+    with pytest.raises(ValueError, match=re.escape(f"cannot read {path}: ") + ".*can't decode byte 0xff"):
         load_generations(path)
 
 

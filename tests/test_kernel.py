@@ -53,7 +53,7 @@ from evopid import (
 import evopid.harness
 import evopid.plant
 from evopid.metrics import _fitness_rows, _prepared
-from evopid.plant import _KERNEL_FLAGS, _load_kernel, _prepare, _run_checked, _run_rows_py, _schedule, _simulate
+from evopid.plant import _KERNEL_FLAGS, _load_kernel, _prepare, _run_rows_py, _simulate
 from reference import average_error
 
 NO_CC = "no C compiler: cc is not on PATH, so only the Python twin is tested"
@@ -64,7 +64,9 @@ def c_kernel(tmp_path_factory):
     """The C kernel compiled into a fresh cache with every warning an error, or None without cc."""
     if shutil.which("cc") is None:
         return None
-    kernel = _load_kernel(tmp_path_factory.mktemp("kernel"), (*_KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror"))
+        kernel = _load_kernel(tmp_path_factory.mktemp("kernel"))
     assert kernel is not None, "the C kernel failed to compile, load or match the Python loop"
     return kernel
 
@@ -294,7 +296,7 @@ def test_phase_switch_is_the_first_sample_of_the_second_phase(phase_duration, sa
     n = int(round(route.total_duration * sample_rate))
     assume(n > 0)
     first = next(k for k in itertools.count() if k * sim.dt >= phase_duration)
-    assert _schedule(route, PlantParams(), sim) == ((0.0, min(first, n)), (1.0, n - min(first, n)))
+    assert _prepare(route, PlantParams(), sim)[0] == ((0.0, min(first, n)), (1.0, n - min(first, n)))
 
 
 # ---------------------------------------------------------------- the C kernel and its fallback
@@ -367,7 +369,7 @@ def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, g
         return c_kernel(*args)
 
     params = PlantParams(channel, channel)
-    schedule, rows = _schedule(route, params, sim), [gains.as_tuple() * 2]
+    schedule, rows = _prepare(route, params, sim)[0], [gains.as_tuple() * 2]
     with using(spy):
         results, actual = _simulate(rows, schedule, _prepare(route, params, sim)[2], sim.dt, record)
     assert len(calls) == 1
@@ -383,32 +385,24 @@ def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, g
 @pytest.mark.parametrize(
     "schedule, replaced",
     [
-        (((0.0, 3), (1.0, 3)), {"actual": np.empty((2, 2, 5))}),
-        (((0.0, 3), (1.0, -1)), {"actual": np.empty((2, 2, 2))}),
-        (((0.0, -1), (1.0, 3)), {"actual": np.empty((2, 2, 2))}),
-        (((0.0, 3), (1.0, 3)), {"actual": np.empty((2, 2, 6), dtype=np.float32)}),
-        (((0.0, 3), (1.0, 3)), {"actual": np.empty((2, 2, 12))[:, :, ::2]}),
-        (((0.0, 3), (1.0, 3)), {"actual": np.empty((2, 6))}),
-        (((0.0, 3), (1.0, 3)), {"gains": np.zeros((0, 6)), "results": np.empty((0, 4)), "actual": np.empty((0, 2, 6))}),
-        (((0.0, 3), (1.0, 3)), {"gains": np.zeros((2, 3))}),
-        (((0.0, 3), (1.0, 3)), {"gains": np.zeros((2, 6), order="F")}),
-        (((0.0, 3), (1.0, 3)), {"plant": np.ones((4, 2))}),
-        (((0.0, 3), (1.0, 3)), {"results": np.empty((1, 4))}),
-        (((0.0, 3), (1.0, 3)), {"results": np.empty((2, 4), dtype=np.float32)}),
+        (((0.0, 3), (1.0, -1)), {}),
+        (((0.0, -1), (1.0, 3)), {}),
+        (((0.0, 3), (1.0, 3)), {"rows": np.zeros((0, 6))}),
+        (((0.0, 3), (1.0, 3)), {"rows": np.zeros((2, 3))}),
+        (((0.0, 3), (1.0, 3)), {"rows": np.zeros((2, 6), order="F")}),
+        (((0.0, 3), (1.0, 3)), {"plant": np.ones((4, 2)).T}),
     ],
-    ids=["short", "negative-second", "negative-first", "float32", "strided", "actual-without-rows",
-         "no-rows", "gains-of-three", "gains-fortran", "plant-transposed", "results-one-row-short", "results-float32"],
+    ids=["negative-second", "negative-first", "no-rows", "gains-of-three", "gains-fortran", "plant-transposed"],
 )
-def test_kernel_call_rejects_a_buffer_that_does_not_fit(schedule, replaced):
-    # two rows: gains (2, 6), plant (2, 4), results (2, 4) and actual (2, 2, 6), some of them replaced
+def test_kernel_call_rejects_a_buffer_that_does_not_fit(schedule, replaced, monkeypatch):
+    # two rows: gains (2, 6) and plant (2, 4), one of them replaced; results and actual are _simulate's own
     def kernel(*args):
-        pytest.fail("the kernel was handed a buffer that does not fit")
+        pytest.fail("a kernel was handed a buffer that does not fit")
 
-    buffers = {"gains": np.zeros((2, 6)), "plant": np.ones((2, 4)), "results": np.empty((2, 4))}
-    buffers["actual"] = np.empty((2, 2, 6))
-    buffers.update(replaced)
-    with pytest.raises(ValueError, match="does not fit|a run takes a row and sample counts >= 0"):
-        _run_checked(kernel, buffers["gains"], buffers["plant"], 0.02, schedule, buffers["results"], buffers["actual"])
+    monkeypatch.setattr(evopid.plant, "_run_rows_py", kernel)
+    arguments = {"rows": np.zeros((2, 6)), "plant": np.ones((2, 4)), **replaced}
+    with using(kernel), pytest.raises(ValueError, match="does not fit|a run takes a row and sample counts >= 0"):
+        _simulate(arguments["rows"], schedule, arguments["plant"], 0.02, record=True)
 
 
 def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatch):
@@ -421,7 +415,9 @@ def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatc
     assert re.fullmatch(r"kernel-[0-9a-f]{16}\.so", library.name)
     assert cache.stat().st_mode & 0o777 == 0o700
     # other flags name another library
-    assert _load_kernel(cache, (*_KERNEL_FLAGS, "-O1")) is not None
+    with monkeypatch.context() as patch:
+        patch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-O1"))
+        assert _load_kernel(cache) is not None
     assert len(list(cache.iterdir())) == 2
     # with no compiler the cached library is loaded
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
@@ -495,7 +491,7 @@ def assert_batch_matches_fitness_of(individuals, route, params, sim, kernels):
     # one call with every row against one call per row: the results and measurements bit for bit,
     # and each score == fitness_of; tobytes also matches a NaN to a NaN
     rows = [individual.as_flat() for individual in individuals]
-    schedule = _schedule(route, params, sim)
+    schedule = _prepare(route, params, sim)[0]
     for kernel in kernels:
         with using(kernel):
             results, actual = _simulate(rows, schedule, _prepare(route, params, sim)[2], sim.dt, record=True)

@@ -24,7 +24,7 @@ from evopid import (
     route_setpoint,
     simulate_route,
 )
-from evopid.plant import _MAX_SAMPLES, _schedule
+from evopid.plant import _MAX_SAMPLES, _prepare
 
 ZERO = Individual.from_flat([0.0] * 6)
 
@@ -169,10 +169,10 @@ def test_route_longer_than_the_sample_cap_is_rejected_before_running(phase_durat
 @example(phase_duration=_MAX_SAMPLES / 100, sample_rate=50.0)  # exactly the cap
 @example(phase_duration=49_999.998, sample_rate=100.0)  # 9,999,999.6 samples round up to the cap
 def test_last_sample_lies_inside_the_route_window(phase_duration, sample_rate):
-    # why _schedule needs no window check: rounding leaves the last sample dt / 2 short of the end
+    # why _prepare needs no window check: rounding leaves the last sample dt / 2 short of the end
     route, sim = RouteSpec(-0.3, 0.3, phase_duration=phase_duration), SimConfig(sample_rate)
     assume(0.5 < route.total_duration * sim.sample_rate <= _MAX_SAMPLES)
-    n = sum(count for _, count in _schedule(route, PlantParams(), sim))
+    n = sum(count for _, count in _prepare(route, PlantParams(), sim)[0])
     assert (n - 1) * sim.dt < route.total_duration
     assert route_setpoint(route, (n - 1) * sim.dt) in (route.start, route.end)
 
@@ -180,7 +180,7 @@ def test_last_sample_lies_inside_the_route_window(phase_duration, sample_rate):
 def test_route_at_the_sample_cap_is_accepted():
     # only counted: 2 * 100,000 s at 50 Hz is exactly the cap
     route = RouteSpec(-0.3, 0.3, phase_duration=_MAX_SAMPLES / 100)
-    assert _schedule(route, PlantParams(), SimConfig(50.0)) == ((-0.3, _MAX_SAMPLES // 2), (0.3, _MAX_SAMPLES // 2))
+    assert _prepare(route, PlantParams(), SimConfig(50.0))[0] == ((-0.3, _MAX_SAMPLES // 2), (0.3, _MAX_SAMPLES // 2))
 
 
 @pytest.mark.parametrize("phase_duration", [0.01, 3.0])
