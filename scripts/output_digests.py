@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Print the SHA-256 of every output and every stdout of a fixed set of evopid commands.
+
+One line per output: the command, the file name (or "stdout") and its digest. The set is
+`tune` for experiments 1-3 and seeds 0-9, and `step` and `oracle` on both routes with one
+gain set and one grid. Each command runs in its own empty directory with the relative
+`--out out`, so result.json, which records its output directory, compares too. Diff the
+lines of two trees, or of one tree with and without --twin, to check that they write the
+same bytes:
+
+    PYTHONPATH=src python scripts/output_digests.py > c.txt
+    PYTHONPATH=src python scripts/output_digests.py --twin > twin.txt
+    diff c.txt twin.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+from pathlib import Path
+
+import evopid.plant
+from evopid import EXPERIMENT_TABLE
+from evopid.cli import cli_main
+
+GAINS = "0.5,0.05,0.001,0.4,0.02,0"
+GRID = "kp = 0, 2, 8, 32, 128\nki = 0, 1, 4, 16\nkd = 0, 0.05, 0.2\n"
+SEEDS = range(10)
+
+
+def commands() -> list[str]:
+    tune = [f"tune --experiment {e} --seed {s} --out out" for e in EXPERIMENT_TABLE for s in SEEDS]
+    routes = ("train", "test")
+    step = [f"step --gains {GAINS} --route {route} --out out" for route in routes]
+    oracle = [f"oracle --grid grid.cfg --route {route} --out out" for route in routes]
+    return tune + step + oracle
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--twin", action="store_true", help="run the Python twin in place of the C kernel")
+    args = parser.parse_args()
+    if args.twin:
+        evopid.plant._c_kernel = lambda: None
+
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="evopid-digests-") as tmp:
+        try:
+            for number, command in enumerate(commands()):
+                case = Path(tmp) / str(number)
+                case.mkdir()
+                os.chdir(case)
+                (case / "grid.cfg").write_text(GRID, encoding="utf-8")
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli_main(command.split())
+                if code != 0:
+                    raise SystemExit(f"{command} exited {code}")
+                print(f"{command}\tstdout\t{digest(stdout.getvalue().encode())}")
+                out = case / "out"
+                files = sorted(out.iterdir()) if out.is_dir() else [out]
+                for path in files:
+                    print(f"{command}\t{path.relative_to(case)}\t{digest(path.read_bytes())}")
+        finally:
+            os.chdir(home)
+
+
+if __name__ == "__main__":
+    main()

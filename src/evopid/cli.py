@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -11,6 +10,7 @@ from typing import Sequence
 
 from .ep import EvaluationError, Individual
 from .harness import (
+    EXPERIMENT_TABLE,
     ConfigError,
     build_environment,
     build_experiment_spec,
@@ -20,6 +20,7 @@ from .harness import (
     parse_grid_file,
     render_result_table,
     run_experiment,
+    _write_json,
 )
 from .metrics import step_metrics
 from .plant import SimulationDiverged, check_step_route, simulate_route
@@ -33,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     tune = sub.add_parser("tune", help="run one preset tuning experiment and log every generation")
-    tune.add_argument("--experiment", type=int, required=True, choices=(1, 2, 3), help="preset experiment id")
+    tune.add_argument("--experiment", type=int, required=True, choices=EXPERIMENT_TABLE, help="preset experiment id")
     tune.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     tune.add_argument("--out", type=Path, default=None, help="output directory (default results/experiment_N)")
     tune.add_argument("--config", type=Path, default=None, help="flat key=value override file")
@@ -114,9 +115,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         gains_text = " ".join(f"{k}={v:.6g}" for k, v in fields.items())
         print(f"{name:7s} {gains_text}  ae={ae:.6g}")
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write_json(args.out, payload)
         print(f"wrote {args.out}")
     return 0
 

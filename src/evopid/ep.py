@@ -291,8 +291,6 @@ def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
     rng = random.Random(config.rng_seed)
     population = init_population(config, rng)
     history: list[GenerationRecord] = []
-    # the fittest member so far on each channel; strict < keeps the earliest of equal minima
-    best_lin = best_ang = None
     # the evaluator is deterministic, so a repeated individual (usually the elitist parent) reuses its score
     scores: dict[Individual, tuple[float, float]] = {}
     while True:
@@ -315,10 +313,6 @@ def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
         history.append(record)
         fittest_linear = record.members[record.fittest_linear_index]
         fittest_angular = record.members[record.fittest_angular_index]
-        if best_lin is None or fittest_linear.ae_linear < best_lin.ae_linear:
-            best_lin = fittest_linear
-        if best_ang is None or fittest_angular.ae_angular < best_ang.ae_angular:
-            best_ang = fittest_angular
         if fittest_linear.ae_linear < config.ae_target and fittest_angular.ae_angular < config.ae_target:
             stop_reason = StopReason.TARGET_REACHED
             break
@@ -327,4 +321,7 @@ def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
             break
         population = next_generation(record, config, rng)
 
+    # the fittest member over the run on each channel; min keeps the earliest of equal (finite) minima
+    best_lin = min((r.members[r.fittest_linear_index] for r in history), key=lambda m: m.ae_linear)
+    best_ang = min((r.members[r.fittest_angular_index] for r in history), key=lambda m: m.ae_angular)
     return EPResult(Individual(best_lin.individual.linear, best_ang.individual.angular), tuple(history), stop_reason)

@@ -160,7 +160,8 @@ def _read_assignments(path: Path) -> dict[str, tuple[int, str]]:
     Raises ConfigError, naming the file and line, on a read error, a line without `=` and a repeated key.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        # universal newlines end a line only at \n, \r\n or \r; splitlines() would also split at U+2028 and kin
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     assignments: dict[str, tuple[int, str]] = {}
@@ -298,26 +299,37 @@ def build_experiment_spec(
     return spec
 
 
+def _write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """The one CSV format: the header, then each row of caller-formatted cells, comma-joined, one `\\n` line each."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
+def _write_json(path: Path, payload) -> None:
+    """The one JSON format: indent 2 and a final newline, UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def export_generations(history: Sequence[GenerationRecord], path: Path) -> None:
     """One CSV row per (generation, member), floats at full round-trip precision."""
     if len(history) == 0:
         raise ValueError("history is empty")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GENERATIONS_HEADER)
-        for record in history:
-            for member_index, m in enumerate(record.members):
-                writer.writerow(
-                    [record.generation_index, member_index]
-                    + [repr(float(v)) for v in m.individual.as_flat()]
-                    + [repr(float(m.ae_linear)), repr(float(m.ae_angular))]
-                )
+    # float() writes a library caller's int gain as 1.0, not 1
+    rows = (
+        (str(record.generation_index), str(i), *map(repr, map(float, m.individual.as_flat())))
+        + (repr(float(m.ae_linear)), repr(float(m.ae_angular)))
+        for record in history
+        for i, m in enumerate(record.members)
+    )
+    _write_csv(path, GENERATIONS_HEADER, rows)
 
 
 def load_generations(path: Path) -> list[GenerationRecord]:
     """Rebuild the nonempty history export_generations wrote, in its row order; an error names the file and line."""
     groups: list[list[MemberRecord]] = []  # per generation, its members
-    following = ((0, 0),)  # the (generation, member) pairs the next row may hold: (g, m + 1) or (g + 1, 0)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -331,15 +343,16 @@ def load_generations(path: Path) -> list[GenerationRecord]:
                     gains = [float(v) for v in row[2:8]]
                     member = MemberRecord(Individual.from_flat(gains), float(row[8]), float(row[9]))
                     generation, index = int(row[0]), int(row[1])
-                    if (generation, index) not in following:
-                        expected = " or ".join(map(str, following))
+                    # the next row holds (0, 0) first, then (g, m + 1) or (g + 1, 0)
+                    allowed = ((len(groups) - 1, len(groups[-1])), (len(groups), 0)) if groups else ((0, 0),)
+                    if (generation, index) not in allowed:
+                        expected = " or ".join(map(str, allowed))
                         raise ValueError(f"expected (generation, member) {expected}, got {(generation, index)}")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
                 if index == 0:
                     groups.append([])
                 groups[-1].append(member)
-                following = ((generation, index + 1), (generation + 1, 0))
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     if not groups:
@@ -360,26 +373,19 @@ def export_trace(trace, path: Path) -> None:
         trace.angular.actual,
     )
     # repr of a Python float round-trips at full precision and never needs CSV quoting
-    rows = zip(*(map(repr, np.asarray(column, dtype=float).tolist()) for column in columns))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
-
-
-def _spec_as_dict(spec: ExperimentSpec) -> dict:
-    """The run's settings; build_experiment_spec(id, seed=seed, overrides=config) rebuilds the spec."""
-    return {
-        "id": spec.experiment_id,
-        "seed": spec.ep.rng_seed,
-        "mutation": spec.ep.mutation.kind.value,
-        "config": {key: _field(spec, path) for key, (_, path) in CONFIG_TABLE.items()},
-        "output_dir": str(spec.output_dir),
-    }
+    _write_csv(path, TRACE_HEADER, zip(*(map(repr, np.asarray(column, dtype=float).tolist()) for column in columns)))
 
 
 def result_as_dict(record: ResultRecord, spec: ExperimentSpec) -> dict:
     return {
-        "experiment": _spec_as_dict(spec),
+        # the run's settings: build_experiment_spec(id, seed=seed, overrides=config) rebuilds the spec
+        "experiment": {
+            "id": spec.experiment_id,
+            "seed": spec.ep.rng_seed,
+            "mutation": spec.ep.mutation.kind.value,
+            "config": {key: _field(spec, path) for key, (_, path) in CONFIG_TABLE.items()},
+            "output_dir": str(spec.output_dir),
+        },
         "result": {
             name: {**asdict(getattr(record.best, name)), "ae_train": record.ae_train[i], "ae_test": record.ae_test[i]}
             for i, name in enumerate(("linear", "angular"))
@@ -439,9 +445,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     export_generations(history, out / "generations.csv")
     for name, trace in traces.items():
         export_trace(trace, out / f"best_{name}_trace.csv")
-    with open(out / "result.json", "w", encoding="utf-8") as fh:
-        json.dump(result_as_dict(record, spec), fh, indent=2)
-        fh.write("\n")
+    _write_json(out / "result.json", result_as_dict(record, spec))
     return record
 
 

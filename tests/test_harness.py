@@ -13,7 +13,9 @@ from evopid import (
     ExperimentSpec,
     GainGrid,
     Gains,
+    GenerationRecord,
     Individual,
+    MemberRecord,
     MutationKind,
     MutationSpec,
     PlantParams,
@@ -240,6 +242,9 @@ def test_parse_config_file(tmp_path):
         "ep.ae_target": 0.02,
     }
     assert isinstance(overrides["ep.population_size"], int)
+    # a line ends only at \n, \r\n or \r: text after a U+2028 in a comment stays in the comment
+    cfg.write_bytes("# note\u2028ep.population_size = 3\nep.ae_target = 0.5\r\nroute.test.end = 0.9\r".encode())
+    assert parse_config_file(cfg) == {"ep.ae_target": 0.5, "route.test.end": 0.9}
 
 
 def test_parse_config_file_unknown_key(tmp_path):
@@ -276,6 +281,10 @@ def test_parse_config_file_rejects_a_repeated_key(tmp_path):
     path.write_text("ep.population_size = 3\n# comment\n\nep.ae_target = 0.5\nep.population_size = 4\n")
     with pytest.raises(ConfigError, match=r"c\.cfg:5: ep\.population_size is given again; line 1 gave it first"):
         parse_config_file(path)
+    # a U+2028 does not end a line, so the later lines keep their numbers
+    path.write_text("# a\u2028b\nep.population_size = 3\nep.population_size = 4\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"c\.cfg:3: ep\.population_size is given again; line 2 gave it first"):
+        parse_config_file(path)
 
 
 def test_parse_config_file_missing(tmp_path):
@@ -296,6 +305,9 @@ def test_parse_grid_file(tmp_path):
     assert grid.kp_values == (0.0, 0.5, 1.0)
     assert grid.ki_values == (0.0, 0.05)
     assert grid.kd_values == (0.0,)
+    # text after a U+2028 in a comment stays in the comment
+    grid_file.write_text("kp = 1, 2 # x\u2028ki = 5\n", encoding="utf-8")
+    assert parse_grid_file(grid_file) == GainGrid((1.0, 2.0), (0.0,), (0.0,))
 
 
 def test_parse_grid_file_rejects_unknown_axis(tmp_path):
@@ -318,12 +330,13 @@ def test_parse_grid_file_rejects_a_repeated_gain(tmp_path):
         ("kp = 0.5\nki = 0, x\n", "grid.cfg:2: bad value for ki: could not convert string to float: 'x'"),
         ("kp = 0.5\nkd =\n", "grid.cfg:2: kd lists no values"),
         ("# comments only\n\n", "grid.cfg: grid file defines no gain values"),
+        ("kp = 0.5 # \u2028 x\nkd =\n", "grid.cfg:2: kd lists no values"),
     ],
-    ids=["bad number", "no values", "no gain lines"],
+    ids=["bad number", "no values", "no gain lines", "U+2028 in a comment"],
 )
 def test_parse_grid_file_rejects_a_malformed_file(tmp_path, text, message):
     grid_file = tmp_path / "grid.cfg"
-    grid_file.write_text(text)
+    grid_file.write_text(text, encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape(message)):
         parse_grid_file(grid_file)
 
@@ -367,6 +380,16 @@ def test_export_generations_round_trip(tmp_path):
     path = tmp_path / "generations.csv"
     export_generations(history, path)
     assert load_generations(path) == list(history)
+
+
+def test_export_generations_writes_int_gains_as_floats(tmp_path):
+    # a library caller may build gains and errors from ints; repr(1) would write 1, not 1.0
+    member = MemberRecord(Individual(Gains(1, 0, 0), Gains(2, 3, 0)), 1, 0)
+    history = [GenerationRecord.from_evaluations(0, (member,))]
+    path = tmp_path / "generations.csv"
+    export_generations(history, path)
+    assert path.read_bytes() == (",".join(GENERATIONS_HEADER) + "\n0,0,1.0,0.0,0.0,2.0,3.0,0.0,1.0,0.0\n").encode()
+    assert load_generations(path) == history
 
 
 def test_load_generations_rejects_a_foreign_header(tmp_path):
