@@ -13,7 +13,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 FLAT_GAIN_FIELDS = ("kpv", "kiv", "kdv", "kpa", "kia", "kda")
 
@@ -195,6 +195,7 @@ class EPResult(NamedTuple):
 
 
 Evaluator = Callable[[Individual], tuple[float, float]]
+Scorer = Callable[[tuple[Individual, ...]], Iterable[tuple[float, float]]]
 
 
 def _argmin_finite(values: list[float]) -> int | None:
@@ -278,38 +279,38 @@ def next_generation(record: GenerationRecord, config: EPConfig, rng: random.Rand
     return tuple(members)
 
 
-def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
-    """Run the full tuning loop: evaluate, select, stop-check, mutate.
+def evolve(config: EPConfig, score: Scorer) -> EPResult:
+    """run_ep's loop, each generation scored in at most one call: score, select, stop-check, mutate.
 
-    The evaluator maps an Individual to (ae_linear, ae_angular) and must be
-    deterministic: it is called once per distinct individual. The loop stops
-    once the fittest members of a generation have both channel errors strictly
-    below ``ae_target``, or after evaluating ``max_generations`` full
-    populations. Returns the composite best individual over the entire history
-    together with the per-generation records.
+    ``score`` maps the tuple of distinct members not yet scored, in first-seen order, to one deterministic
+    (ae_linear, ae_angular) each. A failed call, a wrong count or a score float() rejects raises EvaluationError
+    naming the generation, and the member's first population index if ``score`` raised one naming its batch index.
     """
     rng = random.Random(config.rng_seed)
     population = init_population(config, rng)
     history: list[GenerationRecord] = []
-    # the evaluator is deterministic, so a repeated individual (usually the elitist parent) reuses its score
-    scores: dict[Individual, tuple[float, float]] = {}
+    # the scorer is deterministic, so a repeated individual (usually the elitist parent) reuses its score
+    scores: dict[Individual, list[float]] = {}
     while True:
         generation = len(history)
-        members = []
-        for i, individual in enumerate(population):
-            score = scores.get(individual)
-            if score is None:
-                try:
-                    ae_linear, ae_angular = evaluator(individual)
-                except Exception as exc:
-                    raise EvaluationError(
-                        f"evaluator failed at generation {generation}, member {i}: {exc}",
-                        generation=generation,
-                        member=i,
-                    ) from exc
-                score = scores[individual] = (float(ae_linear), float(ae_angular))
-            members.append(MemberRecord(individual, *score))
-        record = GenerationRecord.from_evaluations(generation, tuple(members))
+        # one lookup per member and one insert per new one; update() reuses the hashes pending holds
+        pending: dict[Individual, list[float]] = {}
+        cells = [scores.get(individual) or pending.setdefault(individual, []) for individual in population]
+        if pending:
+            try:
+                results = list(score(tuple(pending)))
+                if len(results) != len(pending):
+                    raise ValueError(f"expected {len(pending)} scores, got {len(results)}")
+                for cell, (ae_linear, ae_angular) in zip(pending.values(), results):
+                    cell += float(ae_linear), float(ae_angular)
+            except Exception as exc:
+                i = exc.member if isinstance(exc, EvaluationError) else None
+                member = None if i is None else population.index(list(pending)[i])
+                at = f"generation {generation}" + ("" if member is None else f", member {member}")
+                raise EvaluationError(f"scoring failed at {at}: {exc}", generation=generation, member=member) from exc
+            scores.update(pending)
+        members = tuple(MemberRecord(individual, *cell) for individual, cell in zip(population, cells))
+        record = GenerationRecord.from_evaluations(generation, members)
         history.append(record)
         fittest_linear = record.members[record.fittest_linear_index]
         fittest_angular = record.members[record.fittest_angular_index]
@@ -325,3 +326,24 @@ def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
     best_lin = min((r.members[r.fittest_linear_index] for r in history), key=lambda m: m.ae_linear)
     best_ang = min((r.members[r.fittest_angular_index] for r in history), key=lambda m: m.ae_angular)
     return EPResult(Individual(best_lin.individual.linear, best_ang.individual.angular), tuple(history), stop_reason)
+
+
+def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
+    """Run the full tuning loop: evaluate, select, stop-check, mutate; evolve's one-member view.
+
+    The evaluator maps an Individual to (ae_linear, ae_angular) and must be deterministic: it is called once
+    per distinct individual. The loop stops once the fittest members of a generation have both channel errors
+    strictly below ``ae_target``, or after evaluating ``max_generations`` full populations. Returns the
+    composite best individual over the entire history together with the per-generation records. A failed or
+    malformed evaluation names the generation and the member, the first one holding the failing individual.
+    """
+
+    def score(batch: tuple[Individual, ...]) -> Iterator[tuple[float, float]]:
+        for i, individual in enumerate(batch):
+            try:
+                ae_linear, ae_angular = evaluator(individual)
+                yield float(ae_linear), float(ae_angular)
+            except Exception as exc:
+                raise EvaluationError(str(exc), member=i) from exc
+
+    return evolve(config, score)

@@ -26,9 +26,9 @@ from .ep import (
     StopReason,
     _MAX_MEMBERS,
     _require_finite,
-    run_ep,
+    evolve,
 )
-from .metrics import DIVERGENCE_AE, StepMetrics, _fitness_rows, fitness_of, step_metrics
+from .metrics import DIVERGENCE_AE, StepMetrics, _fitness_rows, step_metrics
 from .plant import FitnessRecord, PlantParams, RouteSpec, SimConfig, _prepare, check_step_route, simulate_route
 
 DEFAULT_TRAIN_ROUTE = RouteSpec(start=-0.3, end=0.3)
@@ -418,14 +418,12 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     result.json into the spec's output directory. Raises EvaluationError, and
     writes nothing, when every member of every generation diverged.
     """
-
-    def evaluator(individual: Individual) -> tuple[float, float]:
-        return fitness_of(individual, spec.train_route, spec.plant, spec.sim)
-
     routes = {"train": spec.train_route, "test": spec.test_route}
     for name, route in routes.items():
         check_step_route(name, route, spec.plant, spec.sim)
-    best, history, stop_reason = run_ep(spec.ep, evaluator)
+    best, history, stop_reason = evolve(
+        spec.ep, lambda batch: _fitness_rows([m.as_flat() for m in batch], spec.train_route, spec.plant, spec.sim)
+    )
     if all(m.ae_linear == m.ae_angular == DIVERGENCE_AE for record in history for m in record.members):
         raise EvaluationError(
             f"all {spec.ep.population_size * len(history)} members of {len(history)} generations diverged "

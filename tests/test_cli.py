@@ -125,10 +125,10 @@ def test_step_rejects_route_over_the_sample_cap(tmp_path, capsys):
     ],
 )
 def test_tune_rejects_a_route_without_a_step_before_tuning(tmp_path, capsys, monkeypatch, lines, message):
-    def no_run_ep(*args):
-        raise AssertionError("run_ep was called")
+    def no_evolve(*args):
+        raise AssertionError("evolve was called")
 
-    monkeypatch.setattr(evopid.harness, "run_ep", no_run_ep)
+    monkeypatch.setattr(evopid.harness, "evolve", no_evolve)
     cfg = tmp_path / "route.cfg"
     cfg.write_text(lines)
     out = tmp_path / "run"
@@ -281,7 +281,7 @@ def test_tune_reads_a_utf8_config_under_an_ascii_locale(tmp_path):
 )
 def test_tune_rejects_nonfinite_config_values(tmp_path, capsys, monkeypatch, key, value):
     evaluations = []
-    monkeypatch.setattr(evopid.harness, "fitness_of", lambda *args: evaluations.append(args))
+    monkeypatch.setattr(evopid.harness, "_fitness_rows", lambda *args: evaluations.append(args))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{key} = {value}\n")
     out = tmp_path / "run"

@@ -25,10 +25,11 @@ from evopid import (
     mutate_individual,
     mutate_scaled,
     next_generation,
+    build_experiment_spec,
     run_ep,
 )
-from evopid.ep import _MAX_MEMBERS
-from evopid.metrics import fitness_of
+from evopid.ep import _MAX_MEMBERS, evolve
+from evopid.metrics import _fitness_rows, fitness_of
 
 
 class FakeRng:
@@ -414,6 +415,101 @@ def test_run_ep_wraps_evaluator_failures():
         run_ep(EPConfig(population_size=2, max_generations=5, rng_seed=0), fails_on_fourth_call)
     assert excinfo.value.generation == 2
     assert excinfo.value.member == 1
+
+
+@pytest.mark.parametrize("bad", [(None, 0.1), ("x", 0.1), (0.1, 0.2, 0.3), 0.5])
+def test_run_ep_names_the_member_of_a_malformed_score(bad):
+    # generation 0's members 0 and 1 score; member 2 returns the malformed score, and nothing after it runs
+    calls = []
+
+    def evaluator(individual):
+        calls.append(individual)
+        return bad if len(calls) == 3 else (0.5, 0.5)
+
+    with pytest.raises(EvaluationError, match=r"^scoring failed at generation 0, member 2: ") as excinfo:
+        run_ep(EPConfig(population_size=4, rng_seed=0), evaluator)
+    assert (excinfo.value.generation, excinfo.value.member) == (0, 2)
+    assert len(calls) == 3
+
+
+def _sum_scores(batch):
+    return [(sum(individual.as_flat()[:3]), sum(individual.as_flat()[3:])) for individual in batch]
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda batch: 1 / 0, "division by zero"),
+        (lambda batch: _sum_scores(batch)[1:], r"expected \d+ scores, got \d+"),
+        (lambda batch: _sum_scores(batch) + [(0.5, 0.5)], r"expected \d+ scores, got \d+"),
+        (lambda batch: None, "not iterable"),
+        (lambda batch: [(0.5, None)] * len(batch), "float"),
+        (lambda batch: [("x", 0.5)] * len(batch), "could not convert string to float"),
+        (lambda batch: [(0.5,)] * len(batch), "not enough values to unpack"),
+    ],
+)
+def test_evolve_names_the_generation_of_a_failed_scoring_call(fault, message):
+    # generations 0 and 1 score; generation 2's call fails
+    calls = []
+
+    def score(batch):
+        calls.append(batch)
+        return fault(batch) if len(calls) == 3 else _sum_scores(batch)
+
+    config = EPConfig(population_size=3, max_generations=5, rng_seed=0)
+    with pytest.raises(EvaluationError, match=f"^scoring failed at generation 2: .*{message}") as excinfo:
+        evolve(config, score)
+    assert (excinfo.value.generation, excinfo.value.member) == (2, None)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("kind", list(MutationKind))
+def test_evolve_scores_each_generations_new_members_in_one_call(kind):
+    batches = []
+
+    def score(batch):
+        batches.append(batch)
+        return _sum_scores(batch)
+
+    config = EPConfig(population_size=5, max_generations=8, mutation=MutationSpec(kind), rng_seed=2)
+    _, history, _ = evolve(config, score)
+    # the reference: per generation, the members not seen in an earlier one, each once, in first-seen order
+    expected, seen = [], set()
+    for record in history:
+        new = tuple(dict.fromkeys(m.individual for m in record.members if m.individual not in seen))
+        seen.update(new)
+        expected.append(new)
+    assert batches == expected
+    assert all(batches) and sum(map(len, batches)) < len(history) * 5  # the elitist parent came back
+    for m in (m for record in history for m in record.members):
+        assert [(m.ae_linear, m.ae_angular)] == _sum_scores([m.individual])
+
+
+def test_evolve_scores_a_run_of_one_repeated_individual_once():
+    # all-zero bounds draw equal members, and the scaled operator keeps every gain at 0
+    zero = InitSpec(kp_bounds=(0.0, 0.0), ki_bounds=(0.0, 0.0), kd_bounds=(0.0, 0.0))
+    batches = []
+
+    def score(batch):
+        batches.append(batch)
+        return [(0.5, 0.5)] * len(batch)
+
+    _, history, _ = evolve(EPConfig(population_size=5, max_generations=4, init=zero), score)
+    assert batches == [(Individual.from_flat([0.0] * 6),)]
+    assert [len(record.members) for record in history] == [5] * 4
+
+
+@pytest.mark.parametrize("experiment", [1, 2, 3])
+def test_evolve_with_batch_rows_matches_run_ep_with_fitness_of(experiment):
+    # the fast path run_experiment takes, against its plain reference: one fitness_of per distinct individual
+    for seed in range(3):
+        spec = build_experiment_spec(experiment, seed=seed)
+        environment = (spec.train_route, spec.plant, spec.sim)
+        reference = run_ep(spec.ep, lambda individual: fitness_of(individual, *environment))
+        fast = evolve(spec.ep, lambda batch: _fitness_rows([m.as_flat() for m in batch], *environment))
+        assert fast.history == reference.history, seed
+        assert fast.best == reference.best, seed
+        assert fast.stop_reason is reference.stop_reason, seed
 
 
 def test_run_ep_evaluates_each_distinct_individual_once():

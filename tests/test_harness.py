@@ -540,14 +540,14 @@ PINNED_EXP2_SEED0_G20 = {
 
 def test_run_experiment_scores_each_distinct_individual_once_with_pinned_bytes(tmp_path, monkeypatch):
     train_calls = []
-    real_fitness_of = evopid.harness.fitness_of
+    real_fitness_rows = evopid.harness._fitness_rows
 
-    def counting_fitness_of(individual, route, *args):
+    def counting_fitness_rows(rows, route, *args):
         if route is spec.train_route:
-            train_calls.append(individual)
-        return real_fitness_of(individual, route, *args)
+            train_calls.extend(map(Individual.from_flat, rows))
+        return real_fitness_rows(rows, route, *args)
 
-    monkeypatch.setattr(evopid.harness, "fitness_of", counting_fitness_of)
+    monkeypatch.setattr(evopid.harness, "_fitness_rows", counting_fitness_rows)
     # a relative output_dir, because result.json records it
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "out"
