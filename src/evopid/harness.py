@@ -45,6 +45,8 @@ GENERATIONS_HEADER = ("generation", "member", *FLAT_GAIN_FIELDS, "ae_linear", "a
 
 # grid points per batched kernel call in grid_oracle; bounds its memory on large grids
 _ORACLE_CHUNK = 4096
+# rows per formatting pass in _write_csv; small, so its temporaries stay small
+_CSV_CHUNK = 512
 
 TRACE_HEADER = ("t", "desired_linear", "actual_linear", "desired_angular", "actual_angular")
 
@@ -299,11 +301,29 @@ def build_experiment_spec(
     return spec
 
 
-def _write_csv(path: Path, header: Sequence[str], rows) -> None:
-    """The one CSV format: the header, then each row of caller-formatted cells, comma-joined, one `\\n` line each."""
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """The one CSV format: the header, then one `\\n` line per row of the equal-length 1-D float64
+    or int64 columns, each cell the `repr` of its Python number, comma-joined.
+
+    It formats _CSV_CHUNK rows at a time, column by column, and each run of bit-equal values in a
+    column once (bits, so that 0.0 and -0.0 stay apart).
+    """
+    width = len(columns)
+    line = ["", ","] * (width - 1) + ["", "\n"]  # one row: its cells go in the even slots
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        for start in range(0, len(columns[0]), _CSV_CHUNK):
+            rows = min(_CSV_CHUNK, len(columns[0]) - start)
+            cells = line * rows
+            for j, column in enumerate(columns):
+                chunk = column[start : start + rows]
+                bits = chunk.view(np.int64)
+                firsts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+                texts = list(map(repr, chunk[firsts].tolist()))
+                if len(texts) < rows:
+                    texts = np.repeat(np.array(texts, dtype=object), np.diff(np.append(firsts, rows))).tolist()
+                cells[2 * j :: 2 * width] = texts
+            fh.write("".join(cells))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -317,14 +337,13 @@ def export_generations(history: Sequence[GenerationRecord], path: Path) -> None:
     """One CSV row per (generation, member), floats at full round-trip precision."""
     if len(history) == 0:
         raise ValueError("history is empty")
-    # float() writes a library caller's int gain as 1.0, not 1
-    rows = (
-        (str(record.generation_index), str(i), *map(repr, map(float, m.individual.as_flat())))
-        + (repr(float(m.ae_linear)), repr(float(m.ae_angular)))
-        for record in history
-        for i, m in enumerate(record.members)
-    )
-    _write_csv(path, GENERATIONS_HEADER, rows)
+    sizes = [len(record.members) for record in history]
+    # one float64 array of the eight values per row, which writes a library caller's int gain as 1.0, not 1
+    flat = ((*m.individual.as_flat(), m.ae_linear, m.ae_angular) for record in history for m in record.members)
+    values = np.fromiter(itertools.chain.from_iterable(flat), dtype=float, count=8 * sum(sizes)).reshape(-1, 8)
+    generations = np.repeat(np.array([record.generation_index for record in history], dtype=np.int64), sizes)
+    members = np.concatenate([np.arange(size, dtype=np.int64) for size in sizes])
+    _write_csv(path, GENERATIONS_HEADER, (generations, members, *values.T))
 
 
 def load_generations(path: Path) -> list[GenerationRecord]:
@@ -373,7 +392,7 @@ def export_trace(trace, path: Path) -> None:
         trace.angular.actual,
     )
     # repr of a Python float round-trips at full precision and never needs CSV quoting
-    _write_csv(path, TRACE_HEADER, zip(*(map(repr, np.asarray(column, dtype=float).tolist()) for column in columns)))
+    _write_csv(path, TRACE_HEADER, [np.asarray(column, dtype=float) for column in columns])
 
 
 def result_as_dict(record: ResultRecord, spec: ExperimentSpec) -> dict:

@@ -3,9 +3,12 @@ import hashlib
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evopid import (
     EvaluationError,
@@ -45,8 +48,11 @@ from evopid.harness import (
     GENERATIONS_HEADER,
     TRACE_HEADER,
     ConfigError,
+    _write_csv,
     result_as_dict,
 )
+from evopid.metrics import DIVERGENCE_AE
+from reference import write_csv_rows
 
 
 def _toy_history(population_size=4, generations=3, seed=2):
@@ -471,6 +477,60 @@ def test_export_generations_rejects_empty(tmp_path):
         export_generations([], tmp_path / "generations.csv")
 
 
+# ---------------------------------------------------------------- the CSV writer
+
+CSV_CHUNK = evopid.harness._CSV_CHUNK
+CSV_ROW_COUNTS = (1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 1)
+# values a slip in the writer would show: both zeros, the divergence stand-in, subnormals, infinities
+EDGE_FLOATS = (0.0, -0.0, DIVERGENCE_AE, 5e-324, sys.float_info.min / 3, math.inf, -math.inf, 0.1, 0.7)
+
+
+def _write_both(tmp_path, columns) -> tuple[bytes, bytes]:
+    header = [f"c{j}" for j in range(len(columns))]
+    _write_csv(tmp_path / "columns.csv", header, columns)
+    write_csv_rows(tmp_path / "rows.csv", header, columns)
+    return (tmp_path / "columns.csv").read_bytes(), (tmp_path / "rows.csv").read_bytes()
+
+
+def _edge_columns(rows: int) -> list[np.ndarray]:
+    """Runs of every edge float side by side, two long runs, no runs, and an int column of runs of 100."""
+    edges = np.repeat(EDGE_FLOATS, 3)
+    return [
+        np.resize(edges, rows),
+        np.resize(edges[1:], rows),
+        np.repeat([0.1, 0.7], [rows // 2, rows - rows // 2]),
+        np.arange(rows) / 3,
+        np.arange(rows, dtype=np.int64) // 100,
+    ]
+
+
+@pytest.mark.parametrize("rows", CSV_ROW_COUNTS)
+def test_write_csv_writes_the_row_writers_bytes_around_chunk_bounds(rows, tmp_path):
+    written, expected = _write_both(tmp_path, _edge_columns(rows))
+    assert written == expected
+    assert written.count(b"\n") == 1 + rows
+
+
+def _runs_column(rows: int):
+    """A strategy for one float64 or int64 column of `rows` values, drawn as runs of equal values."""
+    floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+    ints = st.integers(-(2**63), 2**63 - 1)
+
+    def column(values, dtype):
+        runs = st.lists(st.tuples(values, st.integers(1, rows)), min_size=1, max_size=8)
+        expand = lambda runs: np.repeat(np.array([v for v, _ in runs], dtype), [k for _, k in runs])
+        return runs.map(lambda runs: np.resize(expand(runs), rows))
+
+    return st.one_of(column(floats, np.float64), column(ints, np.int64))
+
+
+@settings(max_examples=50)
+@given(columns=st.sampled_from(CSV_ROW_COUNTS).flatmap(lambda n: st.lists(_runs_column(n), min_size=1, max_size=5)))
+def test_write_csv_writes_the_row_writers_bytes(columns, tmp_path_factory):
+    written, expected = _write_both(tmp_path_factory.mktemp("csv"), columns)
+    assert written == expected
+
+
 def test_export_trace_schema(tmp_path, plant, sim, train_route):
     trace = simulate_route(Individual.from_flat([0.5, 0.01, 0.0] * 2), train_route, plant, sim)
     path = tmp_path / "trace.csv"
@@ -561,9 +621,12 @@ def test_run_experiment_scores_each_distinct_individual_once_with_pinned_bytes(t
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-# SHA-256 of the file each command writes to "out", run where grid.cfg holds PINNED_GRID;
-# pinned from the batch kernel that took six gain columns per row
+# SHA-256 of the file each command writes to "out", run where grid.cfg holds PINNED_GRID and
+# long.cfg PINNED_LONG_ROUTE; pinned from the batch kernel that took six gain columns per row,
+# except the long route's, pinned from the row-at-a-time CSV writer
 PINNED_GRID = "kp = 0, 2, 8, 32, 128\nki = 0, 1, 4, 16\nkd = 0, 0.05, 0.2\n"
+# a 300 s test-route phase: 30,000 trace rows, many CSV writer chunks
+PINNED_LONG_ROUTE = "route.test.phase_duration = 300.0\n"
 PINNED_CLI_OUTPUTS = {
     "oracle --grid grid.cfg --route train --out out": (
         "816aaf623367d61fa39d061df475c95245f6b440cb593a26da47da77e9ff472e"
@@ -571,13 +634,21 @@ PINNED_CLI_OUTPUTS = {
     "step --gains 0.5,0.05,0.001,0.4,0.02,0 --route test --out out": (
         "53ca5dd2e30f5b4bd6b552c4ffb529af8a461edb8a6bb6519b5666eda6a6c720"
     ),
+    "step --gains 0.5,0.05,0.001,0.4,0.02,0 --route test --config long.cfg --out out": (
+        "907cbd8db3c7d06235b279c257a5fa4ce259a579afb06bdb70724bb2963f4cff"
+    ),
 }
 
 
-@pytest.mark.parametrize("command", list(PINNED_CLI_OUTPUTS), ids=lambda command: command.split()[0])
+@pytest.mark.parametrize(
+    "command",
+    list(PINNED_CLI_OUTPUTS),
+    ids=lambda command: command.split()[0] + ("-long" if "long.cfg" in command else ""),
+)
 def test_oracle_and_step_write_pinned_bytes(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "grid.cfg").write_text(PINNED_GRID)
+    (tmp_path / "long.cfg").write_text(PINNED_LONG_ROUTE)
     assert cli_main(command.split()) == 0
     assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == PINNED_CLI_OUTPUTS[command]
 
