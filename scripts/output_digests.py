@@ -2,12 +2,13 @@
 """Print the SHA-256 of every output and every stdout of a fixed set of evopid commands.
 
 One line per output: the command, the file name (or "stdout") and its digest. The set is
-`tune` for experiments 1-3 and seeds 0-9, `step` and `oracle` on both routes with one
-gain set and one grid, and `step` on a test route of 30,000 samples, whose trace CSV spans
-many of the CSV writer's chunks. Each command runs in its own empty directory with the
-relative `--out out`, so result.json, which records its output directory, compares too. Diff the
-lines of two trees, or of one tree with and without --twin, to check that they write the
-same bytes:
+`tune` for experiments 1-3 and seeds 0-9, `step` on both routes with one gain set, `oracle`
+on both routes with two grids, and `step` on a test route of 30,000 samples, whose trace CSV
+spans many of the CSV writer's chunks. The C kernel runs rows in blocks of four: the 60-point
+grid fills its blocks, and the 105-point one ends on a partial block. Each command runs in its
+own empty directory with the relative `--out out`, so result.json, which records its output
+directory, compares too. Diff the lines of two trees, or of one tree with and without --twin,
+to check that they write the same bytes:
 
     PYTHONPATH=src python scripts/output_digests.py > c.txt
     PYTHONPATH=src python scripts/output_digests.py --twin > twin.txt
@@ -28,6 +29,8 @@ from evopid.cli import cli_main
 
 GAINS = "0.5,0.05,0.001,0.4,0.02,0"
 GRID = "kp = 0, 2, 8, 32, 128\nki = 0, 1, 4, 16\nkd = 0, 0.05, 0.2\n"
+# 7 x 5 x 3 = 105 points, one more than a multiple of four
+TAIL_GRID = "kp = 0, 0.5, 1, 2, 8, 32, 128\nki = 0, 0.25, 1, 4, 16\nkd = 0, 0.05, 0.2\n"
 SEEDS = range(10)
 # a 300 s test-route phase: 30,000 trace rows at the default sample rate
 LONG_ROUTE = "route.test.phase_duration = 300.0\n"
@@ -38,7 +41,8 @@ def commands() -> list[str]:
     routes = ("train", "test")
     step = [f"step --gains {GAINS} --route {route} --out out" for route in routes]
     step.append(f"step --gains {GAINS} --route test --config long.cfg --out out")
-    oracle = [f"oracle --grid grid.cfg --route {route} --out out" for route in routes]
+    grids = ("grid.cfg", "tail.cfg")
+    oracle = [f"oracle --grid {grid} --route {route} --out out" for grid in grids for route in routes]
     return tune + step + oracle
 
 
@@ -61,6 +65,7 @@ def main() -> None:
                 case.mkdir()
                 os.chdir(case)
                 (case / "grid.cfg").write_text(GRID, encoding="utf-8")
+                (case / "tail.cfg").write_text(TAIL_GRID, encoding="utf-8")
                 (case / "long.cfg").write_text(LONG_ROUTE, encoding="utf-8")
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):

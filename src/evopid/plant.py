@@ -241,8 +241,9 @@ def _run_rows_py(
 
     For each of ``rows`` rows of six gains, linear kp, ki, kd then angular, it runs
     both channels' closed loops along the route, each fused into a single pass: the
-    linear one, then the angular one, where C runs the two side by side. They share
-    no value, so each channel performs the same float operations in C, in the same
+    linear one, then the angular one, row after row, where C steps the eight
+    (row, channel) lanes of a block of four rows side by side. No two lanes share a
+    value, so each channel performs the same float operations in C, in the same
     order. Each performs exactly the float operations of route_setpoint, pid_step
     and plant_step, in their order, so results are bit-identical to chaining them.
     The samples run in the two stretches of _prepare's schedule, ``start`` for ``first``
@@ -330,14 +331,23 @@ def _load_kernel(cache_dir: Path):
     pointer = ctypes.POINTER(double)
     kernel.argtypes = (count, pointer, pointer, double, double, count, double, count, pointer, pointer)
     kernel.restype = None
-    # two rows and two unlike channels, recorded: a slip in a row stride or a channel offset shows;
-    # both stretches, both clamps and nonzero start velocities
-    gains = np.array([(50.0, 10.0, 2.0, 0.5, 0.05, 0.001), (3.0, 0.1, 0.02, 40.0, 5.0, 1.0)])
+    # seven unlike rows, a full block of four and a partial one of three, and two unlike channels, recorded:
+    # a slip in a row stride, a channel offset or a block's addressing shows; both stretches, both clamps
+    # and nonzero start velocities
+    gains = np.array([
+        (50.0, 10.0, 2.0, 0.5, 0.05, 0.001),
+        (3.0, 0.1, 0.02, 40.0, 5.0, 1.0),
+        (0.8, 0.2, 0.01, 2.0, 0.5, 0.0),
+        (12.0, 0.0, 0.5, 0.3, 1.5, 0.04),
+        (0.2, 4.0, 0.0, 25.0, 0.0, 0.2),
+        (7.0, 0.6, 0.08, 1.2, 9.0, 0.003),
+        (30.0, 2.5, 0.3, 6.0, 0.02, 0.6),
+    ])
     plant = np.array([(2.0, 1.0, math.exp(-0.02 / 0.5), 0.3), (1.5, 0.8, math.exp(-0.02 / 0.3), -0.4)])
-    got, want = [(np.empty((2, 4)), np.empty((2, 2, 300))) for _ in range(2)]
+    got, want = [(np.empty((7, 4)), np.empty((7, 2, 100))) for _ in range(2)]
     at = ctypes.c_double.from_buffer
-    kernel(2, at(gains), at(plant), 0.02, -1.0, 150, 1.0, 150, *map(at, got))
-    _run_rows_py(2, gains, plant, 0.02, -1.0, 150, 1.0, 150, *want)
+    kernel(7, at(gains), at(plant), 0.02, -1.0, 50, 1.0, 50, *map(at, got))
+    _run_rows_py(7, gains, plant, 0.02, -1.0, 50, 1.0, 50, *want)
     return None if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)) else kernel
 
 

@@ -437,16 +437,21 @@ def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_pa
 @pytest.mark.parametrize(
     "slip",
     [
-        ("gains + 6 * r + 3 * c", "gains + 3 * r + 3 * c"),
-        ("gains + 6 * r + 3 * c", "gains + 6 * r"),
-        ("plant + 4 * c;", "plant;"),
-        ("(2 * r + c) * (first + second)", "(r + c) * (first + second)"),
-        ("results[4 * r + 2 + c]", "results[4 * r + 2]"),
+        ("gains + 6 * (r0 + l / 2)", "gains + 3 * (r0 + l / 2)"),
+        ("gains + 6 * (r0 + l / 2) + 3 * (l % 2)", "gains + 6 * (r0 + l / 2)"),
+        ("plant + 4 * (l % 2);", "plant;"),
+        ("(2 * r0 + l) * (first + second)", "(r0 + l) * (first + second)"),
+        ("results[4 * (r0 + l / 2) + 2 + l % 2]", "results[4 * (r0 + l / 2) + 2]"),
+        ("gains + 6 * (r0 + l / 2)", "gains + 6 * (l / 2)"),
     ],
-    ids=["gains-row-stride", "gains-channel-offset", "plant-channel-offset", "actual-offset", "results-offset"],
+    ids=[
+        "gains-row-stride", "gains-channel-offset", "plant-channel-offset", "actual-offset", "results-offset",
+        "gains-of-block-0",
+    ],
 )
 def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
-    # the self-check runs two rows of unlike channels, recorded, so each slip changes some output
+    # the self-check runs seven rows of unlike channels, recorded, so each slip changes some output: a full
+    # block and a partial one, so reading block 0's gains for every block shows too; no slip reads past a buffer
     if c_kernel is None:
         pytest.skip(NO_CC)
     source = evopid.plant._KERNEL_SOURCE.read_text()
@@ -507,7 +512,7 @@ def assert_batch_matches_fitness_of(individuals, route, params, sim, kernels):
 
 @settings(max_examples=60)
 @given(
-    individuals=st.lists(st.builds(Individual, gains, gains), min_size=1, max_size=6),
+    individuals=st.lists(st.builds(Individual, gains, gains), min_size=1, max_size=9),
     linear_plant=channels,
     angular_plant=channels,
     route=routes,
@@ -533,6 +538,17 @@ def assert_batch_matches_fitness_of(individuals, route, params, sim, kernels):
     linear_plant=ChannelParams(initial_velocity=0),
     angular_plant=ChannelParams(time_constant=0.3, initial_velocity=1),
     route=RouteSpec(0, 1, phase_duration=1),
+    sample_rate=50.0,
+)
+@example(  # nine rows, two full blocks and a tail; row 5 diverges on sample 1, its calm neighbours do not
+    individuals=[
+        *[Individual(Gains(0.1 * (j + 1), 0.05, 0.0), Gains(0.5, 0.01 * j, 0.001)) for j in range(5)],
+        Individual(Gains(1e308, 0.0, 1e308), Gains(1e308, 0.0, 1e308)),
+        *[Individual(Gains(0.2, 0.01 * j, 0.002), Gains(0.1 * (j + 1), 0.0, 0.0)) for j in range(3)],
+    ],
+    linear_plant=ChannelParams(initial_velocity=-5.0),
+    angular_plant=ChannelParams(time_constant=0.3),
+    route=RouteSpec(-0.3, 0.3, phase_duration=0.5),
     sample_rate=50.0,
 )
 def test_batch_rows_match_fitness_of(individuals, linear_plant, angular_plant, route, sample_rate, kernels):
