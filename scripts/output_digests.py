@@ -3,9 +3,9 @@
 
 One line per output: the command, the file name (or "stdout") and its digest. The set is
 `tune` for experiments 1-3 and seeds 0-9, `step` on both routes with one gain set, `oracle`
-on both routes with two grids, and `step` on a test route of 30,000 samples, whose trace CSV
-spans many of the CSV writer's chunks. The C kernel runs rows in blocks of four: the 60-point
-grid fills its blocks, and the 105-point one ends on a partial block. Each command runs in its
+on both routes with three grids, and `step` on a test route of 30,000 samples, whose trace CSV
+spans many of the CSV writer's chunks. The C kernel runs rows in blocks of sixteen: the 64-point
+grid fills its blocks, and the 60- and 105-point ones end on a partial block. Each command runs in its
 own empty directory with the relative `--out out`, so result.json, which records its output
 directory, compares too. Diff the lines of two trees, or of one tree with and without --twin,
 to check that they write the same bytes:
@@ -28,9 +28,12 @@ from evopid import EXPERIMENT_TABLE
 from evopid.cli import cli_main
 
 GAINS = "0.5,0.05,0.001,0.4,0.02,0"
+# 5 x 4 x 3 = 60 points, twelve more than a multiple of sixteen
 GRID = "kp = 0, 2, 8, 32, 128\nki = 0, 1, 4, 16\nkd = 0, 0.05, 0.2\n"
-# 7 x 5 x 3 = 105 points, one more than a multiple of four
+# 7 x 5 x 3 = 105 points, nine more than a multiple of sixteen
 TAIL_GRID = "kp = 0, 0.5, 1, 2, 8, 32, 128\nki = 0, 0.25, 1, 4, 16\nkd = 0, 0.05, 0.2\n"
+# 4 x 4 x 4 = 64 points, four full blocks
+FULL_GRID = "kp = 0, 0.5, 4, 32\nki = 0, 0.25, 2, 16\nkd = 0, 0.01, 0.05, 0.2\n"
 SEEDS = range(10)
 # a 300 s test-route phase: 30,000 trace rows at the default sample rate
 LONG_ROUTE = "route.test.phase_duration = 300.0\n"
@@ -41,7 +44,7 @@ def commands() -> list[str]:
     routes = ("train", "test")
     step = [f"step --gains {GAINS} --route {route} --out out" for route in routes]
     step.append(f"step --gains {GAINS} --route test --config long.cfg --out out")
-    grids = ("grid.cfg", "tail.cfg")
+    grids = ("grid.cfg", "tail.cfg", "full.cfg")
     oracle = [f"oracle --grid {grid} --route {route} --out out" for grid in grids for route in routes]
     return tune + step + oracle
 
@@ -66,6 +69,7 @@ def main() -> None:
                 os.chdir(case)
                 (case / "grid.cfg").write_text(GRID, encoding="utf-8")
                 (case / "tail.cfg").write_text(TAIL_GRID, encoding="utf-8")
+                (case / "full.cfg").write_text(FULL_GRID, encoding="utf-8")
                 (case / "long.cfg").write_text(LONG_ROUTE, encoding="utf-8")
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):

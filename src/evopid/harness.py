@@ -476,17 +476,27 @@ def grid_oracle(
     _ORACLE_CHUNK, so memory stays flat however large the grid.
     """
     axes = [sorted(values) for values in (grid.kp_values, grid.ki_values, grid.kd_values)]
-    # walked in (kp, ki, kd) row-major order; each point stays the caller's own values
-    points = itertools.product(*axes)
-    best: list[tuple[float, tuple] | None] = [None, None]  # per channel (AE, point)
-    while chunk := list(itertools.islice(points, _ORACLE_CHUNK)):
-        # each point runs as the row [g, g]: the same gains on both channels
-        ae = np.array(_fitness_rows([point + point for point in chunk], route, params, sim))
+    shape = tuple(map(len, axes))
+    # each axis as the doubles the kernel reads; the reported gains stay the caller's own values
+    doubles = [np.array(axis, dtype=np.float64) for axis in axes]
+    size = math.prod(shape)
+    best: list[tuple[float, int] | None] = [None, None]  # per channel (AE, flat index of the point)
+    for offset in range(0, size, _ORACLE_CHUNK):
+        # the chunk's points in (kp, ki, kd) row-major order, each run as the row [g, g]: the same gains on both
+        # channels
+        index = np.unravel_index(np.arange(offset, min(offset + _ORACLE_CHUNK, size)), shape)
+        points = np.column_stack([axis[i] for axis, i in zip(doubles, index)])
+        scores = _fitness_rows(np.hstack([points, points]), route, params, sim)
+        ae = np.fromiter(scores, dtype=(np.float64, 2), count=len(scores))
         for c in range(2):
             # argmin keeps the first of equal minima, and strict < an earlier chunk's,
             # so ties go to the lexicographically smallest gains
             j = int(np.argmin(ae[:, c]))
             if best[c] is None or ae[j, c] < best[c][0]:
-                best[c] = (float(ae[j, c]), chunk[j])
+                best[c] = (float(ae[j, c]), offset + j)
     (ae_linear, linear), (ae_angular, angular) = best
-    return GridOracleResult(Gains(*linear), Gains(*angular), ae_linear=ae_linear, ae_angular=ae_angular)
+
+    def point(flat: int) -> Gains:
+        return Gains(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, shape))))
+
+    return GridOracleResult(point(linear), point(angular), ae_linear=ae_linear, ae_angular=ae_angular)

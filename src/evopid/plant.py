@@ -241,11 +241,14 @@ def _run_rows_py(
 
     For each of ``rows`` rows of six gains, linear kp, ki, kd then angular, it runs
     both channels' closed loops along the route, each fused into a single pass: the
-    linear one, then the angular one, row after row, where C steps the eight
-    (row, channel) lanes of a block of four rows side by side. No two lanes share a
-    value, so each channel performs the same float operations in C, in the same
-    order. Each performs exactly the float operations of route_setpoint, pid_step
-    and plant_step, in their order, so results are bit-identical to chaining them.
+    linear one, then the angular one, row after row, where C holds a row's two
+    channels as one two-wide vector and steps the sixteen rows of a block side by
+    side. No two channels share a value, and each vector operation is this loop's
+    scalar one on each element, so each channel performs the same float operations
+    in C, in the same order; C's branchless clamp equals the if/elif below for a
+    limit > 0, NaN and signed zeros included (see _kernel.c). Each performs exactly
+    the float operations of route_setpoint, pid_step and plant_step, in their order,
+    so results are bit-identical to chaining them.
     The samples run in the two stretches of _prepare's schedule, ``start`` for ``first``
     samples then ``end`` for ``second``, so no sample tests its time. The previous
     error starts as the first error, which makes sample 0's derivative (e - e) / dt
@@ -303,7 +306,6 @@ def _load_kernel(cache_dir: Path):
     """
     # imported on first use, so that importing evopid costs no more than before
     import hashlib
-    import subprocess
 
     try:
         cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -314,6 +316,9 @@ def _load_kernel(cache_dir: Path):
         digest = hashlib.sha256(b"\0".join([_KERNEL_SOURCE.read_bytes(), *map(str.encode, _KERNEL_FLAGS)])).hexdigest()
         library = cache_dir / f"kernel-{digest[:16]}.so"
         if not library.exists():
+            # only a miss compiles: a process that finds the library does not pay for importing subprocess
+            import subprocess
+
             fd, partial = tempfile.mkstemp(suffix=".so", prefix=".kernel-", dir=cache_dir)
             os.close(fd)
             try:
@@ -322,19 +327,22 @@ def _load_kernel(cache_dir: Path):
                     stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=120,
                 )
                 os.replace(partial, library)
+            except subprocess.SubprocessError:
+                return None
             finally:
                 Path(partial).unlink(missing_ok=True)
         kernel = ctypes.CDLL(str(library)).evopid_run
-    except (OSError, subprocess.SubprocessError, AttributeError):
+    except (OSError, AttributeError):
         return None
     count, double = ctypes.c_int64, ctypes.c_double
     pointer = ctypes.POINTER(double)
     kernel.argtypes = (count, pointer, pointer, double, double, count, double, count, pointer, pointer)
     kernel.restype = None
-    # seven unlike rows, a full block of four and a partial one of three, and two unlike channels, recorded:
-    # a slip in a row stride, a channel offset or a block's addressing shows; both stretches, both clamps
-    # and nonzero start velocities
-    gains = np.array([
+    # nineteen unlike rows on two unlike channels, recorded: a full block of sixteen and a partial one of three, so
+    # a slip in a row stride, a channel offset or a block's addressing shows; both stretches, both clamps and
+    # nonzero start velocities. Row 14 sits between calm rows of block 0 and goes NaN on its linear channel at
+    # sample 1, where kp * e is -inf and kd * D is +inf, so a clamp that does not pass a NaN through shows too.
+    calm = [
         (50.0, 10.0, 2.0, 0.5, 0.05, 0.001),
         (3.0, 0.1, 0.02, 40.0, 5.0, 1.0),
         (0.8, 0.2, 0.01, 2.0, 0.5, 0.0),
@@ -342,12 +350,17 @@ def _load_kernel(cache_dir: Path):
         (0.2, 4.0, 0.0, 25.0, 0.0, 0.2),
         (7.0, 0.6, 0.08, 1.2, 9.0, 0.003),
         (30.0, 2.5, 0.3, 6.0, 0.02, 0.6),
-    ])
+    ]
+    # built from tuples: NumPy's stacking and fancy indexing would cost this process about 0.15 MB of peak RSS
+    swapped = [row[3:] + row[:3] for row in calm]
+    doubled = [tuple(2.0 * g for g in row) for row in calm[:4]]
+    gains = np.array(calm + swapped + [(1.5e308, 0.0, 1e308, 0.5, 0.05, 0.001)] + doubled)
     plant = np.array([(2.0, 1.0, math.exp(-0.02 / 0.5), 0.3), (1.5, 0.8, math.exp(-0.02 / 0.3), -0.4)])
-    got, want = [(np.empty((7, 4)), np.empty((7, 2, 100))) for _ in range(2)]
+    rows = len(gains)
+    got, want = [(np.empty((rows, 4)), np.empty((rows, 2, 60))) for _ in range(2)]
     at = ctypes.c_double.from_buffer
-    kernel(7, at(gains), at(plant), 0.02, -1.0, 50, 1.0, 50, *map(at, got))
-    _run_rows_py(7, gains, plant, 0.02, -1.0, 50, 1.0, 50, *want)
+    kernel(rows, at(gains), at(plant), 0.02, -1.0, 30, 1.0, 30, *map(at, got))
+    _run_rows_py(rows, gains, plant, 0.02, -1.0, 30, 1.0, 30, *want)
     return None if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)) else kernel
 
 
@@ -372,12 +385,14 @@ def _simulate(rows, schedule: tuple, plant: np.ndarray, dt: float, record: bool 
     count = len(gains)
     if count < 1 or first < 0 or second < 0:
         raise ValueError(f"a run takes a row and sample counts >= 0, got {count} rows of {first} + {second} samples")
-    for name, array, shape in (("gains", gains, (count, 6)), ("plant", plant, (2, 4))):
-        if array.shape != shape or array.dtype != np.float64 or not array.flags.c_contiguous:
-            raise ValueError(
-                f"{name} does not fit: the kernel takes a contiguous float64 array of shape {shape}, "
-                f"got {array.dtype} of shape {array.shape}"
-            )
+    # one expression on the path every call takes; np.array has made gains float64 already
+    gains_fit = gains.shape == (count, 6) and gains.flags.c_contiguous
+    if not (gains_fit and plant.shape == (2, 4) and plant.dtype == np.float64 and plant.flags.c_contiguous):
+        name, array, shape = ("plant", plant, (2, 4)) if gains_fit else ("gains", gains, (count, 6))
+        raise ValueError(
+            f"{name} does not fit: the kernel takes a contiguous float64 array of shape {shape}, "
+            f"got {array.dtype} of shape {array.shape}"
+        )
     results = np.empty((count, 4))
     actual = np.empty((count, 2, first + second)) if record else None
     dt, start, end = float(dt), float(start), float(end)

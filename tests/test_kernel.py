@@ -437,21 +437,24 @@ def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_pa
 @pytest.mark.parametrize(
     "slip",
     [
-        ("gains + 6 * (r0 + l / 2)", "gains + 3 * (r0 + l / 2)"),
-        ("gains + 6 * (r0 + l / 2) + 3 * (l % 2)", "gains + 6 * (r0 + l / 2)"),
-        ("plant + 4 * (l % 2);", "plant;"),
-        ("(2 * r0 + l) * (first + second)", "(r0 + l) * (first + second)"),
-        ("results[4 * (r0 + l / 2) + 2 + l % 2]", "results[4 * (r0 + l / 2) + 2]"),
-        ("gains + 6 * (r0 + l / 2)", "gains + 6 * (l / 2)"),
+        ("gains + 6 * (r0 + b)", "gains + 3 * (r0 + b)"),
+        ("*a = k + 3", "*a = k"),
+        ("*q = plant + 4", "*q = plant"),
+        ("2 * (r0 + b) * samples", "(r0 + b) * samples"),
+        ("out[3] = velocity[b][1]", "out[2] = velocity[b][1]"),
+        ("gains + 6 * (r0 + b)", "gains + 6 * b"),
+        ("*k = gains + 6 * (r0 + b), *a = k + 3", "*a = gains + 6 * (r0 + b), *k = a + 3"),
+        ("_mm_min_pd(limit, c)", "_mm_min_pd(c, limit)"),
     ],
     ids=[
         "gains-row-stride", "gains-channel-offset", "plant-channel-offset", "actual-offset", "results-offset",
-        "gains-of-block-0",
+        "gains-of-block-0", "channel-swap", "clamp-operand-order",
     ],
 )
 def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
-    # the self-check runs seven rows of unlike channels, recorded, so each slip changes some output: a full
-    # block and a partial one, so reading block 0's gains for every block shows too; no slip reads past a buffer
+    # the self-check runs nineteen rows of unlike channels, recorded, so each slip changes some output: a full
+    # block and a partial one, so reading block 0's gains for every block shows too, and a row that goes NaN, which
+    # min(c, limit) turns into the limit; no slip reads past a buffer
     if c_kernel is None:
         pytest.skip(NO_CC)
     source = evopid.plant._KERNEL_SOURCE.read_text()
@@ -459,6 +462,14 @@ def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_pat
     (tmp_path / "_kernel.c").write_text(source.replace(*slip))
     monkeypatch.setattr(evopid.plant, "_KERNEL_SOURCE", tmp_path / "_kernel.c")
     assert _load_kernel(tmp_path / "cache") is None
+
+
+def test_kernel_without_sse2_is_used(c_kernel, tmp_path, monkeypatch):
+    # with __SSE2__ undefined the clamp is the portable one, element-wise ternaries, and must give the same bits
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    monkeypatch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", "-U__SSE2__"))
+    assert _load_kernel(tmp_path) is not None
 
 
 @pytest.mark.parametrize(
@@ -512,7 +523,7 @@ def assert_batch_matches_fitness_of(individuals, route, params, sim, kernels):
 
 @settings(max_examples=60)
 @given(
-    individuals=st.lists(st.builds(Individual, gains, gains), min_size=1, max_size=9),
+    individuals=st.lists(st.builds(Individual, gains, gains), min_size=1, max_size=40),
     linear_plant=channels,
     angular_plant=channels,
     route=routes,
@@ -545,6 +556,17 @@ def assert_batch_matches_fitness_of(individuals, route, params, sim, kernels):
         *[Individual(Gains(0.1 * (j + 1), 0.05, 0.0), Gains(0.5, 0.01 * j, 0.001)) for j in range(5)],
         Individual(Gains(1e308, 0.0, 1e308), Gains(1e308, 0.0, 1e308)),
         *[Individual(Gains(0.2, 0.01 * j, 0.002), Gains(0.1 * (j + 1), 0.0, 0.0)) for j in range(3)],
+    ],
+    linear_plant=ChannelParams(initial_velocity=-5.0),
+    angular_plant=ChannelParams(time_constant=0.3),
+    route=RouteSpec(-0.3, 0.3, phase_duration=0.5),
+    sample_rate=50.0,
+)
+@example(  # 35 rows, two full blocks of sixteen and a tail of three; row 20, in block 1, diverges between calm rows
+    individuals=[
+        *[Individual(Gains(0.05 * (j + 1), 0.01 * (j % 5), 0.001 * (j % 3)), Gains(0.5, 0.02, 0.0)) for j in range(20)],
+        Individual(Gains(1e308, 0.0, 1e308), Gains(1e308, 0.0, 1e308)),
+        *[Individual(Gains(0.3, 0.0, 0.002), Gains(0.04 * (j + 1), 0.01 * (j % 4), 0.0)) for j in range(14)],
     ],
     linear_plant=ChannelParams(initial_velocity=-5.0),
     angular_plant=ChannelParams(time_constant=0.3),
