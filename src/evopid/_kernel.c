@@ -36,7 +36,10 @@ typedef int64_t pair_bits __attribute__((vector_size(16)));
  * limit gives limit, as in the twin; a c below -limit passes min (it is below limit)
  * and gives -limit; any other c passes both unchanged. A NaN c compares false
  * everywhere and passes through, as it does in the twin; a signed zero lies strictly
- * between -limit and limit, so it passes too and keeps its sign. */
+ * between -limit and limit, so it passes too and keeps its sign. The SSE2 form is kept
+ * for speed: GCC 12 at -O2 builds the ternaries as scalar minsd/maxsd per element with
+ * shuffles, which on a 2-core x86-64 host took 284 against 226 us for 308 rows and 6.9
+ * against 6.6 us for one row (timeit minimums of bare calls). */
 static inline pair clamp(pair c, pair limit)
 {
 #ifdef __SSE2__

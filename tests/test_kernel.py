@@ -3,10 +3,10 @@
 plant._simulate, behind simulate_route, fitness_of and grid_oracle, is checked
 against a reference that chains route_setpoint, pid_step and plant_step one
 sample at a time and reduces with reference.average_error. It runs on each
-implementation in turn: the C kernel, compiled here with warnings as errors,
-and its Python twin, which it falls back to. A call with many rows is checked
-row by row against one call per row, and grid_oracle against the per-point
-loop it replaced. Every pair must agree exactly: the same arrays, the same
+implementation in turn: the C kernel, compiled here with warnings as errors
+and once more with __SSE2__ undefined, and its Python twin, which it falls
+back to. A call with many rows is checked row by row against one call per
+row, and grid_oracle against the per-point loop it replaced. Every pair must agree exactly: the same arrays, the same
 average errors and the same divergence sample, not merely close values.
 """
 
@@ -59,22 +59,29 @@ from reference import average_error
 NO_CC = "no C compiler: cc is not on PATH, so only the Python twin is tested"
 
 
-@pytest.fixture(scope="session")
-def c_kernel(tmp_path_factory):
-    """The C kernel compiled into a fresh cache with every warning an error, or None without cc."""
+def build_kernel(tmp_path_factory, *flags):
+    """The C kernel compiled into a fresh cache with every warning an error and the given flags, or None without cc."""
     if shutil.which("cc") is None:
         return None
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror"))
+        patch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", *flags))
         kernel = _load_kernel(tmp_path_factory.mktemp("kernel"))
-    assert kernel is not None, "the C kernel failed to compile, load or match the Python loop"
+    assert kernel is not None, f"the C kernel built with {flags} failed to compile, load or match the Python loop"
     return kernel
 
 
 @pytest.fixture(scope="session")
-def kernels(c_kernel):
-    """Each implementation _simulate can run on: the C kernel when cc is on PATH, then the Python twin (None)."""
-    return [None] if c_kernel is None else [c_kernel, None]
+def c_kernel(tmp_path_factory):
+    """The C kernel as _c_kernel builds it, with every warning an error, or None without cc."""
+    return build_kernel(tmp_path_factory)
+
+
+@pytest.fixture(scope="session")
+def kernels(c_kernel, tmp_path_factory):
+    """Each implementation _simulate can run on: when cc is on PATH the C kernel, and the C kernel built with
+    __SSE2__ undefined, whose clamp is the portable one that platforms without SSE2 run; then the Python twin (None).
+    """
+    return [None] if c_kernel is None else [c_kernel, build_kernel(tmp_path_factory, "-U__SSE2__"), None]
 
 
 @contextlib.contextmanager
@@ -462,14 +469,6 @@ def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_pat
     (tmp_path / "_kernel.c").write_text(source.replace(*slip))
     monkeypatch.setattr(evopid.plant, "_KERNEL_SOURCE", tmp_path / "_kernel.c")
     assert _load_kernel(tmp_path / "cache") is None
-
-
-def test_kernel_without_sse2_is_used(c_kernel, tmp_path, monkeypatch):
-    # with __SSE2__ undefined the clamp is the portable one, element-wise ternaries, and must give the same bits
-    if c_kernel is None:
-        pytest.skip(NO_CC)
-    monkeypatch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", "-U__SSE2__"))
-    assert _load_kernel(tmp_path) is not None
 
 
 @pytest.mark.parametrize(
