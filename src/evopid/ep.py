@@ -240,13 +240,32 @@ def mutate_scaled(value: float, sigma: float, rng: random.Random) -> float:
     return _clamp_additive(value, value * rng.gauss(0.0, sigma), sigma)
 
 
+def _mutants(parent: Individual, spec: MutationSpec, rng: random.Random, count: int) -> Iterator[Individual]:
+    """``count`` mutants of ``parent`` in one loop: the draws, gains and errors of mutate_absolute or mutate_scaled
+    on each gain in flat order, with the parent and sigma checked once, and nothing drawn or checked if count < 1."""
+    if count < 1:
+        return
+    scaled = spec.kind is MutationKind.SCALED
+    sigma = spec.sigma_scaled if scaled else spec.sigma_absolute
+    flat = parent.as_flat()
+    for v in flat:
+        _check_mutation_args(v, sigma)
+    gauss, isfinite = rng.gauss, math.isfinite
+    for _ in range(count):
+        out = []
+        for v in flat:
+            step = v * gauss(0.0, sigma) if scaled else gauss(0.0, sigma)
+            x = v + step
+            if x < 0.0 or not isfinite(step):
+                x = _clamp_additive(v, step, sigma)
+            out.append(x)
+        kpv, kiv, kdv, kpa, kia, kda = out
+        yield Individual(Gains(kpv, kiv, kdv), Gains(kpa, kia, kda))
+
+
 def mutate_individual(parent: Individual, spec: MutationSpec, rng: random.Random) -> Individual:
-    """Mutate all six gains independently, in the fixed order kpv, kiv, kdv, kpa, kia, kda."""
-    if spec.kind is MutationKind.ABSOLUTE:
-        op, sigma = mutate_absolute, spec.sigma_absolute
-    else:
-        op, sigma = mutate_scaled, spec.sigma_scaled
-    return Individual.from_flat([op(v, sigma, rng) for v in parent.as_flat()])
+    """_mutants' one-mutant view: all six gains mutated independently, in the order kpv, kiv, kdv, kpa, kia, kda."""
+    return next(_mutants(parent, spec, rng, 1))
 
 
 def init_population(config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:
@@ -273,10 +292,7 @@ def next_generation(record: GenerationRecord, config: EPConfig, rng: random.Rand
         record.members[record.fittest_linear_index].individual.linear,
         record.members[record.fittest_angular_index].individual.angular,
     )
-    members = [parent]
-    for _ in range(config.population_size - 1):
-        members.append(mutate_individual(parent, config.mutation, rng))
-    return tuple(members)
+    return (parent, *_mutants(parent, config.mutation, rng, config.population_size - 1))
 
 
 def evolve(config: EPConfig, score: Scorer) -> EPResult:
@@ -284,7 +300,8 @@ def evolve(config: EPConfig, score: Scorer) -> EPResult:
 
     ``score`` maps the tuple of distinct members not yet scored, in first-seen order, to one deterministic
     (ae_linear, ae_angular) each. A failed call, a wrong count or a score float() rejects raises EvaluationError
-    naming the generation, and the member's first population index if ``score`` raised one naming its batch index.
+    naming the generation, and the member's first population index if ``score`` raised one whose ``member`` is an
+    int index into the batch.
     """
     rng = random.Random(config.rng_seed)
     population = init_population(config, rng)
@@ -305,7 +322,8 @@ def evolve(config: EPConfig, score: Scorer) -> EPResult:
                     cell += float(ae_linear), float(ae_angular)
             except Exception as exc:
                 i = exc.member if isinstance(exc, EvaluationError) else None
-                member = None if i is None else population.index(list(pending)[i])
+                # not isinstance: True is an int; and a negative index would name a member counted from the end
+                member = population.index(list(pending)[i]) if type(i) is int and 0 <= i < len(pending) else None
                 at = f"generation {generation}" + ("" if member is None else f", member {member}")
                 raise EvaluationError(f"scoring failed at {at}: {exc}", generation=generation, member=member) from exc
             scores.update(pending)

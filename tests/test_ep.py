@@ -327,13 +327,14 @@ def test_next_generation_splices_composite_parent():
 
 
 def test_next_generation_size_one_is_pure_elitism():
-    config = EPConfig(population_size=1)
-    pop = init_population(config, random.Random(5))
+    pop = init_population(EPConfig(population_size=1), random.Random(5))
     record = GenerationRecord.from_evaluations(
         0, (MemberRecord(pop[0], 0.4, 0.4),)
     )
-    succ = next_generation(record, config, random.Random(6))
-    assert succ == (pop[0],)
+    # a sigma MutationSpec would reject, and a generator with no draws: population 1 touches neither
+    for kind in MutationKind:
+        spec = types.SimpleNamespace(kind=kind, sigma_absolute=0.0, sigma_scaled=0.0)
+        assert next_generation(record, EPConfig(population_size=1, mutation=spec), FakeRng([])) == (pop[0],)
 
 
 def test_next_generation_deterministic():
@@ -356,6 +357,56 @@ def test_next_generation_zero_kd_absorbed_forever():
         )
         pop = next_generation(record, config, rng)
         assert all(m.linear.kd == 0.0 and m.angular.kd == 0.0 for m in pop)
+
+
+def generation_by_operators(parent, config, rng):
+    """next_generation's reference: the parent, then population_size - 1 mutants from the public operators."""
+    return [parent] + [mutate_by_operators(parent, config.mutation, rng) for _ in range(config.population_size - 1)]
+
+
+def one_member_record(parent):
+    return GenerationRecord.from_evaluations(0, (MemberRecord(parent, 0.5, 0.5),))
+
+
+@settings(max_examples=6)
+@given(
+    parent=st.builds(Individual, triples, triples),
+    sigma=st.sampled_from([0.05, 0.5, 1e300, 1e308]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(parent=Individual.from_flat([1e300] * 6), sigma=1e300, seed=0)  # scaled: the first step is inf
+@pytest.mark.parametrize("size", [1, 2, 10, 20])
+@pytest.mark.parametrize("kind", list(MutationKind))
+def test_next_generation_matches_the_public_operators(kind, size, parent, sigma, seed):
+    # the same members, bit for bit, or the same error, and the generator left in the same state
+    config = EPConfig(population_size=size, mutation=MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma))
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    try:
+        expected = generation_by_operators(parent, config, reference_rng)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            next_generation(one_member_record(parent), config, rng)
+    else:
+        got = next_generation(one_member_record(parent), config, rng)
+        assert [[v.hex() for v in m.as_flat()] for m in got] == [[v.hex() for v in m.as_flat()] for m in expected]
+    assert rng.getstate() == reference_rng.getstate()
+
+
+@pytest.mark.parametrize("kind", list(MutationKind))
+def test_next_generation_stops_at_the_draw_of_a_later_mutants_nonfinite_step(kind, time_limit):
+    # mutant 1 is whole; mutant 2's third draw is a nonfinite step, and the draws after it stay unread
+    parent = Individual.from_flat([1e10] * 6)
+    bad = -1e300 if kind is MutationKind.SCALED else -math.inf
+    draws = [0.01] * 6 + [0.02, 0.03, bad, 0.04, 0.05, 0.06] + [0.07] * 6
+    config = EPConfig(population_size=4, mutation=MutationSpec(kind))
+    rng, reference_rng = FakeRng(draws), FakeRng(draws)
+    with pytest.raises(ValueError) as expected:
+        generation_by_operators(parent, config, reference_rng)
+    message = r"^mutating 10000000000\.0 with sigma .* drew a nonfinite step -inf$"
+    assert re.match(message, str(expected.value))
+    with time_limit(5), pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+        next_generation(one_member_record(parent), config, rng)
+    assert rng._gauss == reference_rng._gauss == [0.04, 0.05, 0.06] + [0.07] * 6
 
 
 # ---------------------------------------------------------------- run_ep
@@ -461,6 +512,17 @@ def test_evolve_names_the_generation_of_a_failed_scoring_call(fault, message):
         evolve(config, score)
     assert (excinfo.value.generation, excinfo.value.member) == (2, None)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("index", [99, 3, -1, True, 1.0, "1", None])
+def test_evolve_names_no_member_for_an_index_outside_the_batch(index):
+    # generation 0's batch holds three members; only an int in range(3) names one
+    def score(batch):
+        raise EvaluationError("bad member", member=index)
+
+    with pytest.raises(EvaluationError, match=r"^scoring failed at generation 0: bad member$") as excinfo:
+        evolve(EPConfig(population_size=3, rng_seed=0), score)
+    assert (excinfo.value.generation, excinfo.value.member) == (0, None)
 
 
 @pytest.mark.parametrize("kind", list(MutationKind))

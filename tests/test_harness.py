@@ -621,6 +621,23 @@ def test_run_experiment_scores_each_distinct_individual_once_with_pinned_bytes(t
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
+# SHA-256 of generations.csv for seed 0 and 20 generations of experiment 1, the absolute operator and its
+# halving loop, and of experiment 3, population 20; pinned from the mutation path that called
+# mutate_absolute or mutate_scaled once per gain
+PINNED_GENERATIONS_SEED0_G20 = {
+    1: "1ed7c2720c34a8dab4db516ec2e62b66b4bfddd5ada54f274b41a033d3600fdb",
+    3: "57295e123c073ad69cb602b58435767714996e29c902e5d669f0d764e47472c7",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(PINNED_GENERATIONS_SEED0_G20))
+def test_run_experiment_writes_pinned_generations_for_experiments_1_and_3(experiment, tmp_path):
+    spec = build_experiment_spec(experiment, seed=0, output_dir=tmp_path, overrides={"ep.max_generations": 20})
+    run_experiment(spec)
+    digest = hashlib.sha256((tmp_path / "generations.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_GENERATIONS_SEED0_G20[experiment]
+
+
 # SHA-256 of the file each command writes to "out", run where grid.cfg holds PINNED_GRID and
 # long.cfg PINNED_LONG_ROUTE; pinned from the batch kernel that took six gain columns per row,
 # except the long route's, pinned from the row-at-a-time CSV writer
