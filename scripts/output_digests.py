@@ -3,9 +3,11 @@
 
 One line per output: the command, the file name (or "stdout") and its digest. The set is
 `tune` for experiments 1-3 and seeds 0-9, `step` on both routes with one gain set, `oracle`
-on both routes with three grids, and `step` on a test route of 30,000 samples, whose trace CSV
+on both routes with four grids, and `step` on a test route of 30,000 samples, whose trace CSV
 spans many of the CSV writer's chunks. The C kernel runs rows in blocks of sixteen: the 64-point
-grid fills its blocks, and the 60- and 105-point ones end on a partial block. Each command runs in its
+grid fills its blocks, and the 60- and 105-point ones end on a partial block. The 4,352-point grid
+is more than grid_oracle scores in one kernel call, so it takes a full chunk and a partial one and
+compares the minima across chunks. Each command runs in its
 own empty directory with the relative `--out out`, so result.json, which records its output
 directory, compares too. Diff the lines of two trees, or of one tree with and without --twin,
 to check that they write the same bytes:
@@ -34,6 +36,13 @@ GRID = "kp = 0, 2, 8, 32, 128\nki = 0, 1, 4, 16\nkd = 0, 0.05, 0.2\n"
 TAIL_GRID = "kp = 0, 0.5, 1, 2, 8, 32, 128\nki = 0, 0.25, 1, 4, 16\nkd = 0, 0.05, 0.2\n"
 # 4 x 4 x 4 = 64 points, four full blocks
 FULL_GRID = "kp = 0, 0.5, 4, 32\nki = 0, 0.25, 2, 16\nkd = 0, 0.01, 0.05, 0.2\n"
+# 17 x 16 x 16 = 4,352 points, one chunk of harness._ORACLE_CHUNK = 4,096 and a partial one of 256; on both routes
+# the linear minimum lies in the partial chunk (kp 32) and the angular one in the full chunk (kp 16)
+CHUNKS_GRID = (
+    "kp = 0, 0.25, 0.5, 0.75, 1, 1.5, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 32\n"
+    "ki = 0, 0.1, 0.25, 0.5, 1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 32\n"
+    "kd = 0, 0.001, 0.002, 0.005, 0.01, 0.02, 0.03, 0.05, 0.075, 0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 1\n"
+)
 SEEDS = range(10)
 # a 300 s test-route phase: 30,000 trace rows at the default sample rate
 LONG_ROUTE = "route.test.phase_duration = 300.0\n"
@@ -44,7 +53,7 @@ def commands() -> list[str]:
     routes = ("train", "test")
     step = [f"step --gains {GAINS} --route {route} --out out" for route in routes]
     step.append(f"step --gains {GAINS} --route test --config long.cfg --out out")
-    grids = ("grid.cfg", "tail.cfg", "full.cfg")
+    grids = ("grid.cfg", "tail.cfg", "full.cfg", "chunks.cfg")
     oracle = [f"oracle --grid {grid} --route {route} --out out" for grid in grids for route in routes]
     return tune + step + oracle
 
@@ -70,6 +79,7 @@ def main() -> None:
                 (case / "grid.cfg").write_text(GRID, encoding="utf-8")
                 (case / "tail.cfg").write_text(TAIL_GRID, encoding="utf-8")
                 (case / "full.cfg").write_text(FULL_GRID, encoding="utf-8")
+                (case / "chunks.cfg").write_text(CHUNKS_GRID, encoding="utf-8")
                 (case / "long.cfg").write_text(LONG_ROUTE, encoding="utf-8")
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):

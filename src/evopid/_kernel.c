@@ -13,10 +13,14 @@
  * gains holds rows x 6 doubles (linear kp ki kd, then angular kp ki kd) and plant 2 x 4
  * (per channel: actuator limit, DC gain, decay, start velocity). The caller takes
  * decay = exp(-dt / time_constant) in Python, so no libm function is called here. Each
- * row writes its two error sums and its two final velocities, linear then angular, to
- * results (rows x 4). When actual is not NULL it also receives the measurement of every
+ * row writes its two average errors, the error sum divided by first + second, and its two
+ * final velocities, linear then angular, to results (rows x 4). A nonfinite final velocity
+ * on either channel is the divergence verdict: both average errors are then DBL_MAX,
+ * plant.DIVERGENCE_AE. When actual is not NULL it also receives the measurement of every
  * sample, rows x 2 x (first + second) doubles.
  */
+#include <float.h>
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #ifdef __SSE2__
@@ -100,8 +104,10 @@ void evopid_run(int64_t rows, const double *gains, const double *plant, double d
         }
         for (int b = 0; b < n; b++) {
             double *out = results + 4 * (r0 + b);
-            out[0] = total[b][0];
-            out[1] = total[b][1];
+            pair ae = total[b] / (double)samples;
+            int finite = isfinite(velocity[b][0]) && isfinite(velocity[b][1]);
+            out[0] = finite ? ae[0] : DBL_MAX;
+            out[1] = finite ? ae[1] : DBL_MAX;
             out[2] = velocity[b][0];
             out[3] = velocity[b][1];
         }

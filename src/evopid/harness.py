@@ -441,7 +441,8 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     for name, route in routes.items():
         check_step_route(name, route, spec.plant, spec.sim)
     best, history, stop_reason = evolve(
-        spec.ep, lambda batch: _fitness_rows([m.as_flat() for m in batch], spec.train_route, spec.plant, spec.sim)
+        spec.ep,
+        lambda batch: _fitness_rows([m.as_flat() for m in batch], spec.train_route, spec.plant, spec.sim).tolist(),
     )
     if all(m.ae_linear == m.ae_angular == DIVERGENCE_AE for record in history for m in record.members):
         raise EvaluationError(
@@ -486,8 +487,7 @@ def grid_oracle(
         # channels
         index = np.unravel_index(np.arange(offset, min(offset + _ORACLE_CHUNK, size)), shape)
         points = np.column_stack([axis[i] for axis, i in zip(doubles, index)])
-        scores = _fitness_rows(np.hstack([points, points]), route, params, sim)
-        ae = np.fromiter(scores, dtype=(np.float64, 2), count=len(scores))
+        ae = _fitness_rows(np.hstack([points, points]), route, params, sim)
         for c in range(2):
             # argmin keeps the first of equal minima, and strict < an earlier chunk's,
             # so ties go to the lexicographically smallest gains

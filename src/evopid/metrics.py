@@ -3,17 +3,13 @@
 from __future__ import annotations
 
 import functools
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ep import Individual
-from .plant import ChannelTrace, FitnessRecord, PlantParams, RouteSpec, SimConfig, _prepare, _simulate
-
-# Finite stand-in fitness for unstable gains; must lose every selection, so no finite average can exceed it.
-DIVERGENCE_AE = sys.float_info.max
+# DIVERGENCE_AE is defined beside the kernel that writes it, and stays importable from here
+from .plant import DIVERGENCE_AE, ChannelTrace, FitnessRecord, PlantParams, RouteSpec, SimConfig, _prepare, _simulate
 
 
 @dataclass(frozen=True)
@@ -38,28 +34,22 @@ def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, si
     so unstable gains stay comparable and always rank last. Both channels
     always run; a nonfinite final velocity on either one scores both.
     """
-    (record,) = _fitness_rows([individual.as_flat()], route, params, sim)
-    return record
+    return FitnessRecord(*_fitness_rows([individual.as_flat()], route, params, sim).tolist()[0])
 
 
 # _prepare, kept for the next score: an EP run or an oracle scores one route, so one entry serves every lookup but a
 # process's first. Equal keys can differ (1 == 1.0, 0.0 == -0.0), but every number is read as a double, so the kernel
 # gets the same doubles up to the sign of a zero in start, end or initial_velocity. A zero meets only +, -, *, fabs,
-# comparisons and division by dt, so the error sums and the finiteness verdict are bit-identical; the measurements
-# are not, so simulate_route calls _prepare itself. The shared plant is never written.
+# comparisons and division by dt, so the error sums and the finiteness verdict are bit-identical, and so are the
+# average errors: a sum of fabs is never -0, so its division by the sample count keeps +0. The measurements are not,
+# so simulate_route calls _prepare itself. The shared plant is never written.
 _prepared = functools.lru_cache(maxsize=1)(_prepare)
 
 
-def _fitness_rows(rows, route: RouteSpec, params: PlantParams, sim: SimConfig) -> list[FitnessRecord]:
-    """fitness_of for each row of six gains (linear kp, ki, kd, then angular), all in one simulation call."""
-    schedule, n_samples, plant = _prepared(route, params, sim)
-    results, _ = _simulate(rows, schedule, plant, sim.dt)
-    return [
-        FitnessRecord(linear / n_samples, angular / n_samples)
-        if math.isfinite(final_linear) and math.isfinite(final_angular)
-        else FitnessRecord(DIVERGENCE_AE, DIVERGENCE_AE)
-        for linear, angular, final_linear, final_angular in results.tolist()
-    ]
+def _fitness_rows(rows, route: RouteSpec, params: PlantParams, sim: SimConfig) -> np.ndarray:
+    """fitness_of for each row of six gains (linear kp, ki, kd, then angular) in one call: (rows, 2) float64."""
+    schedule, _, plant = _prepared(route, params, sim)
+    return _simulate(rows, schedule, plant, sim.dt)[0][:, :2]
 
 
 def step_metrics(channel: ChannelTrace, route: RouteSpec) -> StepMetrics:

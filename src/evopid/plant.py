@@ -12,6 +12,7 @@ import ctypes
 import functools
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,6 +105,10 @@ class ChannelTrace:
         return len(self.time)
 
 
+# The finite AE the kernels write for a diverged run, C's DBL_MAX: above every finite average, it loses every selection
+DIVERGENCE_AE = sys.float_info.max
+
+
 class FitnessRecord(NamedTuple):
     """Per-channel average error of one route run. Both values finite and >= 0."""
 
@@ -113,7 +118,7 @@ class FitnessRecord(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SimTrace:
-    """Both channels' sampled run, and ``ae``: per channel, the run's error sum divided by its sample count."""
+    """Both channels' sampled run, and ``ae``: per channel, the average error the kernel wrote for the run."""
 
     linear: ChannelTrace
     angular: ChannelTrace
@@ -253,15 +258,15 @@ def _run_rows_py(
     samples then ``end`` for ``second``, so no sample tests its time. The previous
     error starts as the first error, which makes sample 0's derivative (e - e) / dt
     exactly the 0.0 that pid_step uses there (_prepare has checked that the first
-    error is finite). Row r writes its two error sums, the sums of
-    |setpoint - measurement| over the samples in time order, to results[r, :2] and
-    its two final velocities to results[r, 2:], linear then angular; actual[r, c],
-    when given, receives channel c's measurement of each sample. A run does not stop
-    where the velocity goes nonfinite: it never turns finite again (a NaN stays NaN,
-    and an infinity meets the clipped command and stays infinite or turns NaN), so a
-    nonfinite final velocity is the divergence verdict, and the sum is then meaningless.
+    error is finite). Row r writes to results[r, :2] its two average errors, each the sum
+    of |setpoint - measurement| over the samples in time order over first + second, and to
+    results[r, 2:] its two final velocities, linear then angular; actual[r, c], when given,
+    receives channel c's measurement of each sample. A run does not stop where the velocity
+    goes nonfinite: it never turns finite again (a NaN stays NaN, and an infinity meets the
+    clipped command and stays infinite or turns NaN), so a nonfinite final velocity on either
+    channel is the divergence verdict, which writes DIVERGENCE_AE as both average errors.
     """
-    channels, rows_of_gains = plant.tolist(), gains.tolist()
+    channels, rows_of_gains, samples = plant.tolist(), gains.tolist(), first + second
     for r in range(rows):
         for c, (limit, dc_gain, decay, velocity) in enumerate(channels):
             kp, ki, kd = rows_of_gains[r][3 * c : 3 * c + 3]
@@ -286,9 +291,11 @@ def _run_rows_py(
                         command = neg_limit
                     target = command * dc_gain
                     velocity = target + (velocity - target) * decay
-            results[r, c], results[r, 2 + c] = total, velocity
+            results[r, c], results[r, 2 + c] = total / samples, velocity
             if recorded is not None:
                 actual[r, c] = recorded
+        if not (math.isfinite(results[r, 2]) and math.isfinite(results[r, 3])):
+            results[r, :2] = DIVERGENCE_AE
 
 
 # _run_rows_py transcribed to C; -ffp-contract=off keeps a * b + c from fusing into one rounding.
@@ -373,18 +380,18 @@ def _c_kernel():
 def _simulate(rows, schedule: tuple, plant: np.ndarray, dt: float, record: bool = False):
     """Run every row of six gains (linear kp, ki, kd, then angular) on both channels along the schedule.
 
-    The one checked entry of every simulation, on a schedule and plant from _prepare. It packs the gains as float64,
-    so every number is read as a double. C trusts its pointers, so before it hands one over it checks for a row,
-    sample counts >= 0, and gains and plant C-contiguous float64 of shapes (rows, 6) and (2, 4); it allocates the
-    buffers the kernel writes. It runs the C kernel when loaded, else _run_rows_py: the two give the same bits.
-    Returns the (rows, 4) results, per row the error sums and then the final velocities, linear then angular; and
-    with ``record`` the (rows, 2, n) measurements, else None.
+    The one checked entry of every simulation, on a schedule and plant from _prepare; it reads every number as a double.
+    C trusts its pointers, so before it hands one over it checks for a row, sample counts >= 0 and not both 0 (the
+    kernels divide by their sum), and gains and plant C-contiguous float64 of shapes (rows, 6) and (2, 4); it allocates
+    the buffers the kernel writes. It runs the C kernel when loaded, else _run_rows_py: the two give the same bits.
+    Returns the (rows, 4) results, per row the average errors (DIVERGENCE_AE on both if either channel diverged) and
+    the final velocities, linear then angular; and with ``record`` the (rows, 2, n) measurements, else None.
     """
     gains = np.array(rows, dtype=np.float64)
     (start, first), (end, second) = schedule
     count = len(gains)
-    if count < 1 or first < 0 or second < 0:
-        raise ValueError(f"a run takes a row and sample counts >= 0, got {count} rows of {first} + {second} samples")
+    if count < 1 or first < 0 or second < 0 or first + second == 0:
+        raise ValueError(f"a run takes a row and sample counts >= 0, not both 0, got {count} rows of {first}+{second}")
     # one expression on the path every call takes; np.array has made gains float64 already
     gains_fit = gains.shape == (count, 6) and gains.flags.c_contiguous
     if not (gains_fit and plant.shape == (2, 4) and plant.dtype == np.float64 and plant.flags.c_contiguous):
@@ -427,5 +434,5 @@ def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams
             # actual[k + 1] is the velocity sample k's step produced; the last step's is not recorded
             nonfinite = np.flatnonzero(~np.isfinite(actual[0, c, 1:]))
             raise SimulationDiverged(name, int(nonfinite[0]) if nonfinite.size else len(time) - 1)
-    ae = FitnessRecord(*(total / n for total in results[0, :2].tolist()))
+    ae = FitnessRecord(*results[0, :2].tolist())
     return SimTrace(*(ChannelTrace(time, desired, channel) for channel in actual[0]), ae)
