@@ -2,7 +2,8 @@
 """Print the SHA-256 of every output and every stdout of a fixed set of evopid commands.
 
 One line per output: the command, the file name (or "stdout") and its digest. The set is
-`tune` for experiments 1-3 and seeds 0-9, `step` on both routes with one gain set, `oracle`
+`tune` for experiments 1-3 and seeds 0-9, `tune` for experiments 1 and 2 with a population of one (the
+parent alone, so no mutant is drawn), `step` on both routes with one gain set, `oracle`
 on both routes with four grids, and `step` on a test route of 30,000 samples, whose trace CSV
 spans many of the CSV writer's chunks. The C kernel runs rows in blocks of sixteen: the 64-point
 grid fills its blocks, and the 60- and 105-point ones end on a partial block. The 4,352-point grid
@@ -46,10 +47,13 @@ CHUNKS_GRID = (
 SEEDS = range(10)
 # a 300 s test-route phase: 30,000 trace rows at the default sample rate
 LONG_ROUTE = "route.test.phase_duration = 300.0\n"
+# three generations of the parent alone: next_generation returns it without drawing or checking
+SINGLE = "ep.population_size = 1\nep.max_generations = 3\n"
 
 
 def commands() -> list[str]:
     tune = [f"tune --experiment {e} --seed {s} --out out" for e in EXPERIMENT_TABLE for s in SEEDS]
+    tune += [f"tune --experiment {e} --config single.cfg --out out" for e in (1, 2)]
     routes = ("train", "test")
     step = [f"step --gains {GAINS} --route {route} --out out" for route in routes]
     step.append(f"step --gains {GAINS} --route test --config long.cfg --out out")
@@ -81,6 +85,7 @@ def main() -> None:
                 (case / "full.cfg").write_text(FULL_GRID, encoding="utf-8")
                 (case / "chunks.cfg").write_text(CHUNKS_GRID, encoding="utf-8")
                 (case / "long.cfg").write_text(LONG_ROUTE, encoding="utf-8")
+                (case / "single.cfg").write_text(SINGLE, encoding="utf-8")
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):
                     code = cli_main(command.split())

@@ -12,9 +12,6 @@ from .ep import (
     MutationSpec,
     StopReason,
     init_population,
-    mutate_absolute,
-    mutate_individual,
-    mutate_scaled,
     next_generation,
     run_ep,
 )

@@ -203,13 +203,6 @@ def _argmin_finite(values: list[float]) -> int | None:
     return min((i for i, v in enumerate(values) if math.isfinite(v)), key=values.__getitem__, default=None)
 
 
-def _check_mutation_args(value: float, sigma: float) -> None:
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"value must be finite and >= 0, got {value!r}")
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma!r}")
-
-
 def _clamp_additive(value: float, add: float, sigma: float) -> float:
     # Halve the perturbation until the result is nonnegative. Halving never ends on -inf, so a nonfinite
     # step is an error; with value == 0 and add < 0 it would never end either, so return its limit (0).
@@ -220,52 +213,6 @@ def _clamp_additive(value: float, add: float, sigma: float) -> float:
     while value + add < 0.0:
         add *= 0.5
     return value + add
-
-
-def mutate_absolute(value: float, sigma: float, rng: random.Random) -> float:
-    """Additive Gaussian mutation: value + N(0, sigma), perturbation halved until nonnegative."""
-    _check_mutation_args(value, sigma)
-    return _clamp_additive(value, rng.gauss(0.0, sigma), sigma)
-
-
-def mutate_scaled(value: float, sigma: float, rng: random.Random) -> float:
-    """Value-proportional mutation: value + value * N(0, sigma).
-
-    The perturbation scales with the value being mutated, so parameters of very
-    different magnitudes all see proportionate steps. A value of exactly 0 is
-    absorbing: the perturbation is 0 for every draw, and the result is 0.
-    The Gaussian draw is consumed even then, keeping the stream position fixed.
-    """
-    _check_mutation_args(value, sigma)
-    return _clamp_additive(value, value * rng.gauss(0.0, sigma), sigma)
-
-
-def _mutants(parent: Individual, spec: MutationSpec, rng: random.Random, count: int) -> Iterator[Individual]:
-    """``count`` mutants of ``parent`` in one loop: the draws, gains and errors of mutate_absolute or mutate_scaled
-    on each gain in flat order, with the parent and sigma checked once, and nothing drawn or checked if count < 1."""
-    if count < 1:
-        return
-    scaled = spec.kind is MutationKind.SCALED
-    sigma = spec.sigma_scaled if scaled else spec.sigma_absolute
-    flat = parent.as_flat()
-    for v in flat:
-        _check_mutation_args(v, sigma)
-    gauss, isfinite = rng.gauss, math.isfinite
-    for _ in range(count):
-        out = []
-        for v in flat:
-            step = v * gauss(0.0, sigma) if scaled else gauss(0.0, sigma)
-            x = v + step
-            if x < 0.0 or not isfinite(step):
-                x = _clamp_additive(v, step, sigma)
-            out.append(x)
-        kpv, kiv, kdv, kpa, kia, kda = out
-        yield Individual(Gains(kpv, kiv, kdv), Gains(kpa, kia, kda))
-
-
-def mutate_individual(parent: Individual, spec: MutationSpec, rng: random.Random) -> Individual:
-    """_mutants' one-mutant view: all six gains mutated independently, in the order kpv, kiv, kdv, kpa, kia, kda."""
-    return next(_mutants(parent, spec, rng, 1))
 
 
 def init_population(config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:
@@ -284,15 +231,40 @@ def init_population(config: EPConfig, rng: random.Random) -> tuple[Individual, .
 
 
 def next_generation(record: GenerationRecord, config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:
-    """Build the successor population: the composite parent (member 0, unmutated) plus mutants of it.
+    """Build the successor population: the composite parent (member 0, unmutated) plus population_size - 1 mutants.
 
-    The composite parent splices the generation's best linear gains and best angular gains.
+    The parent splices the generation's best linear and best angular gains. A mutant adds to each gain, in flat order,
+    N(0, sigma_absolute), or under scaled mutation the gain times N(0, sigma_scaled), so a 0 stays 0 though its draw
+    is consumed; a step that takes a gain below 0 is halved until it does not. Population 1 draws and checks nothing.
     """
     parent = Individual(
         record.members[record.fittest_linear_index].individual.linear,
         record.members[record.fittest_angular_index].individual.angular,
     )
-    return (parent, *_mutants(parent, config.mutation, rng, config.population_size - 1))
+    if config.population_size < 2:
+        return (parent,)
+    scaled = config.mutation.kind is MutationKind.SCALED
+    sigma = config.mutation.sigma_scaled if scaled else config.mutation.sigma_absolute
+    flat = parent.as_flat()
+    # a negative parent gain would never end the halving loop; Gains rejects one, but a duck-typed parent may not
+    for v in flat:
+        if not (math.isfinite(v) and v >= 0.0):
+            raise ValueError(f"value must be finite and >= 0, got {v!r}")
+        if not sigma > 0.0:
+            raise ValueError(f"sigma must be > 0, got {sigma!r}")
+    gauss, isfinite = rng.gauss, math.isfinite
+    population = [parent]
+    for _ in range(config.population_size - 1):
+        out = []
+        for v in flat:
+            step = v * gauss(0.0, sigma) if scaled else gauss(0.0, sigma)
+            x = v + step
+            if x < 0.0 or not isfinite(step):
+                x = _clamp_additive(v, step, sigma)
+            out.append(x)
+        kpv, kiv, kdv, kpa, kia, kda = out
+        population.append(Individual(Gains(kpv, kiv, kdv), Gains(kpa, kia, kda)))
+    return tuple(population)
 
 
 def evolve(config: EPConfig, score: Scorer) -> EPResult:

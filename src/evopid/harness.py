@@ -163,7 +163,7 @@ def _read_assignments(path: Path) -> dict[str, tuple[int, str]]:
     """
     try:
         # universal newlines end a line only at \n, \r\n or \r; splitlines() would also split at U+2028 and kin
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     assignments: dict[str, tuple[int, str]] = {}
@@ -208,12 +208,15 @@ def parse_grid_file(path: Path) -> GainGrid:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
         if not values:
             raise ConfigError(f"{path}:{lineno}: {key} lists no values")
-        if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"{path}:{lineno}: {key} values must be finite, got {value!r}")
+        if not all(math.isfinite(v) and v >= 0.0 for v in values):
+            raise ConfigError(f"{path}:{lineno}: {key} values must be finite and nonnegative, got {value!r}")
         axes[key] = values
     if not axes:
         raise ConfigError(f"{path}: grid file defines no gain values")
-    return GainGrid(*(axes.get(key, (0.0,)) for key in ("kp", "ki", "kd")))
+    try:
+        return GainGrid(*(axes.get(key, (0.0,)) for key in ("kp", "ki", "kd")))
+    except ValueError as exc:  # the point cap: the values are finite and nonnegative
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _field(node, path: tuple[str | int, ...]):
@@ -223,22 +226,25 @@ def _field(node, path: tuple[str | int, ...]):
     return node
 
 
-def _replace_fields(node, values: Mapping[tuple[str | int, ...], object]):
-    """A copy of ``node`` with the value at each path replaced.
+def _replace_fields(node, values: Mapping[tuple[str | int, ...], tuple[str, object]]):
+    """A copy of ``node`` with the value at each path replaced; ``values`` maps a path to (config key, value).
 
-    Each dataclass or tuple on the paths is rebuilt once with all of its new values, so
-    its checks see only the final combination (a low bound may pass the old high one).
+    Each dataclass or tuple on the paths is rebuilt once with all of its new values, so its checks see only the
+    final combination (a low bound may pass the old high one); a check that fails names that object's keys.
     """
-    by_step: dict[str | int, dict[tuple[str | int, ...], object]] = {}
-    for (step, *rest), value in values.items():
-        by_step.setdefault(step, {})[tuple(rest)] = value
+    by_step: dict[str | int, dict[tuple[str | int, ...], tuple[str, object]]] = {}
+    for (step, *rest), item in values.items():
+        by_step.setdefault(step, {})[tuple(rest)] = item
     new = {
-        step: sub[()] if () in sub else _replace_fields(_field(node, (step,)), sub)
+        step: sub[()][1] if () in sub else _replace_fields(_field(node, (step,)), sub)
         for step, sub in by_step.items()
     }
     if isinstance(node, tuple):
         return tuple(new.get(i, old) for i, old in enumerate(node))
-    return replace(node, **new)
+    try:
+        return replace(node, **new)
+    except ValueError as exc:
+        raise ConfigError(f"{', '.join(key for key, _ in values.values())}: {exc}") from None
 
 
 def build_environment(
@@ -258,10 +264,10 @@ def build_experiment_spec(
 ) -> ExperimentSpec:
     """Assemble a preset experiment; config overrides may adjust everything but the mutation kind.
 
-    Raises ConfigError, naming the key as parse_config_file does, on a key not in CONFIG_TABLE, on a
-    value that is not a finite real number (a bool, a string, a NaN), on one an int key would truncate
-    (2.7 for a population size), and, naming the route key, on a route _prepare rejects: no samples,
-    more than its sample cap, or a first error against a channel's initial velocity that overflows.
+    Raises ConfigError, naming the key as parse_config_file does, on a key not in CONFIG_TABLE, on a value that is
+    not a finite real number (a bool, a string, a NaN), on one an int key would truncate (2.7 for a population size)
+    and on one the spec object it sets rejects (a dc_gain of 0), naming every key given to that object; and, naming
+    the route key, on a route _prepare rejects: no samples, over its sample cap, or an overflowing first error.
     """
     _check_experiment_id(experiment_id)
     kind, population_size = EXPERIMENT_TABLE[experiment_id]
@@ -291,7 +297,7 @@ def build_experiment_spec(
             raise ConfigError(f"{key} must be finite, got {value!r}")
         if parse is int and number != value:
             raise ConfigError(f"{key} must be an integer, got {value!r}")
-        values[path] = number
+        values[path] = (key, number)
     spec = _replace_fields(preset, values)
     for name, route in (("train", spec.train_route), ("test", spec.test_route)):
         try:

@@ -18,7 +18,9 @@ from evopid import (
     ChannelTrace,
     EPConfig,
     GainGrid,
+    GenerationRecord,
     Individual,
+    MemberRecord,
     MutationKind,
     MutationSpec,
     StopReason,
@@ -26,8 +28,7 @@ from evopid import (
     fitness_of,
     grid_oracle,
     load_generations,
-    mutate_absolute,
-    mutate_scaled,
+    next_generation,
     render_result_table,
     run_ep,
     run_experiment,
@@ -85,14 +86,22 @@ def exp2_sweep(plant, sim, train_route):
     return runs, time.monotonic() - start
 
 
+def _mutants_of_value(value, kind, count, rng):
+    """next_generation's ``count`` mutants of a parent holding ``value`` in all six gains, with the preset sigmas."""
+    record = GenerationRecord.from_evaluations(0, (MemberRecord(Individual.from_flat([value] * 6), 0.5, 0.5),))
+    return next_generation(record, EPConfig(population_size=count + 1, mutation=MutationSpec(kind)), rng)[1:]
+
+
 def test_criterion_01_mutation_safety():
     with criterion(1, "mutation safety: 1e5 draws per operator terminate and stay nonnegative in < 5 s"):
         start = time.monotonic()
-        for op, sigma in ((mutate_absolute, 0.05), (mutate_scaled, 0.5)):
+        for kind in MutationKind:
             rng = random.Random(9001)
-            for i in range(100_000):
-                result = op(MUTATION_PROBE_VALUES[i % 5], sigma, rng)
-                assert result >= 0.0
+            # 3,334 mutants of six gains per probe value: 20,004 draws each, 100,020 per operator
+            for value in MUTATION_PROBE_VALUES:
+                children = _mutants_of_value(value, kind, 3_334, rng)
+                assert len(children) == 3_334
+                assert all(v >= 0.0 for child in children for v in child.as_flat())
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"mutation safety sweep took {elapsed:.2f}s"
 
@@ -100,7 +109,7 @@ def test_criterion_01_mutation_safety():
 def test_criterion_02_zero_absorption(tmp_path):
     with criterion(2, "zero absorption: scaled mutation never leaves 0; zeroed parameters stay zero in a full run"):
         for seed in range(10_000):
-            assert mutate_scaled(0.0, 0.5, random.Random(seed)) == 0.0
+            assert _mutants_of_value(0.0, MutationKind.SCALED, 1, random.Random(seed))[0].as_flat() == (0.0,) * 6
 
         # full experiment-2 run: any parameter the selected parent holds at exactly
         # zero must stay zero in every later generation

@@ -92,7 +92,14 @@ def test_oracle_rejects_nonfinite_grid_values(tmp_path, capsys, line):
     rc = cli_main(["oracle", "--grid", str(grid)])
     assert rc == 1
     key = line.split()[0]
-    assert f"error: {grid}:2: {key} values must be finite" in capsys.readouterr().err
+    assert f"error: {grid}:2: {key} values must be finite and nonnegative, got " in capsys.readouterr().err
+
+
+def test_oracle_rejects_a_negative_grid_value(tmp_path, capsys):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("kp = 1, -2\n")
+    assert cli_main(["oracle", "--grid", str(grid)]) == 1
+    assert capsys.readouterr().err == f"error: {grid}:1: kp values must be finite and nonnegative, got '1, -2'\n"
 
 
 def test_oracle_rejects_a_grid_over_the_point_cap(tmp_path, capsys, monkeypatch):
@@ -104,7 +111,7 @@ def test_oracle_rejects_a_grid_over_the_point_cap(tmp_path, capsys, monkeypatch)
     grid.write_text(f"kp = {', '.join(map(str, range(1001)))}\nki = {' '.join(map(str, range(1000)))}\n")
     rc = cli_main(["oracle", "--grid", str(grid)])
     assert rc == 1
-    assert "error: a grid of 1,001,000 points is more than the limit of 1,000,000" in capsys.readouterr().err
+    assert f"error: {grid}: a grid of 1,001,000 points is more than the limit of 1,000,000" in capsys.readouterr().err
 
 
 def test_step_rejects_route_over_the_sample_cap(tmp_path, capsys):

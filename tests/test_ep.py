@@ -1,14 +1,17 @@
+import ast
 import math
 import random
 import re
 import types
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import evopid
 from evopid import (
     EPConfig,
     EvaluationError,
@@ -21,15 +24,13 @@ from evopid import (
     MutationSpec,
     StopReason,
     init_population,
-    mutate_absolute,
-    mutate_individual,
-    mutate_scaled,
     next_generation,
     build_experiment_spec,
     run_ep,
 )
 from evopid.ep import _MAX_MEMBERS, evolve
 from evopid.metrics import _fitness_rows, fitness_of
+from reference import mutate_absolute, mutate_scaled
 
 
 class FakeRng:
@@ -58,47 +59,77 @@ def halving_reference(value: float, add: float) -> float:
 
 
 # ---------------------------------------------------------------- mutation
+# next_generation is the one mutation path; these tests drive it through one_member_record and mutants
+
+
+def one_member_record(parent):
+    return GenerationRecord.from_evaluations(0, (MemberRecord(parent, 0.5, 0.5),))
+
+
+def mutants(parent, spec, rng, count=1):
+    """The ``count`` mutants next_generation makes of ``parent``, from a generation of that one member."""
+    return next_generation(one_member_record(parent), EPConfig(population_size=count + 1, mutation=spec), rng)[1:]
+
+
+def mutated_value(kind, value, sigma, rng):
+    """The six gains of next_generation's one mutant of a parent that holds ``value`` in all six."""
+    spec = MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma)
+    (child,) = mutants(Individual.from_flat([value] * 6), spec, rng)
+    return child.as_flat()
+
+
+def duck_parent(*flat):
+    """An Individual whose gains skip Gains' checks, as a library caller's duck-typed gains may."""
+    return Individual(types.SimpleNamespace(as_tuple=lambda: flat[:3]), types.SimpleNamespace(as_tuple=lambda: flat[3:]))
 
 
 def test_mutate_absolute_halving_trace():
     # add=-0.1: one halving lands exactly on zero
-    assert mutate_absolute(0.05, 0.05, FakeRng([-0.1])) == 0.0
+    assert mutated_value(MutationKind.ABSOLUTE, 0.05, 0.05, FakeRng([-0.1] * 6)) == (0.0,) * 6
 
 
 def test_mutate_absolute_zero_value_negative_draw_returns_zero():
-    assert mutate_absolute(0.0, 0.05, FakeRng([-0.5])) == 0.0
+    assert mutated_value(MutationKind.ABSOLUTE, 0.0, 0.05, FakeRng([-0.5] * 6)) == (0.0,) * 6
 
 
 def test_mutate_absolute_no_halving_needed():
-    assert mutate_absolute(1.0, 0.05, FakeRng([0.03])) == 1.0 + 0.03
+    assert mutated_value(MutationKind.ABSOLUTE, 1.0, 0.05, FakeRng([0.03] * 6)) == (1.0 + 0.03,) * 6
 
 
 def test_mutate_scaled_long_halving_trace():
     # add = 0.1 * -20 = -2; five halvings reach -0.0625 and 0.1 - 0.0625 >= 0
-    result = mutate_scaled(0.1, 0.5, FakeRng([-20.0]))
-    assert result == pytest.approx(0.0375, rel=1e-12)
-    assert result == halving_reference(0.1, 0.1 * -20.0)
+    result = mutated_value(MutationKind.SCALED, 0.1, 0.5, FakeRng([-20.0] * 6))
+    assert result[0] == pytest.approx(0.0375, rel=1e-12)
+    assert result == (halving_reference(0.1, 0.1 * -20.0),) * 6
 
 
 def test_mutate_scaled_moderate_draw():
-    result = mutate_scaled(0.1, 0.5, FakeRng([0.05]))
-    assert result == pytest.approx(0.105, rel=1e-12)
-    assert result == 0.1 + 0.1 * 0.05
+    result = mutated_value(MutationKind.SCALED, 0.1, 0.5, FakeRng([0.05] * 6))
+    assert result[0] == pytest.approx(0.105, rel=1e-12)
+    assert result == (0.1 + 0.1 * 0.05,) * 6
 
 
 def test_mutate_scaled_zero_is_absorbing():
     for seed in range(100):
-        assert mutate_scaled(0.0, 0.5, random.Random(seed)) == 0.0
+        assert mutated_value(MutationKind.SCALED, 0.0, 0.5, random.Random(seed)) == (0.0,) * 6
 
 
-def test_mutation_rejects_bad_arguments():
-    rng = random.Random(0)
-    with pytest.raises(ValueError):
-        mutate_absolute(-0.1, 0.05, rng)
-    with pytest.raises(ValueError):
-        mutate_absolute(0.1, 0.0, rng)
-    with pytest.raises(ValueError):
-        mutate_scaled(0.1, -1.0, rng)
+def test_mutation_rejects_bad_arguments(time_limit):
+    # Gains and MutationSpec reject these where they are built; next_generation checks what it is handed, in the
+    # reference's order, and a negative gain would never end its halving loop
+    cases = [
+        (duck_parent(0.5, -0.1, 0.0, 0.5, 0.0, 0.0), 0.05, "value must be finite and >= 0, got -0.1"),
+        (duck_parent(0.5, math.nan, 0.0, 0.5, 0.0, 0.0), 0.05, "value must be finite and >= 0, got nan"),
+        (duck_parent(-0.1, 0.5, 0.0, 0.5, 0.0, 0.0), 0.0, "value must be finite and >= 0, got -0.1"),
+        (duck_parent(0.5, -0.1, 0.0, 0.5, 0.0, 0.0), 0.0, "sigma must be > 0, got 0.0"),  # kpv is checked first
+        (Individual.from_flat([0.1] * 6), -1.0, "sigma must be > 0, got -1.0"),
+    ]
+    for kind in MutationKind:
+        for parent, sigma, message in cases:
+            spec = types.SimpleNamespace(kind=kind, sigma_absolute=sigma, sigma_scaled=sigma)
+            for mutate in (mutate_by_operators, mutants):
+                with time_limit(5), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    mutate(parent, spec, random.Random(0))
 
 
 @given(
@@ -106,10 +137,10 @@ def test_mutation_rejects_bad_arguments():
     draw=st.floats(min_value=-100.0, max_value=100.0),
 )
 def test_mutate_absolute_matches_halving_reference(value, draw):
-    result = mutate_absolute(value, 0.05, FakeRng([draw]))
-    assert result >= 0.0
-    assert math.isfinite(result)
-    assert result == halving_reference(value, draw)
+    result = mutated_value(MutationKind.ABSOLUTE, value, 0.05, FakeRng([draw] * 6))
+    assert result[0] >= 0.0
+    assert math.isfinite(result[0])
+    assert result == (halving_reference(value, draw),) * 6
 
 
 @given(
@@ -117,39 +148,38 @@ def test_mutate_absolute_matches_halving_reference(value, draw):
     draw=st.floats(min_value=-100.0, max_value=100.0),
 )
 def test_mutate_scaled_matches_halving_reference(value, draw):
-    result = mutate_scaled(value, 0.5, FakeRng([draw]))
-    assert result >= 0.0
-    assert math.isfinite(result)
-    assert result == halving_reference(value, value * draw)
+    result = mutated_value(MutationKind.SCALED, value, 0.5, FakeRng([draw] * 6))
+    assert result[0] >= 0.0
+    assert math.isfinite(result[0])
+    assert result == (halving_reference(value, value * draw),) * 6
 
 
 @given(value=st.sampled_from([0.0, 1e-9, 0.01, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
 def test_mutation_operators_nonnegative(value, seed):
-    assert mutate_absolute(value, 0.05, random.Random(seed)) >= 0.0
-    assert mutate_scaled(value, 0.5, random.Random(seed)) >= 0.0
+    assert min(mutated_value(MutationKind.ABSOLUTE, value, 0.05, random.Random(seed))) >= 0.0
+    assert min(mutated_value(MutationKind.SCALED, value, 0.5, random.Random(seed))) >= 0.0
 
 
 def test_mutate_individual_zero_parent_stays_zero_under_scaling():
     parent = Individual.from_flat([0.0] * 6)
     spec = MutationSpec(MutationKind.SCALED)
-    child = mutate_individual(parent, spec, random.Random(42))
-    assert child == parent
+    assert mutants(parent, spec, random.Random(42)) == (parent,)
 
 
 def test_mutate_individual_draw_order_is_flat_order():
     parent = Individual.from_flat([1.0] * 6)
     spec = MutationSpec(MutationKind.ABSOLUTE)
-    child = mutate_individual(parent, spec, FakeRng([0.01, 0.02, 0.03, 0.04, 0.05, 0.06]))
+    (child,) = mutants(parent, spec, FakeRng([0.01, 0.02, 0.03, 0.04, 0.05, 0.06]))
     assert child.as_flat() == tuple(1.0 + d for d in (0.01, 0.02, 0.03, 0.04, 0.05, 0.06))
 
 
 def test_mutate_individual_deterministic_and_valid():
     parent = Individual(Gains(0.5, 0.01, 0.001), Gains(0.8, 0.05, 0.002))
     spec = MutationSpec(MutationKind.SCALED)
-    a = mutate_individual(parent, spec, random.Random(7))
-    b = mutate_individual(parent, spec, random.Random(7))
+    a = mutants(parent, spec, random.Random(7), count=5)
+    b = mutants(parent, spec, random.Random(7), count=5)
     assert a == b
-    assert all(v >= 0 and math.isfinite(v) for v in a.as_flat())
+    assert all(v >= 0 and math.isfinite(v) for child in a for v in child.as_flat())
 
 
 @pytest.mark.parametrize(
@@ -164,9 +194,13 @@ def test_mutate_individual_deterministic_and_valid():
     ],
 )
 def test_nonfinite_step_is_rejected_before_halving(op, value, draw, time_limit):
-    # halving -inf gives -inf, so the clamp loop would never end on it: every nonfinite step is an error
-    with time_limit(5), pytest.raises(ValueError, match=r"^mutating .* with sigma 0\.5 drew a nonfinite step"):
-        op(value, 0.5, FakeRng([draw]))
+    # halving -inf gives -inf, so the clamp loop would never end on it: every nonfinite step is an error, both in
+    # the reference operator and in next_generation on a parent holding the value
+    kind = MutationKind.SCALED if op is mutate_scaled else MutationKind.ABSOLUTE
+    message = r"^mutating .* with sigma 0\.5 drew a nonfinite step"
+    for mutate in (lambda: op(value, 0.5, FakeRng([draw])), lambda: mutated_value(kind, value, 0.5, FakeRng([draw]))):
+        with time_limit(5), pytest.raises(ValueError, match=message):
+            mutate()
 
 
 @pytest.mark.parametrize("kind", list(MutationKind))
@@ -175,16 +209,28 @@ def test_mutate_individual_rejects_a_nonfinite_step(kind, time_limit):
     rng = FakeRng([0.01, 0.02, -1e300 if kind is MutationKind.SCALED else -math.inf, 0.04, 0.05, 0.06])
     message = r"^mutating 10000000000\.0 with sigma .* drew a nonfinite step -inf"
     with time_limit(5), pytest.raises(ValueError, match=message):
-        mutate_individual(parent, MutationSpec(kind), rng)
+        mutants(parent, MutationSpec(kind), rng)
+    assert rng._gauss == [0.04, 0.05, 0.06]
 
 
 def mutate_by_operators(parent, spec, rng):
-    """mutate_individual's reference: the public operator, with its argument check, on each gain in turn."""
+    """One mutant from the reference operators, with their argument checks, on each gain in turn."""
     if spec.kind is MutationKind.SCALED:
         op, sigma = mutate_scaled, spec.sigma_scaled
     else:
         op, sigma = mutate_absolute, spec.sigma_absolute
     return Individual.from_flat([op(v, sigma, rng) for v in parent.as_flat()])
+
+
+def test_the_package_has_one_mutation_path():
+    # the per-value operators live in tests/reference.py: no module of the package defines, imports or names one,
+    # nor the one-mutant view or the generator that next_generation has absorbed
+    copies = {"mutate_absolute", "mutate_scaled", "mutate_individual", "_mutants"}
+    for path in sorted(Path(evopid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, field, None) for field in ("name", "asname", "id", "attr")}
+            assert not names & copies, (path.name, node.lineno)
+    assert not copies & set(dir(evopid))
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
@@ -193,7 +239,7 @@ def test_mutate_individual_checks_sigma_like_the_operators(kind, sigma):
     # MutationSpec rejects such a sigma where it is built; a spec that never passed that check is caught here
     spec = types.SimpleNamespace(kind=kind, sigma_absolute=sigma, sigma_scaled=sigma)
     parent = Individual.from_flat([0.5] * 6)
-    for mutate in (mutate_by_operators, mutate_individual):
+    for mutate in (mutate_by_operators, mutants):
         with pytest.raises(ValueError, match=f"^sigma must be > 0, got {sigma!r}$"):
             mutate(parent, spec, random.Random(0))
 
@@ -215,16 +261,17 @@ triples = st.builds(Gains, gain_values, gain_values, gain_values)
 @example(parent=Individual.from_flat([1e300] * 6), kind=MutationKind.SCALED, sigma=1e300, seed=0)  # step: inf
 @example(parent=Individual.from_flat([0.5] * 6), kind=MutationKind.ABSOLUTE, sigma=1e308, seed=5)  # step: -inf
 def test_mutate_individual_matches_the_public_operators(parent, kind, sigma, seed):
-    # the same gains, bit for bit, or the same error, and the generator left in the same state
+    # next_generation's one mutant against the reference operators: the same gains, bit for bit, or the same
+    # error, and the generator left in the same state
     spec = MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma)
     rng, reference_rng = random.Random(seed), random.Random(seed)
     try:
         expected = mutate_by_operators(parent, spec, reference_rng)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            mutate_individual(parent, spec, rng)
+            mutants(parent, spec, rng)
     else:
-        got = mutate_individual(parent, spec, rng)
+        (got,) = mutants(parent, spec, rng)
         assert [v.hex() for v in got.as_flat()] == [v.hex() for v in expected.as_flat()]
     assert rng.getstate() == reference_rng.getstate()
 
@@ -360,12 +407,8 @@ def test_next_generation_zero_kd_absorbed_forever():
 
 
 def generation_by_operators(parent, config, rng):
-    """next_generation's reference: the parent, then population_size - 1 mutants from the public operators."""
+    """next_generation's reference: the parent, then population_size - 1 mutants from the reference operators."""
     return [parent] + [mutate_by_operators(parent, config.mutation, rng) for _ in range(config.population_size - 1)]
-
-
-def one_member_record(parent):
-    return GenerationRecord.from_evaluations(0, (MemberRecord(parent, 0.5, 0.5),))
 
 
 @settings(max_examples=6)

@@ -195,6 +195,45 @@ def test_override_follows_the_config_file_rules(key, value, message):
         build_experiment_spec(2, overrides={key: value})
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("plant.angular.dc_gain", -1, "plant.angular.dc_gain: dc_gain must be > 0"),
+        ("mutation.sigma_scaled", 0, "mutation.sigma_scaled: mutation sigmas must be > 0"),
+        ("ep.population_size", 0, "ep.population_size: population_size must be >= 1"),
+        ("init.kp.low", 2, "init.kp.low: kp_bounds must satisfy 0 <= low <= high, got (2.0, 1.0)"),
+    ],
+)
+def test_a_value_a_spec_rejects_is_reported_under_its_key(tmp_path, capsys, key, value, message):
+    # the spec object's own message, prefixed with the key that gave it the value
+    for build in (lambda: build_experiment_spec(2, overrides={key: value}), lambda: build_environment({key: value})):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
+    (tmp_path / "c.cfg").write_text(f"{key} = {value}\n")
+    (tmp_path / "g.cfg").write_text("kp = 0.5\n")
+    for command in ("tune --experiment 2", "step --gains 0.5,0,0,0.5,0,0 --route train", "oracle --grid g.cfg"):
+        argv = [*command.split(), "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")]
+        assert cli_main([arg.replace("g.cfg", str(tmp_path / "g.cfg")) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_rejection_names_every_key_given_to_the_rejecting_object_and_no_other():
+    overrides = {
+        "route.train.start": 0.1,
+        "plant.angular.time_constant": 0.4,
+        "plant.linear.dc_gain": 3.0,
+        "plant.angular.dc_gain": 0.0,
+        "init.kp.high": 0.5,
+        "init.kp.low": 0.75,
+    }
+    with pytest.raises(ConfigError, match=r"^plant\.angular\.time_constant, plant\.angular\.dc_gain: dc_gain must be"):
+        build_experiment_spec(2, overrides=overrides)
+    overrides["plant.angular.dc_gain"] = 2.0
+    with pytest.raises(ConfigError, match=r"^init\.kp\.high, init\.kp\.low: kp_bounds must satisfy"):
+        build_experiment_spec(2, overrides=overrides)
+
+
 @pytest.mark.parametrize("route", ["train", "test"])
 @pytest.mark.parametrize("channel", ["linear", "angular"])
 def test_overflowing_first_error_is_rejected(route, channel):
@@ -251,6 +290,13 @@ def test_parse_config_file(tmp_path):
     # a line ends only at \n, \r\n or \r: text after a U+2028 in a comment stays in the comment
     cfg.write_bytes("# note\u2028ep.population_size = 3\nep.ae_target = 0.5\r\nroute.test.end = 0.9\r".encode())
     assert parse_config_file(cfg) == {"ep.ae_target": 0.5, "route.test.end": 0.9}
+
+
+def test_parse_config_file_accepts_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("ep.population_size = 3\nep.ae_target = 0.5\n", encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_config_file(cfg) == {"ep.population_size": 3, "ep.ae_target": 0.5}
 
 
 def test_parse_config_file_unknown_key(tmp_path):
@@ -316,6 +362,13 @@ def test_parse_grid_file(tmp_path):
     assert parse_grid_file(grid_file) == GainGrid((1.0, 2.0), (0.0,), (0.0,))
 
 
+def test_parse_grid_file_accepts_a_byte_order_mark(tmp_path):
+    grid_file = tmp_path / "grid.cfg"
+    grid_file.write_text("kp = 0, 0.5\nki = 0.25\n", encoding="utf-8-sig")
+    assert grid_file.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert parse_grid_file(grid_file) == GainGrid((0.0, 0.5), (0.25,), (0.0,))
+
+
 def test_parse_grid_file_rejects_unknown_axis(tmp_path):
     grid_file = tmp_path / "grid.cfg"
     grid_file.write_text("kq = 0.5\n")
@@ -337,8 +390,13 @@ def test_parse_grid_file_rejects_a_repeated_gain(tmp_path):
         ("kp = 0.5\nkd =\n", "grid.cfg:2: kd lists no values"),
         ("# comments only\n\n", "grid.cfg: grid file defines no gain values"),
         ("kp = 0.5 # \u2028 x\nkd =\n", "grid.cfg:2: kd lists no values"),
+        ("kp = 0.5\nki = 0, -2\n", "grid.cfg:2: ki values must be finite and nonnegative, got '0, -2'"),
+        (
+            f"kp = {', '.join(map(str, range(1001)))}\nki = {' '.join(map(str, range(1000)))}\n",
+            "grid.cfg: a grid of 1,001,000 points is more than the limit of 1,000,000",
+        ),
     ],
-    ids=["bad number", "no values", "no gain lines", "U+2028 in a comment"],
+    ids=["bad number", "no values", "no gain lines", "U+2028 in a comment", "negative value", "over the point cap"],
 )
 def test_parse_grid_file_rejects_a_malformed_file(tmp_path, text, message):
     grid_file = tmp_path / "grid.cfg"
