@@ -3,7 +3,8 @@
 
 One line per output: the command, the file name (or "stdout") and its digest. The set is
 `tune` for experiments 1-3 and seeds 0-9, `tune` for experiments 1 and 2 with a population of one (the
-parent alone, so no mutant is drawn), `step` on both routes with one gain set, `oracle`
+parent alone, so no mutant is drawn), `tune` for experiments 1 and 2 and seeds 0-9 with wide sigmas (many
+steps take a gain below 0, so the halving path runs often), `step` on both routes with one gain set, `oracle`
 on both routes with four grids, and `step` on a test route of 30,000 samples, whose trace CSV
 spans many of the CSV writer's chunks. The C kernel runs rows in blocks of sixteen: the 64-point
 grid fills its blocks, and the 60- and 105-point ones end on a partial block. The 4,352-point grid
@@ -49,11 +50,14 @@ SEEDS = range(10)
 LONG_ROUTE = "route.test.phase_duration = 300.0\n"
 # three generations of the parent alone: next_generation returns it without drawing or checking
 SINGLE = "ep.population_size = 1\nep.max_generations = 3\n"
+# sigmas wide enough that many steps overshoot below 0 and are halved: one for each mutation operator
+WIDE_SIGMAS = {1: "mutation.sigma_absolute = 2\n", 2: "mutation.sigma_scaled = 3\n"}
 
 
 def commands() -> list[str]:
     tune = [f"tune --experiment {e} --seed {s} --out out" for e in EXPERIMENT_TABLE for s in SEEDS]
     tune += [f"tune --experiment {e} --config single.cfg --out out" for e in (1, 2)]
+    tune += [f"tune --experiment {e} --seed {s} --config wide{e}.cfg --out out" for e in WIDE_SIGMAS for s in SEEDS]
     routes = ("train", "test")
     step = [f"step --gains {GAINS} --route {route} --out out" for route in routes]
     step.append(f"step --gains {GAINS} --route test --config long.cfg --out out")
@@ -86,6 +90,8 @@ def main() -> None:
                 (case / "chunks.cfg").write_text(CHUNKS_GRID, encoding="utf-8")
                 (case / "long.cfg").write_text(LONG_ROUTE, encoding="utf-8")
                 (case / "single.cfg").write_text(SINGLE, encoding="utf-8")
+                for e, text in WIDE_SIGMAS.items():
+                    (case / f"wide{e}.cfg").write_text(text, encoding="utf-8")
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):
                     code = cli_main(command.split())

@@ -20,6 +20,7 @@ from .harness import (
     parse_grid_file,
     render_result_table,
     run_experiment,
+    _read_assignments,
     _write_json,
 )
 from .metrics import step_metrics
@@ -129,6 +130,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.run(args)
     except (ConfigError, EvaluationError, SimulationDiverged, ValueError, OSError) as exc:
+        if getattr(exc, "key", None) is not None:  # a spec rejected a --config value: name the line that gave it
+            exc = f"{args.config}:{_read_assignments(args.config)[exc.key][0]}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

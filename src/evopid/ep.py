@@ -50,9 +50,12 @@ class Gains:
     kd: float
 
     def __post_init__(self):
+        # _require_finite's test; every mutant builds two Gains, so three floats in [0, inf) pass in one expression
+        kp, ki, kd, inf = self.kp, self.ki, self.kd, math.inf
+        if type(kp) is type(ki) is type(kd) is float and 0.0 <= kp < inf and 0.0 <= ki < inf and 0.0 <= kd < inf:
+            return
         for name in ("kp", "ki", "kd"):
             v = getattr(self, name)
-            # _require_finite's test, but a float skips the slower isinstance: every mutant builds two Gains
             real = type(v) is float or (type(v) is not bool and isinstance(v, numbers.Real))
             if not (real and math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
@@ -236,6 +239,7 @@ def next_generation(record: GenerationRecord, config: EPConfig, rng: random.Rand
     The parent splices the generation's best linear and best angular gains. A mutant adds to each gain, in flat order,
     N(0, sigma_absolute), or under scaled mutation the gain times N(0, sigma_scaled), so a 0 stays 0 though its draw
     is consumed; a step that takes a gain below 0 is halved until it does not. Population 1 draws and checks nothing.
+    The draws are random.Random.gauss's bit for bit: its Box-Muller over ``rng.random()``, its spare in gauss_next.
     """
     parent = Individual(
         record.members[record.fittest_linear_index].individual.linear,
@@ -252,18 +256,27 @@ def next_generation(record: GenerationRecord, config: EPConfig, rng: random.Rand
             raise ValueError(f"value must be finite and >= 0, got {v!r}")
         if not sigma > 0.0:
             raise ValueError(f"sigma must be > 0, got {sigma!r}")
-    gauss, isfinite = rng.gauss, math.isfinite
+    random, spare = rng.random, rng.gauss_next
+    isfinite, sqrt, log, cos, sin, twopi = math.isfinite, math.sqrt, math.log, math.cos, math.sin, math.tau
     population = [parent]
-    for _ in range(config.population_size - 1):
-        out = []
-        for v in flat:
-            step = v * gauss(0.0, sigma) if scaled else gauss(0.0, sigma)
-            x = v + step
-            if x < 0.0 or not isfinite(step):
-                x = _clamp_additive(v, step, sigma)
-            out.append(x)
-        kpv, kiv, kdv, kpa, kia, kda = out
-        population.append(Individual(Gains(kpv, kiv, kdv), Gains(kpa, kia, kda)))
+    try:
+        for _ in range(config.population_size - 1):
+            out = []
+            for v in flat:
+                z, spare = spare, None
+                if z is None:
+                    x2pi = random() * twopi
+                    g2rad = sqrt(-2.0 * log(1.0 - random()))
+                    z, spare = cos(x2pi) * g2rad, sin(x2pi) * g2rad
+                step = v * (0.0 + z * sigma) if scaled else 0.0 + z * sigma
+                x = v + step
+                if x < 0.0 or not isfinite(step):
+                    x = _clamp_additive(v, step, sigma)
+                out.append(x)
+            kpv, kiv, kdv, kpa, kia, kda = out
+            population.append(Individual(Gains(kpv, kiv, kdv), Gains(kpa, kia, kda)))
+    finally:
+        rng.gauss_next = spare
     return tuple(population)
 
 

@@ -83,7 +83,9 @@ CONFIG_TABLE: dict[str, tuple[type, tuple[str | int, ...]]] = {
 
 
 class ConfigError(ValueError):
-    """A config or grid file could not be parsed or used an unknown key."""
+    """A config or grid file could not be parsed or used an unknown key; ``key`` is the first key a spec rejected."""
+
+    key: str | None = None
 
 
 def _check_experiment_id(experiment_id) -> None:
@@ -244,7 +246,9 @@ def _replace_fields(node, values: Mapping[tuple[str | int, ...], tuple[str, obje
     try:
         return replace(node, **new)
     except ValueError as exc:
-        raise ConfigError(f"{', '.join(key for key, _ in values.values())}: {exc}") from None
+        error = ConfigError(f"{', '.join(key for key, _ in values.values())}: {exc}")
+        error.key = next(iter(values.values()))[0]
+        raise error from None
 
 
 def build_environment(

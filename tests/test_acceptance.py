@@ -34,7 +34,7 @@ from evopid import (
     run_experiment,
 )
 from evopid.cli import cli_main
-from reference import average_error
+from reference import average_error, mutate_absolute, mutate_scaled
 
 MUTATION_PROBE_VALUES = (0.0, 1e-9, 0.01, 0.1, 1.0)
 
@@ -93,15 +93,23 @@ def _mutants_of_value(value, kind, count, rng):
 
 
 def test_criterion_01_mutation_safety():
-    with criterion(1, "mutation safety: 1e5 draws per operator terminate and stay nonnegative in < 5 s"):
+    title = "mutation safety: 1e5 draws per operator terminate, stay nonnegative and match the reference in < 5 s"
+    with criterion(1, title):
         start = time.monotonic()
         for kind in MutationKind:
-            rng = random.Random(9001)
+            rng, reference_rng = random.Random(9001), random.Random(9001)
+            spec = MutationSpec(kind)
+            scaled = kind is MutationKind.SCALED
+            op, sigma = (mutate_scaled, spec.sigma_scaled) if scaled else (mutate_absolute, spec.sigma_absolute)
             # 3,334 mutants of six gains per probe value: 20,004 draws each, 100,020 per operator
             for value in MUTATION_PROBE_VALUES:
                 children = _mutants_of_value(value, kind, 3_334, rng)
                 assert len(children) == 3_334
                 assert all(v >= 0.0 for child in children for v in child.as_flat())
+                # bit for bit the reference operator's gains, one gauss call per gain on a second generator
+                expected = [op(value, sigma, reference_rng).hex() for _ in range(6 * 3_334)]
+                assert [v.hex() for child in children for v in child.as_flat()] == expected
+            assert rng.getstate() == reference_rng.getstate()
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"mutation safety sweep took {elapsed:.2f}s"
 

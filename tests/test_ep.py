@@ -33,14 +33,42 @@ from evopid.metrics import _fitness_rows, fitness_of
 from reference import mutate_absolute, mutate_scaled
 
 
-class FakeRng:
-    """Scripted Gaussian draws for hand-traced mutation cases."""
+class FakeRng(random.Random):
+    """A random.Random whose random() replays scripted uniforms, for hand-traced mutation cases.
 
-    def __init__(self, gauss_values):
-        self._gauss = list(gauss_values)
+    next_generation's inline draws and the reference operators' rng.gauss, which calls self.random(), read the same
+    stream, and getstate() holds the spare normal either leaves in gauss_next.
+    """
 
-    def gauss(self, mu, sigma):
-        return self._gauss.pop(0)
+    def __init__(self, uniforms):
+        super().__init__(0)
+        self.uniforms = list(uniforms)
+
+    def random(self):
+        return self.uniforms.pop(0)
+
+
+def uniforms_for(normals):
+    """Uniforms from which gauss draws ``normals`` (times sigma) to within rounding: Box-Muller inverted pair by pair.
+
+    An odd last normal is paired with 1.0. gauss reaches |z| up to about 8.5 only, so a test scales larger or
+    nonfinite draws by its sigma: z = 2 at sigma 1e308 draws inf.
+    """
+    normals = list(normals) + [1.0] * (len(normals) % 2)
+    uniforms = []
+    for z, spare in zip(normals[::2], normals[1::2]):
+        uniforms += [math.atan2(spare, z) % math.tau / math.tau, -math.expm1(-(z * z + spare * spare) / 2.0)]
+    return uniforms
+
+
+def scripted(normals, sigma):
+    """uniforms_for(normals) and the draws rng.gauss(0.0, sigma) makes from them, checked near normals * sigma."""
+    uniforms = uniforms_for(normals)
+    rng = FakeRng(uniforms)
+    draws = [rng.gauss(0.0, sigma) for _ in normals]
+    # a pair of small normals is coarse: 1 - random() near 1 carries their squared radius in its last bits
+    assert draws == pytest.approx([z * sigma for z in normals], rel=1e-9, abs=1e-7 * sigma)
+    return uniforms, draws
 
 
 def halving_reference(value: float, add: float) -> float:
@@ -72,9 +100,9 @@ def mutants(parent, spec, rng, count=1):
 
 
 def mutated_value(kind, value, sigma, rng):
-    """The six gains of next_generation's one mutant of a parent that holds ``value`` in all six."""
+    """The six gains of next_generation's one mutant of a parent that holds ``value`` in all six, or a list's six."""
     spec = MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma)
-    (child,) = mutants(Individual.from_flat([value] * 6), spec, rng)
+    (child,) = mutants(Individual.from_flat(value if isinstance(value, list) else [value] * 6), spec, rng)
     return child.as_flat()
 
 
@@ -84,29 +112,34 @@ def duck_parent(*flat):
 
 
 def test_mutate_absolute_halving_trace():
-    # add=-0.1: one halving lands exactly on zero
-    assert mutated_value(MutationKind.ABSOLUTE, 0.05, 0.05, FakeRng([-0.1] * 6)) == (0.0,) * 6
+    # steps near -0.1 on gains of half their size: one halving lands exactly on zero
+    uniforms, draws = scripted([-2.0] * 6, 0.05)
+    assert mutated_value(MutationKind.ABSOLUTE, [-0.5 * d for d in draws], 0.05, FakeRng(uniforms)) == (0.0,) * 6
 
 
 def test_mutate_absolute_zero_value_negative_draw_returns_zero():
-    assert mutated_value(MutationKind.ABSOLUTE, 0.0, 0.05, FakeRng([-0.5] * 6)) == (0.0,) * 6
+    uniforms, _ = scripted([-1.0] * 6, 0.5)
+    assert mutated_value(MutationKind.ABSOLUTE, 0.0, 0.5, FakeRng(uniforms)) == (0.0,) * 6
 
 
 def test_mutate_absolute_no_halving_needed():
-    assert mutated_value(MutationKind.ABSOLUTE, 1.0, 0.05, FakeRng([0.03] * 6)) == (1.0 + 0.03,) * 6
+    uniforms, draws = scripted([0.6] * 6, 0.05)
+    assert mutated_value(MutationKind.ABSOLUTE, 1.0, 0.05, FakeRng(uniforms)) == tuple(1.0 + d for d in draws)
 
 
 def test_mutate_scaled_long_halving_trace():
-    # add = 0.1 * -20 = -2; five halvings reach -0.0625 and 0.1 - 0.0625 >= 0
-    result = mutated_value(MutationKind.SCALED, 0.1, 0.5, FakeRng([-20.0] * 6))
+    # draws near -20: add = 0.1 * -20 = -2; five halvings reach -0.0625 and 0.1 - 0.0625 >= 0
+    uniforms, draws = scripted([-4.0] * 6, 5.0)
+    result = mutated_value(MutationKind.SCALED, 0.1, 5.0, FakeRng(uniforms))
     assert result[0] == pytest.approx(0.0375, rel=1e-12)
-    assert result == (halving_reference(0.1, 0.1 * -20.0),) * 6
+    assert result == tuple(halving_reference(0.1, 0.1 * d) for d in draws)
 
 
 def test_mutate_scaled_moderate_draw():
-    result = mutated_value(MutationKind.SCALED, 0.1, 0.5, FakeRng([0.05] * 6))
+    uniforms, draws = scripted([0.1] * 6, 0.5)
+    result = mutated_value(MutationKind.SCALED, 0.1, 0.5, FakeRng(uniforms))
     assert result[0] == pytest.approx(0.105, rel=1e-12)
-    assert result == (0.1 + 0.1 * 0.05,) * 6
+    assert result == tuple(0.1 + 0.1 * d for d in draws)
 
 
 def test_mutate_scaled_zero_is_absorbing():
@@ -137,10 +170,12 @@ def test_mutation_rejects_bad_arguments(time_limit):
     draw=st.floats(min_value=-100.0, max_value=100.0),
 )
 def test_mutate_absolute_matches_halving_reference(value, draw):
-    result = mutated_value(MutationKind.ABSOLUTE, value, 0.05, FakeRng([draw] * 6))
-    assert result[0] >= 0.0
-    assert math.isfinite(result[0])
-    assert result == (halving_reference(value, draw),) * 6
+    # sigma 25 puts every draw within gauss's reach of |z| < 8.5
+    uniforms, draws = scripted([draw / 25.0] * 6, 25.0)
+    result = mutated_value(MutationKind.ABSOLUTE, value, 25.0, FakeRng(uniforms))
+    assert min(result) >= 0.0
+    assert all(math.isfinite(v) for v in result)
+    assert result == tuple(halving_reference(value, d) for d in draws)
 
 
 @given(
@@ -148,10 +183,11 @@ def test_mutate_absolute_matches_halving_reference(value, draw):
     draw=st.floats(min_value=-100.0, max_value=100.0),
 )
 def test_mutate_scaled_matches_halving_reference(value, draw):
-    result = mutated_value(MutationKind.SCALED, value, 0.5, FakeRng([draw] * 6))
-    assert result[0] >= 0.0
-    assert math.isfinite(result[0])
-    assert result == (halving_reference(value, value * draw),) * 6
+    uniforms, draws = scripted([draw / 25.0] * 6, 25.0)
+    result = mutated_value(MutationKind.SCALED, value, 25.0, FakeRng(uniforms))
+    assert min(result) >= 0.0
+    assert all(math.isfinite(v) for v in result)
+    assert result == tuple(halving_reference(value, value * d) for d in draws)
 
 
 @given(value=st.sampled_from([0.0, 1e-9, 0.01, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
@@ -169,8 +205,9 @@ def test_mutate_individual_zero_parent_stays_zero_under_scaling():
 def test_mutate_individual_draw_order_is_flat_order():
     parent = Individual.from_flat([1.0] * 6)
     spec = MutationSpec(MutationKind.ABSOLUTE)
-    (child,) = mutants(parent, spec, FakeRng([0.01, 0.02, 0.03, 0.04, 0.05, 0.06]))
-    assert child.as_flat() == tuple(1.0 + d for d in (0.01, 0.02, 0.03, 0.04, 0.05, 0.06))
+    uniforms, draws = scripted([0.2, 0.4, 0.6, 0.8, 1.0, 1.2], 0.05)  # draws near 0.01, 0.02, ..., 0.06
+    (child,) = mutants(parent, spec, FakeRng(uniforms))
+    assert child.as_flat() == tuple(1.0 + d for d in draws)
 
 
 def test_mutate_individual_deterministic_and_valid():
@@ -195,22 +232,41 @@ def test_mutate_individual_deterministic_and_valid():
 )
 def test_nonfinite_step_is_rejected_before_halving(op, value, draw, time_limit):
     # halving -inf gives -inf, so the clamp loop would never end on it: every nonfinite step is an error, both in
-    # the reference operator and in next_generation on a parent holding the value
+    # the reference operator and in next_generation on a parent holding the value. An infinite draw is a normal
+    # of 2 at sigma 1e308; gauss never draws nan from a uniform in [0, 1), so a nan uniform scripts that draw
     kind = MutationKind.SCALED if op is mutate_scaled else MutationKind.ABSOLUTE
-    message = r"^mutating .* with sigma 0\.5 drew a nonfinite step"
-    for mutate in (lambda: op(value, 0.5, FakeRng([draw])), lambda: mutated_value(kind, value, 0.5, FakeRng([draw]))):
+    if math.isnan(draw):
+        sigma, uniforms = 0.5, [math.nan, 0.5]
+    else:
+        sigma = 1e308
+        uniforms, _ = scripted([math.copysign(2.0, draw) if math.isinf(draw) else draw / sigma], sigma)
+    step = value * draw if op is mutate_scaled else draw
+    message = f"^mutating {re.escape(repr(value))} with sigma {re.escape(repr(sigma))} drew a nonfinite step {step!r}$"
+    for mutate in (
+        lambda: op(value, sigma, FakeRng(uniforms)),
+        lambda: mutated_value(kind, value, sigma, FakeRng(uniforms)),
+    ):
         with time_limit(5), pytest.raises(ValueError, match=message):
             mutate()
 
 
 @pytest.mark.parametrize("kind", list(MutationKind))
 def test_mutate_individual_rejects_a_nonfinite_step(kind, time_limit):
+    # the third draw is -inf (a normal of -2 at sigma 1e308), or under scaling overflows to -inf (1e10 times about
+    # -2e298); the spare after it stays in gauss_next and the last pair's uniforms stay unread
+    sigma = 1e298 if kind is MutationKind.SCALED else 1e308
     parent = Individual.from_flat([1e10] * 6)
-    rng = FakeRng([0.01, 0.02, -1e300 if kind is MutationKind.SCALED else -math.inf, 0.04, 0.05, 0.06])
-    message = r"^mutating 10000000000\.0 with sigma .* drew a nonfinite step -inf"
+    uniforms, _ = scripted([0.1, 0.2, -2.0, 0.4, 0.5, 0.6], sigma)
+    rng, reference_rng = FakeRng(uniforms), FakeRng(uniforms)
+    spec = MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma)
+    message = r"^mutating 10000000000\.0 with sigma .* drew a nonfinite step -inf$"
+    with pytest.raises(ValueError, match=message):
+        mutate_by_operators(parent, spec, reference_rng)
     with time_limit(5), pytest.raises(ValueError, match=message):
-        mutants(parent, MutationSpec(kind), rng)
-    assert rng._gauss == [0.04, 0.05, 0.06]
+        mutants(parent, spec, rng)
+    assert rng.uniforms == reference_rng.uniforms == uniforms[4:]
+    assert rng.gauss_next == pytest.approx(0.4)
+    assert rng.getstate() == reference_rng.getstate()
 
 
 def mutate_by_operators(parent, spec, rng):
@@ -435,21 +491,49 @@ def test_next_generation_matches_the_public_operators(kind, size, parent, sigma,
     assert rng.getstate() == reference_rng.getstate()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("sigma", [0.5, 1e308])
+@pytest.mark.parametrize("size", [2, 3, 10])
+@pytest.mark.parametrize("kind", list(MutationKind))
+def test_next_generation_starts_from_the_spare_normal_of_an_earlier_gauss_call(kind, size, sigma, seed):
+    # after one gauss call the generator holds its second normal in gauss_next, and the first draw must be that spare.
+    # At sigma 1e308 these seeds draw a nonfinite step in mutant 3, so population 10 raises partway through
+    parent = Individual.from_flat([1.0, 0.01, 0.0, 1.0, 0.02, 0.001])
+    config = EPConfig(population_size=size, mutation=MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma))
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    rng.gauss(), reference_rng.gauss()
+    assert rng.gauss_next is not None
+    try:
+        expected = generation_by_operators(parent, config, reference_rng)
+    except ValueError as exc:
+        assert (size, sigma) == (10, 1e308)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            next_generation(one_member_record(parent), config, rng)
+    else:
+        assert (size, sigma) != (10, 1e308)
+        got = next_generation(one_member_record(parent), config, rng)
+        assert [[v.hex() for v in m.as_flat()] for m in got] == [[v.hex() for v in m.as_flat()] for m in expected]
+    assert rng.getstate() == reference_rng.getstate()
+
+
 @pytest.mark.parametrize("kind", list(MutationKind))
 def test_next_generation_stops_at_the_draw_of_a_later_mutants_nonfinite_step(kind, time_limit):
-    # mutant 1 is whole; mutant 2's third draw is a nonfinite step, and the draws after it stay unread
+    # mutant 1 is whole; mutant 2's third draw is a nonfinite step, as in the one-mutant test above: its spare stays
+    # in gauss_next, and the uniforms after that pair stay unread
+    sigma = 1e298 if kind is MutationKind.SCALED else 1e308
     parent = Individual.from_flat([1e10] * 6)
-    bad = -1e300 if kind is MutationKind.SCALED else -math.inf
-    draws = [0.01] * 6 + [0.02, 0.03, bad, 0.04, 0.05, 0.06] + [0.07] * 6
-    config = EPConfig(population_size=4, mutation=MutationSpec(kind))
-    rng, reference_rng = FakeRng(draws), FakeRng(draws)
+    uniforms, _ = scripted([0.1] * 6 + [0.2, 0.3, -2.0, 0.4, 0.5, 0.6] + [0.7] * 6, sigma)
+    config = EPConfig(population_size=4, mutation=MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma))
+    rng, reference_rng = FakeRng(uniforms), FakeRng(uniforms)
     with pytest.raises(ValueError) as expected:
         generation_by_operators(parent, config, reference_rng)
     message = r"^mutating 10000000000\.0 with sigma .* drew a nonfinite step -inf$"
     assert re.match(message, str(expected.value))
     with time_limit(5), pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
         next_generation(one_member_record(parent), config, rng)
-    assert rng._gauss == reference_rng._gauss == [0.04, 0.05, 0.06] + [0.07] * 6
+    assert rng.uniforms == reference_rng.uniforms == uniforms[10:]
+    assert rng.gauss_next == pytest.approx(0.4)
+    assert rng.getstate() == reference_rng.getstate()
 
 
 # ---------------------------------------------------------------- run_ep

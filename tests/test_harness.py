@@ -204,17 +204,37 @@ def test_override_follows_the_config_file_rules(key, value, message):
         ("init.kp.low", 2, "init.kp.low: kp_bounds must satisfy 0 <= low <= high, got (2.0, 1.0)"),
     ],
 )
-def test_a_value_a_spec_rejects_is_reported_under_its_key(tmp_path, capsys, key, value, message):
+def test_a_value_a_spec_rejects_is_reported_under_its_key(key, value, message):
     # the spec object's own message, prefixed with the key that gave it the value
     for build in (lambda: build_experiment_spec(2, overrides={key: value}), lambda: build_environment({key: value})):
-        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as excinfo:
             build()
-    (tmp_path / "c.cfg").write_text(f"{key} = {value}\n")
+        assert excinfo.value.key == key
+
+
+@pytest.mark.parametrize(
+    "lines, line, message",
+    [
+        (["plant.angular.dc_gain = -1"], 2, "plant.angular.dc_gain: dc_gain must be > 0"),
+        (["mutation.sigma_scaled = 0"], 2, "mutation.sigma_scaled: mutation sigmas must be > 0"),
+        (["ep.population_size = 0"], 2, "ep.population_size: population_size must be >= 1"),
+        (["init.kp.low = 2"], 2, "init.kp.low: kp_bounds must satisfy 0 <= low <= high, got (2.0, 1.0)"),
+        # one object rejects two keys: the line of the first
+        (
+            ["init.kp.high = 0.5", "sim.sample_rate = 50", "init.kp.low = 0.75"],
+            2,
+            "init.kp.high, init.kp.low: kp_bounds must satisfy",
+        ),
+    ],
+)
+def test_a_config_value_a_spec_rejects_is_reported_at_its_file_and_line(tmp_path, capsys, lines, line, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("# line 1 is a comment\n" + "\n".join(lines) + "\n")
     (tmp_path / "g.cfg").write_text("kp = 0.5\n")
     for command in ("tune --experiment 2", "step --gains 0.5,0,0,0.5,0,0 --route train", "oracle --grid g.cfg"):
-        argv = [*command.split(), "--config", str(tmp_path / "c.cfg"), "--out", str(tmp_path / "out")]
+        argv = [*command.split(), "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert cli_main([arg.replace("g.cfg", str(tmp_path / "g.cfg")) for arg in argv]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:{line}: {message}")
     assert not (tmp_path / "out").exists()
 
 
