@@ -20,7 +20,6 @@ from .harness import (
     parse_grid_file,
     render_result_table,
     run_experiment,
-    _read_assignments,
     _write_json,
 )
 from .metrics import step_metrics
@@ -62,13 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides(path: Path | None) -> dict[str, float]:
-    return parse_config_file(path) if path is not None else {}
+def _overrides(args: argparse.Namespace) -> dict[str, float]:
+    args.lines = {}  # each --config key's line, kept for cli_main to name if a spec rejects the key's value
+    return parse_config_file(args.config, args.lines) if args.config is not None else {}
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
     spec = build_experiment_spec(
-        args.experiment, seed=args.seed, output_dir=args.out, overrides=_overrides(args.config)
+        args.experiment, seed=args.seed, output_dir=args.out, overrides=_overrides(args)
     )
     record = run_experiment(spec)
     print(render_result_table([record]))
@@ -86,7 +86,7 @@ def _parse_gains(text: str) -> Individual:
 
 def _cmd_step(args: argparse.Namespace) -> int:
     individual = _parse_gains(args.gains)
-    plant, sim, routes = build_environment(_overrides(args.config))
+    plant, sim, routes = build_environment(_overrides(args))
     route = routes[args.route]
     check_step_route(args.route, route, plant, sim)
     trace = simulate_route(individual, route, plant, sim)
@@ -104,7 +104,7 @@ def _cmd_step(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     grid = parse_grid_file(args.grid)
-    plant, sim, routes = build_environment(_overrides(args.config))
+    plant, sim, routes = build_environment(_overrides(args))
     result = grid_oracle(routes[args.route], plant, sim, grid)
     payload = {"route": args.route}
     for name, gains, ae in (
@@ -130,8 +130,8 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.run(args)
     except (ConfigError, EvaluationError, SimulationDiverged, ValueError, OSError) as exc:
-        if getattr(exc, "key", None) is not None:  # a spec rejected a --config value: name the line that gave it
-            exc = f"{args.config}:{_read_assignments(args.config)[exc.key][0]}: {exc}"
+        if getattr(exc, "key", None) in getattr(args, "lines", {}):  # a spec rejected a --config value: name its line
+            exc = f"{args.config}:{args.lines[exc.key]}: {exc}"
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -183,8 +183,8 @@ def _read_assignments(path: Path) -> dict[str, tuple[int, str]]:
     return assignments
 
 
-def parse_config_file(path: Path) -> dict[str, float]:
-    """Read a flat `key = value` override file (# comments and blank lines allowed)."""
+def parse_config_file(path: Path, lines: dict[str, int] | None = None) -> dict[str, float]:
+    """Read a flat `key = value` override file (# comments and blank lines allowed); ``lines`` gets each key's line."""
     overrides: dict[str, float] = {}
     for key, (lineno, value) in _read_assignments(path).items():
         if key not in CONFIG_TABLE:
@@ -195,6 +195,8 @@ def parse_config_file(path: Path) -> dict[str, float]:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
         if not math.isfinite(overrides[key]):
             raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {value!r}")
+        if lines is not None:
+            lines[key] = lineno
     return overrides
 
 

@@ -40,6 +40,7 @@ from evopid import (
     simulate_route,
     step_metrics,
 )
+import evopid.cli
 import evopid.harness
 from evopid.cli import cli_main
 from evopid.harness import (
@@ -223,7 +224,7 @@ def test_a_value_a_spec_rejects_is_reported_under_its_key(key, value, message):
         (
             ["init.kp.high = 0.5", "sim.sample_rate = 50", "init.kp.low = 0.75"],
             2,
-            "init.kp.high, init.kp.low: kp_bounds must satisfy",
+            "init.kp.high, init.kp.low: kp_bounds must satisfy 0 <= low <= high, got (0.75, 0.5)",
         ),
     ],
 )
@@ -234,8 +235,30 @@ def test_a_config_value_a_spec_rejects_is_reported_at_its_file_and_line(tmp_path
     for command in ("tune --experiment 2", "step --gains 0.5,0,0,0.5,0,0 --route train", "oracle --grid g.cfg"):
         argv = [*command.split(), "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert cli_main([arg.replace("g.cfg", str(tmp_path / "g.cfg")) for arg in argv]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {cfg}:{line}: {message}")
+        assert capsys.readouterr().err == f"error: {cfg}:{line}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_rejected_config_value_is_reported_at_the_line_of_the_one_read_of_the_file(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("# line 1 is a comment\nplant.angular.dc_gain = -1\n")
+    lines = {}
+    assert parse_config_file(cfg, lines) == {"plant.angular.dc_gain": -1.0} and lines == {"plant.angular.dc_gain": 2}
+    real = evopid.cli.build_environment
+
+    def build_after_removing_the_file(overrides):
+        cfg.unlink(missing_ok=True)
+        return real(overrides)
+
+    # the file is gone before the spec rejects its value: the line comes from the one read, not from a second
+    monkeypatch.setattr(evopid.cli, "build_environment", build_after_removing_the_file)
+    argv = ["step", "--gains", "0.5,0,0,0.5,0,0", "--route", "train", "--out", str(tmp_path / "t.csv")]
+    assert cli_main([*argv, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:2: plant.angular.dc_gain: dc_gain must be > 0\n"
+    # a keyed rejection of a value no --config file gave has no line to name
+    monkeypatch.setattr(evopid.cli, "build_environment", lambda overrides: real({"plant.angular.dc_gain": -1.0}))
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().err == "error: plant.angular.dc_gain: dc_gain must be > 0\n"
 
 
 def test_a_rejection_names_every_key_given_to_the_rejecting_object_and_no_other():
