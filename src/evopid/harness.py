@@ -273,7 +273,9 @@ def build_experiment_spec(
     Raises ConfigError, naming the key as parse_config_file does, on a key not in CONFIG_TABLE, on a value that is
     not a finite real number (a bool, a string, a NaN), on one an int key would truncate (2.7 for a population size)
     and on one the spec object it sets rejects (a dc_gain of 0), naming every key given to that object; and, naming
-    the route key, on a route _prepare rejects: no samples, over its sample cap, or an overflowing first error.
+    the route, on a route _prepare rejects: no samples, over its sample cap, or an overflowing first error. Its
+    ``key`` is then the first override, in CONFIG_TABLE order, among that route's keys, sim.sample_rate and the two
+    initial velocities, or None where none of them is overridden.
     """
     _check_experiment_id(experiment_id)
     kind, population_size = EXPERIMENT_TABLE[experiment_id]
@@ -309,7 +311,12 @@ def build_experiment_spec(
         try:
             _prepare(route, spec.plant, spec.sim)
         except ValueError as exc:
-            raise ConfigError(f"route.{name}: {exc}") from None
+            error = ConfigError(f"route.{name}: {exc}")
+            # the key is the first override, in CONFIG_TABLE order, of a value this check reads
+            initial = ("plant.linear.initial_velocity", "plant.angular.initial_velocity")
+            read, given = (f"route.{name}.", "sim.sample_rate", *initial), {key for key, _ in values.values()}
+            error.key = next((key for key in CONFIG_TABLE if key in given and key.startswith(read)), None)
+            raise error from None
     return spec
 
 

@@ -247,13 +247,15 @@ def _run_rows_py(
     For each of ``rows`` rows of six gains, linear kp, ki, kd then angular, it runs
     both channels' closed loops along the route, each fused into a single pass: the
     linear one, then the angular one, row after row, where C holds a row's two
-    channels as one two-wide vector and steps the sixteen rows of a block side by
-    side. No two channels share a value, and each vector operation is this loop's
-    scalar one on each element, so each channel performs the same float operations
-    in C, in the same order; C's branchless clamp equals the if/elif below for a
-    limit > 0, NaN and signed zeros included (see _kernel.c). Each performs exactly
-    the float operations of route_setpoint, pid_step and plant_step, in their order,
-    so results are bit-identical to chaining them.
+    channels in two adjacent lanes of a vector, two rows per 256-bit vector when
+    built with AVX and one row per two-wide vector otherwise, and steps the sixteen
+    rows of a block side by side. No two channels share a value, and each vector
+    operation is this loop's scalar one on each lane, so each channel performs the
+    same float operations in C, at either width, in the same order; C's branchless
+    clamp equals the if/elif below for a limit > 0, NaN and signed zeros included
+    (see _kernel.c). Each performs exactly the float operations of route_setpoint,
+    pid_step and plant_step, in their order, so results are bit-identical to chaining
+    them.
     The samples run in the two stretches of _prepare's schedule, ``start`` for ``first``
     samples then ``end`` for ``second``, so no sample tests its time. The previous
     error starts as the first error, which makes sample 0's derivative (e - e) / dt
@@ -303,14 +305,25 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-def _load_kernel(cache_dir: Path):
-    """_kernel.c's function through ctypes, compiled by cc into cache_dir on a miss; None on any failure.
+def _host_has_avx() -> bool:
+    """Whether NumPy's runtime CPU detection reports AVX; False where this NumPy has no such report."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return __cpu_features__.get("AVX") is True
 
-    The library is named by the hash of _KERNEL_SOURCE and _KERNEL_FLAGS and written by atomic
+
+def _load_kernel(cache_dir: Path, *flags: str):
+    """_kernel.c's function through ctypes, compiled by cc with _KERNEL_FLAGS and ``flags`` into cache_dir on a miss;
+    None on any failure.
+
+    The library is named by the hash of _KERNEL_SOURCE and the flags and written by atomic
     rename, so no process loads a stale or half-written one, and it is loaded only from a directory
     that this user owns and no one else can write. It is used only if it matches _run_rows_py on
     a fixed run. Nothing is printed, the compiler's own output included.
     """
+    flags = (*_KERNEL_FLAGS, *flags)
     # imported on first use, so that importing evopid costs no more than before
     import hashlib
 
@@ -320,7 +333,7 @@ def _load_kernel(cache_dir: Path):
         # a library that someone else could have written would run their code
         if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
             return None
-        digest = hashlib.sha256(b"\0".join([_KERNEL_SOURCE.read_bytes(), *map(str.encode, _KERNEL_FLAGS)])).hexdigest()
+        digest = hashlib.sha256(b"\0".join([_KERNEL_SOURCE.read_bytes(), *map(str.encode, flags)])).hexdigest()
         library = cache_dir / f"kernel-{digest[:16]}.so"
         if not library.exists():
             # only a miss compiles: a process that finds the library does not pay for importing subprocess
@@ -330,7 +343,7 @@ def _load_kernel(cache_dir: Path):
             os.close(fd)
             try:
                 subprocess.run(
-                    ["cc", *_KERNEL_FLAGS, "-o", partial, str(_KERNEL_SOURCE)],
+                    ["cc", *flags, "-o", partial, str(_KERNEL_SOURCE)],
                     stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=120,
                 )
                 os.replace(partial, library)
@@ -346,9 +359,10 @@ def _load_kernel(cache_dir: Path):
     kernel.argtypes = (count, pointer, pointer, double, double, count, double, count, pointer, pointer)
     kernel.restype = None
     # nineteen unlike rows on two unlike channels, recorded: a full block of sixteen and a partial one of three, so
-    # a slip in a row stride, a channel offset or a block's addressing shows; both stretches, both clamps and
-    # nonzero start velocities. Row 14 sits between calm rows of block 0 and goes NaN on its linear channel at
-    # sample 1, where kp * e is -inf and kd * D is +inf, so a clamp that does not pass a NaN through shows too.
+    # a slip in a row stride, a channel offset, a lane or a block's addressing shows, and the last vector of a
+    # four-wide build holds one row; both stretches, both clamps and nonzero start velocities. Row 14 sits between
+    # calm rows of block 0 and goes NaN on its linear channel at sample 1, where kp * e is -inf and kd * D is +inf,
+    # so a clamp that does not pass a NaN through shows too.
     calm = [
         (50.0, 10.0, 2.0, 0.5, 0.05, 0.001),
         (3.0, 0.1, 0.02, 40.0, 5.0, 1.0),
@@ -373,8 +387,14 @@ def _load_kernel(cache_dir: Path):
 
 @functools.cache
 def _c_kernel():
-    """The C kernel from the per-user cache ($XDG_CACHE_HOME or ~/.cache, then evopid/), or None; loaded once."""
-    return _load_kernel(Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "evopid")
+    """The C kernel from the per-user cache ($XDG_CACHE_HOME or ~/.cache, then evopid/), or None; loaded once.
+
+    Where the host has AVX it is built with -mavx, two rows per 256-bit vector; if that build fails to compile,
+    load or match, or the host has no AVX, it is the baseline build, one row per two-wide vector.
+    """
+    cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "evopid"
+    kernel = _load_kernel(cache_dir, "-mavx") if _host_has_avx() else None
+    return kernel if kernel is not None else _load_kernel(cache_dir)
 
 
 def _simulate(rows, schedule: tuple, plant: np.ndarray, dt: float, record: bool = False):

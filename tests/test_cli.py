@@ -120,7 +120,7 @@ def test_step_rejects_route_over_the_sample_cap(tmp_path, capsys):
     out = tmp_path / "t.csv"
     rc = cli_main(["step", "--gains", "0.5,0,0,0.5,0,0", "--route", "train", "--out", str(out), "--config", str(cfg)])
     assert rc == 1
-    assert "error: route.train: a route of 2000000000.0 s at 50.0 Hz" in capsys.readouterr().err
+    assert f"error: {cfg}:1: route.train: a route of 2000000000.0 s at 50.0 Hz" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -171,7 +171,9 @@ def test_step_rejects_a_route_without_a_step_before_simulating(tmp_path, capsys,
     out = tmp_path / "t.csv"
     rc = cli_main(["step", "--gains", "0.5,0,0,0.5,0,0", "--route", "train", "--out", str(out), "--config", str(cfg)])
     assert rc == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    # a route no command can run is rejected where the config enters, at the line of its key
+    where = f"{cfg}:1: " if (lines, message) in UNRUNNABLE_TEST_ROUTES else ""
+    assert f"error: {where}{message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -181,7 +183,9 @@ def test_step_rejects_an_overflowing_first_error(tmp_path, capsys):
     out = tmp_path / "t.csv"
     rc = cli_main(["step", "--gains", "1,1,1,1,1,1", "--route", "train", "--out", str(out), "--config", str(cfg)])
     assert rc == 1
-    assert "error: route.train: route.start - plant.linear.initial_velocity must be finite" in capsys.readouterr().err
+    # of the two keys, the initial velocity comes first in CONFIG_TABLE
+    err = capsys.readouterr().err
+    assert f"error: {cfg}:2: route.train: route.start - plant.linear.initial_velocity must be finite" in err
     assert not out.exists()
 
 
@@ -216,7 +220,28 @@ def test_oracle_rejects_a_route_it_cannot_run_before_scoring(tmp_path, capsys, m
     out = tmp_path / "oracle.json"
     rc = cli_main(["oracle", "--grid", str(grid), "--route", "train", "--out", str(out), "--config", str(cfg)])
     assert rc == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {cfg}:1: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "lines, line",
+    [
+        (["ep.max_generations = 2", "route.test.phase_duration = 0.001"], 2),
+        (["sim.sample_rate = 50", "route.test.phase_duration = 0.001"], 2),
+        (["route.test.phase_duration = 0.001", "plant.angular.initial_velocity = 0.5"], 2),
+    ],
+    ids=["only-key", "route-before-sample-rate", "initial-velocity-before-route"],
+)
+def test_tune_names_the_config_line_of_a_rejected_route(tmp_path, capsys, lines, line):
+    # the first override, in CONFIG_TABLE order, of a value the route check reads: the route's own keys,
+    # sim.sample_rate and the initial velocities; an unrelated key is never named, and the message stays
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    assert cli_main(["tune", "--experiment", "1", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:{line}: route.test: the route has no samples at this sample rate\n"
     assert not out.exists()
 
 

@@ -3,19 +3,23 @@
 plant._simulate, behind simulate_route, fitness_of and grid_oracle, is checked
 against a reference that chains route_setpoint, pid_step and plant_step one
 sample at a time and reduces with reference.average_error. It runs on each
-implementation in turn: the C kernel, compiled here with warnings as errors
-and once more with __SSE2__ undefined, and its Python twin, which it falls
-back to. A call with many rows is checked row by row against one call per
+implementation in turn: the C kernel as the host builds it, compiled here with
+warnings as errors; on a host with AVX, where that build runs two rows per
+256-bit vector, the baseline build too, one row per two-wide vector; the
+baseline once more with __SSE2__ undefined; and its Python twin, which it
+falls back to. A call with many rows is checked row by row against one call per
 row, and grid_oracle against the per-point loop it replaced. Every pair must agree exactly: the same arrays, the same
 average errors and the same divergence sample, not merely close values.
 """
 
 import ast
 import contextlib
+import ctypes
 import functools
 import itertools
 import json
 import math
+import os
 import re
 import shutil
 import sys
@@ -54,35 +58,41 @@ from evopid import (
 import evopid.harness
 import evopid.plant
 from evopid.metrics import _fitness_rows, _prepared
-from evopid.plant import _KERNEL_FLAGS, _load_kernel, _prepare, _run_rows_py, _simulate
+from evopid.plant import _KERNEL_FLAGS, _host_has_avx, _load_kernel, _prepare, _run_rows_py, _simulate
 from reference import average_error
 
 NO_CC = "no C compiler: cc is not on PATH, so only the Python twin is tested"
+NO_AVX = "the host has no AVX, so the four-wide build cannot run here"
+# the flags of each vector width _c_kernel may build, the widest first: two rows per 256-bit vector under AVX,
+# one row per two-wide vector otherwise; only those the host runs
+WIDTHS = {"four-wide": ("-mavx",), "two-wide": ()} if _host_has_avx() else {"two-wide": ()}
 
 
 def build_kernel(tmp_path_factory, *flags):
     """The C kernel compiled into a fresh cache with every warning an error and the given flags, or None without cc."""
     if shutil.which("cc") is None:
         return None
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-Wall", "-Wextra", "-Werror", *flags))
-        kernel = _load_kernel(tmp_path_factory.mktemp("kernel"))
+    kernel = _load_kernel(tmp_path_factory.mktemp("kernel"), "-Wall", "-Wextra", "-Werror", *flags)
     assert kernel is not None, f"the C kernel built with {flags} failed to compile, load or match the Python loop"
     return kernel
 
 
 @pytest.fixture(scope="session")
 def c_kernel(tmp_path_factory):
-    """The C kernel as _c_kernel builds it, with every warning an error, or None without cc."""
-    return build_kernel(tmp_path_factory)
+    """The C kernel as _c_kernel builds it on this host, with every warning an error, or None without cc."""
+    return build_kernel(tmp_path_factory, *next(iter(WIDTHS.values())))
 
 
 @pytest.fixture(scope="session")
 def kernels(c_kernel, tmp_path_factory):
-    """Each implementation _simulate can run on: when cc is on PATH the C kernel, and the C kernel built with
-    __SSE2__ undefined, whose clamp is the portable one that platforms without SSE2 run; then the Python twin (None).
+    """Each implementation _simulate can run on: when cc is on PATH the C kernel as the host builds it; on a host
+    with AVX, the baseline two-wide build beside it; the baseline built with __SSE2__ undefined, whose clamp is the
+    portable one that platforms without SSE2 run; then the Python twin (None).
     """
-    return [None] if c_kernel is None else [c_kernel, build_kernel(tmp_path_factory, "-U__SSE2__"), None]
+    if c_kernel is None:
+        return [None]
+    baseline = [build_kernel(tmp_path_factory)] if len(WIDTHS) > 1 else []
+    return [c_kernel, *baseline, build_kernel(tmp_path_factory, "-U__SSE2__"), None]
 
 
 @contextlib.contextmanager
@@ -433,10 +443,10 @@ def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatc
     assert len(list(cache.iterdir())) == 2
     # with no compiler the cached library is loaded
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
-    assert _load_kernel(cache) is not None
+    assert evopid.plant._c_kernel.__wrapped__() is not None
     # a library that others could have written is not
     cache.chmod(0o777)
-    assert _load_kernel(cache) is None
+    assert evopid.plant._c_kernel.__wrapped__() is None
 
 
 def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_path, monkeypatch):
@@ -446,20 +456,30 @@ def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_pa
     assert _load_kernel(tmp_path) is None
 
 
+def assert_slip_is_not_used(slip, widths, tmp_path, monkeypatch):
+    """Build _kernel.c with one text replaced at each of the given widths: the self-check must refuse every build."""
+    source = evopid.plant._KERNEL_SOURCE.read_text()
+    assert source.count(slip[0]) == 1
+    (tmp_path / "_kernel.c").write_text(source.replace(*slip))
+    monkeypatch.setattr(evopid.plant, "_KERNEL_SOURCE", tmp_path / "_kernel.c")
+    for width in widths:
+        assert _load_kernel(tmp_path / width, *WIDTHS[width]) is None, width
+
+
 @pytest.mark.parametrize(
     "slip",
     [
-        ("gains + 6 * (r0 + b)", "gains + 3 * (r0 + b)"),
-        ("*a = k + 3", "*a = k"),
-        ("*q = plant + 4", "*q = plant"),
-        ("2 * (r0 + b) * samples", "(r0 + b) * samples"),
-        ("out[3] = velocity[b][1]", "out[2] = velocity[b][1]"),
-        ("gains + 6 * (r0 + b)", "gains + 6 * b"),
-        ("*k = gains + 6 * (r0 + b), *a = k + 3", "*a = gains + 6 * (r0 + b), *k = a + 3"),
-        ("_mm_min_pd(limit, c)", "_mm_min_pd(c, limit)"),
-        ("finite ? ae[0] : DBL_MAX", "ae[0]"),
-        ("total[b] / (double)samples", "total[b]"),
-        ("isfinite(velocity[b][0]) && isfinite(velocity[b][1])", "isfinite(velocity[b][1])"),
+        ("gains + 6 * (row", "gains + 3 * (row"),
+        (" + 3 * (e % 2)", ""),
+        ("plant + 4 * (e % 2)", "plant"),
+        ("2 * (r0 + PER_VECTOR * v) * samples", "(r0 + PER_VECTOR * v) * samples"),
+        ("out[3] = velocity[v][l + 1]", "out[2] = velocity[v][l + 1]"),
+        ("row = r0 + PER_VECTOR * v", "row = PER_VECTOR * v"),
+        ("3 * (e % 2)", "3 * (1 - e % 2)"),
+        ("min_pd(limit, c)", "min_pd(c, limit)"),
+        ("finite ? ae[l] : DBL_MAX", "ae[l]"),
+        ("total[v] / (double)samples", "total[v]"),
+        ("isfinite(velocity[v][l]) && isfinite(velocity[v][l + 1])", "isfinite(velocity[v][l + 1])"),
     ],
     ids=[
         "gains-row-stride", "gains-channel-offset", "plant-channel-offset", "actual-offset", "results-offset",
@@ -468,17 +488,27 @@ def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_pa
     ],
 )
 def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
-    # the self-check runs nineteen rows of unlike channels, recorded, so each slip changes some output: a full
-    # block and a partial one, so reading block 0's gains for every block shows too, and a row that goes NaN on its
-    # linear channel only, which min(c, limit) turns into the limit, which a dropped stand-in leaves NaN, and which a
-    # verdict on the angular channel alone misses; no slip reads past a buffer
+    # the self-check runs nineteen rows of unlike channels, recorded, so each slip changes some output on every
+    # width: a full block and a partial one, so reading block 0's gains for every block shows too, and a row that
+    # goes NaN on its linear channel only, which min(c, limit) turns into the limit, which a dropped stand-in leaves
+    # NaN, and which a verdict on the angular channel alone misses; no slip reads past a buffer
     if c_kernel is None:
         pytest.skip(NO_CC)
-    source = evopid.plant._KERNEL_SOURCE.read_text()
-    assert source.count(slip[0]) == 1
-    (tmp_path / "_kernel.c").write_text(source.replace(*slip))
-    monkeypatch.setattr(evopid.plant, "_KERNEL_SOURCE", tmp_path / "_kernel.c")
-    assert _load_kernel(tmp_path / "cache") is None
+    assert_slip_is_not_used(slip, WIDTHS, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "slip",
+    [(" + e / 2;", ";"), ("int l = 2 * h;", "int l = 2 * (PER_VECTOR - 1 - h);")],
+    ids=["second-row-reads-the-first-rows-gains", "rows-of-a-vector-swap-results"],
+)
+def test_kernel_with_a_lane_slip_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
+    # slips between the two rows of a 256-bit vector: a two-wide vector holds one row, where they change nothing
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    if "four-wide" not in WIDTHS:
+        pytest.skip(NO_AVX)
+    assert_slip_is_not_used(slip, ["four-wide"], tmp_path, monkeypatch)
 
 
 def test_divergence_ae_is_the_dbl_max_each_kernel_writes(sim, train_route, kernels):
@@ -514,15 +544,72 @@ def test_failed_build_falls_back_silently_to_identical_outputs(cc, c_kernel, tmp
     assert capfd.readouterr() == ("", "")
     with using(c_kernel):
         run_experiment(replace(spec, output_dir=tmp_path / "c"))
+    assert_same_outputs(tmp_path / "fallback", tmp_path / "c")
+
+
+def assert_same_outputs(one, other):
+    """Two run_experiment output directories hold the same files, result.json apart from its output_dir."""
     for name in ("generations.csv", "best_train_trace.csv", "best_test_trace.csv"):
-        assert (tmp_path / "fallback" / name).read_bytes() == (tmp_path / "c" / name).read_bytes(), name
-    results = [json.loads((tmp_path / d / "result.json").read_text()) for d in ("fallback", "c")]
+        assert (one / name).read_bytes() == (other / name).read_bytes(), name
+    results = [json.loads((d / "result.json").read_text()) for d in (one, other)]
     for result in results:
         result["experiment"].pop("output_dir")
     assert results[0] == results[1]
 
 
+def test_failed_avx_build_falls_back_to_the_baseline_build(c_kernel, tmp_path, monkeypatch, capfd):
+    # a compiler that fails on -mavx, on a host taken to have AVX: _c_kernel loads the two-wide baseline build, not
+    # the Python twin, silently, and it writes what the host's own build writes
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    bin_dir, log = tmp_path / "bin", tmp_path / "cc.log"
+    bin_dir.mkdir()
+    (bin_dir / "cc").write_text(
+        f'#!/bin/sh\necho "$*" >> "{log}"\ncase " $* " in *" -mavx "*) exit 1;; esac\n'
+        f'PATH="{os.environ["PATH"]}" exec "{shutil.which("cc")}" "$@"\n'
+    )
+    (bin_dir / "cc").chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(evopid.plant, "_host_has_avx", lambda: True)
+    monkeypatch.setattr(evopid.plant, "_c_kernel", functools.cache(evopid.plant._c_kernel.__wrapped__))
+    assert evopid.plant._c_kernel() is not None
+    assert capfd.readouterr() == ("", "")
+    assert ["-mavx" in call.split() for call in log.read_text().splitlines()] == [True, False]
+    spec = build_experiment_spec(3, output_dir=tmp_path / "baseline", overrides={"ep.max_generations": 3})
+    run_experiment(spec)
+    with using(c_kernel):
+        run_experiment(replace(spec, output_dir=tmp_path / "c"))
+    assert_same_outputs(tmp_path / "baseline", tmp_path / "c")
+
+
 # ---------------------------------------------------------------- many rows in one call
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["scored", "recorded"])
+@pytest.mark.parametrize("count", [1, 2, 3, 15, 17, 19, 33])
+def test_row_counts_around_vectors_and_blocks_match_the_twin(count, record, sim, train_route, kernels):
+    # an odd count leaves one row in the last vector of a four-wide build, and 17 and 33 leave one in the last block:
+    # the vector's free lanes rerun that row and write nothing, so the guard row after each output keeps its -7.0
+    params = PlantParams(ChannelParams(initial_velocity=0.3), ChannelParams(time_constant=0.3, initial_velocity=-0.4))
+    (start, first), (end, second) = _prepare(train_route, params, sim)[0]
+    plant = _prepare(train_route, params, sim)[2]
+    gains = np.array(
+        [(0.5 + 0.3 * j, 0.05 * (j % 4), 0.002 * (j % 3), 2.0 - 0.05 * j, 0.1 * (j % 5), 0.001 * j) for j in range(count)]
+    )
+    outputs = []
+    for kernel in kernels:
+        results = np.full((count + 1, 4), -7.0)
+        actual = np.full((count + 1, 2, first + second), -7.0) if record else None
+        if kernel is None:
+            _run_rows_py(count, gains, plant, sim.dt, start, first, end, second, results, actual)
+        else:
+            at = ctypes.c_double.from_buffer
+            data = None if actual is None else at(actual)
+            kernel(count, at(gains), at(plant), sim.dt, start, first, end, second, at(results), data)
+        assert (results[count] == -7.0).all() and (actual is None or (actual[count] == -7.0).all())
+        outputs.append([results.tobytes(), None if actual is None else actual.tobytes()])
+    assert all(output == outputs[-1] for output in outputs)
 
 
 def assert_batch_matches_fitness_of(individuals, route, params, sim, kernels):
