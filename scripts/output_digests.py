@@ -17,6 +17,14 @@ to check that they write the same bytes:
     PYTHONPATH=src python scripts/output_digests.py > c.txt
     PYTHONPATH=src python scripts/output_digests.py --twin > twin.txt
     diff c.txt twin.txt
+
+tests/output_digests.txt holds these lines as printed on the C kernel, after a header that names the platform they
+were recorded on (platform_line); the digests rest on that platform's libm. tests/test_output_digests.py runs a subset
+of the commands through digest_lines and compares them with it. To record the file again:
+
+    PYTHONPATH=src python -c 'import runpy; print("# platform:", runpy.run_path("scripts/output_digests.py")
+        ["platform_line"]())' > tests/output_digests.txt
+    PYTHONPATH=src python scripts/output_digests.py >> tests/output_digests.txt
 """
 
 import argparse
@@ -24,8 +32,11 @@ import contextlib
 import hashlib
 import io
 import os
+import platform
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 import evopid.plant
 from evopid import EXPERIMENT_TABLE
@@ -52,6 +63,16 @@ LONG_ROUTE = "route.test.phase_duration = 300.0\n"
 SINGLE = "ep.population_size = 1\nep.max_generations = 3\n"
 # sigmas wide enough that many steps overshoot below 0 and are halved: one for each mutation operator
 WIDE_SIGMAS = {1: "mutation.sigma_absolute = 2\n", 2: "mutation.sigma_scaled = 3\n"}
+# the files each command may read, by the names the commands give
+INPUTS = {
+    "grid.cfg": GRID,
+    "tail.cfg": TAIL_GRID,
+    "full.cfg": FULL_GRID,
+    "chunks.cfg": CHUNKS_GRID,
+    "long.cfg": LONG_ROUTE,
+    "single.cfg": SINGLE,
+    **{f"wide{e}.cfg": text for e, text in WIDE_SIGMAS.items()},
+}
 
 
 def commands() -> list[str]:
@@ -70,6 +91,34 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def platform_line() -> str:
+    """The platform the digests rest on: machine, C library, Python and NumPy."""
+    libc = " ".join(platform.libc_ver()) or "unknown libc"
+    python = f"{platform.python_implementation()} {platform.python_version()}"
+    return f"{platform.machine()}, {libc}, {python}, NumPy {np.__version__}"
+
+
+def digest_lines(command: str, case: Path) -> list[str]:
+    """Run one command in the empty directory ``case``: the digest of its stdout, then of each output it writes."""
+    for name, text in INPUTS.items():
+        (case / name).write_text(text, encoding="utf-8")
+    home = os.getcwd()
+    os.chdir(case)
+    try:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli_main(command.split())
+    finally:
+        os.chdir(home)
+    if code != 0:
+        raise SystemExit(f"{command} exited {code}")
+    lines = [f"{command}\tstdout\t{digest(stdout.getvalue().encode())}"]
+    out = case / "out"
+    files = sorted(out.iterdir()) if out.is_dir() else [out]
+    lines += [f"{command}\t{path.relative_to(case)}\t{digest(path.read_bytes())}" for path in files]
+    return lines
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--twin", action="store_true", help="run the Python twin in place of the C kernel")
@@ -77,33 +126,12 @@ def main() -> None:
     if args.twin:
         evopid.plant._c_kernel = lambda: None
 
-    home = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="evopid-digests-") as tmp:
-        try:
-            for number, command in enumerate(commands()):
-                case = Path(tmp) / str(number)
-                case.mkdir()
-                os.chdir(case)
-                (case / "grid.cfg").write_text(GRID, encoding="utf-8")
-                (case / "tail.cfg").write_text(TAIL_GRID, encoding="utf-8")
-                (case / "full.cfg").write_text(FULL_GRID, encoding="utf-8")
-                (case / "chunks.cfg").write_text(CHUNKS_GRID, encoding="utf-8")
-                (case / "long.cfg").write_text(LONG_ROUTE, encoding="utf-8")
-                (case / "single.cfg").write_text(SINGLE, encoding="utf-8")
-                for e, text in WIDE_SIGMAS.items():
-                    (case / f"wide{e}.cfg").write_text(text, encoding="utf-8")
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout):
-                    code = cli_main(command.split())
-                if code != 0:
-                    raise SystemExit(f"{command} exited {code}")
-                print(f"{command}\tstdout\t{digest(stdout.getvalue().encode())}")
-                out = case / "out"
-                files = sorted(out.iterdir()) if out.is_dir() else [out]
-                for path in files:
-                    print(f"{command}\t{path.relative_to(case)}\t{digest(path.read_bytes())}")
-        finally:
-            os.chdir(home)
+        for number, command in enumerate(commands()):
+            case = Path(tmp) / str(number)
+            case.mkdir()
+            for line in digest_lines(command, case):
+                print(line)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ class EvaluationError(RuntimeError):
 def _require_finite(obj, *names: str) -> None:
     """Raise ValueError naming the first of the given fields that holds a bool, a non-real, a NaN or an infinity.
 
-    A field may hold one number or a tuple of them. A spec of real numbers is hashable, so it can key a cache.
+    A field may hold one number or a tuple of them.
     """
     for name in names:
         value = getattr(obj, name)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,18 +36,18 @@ def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, si
     return FitnessRecord(*_fitness_rows([individual.as_flat()], route, params, sim).tolist()[0])
 
 
-# _prepare, kept for the next score: an EP run or an oracle scores one route, so one entry serves every lookup but a
-# process's first. Equal keys can differ (1 == 1.0, 0.0 == -0.0), but every number is read as a double, so the kernel
-# gets the same doubles up to the sign of a zero in start, end or initial_velocity. A zero meets only +, -, *, fabs,
-# comparisons and division by dt, so the error sums and the finiteness verdict are bit-identical, and so are the
-# average errors: a sum of fabs is never -0, so its division by the sample count keeps +0. The measurements are not,
-# so simulate_route calls _prepare itself. The shared plant is never written.
-_prepared = functools.lru_cache(maxsize=1)(_prepare)
+# The last route, params and sim scored, held and matched by identity, with their _prepare schedule and plant (never
+# written). Each call reads it once, so a thread scoring another route cannot hand this one that route's plant.
+_last_scored = (None, None, None, None, None)
 
 
 def _fitness_rows(rows, route: RouteSpec, params: PlantParams, sim: SimConfig) -> np.ndarray:
     """fitness_of for each row of six gains (linear kp, ki, kd, then angular) in one call: (rows, 2) float64."""
-    schedule, _, plant = _prepared(route, params, sim)
+    global _last_scored
+    last_route, last_params, last_sim, schedule, plant = _last_scored
+    if last_route is not route or last_params is not params or last_sim is not sim:
+        schedule, _, plant = _prepare(route, params, sim)
+        _last_scored = (route, params, sim, schedule, plant)
     return _simulate(rows, schedule, plant, sim.dt)[0][:, :2]
 
 

@@ -378,7 +378,9 @@ def _load_kernel(cache_dir: Path, *flags: str):
     gains = np.array(calm + swapped + [(1.5e308, 0.0, 1e308, 0.5, 0.05, 0.001)] + doubled)
     plant = np.array([(2.0, 1.0, math.exp(-0.02 / 0.5), 0.3), (1.5, 0.8, math.exp(-0.02 / 0.3), -0.4)])
     rows = len(gains)
-    got, want = [(np.empty((rows, 4)), np.empty((rows, 2, 60))) for _ in range(2)]
+    # each buffer has one guard row past the nineteen, the same fixed bits on both sides, so a write just past the
+    # end refuses the library rather than corrupting the heap; a guard row catches that write, not every stray write
+    got, want = [(np.full((rows + 1, 4), -7.25), np.full((rows + 1, 2, 60), -7.25)) for _ in range(2)]
     at = ctypes.c_double.from_buffer
     kernel(rows, at(gains), at(plant), 0.02, -1.0, 30, 1.0, 30, *map(at, got))
     _run_rows_py(rows, gains, plant, 0.02, -1.0, 30, 1.0, 30, *want)

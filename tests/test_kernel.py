@@ -16,6 +16,7 @@ import ast
 import contextlib
 import ctypes
 import functools
+import gc
 import itertools
 import json
 import math
@@ -23,6 +24,8 @@ import os
 import re
 import shutil
 import sys
+import threading
+import weakref
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -56,8 +59,9 @@ from evopid import (
     simulate_route,
 )
 import evopid.harness
+import evopid.metrics
 import evopid.plant
-from evopid.metrics import _fitness_rows, _prepared
+from evopid.metrics import _fitness_rows
 from evopid.plant import _KERNEL_FLAGS, _host_has_avx, _load_kernel, _prepare, _run_rows_py, _simulate
 from reference import average_error
 
@@ -499,11 +503,20 @@ def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_pat
 
 @pytest.mark.parametrize(
     "slip",
-    [(" + e / 2;", ";"), ("int l = 2 * h;", "int l = 2 * (PER_VECTOR - 1 - h);")],
-    ids=["second-row-reads-the-first-rows-gains", "rows-of-a-vector-swap-results"],
+    [
+        (" + e / 2;", ";"),
+        ("int l = 2 * h;", "int l = 2 * (PER_VECTOR - 1 - h);"),
+        (" && PER_VECTOR * v + e / 2 < n", ""),
+        (" && PER_VECTOR * v + h < n", ""),
+    ],
+    ids=[
+        "second-row-reads-the-first-rows-gains", "rows-of-a-vector-swap-results", "trace-past-the-last-row",
+        "results-past-the-last-row",
+    ],
 )
 def test_kernel_with_a_lane_slip_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
-    # slips between the two rows of a 256-bit vector: a two-wide vector holds one row, where they change nothing
+    # slips between the two rows of a 256-bit vector: a two-wide vector holds one row, where they change nothing;
+    # without an end-of-block guard the last vector's rerun writes the row past the self-test's nineteen, its guard row
     if c_kernel is None:
         pytest.skip(NO_CC)
     if "four-wide" not in WIDTHS:
@@ -778,11 +791,22 @@ EQUAL_ENVIRONMENTS = [
 ]
 
 
+def held_by_the_entry(route, params, sim):
+    """Whether metrics' one prepared entry holds these very objects, and their preparation."""
+    *held, schedule, plant = evopid.metrics._last_scored
+    prepared = _prepare(route, params, sim)
+    return (
+        all(a is b for a, b in zip(held, (route, params, sim)))
+        and schedule == prepared[0]
+        and plant.tobytes() == prepared[2].tobytes()
+    )
+
+
 @pytest.mark.parametrize("one, other", EQUAL_ENVIRONMENTS)
 def test_route_cache_gives_equal_environments_the_same_bits(one, other, kernels):
-    # equal environments share one cache entry, whichever is scored first, and every score is still the bits
-    # the Python twin gives on that environment's own preparation: zero gains keep a zero's sign through the
-    # first phase, and the huge gains diverge, so the verdict is covered as well
+    # the entry is matched by identity, so equal environments never share it, and every score is the bits the
+    # Python twin gives on that environment's own preparation: zero gains keep a zero's sign through the first
+    # phase, and the huge gains diverge, so the verdict is covered as well
     assert one == other and all(a is not b for a, b in zip(one, other))
     individuals = [
         Individual(Gains(0.0, 0.0, 0.0), Gains(0.0, 0.0, 0.0)),
@@ -795,20 +819,61 @@ def test_route_cache_gives_equal_environments_the_same_bits(one, other, kernels)
     for kernel in kernels:
         with using(kernel):
             for first, second in ((one, other), (other, one)):
-                _prepared.cache_clear()
+                evopid.metrics._last_scored = (None,) * 5
                 for environment in (first, second):
                     assert [bits(fitness_of(individual, *environment)) for individual in individuals] == expected
-                assert _prepared.cache_info().currsize == 1
+                assert held_by_the_entry(*second)
 
 
 def test_route_cache_is_bounded(plant, sim):
-    _prepared.cache_clear()
-    maxsize = _prepared.cache_info().maxsize
-    assert maxsize is not None and maxsize <= 64
+    # one entry: after 128 routes it holds the last one's objects, and no earlier route is kept alive
     individual = Individual(Gains(0.5, 0.0, 0.0), Gains(0.5, 0.0, 0.0))
-    for i in range(2 * maxsize):
-        fitness_of(individual, RouteSpec(0.0, 0.01 * (i + 1)), plant, sim)
-    assert _prepared.cache_info().currsize == maxsize
+    routes = [RouteSpec(0.0, 0.01 * (i + 1)) for i in range(128)]
+    for route in routes:
+        fitness_of(individual, route, plant, sim)
+    assert held_by_the_entry(routes[-1], plant, sim)
+    alive = [weakref.ref(route) for route in routes]
+    del routes, route
+    gc.collect()
+    assert [ref() is not None for ref in alive] == [False] * 127 + [True]
+
+
+def test_route_cache_keeps_its_entry_when_a_route_is_rejected(plant, sim, train_route):
+    # a route _prepare rejects raises between two scores of a good one, and leaves the entry on the good one
+    individual = Individual(Gains(0.5, 0.05, 0.001), Gains(0.4, 0.02, 0.0))
+    good = bits(fitness_of(individual, train_route, plant, sim))
+    entry = evopid.metrics._last_scored
+    with pytest.raises(ValueError, match="no samples"):
+        fitness_of(individual, RouteSpec(0.0, 1.0, phase_duration=0.001), plant, sim)
+    assert evopid.metrics._last_scored is entry and held_by_the_entry(train_route, plant, sim)
+    assert bits(fitness_of(individual, train_route, plant, sim)) == good
+    assert evopid.metrics._last_scored is entry
+
+
+def test_route_cache_gives_two_threads_their_own_routes_bits(plant, sim, train_route):
+    # two threads take turns in the entry, switching as often as the interpreter lets them; each score must still
+    # pair its own route with its own preparation, whose sample counts and setpoints differ from the other's
+    individual = Individual(Gains(0.5, 0.05, 0.001), Gains(0.4, 0.02, 0.0))
+    routes = [train_route, RouteSpec(0.2, -0.4, phase_duration=2.5)]
+    expected = [bits(fitness_of(individual, route, plant, sim)) for route in routes]
+    assert expected[0] != expected[1]
+    scored = [[], []]
+
+    def score(route, out):
+        for _ in range(500):
+            out.append(bits(fitness_of(individual, route, plant, sim)))
+
+    threads = [threading.Thread(target=score, args=pair) for pair in zip(routes, scored)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert scored == [[e] * 500 for e in expected]
 
 
 def test_no_simulation_path_calls_the_reference(monkeypatch, tmp_path, plant, sim, train_route, kernels):
