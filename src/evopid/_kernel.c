@@ -148,3 +148,16 @@ void evopid_run(int64_t rows, const double *gains, const double *plant, double d
         }
     }
 }
+
+/* 1 where this CPU and its OS run AVX, else 0; asked of the baseline build, which any x86-64 host can run, before
+ * the -mavx one is loaded. __builtin_cpu_supports returns a mask, not 1, and libgcc's check there includes the OS
+ * saving the YMM registers. */
+int evopid_has_avx(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx") != 0;
+#else
+    return 0;
+#endif
+}

@@ -7,11 +7,11 @@ import itertools
 import json
 import math
 import numbers
+import operator
+from array import array
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .ep import (
     FLAT_GAIN_FIELDS,
@@ -320,12 +320,12 @@ def build_experiment_spec(
     return spec
 
 
-def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """The one CSV format: the header, then one `\\n` line per row of the equal-length 1-D float64
-    or int64 columns, each cell the `repr` of its Python number, comma-joined.
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence[array]) -> None:
+    """The one CSV format: the header, then one `\\n` line per row of the equal-length array("d")
+    or array("q") columns, each cell the `repr` of its Python number, comma-joined.
 
-    It formats _CSV_CHUNK rows at a time, column by column, and each run of bit-equal values in a
-    column once (bits, so that 0.0 and -0.0 stay apart).
+    It formats _CSV_CHUNK rows at a time, column by column, and a chunk whose values all have the
+    bits of its first once (bits, so that 0.0 and -0.0 stay apart).
     """
     width = len(columns)
     line = ["", ","] * (width - 1) + ["", "\n"]  # one row: its cells go in the even slots
@@ -336,12 +336,9 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray])
             cells = line * rows
             for j, column in enumerate(columns):
                 chunk = column[start : start + rows]
-                bits = chunk.view(np.int64)
-                firsts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-                texts = list(map(repr, chunk[firsts].tolist()))
-                if len(texts) < rows:
-                    texts = np.repeat(np.array(texts, dtype=object), np.diff(np.append(firsts, rows))).tolist()
-                cells[2 * j :: 2 * width] = texts
+                raw = chunk.tobytes()
+                constant = raw == raw[: chunk.itemsize] * rows
+                cells[2 * j :: 2 * width] = [repr(chunk[0])] * rows if constant else list(map(repr, chunk))
             fh.write("".join(cells))
 
 
@@ -357,12 +354,13 @@ def export_generations(history: Sequence[GenerationRecord], path: Path) -> None:
     if len(history) == 0:
         raise ValueError("history is empty")
     sizes = [len(record.members) for record in history]
-    # one float64 array of the eight values per row, which writes a library caller's int gain as 1.0, not 1
+    # the eight values of every row as doubles, which writes a library caller's int gain as 1.0, not 1
     flat = ((*m.individual.as_flat(), m.ae_linear, m.ae_angular) for record in history for m in record.members)
-    values = np.fromiter(itertools.chain.from_iterable(flat), dtype=float, count=8 * sum(sizes)).reshape(-1, 8)
-    generations = np.repeat(np.array([record.generation_index for record in history], dtype=np.int64), sizes)
-    members = np.concatenate([np.arange(size, dtype=np.int64) for size in sizes])
-    _write_csv(path, GENERATIONS_HEADER, (generations, members, *values.T))
+    values = array("d", itertools.chain.from_iterable(flat))
+    indices = [record.generation_index for record in history]
+    generations = array("q", itertools.chain.from_iterable(map(itertools.repeat, indices, sizes)))
+    members = array("q", itertools.chain.from_iterable(map(range, sizes)))
+    _write_csv(path, GENERATIONS_HEADER, (generations, members, *(values[j::8] for j in range(8))))
 
 
 def load_generations(path: Path) -> list[GenerationRecord]:
@@ -411,7 +409,7 @@ def export_trace(trace, path: Path) -> None:
         trace.angular.actual,
     )
     # repr of a Python float round-trips at full precision and never needs CSV quoting
-    _write_csv(path, TRACE_HEADER, [np.asarray(column, dtype=float) for column in columns])
+    _write_csv(path, TRACE_HEADER, [array("d", column) for column in columns])
 
 
 def result_as_dict(record: ResultRecord, spec: ExperimentSpec) -> dict:
@@ -459,10 +457,13 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     routes = {"train": spec.train_route, "test": spec.test_route}
     for name, route in routes.items():
         check_step_route(name, route, spec.plant, spec.sim)
-    best, history, stop_reason = evolve(
-        spec.ep,
-        lambda batch: _fitness_rows([m.as_flat() for m in batch], spec.train_route, spec.plant, spec.sim).tolist(),
-    )
+
+    def score(batch):
+        gains = array("d", itertools.chain.from_iterable(m.as_flat() for m in batch))
+        results = _fitness_rows(gains, spec.train_route, spec.plant, spec.sim)
+        return zip(results[0::4], results[1::4])
+
+    best, history, stop_reason = evolve(spec.ep, score)
     if all(m.ae_linear == m.ae_angular == DIVERGENCE_AE for record in history for m in record.members):
         raise EvaluationError(
             f"all {spec.ep.population_size * len(history)} members of {len(history)} generations diverged "
@@ -486,6 +487,24 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
     return record
 
 
+def _window(values: bytes, block: int, low: int, high: int) -> bytes:
+    """Points low to high - 1 of a grid column, as packed doubles: the column holds each of ``values`` (packed
+    doubles) for ``block`` consecutive points, one after the other, and then starts over."""
+    cells = [values[i : i + 8] for i in range(0, len(values), 8)]
+    n, first, last = len(cells), low // block, -(-high // block)  # the window touches blocks first to last - 1
+    blocks = [cells[k % n] for k in range(first, min(last, first + n))]
+    if last - first <= n:
+        # each block once, the first and the last cut to the window
+        runs = [block] * len(blocks)
+        runs[0] -= low - first * block
+        runs[-1] -= last * block - high
+        return b"".join(map(operator.mul, blocks, runs))
+    # a period of n whole blocks, tiled: the window spans more than n blocks, so the period is shorter than it
+    skip = low - first * block
+    period = b"".join([cell * block for cell in blocks])
+    return (period * -(-(last - first) // n))[8 * skip : 8 * (skip + high - low)]
+
+
 def grid_oracle(
     route: RouteSpec, params: PlantParams, sim: SimConfig, grid: GainGrid
 ) -> GridOracleResult:
@@ -496,26 +515,37 @@ def grid_oracle(
     _ORACLE_CHUNK, so memory stays flat however large the grid.
     """
     axes = [sorted(values) for values in (grid.kp_values, grid.ki_values, grid.kd_values)]
-    shape = tuple(map(len, axes))
-    # each axis as the doubles the kernel reads; the reported gains stay the caller's own values
-    doubles = [np.array(axis, dtype=np.float64) for axis in axes]
-    size = math.prod(shape)
+    kp_count, ki_count, kd_count = map(len, axes)
+    size = kp_count * ki_count * kd_count
+    # each axis as the doubles the kernel reads, and how many consecutive points of (kp, ki, kd) row-major order
+    # hold each of its values; the reported gains stay the caller's own values
+    columns = list(zip((array("d", axis).tobytes() for axis in axes), (ki_count * kd_count, kd_count, 1)))
     best: list[tuple[float, int] | None] = [None, None]  # per channel (AE, flat index of the point)
     for offset in range(0, size, _ORACLE_CHUNK):
-        # the chunk's points in (kp, ki, kd) row-major order, each run as the row [g, g]: the same gains on both
-        # channels
-        index = np.unravel_index(np.arange(offset, min(offset + _ORACLE_CHUNK, size)), shape)
-        points = np.column_stack([axis[i] for axis, i in zip(doubles, index)])
-        ae = _fitness_rows(np.hstack([points, points]), route, params, sim)
+        rows = min(_ORACLE_CHUNK, size - offset)
+        # the chunk's points, each run as the row [g, g]: the same gains on both channels
+        gains = array("d", bytes(48 * rows))
+        for j, (values, block) in enumerate(columns):
+            column = array("d", _window(values, block, offset, offset + rows))
+            gains[j::6] = gains[j + 3 :: 6] = column
+        results = _fitness_rows(gains, route, params, sim)
         for c in range(2):
-            # argmin keeps the first of equal minima, and strict < an earlier chunk's,
-            # so ties go to the lexicographically smallest gains
-            j = int(np.argmin(ae[:, c]))
-            if best[c] is None or ae[j, c] < best[c][0]:
-                best[c] = (float(ae[j, c]), offset + j)
+            ae = results[c::4]
+            low = min(ae)
+            # strict < keeps an earlier chunk's point, and within the chunk the first point of the lowest AE wins,
+            # so ties go to the lexicographically smallest gains. An AE is never NaN or -0.0 (the divergence
+            # stand-in is finite), so equal AEs have equal bits: the first 8-byte-aligned hit of low's is its point.
+            if best[c] is None or low < best[c][0]:
+                raw, bits = ae.tobytes(), array("d", [low]).tobytes()
+                at = raw.find(bits)
+                while at % 8:
+                    at = raw.find(bits, at + 1)
+                best[c] = (low, offset + at // 8)
     (ae_linear, linear), (ae_angular, angular) = best
 
     def point(flat: int) -> Gains:
-        return Gains(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, shape))))
+        kp, rest = divmod(flat, ki_count * kd_count)
+        ki, kd = divmod(rest, kd_count)
+        return Gains(axes[0][kp], axes[1][ki], axes[2][kd])
 
     return GridOracleResult(point(linear), point(angular), ae_linear=ae_linear, ae_angular=ae_angular)

@@ -14,11 +14,10 @@ import math
 import os
 import sys
 import tempfile
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
-
-import numpy as np
 
 from .ep import Gains, Individual, _require_finite
 
@@ -91,11 +90,11 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class ChannelTrace:
-    """Sampled (time, desired, actual) series for one channel, spaced by dt."""
+    """Sampled (time, desired, actual) series for one channel, spaced by dt; simulate_route writes array("d")s."""
 
-    time: np.ndarray
-    desired: np.ndarray
-    actual: np.ndarray
+    time: array
+    desired: array
+    actual: array
 
     def __post_init__(self):
         if not (len(self.time) == len(self.desired) == len(self.actual)):
@@ -184,14 +183,14 @@ def plant_step(velocity: float, command: float, params: ChannelParams, dt: float
 _MAX_SAMPLES = 10_000_000
 
 
-def _prepare(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tuple, int, np.ndarray]:
+def _prepare(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tuple, int, array]:
     """The gate of every route run: its stretches ((start, k), (end, n - k)), its sample count n and its plant.
 
-    The stretches are (setpoint, sample count); the plant is (2, 4) float64, per channel the limit, DC gain,
-    decay and start velocity. On doubles, n = round(total_duration * sample_rate), so the last sample lies at
-    most total_duration - dt / 2. k is the first k with k * dt >= phase_duration, capped at n; the guess
-    ceil(phase_duration / dt) is moved by that test, on the float k * dt every path uses, until exact. Raises
-    ValueError when the route has no samples or more than _MAX_SAMPLES, and, naming the channel, when a first
+    The stretches are (setpoint, sample count); the plant is 8 doubles in an array("d"), per channel, linear then
+    angular, the limit, DC gain, decay and start velocity. On doubles, n = round(total_duration * sample_rate), so
+    the last sample lies at most total_duration - dt / 2. k is the first k with k * dt >= phase_duration, capped at
+    n; the guess ceil(phase_duration / dt) is moved by that test, on the float k * dt every path uses, until exact.
+    Raises ValueError when the route has no samples or more than _MAX_SAMPLES, and, naming the channel, when a first
     error route.start - initial_velocity overflows: the kernels seed their first derivative with it.
     """
     samples = route.total_duration * float(sim.sample_rate)
@@ -224,7 +223,7 @@ def _prepare(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tup
     k = min(k, n)
     channels = (params.linear, params.angular)
     lags = [(c.actuator_limit, c.dc_gain, math.exp(-dt / float(c.time_constant)), c.initial_velocity) for c in channels]
-    return ((route.start, k), (route.end, n - k)), n, np.array(lags, dtype=np.float64)
+    return ((route.start, k), (route.end, n - k)), n, array("d", lags[0] + lags[1])
 
 
 def check_step_route(name: str, route: RouteSpec, params: PlantParams, sim: SimConfig) -> None:
@@ -244,9 +243,10 @@ def _run_rows_py(
 ) -> None:
     """_kernel.c's evopid_run in Python, its fallback and reference: the same arguments and results.
 
-    For each of ``rows`` rows of six gains, linear kp, ki, kd then angular, it runs
-    both channels' closed loops along the route, each fused into a single pass: the
-    linear one, then the angular one, row after row, where C holds a row's two
+    Every buffer is flat doubles, indexed as C indexes it: gains holds rows x 6, plant 2 x 4, results
+    rows x 4 and actual rows x 2 x (first + second). For each of ``rows`` rows of six gains, linear
+    kp, ki, kd then angular, it runs both channels' closed loops along the route, each fused into a
+    single pass: the linear one, then the angular one, row after row, where C holds a row's two
     channels in two adjacent lanes of a vector, two rows per 256-bit vector when
     built with AVX and one row per two-wide vector otherwise, and steps the sixteen
     rows of a block side by side. No two channels share a value, and each vector
@@ -260,18 +260,21 @@ def _run_rows_py(
     samples then ``end`` for ``second``, so no sample tests its time. The previous
     error starts as the first error, which makes sample 0's derivative (e - e) / dt
     exactly the 0.0 that pid_step uses there (_prepare has checked that the first
-    error is finite). Row r writes to results[r, :2] its two average errors, each the sum
-    of |setpoint - measurement| over the samples in time order over first + second, and to
-    results[r, 2:] its two final velocities, linear then angular; actual[r, c], when given,
-    receives channel c's measurement of each sample. A run does not stop where the velocity
-    goes nonfinite: it never turns finite again (a NaN stays NaN, and an infinity meets the
-    clipped command and stays infinite or turns NaN), so a nonfinite final velocity on either
-    channel is the divergence verdict, which writes DIVERGENCE_AE as both average errors.
+    error is finite). Row r writes to results[4r] and results[4r + 1] its two average
+    errors, each the sum of |setpoint - measurement| over the samples in time order
+    over first + second, and to results[4r + 2] and results[4r + 3] its two final
+    velocities, linear then angular; actual, when given, receives channel c's
+    measurement of each sample from (2r + c) * (first + second) on. A run does not stop
+    where the velocity goes nonfinite: it never turns finite again (a NaN stays NaN,
+    and an infinity meets the clipped command and stays infinite or turns NaN), so a
+    nonfinite final velocity on either channel is the divergence verdict, which writes
+    DIVERGENCE_AE as both average errors.
     """
-    channels, rows_of_gains, samples = plant.tolist(), gains.tolist(), first + second
+    channels, flat, samples = memoryview(plant).tolist(), memoryview(gains).tolist(), first + second
     for r in range(rows):
-        for c, (limit, dc_gain, decay, velocity) in enumerate(channels):
-            kp, ki, kd = rows_of_gains[r][3 * c : 3 * c + 3]
+        for c in range(2):
+            limit, dc_gain, decay, velocity = channels[4 * c : 4 * c + 4]
+            kp, ki, kd = flat[6 * r + 3 * c : 6 * r + 3 * c + 3]
             neg_limit = -limit
             recorded = [] if actual is not None else None
             integral = 0.0
@@ -293,48 +296,51 @@ def _run_rows_py(
                         command = neg_limit
                     target = command * dc_gain
                     velocity = target + (velocity - target) * decay
-            results[r, c], results[r, 2 + c] = total / samples, velocity
+            results[4 * r + c], results[4 * r + 2 + c] = total / samples, velocity
             if recorded is not None:
-                actual[r, c] = recorded
-        if not (math.isfinite(results[r, 2]) and math.isfinite(results[r, 3])):
-            results[r, :2] = DIVERGENCE_AE
+                at = (2 * r + c) * samples
+                actual[at : at + samples] = array("d", recorded)
+        if not (math.isfinite(results[4 * r + 2]) and math.isfinite(results[4 * r + 3])):
+            results[4 * r] = results[4 * r + 1] = DIVERGENCE_AE
 
 
 # _run_rows_py transcribed to C; -ffp-contract=off keeps a * b + c from fusing into one rounding.
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# what _c_kernel adds to the baseline build where the host runs AVX: two rows per 256-bit vector
+_AVX_FLAGS = ("-mavx",)
 
 
-def _host_has_avx() -> bool:
-    """Whether NumPy's runtime CPU detection reports AVX; False where this NumPy has no such report."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        return False
-    return __cpu_features__.get("AVX") is True
+def _cache_dir() -> Path:
+    """The per-user kernel cache: $XDG_CACHE_HOME or ~/.cache, then evopid/."""
+    return Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "evopid"
 
 
-def _load_kernel(cache_dir: Path, *flags: str):
-    """_kernel.c's function through ctypes, compiled by cc with _KERNEL_FLAGS and ``flags`` into cache_dir on a miss;
-    None on any failure.
-
-    The library is named by the hash of _KERNEL_SOURCE and the flags and written by atomic
-    rename, so no process loads a stale or half-written one, and it is loaded only from a directory
-    that this user owns and no one else can write. It is used only if it matches _run_rows_py on
-    a fixed run. Nothing is printed, the compiler's own output included.
-    """
-    flags = (*_KERNEL_FLAGS, *flags)
+def _library_name(source: bytes, flags: tuple[str, ...]) -> str:
+    """The cached library of ``source`` compiled with ``flags``, named by the hash of both."""
     # imported on first use, so that importing evopid costs no more than before
     import hashlib
 
+    digest = hashlib.sha256(b"\0".join([source, *map(str.encode, flags)])).hexdigest()
+    return f"kernel-{digest[:16]}.so"
+
+
+def _library(cache_dir: Path, *flags: str):
+    """_KERNEL_SOURCE through ctypes, compiled by cc with _KERNEL_FLAGS and ``flags`` into cache_dir on a miss; None
+    on any failure.
+
+    The library is named by _library_name and written by atomic rename, so no process loads a stale
+    or half-written one, and it is loaded only from a directory that this user owns and no one else
+    can write. Nothing is printed, the compiler's own output included.
+    """
+    flags = (*_KERNEL_FLAGS, *flags)
     try:
         cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
         owner = cache_dir.stat()
         # a library that someone else could have written would run their code
         if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
             return None
-        digest = hashlib.sha256(b"\0".join([_KERNEL_SOURCE.read_bytes(), *map(str.encode, flags)])).hexdigest()
-        library = cache_dir / f"kernel-{digest[:16]}.so"
+        library = cache_dir / _library_name(_KERNEL_SOURCE.read_bytes(), flags)
         if not library.exists():
             # only a miss compiles: a process that finds the library does not pay for importing subprocess
             import subprocess
@@ -351,8 +357,21 @@ def _load_kernel(cache_dir: Path, *flags: str):
                 return None
             finally:
                 Path(partial).unlink(missing_ok=True)
-        kernel = ctypes.CDLL(str(library)).evopid_run
-    except (OSError, AttributeError):
+        return ctypes.CDLL(str(library))
+    except OSError:
+        return None
+
+
+def _host_has_avx() -> bool:
+    """Whether this CPU and its OS run AVX, as the baseline build's evopid_has_avx reports; False without that build."""
+    has_avx = getattr(_library(_cache_dir()), "evopid_has_avx", None)
+    return has_avx is not None and has_avx() != 0
+
+
+def _load_kernel(cache_dir: Path, *flags: str):
+    """evopid_run from _library(cache_dir, *flags), or None; used only if it matches _run_rows_py on a fixed run."""
+    kernel = getattr(_library(cache_dir, *flags), "evopid_run", None)
+    if kernel is None:
         return None
     count, double = ctypes.c_int64, ctypes.c_double
     pointer = ctypes.POINTER(double)
@@ -372,64 +391,87 @@ def _load_kernel(cache_dir: Path, *flags: str):
         (7.0, 0.6, 0.08, 1.2, 9.0, 0.003),
         (30.0, 2.5, 0.3, 6.0, 0.02, 0.6),
     ]
-    # built from tuples: NumPy's stacking and fancy indexing would cost this process about 0.15 MB of peak RSS
     swapped = [row[3:] + row[:3] for row in calm]
     doubled = [tuple(2.0 * g for g in row) for row in calm[:4]]
-    gains = np.array(calm + swapped + [(1.5e308, 0.0, 1e308, 0.5, 0.05, 0.001)] + doubled)
-    plant = np.array([(2.0, 1.0, math.exp(-0.02 / 0.5), 0.3), (1.5, 0.8, math.exp(-0.02 / 0.3), -0.4)])
-    rows = len(gains)
+    rows = calm + swapped + [(1.5e308, 0.0, 1e308, 0.5, 0.05, 0.001)] + doubled
+    gains = array("d", [g for row in rows for g in row])
+    plant = array("d", (2.0, 1.0, math.exp(-0.02 / 0.5), 0.3, 1.5, 0.8, math.exp(-0.02 / 0.3), -0.4))
     # each buffer has one guard row past the nineteen, the same fixed bits on both sides, so a write just past the
     # end refuses the library rather than corrupting the heap; a guard row catches that write, not every stray write
-    got, want = [(np.full((rows + 1, 4), -7.25), np.full((rows + 1, 2, 60), -7.25)) for _ in range(2)]
+    guarded = len(rows) + 1
+    got, want = [(array("d", [-7.25]) * (4 * guarded), array("d", [-7.25]) * (2 * 60 * guarded)) for _ in range(2)]
     at = ctypes.c_double.from_buffer
-    kernel(rows, at(gains), at(plant), 0.02, -1.0, 30, 1.0, 30, *map(at, got))
-    _run_rows_py(rows, gains, plant, 0.02, -1.0, 30, 1.0, 30, *want)
+    kernel(len(rows), at(gains), at(plant), 0.02, -1.0, 30, 1.0, 30, *map(at, got))
+    _run_rows_py(len(rows), gains, plant, 0.02, -1.0, 30, 1.0, 30, *want)
     return None if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)) else kernel
+
+
+def _prune(cache_dir: Path) -> None:
+    """Remove the libraries in cache_dir that neither build of this _KERNEL_SOURCE can be, left by other versions.
+
+    Linux keeps a mapped library valid after unlink, so a running process is not harmed; a process of another
+    version builds its own library again on its next start.
+    """
+    source = _KERNEL_SOURCE.read_bytes()
+    keep = {_library_name(source, (*_KERNEL_FLAGS, *flags)) for flags in ((), _AVX_FLAGS)}
+    for library in cache_dir.glob("kernel-*.so"):
+        if library.name not in keep:
+            try:
+                library.unlink(missing_ok=True)
+            except OSError:
+                pass
 
 
 @functools.cache
 def _c_kernel():
-    """The C kernel from the per-user cache ($XDG_CACHE_HOME or ~/.cache, then evopid/), or None; loaded once.
+    """The C kernel from the per-user cache (_cache_dir()), or None; loaded once.
 
-    Where the host has AVX it is built with -mavx, two rows per 256-bit vector; if that build fails to compile,
-    load or match, or the host has no AVX, it is the baseline build, one row per two-wide vector.
+    The baseline build, one row per two-wide vector, loads first and reports whether the host runs AVX. Where it does,
+    the -mavx build, two rows per 256-bit vector, is used instead, unless it fails to compile, load or match. Once a
+    kernel is loaded, _prune clears the cache of other versions' libraries.
     """
-    cache_dir = Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "evopid"
-    kernel = _load_kernel(cache_dir, "-mavx") if _host_has_avx() else None
-    return kernel if kernel is not None else _load_kernel(cache_dir)
+    cache_dir = _cache_dir()
+    kernel = _load_kernel(cache_dir)
+    if kernel is None:
+        return None
+    if _host_has_avx():
+        kernel = _load_kernel(cache_dir, *_AVX_FLAGS) or kernel
+    _prune(cache_dir)
+    return kernel
 
 
-def _simulate(rows, schedule: tuple, plant: np.ndarray, dt: float, record: bool = False):
+def _simulate(gains, schedule: tuple, plant, dt: float, record: bool = False):
     """Run every row of six gains (linear kp, ki, kd, then angular) on both channels along the schedule.
 
     The one checked entry of every simulation, on a schedule and plant from _prepare; it reads every number as a double.
-    C trusts its pointers, so before it hands one over it checks for a row, sample counts >= 0 and not both 0 (the
-    kernels divide by their sum), and gains and plant C-contiguous float64 of shapes (rows, 6) and (2, 4); it allocates
-    the buffers the kernel writes. It runs the C kernel when loaded, else _run_rows_py: the two give the same bits.
-    Returns the (rows, 4) results, per row the average errors (DIVERGENCE_AE on both if either channel diverged) and
-    the final velocities, linear then angular; and with ``record`` the (rows, 2, n) measurements, else None.
+    C trusts its pointers, so before it hands one over it checks that gains is one flat, C-contiguous buffer of doubles
+    whose length is a multiple of 6, rows x 6, and plant one of 8, as _prepare packs it; and for a row and sample
+    counts >= 0, not both 0 (the kernels divide by their sum). It allocates the buffers the kernel writes. It runs the
+    C kernel when loaded, else _run_rows_py: the two give the same bits. Returns, as array("d")s, the results, 4 per
+    row: at 4r and 4r + 1 row r's average errors (DIVERGENCE_AE on both if either channel diverged), at 4r + 2 and
+    4r + 3 its final velocities, linear then angular; and with ``record`` the rows x 2 x n measurements, else None.
     """
-    gains = np.array(rows, dtype=np.float64)
     (start, first), (end, second) = schedule
-    count = len(gains)
+    view, packed = memoryview(gains), memoryview(plant)
+    # one expression on the path every call takes
+    gains_fit = view.format == "d" and view.ndim == 1 and view.c_contiguous and len(view) % 6 == 0
+    if not (gains_fit and packed.format == "d" and packed.ndim == 1 and packed.c_contiguous and len(packed) == 8):
+        name, buffer, length = ("plant", packed, "8") if gains_fit else ("gains", view, "a multiple of 6")
+        raise ValueError(
+            f"{name} does not fit: the kernel takes one flat, contiguous buffer of doubles of length {length}, "
+            f"got format {buffer.format!r} of shape {buffer.shape}{'' if buffer.c_contiguous else ', not contiguous'}"
+        )
+    count = len(view) // 6
     if count < 1 or first < 0 or second < 0 or first + second == 0:
         raise ValueError(f"a run takes a row and sample counts >= 0, not both 0, got {count} rows of {first}+{second}")
-    # one expression on the path every call takes; np.array has made gains float64 already
-    gains_fit = gains.shape == (count, 6) and gains.flags.c_contiguous
-    if not (gains_fit and plant.shape == (2, 4) and plant.dtype == np.float64 and plant.flags.c_contiguous):
-        name, array, shape = ("plant", plant, (2, 4)) if gains_fit else ("gains", gains, (count, 6))
-        raise ValueError(
-            f"{name} does not fit: the kernel takes a contiguous float64 array of shape {shape}, "
-            f"got {array.dtype} of shape {array.shape}"
-        )
-    results = np.empty((count, 4))
-    actual = np.empty((count, 2, first + second)) if record else None
+    results = array("d", bytes(32 * count))
+    actual = array("d", [0.0]) * (2 * count * (first + second)) if record else None
     dt, start, end = float(dt), float(start), float(end)
     kernel = _c_kernel()
     if kernel is None:
         _run_rows_py(count, gains, plant, dt, start, first, end, second, results, actual)
     else:
-        # a ctypes double over each array's first element, which ctypes passes by reference
+        # a ctypes double over each buffer's first element, which ctypes passes by reference
         at = ctypes.c_double.from_buffer
         data = None if actual is None else at(actual)
         kernel(count, at(gains), at(plant), dt, start, first, end, second, at(results), data)
@@ -440,21 +482,24 @@ def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams
     """Drive both channels along the route with their own PID controllers.
 
     PID states start fresh and both channels start from their configured initial
-    velocity (each run is independent of any previous one). At every sample the
-    recorded ``actual`` is the measurement the controller acted on, as a float64
-    array, and ``ae`` is the run's average error per channel, as fitness_of scores
-    it. Raises SimulationDiverged, naming the channel and the sample whose step
-    did it, if a final velocity is nonfinite; the linear channel is reported first.
+    velocity (each run is independent of any previous one). Each channel's time,
+    desired and actual are array("d")s; at every sample the recorded ``actual`` is
+    the measurement the controller acted on, and ``ae`` is the run's average error
+    per channel, as fitness_of scores it. Raises SimulationDiverged, naming the
+    channel and the sample whose step did it, if a final velocity is nonfinite;
+    the linear channel is reported first.
     """
     dt = sim.dt
     schedule, n, plant = _prepare(route, params, sim)
-    setpoints, counts = zip(*schedule)
-    time, desired = np.arange(n) * dt, np.repeat(setpoints, counts)
-    results, actual = _simulate([individual.as_flat()], schedule, plant, dt, record=True)
+    results, actual = _simulate(array("d", individual.as_flat()), schedule, plant, dt, record=True)
+    channels = actual[:n], actual[n:]
     for c, name in enumerate(("linear", "angular")):
-        if not math.isfinite(results[0, 2 + c]):
-            # actual[k + 1] is the velocity sample k's step produced; the last step's is not recorded
-            nonfinite = np.flatnonzero(~np.isfinite(actual[0, c, 1:]))
-            raise SimulationDiverged(name, int(nonfinite[0]) if nonfinite.size else len(time) - 1)
-    ae = FitnessRecord(*results[0, :2].tolist())
-    return SimTrace(*(ChannelTrace(time, desired, channel) for channel in actual[0]), ae)
+        if not math.isfinite(results[2 + c]):
+            # channels[c][k + 1] is the velocity sample k's step produced; the last step's is not recorded
+            k = next((k for k, v in enumerate(channels[c][1:]) if not math.isfinite(v)), n - 1)
+            raise SimulationDiverged(name, k)
+    (start, first), (end, second) = schedule
+    # float(k) * dt, the bits of NumPy's arange(n) * dt
+    time = array("d", [k * dt for k in range(n)])
+    desired = array("d", [start]) * first + array("d", [end]) * second
+    return SimTrace(*(ChannelTrace(time, desired, channel) for channel in channels), FitnessRecord(*results[:2]))

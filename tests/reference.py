@@ -1,8 +1,16 @@
-"""Plain reference implementations that the tests check the program against; no module of evopid calls them."""
+"""Plain reference implementations that the tests check the program against; no module of evopid calls them.
+
+numpy_step_metrics, numpy_write_csv and numpy_grid_oracle are the program's NumPy versions as they stood before
+evopid dropped NumPy, kept so that the written-out reductions that replaced them are checked bit for bit.
+"""
 
 import math
 
-from evopid import ChannelTrace
+import numpy as np
+
+from evopid import ChannelTrace, GainGrid, Gains, GridOracleResult, RouteSpec
+from evopid.harness import _CSV_CHUNK, _ORACLE_CHUNK
+from evopid.metrics import StepMetrics, _fitness_rows
 
 
 def average_error(channel: ChannelTrace) -> float:
@@ -58,3 +66,81 @@ def mutate_scaled(value: float, sigma: float, rng) -> float:
     """
     _check_mutation_args(value, sigma)
     return _halved_until_nonnegative(value, value * rng.gauss(0.0, sigma), sigma)
+
+
+def numpy_step_metrics(channel: ChannelTrace, route: RouteSpec) -> StepMetrics:
+    """Rise time, overshoot, and steady-state error of the start->end step."""
+    step = route.end - route.start
+    if step == 0.0:
+        raise ValueError("step metrics undefined: route start equals end")
+    in_phase = channel.time >= route.phase_duration
+    if not in_phase.any():
+        raise ValueError("trace does not cover the route's end phase")
+    actual = channel.actual[in_phase]
+    t = channel.time[in_phase]
+
+    sign = 1.0 if step > 0 else -1.0
+    progress = sign * actual
+    level_10 = sign * (route.start + 0.1 * step)
+    level_90 = sign * (route.start + 0.9 * step)
+    reached_90 = np.nonzero(progress >= level_90)[0]
+    if reached_90.size == 0:
+        rise_time = None
+    else:
+        # crossing 90% implies 10% was crossed at or before the same sample
+        i10 = int(np.nonzero(progress >= level_10)[0][0])
+        rise_time = float(t[reached_90[0]] - t[i10])
+
+    overshoot = max(0.0, float(np.max(sign * (actual - route.end)))) / abs(step)
+
+    dt = float(channel.time[1] - channel.time[0]) if len(channel) > 1 else route.phase_duration
+    n_tail = min(len(actual), max(1, int(round(0.5 / dt))))
+    steady_state_error = route.end - float(np.mean(actual[-n_tail:]))
+
+    return StepMetrics(rise_time=rise_time, overshoot=overshoot, steady_state_error=steady_state_error)
+
+
+def numpy_write_csv(path, header, columns) -> None:
+    """The CSV format from 1-D float64 or int64 ndarrays, each run of bit-equal values in a chunk's column formatted
+    once."""
+    width = len(columns)
+    line = ["", ","] * (width - 1) + ["", "\n"]  # one row: its cells go in the even slots
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK):
+            rows = min(_CSV_CHUNK, len(columns[0]) - start)
+            cells = line * rows
+            for j, column in enumerate(columns):
+                chunk = column[start : start + rows]
+                bits = chunk.view(np.int64)
+                firsts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+                texts = list(map(repr, chunk[firsts].tolist()))
+                if len(texts) < rows:
+                    texts = np.repeat(np.array(texts, dtype=object), np.diff(np.append(firsts, rows))).tolist()
+                cells[2 * j :: 2 * width] = texts
+            fh.write("".join(cells))
+
+
+def numpy_grid_oracle(route, params, sim, grid: GainGrid) -> GridOracleResult:
+    """Exhaustive per-channel argmin over the gain grid, packed with unravel_index and reduced with np.argmin."""
+    axes = [sorted(values) for values in (grid.kp_values, grid.ki_values, grid.kd_values)]
+    shape = tuple(map(len, axes))
+    doubles = [np.array(axis, dtype=np.float64) for axis in axes]
+    size = math.prod(shape)
+    best = [None, None]  # per channel (AE, flat index of the point)
+    for offset in range(0, size, _ORACLE_CHUNK):
+        index = np.unravel_index(np.arange(offset, min(offset + _ORACLE_CHUNK, size)), shape)
+        points = np.column_stack([axis[i] for axis, i in zip(doubles, index)])
+        gains = np.ascontiguousarray(np.hstack([points, points])).ravel()
+        ae = np.frombuffer(_fitness_rows(gains, route, params, sim)).reshape(-1, 4)[:, :2]
+        for c in range(2):
+            # argmin keeps the first of equal minima, and strict < an earlier chunk's
+            j = int(np.argmin(ae[:, c]))
+            if best[c] is None or ae[j, c] < best[c][0]:
+                best[c] = (float(ae[j, c]), offset + j)
+    (ae_linear, linear), (ae_angular, angular) = best
+
+    def point(flat: int) -> Gains:
+        return Gains(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, shape))))
+
+    return GridOracleResult(point(linear), point(angular), ae_linear=ae_linear, ae_angular=ae_angular)

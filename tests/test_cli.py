@@ -351,3 +351,32 @@ def test_tune_reports_a_run_where_every_member_diverged(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: all 30 members of 3 generations diverged on the train route; there are no gains to replay\n"
     assert not out.exists()
+
+
+def test_tune_step_and_oracle_never_import_numpy(tmp_path):
+    # a fresh interpreter, since this one has NumPy loaded for the tests; every command writes into tmp_path
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("kp = 0.5, 1.0\nki = 0.0, 0.1\n")
+    commands = [
+        ["tune", "--experiment", "2", "--out", str(tmp_path / "run")],
+        ["step", "--gains", "0.5,0.05,0.001,0.4,0.02,0", "--route", "test", "--out", str(tmp_path / "step.csv")],
+        ["oracle", "--grid", str(grid), "--out", str(tmp_path / "oracle.json")],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "import evopid, evopid.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [evopid.cli.cli_main(argv) for argv in {commands!r}]\n"
+        "assert codes == [0, 0, 0], codes\n"
+        "assert 'numpy' not in sys.modules, sorted(name for name in sys.modules if name.startswith('numpy'))\n"
+    )
+    source_root = Path(evopid.cli.__file__).parents[1]
+    pythonpath = os.pathsep.join(filter(None, (str(source_root), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "result.json").is_file() and (tmp_path / "oracle.json").is_file()
+    # nor does any module of the package name it, not even in a function that these commands do not reach
+    for path in sorted((source_root / "evopid").glob("*.py")):
+        assert "import numpy" not in path.read_text(), path.name

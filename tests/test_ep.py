@@ -1,8 +1,10 @@
 import ast
+import itertools
 import math
 import random
 import re
 import types
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -695,7 +697,12 @@ def test_evolve_with_batch_rows_matches_run_ep_with_fitness_of(experiment):
         spec = build_experiment_spec(experiment, seed=seed)
         environment = (spec.train_route, spec.plant, spec.sim)
         reference = run_ep(spec.ep, lambda individual: fitness_of(individual, *environment))
-        fast = evolve(spec.ep, lambda batch: _fitness_rows([m.as_flat() for m in batch], *environment))
+
+        def score(batch):
+            results = _fitness_rows(array("d", itertools.chain.from_iterable(m.as_flat() for m in batch)), *environment)
+            return zip(results[0::4], results[1::4])
+
+        fast = evolve(spec.ep, score)
         assert fast.history == reference.history, seed
         assert fast.best == reference.best, seed
         assert fast.stop_reason is reference.stop_reason, seed

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+from array import array
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ from evopid.harness import (
     result_as_dict,
 )
 from evopid.metrics import DIVERGENCE_AE
-from reference import write_csv_rows
+from reference import numpy_write_csv, write_csv_rows
 
 
 def _toy_history(population_size=4, generations=3, seed=2):
@@ -586,9 +587,14 @@ CSV_ROW_COUNTS = (1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 1)
 EDGE_FLOATS = (0.0, -0.0, DIVERGENCE_AE, 5e-324, sys.float_info.min / 3, math.inf, -math.inf, 0.1, 0.7)
 
 
+def _as_array(column: np.ndarray) -> array:
+    """A float64 or int64 column as the array("d") or array("q") _write_csv takes, bit for bit."""
+    return array("q" if column.dtype.kind == "i" else "d", column.tobytes())
+
+
 def _write_both(tmp_path, columns) -> tuple[bytes, bytes]:
     header = [f"c{j}" for j in range(len(columns))]
-    _write_csv(tmp_path / "columns.csv", header, columns)
+    _write_csv(tmp_path / "columns.csv", header, [_as_array(column) for column in columns])
     write_csv_rows(tmp_path / "rows.csv", header, columns)
     return (tmp_path / "columns.csv").read_bytes(), (tmp_path / "rows.csv").read_bytes()
 
@@ -630,6 +636,29 @@ def _runs_column(rows: int):
 def test_write_csv_writes_the_row_writers_bytes(columns, tmp_path_factory):
     written, expected = _write_both(tmp_path_factory.mktemp("csv"), columns)
     assert written == expected
+
+
+@pytest.mark.parametrize("rows", CSV_ROW_COUNTS)
+def test_write_csv_writes_the_numpy_writers_bytes(rows, tmp_path):
+    # columns that tell a writer keyed on values, or on the first and last cells of a chunk, from one keyed on bits
+    alternating = np.resize([0.0, -0.0], rows)
+    almost = np.full(rows, 0.25)
+    almost[CSV_CHUNK - 1 :: CSV_CHUNK] = 0.5  # every full chunk constant except its last value
+    almost[-1] = -0.25  # and the last chunk too
+    columns = [
+        alternating,
+        almost,
+        np.full(rows, -0.0),
+        np.arange(rows, dtype=np.int64) // 300 - 1,
+        np.full(rows, -(2**63), dtype=np.int64),
+        np.resize(np.array([7, -7], dtype=np.int64), rows),
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    _write_csv(tmp_path / "arrays.csv", header, [_as_array(column) for column in columns])
+    numpy_write_csv(tmp_path / "ndarrays.csv", header, columns)
+    written = (tmp_path / "arrays.csv").read_bytes()
+    assert written == (tmp_path / "ndarrays.csv").read_bytes()
+    assert written.count(b"\n") == 1 + rows
 
 
 def test_export_trace_schema(tmp_path, plant, sim, train_route):
@@ -705,7 +734,7 @@ def test_run_experiment_scores_each_distinct_individual_once_with_pinned_bytes(t
 
     def counting_fitness_rows(rows, route, *args):
         if route is spec.train_route:
-            train_calls.extend(map(Individual.from_flat, rows))
+            train_calls.extend(Individual.from_flat(rows[i : i + 6]) for i in range(0, len(rows), 6))
         return real_fitness_rows(rows, route, *args)
 
     monkeypatch.setattr(evopid.harness, "_fitness_rows", counting_fitness_rows)

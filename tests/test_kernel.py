@@ -26,6 +26,7 @@ import shutil
 import sys
 import threading
 import weakref
+from array import array
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -62,8 +63,16 @@ import evopid.harness
 import evopid.metrics
 import evopid.plant
 from evopid.metrics import _fitness_rows
-from evopid.plant import _KERNEL_FLAGS, _host_has_avx, _load_kernel, _prepare, _run_rows_py, _simulate
-from reference import average_error
+from evopid.plant import (
+    _KERNEL_FLAGS,
+    _host_has_avx,
+    _library_name,
+    _load_kernel,
+    _prepare,
+    _run_rows_py,
+    _simulate,
+)
+from reference import average_error, numpy_grid_oracle
 
 NO_CC = "no C compiler: cc is not on PATH, so only the Python twin is tested"
 NO_AVX = "the host has no AVX, so the four-wide build cannot run here"
@@ -99,6 +108,11 @@ def kernels(c_kernel, tmp_path_factory):
     return [c_kernel, *baseline, build_kernel(tmp_path_factory, "-U__SSE2__"), None]
 
 
+def packed(rows) -> array:
+    """Rows of six gains as the one flat buffer of doubles _simulate takes."""
+    return array("d", itertools.chain.from_iterable(rows))
+
+
 @contextlib.contextmanager
 def using(kernel):
     """Make _simulate take the given C kernel, or the Python twin for None."""
@@ -132,7 +146,7 @@ def reference_simulate_route(individual, route, params, sim):
             velocity = plant_step(velocity, command, channel, dt)
             if not math.isfinite(velocity):
                 raise SimulationDiverged(name, k)
-        traces.append(ChannelTrace(np.asarray(times), np.asarray(desired), np.asarray(actual)))
+        traces.append(ChannelTrace(array("d", times), array("d", desired), array("d", actual)))
     return SimTrace(linear=traces[0], angular=traces[1], ae=FitnessRecord(*map(average_error, traces)))
 
 
@@ -161,7 +175,7 @@ def assert_same_run(individual, route, params, sim, kernels):
                     for field in ("time", "desired", "actual"):
                         a = getattr(getattr(got, name), field)
                         b = getattr(getattr(expected, name), field)
-                        assert a.dtype == b.dtype, (name, field)
+                        assert a.typecode == b.typecode, (name, field)
                         assert np.array_equal(a, b), (name, field)
                 assert got.ae == expected.ae
             assert fitness_of(individual, route, params, sim) == fitness
@@ -280,13 +294,14 @@ def test_route_without_samples_matches_reference(plant, kernels):
 
 
 def test_integer_route_and_start_velocity_match_reference(sim, kernels):
-    # ints stay ints in the desired array; the loops run on their doubles
+    # the desired array holds the ints' doubles, which the loops run on too
     route = RouteSpec(0, 1, phase_duration=1)
     params = PlantParams(ChannelParams(initial_velocity=0), ChannelParams(initial_velocity=1))
     individual = Individual(Gains(0.8, 0.2, 0.01), Gains(2.0, 0.0, 0.0))
     for kernel in kernels:
         with using(kernel):
-            assert simulate_route(individual, route, params, sim).linear.desired.dtype == np.int64
+            desired = simulate_route(individual, route, params, sim).linear.desired
+            assert desired.typecode == "d" and desired.tolist() == [0.0] * 50 + [1.0] * 50
     assert_same_run(individual, route, params, sim, kernels)
 
 
@@ -346,12 +361,12 @@ def test_int_first_error_beyond_2_53_matches_reference(start, velocity, sim, ker
         with using(kernel):
             assert fitness_of(individual, route, params, sim) == expected
             actual = simulate_route(individual, route, params, sim).linear.actual
-            assert actual.dtype == np.float64 and actual.tolist() == [float(velocity)]
+            assert actual.typecode == "d" and actual.tolist() == [float(velocity)]
 
 
 def test_one_sample_route_keeps_an_int_start_velocity(sim, kernels):
     # 2 * 0.01 s at 50 Hz is one sample, whose measurement is the start velocity itself: its value is
-    # kept, as the float64 that every recording is, and both implementations give the same bits
+    # kept, as the double that every recording is, and both implementations give the same bits
     route = RouteSpec(0.0, 1.0, phase_duration=0.01)
     params = PlantParams(ChannelParams(initial_velocity=0), ChannelParams(time_constant=0.3, initial_velocity=1))
     individual = Individual(Gains(0.8, 0.2, 0.01), Gains(2.0, 0.0, 0.0))
@@ -359,7 +374,7 @@ def test_one_sample_route_keeps_an_int_start_velocity(sim, kernels):
         with using(kernel):
             trace = simulate_route(individual, route, params, sim)
             for channel, velocity in ((trace.linear, 0.0), (trace.angular, 1.0)):
-                assert channel.actual.dtype == np.float64 and channel.actual.tolist() == [velocity]
+                assert channel.actual.typecode == "d" and channel.actual.tolist() == [velocity]
     assert_same_run(individual, *rounded(route, params), sim, kernels)
 
 
@@ -391,7 +406,7 @@ def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, g
         return c_kernel(*args)
 
     params = PlantParams(channel, channel)
-    schedule, rows = _prepare(route, params, sim)[0], [gains.as_tuple() * 2]
+    schedule, rows = _prepare(route, params, sim)[0], packed([gains.as_tuple() * 2])
     with using(spy):
         results, actual = _simulate(rows, schedule, _prepare(route, params, sim)[2], sim.dt, record)
     assert len(calls) == 1
@@ -399,7 +414,7 @@ def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, g
         expected, expected_actual = _simulate(rows, schedule, _prepare(route, params, sim)[2], sim.dt, record)
     assert results.tobytes() == expected.tobytes()
     if record:
-        assert actual.dtype == np.float64 and actual.tobytes() == expected_actual.tobytes()
+        assert actual.typecode == "d" and actual.tobytes() == expected_actual.tobytes()
     else:
         assert actual is expected_actual is None
 
@@ -409,7 +424,7 @@ def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, g
     [
         (((0.0, 3), (1.0, -1)), {}),
         (((0.0, -1), (1.0, 3)), {}),
-        (((0.0, 3), (1.0, 3)), {"rows": np.zeros((0, 6))}),
+        (((0.0, 3), (1.0, 3)), {"rows": array("d")}),
         (((0.0, 3), (1.0, 3)), {"rows": np.zeros((2, 3))}),
         (((0.0, 3), (1.0, 3)), {"rows": np.zeros((2, 6), order="F")}),
         (((0.0, 3), (1.0, 3)), {"plant": np.ones((4, 2)).T}),
@@ -421,14 +436,41 @@ def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, g
     ],
 )
 def test_kernel_call_rejects_a_buffer_that_does_not_fit(schedule, replaced, monkeypatch):
-    # two rows: gains (2, 6) and plant (2, 4), one of them replaced; results and actual are _simulate's own
+    # two rows: 12 gains and 8 plant values, flat, one of them replaced (an array of two dimensions does not fit, in
+    # any order); results and actual are _simulate's own
     def kernel(*args):
         pytest.fail("a kernel was handed a buffer that does not fit")
 
     monkeypatch.setattr(evopid.plant, "_run_rows_py", kernel)
-    arguments = {"rows": np.zeros((2, 6)), "plant": np.ones((2, 4)), **replaced}
+    arguments = {"rows": array("d", bytes(96)), "plant": array("d", [1.0]) * 8, **replaced}
     with using(kernel), pytest.raises(ValueError, match="does not fit|a run takes a row and sample counts >= 0"):
         _simulate(arguments["rows"], schedule, arguments["plant"], 0.02, record=True)
+
+
+@pytest.mark.parametrize(
+    "gains, plant, message",
+    [
+        (array("f", [0.0]) * 12, None, "gains does not fit: the kernel takes one flat, contiguous buffer of doubles "
+         "of length a multiple of 6, got format 'f' of shape (12,)"),
+        (array("d", [0.0]) * 9, None, "gains does not fit: the kernel takes one flat, contiguous buffer of doubles "
+         "of length a multiple of 6, got format 'd' of shape (9,)"),
+        (np.zeros(24)[::2], None, "gains does not fit: the kernel takes one flat, contiguous buffer of doubles "
+         "of length a multiple of 6, got format 'd' of shape (12,), not contiguous"),
+        (None, array("d", [1.0]) * 7, "plant does not fit: the kernel takes one flat, contiguous buffer of doubles "
+         "of length 8, got format 'd' of shape (7,)"),
+    ],
+    ids=["gains-of-floats", "gains-ragged", "gains-strided", "plant-of-seven"],
+)
+def test_simulate_names_the_buffer_that_does_not_fit(gains, plant, message, monkeypatch):
+    def kernel(*args):
+        pytest.fail("a kernel was handed a buffer that does not fit")
+
+    monkeypatch.setattr(evopid.plant, "_run_rows_py", kernel)
+    gains = array("d", [0.5]) * 12 if gains is None else gains
+    plant = array("d", [1.0]) * 8 if plant is None else plant
+    with using(kernel), pytest.raises(ValueError) as excinfo:
+        _simulate(gains, ((0.0, 3), (1.0, 3)), plant, 0.02, record=True)
+    assert str(excinfo.value) == message
 
 
 def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatch):
@@ -437,14 +479,15 @@ def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatc
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     cache = tmp_path / "evopid"
     assert evopid.plant._c_kernel.__wrapped__() is not None
-    (library,) = cache.iterdir()  # no partial file is left beside it
-    assert re.fullmatch(r"kernel-[0-9a-f]{16}\.so", library.name)
+    libraries = list(cache.iterdir())  # one per width the host runs, and no partial file beside them
+    assert len(libraries) == len(WIDTHS)
+    assert all(re.fullmatch(r"kernel-[0-9a-f]{16}\.so", library.name) for library in libraries)
     assert cache.stat().st_mode & 0o777 == 0o700
     # other flags name another library
     with monkeypatch.context() as patch:
         patch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-O1"))
         assert _load_kernel(cache) is not None
-    assert len(list(cache.iterdir())) == 2
+    assert len(list(cache.iterdir())) == len(WIDTHS) + 1
     # with no compiler the cached library is loaded
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     assert evopid.plant._c_kernel.__wrapped__() is not None
@@ -453,10 +496,52 @@ def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatc
     assert evopid.plant._c_kernel.__wrapped__() is None
 
 
+def test_kernel_cache_keeps_only_the_builds_of_this_source(c_kernel, tmp_path, monkeypatch):
+    # once a kernel loads, the libraries no flag set of this source names are removed, and only those
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "evopid"
+    cache.mkdir(mode=0o700)
+    kept = [cache / ".kernel-a1b2c3.so", cache / "notes.txt"]  # another process's partial build, and no library
+    stale = [cache / "kernel-0123456789abcdef.so"]
+    for path in kept + stale:
+        path.write_text("not a library")
+    # another version's library, loaded and held as a running process would hold it
+    old_source = tmp_path / "_kernel.c"
+    old_source.write_text(evopid.plant._KERNEL_SOURCE.read_text() + "/* another version */\n")
+    with monkeypatch.context() as patch:
+        patch.setattr(evopid.plant, "_KERNEL_SOURCE", old_source)
+        old_kernel = _load_kernel(cache)
+    assert old_kernel is not None
+    stale += [path for path in cache.glob("kernel-*.so") if path not in stale]
+    assert len(stale) == 2
+    # with no compiler and nothing of this source's cached, no kernel loads, and nothing is removed
+    with monkeypatch.context() as patch:
+        patch.setenv("PATH", str(tmp_path / "no-bin"))
+        assert evopid.plant._c_kernel.__wrapped__() is None
+    assert all(path.exists() for path in kept + stale)
+    assert evopid.plant._c_kernel.__wrapped__() is not None
+    source = evopid.plant._KERNEL_SOURCE.read_bytes()
+    built = {_library_name(source, (*_KERNEL_FLAGS, *flags)) for flags in WIDTHS.values()}
+    assert {path.name for path in cache.iterdir()} == built | {path.name for path in kept}
+    # the unlinked library stays mapped in this process and still runs: one calm row, as the twin runs it
+    gains, plant = packed([(0.8, 0.2, 0.01, 2.0, 0.5, 0.0)]), array("d", [2.0, 1.0, 0.96, 0.3, 1.5, 0.8, 0.93, -0.4])
+    got, want = array("d", bytes(32)), array("d", bytes(32))
+    at = ctypes.c_double.from_buffer
+    old_kernel(1, at(gains), at(plant), 0.02, -1.0, 30, 1.0, 30, at(got), None)
+    _run_rows_py(1, gains, plant, 0.02, -1.0, 30, 1.0, 30, want, None)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_path, monkeypatch):
     if c_kernel is None:
         pytest.skip(NO_CC)
-    monkeypatch.setattr(evopid.plant, "_run_rows_py", lambda *args: args[8].fill(0.0))
+
+    def zeroed(*args):
+        args[8][:] = array("d", bytes(8 * len(args[8])))
+
+    monkeypatch.setattr(evopid.plant, "_run_rows_py", zeroed)
     assert _load_kernel(tmp_path) is None
 
 
@@ -533,8 +618,8 @@ def test_divergence_ae_is_the_dbl_max_each_kernel_writes(sim, train_route, kerne
     schedule, _, plant = _prepare(train_route, params, sim)
     for kernel in kernels:
         with using(kernel):
-            results, _ = _simulate([Individual(huge, huge).as_flat()], schedule, plant, sim.dt)
-        assert [v.hex() for v in results[0, :2].tolist()] == [sys.float_info.max.hex()] * 2
+            results, _ = _simulate(packed([Individual(huge, huge).as_flat()]), schedule, plant, sim.dt)
+        assert [v.hex() for v in results[:2].tolist()] == [sys.float_info.max.hex()] * 2
 
 
 @pytest.mark.parametrize(
@@ -571,8 +656,9 @@ def assert_same_outputs(one, other):
 
 
 def test_failed_avx_build_falls_back_to_the_baseline_build(c_kernel, tmp_path, monkeypatch, capfd):
-    # a compiler that fails on -mavx, on a host taken to have AVX: _c_kernel loads the two-wide baseline build, not
-    # the Python twin, silently, and it writes what the host's own build writes
+    # a compiler that fails on -mavx, on a host taken to have AVX: _c_kernel builds the two-wide baseline first, asks
+    # it, then fails to build -mavx and keeps the baseline, not the Python twin, silently, and it writes what the
+    # host's own build writes
     if c_kernel is None:
         pytest.skip(NO_CC)
     bin_dir, log = tmp_path / "bin", tmp_path / "cc.log"
@@ -588,7 +674,7 @@ def test_failed_avx_build_falls_back_to_the_baseline_build(c_kernel, tmp_path, m
     monkeypatch.setattr(evopid.plant, "_c_kernel", functools.cache(evopid.plant._c_kernel.__wrapped__))
     assert evopid.plant._c_kernel() is not None
     assert capfd.readouterr() == ("", "")
-    assert ["-mavx" in call.split() for call in log.read_text().splitlines()] == [True, False]
+    assert ["-mavx" in call.split() for call in log.read_text().splitlines()] == [False, True]
     spec = build_experiment_spec(3, output_dir=tmp_path / "baseline", overrides={"ep.max_generations": 3})
     run_experiment(spec)
     with using(c_kernel):
@@ -607,20 +693,22 @@ def test_row_counts_around_vectors_and_blocks_match_the_twin(count, record, sim,
     params = PlantParams(ChannelParams(initial_velocity=0.3), ChannelParams(time_constant=0.3, initial_velocity=-0.4))
     (start, first), (end, second) = _prepare(train_route, params, sim)[0]
     plant = _prepare(train_route, params, sim)[2]
-    gains = np.array(
+    gains = packed(
         [(0.5 + 0.3 * j, 0.05 * (j % 4), 0.002 * (j % 3), 2.0 - 0.05 * j, 0.1 * (j % 5), 0.001 * j) for j in range(count)]
     )
     outputs = []
     for kernel in kernels:
-        results = np.full((count + 1, 4), -7.0)
-        actual = np.full((count + 1, 2, first + second), -7.0) if record else None
+        results = array("d", [-7.0]) * (4 * (count + 1))
+        actual = array("d", [-7.0]) * (2 * (first + second) * (count + 1)) if record else None
         if kernel is None:
             _run_rows_py(count, gains, plant, sim.dt, start, first, end, second, results, actual)
         else:
             at = ctypes.c_double.from_buffer
             data = None if actual is None else at(actual)
             kernel(count, at(gains), at(plant), sim.dt, start, first, end, second, at(results), data)
-        assert (results[count] == -7.0).all() and (actual is None or (actual[count] == -7.0).all())
+        guard = array("d", [-7.0]) * (2 * (first + second))
+        assert results[4 * count :] == guard[:4]
+        assert actual is None or actual[2 * (first + second) * count :] == guard
         outputs.append([results.tobytes(), None if actual is None else actual.tobytes()])
     assert all(output == outputs[-1] for output in outputs)
 
@@ -630,17 +718,22 @@ def assert_batch_matches_fitness_of(individuals, route, params, sim, kernels):
     # and each score's bits are fitness_of's; tobytes also matches a NaN to a NaN
     rows = [individual.as_flat() for individual in individuals]
     schedule = _prepare(route, params, sim)[0]
+    n = sum(count for _, count in schedule)
     for kernel in kernels:
         with using(kernel):
-            results, actual = _simulate(rows, schedule, _prepare(route, params, sim)[2], sim.dt, record=True)
-            assert results.shape == (len(rows), 4)
-            assert actual.shape == (len(rows), 2, sum(count for _, count in schedule))
-            scores = _fitness_rows(rows, route, params, sim)
-            assert scores.shape == (len(rows), 2) and scores.dtype == np.float64
-            for individual, row, result, measured, score in zip(individuals, rows, results, actual, scores):
-                one, one_actual = _simulate([row], schedule, _prepare(route, params, sim)[2], sim.dt, record=True)
-                assert result.tobytes() == one[0].tobytes(), individual
-                assert measured.tobytes() == one_actual[0].tobytes(), individual
+            results, actual = _simulate(packed(rows), schedule, _prepare(route, params, sim)[2], sim.dt, record=True)
+            assert len(results) == 4 * len(rows)
+            assert len(actual) == len(rows) * 2 * n
+            scores = _fitness_rows(packed(rows), route, params, sim)
+            assert len(scores) == 4 * len(rows) and scores.typecode == "d"
+            for r, (individual, row) in enumerate(zip(individuals, rows)):
+                result, score = results[4 * r : 4 * r + 4], scores[4 * r : 4 * r + 2]
+                measured = actual[2 * n * r : 2 * n * (r + 1)]
+                one, one_actual = _simulate(
+                    packed([row]), schedule, _prepare(route, params, sim)[2], sim.dt, record=True
+                )
+                assert result.tobytes() == one.tobytes(), individual
+                assert measured.tobytes() == one_actual.tobytes(), individual
                 single = np.array(fitness_of(individual, route, params, sim), dtype=np.float64)
                 assert score.tobytes() == single.tobytes(), individual
 
@@ -716,10 +809,12 @@ def test_batch_divergence_on_either_channel_matches_fitness_of(sim, train_route,
         params = PlantParams(**channels)
         for kernel in kernels:
             with using(kernel):
-                schedule, _, packed = _prepare(train_route, params, sim)
-                results, _ = _simulate(rows, schedule, packed, sim.dt)
-                assert np.isfinite(results[:, 2:]).tolist() == [[c != 0, c != 1], [True, True]]
-                scores = _fitness_rows(rows, train_route, params, sim).tolist()
+                schedule, _, plant = _prepare(train_route, params, sim)
+                results, _ = _simulate(packed(rows), schedule, plant, sim.dt)
+                velocities = np.frombuffer(results).reshape(-1, 4)[:, 2:]
+                assert np.isfinite(velocities).tolist() == [[c != 0, c != 1], [True, True]]
+                scored = _fitness_rows(packed(rows), train_route, params, sim)
+                scores = np.frombuffer(scored).reshape(-1, 4)[:, :2].tolist()
                 assert scores[0] == [DIVERGENCE_AE, DIVERGENCE_AE]
                 assert DIVERGENCE_AE not in scores[1]
         assert_batch_matches_fitness_of(individuals, train_route, params, sim, kernels)
@@ -732,7 +827,7 @@ def test_batch_route_without_samples_raises_like_fitness_of(plant, kernels):
         with using(kernel), pytest.raises(ValueError) as excinfo:
             fitness_of(individual, route, plant, sim)
         with pytest.raises(ValueError, match=re.escape(str(excinfo.value))):
-            _fitness_rows([individual.as_flat()] * 2, route, plant, sim)
+            _fitness_rows(packed([individual.as_flat()] * 2), route, plant, sim)
         with pytest.raises(ValueError, match=re.escape(str(excinfo.value))):
             grid_oracle(route, plant, sim, GainGrid((1.0,), (0.0,), (0.0,)))
 
@@ -757,9 +852,9 @@ def twin_fitness(individual, route, params, sim):
     """fitness_of by hand: the Python twin on this environment's own preparation, not the cached one."""
     schedule, _, plant = _prepare(route, params, sim)
     (start, first), (end, second) = schedule
-    gains, results = np.array([individual.as_flat()]), np.empty((1, 4))
+    gains, results = packed([individual.as_flat()]), array("d", bytes(32))
     _run_rows_py(1, gains, plant, sim.dt, float(start), first, float(end), second, results, None)
-    return FitnessRecord(*results[0, :2].tolist())
+    return FitnessRecord(*results[:2])
 
 
 def bits(record):
@@ -968,3 +1063,58 @@ def test_oracle_matches_reference_across_chunks(chunk, monkeypatch, plant, sim, 
     tie = GainGrid((0.3, 0.1, 0.2), (0.2, 0.0), (0.5, 0.4))
     result = assert_oracle_matches_reference(RouteSpec(0.0, 0.0), plant, sim, tie, kernels)
     assert result.linear_gains == result.angular_gains == Gains(0.1, 0.0, 0.4)
+
+
+# a log-spaced grid of 61 x 31 x 21 points, each axis from 0: ten chunks, and the AEs of a wide search
+WIDE_GRID = GainGrid(
+    (0.0, *np.geomspace(0.01, 200.0, 60).tolist()),
+    (0.0, *np.geomspace(1e-3, 50.0, 30).tolist()),
+    (0.0, *np.geomspace(1e-4, 5.0, 20).tolist()),
+)
+
+
+def test_oracle_matches_the_numpy_reference_on_tied_aes(plant, sim, train_route, kernels):
+    # np.argmin's first index of the minimum against the first aligned hit of its bits: on a null route from rest
+    # every point ties at AE 0.0, whose bits are also every velocity's; equal axis values tie at any AE; and a grid
+    # that diverges everywhere ties at DIVERGENCE_AE
+    cases = [
+        (RouteSpec(0.0, 0.0), plant, GainGrid((0.3, 0.1, 0.2), (0.2, 0.0), (0.5, 0.4))),
+        (train_route, plant, GainGrid((1.0, 0.5, 1, 0.5), (0.0, 0.02, 0.0), (0.0,))),
+        (
+            train_route,
+            PlantParams(ChannelParams(initial_velocity=-5.0), ChannelParams(time_constant=0.3, initial_velocity=-5.0)),
+            GainGrid((1.5e308, 1e308), (0.0,), (1e308, 1.2e308)),
+        ),
+    ]
+    for kernel in kernels:
+        with using(kernel):
+            for route, params, grid in cases:
+                assert repr(grid_oracle(route, params, sim, grid)) == repr(numpy_grid_oracle(route, params, sim, grid))
+
+
+def test_oracle_takes_the_first_aligned_hit_of_the_lowest_aes_bits(plant, sim, train_route, monkeypatch):
+    # scores made up so that the bits of the lowest linear AE, 0.0, also sit across the first two AEs: 5e-324 ends in
+    # seven zero bytes and 0.5 starts with six; only the hit at a multiple of 8 bytes is a point
+    import reference
+
+    aes = [(5e-324, 0.25), (0.5, 0.125), (0.0, 0.125)]
+
+    def made_up(gains, *args):
+        return array("d", [v for linear, angular in aes[: len(gains) // 6] for v in (linear, angular, 0.0, 0.0)])
+
+    monkeypatch.setattr(evopid.harness, "_fitness_rows", made_up)
+    monkeypatch.setattr(reference, "_fitness_rows", made_up)
+    grid = GainGrid((0.1, 0.2, 0.3), (0.0,), (0.0,))
+    result = grid_oracle(train_route, plant, sim, grid)
+    assert repr(result) == repr(numpy_grid_oracle(train_route, plant, sim, grid))
+    assert (result.linear_gains.kp, result.angular_gains.kp) == (0.3, 0.2)
+
+
+def test_oracle_matches_the_numpy_reference_on_the_wide_grid(plant, sim, train_route, c_kernel):
+    # 39,711 points, which the Python twin would take minutes over
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    with using(c_kernel):
+        got = grid_oracle(train_route, plant, sim, WIDE_GRID)
+        assert repr(got) == repr(numpy_grid_oracle(train_route, plant, sim, WIDE_GRID))
+    assert got.ae_linear < 0.0125 and got.ae_angular < 0.009

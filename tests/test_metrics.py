@@ -1,9 +1,10 @@
 import dataclasses
 import math
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evopid import (
@@ -18,9 +19,11 @@ from evopid import (
     RouteSpec,
     build_experiment_spec,
     fitness_of,
+    simulate_route,
     step_metrics,
 )
-from reference import average_error
+from evopid.metrics import _mean
+from reference import average_error, numpy_step_metrics
 
 ZERO = Individual.from_flat([0.0] * 6)
 DT = 0.02
@@ -248,3 +251,85 @@ def test_step_metrics_as_dict():
     actual = np.where(phase2, 1.0, 0.0)
     d = dataclasses.asdict(step_metrics(ChannelTrace(t, actual, actual), route))
     assert set(d) == {"rise_time", "overshoot", "steady_state_error"}
+
+
+# ---------------------------------------------------------------- the written-out reductions against NumPy's
+
+
+def test_mean_has_numpy_bits_on_whole_arrays_and_tail_slices():
+    # every length to 300 and some past NumPy's 8,192-value buffer; values over six decades, so that the order of
+    # the additions shows in the last bits; the tail is a slice of a longer array, as step_metrics takes it, and
+    # signed zeros sum as NumPy's do from its initial 0.0
+    rng = np.random.default_rng(7)
+    for n in [*range(1, 301), 1000, 8192, 8193, 20000, 50001]:
+        values = rng.normal(0.3, 0.1, n + 5) * 10.0 ** rng.integers(-3, 4, n + 5)
+        packed = array("d", values.tobytes())
+        cases = ((packed[:n], values[:n]), (packed[5:], values[5:]), (array("d", [-0.0]) * n, np.full(n, -0.0)))
+        for got, want in cases:
+            assert _mean(got).hex() == float(np.mean(want)).hex(), n
+
+
+def assert_step_metrics_have_numpy_bits(channel, route):
+    """step_metrics on the trace against numpy_step_metrics on its ndarrays, field by field by .hex()."""
+    got = step_metrics(channel, route)
+    columns = (channel.time, channel.desired, channel.actual)
+    want = numpy_step_metrics(ChannelTrace(*map(np.frombuffer, columns)), route)
+    for field in ("rise_time", "overshoot", "steady_state_error"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a is None and b is None) or a.hex() == b.hex(), field
+    return got
+
+
+@pytest.mark.parametrize(
+    "gains, rise, overshoot",
+    [
+        (Gains(20.0, 20.0, 0.1), True, True),
+        (Gains(50.0, 10.0, 0.5), True, True),
+        (Gains(1.5, 3.0, 0.0), True, False),  # rises without passing the end: an overshoot of 0
+        (Gains(0.0, 0.0, 0.0), False, False),  # never leaves the start: no 90 % crossing
+        (Gains(0.3, 0.0, 0.0), False, False),  # proportional only: settles short of the end
+    ],
+)
+@pytest.mark.parametrize("route", [RouteSpec(-0.3, 0.3), RouteSpec(0.3, -0.3), RouteSpec(0.1, 0.7, 1.5)], ids=str)
+def test_step_metrics_have_numpy_bits_on_rising_and_falling_steps(gains, rise, overshoot, route, plant, sim):
+    trace = simulate_route(Individual(gains, gains), route, plant, sim)
+    for channel in (trace.linear, trace.angular):
+        metrics = assert_step_metrics_have_numpy_bits(channel, route)
+        assert (metrics.rise_time is not None) == rise
+    assert (step_metrics(trace.linear, route).overshoot > 0.0) == overshoot
+
+
+@pytest.mark.parametrize("route", [RouteSpec(-0.3, 0.3, 1.0), RouteSpec(0.3, -0.3, 1.0)], ids=["rising", "falling"])
+def test_step_metrics_have_numpy_bits_where_samples_sit_on_the_levels(route):
+    # a sample exactly at the 10 % level, one just short of the 90 % level and two exactly at it: each crossing is
+    # at or past its level, so the rise time is 3 samples, where crossings strictly past the levels would give 4;
+    # then an overshoot and a tail at the end
+    step = route.end - route.start
+    level_10, level_90 = route.start + 0.1 * step, route.start + 0.9 * step
+    near_90 = level_90 - 1e-9 * step
+    second = [level_10, 0.5 * (level_10 + level_90), near_90, level_90, level_90, route.end + 0.2 * step]
+    second += [route.end] * 44
+    time = array("d", [k * DT for k in range(100)])
+    desired = array("d", [route.start] * 50 + [route.end] * 50)
+    channel = ChannelTrace(time, desired, array("d", [route.start] * 50 + second))
+    metrics = assert_step_metrics_have_numpy_bits(channel, route)
+    assert metrics.rise_time == time[53] - time[50]
+    assert metrics.overshoot == pytest.approx(0.2, rel=1e-12)
+
+
+@settings(max_examples=40)
+@given(
+    gains=st.builds(Gains, st.floats(0.0, 20.0), st.floats(0.0, 5.0), st.floats(0.0, 0.5)),
+    start=st.floats(-1.0, 1.0),
+    end=st.floats(-1.0, 1.0),
+)
+@example(gains=Gains(1.0, 0.0, 0.0), start=0.0, end=-0.0)  # a step that is no step
+def test_step_metrics_have_numpy_bits_on_any_run(gains, start, end, plant, sim):
+    route = RouteSpec(start, end, 1.0)
+    trace = simulate_route(Individual(gains, gains), route, plant, sim)
+    for channel in (trace.linear, trace.angular):
+        if start == end:
+            with pytest.raises(ValueError, match="route start equals end"):
+                step_metrics(channel, route)
+        else:
+            assert_step_metrics_have_numpy_bits(channel, route)

@@ -217,11 +217,11 @@ def test_overflowing_first_error_is_rejected_on_every_simulation_path(phase_dura
 def test_simulate_route_zero_gains_stay_at_rest(plant, sim, train_route):
     trace = simulate_route(ZERO, train_route, plant, sim)
     for channel in (trace.linear, trace.angular):
-        assert np.all(channel.actual == 0.0)
+        assert np.all(np.asarray(channel.actual) == 0.0)
         assert len(channel) == 300
     # desired follows the two-phase profile: 150 samples per phase
-    assert np.all(trace.linear.desired[:150] == train_route.start)
-    assert np.all(trace.linear.desired[150:] == train_route.end)
+    assert np.all(np.asarray(trace.linear.desired[:150]) == train_route.start)
+    assert np.all(np.asarray(trace.linear.desired[150:]) == train_route.end)
 
 
 def test_simulate_route_nonzero_initial_velocity_holds_without_gains(sim, train_route):
