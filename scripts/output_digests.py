@@ -36,8 +36,6 @@ import platform
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 import evopid.plant
 from evopid import EXPERIMENT_TABLE
 from evopid.cli import cli_main
@@ -92,10 +90,10 @@ def digest(data: bytes) -> str:
 
 
 def platform_line() -> str:
-    """The platform the digests rest on: machine, C library, Python and NumPy."""
+    """The platform the digests rest on: machine, C library and Python."""
     libc = " ".join(platform.libc_ver()) or "unknown libc"
     python = f"{platform.python_implementation()} {platform.python_version()}"
-    return f"{platform.machine()}, {libc}, {python}, NumPy {np.__version__}"
+    return f"{platform.machine()}, {libc}, {python}"
 
 
 def digest_lines(command: str, case: Path) -> list[str]:

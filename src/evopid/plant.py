@@ -13,7 +13,6 @@ import functools
 import math
 import os
 import sys
-import tempfile
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -312,12 +311,15 @@ _AVX_FLAGS = ("-mavx",)
 
 
 def _cache_dir() -> Path:
-    """The per-user kernel cache: $XDG_CACHE_HOME or ~/.cache, then evopid/."""
-    return Path(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache")) / "evopid"
+    """The per-user kernel cache: $XDG_CACHE_HOME if absolute (the XDG spec ignores a relative one), else ~/.cache;
+    then evopid/."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    return Path(base if os.path.isabs(base) else os.path.expanduser("~/.cache")) / "evopid"
 
 
+@functools.cache
 def _library_name(source: bytes, flags: tuple[str, ...]) -> str:
-    """The cached library of ``source`` compiled with ``flags``, named by the hash of both."""
+    """The cached library of ``source`` compiled with ``flags``, named by the hash of both; each name hashed once."""
     # imported on first use, so that importing evopid costs no more than before
     import hashlib
 
@@ -325,63 +327,22 @@ def _library_name(source: bytes, flags: tuple[str, ...]) -> str:
     return f"kernel-{digest[:16]}.so"
 
 
-def _library(cache_dir: Path, *flags: str):
-    """_KERNEL_SOURCE through ctypes, compiled by cc with _KERNEL_FLAGS and ``flags`` into cache_dir on a miss; None
-    on any failure.
+def _host_has_avx(library) -> bool:
+    """Whether this CPU and its OS run AVX, as ``library``, a baseline build, reports by its evopid_has_avx."""
+    return library.evopid_has_avx() != 0
 
-    The library is named by _library_name and written by atomic rename, so no process loads a stale
-    or half-written one, and it is loaded only from a directory that this user owns and no one else
-    can write. Nothing is printed, the compiler's own output included.
+
+@functools.cache
+def _self_test() -> tuple[tuple, list[array]]:
+    """The fixed run every build must match: its arguments but the written buffers, and the twin's results and actual.
+
+    Nineteen unlike rows on two unlike channels, recorded: a full block of sixteen and a partial one of three, so a
+    slip in a row stride, a channel offset, a lane or a block's addressing shows, and the last vector of a four-wide
+    build holds one row; both stretches, both clamps and nonzero start velocities. Row 14 sits between calm rows of
+    block 0 and goes NaN on its linear channel at sample 1, where kp * e is -inf and kd * D is +inf, so a clamp that
+    does not pass a NaN through shows too. Each written buffer has one guard row past the nineteen, of -7.25 on both
+    sides, so a write just past the end refuses the library rather than corrupting the heap (not every stray write).
     """
-    flags = (*_KERNEL_FLAGS, *flags)
-    try:
-        cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
-        owner = cache_dir.stat()
-        # a library that someone else could have written would run their code
-        if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
-            return None
-        library = cache_dir / _library_name(_KERNEL_SOURCE.read_bytes(), flags)
-        if not library.exists():
-            # only a miss compiles: a process that finds the library does not pay for importing subprocess
-            import subprocess
-
-            fd, partial = tempfile.mkstemp(suffix=".so", prefix=".kernel-", dir=cache_dir)
-            os.close(fd)
-            try:
-                subprocess.run(
-                    ["cc", *flags, "-o", partial, str(_KERNEL_SOURCE)],
-                    stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=120,
-                )
-                os.replace(partial, library)
-            except subprocess.SubprocessError:
-                return None
-            finally:
-                Path(partial).unlink(missing_ok=True)
-        return ctypes.CDLL(str(library))
-    except OSError:
-        return None
-
-
-def _host_has_avx() -> bool:
-    """Whether this CPU and its OS run AVX, as the baseline build's evopid_has_avx reports; False without that build."""
-    has_avx = getattr(_library(_cache_dir()), "evopid_has_avx", None)
-    return has_avx is not None and has_avx() != 0
-
-
-def _load_kernel(cache_dir: Path, *flags: str):
-    """evopid_run from _library(cache_dir, *flags), or None; used only if it matches _run_rows_py on a fixed run."""
-    kernel = getattr(_library(cache_dir, *flags), "evopid_run", None)
-    if kernel is None:
-        return None
-    count, double = ctypes.c_int64, ctypes.c_double
-    pointer = ctypes.POINTER(double)
-    kernel.argtypes = (count, pointer, pointer, double, double, count, double, count, pointer, pointer)
-    kernel.restype = None
-    # nineteen unlike rows on two unlike channels, recorded: a full block of sixteen and a partial one of three, so
-    # a slip in a row stride, a channel offset, a lane or a block's addressing shows, and the last vector of a
-    # four-wide build holds one row; both stretches, both clamps and nonzero start velocities. Row 14 sits between
-    # calm rows of block 0 and goes NaN on its linear channel at sample 1, where kp * e is -inf and kd * D is +inf,
-    # so a clamp that does not pass a NaN through shows too.
     calm = [
         (50.0, 10.0, 2.0, 0.5, 0.05, 0.001),
         (3.0, 0.1, 0.02, 40.0, 5.0, 1.0),
@@ -396,48 +357,87 @@ def _load_kernel(cache_dir: Path, *flags: str):
     rows = calm + swapped + [(1.5e308, 0.0, 1e308, 0.5, 0.05, 0.001)] + doubled
     gains = array("d", [g for row in rows for g in row])
     plant = array("d", (2.0, 1.0, math.exp(-0.02 / 0.5), 0.3, 1.5, 0.8, math.exp(-0.02 / 0.3), -0.4))
-    # each buffer has one guard row past the nineteen, the same fixed bits on both sides, so a write just past the
-    # end refuses the library rather than corrupting the heap; a guard row catches that write, not every stray write
-    guarded = len(rows) + 1
-    got, want = [(array("d", [-7.25]) * (4 * guarded), array("d", [-7.25]) * (2 * 60 * guarded)) for _ in range(2)]
-    at = ctypes.c_double.from_buffer
-    kernel(len(rows), at(gains), at(plant), 0.02, -1.0, 30, 1.0, 30, *map(at, got))
-    _run_rows_py(len(rows), gains, plant, 0.02, -1.0, 30, 1.0, 30, *want)
-    return None if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)) else kernel
+    args = (len(rows), gains, plant, 0.02, -1.0, 30, 1.0, 30)
+    want = [array("d", [-7.25]) * (per_row * (len(rows) + 1)) for per_row in (4, 2 * 60)]
+    _run_rows_py(*args, *want)
+    return args, want
 
 
-def _prune(cache_dir: Path) -> None:
-    """Remove the libraries in cache_dir that neither build of this _KERNEL_SOURCE can be, left by other versions.
+def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
+    """The library of ``source`` built by cc with _KERNEL_FLAGS and ``flags`` in cache_dir, a directory the caller has
+    made and checked, opened once; None on any failure or unless its evopid_run matches the twin on _self_test's run.
 
-    Linux keeps a mapped library valid after unlink, so a running process is not harmed; a process of another
-    version builds its own library again on its next start.
+    The library is named by _library_name; a miss compiles these same bytes, on cc's stdin, and writes the build by
+    atomic rename, so no process loads a stale or half-written one. Nothing is printed, cc's own output included.
     """
-    source = _KERNEL_SOURCE.read_bytes()
-    keep = {_library_name(source, (*_KERNEL_FLAGS, *flags)) for flags in ((), _AVX_FLAGS)}
-    for library in cache_dir.glob("kernel-*.so"):
-        if library.name not in keep:
+    flags = (*_KERNEL_FLAGS, *flags)
+    path = cache_dir / _library_name(source, flags)
+    try:
+        if not path.exists():
+            # only a miss compiles: a process that finds the library does not pay for importing subprocess
+            import subprocess
+            import tempfile
+
+            fd, partial = tempfile.mkstemp(suffix=".so", prefix=".kernel-", dir=cache_dir)
+            os.close(fd)
             try:
-                library.unlink(missing_ok=True)
-            except OSError:
-                pass
+                subprocess.run(
+                    ["cc", *flags, "-o", partial, "-x", "c", "-"],
+                    input=source, capture_output=True, check=True, timeout=120,
+                )
+                os.replace(partial, path)
+            except subprocess.SubprocessError:
+                return None
+            finally:
+                Path(partial).unlink(missing_ok=True)
+        library = ctypes.CDLL(str(path))
+        kernel = library.evopid_run
+    except (OSError, AttributeError):
+        return None
+    count, double = ctypes.c_int64, ctypes.c_double
+    pointer = ctypes.POINTER(double)
+    kernel.argtypes = (count, pointer, pointer, double, double, count, double, count, pointer, pointer)
+    kernel.restype = None
+    (rows, gains, plant, *route), want = _self_test()
+    got = [array("d", [-7.25]) * len(buffer) for buffer in want]
+    at = ctypes.c_double.from_buffer
+    kernel(rows, at(gains), at(plant), *route, *map(at, got))
+    return None if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)) else library
 
 
 @functools.cache
 def _c_kernel():
-    """The C kernel from the per-user cache (_cache_dir()), or None; loaded once.
+    """The C kernel from the per-user cache (_cache_dir()), or None; loaded once, in one pass.
 
-    The baseline build, one row per two-wide vector, loads first and reports whether the host runs AVX. Where it does,
-    the -mavx build, two rows per 256-bit vector, is used instead, unless it fails to compile, load or match. Once a
-    kernel is loaded, _prune clears the cache of other versions' libraries.
+    The cache directory is made and checked once, and _kernel.c read once. Its baseline build, one row per two-wide
+    vector, loads first and reports whether the host runs AVX; where it does, the -mavx build, two rows per 256-bit
+    vector, is used instead, unless it fails to compile, load or match. Then the cache's libraries that neither build
+    of this source can be, other versions', are removed: Linux keeps a mapped library valid after unlink, so a running
+    process is not harmed, and one of another version builds its own again.
     """
     cache_dir = _cache_dir()
-    kernel = _load_kernel(cache_dir)
-    if kernel is None:
+    try:
+        cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
+        owner = cache_dir.stat()
+        source = _KERNEL_SOURCE.read_bytes()
+    except OSError:
         return None
-    if _host_has_avx():
-        kernel = _load_kernel(cache_dir, *_AVX_FLAGS) or kernel
-    _prune(cache_dir)
-    return kernel
+    # a library that someone else could have written would run their code
+    if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
+        return None
+    library = _load_kernel(cache_dir, source)
+    if library is None:
+        return None
+    if _host_has_avx(library):
+        library = _load_kernel(cache_dir, source, *_AVX_FLAGS) or library
+    keep = {_library_name(source, (*_KERNEL_FLAGS, *flags)) for flags in ((), _AVX_FLAGS)}
+    for stale in cache_dir.glob("kernel-*.so"):
+        if stale.name not in keep:
+            try:
+                stale.unlink(missing_ok=True)
+            except OSError:
+                pass
+    return library.evopid_run
 
 
 def _simulate(gains, schedule: tuple, plant, dt: float, record: bool = False):

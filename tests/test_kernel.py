@@ -65,6 +65,7 @@ import evopid.plant
 from evopid.metrics import _fitness_rows
 from evopid.plant import (
     _KERNEL_FLAGS,
+    _cache_dir,
     _host_has_avx,
     _library_name,
     _load_kernel,
@@ -76,18 +77,29 @@ from reference import average_error, numpy_grid_oracle
 
 NO_CC = "no C compiler: cc is not on PATH, so only the Python twin is tested"
 NO_AVX = "the host has no AVX, so the four-wide build cannot run here"
+SOURCE = evopid.plant._KERNEL_SOURCE.read_bytes()
+
+
+def host_has_avx() -> bool:
+    """Whether the host runs AVX, as the baseline build in the per-user cache reports; False without that build."""
+    cache = _cache_dir()
+    cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+    baseline = _load_kernel(cache, SOURCE)
+    return baseline is not None and _host_has_avx(baseline)
+
+
 # the flags of each vector width _c_kernel may build, the widest first: two rows per 256-bit vector under AVX,
 # one row per two-wide vector otherwise; only those the host runs
-WIDTHS = {"four-wide": ("-mavx",), "two-wide": ()} if _host_has_avx() else {"two-wide": ()}
+WIDTHS = {"four-wide": ("-mavx",), "two-wide": ()} if host_has_avx() else {"two-wide": ()}
 
 
 def build_kernel(tmp_path_factory, *flags):
     """The C kernel compiled into a fresh cache with every warning an error and the given flags, or None without cc."""
     if shutil.which("cc") is None:
         return None
-    kernel = _load_kernel(tmp_path_factory.mktemp("kernel"), "-Wall", "-Wextra", "-Werror", *flags)
-    assert kernel is not None, f"the C kernel built with {flags} failed to compile, load or match the Python loop"
-    return kernel
+    library = _load_kernel(tmp_path_factory.mktemp("kernel"), SOURCE, "-Wall", "-Wextra", "-Werror", *flags)
+    assert library is not None, f"the C kernel built with {flags} failed to compile, load or match the Python loop"
+    return library.evopid_run
 
 
 @pytest.fixture(scope="session")
@@ -486,7 +498,7 @@ def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatc
     # other flags name another library
     with monkeypatch.context() as patch:
         patch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-O1"))
-        assert _load_kernel(cache) is not None
+        assert _load_kernel(cache, SOURCE) is not None
     assert len(list(cache.iterdir())) == len(WIDTHS) + 1
     # with no compiler the cached library is loaded
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
@@ -494,6 +506,46 @@ def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatc
     # a library that others could have written is not
     cache.chmod(0o777)
     assert evopid.plant._c_kernel.__wrapped__() is None
+
+
+def test_kernel_loads_in_one_pass(c_kernel, tmp_path, monkeypatch):
+    # per process the twin runs the self-test once, and each call opens each build the host loads once, the baseline
+    # first, whether it compiles them or finds them cached
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    twin_runs, opened = [], []
+
+    def counted_twin(*args):
+        twin_runs.append(args[0])
+        _run_rows_py(*args)
+
+    class CountedLibrary(ctypes.CDLL):
+        def __init__(self, name, *args, **kwargs):
+            opened.append(Path(name).name)
+            super().__init__(name, *args, **kwargs)
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(evopid.plant, "_run_rows_py", counted_twin)
+    monkeypatch.setattr(evopid.plant, "_self_test", functools.cache(evopid.plant._self_test.__wrapped__))
+    monkeypatch.setattr(ctypes, "CDLL", CountedLibrary)
+    assert evopid.plant._c_kernel.__wrapped__() is not None
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    assert evopid.plant._c_kernel.__wrapped__() is not None
+    assert twin_runs == [19]
+    loaded = [_library_name(SOURCE, (*_KERNEL_FLAGS, *flags)) for flags in reversed(WIDTHS.values())]
+    assert opened == loaded * 2
+
+
+@pytest.mark.parametrize("value", [None, "", "relcache", "./cache"], ids=["unset", "empty", "relative", "dot"])
+def test_kernel_cache_ignores_a_relative_xdg_cache_home(value, tmp_path, monkeypatch):
+    # the XDG Base Directory spec: a relative path in these variables is invalid and ignored
+    if value is None:
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    else:
+        monkeypatch.setenv("XDG_CACHE_HOME", value)
+    assert _cache_dir() == Path(os.path.expanduser("~/.cache")) / "evopid"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert _cache_dir() == tmp_path / "evopid"
 
 
 def test_kernel_cache_keeps_only_the_builds_of_this_source(c_kernel, tmp_path, monkeypatch):
@@ -508,12 +560,8 @@ def test_kernel_cache_keeps_only_the_builds_of_this_source(c_kernel, tmp_path, m
     for path in kept + stale:
         path.write_text("not a library")
     # another version's library, loaded and held as a running process would hold it
-    old_source = tmp_path / "_kernel.c"
-    old_source.write_text(evopid.plant._KERNEL_SOURCE.read_text() + "/* another version */\n")
-    with monkeypatch.context() as patch:
-        patch.setattr(evopid.plant, "_KERNEL_SOURCE", old_source)
-        old_kernel = _load_kernel(cache)
-    assert old_kernel is not None
+    old_library = _load_kernel(cache, SOURCE + b"/* another version */\n")
+    assert old_library is not None
     stale += [path for path in cache.glob("kernel-*.so") if path not in stale]
     assert len(stale) == 2
     # with no compiler and nothing of this source's cached, no kernel loads, and nothing is removed
@@ -522,14 +570,13 @@ def test_kernel_cache_keeps_only_the_builds_of_this_source(c_kernel, tmp_path, m
         assert evopid.plant._c_kernel.__wrapped__() is None
     assert all(path.exists() for path in kept + stale)
     assert evopid.plant._c_kernel.__wrapped__() is not None
-    source = evopid.plant._KERNEL_SOURCE.read_bytes()
-    built = {_library_name(source, (*_KERNEL_FLAGS, *flags)) for flags in WIDTHS.values()}
+    built = {_library_name(SOURCE, (*_KERNEL_FLAGS, *flags)) for flags in WIDTHS.values()}
     assert {path.name for path in cache.iterdir()} == built | {path.name for path in kept}
     # the unlinked library stays mapped in this process and still runs: one calm row, as the twin runs it
     gains, plant = packed([(0.8, 0.2, 0.01, 2.0, 0.5, 0.0)]), array("d", [2.0, 1.0, 0.96, 0.3, 1.5, 0.8, 0.93, -0.4])
     got, want = array("d", bytes(32)), array("d", bytes(32))
     at = ctypes.c_double.from_buffer
-    old_kernel(1, at(gains), at(plant), 0.02, -1.0, 30, 1.0, 30, at(got), None)
+    old_library.evopid_run(1, at(gains), at(plant), 0.02, -1.0, 30, 1.0, 30, at(got), None)
     _run_rows_py(1, gains, plant, 0.02, -1.0, 30, 1.0, 30, want, None)
     assert got.tobytes() == want.tobytes()
 
@@ -542,17 +589,20 @@ def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_pa
         args[8][:] = array("d", bytes(8 * len(args[8])))
 
     monkeypatch.setattr(evopid.plant, "_run_rows_py", zeroed)
-    assert _load_kernel(tmp_path) is None
+    # the self-test's twin output is taken once per process: a fresh cache runs the zeroed twin in its place
+    monkeypatch.setattr(evopid.plant, "_self_test", functools.cache(evopid.plant._self_test.__wrapped__))
+    assert _load_kernel(tmp_path, SOURCE) is None
 
 
-def assert_slip_is_not_used(slip, widths, tmp_path, monkeypatch):
+def assert_slip_is_not_used(slip, widths, tmp_path):
     """Build _kernel.c with one text replaced at each of the given widths: the self-check must refuse every build."""
-    source = evopid.plant._KERNEL_SOURCE.read_text()
-    assert source.count(slip[0]) == 1
-    (tmp_path / "_kernel.c").write_text(source.replace(*slip))
-    monkeypatch.setattr(evopid.plant, "_KERNEL_SOURCE", tmp_path / "_kernel.c")
+    old, new = (text.encode() for text in slip)
+    assert SOURCE.count(old) == 1
+    slipped = SOURCE.replace(old, new)
     for width in widths:
-        assert _load_kernel(tmp_path / width, *WIDTHS[width]) is None, width
+        assert _load_kernel(tmp_path, slipped, *WIDTHS[width]) is None, width
+        # it compiled, so the self-check refused it
+        assert (tmp_path / _library_name(slipped, (*_KERNEL_FLAGS, *WIDTHS[width]))).exists(), width
 
 
 @pytest.mark.parametrize(
@@ -576,14 +626,14 @@ def assert_slip_is_not_used(slip, widths, tmp_path, monkeypatch):
         "verdict-of-one-channel",
     ],
 )
-def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
+def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_path):
     # the self-check runs nineteen rows of unlike channels, recorded, so each slip changes some output on every
     # width: a full block and a partial one, so reading block 0's gains for every block shows too, and a row that
     # goes NaN on its linear channel only, which min(c, limit) turns into the limit, which a dropped stand-in leaves
     # NaN, and which a verdict on the angular channel alone misses; no slip reads past a buffer
     if c_kernel is None:
         pytest.skip(NO_CC)
-    assert_slip_is_not_used(slip, WIDTHS, tmp_path, monkeypatch)
+    assert_slip_is_not_used(slip, WIDTHS, tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -599,14 +649,14 @@ def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_pat
         "results-past-the-last-row",
     ],
 )
-def test_kernel_with_a_lane_slip_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
+def test_kernel_with_a_lane_slip_is_not_used(slip, c_kernel, tmp_path):
     # slips between the two rows of a 256-bit vector: a two-wide vector holds one row, where they change nothing;
     # without an end-of-block guard the last vector's rerun writes the row past the self-test's nineteen, its guard row
     if c_kernel is None:
         pytest.skip(NO_CC)
     if "four-wide" not in WIDTHS:
         pytest.skip(NO_AVX)
-    assert_slip_is_not_used(slip, ["four-wide"], tmp_path, monkeypatch)
+    assert_slip_is_not_used(slip, ["four-wide"], tmp_path)
 
 
 def test_divergence_ae_is_the_dbl_max_each_kernel_writes(sim, train_route, kernels):
@@ -670,7 +720,7 @@ def test_failed_avx_build_falls_back_to_the_baseline_build(c_kernel, tmp_path, m
     (bin_dir / "cc").chmod(0o755)
     monkeypatch.setenv("PATH", str(bin_dir))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(evopid.plant, "_host_has_avx", lambda: True)
+    monkeypatch.setattr(evopid.plant, "_host_has_avx", lambda library: True)
     monkeypatch.setattr(evopid.plant, "_c_kernel", functools.cache(evopid.plant._c_kernel.__wrapped__))
     assert evopid.plant._c_kernel() is not None
     assert capfd.readouterr() == ("", "")
