@@ -3,17 +3,21 @@
 The optimizer tunes two PID controllers at once (linear and angular velocity,
 six gains total). Each generation every member is evaluated, the per-channel
 winners are spliced into a composite parent, and the next population is that
-parent plus Gaussian mutants of it.
+parent plus Gaussian mutants of it. ``evolve`` runs that loop on flat rows of six
+gains; ``Individual`` and ``MemberRecord`` are views of them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 import numbers
 import random
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 FLAT_GAIN_FIELDS = ("kpv", "kiv", "kdv", "kpa", "kia", "kda")
 
@@ -41,6 +45,14 @@ def _require_finite(obj, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_gains(gains: Sequence[float]) -> None:
+    """Gains' check of kp, ki, kd, or of a flat row's six: ValueError naming the first that is no finite number >= 0."""
+    for i, v in enumerate(gains):
+        real = type(v) is float or (type(v) is not bool and isinstance(v, numbers.Real))
+        if not (real and math.isfinite(v) and v >= 0.0):
+            raise ValueError(f"{('kp', 'ki', 'kd')[i % 3]} must be a finite number >= 0, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Gains:
     """One controller's PID gains. All three are nonnegative, finite real numbers, and none is a bool."""
@@ -50,12 +62,7 @@ class Gains:
     kd: float
 
     def __post_init__(self):
-        for name in ("kp", "ki", "kd"):
-            v = getattr(self, name)
-            # _require_finite's test, but a float skips the slower isinstance: every mutant builds two Gains
-            real = type(v) is float or (type(v) is not bool and isinstance(v, numbers.Real))
-            if not (real and math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
+        _require_gains((self.kp, self.ki, self.kd))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.kp, self.ki, self.kd)
@@ -76,7 +83,8 @@ class Individual:
     def from_flat(cls, values: Sequence[float]) -> Individual:
         if len(values) != 6:
             raise ValueError(f"expected 6 gains, got {len(values)}")
-        return cls(Gains(*values[:3]), Gains(*values[3:]))
+        kpv, kiv, kdv, kpa, kia, kda = values
+        return cls(Gains(kpv, kiv, kdv), Gains(kpa, kia, kda))
 
 
 class MutationKind(enum.Enum):
@@ -116,9 +124,9 @@ class InitSpec:
                 raise ValueError(f"{name} must satisfy 0 <= low <= high, got ({low}, {high})")
 
 
-# Most members one run may evaluate (population size times generations). The history
-# keeps every member, about 700 bytes each, so this bounds a run near 0.7 GB and some
-# minutes of evaluation; the largest preset, experiment 3, evaluates 2,000.
+# Most members one run may evaluate (population size times generations). A run holds each distinct member's gains
+# and AEs, about 470 bytes, until it ends, and its history 64 bytes per member, so this bounds a run near 0.5 GB
+# and some minutes of evaluation; the largest preset, experiment 3, evaluates 2,000.
 _MAX_MEMBERS = 1_000_000
 
 
@@ -161,26 +169,46 @@ class MemberRecord:
     ae_angular: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GenerationRecord:
-    """Everything logged for one generation, plus the per-channel winner indices."""
+    """Everything logged for one generation, plus the per-channel winner indices. ``rows`` holds each member's
+    generations.csv row as doubles (six gains in flat order, ae_linear, ae_angular); ``members`` builds MemberRecords
+    from them on first read. Records compare value by value, so 0.0 == -0.0."""
 
     generation_index: int
-    members: tuple[MemberRecord, ...]
+    rows: bytes
     fittest_linear_index: int
     fittest_angular_index: int
 
+    @functools.cached_property
+    def members(self) -> tuple[MemberRecord, ...]:
+        v = array("d", self.rows).tolist()
+        return tuple(MemberRecord(Individual.from_flat(v[i : i + 6]), v[i + 6], v[i + 7]) for i in range(0, len(v), 8))
+
+    def _key(self) -> tuple:
+        return self.generation_index, self.fittest_linear_index, self.fittest_angular_index, array("d", self.rows)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key()[:3])
+
     @classmethod
     def from_evaluations(cls, generation_index: int, members: tuple[MemberRecord, ...]) -> GenerationRecord:
-        li = _argmin_finite([m.ae_linear for m in members])
-        ai = _argmin_finite([m.ae_angular for m in members])
+        flat = ((*m.individual.as_flat(), m.ae_linear, m.ae_angular) for m in members)
+        return cls._from_rows(generation_index, array("d", itertools.chain.from_iterable(flat)))
+
+    @classmethod
+    def _from_rows(cls, generation_index: int, rows: array) -> GenerationRecord:
+        li, ai = _argmin_finite(rows[6::8]), _argmin_finite(rows[7::8])
         if li is None or ai is None:
             raise EvaluationError(
                 f"generation {generation_index}: no member has a finite average error on "
                 f"{'the linear' if li is None else 'the angular'} channel",
                 generation=generation_index,
             )
-        return cls(generation_index, members, li, ai)
+        return cls(generation_index, rows.tobytes(), li, ai)
 
 
 class StopReason(enum.Enum):
@@ -195,12 +223,13 @@ class EPResult(NamedTuple):
 
 
 Evaluator = Callable[[Individual], tuple[float, float]]
-Scorer = Callable[[tuple[Individual, ...]], Iterable[tuple[float, float]]]
+Scorer = Callable[[array], Iterable[tuple[float, float]]]
 
 
-def _argmin_finite(values: list[float]) -> int | None:
+def _argmin_finite(values: Sequence[float]) -> int | None:
     """Index of the least finite value, the lowest of equal ones; None when no value is finite."""
-    return min((i for i, v in enumerate(values) if math.isfinite(v)), key=values.__getitem__, default=None)
+    least = min(filter(math.isfinite, values), default=None)
+    return None if least is None else values.index(least)
 
 
 def _clamp_additive(value: float, add: float, sigma: float) -> float:
@@ -215,51 +244,37 @@ def _clamp_additive(value: float, add: float, sigma: float) -> float:
     return value + add
 
 
+def _initial_rows(config: EPConfig, rng: random.Random) -> list[tuple[float, ...]]:
+    """init_population's members as flat rows; InitSpec's checks leave no draw that Gains rejects."""
+    bounds = (config.init.kp_bounds, config.init.ki_bounds, config.init.kd_bounds) * 2
+    return [tuple(rng.uniform(*bound) for bound in bounds) for _ in range(config.population_size)]
+
+
 def init_population(config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:
-    """Draw generation 0 uniformly from the init bounds.
-
-    Draw order is fixed (member 0..n-1; within a member kpv, kiv, kdv, kpa,
-    kia, kda) so a given seed always yields the same population.
-    """
-    b = config.init
-    members = []
-    for _ in range(config.population_size):
-        lin = Gains(rng.uniform(*b.kp_bounds), rng.uniform(*b.ki_bounds), rng.uniform(*b.kd_bounds))
-        ang = Gains(rng.uniform(*b.kp_bounds), rng.uniform(*b.ki_bounds), rng.uniform(*b.kd_bounds))
-        members.append(Individual(lin, ang))
-    return tuple(members)
+    """Draw generation 0 uniformly from the init bounds, in a fixed order (member 0..n-1; within a member kpv, kiv,
+    kdv, kpa, kia, kda), so a given seed always yields the same population."""
+    return tuple(map(Individual.from_flat, _initial_rows(config, rng)))
 
 
-def next_generation(record: GenerationRecord, config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:
-    """Build the successor population: the composite parent (member 0, unmutated) plus population_size - 1 mutants.
-
-    The parent splices the generation's best linear and best angular gains. A mutant adds to each gain, in flat order,
-    N(0, sigma_absolute), or under scaled mutation the gain times N(0, sigma_scaled), so a 0 stays 0 though its draw
-    is consumed; a step that takes a gain below 0 is halved until it does not. Population 1 draws and checks nothing.
-    The draws are random.Random.gauss's bit for bit: its Box-Muller over ``rng.random()``, its spare in gauss_next.
-    """
-    parent = Individual(
-        record.members[record.fittest_linear_index].individual.linear,
-        record.members[record.fittest_angular_index].individual.angular,
-    )
+def _mutate(parent: tuple[float, ...], config: EPConfig, rng: random.Random) -> list[tuple[float, ...]]:
+    """next_generation's population_size - 1 mutants of a flat parent row, as flat rows."""
     if config.population_size < 2:
-        return (parent,)
+        return []
     scaled = config.mutation.kind is MutationKind.SCALED
     sigma = config.mutation.sigma_scaled if scaled else config.mutation.sigma_absolute
-    flat = parent.as_flat()
     # a negative parent gain would never end the halving loop; Gains rejects one, but a duck-typed parent may not
-    for v in flat:
+    for v in parent:
         if not (math.isfinite(v) and v >= 0.0):
             raise ValueError(f"value must be finite and >= 0, got {v!r}")
         if not sigma > 0.0:
             raise ValueError(f"sigma must be > 0, got {sigma!r}")
     random, spare = rng.random, rng.gauss_next
     isfinite, sqrt, log, cos, sin, twopi = math.isfinite, math.sqrt, math.log, math.cos, math.sin, math.tau
-    population = [parent]
+    mutants = []
     try:
         for _ in range(config.population_size - 1):
             out = []
-            for v in flat:
+            for v in parent:
                 z, spare = spare, None
                 if z is None:
                     x2pi = random() * twopi
@@ -270,38 +285,53 @@ def next_generation(record: GenerationRecord, config: EPConfig, rng: random.Rand
                 if x < 0.0 or not isfinite(step):
                     x = _clamp_additive(v, step, sigma)
                 out.append(x)
-            kpv, kiv, kdv, kpa, kia, kda = out
-            population.append(Individual(Gains(kpv, kiv, kdv), Gains(kpa, kia, kda)))
+            if math.inf in out:  # a finite step overflowed: Gains' error, after the mutant's six draws
+                _require_gains(out)
+            mutants.append(tuple(out))
     finally:
         rng.gauss_next = spare
-    return tuple(population)
+    return mutants
+
+
+def next_generation(record: GenerationRecord, config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:
+    """Build the successor population: the composite parent (member 0, unmutated) plus population_size - 1 mutants.
+
+    The parent splices the generation's best linear and best angular gains. A mutant adds to each gain, in flat order,
+    N(0, sigma_absolute), or under scaled mutation the gain times N(0, sigma_scaled), so a 0 stays 0 though its draw
+    is consumed; a step that takes a gain below 0 is halved until it does not. Population 1 draws and checks nothing.
+    The draws are random.Random.gauss's bit for bit: its Box-Muller over ``rng.random()``, its spare in gauss_next.
+    """
+    rows, li, ai = array("d", record.rows), 8 * record.fittest_linear_index, 8 * record.fittest_angular_index
+    parent = (*rows[li : li + 3], *rows[ai + 3 : ai + 6])
+    return tuple(map(Individual.from_flat, [parent, *_mutate(parent, config, rng)]))
 
 
 def evolve(config: EPConfig, score: Scorer) -> EPResult:
     """run_ep's loop, each generation scored in at most one call: score, select, stop-check, mutate.
 
-    ``score`` maps the tuple of distinct members not yet scored, in first-seen order, to one deterministic
-    (ae_linear, ae_angular) each. A failed call, a wrong count or a score float() rejects raises EvaluationError
-    naming the generation, and the member's first population index if ``score`` raised one whose ``member`` is an
-    int index into the batch.
+    ``score`` maps an array("d") of the distinct members not yet scored, in first-seen order, six gains a row in flat
+    order, to one deterministic (ae_linear, ae_angular) per row. A failed call, a wrong count or a score float()
+    rejects raises EvaluationError naming the generation, and the member's first population index if ``score``
+    raised one whose ``member`` is an int index into the batch. A member is the tuple of its six gains, not an object.
     """
     rng = random.Random(config.rng_seed)
-    population = init_population(config, rng)
+    population = _initial_rows(config, rng)
     history: list[GenerationRecord] = []
-    # the scorer is deterministic, so a repeated individual (usually the elitist parent) reuses its score
-    scores: dict[Individual, list[float]] = {}
+    # the scorer is deterministic, so a repeated row (usually the elitist parent) reuses its six gains and two AEs
+    scores: dict[tuple[float, ...], list[float]] = {}
+    best_linear = best_angular = [math.inf] * 8  # every finite AE of a fittest member beats these
     while True:
         generation = len(history)
         # one lookup per member and one insert per new one; update() reuses the hashes pending holds
-        pending: dict[Individual, list[float]] = {}
-        cells = [scores.get(individual) or pending.setdefault(individual, []) for individual in population]
+        pending: dict[tuple[float, ...], list[float]] = {}
+        cells = [scores.get(row) or pending.setdefault(row, []) for row in population]
         if pending:
             try:
-                results = list(score(tuple(pending)))
+                results = list(score(array("d", itertools.chain.from_iterable(pending))))
                 if len(results) != len(pending):
                     raise ValueError(f"expected {len(pending)} scores, got {len(results)}")
-                for cell, (ae_linear, ae_angular) in zip(pending.values(), results):
-                    cell += float(ae_linear), float(ae_angular)
+                for (row, cell), (ae_linear, ae_angular) in zip(pending.items(), results):
+                    cell += *row, float(ae_linear), float(ae_angular)
             except Exception as exc:
                 i = exc.member if isinstance(exc, EvaluationError) else None
                 # not isinstance: True is an int; and a negative index would name a member counted from the end
@@ -309,23 +339,21 @@ def evolve(config: EPConfig, score: Scorer) -> EPResult:
                 at = f"generation {generation}" + ("" if member is None else f", member {member}")
                 raise EvaluationError(f"scoring failed at {at}: {exc}", generation=generation, member=member) from exc
             scores.update(pending)
-        members = tuple(MemberRecord(individual, *cell) for individual, cell in zip(population, cells))
-        record = GenerationRecord.from_evaluations(generation, members)
+        record = GenerationRecord._from_rows(generation, array("d", itertools.chain.from_iterable(cells)))
         history.append(record)
-        fittest_linear = record.members[record.fittest_linear_index]
-        fittest_angular = record.members[record.fittest_angular_index]
-        if fittest_linear.ae_linear < config.ae_target and fittest_angular.ae_angular < config.ae_target:
+        fittest_linear, fittest_angular = cells[record.fittest_linear_index], cells[record.fittest_angular_index]
+        # the fittest member over the run on each channel; min keeps the earliest of equal (finite) minima
+        best_linear = min(best_linear, fittest_linear, key=lambda cell: cell[6])
+        best_angular = min(best_angular, fittest_angular, key=lambda cell: cell[7])
+        if fittest_linear[6] < config.ae_target and fittest_angular[7] < config.ae_target:
             stop_reason = StopReason.TARGET_REACHED
             break
         if len(history) >= config.max_generations:
             stop_reason = StopReason.GENERATION_LIMIT
             break
-        population = next_generation(record, config, rng)
-
-    # the fittest member over the run on each channel; min keeps the earliest of equal (finite) minima
-    best_lin = min((r.members[r.fittest_linear_index] for r in history), key=lambda m: m.ae_linear)
-    best_ang = min((r.members[r.fittest_angular_index] for r in history), key=lambda m: m.ae_angular)
-    return EPResult(Individual(best_lin.individual.linear, best_ang.individual.angular), tuple(history), stop_reason)
+        parent = (*fittest_linear[:3], *fittest_angular[3:6])
+        population = [parent, *_mutate(parent, config, rng)]
+    return EPResult(Individual.from_flat(best_linear[:3] + best_angular[3:6]), tuple(history), stop_reason)
 
 
 def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
@@ -338,12 +366,14 @@ def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
     malformed evaluation names the generation and the member, the first one holding the failing individual.
     """
 
-    def score(batch: tuple[Individual, ...]) -> Iterator[tuple[float, float]]:
-        for i, individual in enumerate(batch):
+    def score(batch: array) -> list[tuple[float, float]]:
+        results = []
+        for i in range(0, len(batch), 6):
             try:
-                ae_linear, ae_angular = evaluator(individual)
-                yield float(ae_linear), float(ae_angular)
+                ae_linear, ae_angular = evaluator(Individual.from_flat(batch[i : i + 6]))
+                results.append((float(ae_linear), float(ae_angular)))
             except Exception as exc:
-                raise EvaluationError(str(exc), member=i) from exc
+                raise EvaluationError(str(exc), member=i // 6) from exc
+        return results
 
     return evolve(config, score)

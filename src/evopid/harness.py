@@ -20,12 +20,12 @@ from .ep import (
     GenerationRecord,
     Gains,
     Individual,
-    MemberRecord,
     MutationKind,
     MutationSpec,
     StopReason,
     _MAX_MEMBERS,
     _require_finite,
+    _require_gains,
     evolve,
 )
 from .metrics import DIVERGENCE_AE, StepMetrics, _fitness_rows, step_metrics
@@ -353,10 +353,9 @@ def export_generations(history: Sequence[GenerationRecord], path: Path) -> None:
     """One CSV row per (generation, member), floats at full round-trip precision."""
     if len(history) == 0:
         raise ValueError("history is empty")
-    sizes = [len(record.members) for record in history]
-    # the eight values of every row as doubles, which writes a library caller's int gain as 1.0, not 1
-    flat = ((*m.individual.as_flat(), m.ae_linear, m.ae_angular) for record in history for m in record.members)
-    values = array("d", itertools.chain.from_iterable(flat))
+    # each record's rows are the eight doubles of its CSV rows, so a library caller's int gain is written 1.0, not 1
+    values = array("d", b"".join(record.rows for record in history))
+    sizes = [len(record.rows) // 64 for record in history]
     indices = [record.generation_index for record in history]
     generations = array("q", itertools.chain.from_iterable(map(itertools.repeat, indices, sizes)))
     members = array("q", itertools.chain.from_iterable(map(range, sizes)))
@@ -365,7 +364,7 @@ def export_generations(history: Sequence[GenerationRecord], path: Path) -> None:
 
 def load_generations(path: Path) -> list[GenerationRecord]:
     """Rebuild the nonempty history export_generations wrote, in its row order; an error names the file and line."""
-    groups: list[list[MemberRecord]] = []  # per generation, its members
+    groups: list[array] = []  # per generation, its members' rows
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -376,25 +375,26 @@ def load_generations(path: Path) -> list[GenerationRecord]:
                 try:
                     if len(row) != len(GENERATIONS_HEADER):
                         raise ValueError(f"expected {len(GENERATIONS_HEADER)} columns, got {len(row)}")
-                    gains = [float(v) for v in row[2:8]]
-                    member = MemberRecord(Individual.from_flat(gains), float(row[8]), float(row[9]))
+                    values = [float(v) for v in row[2:8]]
+                    _require_gains(values)
+                    values += float(row[8]), float(row[9])
                     generation, index = int(row[0]), int(row[1])
                     # the next row holds (0, 0) first, then (g, m + 1) or (g + 1, 0)
-                    allowed = ((len(groups) - 1, len(groups[-1])), (len(groups), 0)) if groups else ((0, 0),)
+                    allowed = ((len(groups) - 1, len(groups[-1]) // 8), (len(groups), 0)) if groups else ((0, 0),)
                     if (generation, index) not in allowed:
                         expected = " or ".join(map(str, allowed))
                         raise ValueError(f"expected (generation, member) {expected}, got {(generation, index)}")
                 except ValueError as exc:
                     raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
                 if index == 0:
-                    groups.append([])
-                groups[-1].append(member)
+                    groups.append(array("d"))
+                groups[-1].extend(values)
     except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     if not groups:
         raise ValueError(f"{path}: the file holds no generations")
     try:
-        return [GenerationRecord.from_evaluations(number, tuple(members)) for number, members in enumerate(groups)]
+        return [GenerationRecord._from_rows(number, rows) for number, rows in enumerate(groups)]
     except EvaluationError as exc:
         raise EvaluationError(f"{path}: {exc}", generation=exc.generation) from None
 
@@ -459,12 +459,12 @@ def run_experiment(spec: ExperimentSpec) -> ResultRecord:
         check_step_route(name, route, spec.plant, spec.sim)
 
     def score(batch):
-        gains = array("d", itertools.chain.from_iterable(m.as_flat() for m in batch))
-        results = _fitness_rows(gains, spec.train_route, spec.plant, spec.sim)
+        results = _fitness_rows(batch, spec.train_route, spec.plant, spec.sim)
         return zip(results[0::4], results[1::4])
 
     best, history, stop_reason = evolve(spec.ep, score)
-    if all(m.ae_linear == m.ae_angular == DIVERGENCE_AE for record in history for m in record.members):
+    values = array("d", b"".join(record.rows for record in history))
+    if values[6::8].count(DIVERGENCE_AE) == values[7::8].count(DIVERGENCE_AE) == len(values) // 8:
         raise EvaluationError(
             f"all {spec.ep.population_size * len(history)} members of {len(history)} generations diverged "
             "on the train route; there are no gains to replay"

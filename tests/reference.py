@@ -2,13 +2,32 @@
 
 numpy_step_metrics, numpy_write_csv and numpy_grid_oracle are the program's NumPy versions as they stood before
 evopid dropped NumPy, kept so that the written-out reductions that replaced them are checked bit for bit.
+evolve_reference is the EP loop as it stood before evolve ran on flat rows: one Individual and one MemberRecord per
+member.
 """
 
+import itertools
 import math
+import random
+from array import array
 
 import numpy as np
 
-from evopid import ChannelTrace, GainGrid, Gains, GridOracleResult, RouteSpec
+from evopid import (
+    ChannelTrace,
+    EvaluationError,
+    GainGrid,
+    Gains,
+    GenerationRecord,
+    GridOracleResult,
+    Individual,
+    MemberRecord,
+    RouteSpec,
+    StopReason,
+    init_population,
+    next_generation,
+)
+from evopid.ep import EPResult
 from evopid.harness import _CSV_CHUNK, _ORACLE_CHUNK
 from evopid.metrics import StepMetrics, _fitness_rows
 
@@ -144,3 +163,51 @@ def numpy_grid_oracle(route, params, sim, grid: GainGrid) -> GridOracleResult:
         return Gains(*(axis[i] for axis, i in zip(axes, np.unravel_index(flat, shape))))
 
     return GridOracleResult(point(linear), point(angular), ae_linear=ae_linear, ae_angular=ae_angular)
+
+
+def evolve_reference(config, score) -> EPResult:
+    """evolve over objects: each member an Individual, deduped by Individual, and logged as a MemberRecord.
+
+    ``score`` takes what evolve hands it, the distinct new members as one array("d") of six gains a row.
+    """
+    rng = random.Random(config.rng_seed)
+    population = init_population(config, rng)
+    history: list[GenerationRecord] = []
+    logged: list[tuple[MemberRecord, ...]] = []  # each generation's members, as this loop built them
+    # the scorer is deterministic, so a repeated individual (usually the elitist parent) reuses its score
+    scores: dict[Individual, list[float]] = {}
+    while True:
+        generation = len(history)
+        pending: dict[Individual, list[float]] = {}
+        cells = [scores.get(individual) or pending.setdefault(individual, []) for individual in population]
+        if pending:
+            try:
+                results = list(score(array("d", itertools.chain.from_iterable(m.as_flat() for m in pending))))
+                if len(results) != len(pending):
+                    raise ValueError(f"expected {len(pending)} scores, got {len(results)}")
+                for cell, (ae_linear, ae_angular) in zip(pending.values(), results):
+                    cell += float(ae_linear), float(ae_angular)
+            except Exception as exc:
+                i = exc.member if isinstance(exc, EvaluationError) else None
+                member = population.index(list(pending)[i]) if type(i) is int and 0 <= i < len(pending) else None
+                at = f"generation {generation}" + ("" if member is None else f", member {member}")
+                raise EvaluationError(f"scoring failed at {at}: {exc}", generation=generation, member=member) from exc
+            scores.update(pending)
+        members = tuple(MemberRecord(individual, *cell) for individual, cell in zip(population, cells))
+        record = GenerationRecord.from_evaluations(generation, members)
+        history.append(record)
+        logged.append(members)
+        fittest_linear = members[record.fittest_linear_index]
+        fittest_angular = members[record.fittest_angular_index]
+        if fittest_linear.ae_linear < config.ae_target and fittest_angular.ae_angular < config.ae_target:
+            stop_reason = StopReason.TARGET_REACHED
+            break
+        if len(history) >= config.max_generations:
+            stop_reason = StopReason.GENERATION_LIMIT
+            break
+        population = next_generation(record, config, rng)
+
+    # the fittest member over the run on each channel; min keeps the earliest of equal (finite) minima
+    best_lin = min((m[r.fittest_linear_index] for r, m in zip(history, logged)), key=lambda m: m.ae_linear)
+    best_ang = min((m[r.fittest_angular_index] for r, m in zip(history, logged)), key=lambda m: m.ae_angular)
+    return EPResult(Individual(best_lin.individual.linear, best_ang.individual.angular), tuple(history), stop_reason)

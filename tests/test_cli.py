@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import evopid
 import evopid.cli
 import evopid.harness
 from evopid.cli import cli_main
@@ -30,6 +32,26 @@ def test_tune_small_run(tmp_path, capsys):
     assert "AE train" in captured and "AE test" in captured
     for name in ("generations.csv", "best_train_trace.csv", "best_test_trace.csv", "result.json"):
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize("experiment", [1, 3])
+def test_tune_builds_no_object_per_member(experiment, tmp_path, monkeypatch, capsys):
+    # evolve scores, dedupes and logs flat rows: a whole run builds one Individual, the best, with its two Gains,
+    # which the replays and result.json read; no MemberRecord, and nothing per member or generation
+    counts = Counter()
+    for cls in (evopid.MemberRecord, evopid.Individual, evopid.Gains):
+        monkeypatch.setattr(cls, "__init__", _counted(cls.__init__, counts, cls.__name__))
+    assert cli_main(["tune", "--experiment", str(experiment), "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert "generation_limit after 100 generations" in capsys.readouterr().out
+    assert counts == {"Individual": 1, "Gains": 2}
+
+
+def _counted(init, counts, name):
+    def counting(self, *args, **kwargs):
+        counts[name] += 1
+        init(self, *args, **kwargs)
+
+    return counting
 
 
 def test_step_accepts_reference_gains(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import math
 import random
@@ -30,9 +31,9 @@ from evopid import (
     build_experiment_spec,
     run_ep,
 )
-from evopid.ep import _MAX_MEMBERS, evolve
+from evopid.ep import _MAX_MEMBERS, _argmin_finite, evolve
 from evopid.metrics import _fitness_rows, fitness_of
-from reference import mutate_absolute, mutate_scaled
+from reference import evolve_reference, mutate_absolute, mutate_scaled
 
 
 class FakeRng(random.Random):
@@ -411,6 +412,17 @@ def test_select_fittest_all_nonfinite_raises():
         assert excinfo.value.generation == 4
 
 
+def test_select_fittest_matches_a_scan_over_signed_zeros_nans_and_infinities():
+    # the first index of the least finite value, against a plain scan; a NaN or -inf anywhere must not decide it
+    specials = (0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, 1.0, 5e-324)
+    rng = random.Random(0)
+    for _ in range(2000):
+        values = [rng.choice(specials) for _ in range(rng.randint(0, 6))]
+        finite = [i for i, v in enumerate(values) if math.isfinite(v)]
+        expected = min(finite, key=lambda i: (values[i], i)) if finite else None
+        assert _argmin_finite(array("d", values)) == _argmin_finite(values) == expected, values
+
+
 # ---------------------------------------------------------------- next generation
 
 
@@ -613,7 +625,13 @@ def test_run_ep_names_the_member_of_a_malformed_score(bad):
 
 
 def _sum_scores(batch):
-    return [(sum(individual.as_flat()[:3]), sum(individual.as_flat()[3:])) for individual in batch]
+    """Per row of a flat batch, six gains a row: the sums of its linear and of its angular gains."""
+    return [(sum(batch[i : i + 3]), sum(batch[i + 3 : i + 6])) for i in range(0, len(batch), 6)]
+
+
+def _rows(individuals):
+    """The flat batch evolve hands its scorer for these members."""
+    return array("d", itertools.chain.from_iterable(individual.as_flat() for individual in individuals))
 
 
 @pytest.mark.parametrize(
@@ -623,9 +641,9 @@ def _sum_scores(batch):
         (lambda batch: _sum_scores(batch)[1:], r"expected \d+ scores, got \d+"),
         (lambda batch: _sum_scores(batch) + [(0.5, 0.5)], r"expected \d+ scores, got \d+"),
         (lambda batch: None, "not iterable"),
-        (lambda batch: [(0.5, None)] * len(batch), "float"),
-        (lambda batch: [("x", 0.5)] * len(batch), "could not convert string to float"),
-        (lambda batch: [(0.5,)] * len(batch), "not enough values to unpack"),
+        (lambda batch: [(0.5, None)] * (len(batch) // 6), "float"),
+        (lambda batch: [("x", 0.5)] * (len(batch) // 6), "could not convert string to float"),
+        (lambda batch: [(0.5,)] * (len(batch) // 6), "not enough values to unpack"),
     ],
 )
 def test_evolve_names_the_generation_of_a_failed_scoring_call(fault, message):
@@ -669,11 +687,12 @@ def test_evolve_scores_each_generations_new_members_in_one_call(kind):
     for record in history:
         new = tuple(dict.fromkeys(m.individual for m in record.members if m.individual not in seen))
         seen.update(new)
-        expected.append(new)
+        expected.append(_rows(new))
+    assert all(batch.typecode == "d" for batch in batches)
     assert batches == expected
-    assert all(batches) and sum(map(len, batches)) < len(history) * 5  # the elitist parent came back
+    assert all(batches) and sum(map(len, batches)) < len(history) * 5 * 6  # the elitist parent came back
     for m in (m for record in history for m in record.members):
-        assert [(m.ae_linear, m.ae_angular)] == _sum_scores([m.individual])
+        assert [(m.ae_linear, m.ae_angular)] == _sum_scores(_rows([m.individual]))
 
 
 def test_evolve_scores_a_run_of_one_repeated_individual_once():
@@ -683,10 +702,10 @@ def test_evolve_scores_a_run_of_one_repeated_individual_once():
 
     def score(batch):
         batches.append(batch)
-        return [(0.5, 0.5)] * len(batch)
+        return [(0.5, 0.5)] * (len(batch) // 6)
 
     _, history, _ = evolve(EPConfig(population_size=5, max_generations=4, init=zero), score)
-    assert batches == [(Individual.from_flat([0.0] * 6),)]
+    assert batches == [array("d", [0.0] * 6)]
     assert [len(record.members) for record in history] == [5] * 4
 
 
@@ -699,13 +718,126 @@ def test_evolve_with_batch_rows_matches_run_ep_with_fitness_of(experiment):
         reference = run_ep(spec.ep, lambda individual: fitness_of(individual, *environment))
 
         def score(batch):
-            results = _fitness_rows(array("d", itertools.chain.from_iterable(m.as_flat() for m in batch)), *environment)
+            results = _fitness_rows(batch, *environment)
             return zip(results[0::4], results[1::4])
 
         fast = evolve(spec.ep, score)
         assert fast.history == reference.history, seed
         assert fast.best == reference.best, seed
         assert fast.stop_reason is reference.stop_reason, seed
+
+
+def kernel_scorer(spec):
+    """run_experiment's scorer: _fitness_rows over the batch, on the spec's train route."""
+    environment = (spec.train_route, spec.plant, spec.sim)
+
+    def score(batch):
+        results = _fitness_rows(batch, *environment)
+        return zip(results[0::4], results[1::4])
+
+    return score
+
+
+def assert_evolve_matches_the_reference(config, score, monkeypatch):
+    """evolve and evolve_reference give bit-identical histories, the same best and stop reason, or the same error,
+    and leave their generators in the same state; returns evolve's result or error."""
+    made = []
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(random, "Random", Recording)
+    outcomes = []
+    for run in (evolve, evolve_reference):
+        try:
+            outcomes.append(run(config, score))
+        except ValueError as exc:
+            outcomes.append(exc)
+    monkeypatch.undo()
+    got, expected = outcomes
+    if isinstance(expected, Exception):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+    else:
+        assert got.history == expected.history
+        assert [r.rows for r in got.history] == [r.rows for r in expected.history]
+        assert [v.hex() for v in got.best.as_flat()] == [v.hex() for v in expected.best.as_flat()]
+        assert got.stop_reason is expected.stop_reason
+    assert len(made) == 2 and made[0].getstate() == made[1].getstate()
+    return got
+
+
+@pytest.mark.parametrize("experiment", [1, 2, 3])
+def test_evolve_matches_the_object_loop_on_the_presets(experiment, monkeypatch):
+    for seed in range(5):
+        spec = build_experiment_spec(experiment, seed=seed)
+        assert_evolve_matches_the_reference(spec.ep, kernel_scorer(spec), monkeypatch)
+
+
+@pytest.mark.parametrize("kind", list(MutationKind))
+def test_evolve_matches_the_object_loop_at_population_1_and_from_all_zero_gains(kind, monkeypatch):
+    spec = build_experiment_spec(2)
+    zero = InitSpec(kp_bounds=(0.0, 0.0), ki_bounds=(0.0, 0.0), kd_bounds=(0.0, 0.0))
+    for config in (
+        EPConfig(population_size=1, max_generations=20, mutation=MutationSpec(kind), rng_seed=3),
+        EPConfig(population_size=10, max_generations=20, mutation=MutationSpec(kind), init=zero, rng_seed=3),
+        EPConfig(population_size=7, max_generations=20, mutation=MutationSpec(kind), rng_seed=4),
+    ):
+        result = assert_evolve_matches_the_reference(config, kernel_scorer(spec), monkeypatch)
+        assert len(result.history) == 20
+
+
+def test_evolve_matches_the_object_loop_when_the_target_is_reached(monkeypatch):
+    spec = build_experiment_spec(3, seed=0, overrides={"ep.ae_target": 0.02})
+    result = assert_evolve_matches_the_reference(spec.ep, kernel_scorer(spec), monkeypatch)
+    assert result.stop_reason is StopReason.TARGET_REACHED and len(result.history) == 7
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # a step of N(0, 1e308) overflows wherever the normal passes about 1.8
+        (
+            EPConfig(10, mutation=MutationSpec(MutationKind.ABSOLUTE, sigma_absolute=1e308), rng_seed=1),
+            r"^mutating 0\.9014274576114836 with sigma 1e\+308 drew a nonfinite step -inf$",
+        ),
+        # a finite scaled step takes a kd of 1.7e308 past the largest double: Gains' error, after the six draws
+        (
+            EPConfig(10, init=InitSpec(kd_bounds=(1.7e308, 1.7e308)), rng_seed=0),
+            r"^kd must be a finite number >= 0, got inf$",
+        ),
+    ],
+    ids=["nonfinite step", "gain overflows"],
+)
+def test_evolve_matches_the_object_loop_where_a_mutation_fails(config, message, monkeypatch, time_limit):
+    with time_limit(5):
+        error = assert_evolve_matches_the_reference(config, kernel_scorer(build_experiment_spec(2)), monkeypatch)
+    assert isinstance(error, ValueError) and re.match(message, str(error))
+
+
+def test_generation_record_rows_are_read_only_and_members_a_cached_view():
+    members = (
+        MemberRecord(Individual.from_flat([0.5, 0.0, 1.0, 2.0, 0.25, -0.0]), 0.5, math.inf),
+        MemberRecord(Individual(Gains(1, 2, 3), Gains(0, 0, 0)), 0.25, 0.75),
+    )
+    record = GenerationRecord.from_evaluations(4, members)
+    assert type(record.rows) is bytes
+    expected = [0.5, 0.0, 1.0, 2.0, 0.25, -0.0, 0.5, math.inf, 1, 2, 3, 0, 0, 0, 0.25, 0.75]
+    assert [v.hex() for v in array("d", record.rows)] == [float(v).hex() for v in expected]
+    assert (record.fittest_linear_index, record.fittest_angular_index) == (1, 1)
+    assert record.members == members and record.members is record.members
+    assert all(type(v) is float for m in record.members for v in (*m.individual.as_flat(), m.ae_linear, m.ae_angular))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.rows = bytes(len(record.rows))
+    # equality is by value, as the members compared: a zero's sign does not count, and equal records hash alike
+    def one(gain, ae):
+        return GenerationRecord.from_evaluations(4, (MemberRecord(Individual.from_flat([gain] * 6), ae, 0.5),))
+
+    assert one(-0.0, -0.0).rows != one(0.0, 0.0).rows
+    assert one(-0.0, -0.0) == one(0.0, 0.0) and hash(one(-0.0, -0.0)) == hash(one(0.0, 0.0))
+    assert one(0.0, 0.0) != one(0.0, 0.25) and one(0.0, 0.0) != one(0.5, 0.0)
+    assert record != GenerationRecord.from_evaluations(5, members) and record != record.members
 
 
 def test_run_ep_evaluates_each_distinct_individual_once():

@@ -521,6 +521,10 @@ def test_load_generations_names_a_file_without_generations(tmp_path, text):
         ("0,0,0.5,0.1,0,0.5,0.1,0", "expected 10 columns, got 8"),  # six gains, no AE columns
         ("0,0,0.5,0.1", "expected 10 columns, got 4"),  # two gains
         ("0,0,0.5,0.1,0,0.5,0.1,0,x,0.2", "could not convert string to float: 'x'"),
+        # every gain passes the Gains rule; the first one in flat order that fails is named
+        ("0,1,0.5,-0.1,0,0.5,0.1,0,0.3,0.2", "ki must be a finite number >= 0, got -0.1"),
+        ("0,1,0.5,0.1,inf,0.5,0.1,0,0.3,0.2", "kd must be a finite number >= 0, got inf"),
+        ("0,1,0.5,0.1,0,nan,-1,0,0.3,x", "kp must be a finite number >= 0, got nan"),
         ("0,abc,0.5,0.1,0,0.5,0.1,0,0.3,0.2", "invalid literal for int() with base 10: 'abc'"),
         ("5,0,0.5,0.1,0,0.5,0.1,0,0.3,0.2", "expected (generation, member) (0, 1) or (1, 0), got (5, 0)"),
         ("0,2,0.5,0.1,0,0.5,0.1,0,0.3,0.2", "expected (generation, member) (0, 1) or (1, 0), got (0, 2)"),
