@@ -57,7 +57,7 @@ CHUNKS_GRID = (
 SEEDS = range(10)
 # a 300 s test-route phase: 30,000 trace rows at the default sample rate
 LONG_ROUTE = "route.test.phase_duration = 300.0\n"
-# three generations of the parent alone: next_generation returns it without drawing or checking
+# three generations of the parent alone: evolve keeps it and draws no mutant
 SINGLE = "ep.population_size = 1\nep.max_generations = 3\n"
 # sigmas wide enough that many steps overshoot below 0 and are halved: one for each mutation operator
 WIDE_SIGMAS = {1: "mutation.sigma_absolute = 2\n", 2: "mutation.sigma_scaled = 3\n"}

@@ -11,8 +11,6 @@ from .ep import (
     MutationKind,
     MutationSpec,
     StopReason,
-    init_population,
-    next_generation,
     run_ep,
 )
 from .harness import (

@@ -3,8 +3,8 @@
 The optimizer tunes two PID controllers at once (linear and angular velocity,
 six gains total). Each generation every member is evaluated, the per-channel
 winners are spliced into a composite parent, and the next population is that
-parent plus Gaussian mutants of it. ``evolve`` runs that loop on flat rows of six
-gains; ``Individual`` and ``MemberRecord`` are views of them.
+parent plus Gaussian mutants of it. ``evolve`` alone builds a generation, on flat
+rows of six gains; ``Individual`` and ``MemberRecord`` are views of them.
 """
 
 from __future__ import annotations
@@ -144,6 +144,10 @@ class EPConfig:
             # not isinstance: a bool is an int, and True would count as 1
             if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        # the specs check their sigmas and bounds, so every row evolve draws or mutates is finite and >= 0
+        for name, spec in (("mutation", MutationSpec), ("init", InitSpec)):
+            if not isinstance(getattr(self, name), spec):
+                raise ValueError(f"{name} must be an instance of {spec.__name__}, got {getattr(self, name)!r}")
         if self.population_size < 1:
             raise ValueError("population_size must be >= 1")
         if self.max_generations < 1:
@@ -195,11 +199,6 @@ class GenerationRecord:
         return hash(self._key()[:3])
 
     @classmethod
-    def from_evaluations(cls, generation_index: int, members: tuple[MemberRecord, ...]) -> GenerationRecord:
-        flat = ((*m.individual.as_flat(), m.ae_linear, m.ae_angular) for m in members)
-        return cls._from_rows(generation_index, array("d", itertools.chain.from_iterable(flat)))
-
-    @classmethod
     def _from_rows(cls, generation_index: int, rows: array) -> GenerationRecord:
         li, ai = _argmin_finite(rows[6::8]), _argmin_finite(rows[7::8])
         if li is None or ai is None:
@@ -245,29 +244,23 @@ def _clamp_additive(value: float, add: float, sigma: float) -> float:
 
 
 def _initial_rows(config: EPConfig, rng: random.Random) -> list[tuple[float, ...]]:
-    """init_population's members as flat rows; InitSpec's checks leave no draw that Gains rejects."""
+    """Generation 0 as flat rows, drawn uniformly from the init bounds in a fixed order (member 0..n-1; within a member
+    kpv, kiv, kdv, kpa, kia, kda), so a given seed always yields the same population. InitSpec's checks leave no draw
+    that Gains rejects."""
     bounds = (config.init.kp_bounds, config.init.ki_bounds, config.init.kd_bounds) * 2
     return [tuple(rng.uniform(*bound) for bound in bounds) for _ in range(config.population_size)]
 
 
-def init_population(config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:
-    """Draw generation 0 uniformly from the init bounds, in a fixed order (member 0..n-1; within a member kpv, kiv,
-    kdv, kpa, kia, kda), so a given seed always yields the same population."""
-    return tuple(map(Individual.from_flat, _initial_rows(config, rng)))
-
-
 def _mutate(parent: tuple[float, ...], config: EPConfig, rng: random.Random) -> list[tuple[float, ...]]:
-    """next_generation's population_size - 1 mutants of a flat parent row, as flat rows."""
-    if config.population_size < 2:
-        return []
+    """The population_size - 1 mutants of a flat parent row of finite gains >= 0, as flat rows.
+
+    A mutant adds to each gain, in flat order, N(0, sigma_absolute), or under scaled mutation the gain times
+    N(0, sigma_scaled), so a 0 stays 0 though its draw is consumed; a step that takes a gain below 0 is halved until it
+    does not. The draws are random.Random.gauss's bit for bit: its Box-Muller over ``rng.random()``, its spare in
+    gauss_next. Population 1 draws nothing.
+    """
     scaled = config.mutation.kind is MutationKind.SCALED
     sigma = config.mutation.sigma_scaled if scaled else config.mutation.sigma_absolute
-    # a negative parent gain would never end the halving loop; Gains rejects one, but a duck-typed parent may not
-    for v in parent:
-        if not (math.isfinite(v) and v >= 0.0):
-            raise ValueError(f"value must be finite and >= 0, got {v!r}")
-        if not sigma > 0.0:
-            raise ValueError(f"sigma must be > 0, got {sigma!r}")
     random, spare = rng.random, rng.gauss_next
     isfinite, sqrt, log, cos, sin, twopi = math.isfinite, math.sqrt, math.log, math.cos, math.sin, math.tau
     mutants = []
@@ -291,19 +284,6 @@ def _mutate(parent: tuple[float, ...], config: EPConfig, rng: random.Random) -> 
     finally:
         rng.gauss_next = spare
     return mutants
-
-
-def next_generation(record: GenerationRecord, config: EPConfig, rng: random.Random) -> tuple[Individual, ...]:
-    """Build the successor population: the composite parent (member 0, unmutated) plus population_size - 1 mutants.
-
-    The parent splices the generation's best linear and best angular gains. A mutant adds to each gain, in flat order,
-    N(0, sigma_absolute), or under scaled mutation the gain times N(0, sigma_scaled), so a 0 stays 0 though its draw
-    is consumed; a step that takes a gain below 0 is halved until it does not. Population 1 draws and checks nothing.
-    The draws are random.Random.gauss's bit for bit: its Box-Muller over ``rng.random()``, its spare in gauss_next.
-    """
-    rows, li, ai = array("d", record.rows), 8 * record.fittest_linear_index, 8 * record.fittest_angular_index
-    parent = (*rows[li : li + 3], *rows[ai + 3 : ai + 6])
-    return tuple(map(Individual.from_flat, [parent, *_mutate(parent, config, rng)]))
 
 
 def evolve(config: EPConfig, score: Scorer) -> EPResult:

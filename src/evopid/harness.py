@@ -7,7 +7,6 @@ import itertools
 import json
 import math
 import numbers
-import operator
 from array import array
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -492,16 +491,9 @@ def _window(values: bytes, block: int, low: int, high: int) -> bytes:
     doubles) for ``block`` consecutive points, one after the other, and then starts over."""
     cells = [values[i : i + 8] for i in range(0, len(values), 8)]
     n, first, last = len(cells), low // block, -(-high // block)  # the window touches blocks first to last - 1
-    blocks = [cells[k % n] for k in range(first, min(last, first + n))]
-    if last - first <= n:
-        # each block once, the first and the last cut to the window
-        runs = [block] * len(blocks)
-        runs[0] -= low - first * block
-        runs[-1] -= last * block - high
-        return b"".join(map(operator.mul, blocks, runs))
-    # a period of n whole blocks, tiled: the window spans more than n blocks, so the period is shorter than it
+    # up to n whole blocks from the first: a period that, tiled, covers the window, then cut to it
+    period = b"".join([cells[k % n] * block for k in range(first, min(last, first + n))])
     skip = low - first * block
-    period = b"".join([cell * block for cell in blocks])
     return (period * -(-(last - first) // n))[8 * skip : 8 * (skip + high - low)]
 
 

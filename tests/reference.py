@@ -2,8 +2,9 @@
 
 numpy_step_metrics, numpy_write_csv and numpy_grid_oracle are the program's NumPy versions as they stood before
 evopid dropped NumPy, kept so that the written-out reductions that replaced them are checked bit for bit.
-evolve_reference is the EP loop as it stood before evolve ran on flat rows: one Individual and one MemberRecord per
-member.
+evolve_reference is the EP loop over objects, one Individual and one MemberRecord per member, written from the
+public types alone: it draws, mutates and selects with code of its own, and nothing in this module calls the
+program's EP.
 """
 
 import itertools
@@ -22,10 +23,9 @@ from evopid import (
     GridOracleResult,
     Individual,
     MemberRecord,
+    MutationKind,
     RouteSpec,
     StopReason,
-    init_population,
-    next_generation,
 )
 from evopid.ep import EPResult
 from evopid.harness import _CSV_CHUNK, _ORACLE_CHUNK
@@ -165,13 +165,53 @@ def numpy_grid_oracle(route, params, sim, grid: GainGrid) -> GridOracleResult:
     return GridOracleResult(point(linear), point(angular), ae_linear=ae_linear, ae_angular=ae_angular)
 
 
+def member_rows(members) -> array:
+    """The generations.csv rows of MemberRecords as one array("d"): six gains in flat order, ae_linear, ae_angular."""
+    rows = ((*m.individual.as_flat(), m.ae_linear, m.ae_angular) for m in members)
+    return array("d", itertools.chain.from_iterable(rows))
+
+
+def first_least_finite(values) -> int | None:
+    """Index of the first of the least finite values, by a plain scan; None when no value is finite."""
+    best = None
+    for i, v in enumerate(values):
+        if math.isfinite(v) and (best is None or v < values[best]):
+            best = i
+    return best
+
+
+def generation_record(generation: int, members) -> GenerationRecord:
+    """The GenerationRecord of these MemberRecords, each channel's winner found by first_least_finite; raises
+    EvaluationError, as evolve does, when no member has a finite AE on a channel."""
+    li = first_least_finite([m.ae_linear for m in members])
+    ai = first_least_finite([m.ae_angular for m in members])
+    if li is None or ai is None:
+        raise EvaluationError(
+            f"generation {generation}: no member has a finite average error on "
+            f"{'the linear' if li is None else 'the angular'} channel",
+            generation=generation,
+        )
+    return GenerationRecord(generation, member_rows(members).tobytes(), li, ai)
+
+
 def evolve_reference(config, score) -> EPResult:
     """evolve over objects: each member an Individual, deduped by Individual, and logged as a MemberRecord.
 
-    ``score`` takes what evolve hands it, the distinct new members as one array("d") of six gains a row.
+    Generation 0 is one rng.uniform call per gain, member by member in flat order; each mutant is one reference
+    operator call per gain of the spliced parent. ``score`` takes what evolve hands it, the distinct new members as one
+    array("d") of six gains a row.
     """
     rng = random.Random(config.rng_seed)
-    population = init_population(config, rng)
+    bounds = (config.init.kp_bounds, config.init.ki_bounds, config.init.kd_bounds)
+
+    def drawn() -> Gains:
+        return Gains(*(rng.uniform(low, high) for low, high in bounds))
+
+    if config.mutation.kind is MutationKind.SCALED:
+        mutate, sigma = mutate_scaled, config.mutation.sigma_scaled
+    else:
+        mutate, sigma = mutate_absolute, config.mutation.sigma_absolute
+    population = [Individual(drawn(), drawn()) for _ in range(config.population_size)]
     history: list[GenerationRecord] = []
     logged: list[tuple[MemberRecord, ...]] = []  # each generation's members, as this loop built them
     # the scorer is deterministic, so a repeated individual (usually the elitist parent) reuses its score
@@ -194,7 +234,7 @@ def evolve_reference(config, score) -> EPResult:
                 raise EvaluationError(f"scoring failed at {at}: {exc}", generation=generation, member=member) from exc
             scores.update(pending)
         members = tuple(MemberRecord(individual, *cell) for individual, cell in zip(population, cells))
-        record = GenerationRecord.from_evaluations(generation, members)
+        record = generation_record(generation, members)
         history.append(record)
         logged.append(members)
         fittest_linear = members[record.fittest_linear_index]
@@ -205,7 +245,11 @@ def evolve_reference(config, score) -> EPResult:
         if len(history) >= config.max_generations:
             stop_reason = StopReason.GENERATION_LIMIT
             break
-        population = next_generation(record, config, rng)
+        parent = Individual(fittest_linear.individual.linear, fittest_angular.individual.angular)
+        population = [parent]
+        for _ in range(config.population_size - 1):
+            # a gain that a finite step takes to inf is Gains' error, raised once the mutant's six draws are made
+            population.append(Individual.from_flat([mutate(v, sigma, rng) for v in parent.as_flat()]))
 
     # the fittest member over the run on each channel; min keeps the earliest of equal (finite) minima
     best_lin = min((m[r.fittest_linear_index] for r, m in zip(history, logged)), key=lambda m: m.ae_linear)

@@ -18,9 +18,7 @@ from evopid import (
     ChannelTrace,
     EPConfig,
     GainGrid,
-    GenerationRecord,
     Individual,
-    MemberRecord,
     MutationKind,
     MutationSpec,
     StopReason,
@@ -28,12 +26,12 @@ from evopid import (
     fitness_of,
     grid_oracle,
     load_generations,
-    next_generation,
     render_result_table,
     run_ep,
     run_experiment,
 )
 from evopid.cli import cli_main
+from evopid.ep import _mutate
 from reference import average_error, mutate_absolute, mutate_scaled
 
 MUTATION_PROBE_VALUES = (0.0, 1e-9, 0.01, 0.1, 1.0)
@@ -87,9 +85,8 @@ def exp2_sweep(plant, sim, train_route):
 
 
 def _mutants_of_value(value, kind, count, rng):
-    """next_generation's ``count`` mutants of a parent holding ``value`` in all six gains, with the preset sigmas."""
-    record = GenerationRecord.from_evaluations(0, (MemberRecord(Individual.from_flat([value] * 6), 0.5, 0.5),))
-    return next_generation(record, EPConfig(population_size=count + 1, mutation=MutationSpec(kind)), rng)[1:]
+    """_mutate's ``count`` mutant rows of a parent holding ``value`` in all six gains, with the preset sigmas."""
+    return _mutate((value,) * 6, EPConfig(population_size=count + 1, mutation=MutationSpec(kind)), rng)
 
 
 def test_criterion_01_mutation_safety():
@@ -105,10 +102,10 @@ def test_criterion_01_mutation_safety():
             for value in MUTATION_PROBE_VALUES:
                 children = _mutants_of_value(value, kind, 3_334, rng)
                 assert len(children) == 3_334
-                assert all(v >= 0.0 for child in children for v in child.as_flat())
+                assert all(v >= 0.0 for child in children for v in child)
                 # bit for bit the reference operator's gains, one gauss call per gain on a second generator
                 expected = [op(value, sigma, reference_rng).hex() for _ in range(6 * 3_334)]
-                assert [v.hex() for child in children for v in child.as_flat()] == expected
+                assert [v.hex() for child in children for v in child] == expected
             assert rng.getstate() == reference_rng.getstate()
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"mutation safety sweep took {elapsed:.2f}s"
@@ -117,7 +114,7 @@ def test_criterion_01_mutation_safety():
 def test_criterion_02_zero_absorption(tmp_path):
     with criterion(2, "zero absorption: scaled mutation never leaves 0; zeroed parameters stay zero in a full run"):
         for seed in range(10_000):
-            assert _mutants_of_value(0.0, MutationKind.SCALED, 1, random.Random(seed))[0].as_flat() == (0.0,) * 6
+            assert _mutants_of_value(0.0, MutationKind.SCALED, 1, random.Random(seed)) == [(0.0,) * 6]
 
         # full experiment-2 run: any parameter the selected parent holds at exactly
         # zero must stay zero in every later generation

@@ -26,20 +26,18 @@ from evopid import (
     MutationKind,
     MutationSpec,
     StopReason,
-    init_population,
-    next_generation,
     build_experiment_spec,
     run_ep,
 )
-from evopid.ep import _MAX_MEMBERS, _argmin_finite, evolve
+from evopid.ep import _MAX_MEMBERS, _argmin_finite, _initial_rows, _mutate, evolve
 from evopid.metrics import _fitness_rows, fitness_of
-from reference import evolve_reference, mutate_absolute, mutate_scaled
+from reference import evolve_reference, generation_record, member_rows, mutate_absolute, mutate_scaled
 
 
 class FakeRng(random.Random):
     """A random.Random whose random() replays scripted uniforms, for hand-traced mutation cases.
 
-    next_generation's inline draws and the reference operators' rng.gauss, which calls self.random(), read the same
+    _mutate's inline draws and the reference operators' rng.gauss, which calls self.random(), read the same
     stream, and getstate() holds the spare normal either leaves in gauss_next.
     """
 
@@ -90,28 +88,20 @@ def halving_reference(value: float, add: float) -> float:
 
 
 # ---------------------------------------------------------------- mutation
-# next_generation is the one mutation path; these tests drive it through one_member_record and mutants
-
-
-def one_member_record(parent):
-    return GenerationRecord.from_evaluations(0, (MemberRecord(parent, 0.5, 0.5),))
+# _mutate is the one mutation path; these tests drive it through mutants
 
 
 def mutants(parent, spec, rng, count=1):
-    """The ``count`` mutants next_generation makes of ``parent``, from a generation of that one member."""
-    return next_generation(one_member_record(parent), EPConfig(population_size=count + 1, mutation=spec), rng)[1:]
+    """The ``count`` mutants _mutate makes of the Individual ``parent``, as Individuals."""
+    rows = _mutate(parent.as_flat(), EPConfig(population_size=count + 1, mutation=spec), rng)
+    return tuple(map(Individual.from_flat, rows))
 
 
 def mutated_value(kind, value, sigma, rng):
-    """The six gains of next_generation's one mutant of a parent that holds ``value`` in all six, or a list's six."""
+    """The six gains of _mutate's one mutant of a parent that holds ``value`` in all six, or a list's six."""
     spec = MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma)
     (child,) = mutants(Individual.from_flat(value if isinstance(value, list) else [value] * 6), spec, rng)
     return child.as_flat()
-
-
-def duck_parent(*flat):
-    """An Individual whose gains skip Gains' checks, as a library caller's duck-typed gains may."""
-    return Individual(types.SimpleNamespace(as_tuple=lambda: flat[:3]), types.SimpleNamespace(as_tuple=lambda: flat[3:]))
 
 
 def test_mutate_absolute_halving_trace():
@@ -150,22 +140,37 @@ def test_mutate_scaled_zero_is_absorbing():
         assert mutated_value(MutationKind.SCALED, 0.0, 0.5, random.Random(seed)) == (0.0,) * 6
 
 
-def test_mutation_rejects_bad_arguments(time_limit):
-    # Gains and MutationSpec reject these where they are built; next_generation checks what it is handed, in the
-    # reference's order, and a negative gain would never end its halving loop
-    cases = [
-        (duck_parent(0.5, -0.1, 0.0, 0.5, 0.0, 0.0), 0.05, "value must be finite and >= 0, got -0.1"),
-        (duck_parent(0.5, math.nan, 0.0, 0.5, 0.0, 0.0), 0.05, "value must be finite and >= 0, got nan"),
-        (duck_parent(-0.1, 0.5, 0.0, 0.5, 0.0, 0.0), 0.0, "value must be finite and >= 0, got -0.1"),
-        (duck_parent(0.5, -0.1, 0.0, 0.5, 0.0, 0.0), 0.0, "sigma must be > 0, got 0.0"),  # kpv is checked first
-        (Individual.from_flat([0.1] * 6), -1.0, "sigma must be > 0, got -1.0"),
-    ]
-    for kind in MutationKind:
-        for parent, sigma, message in cases:
-            spec = types.SimpleNamespace(kind=kind, sigma_absolute=sigma, sigma_scaled=sigma)
-            for mutate in (mutate_by_operators, mutants):
-                with time_limit(5), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                    mutate(parent, spec, random.Random(0))
+@pytest.mark.parametrize("op", [mutate_absolute, mutate_scaled])
+@pytest.mark.parametrize(
+    "value, sigma, message",
+    [
+        (-0.1, 0.05, "value must be finite and >= 0, got -0.1"),
+        (math.nan, 0.05, "value must be finite and >= 0, got nan"),
+        (-0.1, 0.0, "value must be finite and >= 0, got -0.1"),  # the value is checked first
+        (0.1, 0.0, "sigma must be > 0, got 0.0"),
+        (0.1, -1.0, "sigma must be > 0, got -1.0"),
+        (0.1, math.nan, "sigma must be > 0, got nan"),
+    ],
+)
+def test_the_reference_operators_reject_bad_arguments(op, value, sigma, message, time_limit):
+    # a negative gain would never end the halving loop
+    with time_limit(5), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        op(value, sigma, random.Random(0))
+
+
+@pytest.mark.parametrize("kind", list(MutationKind))
+def test_epconfig_rejects_specs_that_skipped_their_checks(kind):
+    # a duck-typed spec could hand evolve a sigma <= 0, or a bound below 0 from which generation 0 would draw a gain
+    # that never ends the halving loop; EPConfig takes only the checked types, so _mutate checks neither again
+    for sigma in (0.0, -1.0, math.nan, 0.05):
+        spec = types.SimpleNamespace(kind=kind, sigma_absolute=sigma, sigma_scaled=sigma)
+        with pytest.raises(ValueError, match=r"^mutation must be an instance of MutationSpec, got namespace\("):
+            EPConfig(population_size=2, mutation=spec)
+    for low in (-0.1, math.nan, 0.0):
+        init = types.SimpleNamespace(kp_bounds=(low, 0.5), ki_bounds=(0.0, 0.1), kd_bounds=(0.0, 0.01))
+        with pytest.raises(ValueError, match=r"^init must be an instance of InitSpec, got namespace\("):
+            EPConfig(population_size=2, init=init)
+    EPConfig(population_size=2, mutation=MutationSpec(kind), init=InitSpec(kp_bounds=(0.0, 0.5)))
 
 
 @given(
@@ -235,7 +240,7 @@ def test_mutate_individual_deterministic_and_valid():
 )
 def test_nonfinite_step_is_rejected_before_halving(op, value, draw, time_limit):
     # halving -inf gives -inf, so the clamp loop would never end on it: every nonfinite step is an error, both in
-    # the reference operator and in next_generation on a parent holding the value. An infinite draw is a normal
+    # the reference operator and in _mutate on a parent holding the value. An infinite draw is a normal
     # of 2 at sigma 1e308; gauss never draws nan from a uniform in [0, 1), so a nan uniform scripts that draw
     kind = MutationKind.SCALED if op is mutate_scaled else MutationKind.ABSOLUTE
     if math.isnan(draw):
@@ -281,26 +286,26 @@ def mutate_by_operators(parent, spec, rng):
     return Individual.from_flat([op(v, sigma, rng) for v in parent.as_flat()])
 
 
+def names_in(path):
+    """Each AST node of a Python file with the names it defines, imports or reads."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        yield node, {getattr(node, field, None) for field in ("name", "asname", "id", "attr")}
+
+
 def test_the_package_has_one_mutation_path():
     # the per-value operators live in tests/reference.py: no module of the package defines, imports or names one,
-    # nor the one-mutant view or the generator that next_generation has absorbed
+    # nor the one-mutant view or the generator that _mutate has absorbed; and evolve alone builds a generation, so
+    # neither do the object views that drew, mutated or logged one outside it
     copies = {"mutate_absolute", "mutate_scaled", "mutate_individual", "_mutants"}
+    copies |= {"init_population", "next_generation", "from_evaluations"}
     for path in sorted(Path(evopid.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            names = {getattr(node, field, None) for field in ("name", "asname", "id", "attr")}
+        for node, names in names_in(path):
             assert not names & copies, (path.name, node.lineno)
     assert not copies & set(dir(evopid))
-
-
-@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan])
-@pytest.mark.parametrize("kind", list(MutationKind))
-def test_mutate_individual_checks_sigma_like_the_operators(kind, sigma):
-    # MutationSpec rejects such a sigma where it is built; a spec that never passed that check is caught here
-    spec = types.SimpleNamespace(kind=kind, sigma_absolute=sigma, sigma_scaled=sigma)
-    parent = Individual.from_flat([0.5] * 6)
-    for mutate in (mutate_by_operators, mutants):
-        with pytest.raises(ValueError, match=f"^sigma must be > 0, got {sigma!r}$"):
-            mutate(parent, spec, random.Random(0))
+    # the reference EP loop shares no code with evolve: tests/reference.py names none of evolve's parts
+    internals = {"evolve", "_initial_rows", "_mutate", "_from_rows", "_argmin_finite"}
+    for node, names in names_in(Path(__file__).with_name("reference.py")):
+        assert not names & internals, ("reference.py", node.lineno)
 
 
 # zero gains (absorbing under the scaled operator), ordinary ones, and ones so large that a step overflows
@@ -320,7 +325,7 @@ triples = st.builds(Gains, gain_values, gain_values, gain_values)
 @example(parent=Individual.from_flat([1e300] * 6), kind=MutationKind.SCALED, sigma=1e300, seed=0)  # step: inf
 @example(parent=Individual.from_flat([0.5] * 6), kind=MutationKind.ABSOLUTE, sigma=1e308, seed=5)  # step: -inf
 def test_mutate_individual_matches_the_public_operators(parent, kind, sigma, seed):
-    # next_generation's one mutant against the reference operators: the same gains, bit for bit, or the same
+    # _mutate's one mutant against the reference operators: the same gains, bit for bit, or the same
     # error, and the generator left in the same state
     spec = MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma)
     rng, reference_rng = random.Random(seed), random.Random(seed)
@@ -338,35 +343,34 @@ def test_mutate_individual_matches_the_public_operators(parent, kind, sigma, see
 # ---------------------------------------------------------------- init
 
 
-def test_init_population_degenerate_interval():
+def test_initial_rows_degenerate_interval():
     config = EPConfig(population_size=5, init=InitSpec(kp_bounds=(0.5, 0.5)))
-    pop = init_population(config, random.Random(11))
-    assert all(m.linear.kp == 0.5 and m.angular.kp == 0.5 for m in pop)
+    rows = _initial_rows(config, random.Random(11))
+    assert all(row[0] == 0.5 and row[3] == 0.5 for row in rows)
 
 
-def test_init_population_deterministic():
+def test_initial_rows_deterministic():
     config = EPConfig(population_size=10, rng_seed=3)
-    assert init_population(config, random.Random(3)) == init_population(config, random.Random(3))
+    assert _initial_rows(config, random.Random(3)) == _initial_rows(config, random.Random(3))
 
 
-def test_init_population_within_bounds():
+def test_initial_rows_within_bounds():
     config = EPConfig(population_size=10)
-    pop = init_population(config, random.Random(0))
-    assert len(pop) == 10
-    for m in pop:
-        for gains in (m.linear, m.angular):
-            assert 0.0 <= gains.kp <= 1.0
-            assert 0.0 <= gains.ki <= 0.1
-            assert 0.0 <= gains.kd <= 0.01
+    rows = _initial_rows(config, random.Random(0))
+    assert len(rows) == 10
+    for row in rows:
+        for kp, ki, kd in (row[:3], row[3:]):
+            assert 0.0 <= kp <= 1.0
+            assert 0.0 <= ki <= 0.1
+            assert 0.0 <= kd <= 0.01
 
 
-def test_init_population_sample_statistics():
+def test_initial_rows_sample_statistics():
     # kpv draws are U(0, 1); over many seeds their mean sits within 3 standard errors of 0.5
     config = EPConfig(population_size=10)
     draws = []
     for seed in range(300):
-        pop = init_population(config, random.Random(seed))
-        draws.extend(m.linear.kp for m in pop)
+        draws.extend(row[0] for row in _initial_rows(config, random.Random(seed)))
     n = len(draws)
     stderr = math.sqrt(1.0 / 12.0 / n)
     assert abs(sum(draws) / n - 0.5) < 3 * stderr
@@ -375,17 +379,21 @@ def test_init_population_sample_statistics():
 # ---------------------------------------------------------------- selection
 
 
-def _record(ae_pairs, generation=0):
+def record_of(generation, members):
+    """The GenerationRecord evolve builds from these MemberRecords' rows."""
+    return GenerationRecord._from_rows(generation, member_rows(members))
+
+
+def _fittest(ae_pairs):
+    """The program's per-channel winners of members scoring ``ae_pairs``, checked against the reference's scan."""
     members = tuple(
         MemberRecord(Individual.from_flat([0.1 * (i + 1)] * 6), lin, ang)
         for i, (lin, ang) in enumerate(ae_pairs)
     )
-    return GenerationRecord.from_evaluations(generation, members)
-
-
-def _fittest(ae_pairs):
-    record = _record(ae_pairs)
-    return record.fittest_linear_index, record.fittest_angular_index
+    program, reference = record_of(0, members), generation_record(0, members)
+    fittest = program.fittest_linear_index, program.fittest_angular_index
+    assert fittest == (reference.fittest_linear_index, reference.fittest_angular_index)
+    return fittest
 
 
 def test_select_fittest_independent_channels():
@@ -405,11 +413,13 @@ def test_select_fittest_skips_nonfinite():
 
 
 def test_select_fittest_all_nonfinite_raises():
-    for lin, ang in ((math.nan, 0.5), (0.5, math.inf)):
+    for lin, ang, channel in ((math.nan, 0.5, "linear"), (0.5, math.inf, "angular")):
         members = tuple(MemberRecord(Individual.from_flat([0.1] * 6), lin, ang) for _ in range(3))
-        with pytest.raises(EvaluationError) as excinfo:
-            GenerationRecord.from_evaluations(4, members)
-        assert excinfo.value.generation == 4
+        message = f"^generation 4: no member has a finite average error on the {channel} channel$"
+        for build in (record_of, generation_record):
+            with pytest.raises(EvaluationError, match=message) as excinfo:
+                build(4, members)
+            assert excinfo.value.generation == 4
 
 
 def test_select_fittest_matches_a_scan_over_signed_zeros_nans_and_infinities():
@@ -426,59 +436,55 @@ def test_select_fittest_matches_a_scan_over_signed_zeros_nans_and_infinities():
 # ---------------------------------------------------------------- next generation
 
 
-def test_next_generation_splices_composite_parent():
-    config = EPConfig(population_size=3)
-    pop = init_population(config, random.Random(1))
-    record = GenerationRecord.from_evaluations(
-        0,
-        tuple(
-            MemberRecord(ind, lin, ang)
-            for ind, (lin, ang) in zip(pop, [(0.5, 0.1), (0.1, 0.5), (0.9, 0.9)])
-        ),
-    )
-    succ = next_generation(record, config, random.Random(2))
+def test_evolve_splices_composite_parent():
+    # generation 0 scores (0.5, 0.1), (0.1, 0.5), (0.9, 0.9): generation 1's member 0 is the unmutated composite of
+    # member 1's linear gains and member 0's angular ones
+    config = EPConfig(population_size=3, max_generations=2, rng_seed=1)
+    pop = list(map(Individual.from_flat, _initial_rows(config, random.Random(1))))
+    aes = dict(zip(pop, [(0.5, 0.1), (0.1, 0.5), (0.9, 0.9)]))
+
+    def score(batch):
+        return [aes.get(Individual.from_flat(batch[i : i + 6]), (1.0, 1.0)) for i in range(0, len(batch), 6)]
+
+    _, history, _ = evolve(config, score)
+    assert [m.individual for m in history[0].members] == pop
+    succ = [m.individual for m in history[1].members]
     assert len(succ) == 3
-    # member 0 is the unmutated composite of the two per-channel winners
     assert succ[0].linear == pop[1].linear
     assert succ[0].angular == pop[0].angular
 
 
-def test_next_generation_size_one_is_pure_elitism():
-    pop = init_population(EPConfig(population_size=1), random.Random(5))
-    record = GenerationRecord.from_evaluations(
-        0, (MemberRecord(pop[0], 0.4, 0.4),)
-    )
-    # a sigma MutationSpec would reject, and a generator with no draws: population 1 touches neither
+def test_mutate_at_population_1_draws_nothing():
+    # a generator with no draws: population 1 makes no mutant and reads none
+    parent = _initial_rows(EPConfig(population_size=1), random.Random(5))[0]
     for kind in MutationKind:
-        spec = types.SimpleNamespace(kind=kind, sigma_absolute=0.0, sigma_scaled=0.0)
-        assert next_generation(record, EPConfig(population_size=1, mutation=spec), FakeRng([])) == (pop[0],)
+        rng = FakeRng([])
+        assert _mutate(parent, EPConfig(population_size=1, mutation=MutationSpec(kind)), rng) == []
+        assert rng.gauss_next is None
 
 
-def test_next_generation_deterministic():
-    config = EPConfig(population_size=4)
-    pop = init_population(config, random.Random(9))
-    record = GenerationRecord.from_evaluations(
-        0, tuple(MemberRecord(m, 0.1 * (i + 1), 0.2 * (i + 1)) for i, m in enumerate(pop))
-    )
-    assert next_generation(record, config, random.Random(3)) == next_generation(record, config, random.Random(3))
-
-
-def test_next_generation_zero_kd_absorbed_forever():
+def test_mutate_keeps_a_zero_kd_forever():
     config = EPConfig(population_size=4, init=InitSpec(kd_bounds=(0.0, 0.0)))
     rng = random.Random(13)
-    pop = init_population(config, rng)
-    for generation in range(5):
-        record = GenerationRecord.from_evaluations(
-            generation,
-            tuple(MemberRecord(m, 0.5, 0.5) for m in pop),
-        )
-        pop = next_generation(record, config, rng)
-        assert all(m.linear.kd == 0.0 and m.angular.kd == 0.0 for m in pop)
+    rows = _initial_rows(config, rng)
+    for _ in range(5):
+        # every member scores alike, so member 0 wins both channels and is the next parent
+        rows = [rows[0], *_mutate(rows[0], config, rng)]
+        assert len(rows) == 4 and all(row[2] == 0.0 and row[5] == 0.0 for row in rows)
 
 
 def generation_by_operators(parent, config, rng):
-    """next_generation's reference: the parent, then population_size - 1 mutants from the reference operators."""
+    """The parent, then population_size - 1 mutants from the reference operators."""
     return [parent] + [mutate_by_operators(parent, config.mutation, rng) for _ in range(config.population_size - 1)]
+
+
+def generation_by_mutate(parent, config, rng):
+    """The parent's flat row, then _mutate's population_size - 1 mutant rows."""
+    return [parent.as_flat(), *_mutate(parent.as_flat(), config, rng)]
+
+
+def assert_same_bits(rows, individuals):
+    assert [[v.hex() for v in row] for row in rows] == [[v.hex() for v in m.as_flat()] for m in individuals]
 
 
 @settings(max_examples=6)
@@ -490,7 +496,7 @@ def generation_by_operators(parent, config, rng):
 @example(parent=Individual.from_flat([1e300] * 6), sigma=1e300, seed=0)  # scaled: the first step is inf
 @pytest.mark.parametrize("size", [1, 2, 10, 20])
 @pytest.mark.parametrize("kind", list(MutationKind))
-def test_next_generation_matches_the_public_operators(kind, size, parent, sigma, seed):
+def test_a_generation_of_mutants_matches_the_public_operators(kind, size, parent, sigma, seed):
     # the same members, bit for bit, or the same error, and the generator left in the same state
     config = EPConfig(population_size=size, mutation=MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma))
     rng, reference_rng = random.Random(seed), random.Random(seed)
@@ -498,10 +504,9 @@ def test_next_generation_matches_the_public_operators(kind, size, parent, sigma,
         expected = generation_by_operators(parent, config, reference_rng)
     except ValueError as exc:
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            next_generation(one_member_record(parent), config, rng)
+            generation_by_mutate(parent, config, rng)
     else:
-        got = next_generation(one_member_record(parent), config, rng)
-        assert [[v.hex() for v in m.as_flat()] for m in got] == [[v.hex() for v in m.as_flat()] for m in expected]
+        assert_same_bits(generation_by_mutate(parent, config, rng), expected)
     assert rng.getstate() == reference_rng.getstate()
 
 
@@ -509,7 +514,7 @@ def test_next_generation_matches_the_public_operators(kind, size, parent, sigma,
 @pytest.mark.parametrize("sigma", [0.5, 1e308])
 @pytest.mark.parametrize("size", [2, 3, 10])
 @pytest.mark.parametrize("kind", list(MutationKind))
-def test_next_generation_starts_from_the_spare_normal_of_an_earlier_gauss_call(kind, size, sigma, seed):
+def test_mutate_starts_from_the_spare_normal_of_an_earlier_gauss_call(kind, size, sigma, seed):
     # after one gauss call the generator holds its second normal in gauss_next, and the first draw must be that spare.
     # At sigma 1e308 these seeds draw a nonfinite step in mutant 3, so population 10 raises partway through
     parent = Individual.from_flat([1.0, 0.01, 0.0, 1.0, 0.02, 0.001])
@@ -522,16 +527,15 @@ def test_next_generation_starts_from_the_spare_normal_of_an_earlier_gauss_call(k
     except ValueError as exc:
         assert (size, sigma) == (10, 1e308)
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            next_generation(one_member_record(parent), config, rng)
+            generation_by_mutate(parent, config, rng)
     else:
         assert (size, sigma) != (10, 1e308)
-        got = next_generation(one_member_record(parent), config, rng)
-        assert [[v.hex() for v in m.as_flat()] for m in got] == [[v.hex() for v in m.as_flat()] for m in expected]
+        assert_same_bits(generation_by_mutate(parent, config, rng), expected)
     assert rng.getstate() == reference_rng.getstate()
 
 
 @pytest.mark.parametrize("kind", list(MutationKind))
-def test_next_generation_stops_at_the_draw_of_a_later_mutants_nonfinite_step(kind, time_limit):
+def test_mutate_stops_at_the_draw_of_a_later_mutants_nonfinite_step(kind, time_limit):
     # mutant 1 is whole; mutant 2's third draw is a nonfinite step, as in the one-mutant test above: its spare stays
     # in gauss_next, and the uniforms after that pair stay unread
     sigma = 1e298 if kind is MutationKind.SCALED else 1e308
@@ -544,7 +548,7 @@ def test_next_generation_stops_at_the_draw_of_a_later_mutants_nonfinite_step(kin
     message = r"^mutating 10000000000\.0 with sigma .* drew a nonfinite step -inf$"
     assert re.match(message, str(expected.value))
     with time_limit(5), pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
-        next_generation(one_member_record(parent), config, rng)
+        generation_by_mutate(parent, config, rng)
     assert rng.uniforms == reference_rng.uniforms == uniforms[10:]
     assert rng.gauss_next == pytest.approx(0.4)
     assert rng.getstate() == reference_rng.getstate()
@@ -821,7 +825,7 @@ def test_generation_record_rows_are_read_only_and_members_a_cached_view():
         MemberRecord(Individual.from_flat([0.5, 0.0, 1.0, 2.0, 0.25, -0.0]), 0.5, math.inf),
         MemberRecord(Individual(Gains(1, 2, 3), Gains(0, 0, 0)), 0.25, 0.75),
     )
-    record = GenerationRecord.from_evaluations(4, members)
+    record = record_of(4, members)
     assert type(record.rows) is bytes
     expected = [0.5, 0.0, 1.0, 2.0, 0.25, -0.0, 0.5, math.inf, 1, 2, 3, 0, 0, 0, 0.25, 0.75]
     assert [v.hex() for v in array("d", record.rows)] == [float(v).hex() for v in expected]
@@ -832,12 +836,12 @@ def test_generation_record_rows_are_read_only_and_members_a_cached_view():
         record.rows = bytes(len(record.rows))
     # equality is by value, as the members compared: a zero's sign does not count, and equal records hash alike
     def one(gain, ae):
-        return GenerationRecord.from_evaluations(4, (MemberRecord(Individual.from_flat([gain] * 6), ae, 0.5),))
+        return record_of(4, (MemberRecord(Individual.from_flat([gain] * 6), ae, 0.5),))
 
     assert one(-0.0, -0.0).rows != one(0.0, 0.0).rows
     assert one(-0.0, -0.0) == one(0.0, 0.0) and hash(one(-0.0, -0.0)) == hash(one(0.0, 0.0))
     assert one(0.0, 0.0) != one(0.0, 0.25) and one(0.0, 0.0) != one(0.5, 0.0)
-    assert record != GenerationRecord.from_evaluations(5, members) and record != record.members
+    assert record != record_of(5, members) and record != record.members
 
 
 def test_run_ep_evaluates_each_distinct_individual_once():

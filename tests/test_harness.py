@@ -17,7 +17,6 @@ from evopid import (
     ExperimentSpec,
     GainGrid,
     Gains,
-    GenerationRecord,
     Individual,
     MemberRecord,
     MutationKind,
@@ -54,7 +53,7 @@ from evopid.harness import (
     result_as_dict,
 )
 from evopid.metrics import DIVERGENCE_AE
-from reference import numpy_write_csv, write_csv_rows
+from reference import generation_record, numpy_write_csv, write_csv_rows
 
 
 def _toy_history(population_size=4, generations=3, seed=2):
@@ -493,7 +492,7 @@ def test_export_generations_round_trip(tmp_path):
 def test_export_generations_writes_int_gains_as_floats(tmp_path):
     # a library caller may build gains and errors from ints; repr(1) would write 1, not 1.0
     member = MemberRecord(Individual(Gains(1, 0, 0), Gains(2, 3, 0)), 1, 0)
-    history = [GenerationRecord.from_evaluations(0, (member,))]
+    history = [generation_record(0, (member,))]
     path = tmp_path / "generations.csv"
     export_generations(history, path)
     assert path.read_bytes() == (",".join(GENERATIONS_HEADER) + "\n0,0,1.0,0.0,0.0,2.0,3.0,0.0,1.0,0.0\n").encode()
@@ -753,6 +752,28 @@ def test_run_experiment_scores_each_distinct_individual_once_with_pinned_bytes(t
     assert len(train_calls) == len(set(train_calls)) == 192
     for name, digest in PINNED_EXP2_SEED0_G20.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("ae_angular", [0.5, DIVERGENCE_AE])
+def test_run_experiment_refuses_a_run_only_when_every_member_diverged_on_both_channels(
+    ae_angular, tmp_path, monkeypatch
+):
+    # every member's linear AE is the divergence stand-in; a finite angular one still leaves gains worth replaying
+    def stand_in(rows, route, *args):
+        return array("d", [DIVERGENCE_AE, ae_angular, 0.0, 0.0] * (len(rows) // 6))
+
+    monkeypatch.setattr(evopid.harness, "_fitness_rows", stand_in)
+    spec = build_experiment_spec(2, seed=0, output_dir=tmp_path / "out", overrides={"ep.max_generations": 3})
+    if ae_angular == DIVERGENCE_AE:
+        message = "^all 30 members of 3 generations diverged on the train route; there are no gains to replay$"
+        with pytest.raises(EvaluationError, match=message):
+            run_experiment(spec)
+        assert not (tmp_path / "out").exists()
+    else:
+        assert run_experiment(spec).generations_run == 3
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == [
+            "best_test_trace.csv", "best_train_trace.csv", "generations.csv", "result.json"
+        ]
 
 
 # SHA-256 of generations.csv for seed 0 and 20 generations of experiment 1, the absolute operator and its

@@ -23,7 +23,7 @@ from evopid import (
     step_metrics,
 )
 from evopid.metrics import _mean
-from reference import average_error, numpy_step_metrics
+from reference import average_error, member_rows, numpy_step_metrics
 
 ZERO = Individual.from_flat([0.0] * 6)
 DT = 0.02
@@ -141,7 +141,7 @@ def test_divergence_loses_selection_to_a_large_finite_error():
         for individual in (diverging, stable)
     )
     assert members[0].ae_linear == DIVERGENCE_AE
-    assert GenerationRecord.from_evaluations(0, members).fittest_linear_index == 1
+    assert GenerationRecord._from_rows(0, member_rows(members)).fittest_linear_index == 1
     assert members[1].ae_linear > 1e6
 
 
