@@ -15,17 +15,20 @@
  * row r0 + PER_VECTOR * v + h; the last block holds rows - r0 rows when fewer are left.
  * When the last vector has fewer rows than it holds, its free lanes rerun the last row:
  * they read no gains past that row and write nothing.
- * gains holds rows x 6 doubles (linear kp ki kd, then angular kp ki kd) and plant 2 x 4
- * (per channel: actuator limit, DC gain, decay, start velocity). The caller takes
+ * gains holds rows x 6 doubles (linear kp ki kd, then angular kp ki kd). run holds the
+ * route's 13: the plant, 2 x 4 (per channel: actuator limit, DC gain, decay, start
+ * velocity), then dt, start, end and the two stretches' sample counts first and second,
+ * whole doubles that the caller has checked, cast here to int64_t. The caller takes
  * decay = exp(-dt / time_constant) in Python, so no libm function is called here. Each
  * row writes its two average errors, the error sum divided by first + second, and its two
  * final velocities, linear then angular, to results (rows x 4). A nonfinite final velocity
  * on either channel is the divergence verdict: both average errors are then DBL_MAX,
  * plant.DIVERGENCE_AE. When actual is not NULL it also receives the measurement of every
  * sample, rows x 2 x (first + second) doubles.
- * On a 2-core x86-64 host (GCC 12, -O2; timeit minimums of bare calls), 308 rows took
- * 245 us two-wide and 165 us four-wide, and one row 7.4 and 7.5 us; ROADMAP.md lists
- * the other widths and splits measured.
+ * On a 2-core x86-64 host (GCC 12, -O2; timeit minimums of bare calls by address), 308
+ * rows took 247 us two-wide and 165 us four-wide, and one row 6.8 and 7.0 us, of which
+ * the ctypes call itself is about 0.8 us; ROADMAP.md lists the other widths and splits
+ * measured.
  */
 #include <float.h>
 #include <math.h>
@@ -81,12 +84,14 @@ static inline lanes magnitude(lanes x)
     return (lanes)((lanes_bits)x & INT64_MAX);
 }
 
-void evopid_run(int64_t rows, const double *gains, const double *plant, double dt, double start, int64_t first,
-                double end, int64_t second, double *results, double *actual)
+void evopid_run(int64_t rows, const double *gains, const double *run, double *results, double *actual)
 {
+    /* read once: results and actual may alias run as far as the compiler knows */
+    const double dt = run[8], start = run[9], end = run[10];
+    const int64_t first = (int64_t)run[11], second = (int64_t)run[12];
     lanes limit, dc_gain, decay, initial;
     for (int e = 0; e < LANES; e++) {
-        const double *channel = plant + 4 * (e % 2); /* linear, angular */
+        const double *channel = run + 4 * (e % 2); /* linear, angular */
         limit[e] = channel[0];
         dc_gain[e] = channel[1];
         decay[e] = channel[2];

@@ -124,9 +124,10 @@ class InitSpec:
                 raise ValueError(f"{name} must satisfy 0 <= low <= high, got ({low}, {high})")
 
 
-# Most members one run may evaluate (population size times generations). A run holds each distinct member's gains
-# and AEs, about 470 bytes, until it ends, and its history 64 bytes per member, so this bounds a run near 0.5 GB
-# and some minutes of evaluation; the largest preset, experiment 3, evaluates 2,000.
+# Most members one run may evaluate (population size times generations). A run keeps its history, 64 bytes per
+# member, and the scores of one generation: a member of the previous generation is not scored again, an older one
+# is. So this bounds a run near 70 MB and some minutes of evaluation; the largest preset, experiment 3, evaluates
+# 2,000.
 _MAX_MEMBERS = 1_000_000
 
 
@@ -289,36 +290,39 @@ def _mutate(parent: tuple[float, ...], config: EPConfig, rng: random.Random) -> 
 def evolve(config: EPConfig, score: Scorer) -> EPResult:
     """run_ep's loop, each generation scored in at most one call: score, select, stop-check, mutate.
 
-    ``score`` maps an array("d") of the distinct members not yet scored, in first-seen order, six gains a row in flat
-    order, to one deterministic (ae_linear, ae_angular) per row. A failed call, a wrong count or a score float()
-    rejects raises EvaluationError naming the generation, and the member's first population index if ``score``
-    raised one whose ``member`` is an int index into the batch. A member is the tuple of its six gains, not an object.
+    ``score`` maps an array("d") of the generation's distinct members not yet scored, in first-seen order, six gains
+    a row in flat order, to one deterministic (ae_linear, ae_angular) per row. A member of the previous generation is
+    not scored again; only that generation's scores are kept, so one seen two or more generations back is. A failed
+    call, a wrong count or a score float() rejects raises EvaluationError naming the generation, and the member's first
+    population index if ``score`` raised one whose ``member`` is an int index into the batch. A member is the tuple of
+    its six gains, not an object.
     """
     rng = random.Random(config.rng_seed)
     population = _initial_rows(config, rng)
     history: list[GenerationRecord] = []
-    # the scorer is deterministic, so a repeated row (usually the elitist parent) reuses its six gains and two AEs
+    # the scorer is deterministic, so a row of this or the previous generation (usually the elitist parent) reuses
+    # its six gains and two AEs; older rows are dropped, so a run's memory is bounded by its population
     scores: dict[tuple[float, ...], list[float]] = {}
     best_linear = best_angular = [math.inf] * 8  # every finite AE of a fittest member beats these
     while True:
         generation = len(history)
-        # one lookup per member and one insert per new one; update() reuses the hashes pending holds
-        pending: dict[tuple[float, ...], list[float]] = {}
-        cells = [scores.get(row) or pending.setdefault(row, []) for row in population]
+        # one lookup and one insert per member; a new row's cell is empty until it is scored
+        previous, scores = scores, {}
+        cells = [scores.setdefault(row, previous.get(row) or []) for row in population]
+        pending = [(row, cell) for row, cell in scores.items() if not cell]
         if pending:
             try:
-                results = list(score(array("d", itertools.chain.from_iterable(pending))))
+                results = list(score(array("d", itertools.chain.from_iterable(row for row, _ in pending))))
                 if len(results) != len(pending):
                     raise ValueError(f"expected {len(pending)} scores, got {len(results)}")
-                for (row, cell), (ae_linear, ae_angular) in zip(pending.items(), results):
+                for (row, cell), (ae_linear, ae_angular) in zip(pending, results):
                     cell += *row, float(ae_linear), float(ae_angular)
             except Exception as exc:
                 i = exc.member if isinstance(exc, EvaluationError) else None
                 # not isinstance: True is an int; and a negative index would name a member counted from the end
-                member = population.index(list(pending)[i]) if type(i) is int and 0 <= i < len(pending) else None
+                member = population.index(pending[i][0]) if type(i) is int and 0 <= i < len(pending) else None
                 at = f"generation {generation}" + ("" if member is None else f", member {member}")
                 raise EvaluationError(f"scoring failed at {at}: {exc}", generation=generation, member=member) from exc
-            scores.update(pending)
         record = GenerationRecord._from_rows(generation, array("d", itertools.chain.from_iterable(cells)))
         history.append(record)
         fittest_linear, fittest_angular = cells[record.fittest_linear_index], cells[record.fittest_angular_index]
@@ -340,7 +344,8 @@ def run_ep(config: EPConfig, evaluator: Evaluator) -> EPResult:
     """Run the full tuning loop: evaluate, select, stop-check, mutate; evolve's one-member view.
 
     The evaluator maps an Individual to (ae_linear, ae_angular) and must be deterministic: it is called once
-    per distinct individual. The loop stops once the fittest members of a generation have both channel errors
+    per distinct individual of a generation, and a member of the previous generation is not scored again. The loop
+    stops once the fittest members of a generation have both channel errors
     strictly below ``ae_target``, or after evaluating ``max_generations`` full populations. Returns the
     composite best individual over the entire history together with the per-generation records. A failed or
     malformed evaluation names the generation and the member, the first one holding the failing individual.

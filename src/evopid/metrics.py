@@ -38,8 +38,8 @@ def fitness_of(individual: Individual, route: RouteSpec, params: PlantParams, si
     return FitnessRecord(*_fitness_rows(array("d", individual.as_flat()), route, params, sim)[:2])
 
 
-# The last route, params and sim scored, held and matched by identity, with their _prepare schedule and plant (never
-# written). Each call reads it once, so a thread scoring another route cannot hand this one that route's plant.
+# The last route, params and sim scored, held and matched by identity, with their _prepare schedule and run (never
+# written). Each call reads it once, so a thread scoring another route cannot hand this one that route's run.
 _last_scored = (None, None, None, None, None)
 
 
@@ -47,11 +47,11 @@ def _fitness_rows(gains, route: RouteSpec, params: PlantParams, sim: SimConfig) 
     """fitness_of for each row of a flat buffer of doubles, six gains a row (linear kp, ki, kd, then angular), in one
     call: _simulate's results, row r's two average errors at 4r and 4r + 1."""
     global _last_scored
-    last_route, last_params, last_sim, schedule, plant = _last_scored
+    last_route, last_params, last_sim, schedule, run = _last_scored
     if last_route is not route or last_params is not params or last_sim is not sim:
-        schedule, _, plant = _prepare(route, params, sim)
-        _last_scored = (route, params, sim, schedule, plant)
-    return _simulate(gains, schedule, plant, sim.dt)[0]
+        schedule, _, run = _prepare(route, params, sim)
+        _last_scored = (route, params, sim, schedule, run)
+    return _simulate(gains, run)[0]
 
 
 def _mean(values) -> float:

@@ -183,14 +183,16 @@ _MAX_SAMPLES = 10_000_000
 
 
 def _prepare(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tuple, int, array]:
-    """The gate of every route run: its stretches ((start, k), (end, n - k)), its sample count n and its plant.
+    """The gate of every route run: its stretches ((start, k), (end, n - k)), its sample count n and its run buffer.
 
-    The stretches are (setpoint, sample count); the plant is 8 doubles in an array("d"), per channel, linear then
-    angular, the limit, DC gain, decay and start velocity. On doubles, n = round(total_duration * sample_rate), so
-    the last sample lies at most total_duration - dt / 2. k is the first k with k * dt >= phase_duration, capped at
-    n; the guess ceil(phase_duration / dt) is moved by that test, on the float k * dt every path uses, until exact.
-    Raises ValueError when the route has no samples or more than _MAX_SAMPLES, and, naming the channel, when a first
-    error route.start - initial_velocity overflows: the kernels seed their first derivative with it.
+    The stretches are (setpoint, sample count). The run is the 13 doubles _simulate hands the kernel, in one array("d"):
+    the plant, per channel, linear then angular, the limit, DC gain, decay and start velocity; then dt, start, end, k
+    and n - k, the counts exact as doubles (n <= _MAX_SAMPLES < 2**53).
+    On doubles, n = round(total_duration * sample_rate), so the last sample lies at most total_duration - dt / 2. k is
+    the first k with k * dt >= phase_duration, capped at n; the guess ceil(phase_duration / dt) is moved by that test,
+    on the float k * dt every path uses, until exact. Raises ValueError when the route has no samples or more than
+    _MAX_SAMPLES, and, naming the channel, when a first error route.start - initial_velocity overflows: the kernels
+    seed their first derivative with it.
     """
     samples = route.total_duration * float(sim.sample_rate)
     # compared as a float first: an infinite duration cannot be rounded to an int
@@ -222,7 +224,8 @@ def _prepare(route: RouteSpec, params: PlantParams, sim: SimConfig) -> tuple[tup
     k = min(k, n)
     channels = (params.linear, params.angular)
     lags = [(c.actuator_limit, c.dc_gain, math.exp(-dt / float(c.time_constant)), c.initial_velocity) for c in channels]
-    return ((route.start, k), (route.end, n - k)), n, array("d", lags[0] + lags[1])
+    run = array("d", lags[0] + lags[1] + (dt, route.start, route.end, k, n - k))
+    return ((route.start, k), (route.end, n - k)), n, run
 
 
 def check_step_route(name: str, route: RouteSpec, params: PlantParams, sim: SimConfig) -> None:
@@ -237,39 +240,32 @@ def check_step_route(name: str, route: RouteSpec, params: PlantParams, sim: SimC
         )
 
 
-def _run_rows_py(
-    rows: int, gains, plant, dt: float, start: float, first: int, end: float, second: int, results, actual
-) -> None:
+def _run_rows_py(rows: int, gains: array, run: array, results: array, actual: array | None) -> None:
     """_kernel.c's evopid_run in Python, its fallback and reference: the same arguments and results.
 
-    Every buffer is flat doubles, indexed as C indexes it: gains holds rows x 6, plant 2 x 4, results
-    rows x 4 and actual rows x 2 x (first + second). For each of ``rows`` rows of six gains, linear
-    kp, ki, kd then angular, it runs both channels' closed loops along the route, each fused into a
-    single pass: the linear one, then the angular one, row after row, where C holds a row's two
-    channels in two adjacent lanes of a vector, two rows per 256-bit vector when
-    built with AVX and one row per two-wide vector otherwise, and steps the sixteen
-    rows of a block side by side. No two channels share a value, and each vector
-    operation is this loop's scalar one on each lane, so each channel performs the
-    same float operations in C, at either width, in the same order; C's branchless
-    clamp equals the if/elif below for a limit > 0, NaN and signed zeros included
-    (see _kernel.c). Each performs exactly the float operations of route_setpoint,
-    pid_step and plant_step, in their order, so results are bit-identical to chaining
-    them.
-    The samples run in the two stretches of _prepare's schedule, ``start`` for ``first``
-    samples then ``end`` for ``second``, so no sample tests its time. The previous
-    error starts as the first error, which makes sample 0's derivative (e - e) / dt
-    exactly the 0.0 that pid_step uses there (_prepare has checked that the first
-    error is finite). Row r writes to results[4r] and results[4r + 1] its two average
-    errors, each the sum of |setpoint - measurement| over the samples in time order
-    over first + second, and to results[4r + 2] and results[4r + 3] its two final
-    velocities, linear then angular; actual, when given, receives channel c's
-    measurement of each sample from (2r + c) * (first + second) on. A run does not stop
-    where the velocity goes nonfinite: it never turns finite again (a NaN stays NaN,
-    and an infinity meets the clipped command and stays infinite or turns NaN), so a
-    nonfinite final velocity on either channel is the divergence verdict, which writes
-    DIVERGENCE_AE as both average errors.
+    Every buffer is an array("d"), indexed as C indexes it: gains holds rows x 6, results rows x 4 and actual rows x 2 x
+    (first + second); run holds _prepare's 13 values, the plant's 2 x 4, then dt, start, end, first and second. For each
+    of ``rows`` rows of six gains, linear kp, ki, kd then angular, it runs both channels' closed loops along the route,
+    each fused into a single pass: the linear one, then the angular one, row after row, where C holds a row's two
+    channels in two adjacent lanes of a vector, two rows per 256-bit vector when built with AVX and one row per two-wide
+    vector otherwise, and steps the sixteen rows of a block side by side. No two channels share a value, and each vector
+    operation is this loop's scalar one on each lane, so each channel performs the same float operations in C, at either
+    width, in the same order; C's branchless clamp equals the if/elif below for a limit > 0, NaN and signed zeros
+    included (see _kernel.c). Each performs exactly the float operations of route_setpoint, pid_step and plant_step, in
+    their order, so results are bit-identical to chaining them.
+    The samples run in the two stretches of _prepare's run, ``start`` for ``first`` samples then ``end`` for ``second``,
+    so no sample tests its time. The previous error starts as the first error, which makes sample 0's derivative
+    (e - e) / dt exactly the 0.0 that pid_step uses there (_prepare has checked that the first error is finite). Row r
+    writes to results[4r] and results[4r + 1] its two average errors, each the sum of |setpoint - measurement| over the
+    samples in time order over first + second, and to results[4r + 2] and results[4r + 3] its two final velocities,
+    linear then angular; actual, when given, receives channel c's measurement of each sample from (2r + c) * (first +
+    second) on. A run does not stop where the velocity goes nonfinite: it never turns finite again (a NaN stays NaN, and
+    an infinity meets the clipped command and stays infinite or turns NaN), so a nonfinite final velocity on either
+    channel is the divergence verdict, which writes DIVERGENCE_AE as both average errors.
     """
-    channels, flat, samples = memoryview(plant).tolist(), memoryview(gains).tolist(), first + second
+    flat, values = gains.tolist(), run.tolist()
+    channels, (dt, start, end), (first, second) = values[:8], values[8:11], map(int, values[11:])
+    samples = first + second
     for r in range(rows):
         for c in range(2):
             limit, dc_gain, decay, velocity = channels[4 * c : 4 * c + 4]
@@ -356,8 +352,8 @@ def _self_test() -> tuple[tuple, list[array]]:
     doubled = [tuple(2.0 * g for g in row) for row in calm[:4]]
     rows = calm + swapped + [(1.5e308, 0.0, 1e308, 0.5, 0.05, 0.001)] + doubled
     gains = array("d", [g for row in rows for g in row])
-    plant = array("d", (2.0, 1.0, math.exp(-0.02 / 0.5), 0.3, 1.5, 0.8, math.exp(-0.02 / 0.3), -0.4))
-    args = (len(rows), gains, plant, 0.02, -1.0, 30, 1.0, 30)
+    plant = (2.0, 1.0, math.exp(-0.02 / 0.5), 0.3, 1.5, 0.8, math.exp(-0.02 / 0.3), -0.4)
+    args = (len(rows), gains, array("d", plant + (0.02, -1.0, 1.0, 30, 30)))
     want = [array("d", [-7.25]) * (per_row * (len(rows) + 1)) for per_row in (4, 2 * 60)]
     _run_rows_py(*args, *want)
     return args, want
@@ -394,14 +390,12 @@ def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
         kernel = library.evopid_run
     except (OSError, AttributeError):
         return None
-    count, double = ctypes.c_int64, ctypes.c_double
-    pointer = ctypes.POINTER(double)
-    kernel.argtypes = (count, pointer, pointer, double, double, count, double, count, pointer, pointer)
+    # the rows, then the addresses of gains, run, results and actual (or None)
+    kernel.argtypes = (ctypes.c_int64, *[ctypes.c_void_p] * 4)
     kernel.restype = None
-    (rows, gains, plant, *route), want = _self_test()
+    (rows, *inputs), want = _self_test()
     got = [array("d", [-7.25]) * len(buffer) for buffer in want]
-    at = ctypes.c_double.from_buffer
-    kernel(rows, at(gains), at(plant), *route, *map(at, got))
+    kernel(rows, *(buffer.buffer_info()[0] for buffer in (*inputs, *got)))
     return None if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)) else library
 
 
@@ -440,41 +434,41 @@ def _c_kernel():
     return library.evopid_run
 
 
-def _simulate(gains, schedule: tuple, plant, dt: float, record: bool = False):
-    """Run every row of six gains (linear kp, ki, kd, then angular) on both channels along the schedule.
+def _simulate(gains: array, run: array, record: bool = False):
+    """Run every row of six gains (linear kp, ki, kd, then angular) on both channels along the route of ``run``.
 
-    The one checked entry of every simulation, on a schedule and plant from _prepare; it reads every number as a double.
-    C trusts its pointers, so before it hands one over it checks that gains is one flat, C-contiguous buffer of doubles
-    whose length is a multiple of 6, rows x 6, and plant one of 8, as _prepare packs it; and for a row and sample
-    counts >= 0, not both 0 (the kernels divide by their sum). It allocates the buffers the kernel writes. It runs the
-    C kernel when loaded, else _run_rows_py: the two give the same bits. Returns, as array("d")s, the results, 4 per
-    row: at 4r and 4r + 1 row r's average errors (DIVERGENCE_AE on both if either channel diverged), at 4r + 2 and
-    4r + 3 its final velocities, linear then angular; and with ``record`` the rows x 2 x n measurements, else None.
+    The one checked entry of every simulation, on a run buffer from _prepare. C trusts its pointers, so before it
+    hands one over it checks that gains is an array("d") whose length is a multiple of 6, rows x 6, and run one of 13,
+    as _prepare packs it; and for a row and whole sample counts >= 0, not both 0 (the kernels divide by their sum) and
+    at most _MAX_SAMPLES in all. An array("d") is always flat and contiguous, so its address is all C needs; a
+    memoryview of gains and of run is held across the call, which releases the GIL, so that no thread can resize a
+    buffer whose address C holds. It allocates the buffers the kernel writes. It runs the C kernel when loaded, else
+    _run_rows_py: the two give the same bits. Returns, as array("d")s, the results, 4 per row: at 4r and 4r + 1 row
+    r's average errors (DIVERGENCE_AE on both if either channel diverged), at 4r + 2 and 4r + 3 its final
+    velocities, linear then angular; and with ``record`` the rows x 2 x n measurements, else None.
     """
-    (start, first), (end, second) = schedule
-    view, packed = memoryview(gains), memoryview(plant)
-    # one expression on the path every call takes
-    gains_fit = view.format == "d" and view.ndim == 1 and view.c_contiguous and len(view) % 6 == 0
-    if not (gains_fit and packed.format == "d" and packed.ndim == 1 and packed.c_contiguous and len(packed) == 8):
-        name, buffer, length = ("plant", packed, "8") if gains_fit else ("gains", view, "a multiple of 6")
+    gains_fit = type(gains) is array and gains.typecode == "d" and len(gains) % 6 == 0
+    if not (gains_fit and type(run) is array and run.typecode == "d" and len(run) == 13):
+        name, buffer, length = ("run", run, "13") if gains_fit else ("gains", gains, "a multiple of 6")
+        got = f"array({buffer.typecode!r}) of length {len(buffer)}" if type(buffer) is array else type(buffer).__name__
+        raise ValueError(f"{name} does not fit: the kernel takes an array('d') of length {length}, got {got}")
+    count, first, second = len(gains) // 6, run[11], run[12]
+    if not (count and first.is_integer() and second.is_integer() and first >= 0 and second >= 0
+            and 0 < first + second <= _MAX_SAMPLES):
         raise ValueError(
-            f"{name} does not fit: the kernel takes one flat, contiguous buffer of doubles of length {length}, "
-            f"got format {buffer.format!r} of shape {buffer.shape}{'' if buffer.c_contiguous else ', not contiguous'}"
+            f"a run takes a row and sample counts >= 0, whole, not both 0 and at most {_MAX_SAMPLES:,} in all, "
+            f"got {count} rows of {first!r}+{second!r}"
         )
-    count = len(view) // 6
-    if count < 1 or first < 0 or second < 0 or first + second == 0:
-        raise ValueError(f"a run takes a row and sample counts >= 0, not both 0, got {count} rows of {first}+{second}")
     results = array("d", bytes(32 * count))
-    actual = array("d", [0.0]) * (2 * count * (first + second)) if record else None
-    dt, start, end = float(dt), float(start), float(end)
+    actual = array("d", [0.0]) * (2 * count * int(first + second)) if record else None
     kernel = _c_kernel()
     if kernel is None:
-        _run_rows_py(count, gains, plant, dt, start, first, end, second, results, actual)
+        _run_rows_py(count, gains, run, results, actual)
     else:
-        # a ctypes double over each buffer's first element, which ctypes passes by reference
-        at = ctypes.c_double.from_buffer
-        data = None if actual is None else at(actual)
-        kernel(count, at(gains), at(plant), dt, start, first, end, second, at(results), data)
+        # held until return: a buffer with an export cannot be resized
+        held = memoryview(gains), memoryview(run)
+        kernel(count, gains.buffer_info()[0], run.buffer_info()[0], results.buffer_info()[0],
+               None if actual is None else actual.buffer_info()[0])
     return results, actual
 
 
@@ -490,8 +484,8 @@ def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams
     the linear channel is reported first.
     """
     dt = sim.dt
-    schedule, n, plant = _prepare(route, params, sim)
-    results, actual = _simulate(array("d", individual.as_flat()), schedule, plant, dt, record=True)
+    schedule, n, run = _prepare(route, params, sim)
+    results, actual = _simulate(array("d", individual.as_flat()), run, record=True)
     channels = actual[:n], actual[n:]
     for c, name in enumerate(("linear", "angular")):
         if not math.isfinite(results[2 + c]):

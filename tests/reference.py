@@ -150,7 +150,8 @@ def numpy_grid_oracle(route, params, sim, grid: GainGrid) -> GridOracleResult:
     for offset in range(0, size, _ORACLE_CHUNK):
         index = np.unravel_index(np.arange(offset, min(offset + _ORACLE_CHUNK, size)), shape)
         points = np.column_stack([axis[i] for axis, i in zip(doubles, index)])
-        gains = np.ascontiguousarray(np.hstack([points, points])).ravel()
+        # the kernel's entry takes an array("d") alone
+        gains = array("d", np.hstack([points, points]).tobytes())
         ae = np.frombuffer(_fitness_rows(gains, route, params, sim)).reshape(-1, 4)[:, :2]
         for c in range(2):
             # argmin keeps the first of equal minima, and strict < an earlier chunk's

@@ -686,11 +686,11 @@ def test_evolve_scores_each_generations_new_members_in_one_call(kind):
 
     config = EPConfig(population_size=5, max_generations=8, mutation=MutationSpec(kind), rng_seed=2)
     _, history, _ = evolve(config, score)
-    # the reference: per generation, the members not seen in an earlier one, each once, in first-seen order
-    expected, seen = [], set()
+    # the reference: per generation, the members not in the previous one, each once, in first-seen order
+    expected, previous = [], set()
     for record in history:
-        new = tuple(dict.fromkeys(m.individual for m in record.members if m.individual not in seen))
-        seen.update(new)
+        new = tuple(dict.fromkeys(m.individual for m in record.members if m.individual not in previous))
+        previous = {m.individual for m in record.members}
         expected.append(_rows(new))
     assert all(batch.typecode == "d" for batch in batches)
     assert batches == expected
@@ -711,6 +711,25 @@ def test_evolve_scores_a_run_of_one_repeated_individual_once():
     _, history, _ = evolve(EPConfig(population_size=5, max_generations=4, init=zero), score)
     assert batches == [array("d", [0.0] * 6)]
     assert [len(record.members) for record in history] == [5] * 4
+
+
+def test_evolve_scores_again_a_member_back_after_two_generations(monkeypatch):
+    # only the previous generation's scores are kept: the all-zero parent wins every generation and is scored once;
+    # mutant x, back in the next generation, is not scored again, but back two generations after that, it is
+    zero = InitSpec(kp_bounds=(0.0, 0.0), ki_bounds=(0.0, 0.0), kd_bounds=(0.0, 0.0))
+    x, y = (0.5,) * 6, (0.25,) * 6
+    mutants = iter([x, x, y, x])
+    monkeypatch.setattr(evopid.ep, "_mutate", lambda parent, config, rng: [next(mutants)])
+    scored = Counter()
+
+    def score(batch):
+        rows = [tuple(batch[i : i + 6]) for i in range(0, len(batch), 6)]
+        scored.update(rows)
+        return [(1.0 + sum(row[:3]), 1.0 + sum(row[3:])) for row in rows]
+
+    _, history, _ = evolve(EPConfig(population_size=2, max_generations=5, init=zero), score)
+    assert [record.members[1].individual.as_flat() for record in history] == [(0.0,) * 6, x, x, y, x]
+    assert scored == {(0.0,) * 6: 1, x: 2, y: 1}
 
 
 @pytest.mark.parametrize("experiment", [1, 2, 3])

@@ -17,6 +17,7 @@ import contextlib
 import ctypes
 import functools
 import gc
+import inspect
 import itertools
 import json
 import math
@@ -65,6 +66,7 @@ import evopid.plant
 from evopid.metrics import _fitness_rows
 from evopid.plant import (
     _KERNEL_FLAGS,
+    _MAX_SAMPLES,
     _cache_dir,
     _host_has_avx,
     _library_name,
@@ -123,6 +125,22 @@ def kernels(c_kernel, tmp_path_factory):
 def packed(rows) -> array:
     """Rows of six gains as the one flat buffer of doubles _simulate takes."""
     return array("d", itertools.chain.from_iterable(rows))
+
+
+# a plant as _prepare packs it: per channel, linear then angular, the limit, DC gain, decay and start velocity
+PLANT = (2.0, 1.0, 0.96, 0.3, 1.5, 0.8, 0.93, -0.4)
+
+
+def packed_run(schedule) -> array:
+    """A literal schedule ((start, first), (end, second)) on PLANT at 50 Hz, as the run buffer _prepare packs: the
+    plant, dt, start, end, first and second."""
+    (start, first), (end, second) = schedule
+    return array("d", [*PLANT, 0.02, start, end, first, second])
+
+
+def addresses(*buffers) -> list:
+    """Each array's address as the C kernel takes it, None as NULL."""
+    return [None if buffer is None else buffer.buffer_info()[0] for buffer in buffers]
 
 
 @contextlib.contextmanager
@@ -418,12 +436,12 @@ def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, g
         return c_kernel(*args)
 
     params = PlantParams(channel, channel)
-    schedule, rows = _prepare(route, params, sim)[0], packed([gains.as_tuple() * 2])
+    run, rows = _prepare(route, params, sim)[2], packed([gains.as_tuple() * 2])
     with using(spy):
-        results, actual = _simulate(rows, schedule, _prepare(route, params, sim)[2], sim.dt, record)
+        results, actual = _simulate(rows, run, record)
     assert len(calls) == 1
     with using(None):
-        expected, expected_actual = _simulate(rows, schedule, _prepare(route, params, sim)[2], sim.dt, record)
+        expected, expected_actual = _simulate(rows, run, record)
     assert results.tobytes() == expected.tobytes()
     if record:
         assert actual.typecode == "d" and actual.tobytes() == expected_actual.tobytes()
@@ -439,50 +457,109 @@ def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, g
         (((0.0, 3), (1.0, 3)), {"rows": array("d")}),
         (((0.0, 3), (1.0, 3)), {"rows": np.zeros((2, 3))}),
         (((0.0, 3), (1.0, 3)), {"rows": np.zeros((2, 6), order="F")}),
-        (((0.0, 3), (1.0, 3)), {"plant": np.ones((4, 2)).T}),
+        (((0.0, 3), (1.0, 3)), {"rows": np.zeros(12)}),
+        (((0.0, 3), (1.0, 3)), {"rows": array("f", [0.0]) * 12}),
+        (((0.0, 3), (1.0, 3)), {"run": np.ones(13)}),
+        (((0.0, 3), (1.0, 3)), {"run": array("d", [1.0]) * 12}),
+        (((0.0, 3), (1.0, 3)), {"run": array("d", [1.0]) * 14}),
+        (((0.0, 3), (1.0, 3)), {"run": array("f", [1.0]) * 13}),
+        (((0.0, 2.5), (1.0, 3)), {}),
+        (((0.0, 3), (1.0, math.nan)), {}),
+        (((0.0, _MAX_SAMPLES), (1.0, 1)), {}),
         (((0.0, 0), (1.0, 0)), {}),
     ],
     ids=[
-        "negative-second", "negative-first", "no-rows", "gains-of-three", "gains-fortran", "plant-transposed",
-        "no-samples",
+        "negative-second", "negative-first", "no-rows", "gains-of-three", "gains-fortran", "gains-numpy",
+        "gains-of-floats", "run-numpy", "run-of-twelve", "run-of-fourteen", "run-of-floats", "count-not-whole",
+        "count-nan", "counts-above-the-cap", "no-samples",
     ],
 )
 def test_kernel_call_rejects_a_buffer_that_does_not_fit(schedule, replaced, monkeypatch):
-    # two rows: 12 gains and 8 plant values, flat, one of them replaced (an array of two dimensions does not fit, in
-    # any order); results and actual are _simulate's own
+    # two rows: 12 gains and a run of 13 values, one of them replaced (only an array("d") fits: a NumPy array does
+    # not, of any shape or order); results and actual are _simulate's own
     def kernel(*args):
         pytest.fail("a kernel was handed a buffer that does not fit")
 
     monkeypatch.setattr(evopid.plant, "_run_rows_py", kernel)
-    arguments = {"rows": array("d", bytes(96)), "plant": array("d", [1.0]) * 8, **replaced}
+    arguments = {"rows": array("d", bytes(96)), "run": packed_run(schedule), **replaced}
     with using(kernel), pytest.raises(ValueError, match="does not fit|a run takes a row and sample counts >= 0"):
-        _simulate(arguments["rows"], schedule, arguments["plant"], 0.02, record=True)
+        _simulate(arguments["rows"], arguments["run"], record=True)
+
+
+COUNTS = "a run takes a row and sample counts >= 0, whole, not both 0 and at most 10,000,000 in all, got 2 rows of "
 
 
 @pytest.mark.parametrize(
-    "gains, plant, message",
+    "gains, run, message",
     [
-        (array("f", [0.0]) * 12, None, "gains does not fit: the kernel takes one flat, contiguous buffer of doubles "
-         "of length a multiple of 6, got format 'f' of shape (12,)"),
-        (array("d", [0.0]) * 9, None, "gains does not fit: the kernel takes one flat, contiguous buffer of doubles "
-         "of length a multiple of 6, got format 'd' of shape (9,)"),
-        (np.zeros(24)[::2], None, "gains does not fit: the kernel takes one flat, contiguous buffer of doubles "
-         "of length a multiple of 6, got format 'd' of shape (12,), not contiguous"),
-        (None, array("d", [1.0]) * 7, "plant does not fit: the kernel takes one flat, contiguous buffer of doubles "
-         "of length 8, got format 'd' of shape (7,)"),
+        (array("f", [0.0]) * 12, None, "gains does not fit: the kernel takes an array('d') of length a multiple of 6, "
+         "got array('f') of length 12"),
+        (array("d", [0.0]) * 9, None, "gains does not fit: the kernel takes an array('d') of length a multiple of 6, "
+         "got array('d') of length 9"),
+        (np.zeros(24)[::2], None, "gains does not fit: the kernel takes an array('d') of length a multiple of 6, "
+         "got ndarray"),
+        (None, array("d", [1.0]) * 12, "run does not fit: the kernel takes an array('d') of length 13, "
+         "got array('d') of length 12"),
+        (None, array("d", [1.0]) * 14, "run does not fit: the kernel takes an array('d') of length 13, "
+         "got array('d') of length 14"),
+        (None, array("f", [1.0]) * 13, "run does not fit: the kernel takes an array('d') of length 13, "
+         "got array('f') of length 13"),
+        (None, packed_run(((0.0, -1), (1.0, 3))), COUNTS + "-1.0+3.0"),
+        (None, packed_run(((0.0, 3), (1.0, 0.5))), COUNTS + "3.0+0.5"),
+        (None, packed_run(((0.0, 0), (1.0, 0))), COUNTS + "0.0+0.0"),
+        (None, packed_run(((0.0, _MAX_SAMPLES), (1.0, 1))), COUNTS + "10000000.0+1.0"),
     ],
-    ids=["gains-of-floats", "gains-ragged", "gains-strided", "plant-of-seven"],
+    ids=[
+        "gains-of-floats", "gains-ragged", "gains-strided", "run-of-twelve", "run-of-fourteen", "run-of-floats",
+        "count-negative", "count-not-whole", "no-samples", "counts-above-the-cap",
+    ],
 )
-def test_simulate_names_the_buffer_that_does_not_fit(gains, plant, message, monkeypatch):
+def test_simulate_names_the_buffer_that_does_not_fit(gains, run, message, monkeypatch):
     def kernel(*args):
         pytest.fail("a kernel was handed a buffer that does not fit")
 
     monkeypatch.setattr(evopid.plant, "_run_rows_py", kernel)
     gains = array("d", [0.5]) * 12 if gains is None else gains
-    plant = array("d", [1.0]) * 8 if plant is None else plant
+    run = packed_run(((0.0, 3), (1.0, 3))) if run is None else run
     with using(kernel), pytest.raises(ValueError) as excinfo:
-        _simulate(gains, ((0.0, 3), (1.0, 3)), plant, 0.02, record=True)
+        _simulate(gains, run, record=True)
     assert str(excinfo.value) == message
+
+
+def test_buffers_the_kernel_reads_cannot_be_resized_during_the_call():
+    # the kernel runs without the GIL on the addresses of gains and run, so _simulate holds an export of each until
+    # the call returns: another thread that appends to either meets a BufferError, not a freed buffer
+    gains, run = packed([(0.8, 0.2, 0.01, 2.0, 0.5, 0.0)]), packed_run(((-1.0, 30), (1.0, 30)))
+    raised = []
+
+    def spy(rows, *pointers):
+        assert pointers[:2] == tuple(addresses(gains, run))
+        for buffer in (gains, run):
+            with pytest.raises(BufferError):
+                buffer.append(0.0)
+            raised.append(len(buffer))
+
+    with using(spy):
+        _simulate(gains, run)
+    assert raised == [6, 13]
+    # the exports end with the call
+    gains.append(0.0)
+    run.append(0.0)
+
+
+def test_kernel_signature_agrees_in_c_ctypes_and_the_twin(c_kernel):
+    # evopid_run's prototype in _kernel.c, the argtypes _load_kernel gives ctypes and _run_rows_py's parameters: the
+    # same arguments in the same order, each an integer or a pointer; a mismatch would be undefined behaviour
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    prototype = re.search(rb"void evopid_run\(([^)]*)\)", SOURCE).group(1).decode()
+    c_params = [re.fullmatch(r"(?:const )?(int64_t |double \*)(\w+)", p.strip()).groups() for p in prototype.split(",")]
+    twin = list(inspect.signature(_run_rows_py).parameters.values())
+    # each type as C, ctypes and the twin's annotations name it; any other is a KeyError
+    kinds = {"int64_t ": int, "double *": array, ctypes.c_int64: int, ctypes.c_void_p: array, "int": int}
+    kinds.update({"array": array, "array | None": array})
+    assert len(twin) == 5 and [name for _, name in c_params] == [p.name for p in twin]
+    assert [kinds[t] for t, _ in c_params] == [kinds[t] for t in c_kernel.argtypes] == [kinds[p.annotation] for p in twin]
 
 
 def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatch):
@@ -573,11 +650,10 @@ def test_kernel_cache_keeps_only_the_builds_of_this_source(c_kernel, tmp_path, m
     built = {_library_name(SOURCE, (*_KERNEL_FLAGS, *flags)) for flags in WIDTHS.values()}
     assert {path.name for path in cache.iterdir()} == built | {path.name for path in kept}
     # the unlinked library stays mapped in this process and still runs: one calm row, as the twin runs it
-    gains, plant = packed([(0.8, 0.2, 0.01, 2.0, 0.5, 0.0)]), array("d", [2.0, 1.0, 0.96, 0.3, 1.5, 0.8, 0.93, -0.4])
+    gains, run = packed([(0.8, 0.2, 0.01, 2.0, 0.5, 0.0)]), packed_run(((-1.0, 30), (1.0, 30)))
     got, want = array("d", bytes(32)), array("d", bytes(32))
-    at = ctypes.c_double.from_buffer
-    old_library.evopid_run(1, at(gains), at(plant), 0.02, -1.0, 30, 1.0, 30, at(got), None)
-    _run_rows_py(1, gains, plant, 0.02, -1.0, 30, 1.0, 30, want, None)
+    old_library.evopid_run(1, *addresses(gains, run, got, None))
+    _run_rows_py(1, gains, run, want, None)
     assert got.tobytes() == want.tobytes()
 
 
@@ -586,7 +662,7 @@ def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_pa
         pytest.skip(NO_CC)
 
     def zeroed(*args):
-        args[8][:] = array("d", bytes(8 * len(args[8])))
+        args[3][:] = array("d", bytes(8 * len(args[3])))
 
     monkeypatch.setattr(evopid.plant, "_run_rows_py", zeroed)
     # the self-test's twin output is taken once per process: a fresh cache runs the zeroed twin in its place
@@ -610,7 +686,7 @@ def assert_slip_is_not_used(slip, widths, tmp_path):
     [
         ("gains + 6 * (row", "gains + 3 * (row"),
         (" + 3 * (e % 2)", ""),
-        ("plant + 4 * (e % 2)", "plant"),
+        ("run + 4 * (e % 2)", "run"),
         ("2 * (r0 + PER_VECTOR * v) * samples", "(r0 + PER_VECTOR * v) * samples"),
         ("out[3] = velocity[v][l + 1]", "out[2] = velocity[v][l + 1]"),
         ("row = r0 + PER_VECTOR * v", "row = PER_VECTOR * v"),
@@ -665,10 +741,10 @@ def test_divergence_ae_is_the_dbl_max_each_kernel_writes(sim, train_route, kerne
     assert DIVERGENCE_AE is evopid.plant.DIVERGENCE_AE is evopid.metrics.DIVERGENCE_AE is evopid.DIVERGENCE_AE
     params = PlantParams(ChannelParams(initial_velocity=-5.0), ChannelParams(time_constant=0.3))
     huge = Gains(1e308, 0.0, 1e308)
-    schedule, _, plant = _prepare(train_route, params, sim)
+    run = _prepare(train_route, params, sim)[2]
     for kernel in kernels:
         with using(kernel):
-            results, _ = _simulate(packed([Individual(huge, huge).as_flat()]), schedule, plant, sim.dt)
+            results, _ = _simulate(packed([Individual(huge, huge).as_flat()]), run)
         assert [v.hex() for v in results[:2].tolist()] == [sys.float_info.max.hex()] * 2
 
 
@@ -741,8 +817,7 @@ def test_row_counts_around_vectors_and_blocks_match_the_twin(count, record, sim,
     # an odd count leaves one row in the last vector of a four-wide build, and 17 and 33 leave one in the last block:
     # the vector's free lanes rerun that row and write nothing, so the guard row after each output keeps its -7.0
     params = PlantParams(ChannelParams(initial_velocity=0.3), ChannelParams(time_constant=0.3, initial_velocity=-0.4))
-    (start, first), (end, second) = _prepare(train_route, params, sim)[0]
-    plant = _prepare(train_route, params, sim)[2]
+    ((_, first), (_, second)), _, run = _prepare(train_route, params, sim)
     gains = packed(
         [(0.5 + 0.3 * j, 0.05 * (j % 4), 0.002 * (j % 3), 2.0 - 0.05 * j, 0.1 * (j % 5), 0.001 * j) for j in range(count)]
     )
@@ -751,11 +826,9 @@ def test_row_counts_around_vectors_and_blocks_match_the_twin(count, record, sim,
         results = array("d", [-7.0]) * (4 * (count + 1))
         actual = array("d", [-7.0]) * (2 * (first + second) * (count + 1)) if record else None
         if kernel is None:
-            _run_rows_py(count, gains, plant, sim.dt, start, first, end, second, results, actual)
+            _run_rows_py(count, gains, run, results, actual)
         else:
-            at = ctypes.c_double.from_buffer
-            data = None if actual is None else at(actual)
-            kernel(count, at(gains), at(plant), sim.dt, start, first, end, second, at(results), data)
+            kernel(count, *addresses(gains, run, results, actual))
         guard = array("d", [-7.0]) * (2 * (first + second))
         assert results[4 * count :] == guard[:4]
         assert actual is None or actual[2 * (first + second) * count :] == guard
@@ -767,11 +840,10 @@ def assert_batch_matches_fitness_of(individuals, route, params, sim, kernels):
     # one call with every row against one call per row: the results and measurements bit for bit,
     # and each score's bits are fitness_of's; tobytes also matches a NaN to a NaN
     rows = [individual.as_flat() for individual in individuals]
-    schedule = _prepare(route, params, sim)[0]
-    n = sum(count for _, count in schedule)
+    _, n, run = _prepare(route, params, sim)
     for kernel in kernels:
         with using(kernel):
-            results, actual = _simulate(packed(rows), schedule, _prepare(route, params, sim)[2], sim.dt, record=True)
+            results, actual = _simulate(packed(rows), run, record=True)
             assert len(results) == 4 * len(rows)
             assert len(actual) == len(rows) * 2 * n
             scores = _fitness_rows(packed(rows), route, params, sim)
@@ -779,9 +851,7 @@ def assert_batch_matches_fitness_of(individuals, route, params, sim, kernels):
             for r, (individual, row) in enumerate(zip(individuals, rows)):
                 result, score = results[4 * r : 4 * r + 4], scores[4 * r : 4 * r + 2]
                 measured = actual[2 * n * r : 2 * n * (r + 1)]
-                one, one_actual = _simulate(
-                    packed([row]), schedule, _prepare(route, params, sim)[2], sim.dt, record=True
-                )
+                one, one_actual = _simulate(packed([row]), run, record=True)
                 assert result.tobytes() == one.tobytes(), individual
                 assert measured.tobytes() == one_actual.tobytes(), individual
                 single = np.array(fitness_of(individual, route, params, sim), dtype=np.float64)
@@ -859,8 +929,7 @@ def test_batch_divergence_on_either_channel_matches_fitness_of(sim, train_route,
         params = PlantParams(**channels)
         for kernel in kernels:
             with using(kernel):
-                schedule, _, plant = _prepare(train_route, params, sim)
-                results, _ = _simulate(packed(rows), schedule, plant, sim.dt)
+                results, _ = _simulate(packed(rows), _prepare(train_route, params, sim)[2])
                 velocities = np.frombuffer(results).reshape(-1, 4)[:, 2:]
                 assert np.isfinite(velocities).tolist() == [[c != 0, c != 1], [True, True]]
                 scored = _fitness_rows(packed(rows), train_route, params, sim)
@@ -900,10 +969,8 @@ def test_fitness_of_matches_the_replayed_average_error_beyond_2_53(kernels):
 
 def twin_fitness(individual, route, params, sim):
     """fitness_of by hand: the Python twin on this environment's own preparation, not the cached one."""
-    schedule, _, plant = _prepare(route, params, sim)
-    (start, first), (end, second) = schedule
     gains, results = packed([individual.as_flat()]), array("d", bytes(32))
-    _run_rows_py(1, gains, plant, sim.dt, float(start), first, float(end), second, results, None)
+    _run_rows_py(1, gains, _prepare(route, params, sim)[2], results, None)
     return FitnessRecord(*results[:2])
 
 
@@ -938,12 +1005,12 @@ EQUAL_ENVIRONMENTS = [
 
 def held_by_the_entry(route, params, sim):
     """Whether metrics' one prepared entry holds these very objects, and their preparation."""
-    *held, schedule, plant = evopid.metrics._last_scored
+    *held, schedule, run = evopid.metrics._last_scored
     prepared = _prepare(route, params, sim)
     return (
         all(a is b for a, b in zip(held, (route, params, sim)))
         and schedule == prepared[0]
-        and plant.tobytes() == prepared[2].tobytes()
+        and run.tobytes() == prepared[2].tobytes()
     )
 
 
