@@ -1,0 +1,33 @@
+"""The scripts README documents run end to end, in process, on small inputs."""
+
+import re
+import runpy
+import sys
+from pathlib import Path
+
+from evopid import build_experiment_spec, render_result_table, run_experiment
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, args, monkeypatch, capsys) -> str:
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_run_all_experiments_prints_every_presets_table(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out = run_script("run_all_experiments.py", ["--seed", "0", "--out", "all"], monkeypatch, capsys)
+    records = [run_experiment(build_experiment_spec(e, seed=0, output_dir=f"again/{e}")) for e in (1, 2, 3)]
+    assert render_result_table(records) in out
+    for e in (1, 2, 3):
+        assert (tmp_path / "all" / f"experiment_{e}" / "result.json").is_file()
+
+
+def test_kd_collapse_study_prints_a_row_per_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    out = run_script("kd_collapse_study.py", ["--seeds", "2", "--generations", "5"], monkeypatch, capsys)
+    rows = [line.split() for line in out.splitlines() if line.split()[:1] and line.split()[0].isdigit()]
+    assert [(row[0], len(row)) for row in rows] == [("0", 5), ("1", 5)]
+    assert re.search(r"decreased on both channels for [0-2]/2 seeds$", out.strip())
