@@ -6,9 +6,19 @@ and result.json into <out>/experiment_<id>/.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from evopid import EXPERIMENT_TABLE, build_experiment_spec, parse_config_file, render_result_table, run_experiment
+from evopid import (
+    EXPERIMENT_TABLE,
+    ConfigError,
+    EvaluationError,
+    SimulationDiverged,
+    build_experiment_spec,
+    parse_config_file,
+    render_result_table,
+    run_experiment,
+)
 
 
 def main() -> None:
@@ -17,8 +27,18 @@ def main() -> None:
     parser.add_argument("--out", type=Path, default=Path("results"), help="output root directory")
     parser.add_argument("--config", type=Path, default=None, help="flat key=value override file")
     args = parser.parse_args()
+    lines = {}  # each --config key's line, to name if a spec rejects the key's value
+    try:
+        run_all(args, parse_config_file(args.config, lines) if args.config else {})
+    except (ConfigError, EvaluationError, SimulationDiverged, ValueError, OSError) as exc:
+        # as evopid's own commands report an error: one line on stderr, exit status 1
+        if getattr(exc, "key", None) in lines:
+            exc = f"{args.config}:{lines[exc.key]}: {exc}"
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(1) from None
 
-    overrides = parse_config_file(args.config) if args.config else {}
+
+def run_all(args: argparse.Namespace, overrides: dict[str, float]) -> None:
     records = []
     for experiment_id in EXPERIMENT_TABLE:
         spec = build_experiment_spec(

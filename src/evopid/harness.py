@@ -27,6 +27,7 @@ from .ep import (
     _require_gains,
     evolve,
 )
+from . import plant
 from .metrics import DIVERGENCE_AE, StepMetrics, _fitness_rows, step_metrics
 from .plant import FitnessRecord, PlantParams, RouteSpec, SimConfig, _prepare, check_step_route, simulate_route
 
@@ -323,22 +324,28 @@ def _write_csv(path: Path, header: Sequence[str], columns: Sequence[array]) -> N
     """The one CSV format: the header, then one `\\n` line per row of the equal-length array("d")
     or array("q") columns, each cell the `repr` of its Python number, comma-joined.
 
-    It formats _CSV_CHUNK rows at a time, column by column, and a chunk whose values all have the
-    bits of its first once (bits, so that 0.0 and -0.0 stay apart).
+    It writes _CSV_CHUNK rows at a time, through the C kernel's evopid_csv (plant._c_csv), which writes
+    repr's bytes, or through its Python twin plant._csv_rows_py: where no kernel is loaded, and for a chunk
+    with a cell evopid_csv does not write (a double that is nonfinite, or not 0 and outside
+    1e-20 <= |x| < 2**52, DIVERGENCE_AE apart). C trusts its pointers, so it first checks the columns.
     """
-    width = len(columns)
-    line = ["", ","] * (width - 1) + ["", "\n"]  # one row: its cells go in the even slots
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _CSV_CHUNK):
-            rows = min(_CSV_CHUNK, len(columns[0]) - start)
-            cells = line * rows
-            for j, column in enumerate(columns):
-                chunk = column[start : start + rows]
-                raw = chunk.tobytes()
-                constant = raw == raw[: chunk.itemsize] * rows
-                cells[2 * j :: 2 * width] = [repr(chunk[0])] * rows if constant else list(map(repr, chunk))
-            fh.write("".join(cells))
+    columns = list(columns)
+    count, width = len(columns[0]), len(columns)
+    if not all(type(column) is array and column.typecode in "dq" and len(column) == count for column in columns):
+        raise ValueError("the CSV columns must be array('d')s or array('q')s of one length")
+    library = None if plant._c_kernel() is None else plant._c_csv()
+    if library is not None:
+        # held until return: a buffer with an export cannot be resized
+        held = [memoryview(column) for column in columns]
+        table = plant._csv_table(columns)
+        out = array("B", bytes(min(count, _CSV_CHUNK) * width * plant._CSV_CELL))
+        addresses, text = (table.buffer_info()[0], out.buffer_info()[0]), memoryview(out)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, count, _CSV_CHUNK):
+            rows = min(_CSV_CHUNK, count - start)
+            size = -1 if library is None else library.evopid_csv(start, rows, width, *addresses)
+            fh.write(text[:size] if size >= 0 else plant._csv_rows_py(columns, start, rows))
 
 
 def _write_json(path: Path, payload) -> None:

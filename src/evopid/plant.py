@@ -299,11 +299,39 @@ def _run_rows_py(rows: int, gains: array, run: array, results: array, actual: ar
             results[4 * r] = results[4 * r + 1] = DIVERGENCE_AE
 
 
+def _csv_rows_py(columns: list[array], start: int, rows: int) -> bytes:
+    """_kernel.c's evopid_csv in Python, its fallback and reference: rows start to start + rows - 1 of the equal-length
+    array("d") or array("q") columns as CSV lines, each cell the `repr` of its Python number, comma-joined.
+
+    It formats column by column, and a column whose values in these rows all have the bits of its first once (bits,
+    so that 0.0 and -0.0 stay apart).
+    """
+    width = len(columns)
+    cells = (["", ","] * (width - 1) + ["", "\n"]) * rows  # one row's cells go in its even slots
+    for j, column in enumerate(columns):
+        chunk = column[start : start + rows]
+        raw = chunk.tobytes()
+        constant = raw == raw[: chunk.itemsize] * rows
+        cells[2 * j :: 2 * width] = [repr(chunk[0])] * rows if constant else list(map(repr, chunk))
+    return "".join(cells).encode()
+
+
+# the most bytes evopid_csv writes per cell: "-1.2345678901234567e-05" or an int64, and the separator
+_CSV_CELL = 24
+
+
+def _csv_table(columns: list[array]) -> array:
+    """The columns as evopid_csv takes them: per column its address and 1 for an array("q"), 0 for an array("d")."""
+    return array("q", [v for column in columns for v in (column.buffer_info()[0], column.typecode == "q")])
+
+
 # _run_rows_py transcribed to C; -ffp-contract=off keeps a * b + c from fusing into one rounding.
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # what _c_kernel adds to the baseline build where the host runs AVX: two rows per 256-bit vector
 _AVX_FLAGS = ("-mavx",)
+# what _c_csv adds to the baseline build: evopid_csv, the CSV cell formatter
+_CSV_FLAGS = ("-DEVOPID_CSV",)
 
 
 def _cache_dir() -> Path:
@@ -359,9 +387,45 @@ def _self_test() -> tuple[tuple, list[array]]:
     return args, want
 
 
+@functools.cache
+def _csv_self_test() -> tuple[list[array], bytes]:
+    """The fixed cells every build's evopid_csv must write as _csv_rows_py does: the columns, and the twin's bytes of
+    their rows but the last, whose second cell, 5e-324, evopid_csv does not write.
+
+    Both zeros, the divergence stand-in, both ends of the range written and of the exponent form, powers of two (whose
+    lower gap is half the upper), shortest digits that round up through a 9 (1e-20, 1e-16), integral doubles (whose
+    repr ends in .0) and an array("q") column: a dropped, extra or unrounded digit, or a wrong layout, shows.
+    """
+    doubles = [
+        0.0, -0.0, DIVERGENCE_AE, 1e-20, 1.0000000000000001e-20, 1e-16, 9.999999999999999e-05, 0.0001, 0.001,
+        2.0**52 - 0.5, 2.0**52 - 1, 1e15, 1.0, 0.1, 0.30000000000000004, 1 / 3, 2.0**-60, 0.9999999999999999, 0.5,
+        123.456, 299.98, -2.5,
+    ]
+    ints = [0, -1, 7, -(2**63), 2**63 - 1, 10, 299, 1000] * 3
+    columns = [
+        array("d", doubles + [1.0]),
+        array("d", [x if x == DIVERGENCE_AE else -x for x in reversed(doubles)] + [5e-324]),
+        array("q", ints[: len(doubles) + 1]),
+    ]
+    return columns, _csv_rows_py(columns, 0, len(doubles))
+
+
+def _csv_matches(formatter) -> bool:
+    """Whether a library's evopid_csv writes _csv_self_test's rows as the twin does and refuses its last row at its
+    second cell, or, as a build without __int128 does, refuses every row at its first cell."""
+    columns, want = _csv_self_test()
+    table, rows = _csv_table(columns), len(columns[0]) - 1
+    out = array("B", bytes(_CSV_CELL * len(columns) * rows))
+    written = formatter(0, rows, len(columns), table.buffer_info()[0], out.buffer_info()[0])
+    text = out.tobytes()[: max(written, 0)]
+    refused = formatter(rows, 1, len(columns), table.buffer_info()[0], out.buffer_info()[0])
+    return written == refused == -1 or (text == want and refused == -2)
+
+
 def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
     """The library of ``source`` built by cc with _KERNEL_FLAGS and ``flags`` in cache_dir, a directory the caller has
-    made and checked, opened once; None on any failure or unless its evopid_run matches the twin on _self_test's run.
+    made and checked, opened once; None on any failure, unless its evopid_run matches the twin on _self_test's run and,
+    in a build with _CSV_FLAGS, its evopid_csv passes _csv_matches.
 
     The library is named by _library_name; a miss compiles these same bytes, on cc's stdin, and writes the build by
     atomic rename, so no process loads a stale or half-written one. Nothing is printed, cc's own output included.
@@ -388,6 +452,7 @@ def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
                 Path(partial).unlink(missing_ok=True)
         library = ctypes.CDLL(str(path))
         kernel = library.evopid_run
+        formatter = library.evopid_csv if _CSV_FLAGS[0] in flags else None
     except (OSError, AttributeError):
         return None
     # the rows, then the addresses of gains, run, results and actual (or None)
@@ -396,19 +461,19 @@ def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
     (rows, *inputs), want = _self_test()
     got = [array("d", [-7.25]) * len(buffer) for buffer in want]
     kernel(rows, *(buffer.buffer_info()[0] for buffer in (*inputs, *got)))
-    return None if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)) else library
+    if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+        return None
+    if formatter is None:
+        return library
+    # the first row, the rows, the columns, then the addresses of the column table and of the output
+    formatter.argtypes = (*[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 2)
+    formatter.restype = ctypes.c_int64
+    return library if _csv_matches(formatter) else None
 
 
-@functools.cache
-def _c_kernel():
-    """The C kernel from the per-user cache (_cache_dir()), or None; loaded once, in one pass.
-
-    The cache directory is made and checked once, and _kernel.c read once. Its baseline build, one row per two-wide
-    vector, loads first and reports whether the host runs AVX; where it does, the -mavx build, two rows per 256-bit
-    vector, is used instead, unless it fails to compile, load or match. Then the cache's libraries that neither build
-    of this source can be, other versions', are removed: Linux keeps a mapped library valid after unlink, so a running
-    process is not harmed, and one of another version builds its own again.
-    """
+def _cache_and_source() -> tuple[Path, bytes] | None:
+    """The per-user kernel cache (_cache_dir()), made if missing, and _kernel.c's bytes; None where either fails, or
+    where someone else could have written to the cache."""
     cache_dir = _cache_dir()
     try:
         cache_dir.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -419,19 +484,50 @@ def _c_kernel():
     # a library that someone else could have written would run their code
     if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
         return None
+    return cache_dir, source
+
+
+@functools.cache
+def _c_kernel():
+    """The C kernel library, whose evopid_run _simulate calls, from the per-user cache, or None; loaded once, in one
+    pass.
+
+    The cache directory is made and checked once, and _kernel.c read once (_cache_and_source). Its baseline build, one
+    row per two-wide vector, loads first and reports whether the host runs AVX; where it does, the -mavx build, two
+    rows per 256-bit vector, is used instead, unless it fails to compile, load or match. Then the cache's libraries
+    that no build of this source can be, these two and _c_csv's, are removed: those of other versions. Linux keeps a
+    mapped library valid after unlink, so a running process is not harmed, and one of another version builds its own
+    again.
+    """
+    found = _cache_and_source()
+    if found is None:
+        return None
+    cache_dir, source = found
     library = _load_kernel(cache_dir, source)
     if library is None:
         return None
     if _host_has_avx(library):
         library = _load_kernel(cache_dir, source, *_AVX_FLAGS) or library
-    keep = {_library_name(source, (*_KERNEL_FLAGS, *flags)) for flags in ((), _AVX_FLAGS)}
+    keep = {_library_name(source, (*_KERNEL_FLAGS, *flags)) for flags in ((), _AVX_FLAGS, _CSV_FLAGS)}
     for stale in cache_dir.glob("kernel-*.so"):
         if stale.name not in keep:
             try:
                 stale.unlink(missing_ok=True)
             except OSError:
                 pass
-    return library.evopid_run
+    return library
+
+
+@functools.cache
+def _c_csv():
+    """The library whose evopid_csv harness._write_csv calls, from the per-user cache, or None; built and loaded once,
+    on a process's first CSV write, so that a process that writes none does not pay for its compile.
+
+    It is the baseline build of _kernel.c with _CSV_FLAGS, which adds evopid_csv to the simulation, and its load check
+    also runs _csv_matches. _write_csv asks _c_kernel() first, so where that is None the formatter is not built.
+    """
+    found = _cache_and_source()
+    return None if found is None else _load_kernel(*found, *_CSV_FLAGS)
 
 
 def _simulate(gains: array, run: array, record: bool = False):
@@ -467,8 +563,8 @@ def _simulate(gains: array, run: array, record: bool = False):
     else:
         # held until return: a buffer with an export cannot be resized
         held = memoryview(gains), memoryview(run)
-        kernel(count, gains.buffer_info()[0], run.buffer_info()[0], results.buffer_info()[0],
-               None if actual is None else actual.buffer_info()[0])
+        kernel.evopid_run(count, gains.buffer_info()[0], run.buffer_info()[0], results.buffer_info()[0],
+                          None if actual is None else actual.buffer_info()[0])
     return results, actual
 
 

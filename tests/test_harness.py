@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -42,6 +43,7 @@ from evopid import (
 )
 import evopid.cli
 import evopid.harness
+import evopid.plant
 from evopid.cli import cli_main
 from evopid.harness import (
     CONFIG_TABLE,
@@ -590,6 +592,43 @@ CSV_ROW_COUNTS = (1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 2 * CSV_CHUNK + 1)
 EDGE_FLOATS = (0.0, -0.0, DIVERGENCE_AE, 5e-324, sys.float_info.min / 3, math.inf, -math.inf, 0.1, 0.7)
 
 
+def _c_formats_cells() -> bool:
+    """Whether the C kernel loads here with a formatter that writes cells, not the stub of a compiler without
+    unsigned __int128."""
+    library = None if evopid.plant._c_kernel() is None else evopid.plant._c_csv()
+    if library is None:
+        return False
+    one, out = array("d", [1.0]), array("B", bytes(evopid.plant._CSV_CELL))
+    table = evopid.plant._csv_table([one])
+    return library.evopid_csv(0, 1, 1, table.buffer_info()[0], out.buffer_info()[0]) > 0
+
+
+# the two ways _write_csv writes a chunk: the C kernel's evopid_csv, or its Python twin, as where no kernel loads
+CSV_WRITERS = ["c", "python"]
+
+
+@contextlib.contextmanager
+def csv_writer(writer: str):
+    """Make _write_csv write through the C kernel's evopid_csv ("c"; skipped where it writes no cell) or its Python
+    twin ("python"); yields the first row of each chunk the twin writes."""
+    if writer == "c" and not _c_formats_cells():
+        pytest.skip("no C kernel that formats cells loads here")
+    saved_kernel, saved_twin = evopid.plant._c_kernel, evopid.plant._csv_rows_py
+    starts = []
+
+    def twin(columns, start, rows):
+        starts.append(start)
+        return saved_twin(columns, start, rows)
+
+    evopid.plant._csv_rows_py = twin
+    if writer == "python":
+        evopid.plant._c_kernel = lambda: None
+    try:
+        yield starts
+    finally:
+        evopid.plant._c_kernel, evopid.plant._csv_rows_py = saved_kernel, saved_twin
+
+
 def _as_array(column: np.ndarray) -> array:
     """A float64 or int64 column as the array("d") or array("q") _write_csv takes, bit for bit."""
     return array("q" if column.dtype.kind == "i" else "d", column.tobytes())
@@ -614,9 +653,11 @@ def _edge_columns(rows: int) -> list[np.ndarray]:
     ]
 
 
+@pytest.mark.parametrize("writer", CSV_WRITERS)
 @pytest.mark.parametrize("rows", CSV_ROW_COUNTS)
-def test_write_csv_writes_the_row_writers_bytes_around_chunk_bounds(rows, tmp_path):
-    written, expected = _write_both(tmp_path, _edge_columns(rows))
+def test_write_csv_writes_the_row_writers_bytes_around_chunk_bounds(rows, writer, tmp_path):
+    with csv_writer(writer):
+        written, expected = _write_both(tmp_path, _edge_columns(rows))
     assert written == expected
     assert written.count(b"\n") == 1 + rows
 
@@ -637,12 +678,20 @@ def _runs_column(rows: int):
 @settings(max_examples=50)
 @given(columns=st.sampled_from(CSV_ROW_COUNTS).flatmap(lambda n: st.lists(_runs_column(n), min_size=1, max_size=5)))
 def test_write_csv_writes_the_row_writers_bytes(columns, tmp_path_factory):
-    written, expected = _write_both(tmp_path_factory.mktemp("csv"), columns)
-    assert written == expected
+    # each example through both writers, C where it loads, as making the columns and the row writer's bytes take
+    # most of the time
+    tmp_path = tmp_path_factory.mktemp("csv")
+    header = [f"c{j}" for j in range(len(columns))]
+    write_csv_rows(tmp_path / "rows.csv", header, columns)
+    for writer in CSV_WRITERS if _c_formats_cells() else ["python"]:
+        with csv_writer(writer):
+            _write_csv(tmp_path / f"{writer}.csv", header, [_as_array(column) for column in columns])
+        assert (tmp_path / f"{writer}.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes(), writer
 
 
+@pytest.mark.parametrize("writer", CSV_WRITERS)
 @pytest.mark.parametrize("rows", CSV_ROW_COUNTS)
-def test_write_csv_writes_the_numpy_writers_bytes(rows, tmp_path):
+def test_write_csv_writes_the_numpy_writers_bytes(rows, writer, tmp_path):
     # columns that tell a writer keyed on values, or on the first and last cells of a chunk, from one keyed on bits
     alternating = np.resize([0.0, -0.0], rows)
     almost = np.full(rows, 0.25)
@@ -657,11 +706,44 @@ def test_write_csv_writes_the_numpy_writers_bytes(rows, tmp_path):
         np.resize(np.array([7, -7], dtype=np.int64), rows),
     ]
     header = [f"c{j}" for j in range(len(columns))]
-    _write_csv(tmp_path / "arrays.csv", header, [_as_array(column) for column in columns])
+    with csv_writer(writer) as twin_starts:
+        _write_csv(tmp_path / "arrays.csv", header, [_as_array(column) for column in columns])
     numpy_write_csv(tmp_path / "ndarrays.csv", header, columns)
     written = (tmp_path / "arrays.csv").read_bytes()
     assert written == (tmp_path / "ndarrays.csv").read_bytes()
     assert written.count(b"\n") == 1 + rows
+    # C writes every cell here, and the twin every chunk where it writes
+    assert twin_starts == ([] if writer == "c" else list(range(0, rows, CSV_CHUNK)))
+
+
+def test_write_csv_takes_the_twin_for_a_chunk_with_a_cell_c_does_not_write(tmp_path):
+    # one subnormal in the middle chunk of three: that chunk alone goes to the twin, and the bytes stay the row
+    # writer's
+    rows = 2 * CSV_CHUNK + 5
+    tiny = np.full(rows, 0.5)
+    tiny[CSV_CHUNK + 7] = 5e-324
+    columns = [np.arange(rows) * 0.02, tiny, np.arange(rows, dtype=np.int64) - 300]
+    with csv_writer("c") as twin_starts:
+        written, expected = _write_both(tmp_path, columns)
+    assert written == expected
+    assert twin_starts == [CSV_CHUNK]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [array("d", [0.5]), [0.5]],
+        [array("d", [0.5]), array("f", [0.5])],
+        [array("d", [0.5, 1.0]), array("q", [1])],
+        [np.array([0.5])],
+    ],
+    ids=["list", "array-of-floats", "unequal-lengths", "ndarray"],
+)
+def test_write_csv_rejects_columns_c_cannot_read(columns, tmp_path):
+    # evopid_csv reads each column by its address, so only array("d") and array("q") columns of one length pass
+    with pytest.raises(ValueError, match=re.escape("the CSV columns must be array('d')s or array('q')s of one length")):
+        _write_csv(tmp_path / "out.csv", [f"c{j}" for j in range(len(columns))], columns)
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_export_trace_schema(tmp_path, plant, sim, train_route):

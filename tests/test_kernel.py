@@ -22,10 +22,12 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import shutil
 import sys
 import threading
+import types
 import weakref
 from array import array
 from dataclasses import astuple, replace
@@ -65,9 +67,12 @@ import evopid.metrics
 import evopid.plant
 from evopid.metrics import _fitness_rows
 from evopid.plant import (
+    _CSV_CELL,
+    _CSV_FLAGS,
     _KERNEL_FLAGS,
     _MAX_SAMPLES,
     _cache_dir,
+    _csv_table,
     _host_has_avx,
     _library_name,
     _load_kernel,
@@ -96,12 +101,13 @@ WIDTHS = {"four-wide": ("-mavx",), "two-wide": ()} if host_has_avx() else {"two-
 
 
 def build_kernel(tmp_path_factory, *flags):
-    """The C kernel compiled into a fresh cache with every warning an error and the given flags, or None without cc."""
+    """The C kernel library compiled into a fresh cache with every warning an error and the given flags, or None
+    without cc."""
     if shutil.which("cc") is None:
         return None
     library = _load_kernel(tmp_path_factory.mktemp("kernel"), SOURCE, "-Wall", "-Wextra", "-Werror", *flags)
     assert library is not None, f"the C kernel built with {flags} failed to compile, load or match the Python loop"
-    return library.evopid_run
+    return library
 
 
 @pytest.fixture(scope="session")
@@ -120,6 +126,12 @@ def kernels(c_kernel, tmp_path_factory):
         return [None]
     baseline = [build_kernel(tmp_path_factory)] if len(WIDTHS) > 1 else []
     return [c_kernel, *baseline, build_kernel(tmp_path_factory, "-U__SSE2__"), None]
+
+
+@pytest.fixture(scope="session")
+def c_formatter(tmp_path_factory):
+    """The CSV cell formatter's library as _c_csv builds it, with every warning an error, or None without cc."""
+    return build_kernel(tmp_path_factory, *_CSV_FLAGS)
 
 
 def packed(rows) -> array:
@@ -143,9 +155,14 @@ def addresses(*buffers) -> list:
     return [None if buffer is None else buffer.buffer_info()[0] for buffer in buffers]
 
 
+def running(run):
+    """A stand-in kernel library whose evopid_run is the given function: _simulate calls nothing else of it."""
+    return types.SimpleNamespace(evopid_run=run)
+
+
 @contextlib.contextmanager
 def using(kernel):
-    """Make _simulate take the given C kernel, or the Python twin for None."""
+    """Make _simulate take the given C kernel library, or the Python twin for None."""
     saved = evopid.plant._c_kernel
     evopid.plant._c_kernel = lambda: kernel
     try:
@@ -433,11 +450,11 @@ def test_run_channel_takes_the_c_kernel_only_where_it_is_exact(route, channel, g
 
     def spy(*args):
         calls.append(args)
-        return c_kernel(*args)
+        return c_kernel.evopid_run(*args)
 
     params = PlantParams(channel, channel)
     run, rows = _prepare(route, params, sim)[2], packed([gains.as_tuple() * 2])
-    with using(spy):
+    with using(running(spy)):
         results, actual = _simulate(rows, run, record)
     assert len(calls) == 1
     with using(None):
@@ -482,7 +499,8 @@ def test_kernel_call_rejects_a_buffer_that_does_not_fit(schedule, replaced, monk
 
     monkeypatch.setattr(evopid.plant, "_run_rows_py", kernel)
     arguments = {"rows": array("d", bytes(96)), "run": packed_run(schedule), **replaced}
-    with using(kernel), pytest.raises(ValueError, match="does not fit|a run takes a row and sample counts >= 0"):
+    message = "does not fit|a run takes a row and sample counts >= 0"
+    with using(running(kernel)), pytest.raises(ValueError, match=message):
         _simulate(arguments["rows"], arguments["run"], record=True)
 
 
@@ -521,7 +539,7 @@ def test_simulate_names_the_buffer_that_does_not_fit(gains, run, message, monkey
     monkeypatch.setattr(evopid.plant, "_run_rows_py", kernel)
     gains = array("d", [0.5]) * 12 if gains is None else gains
     run = packed_run(((0.0, 3), (1.0, 3))) if run is None else run
-    with using(kernel), pytest.raises(ValueError) as excinfo:
+    with using(running(kernel)), pytest.raises(ValueError) as excinfo:
         _simulate(gains, run, record=True)
     assert str(excinfo.value) == message
 
@@ -539,7 +557,7 @@ def test_buffers_the_kernel_reads_cannot_be_resized_during_the_call():
                 buffer.append(0.0)
             raised.append(len(buffer))
 
-    with using(spy):
+    with using(running(spy)):
         _simulate(gains, run)
     assert raised == [6, 13]
     # the exports end with the call
@@ -559,7 +577,8 @@ def test_kernel_signature_agrees_in_c_ctypes_and_the_twin(c_kernel):
     kinds = {"int64_t ": int, "double *": array, ctypes.c_int64: int, ctypes.c_void_p: array, "int": int}
     kinds.update({"array": array, "array | None": array})
     assert len(twin) == 5 and [name for _, name in c_params] == [p.name for p in twin]
-    assert [kinds[t] for t, _ in c_params] == [kinds[t] for t in c_kernel.argtypes] == [kinds[p.annotation] for p in twin]
+    argtypes = c_kernel.evopid_run.argtypes
+    assert [kinds[t] for t, _ in c_params] == [kinds[t] for t in argtypes] == [kinds[p.annotation] for p in twin]
 
 
 def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatch):
@@ -670,15 +689,16 @@ def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_pa
     assert _load_kernel(tmp_path, SOURCE) is None
 
 
-def assert_slip_is_not_used(slip, widths, tmp_path):
-    """Build _kernel.c with one text replaced at each of the given widths: the self-check must refuse every build."""
+def assert_slip_is_not_used(slip, builds, tmp_path):
+    """Build _kernel.c with one text replaced, into tmp_path, with each of the given tuples of flags: the self-check
+    must refuse every build."""
     old, new = (text.encode() for text in slip)
     assert SOURCE.count(old) == 1
     slipped = SOURCE.replace(old, new)
-    for width in widths:
-        assert _load_kernel(tmp_path, slipped, *WIDTHS[width]) is None, width
+    for flags in builds:
+        assert _load_kernel(tmp_path, slipped, *flags) is None, flags
         # it compiled, so the self-check refused it
-        assert (tmp_path / _library_name(slipped, (*_KERNEL_FLAGS, *WIDTHS[width]))).exists(), width
+        assert (tmp_path / _library_name(slipped, (*_KERNEL_FLAGS, *flags))).exists(), flags
 
 
 @pytest.mark.parametrize(
@@ -709,7 +729,7 @@ def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_pat
     # NaN, and which a verdict on the angular channel alone misses; no slip reads past a buffer
     if c_kernel is None:
         pytest.skip(NO_CC)
-    assert_slip_is_not_used(slip, WIDTHS, tmp_path)
+    assert_slip_is_not_used(slip, WIDTHS.values(), tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -732,7 +752,99 @@ def test_kernel_with_a_lane_slip_is_not_used(slip, c_kernel, tmp_path):
         pytest.skip(NO_CC)
     if "four-wide" not in WIDTHS:
         pytest.skip(NO_AVX)
-    assert_slip_is_not_used(slip, ["four-wide"], tmp_path)
+    assert_slip_is_not_used(slip, [WIDTHS["four-wide"]], tmp_path)
+
+
+# ---------------------------------------------------------------- the CSV cell formatter
+
+
+def formatted(library, columns, start=0, rows=None):
+    """evopid_csv's text of the given rows of the array("d") or array("q") columns, or the -1 - i it returns where
+    it refuses the chunk's cell i."""
+    rows = len(columns[0]) - start if rows is None else rows
+    table, out = _csv_table(columns), array("B", bytes(_CSV_CELL * len(columns) * rows))
+    size = library.evopid_csv(start, rows, len(columns), table.buffer_info()[0], out.buffer_info()[0])
+    return out.tobytes()[:size] if size >= 0 else size
+
+
+def written_in_c(x: float) -> bool:
+    """Whether evopid_csv writes the double x: both zeros, DIVERGENCE_AE and 1e-20 <= |x| < 2**52."""
+    return x == 0.0 or x == DIVERGENCE_AE or 1e-20 <= abs(x) < 2.0**52
+
+
+def formatter_cases() -> list[float]:
+    """Doubles of every kind the formatter meets or refuses, each with its negative: random bit patterns, random
+    patterns of the exponents it writes, powers of two and short decimals with their neighbours one ulp away, the
+    trace's times k * 0.02, both sides of 1e-20, 1e-4 and 2**52, and the special values."""
+    rng = random.Random(33)
+    exponents = range(1023 - 67, 1023 + 53)  # the binary exponents of 1e-20 to 2**52, one beyond on each side
+    patterns = [rng.getrandbits(64) for _ in range(3000)]
+    patterns += [rng.choice(exponents) << 52 | rng.getrandbits(52) for _ in range(12000)]
+    cases = list(array("d", array("Q", patterns).tobytes()))
+    pivots = [2.0**k for k in range(-70, 56)] + [1e-20, 1e-4, 2.0**52]
+    pivots += [float(f"{m}e{e}") for m in (1, 2, 5, 9, 12, 25, 99, 123, 999, 3141) for e in range(-22, 18)]
+    cases += [y for x in pivots for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
+    cases += [k * 0.02 for k in range(10000)]
+    cases += [0.0, DIVERGENCE_AE, 5e-324, math.inf, math.nan]
+    return cases + [-x for x in cases]
+
+
+def test_formatter_writes_repr_where_it_writes_and_refuses_elsewhere(c_formatter):
+    # every double it writes comes out as repr writes it, beside an array("q") column; every other one is refused
+    if c_formatter is None:
+        pytest.skip(NO_CC)
+    cases = formatter_cases()
+    written = array("d", [x for x in cases if written_in_c(x)])
+    rng = random.Random(len(written))
+    ints = array("q", [rng.getrandbits(64) - 2**63 for _ in written])
+    ints[:2] = array("q", [-(2**63), 2**63 - 1])
+    assert 0.0 in written and -0.0 in written and DIVERGENCE_AE in written and len(written) > 40000, len(written)
+    want = "".join(f"{x!r},{i!r}\n" for x, i in zip(written, ints)).encode()
+    assert formatted(c_formatter, [written, ints]) == want
+    refused = array("d", [x for x in cases if not written_in_c(x)])
+    assert len(refused) > 1000 and {5e-324, -DIVERGENCE_AE, math.inf, -math.inf, 2.0**52} <= set(refused)
+    # each refused double as the second cell of its row, after a written one: evopid_csv names that cell, and the
+    # caller writes the chunk in Python
+    columns = [array("d", [1.0]) * len(refused), refused]
+    assert [formatted(c_formatter, columns, r, 1) for r in range(len(refused))] == [-2] * len(refused)
+
+
+@pytest.mark.parametrize(
+    "slip",
+    [
+        ("digits[n++] = (char)('0' + dig);\n        *decpt", "*decpt"),
+        ("memcpy(p + decpt, \".0\", 2);\n    return p + decpt + 2;", "return p + decpt;"),
+    ],
+    ids=["last-digit-dropped", "dot-zero-dropped"],
+)
+def test_kernel_whose_formatter_slips_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
+    # a formatter that drops a digit, or the .0 of an integral double, fails the load check, so _c_csv gives None
+    # and every CSV write takes the twin; the simulation builds, which leave the formatter out, still load
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    cache = tmp_path / "evopid"
+    cache.mkdir(mode=0o700)
+    assert_slip_is_not_used(slip, [_CSV_FLAGS], cache)
+    source = tmp_path / "_kernel.c"
+    source.write_bytes(SOURCE.replace(*(text.encode() for text in slip)))
+    monkeypatch.setattr(evopid.plant, "_KERNEL_SOURCE", source)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert evopid.plant._c_csv.__wrapped__() is None
+
+
+def test_build_without_int128_formats_nothing_and_writes_the_same_bytes(c_formatter, tmp_path, monkeypatch):
+    # the stub of a compiler without unsigned __int128 writes no cell, and the load check takes it: every chunk goes
+    # to the twin, which writes what the full formatter writes
+    if c_formatter is None:
+        pytest.skip(NO_CC)
+    stub = _load_kernel(tmp_path, SOURCE, "-Wall", "-Wextra", "-Werror", *_CSV_FLAGS, "-U__SIZEOF_INT128__")
+    assert stub is not None
+    assert formatted(stub, [array("d", [1.0, 0.5])]) == formatted(stub, [array("q", [1])]) == -1
+    columns = [array("d", [k * 0.02 for k in range(1200)]), array("q", range(1200)), array("d", [5e-324]) * 1200]
+    for name, library in (("stub", stub), ("full", c_formatter)):
+        monkeypatch.setattr(evopid.plant, "_c_csv", lambda: library)
+        evopid.harness._write_csv(tmp_path / f"{name}.csv", ("t", "k", "tiny"), columns)
+    assert (tmp_path / "stub.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
 def test_divergence_ae_is_the_dbl_max_each_kernel_writes(sim, train_route, kernels):
@@ -761,7 +873,9 @@ def test_failed_build_falls_back_silently_to_identical_outputs(cc, c_kernel, tmp
         (bin_dir / "cc").chmod(0o755)
     monkeypatch.setenv("PATH", str(bin_dir))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    # fresh loaders, so that what this environment loads, or fails to, stays in this test
     monkeypatch.setattr(evopid.plant, "_c_kernel", functools.cache(evopid.plant._c_kernel.__wrapped__))
+    monkeypatch.setattr(evopid.plant, "_c_csv", functools.cache(evopid.plant._c_csv.__wrapped__))
     spec = build_experiment_spec(3, output_dir=tmp_path / "fallback", overrides={"ep.max_generations": 3})
     run_experiment(spec)
     assert evopid.plant._c_kernel() is None
@@ -797,7 +911,9 @@ def test_failed_avx_build_falls_back_to_the_baseline_build(c_kernel, tmp_path, m
     monkeypatch.setenv("PATH", str(bin_dir))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     monkeypatch.setattr(evopid.plant, "_host_has_avx", lambda library: True)
+    # fresh loaders, so that what this environment loads, or fails to, stays in this test
     monkeypatch.setattr(evopid.plant, "_c_kernel", functools.cache(evopid.plant._c_kernel.__wrapped__))
+    monkeypatch.setattr(evopid.plant, "_c_csv", functools.cache(evopid.plant._c_csv.__wrapped__))
     assert evopid.plant._c_kernel() is not None
     assert capfd.readouterr() == ("", "")
     assert ["-mavx" in call.split() for call in log.read_text().splitlines()] == [False, True]
@@ -828,7 +944,7 @@ def test_row_counts_around_vectors_and_blocks_match_the_twin(count, record, sim,
         if kernel is None:
             _run_rows_py(count, gains, run, results, actual)
         else:
-            kernel(count, *addresses(gains, run, results, actual))
+            kernel.evopid_run(count, *addresses(gains, run, results, actual))
         guard = array("d", [-7.0]) * (2 * (first + second))
         assert results[4 * count :] == guard[:4]
         assert actual is None or actual[2 * (first + second) * count :] == guard

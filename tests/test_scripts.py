@@ -5,6 +5,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 from evopid import build_experiment_spec, render_result_table, run_experiment
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -23,6 +25,17 @@ def test_run_all_experiments_prints_every_presets_table(tmp_path, monkeypatch, c
     assert render_result_table(records) in out
     for e in (1, 2, 3):
         assert (tmp_path / "all" / f"experiment_{e}" / "result.json").is_file()
+
+
+def test_run_all_experiments_names_the_config_line_a_spec_rejects(tmp_path, monkeypatch, capsys):
+    # as `evopid tune` does: one line on stderr naming the file, the line and the key, exit status 1, no run
+    monkeypatch.chdir(tmp_path)
+    Path("bad.cfg").write_text("# line 1 is a comment\nplant.angular.dc_gain = -1\n")
+    with pytest.raises(SystemExit) as excinfo:
+        run_script("run_all_experiments.py", ["--config", "bad.cfg", "--out", "all"], monkeypatch, capsys)
+    assert excinfo.value.code == 1
+    assert capsys.readouterr() == ("", "error: bad.cfg:2: plant.angular.dc_gain: dc_gain must be > 0\n")
+    assert not (tmp_path / "all").exists()
 
 
 def test_kd_collapse_study_prints_a_row_per_seed(tmp_path, monkeypatch, capsys):
