@@ -178,85 +178,93 @@ int evopid_has_avx(void)
  * columns holds, per column, the address of its first value and 1 for an array("q"), whose cells are plain integers,
  * or 0 for an array("d"). It writes a double only where it is exact: 0.0, -0.0, DBL_MAX (plant.DIVERGENCE_AE) and
  * 1e-20 <= |x| < 2**52; at any other it returns -1 - i, i that cell's index in the chunk, row by row. Without
- * unsigned __int128 it is a stub returning -1.
- * On a 2-core x86-64 host (GCC 12, -O2) a double of 17 digits took about 270 ns, against 560 ns for repr, k * 0.02
- * about 80 ns against 300, and an int64 8 ns against 105 (one call on 100,000 cells; timeit minimums).
+ * unsigned __int128 it is a stub returning -1. A double's digits are Ryu's (shortest), laid out as repr lays them
+ * out (put_double). A cell whose bits equal those of the cell above it in the chunk copies that cell's text: bits,
+ * not values, so a -0.0 below a 0.0 is written anew, as _csv_rows_py keys its constant columns.
+ * On a 2-core x86-64 host (GCC 12, -O2) a double of 17 digits took about 70 ns, against 700 ns for repr, k * 0.02
+ * about 70 ns against 360, a repeated cell 5 ns and an int64 below 10**5 12 ns against 105 (one call on 100,000
+ * cells; minimums of seven).
  * It is compiled only where EVOPID_CSV is defined, in a build of its own (plant._c_csv), built on a process's first
- * CSV write: it doubles the compile time (0.10 to 0.20 s a build on that host), which a process that writes no CSV
+ * CSV write: it doubles the compile time (0.10 to 0.21 s a build on that host), which a process that writes no CSV
  * should not pay.
  */
 #ifdef EVOPID_CSV
 #ifdef __SIZEOF_INT128__
+#include <stdlib.h>
+
 typedef unsigned __int128 u128;
 
-/* The shortest digits that read back as x, 1e-20 <= x < 2**52, as chars; returns their count and sets *decpt so that
- * x reads 0.DIGITS x 10**decpt. This is the mode 0 "leftright" loop of Gay's dtoa in CPython's Python/dtoa.c, on
- * exact integers: x is b / S, and the half-gaps to its neighbours mlo / S below and mhi / S above. In this range each
- * of them stays below 10 S < 2**128. No midpoint between two doubles here has 17 significant digits or fewer, so j
- * and j1 below are never 0 and the tests of m's parity never decide; they stay as dtoa has them. */
+/* Ryu's bit length of 5**i, i >= 0 */
+static inline int pow5bits(int i)
+{
+    return (int)(((uint32_t)i * 1217359 >> 19) + 1);
+}
+
+/* 5**i shifted left to 125 bits, i = 0 to 38: Ryu's DOUBLE_POW5_SPLIT, exact here; filled when the library loads,
+ * not on first use, since ctypes calls run without the GIL */
+static u128 pow5[39];
+
+__attribute__((constructor)) static void fill_pow5(void)
+{
+    u128 p = 1;
+    for (int i = 0; i < 39; i++, p *= 5)
+        pow5[i] = p << (125 - pow5bits(i));
+}
+
+/* floor(m pow5[i] / 2**j) for j >= 64, the 180-bit product taken as two 64 x 64-bit ones */
+static inline uint64_t mul_shift(uint64_t m, int i, int j)
+{
+    return (uint64_t)((((u128)m * (uint64_t)pow5[i] >> 64) + (u128)m * (uint64_t)(pow5[i] >> 64)) >> (j - 64));
+}
+
+/* The shortest digits that read back as x, 1e-20 <= x < 2**52, and of those the nearest to x, as chars; returns
+ * their count and sets *decpt so that x reads 0.DIGITS x 10**decpt: the digits of dtoa's mode 0, which repr writes.
+ * This is d2d of Ryu (U. Adams, "Ryu: fast float-to-string conversion", PLDI 2018), cut down to this range. x is
+ * mv 2**e2 with mv = 4 m, and the midpoints to its neighbours are (mv - 1 - mm_shift) 2**e2 below and (mv + 2) 2**e2
+ * above. Here e2 lies in [-121, -3], so only Ryu's e2 < 0 branch is needed: vr, vm and vp are those three times
+ * 5**i / 2**q, floored, i = -e2 - q, where q = floor(log10 5**-e2) - 1 (1 to 83) makes 10**(q + e2) the place value
+ * of vr's last digit. i is at most 38, so 5**i shifted left to 125 bits (pow5) is an exact u128, and each floor is
+ * exact. Digits are then removed while vm and vp still differ above the last one, and vr is rounded. The removed
+ * digits can all be 0 only where mv has q trailing zero bits (vr_zeros), and a bound is exact only where q = 1, in
+ * [2**50, 2**52); Ryu's general path tracks both, for exact halves, which round to even, and for the bounds that
+ * round-half-even reading accepts; its common path, where neither holds, is the one nearly every x takes. An exact
+ * bound here ends in the digit 5 (x -+ 0.25 or 0.125, in units of 0.01 or 0.001), so vm_zeros never outlives the
+ * first removed digit and decides nothing, and vp's decrement never changes vp / 10; both stay as Ryu has them. */
 static int shortest(double x, char *digits, int *decpt)
 {
     uint64_t bits;
     memcpy(&bits, &x, 8);
-    int biased = (int)(bits >> 52), n = 0;
-    uint64_t m = (bits & ((1ull << 52) - 1)) | 1ull << 52;
-    int even = !(m & 1), e = biased - 1075; /* x = m 2**e, -119 <= e <= -1 */
-    u128 b = (u128)m << 1, S = (u128)1 << (1 - e), mlo = 1, mhi = 1, scale = 1;
-    if (m == 1ull << 52 && biased > 1) { /* a power of two: the gap below is half the gap above */
-        b <<= 1;
-        S <<= 1;
-        mhi = 2;
-    }
-    /* floor(log10 x) is k or k + 1 for k = floor((biased - 1023) log10 2), which 78913 / 2**18 gives exactly here */
-    int log2 = biased - 1023;
-    int k = log2 >= 0 ? log2 * 78913 >> 18 : -((-log2 * 78913 + (1 << 18) - 1) >> 18);
-    for (int i = k < 0 ? -k : k; i > 0; i--)
-        scale *= 10;
-    if (k >= 0) {
-        S *= scale;
+    uint64_t m = (bits & ((1ull << 52) - 1)) | 1ull << 52, mv = 4 * m, output;
+    int e2 = (int)(bits >> 52) - 1077, even = !(m & 1), mm_shift = m != 1ull << 52; /* 0 at a power of two */
+    int q = (int)((uint32_t)-e2 * 732923 >> 20) - 1, i = -e2 - q, j = q + 125 - pow5bits(i), removed = 0, last = 0;
+    uint64_t vr = mul_shift(mv, i, j), vp = mul_shift(mv + 2, i, j), vm = mul_shift(mv - 1 - mm_shift, i, j);
+    int vr_zeros = q < 64 && !(mv & ((1ull << q) - 1)), vm_zeros = q <= 1 && even && mm_shift;
+    vp -= q <= 1 && !even; /* the exact upper bound, excluded */
+    if (vr_zeros || vm_zeros) {
+        for (; vp / 10 > vm / 10; removed++, vr /= 10, vp /= 10, vm /= 10) {
+            vm_zeros &= vm % 10 == 0;
+            vr_zeros &= last == 0;
+            last = (int)(vr % 10);
+        }
+        for (; vm_zeros && vm % 10 == 0; removed++, vr /= 10, vp /= 10, vm /= 10) {
+            vr_zeros &= last == 0;
+            last = (int)(vr % 10);
+        }
+        if (vr_zeros && last == 5 && vr % 2 == 0)
+            last = 4; /* exactly half way: round to even */
+        output = vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
     } else {
-        b *= scale;
-        mlo *= scale;
-        mhi *= scale;
+        for (; vp / 10 > vm / 10; removed++, vr /= 10, vp /= 10, vm /= 10)
+            last = (int)(vr % 10);
+        output = vr + (vr == vm || last >= 5);
     }
-    if (b >= 10 * S) {
-        S *= 10;
-        k++;
-    }
-    for (;;) {
-        int dig = 0; /* b / S, and b becomes b % S: b < 10 S, so at most nine subtractions */
-        while (b >= S) {
-            b -= S;
-            dig++;
-        }
-        int j = b < mlo ? -1 : b > mlo, j1 = mhi > S ? 1 : b < S - mhi ? -1 : b > S - mhi, up = 0;
-        if (j1 == 0 && even) {
-            up = dig == 9 || j > 0;
-        } else if (j < 0 || (j == 0 && even)) {
-            if (b != 0 && j1 > 0) {
-                b <<= 1;
-                up = b > S || (b == S && dig & 1);
-            }
-        } else if (j1 > 0) {
-            up = 1;
-        } else {
-            digits[n++] = (char)('0' + dig);
-            b *= 10;
-            mlo *= 10;
-            mhi *= 10;
-            continue;
-        }
-        /* the last digit; one that rounds up past 9 drops with the 9s before it, and the digit before them goes up */
-        for (dig += up; dig == 10 && n > 0; n--)
-            dig = digits[n - 1] - '0' + 1;
-        if (dig == 10) { /* every digit was a 9: the number is 10**(k + 1) */
-            dig = 1;
-            k++;
-        }
-        digits[n++] = (char)('0' + dig);
-        *decpt = k + 1;
-        return n;
-    }
+    int n = 1;
+    for (uint64_t power = 10; output >= power; power *= 10)
+        n++;
+    *decpt = q + e2 + removed + n;
+    for (int d = n; d--; output /= 10)
+        digits[d] = (char)('0' + output % 10);
+    return n;
 }
 
 /* repr(x) at p, laid out as CPython's format_float_short lays out mode 0's digits for 'r'; the end of the text, or
@@ -325,20 +333,40 @@ static char *put_int(char *p, int64_t v)
     return p;
 }
 
-int64_t evopid_csv(int64_t start, int64_t rows, int64_t width, const int64_t *columns, char *out)
+/* evopid_csv's rows; size[c] holds the bytes of column c's cell in the row above, separator included, 0 above the
+ * chunk's first row, where above stays at out */
+static int64_t csv_rows(int64_t start, int64_t rows, int64_t width, const int64_t *columns, char *out, uint8_t *size)
 {
-    char *p = out;
+    char *p = out, *above = out; /* the text of the cell above */
     for (int64_t r = start; r < start + rows; r++) {
         for (int64_t c = 0; c < width; c++) {
-            const void *column = (const void *)(intptr_t)columns[2 * c];
-            if (columns[2 * c + 1])
-                p = put_int(p, ((const int64_t *)column)[r]);
-            else if (!(p = put_double(p, ((const double *)column)[r])))
-                return -1 - ((r - start) * width + c);
-            *p++ = c + 1 < width ? ',' : '\n';
+            const char *cell = (const char *)(intptr_t)columns[2 * c] + 8 * r; /* 8 bytes in either kind */
+            char *text = p, copy[24];
+            if (r > start && !memcmp(cell, cell - 8, 8)) { /* the bits of the cell above, so its text */
+                /* out holds 24 bytes a cell, so 24 from any cell's start lie inside it; the copy may overlap */
+                memcpy(copy, above, 24);
+                memcpy(p, copy, 24);
+                p += size[c];
+            } else {
+                if (columns[2 * c + 1])
+                    p = put_int(p, *(const int64_t *)cell);
+                else if (!(p = put_double(p, *(const double *)cell)))
+                    return -1 - ((r - start) * width + c);
+                *p++ = c + 1 < width ? ',' : '\n';
+            }
+            above += size[c];
+            size[c] = (uint8_t)(p - text);
         }
     }
     return p - out;
+}
+
+int64_t evopid_csv(int64_t start, int64_t rows, int64_t width, const int64_t *columns, char *out)
+{
+    uint8_t *size = calloc((size_t)width, 1); /* where that fails, -1: the caller writes the chunk */
+    int64_t written = size ? csv_rows(start, rows, width, columns, out, size) : -1;
+    free(size);
+    return written;
 }
 #else
 int64_t evopid_csv(int64_t start, int64_t rows, int64_t width, const int64_t *columns, char *out)

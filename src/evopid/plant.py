@@ -394,14 +394,20 @@ def _csv_self_test() -> tuple[list[array], bytes]:
 
     Both zeros, the divergence stand-in, both ends of the range written and of the exponent form, powers of two (whose
     lower gap is half the upper), shortest digits that round up through a 9 (1e-20, 1e-16), integral doubles (whose
-    repr ends in .0) and an array("q") column: a dropped, extra or unrounded digit, or a wrong layout, shows.
+    repr ends in .0) and an array("q") column: a dropped, extra or unrounded digit, or a wrong layout, shows. So do
+    slips in Ryu's rounding, each caught by a cell of its own: a removed 5 that rounds down (0.08396726102456419, and
+    1.7881393432617188e-07 where the removed digits may all be 0), an exact half that does not round to even (2**-25),
+    an exact value taken for inexact (236846469644892.12), an exact lower bound kept past a digit that is not 0
+    (1932446087322791.0) and a lower bound of a power of two taken for the upper one (2**-24, 2**-44). 0.0 and -0.0
+    sit in adjacent rows of both double columns, so a repeated cell copied by value shows.
     """
     doubles = [
         0.0, -0.0, DIVERGENCE_AE, 1e-20, 1.0000000000000001e-20, 1e-16, 9.999999999999999e-05, 0.0001, 0.001,
         2.0**52 - 0.5, 2.0**52 - 1, 1e15, 1.0, 0.1, 0.30000000000000004, 1 / 3, 2.0**-60, 0.9999999999999999, 0.5,
-        123.456, 299.98, -2.5,
+        123.456, 299.98, 0.08396726102456419, 1.7881393432617188e-07, 2.0**-25, 236846469644892.12,
+        1932446087322791.0, 2.0**-24, 2.0**-44, -2.5,
     ]
-    ints = [0, -1, 7, -(2**63), 2**63 - 1, 10, 299, 1000] * 3
+    ints = [0, -1, 7, -(2**63), 2**63 - 1, 10, 299, 1000] * 4
     columns = [
         array("d", doubles + [1.0]),
         array("d", [x if x == DIVERGENCE_AE else -x for x in reversed(doubles)] + [5e-324]),

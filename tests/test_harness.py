@@ -729,6 +729,26 @@ def test_write_csv_takes_the_twin_for_a_chunk_with_a_cell_c_does_not_write(tmp_p
     assert twin_starts == [CSV_CHUNK]
 
 
+def test_write_csv_copies_repeated_cells_as_the_twin_writes_them(tmp_path):
+    # evopid_csv copies the text of the cell above where the bits are equal: runs of equal cells, one across the first
+    # chunk bound, 0.0 and -0.0 alternating (equal values, unequal bits), and runs of the longest cells, 24 bytes with
+    # the separator
+    rows = 2 * CSV_CHUNK + 3
+    columns = [
+        array("d", [0.1] * (CSV_CHUNK - 5) + [1e-05] * 10 + [123.456] * (rows - CSV_CHUNK - 5)),
+        array("d", [0.0, -0.0] * CSV_CHUNK + [0.0, -0.0, -0.0]),
+        array("d", ([2.5, 2.5, -2.5, -2.5, 1 / 3] * CSV_CHUNK)[: rows - 3] + [-1.2345678901234567e-05] * 3),
+        array("q", [k // 7 for k in range(rows - 3)] + [-(2**63)] * 3),
+        array("d", [k * 0.02 for k in range(rows - 3)] + [DIVERGENCE_AE] * 3),
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    with csv_writer("c") as twin_starts:
+        _write_csv(tmp_path / "out.csv", header, columns)
+    assert twin_starts == []
+    want = (",".join(header) + "\n").encode() + evopid.plant._csv_rows_py(columns, 0, rows)
+    assert (tmp_path / "out.csv").read_bytes() == want
+
+
 @pytest.mark.parametrize(
     "columns",
     [

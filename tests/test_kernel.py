@@ -690,15 +690,15 @@ def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_pa
 
 
 def assert_slip_is_not_used(slip, builds, tmp_path):
-    """Build _kernel.c with one text replaced, into tmp_path, with each of the given tuples of flags: the self-check
-    must refuse every build."""
+    """Build _kernel.c with one text replaced, into tmp_path, with each of the given tuples of flags and -O0, which
+    compiles in half of -O2's time or less: the self-check must refuse every build."""
     old, new = (text.encode() for text in slip)
     assert SOURCE.count(old) == 1
     slipped = SOURCE.replace(old, new)
     for flags in builds:
-        assert _load_kernel(tmp_path, slipped, *flags) is None, flags
+        assert _load_kernel(tmp_path, slipped, *flags, "-O0") is None, flags
         # it compiled, so the self-check refused it
-        assert (tmp_path / _library_name(slipped, (*_KERNEL_FLAGS, *flags))).exists(), flags
+        assert (tmp_path / _library_name(slipped, (*_KERNEL_FLAGS, *flags, "-O0"))).exists(), flags
 
 
 @pytest.mark.parametrize(
@@ -775,16 +775,23 @@ def written_in_c(x: float) -> bool:
 def formatter_cases() -> list[float]:
     """Doubles of every kind the formatter meets or refuses, each with its negative: random bit patterns, random
     patterns of the exponents it writes, powers of two and short decimals with their neighbours one ulp away, the
-    trace's times k * 0.02, both sides of 1e-20, 1e-4 and 2**52, and the special values."""
+    trace's times k * 0.02, both sides of 1e-20, 1e-4 and 2**52, and the special values. Ryu's rare branches get
+    their own: short dyadic decimals k / 2**j, whose removed digits can all be 0 and can be an exact half, and
+    integral doubles in [2**50, 2**52), whose bounds are exact; and decimals of 15, 16 and 17 digits, as many a
+    shortest form has."""
     rng = random.Random(33)
     exponents = range(1023 - 67, 1023 + 53)  # the binary exponents of 1e-20 to 2**52, one beyond on each side
     patterns = [rng.getrandbits(64) for _ in range(3000)]
-    patterns += [rng.choice(exponents) << 52 | rng.getrandbits(52) for _ in range(12000)]
+    patterns += [rng.choice(exponents) << 52 | rng.getrandbits(52) for _ in range(8000)]
     cases = list(array("d", array("Q", patterns).tobytes()))
     pivots = [2.0**k for k in range(-70, 56)] + [1e-20, 1e-4, 2.0**52]
     pivots += [float(f"{m}e{e}") for m in (1, 2, 5, 9, 12, 25, 99, 123, 999, 3141) for e in range(-22, 18)]
     cases += [y for x in pivots for y in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf))]
     cases += [k * 0.02 for k in range(10000)]
+    cases += [k / 2.0**j for j in range(1, 68) for k in range(1, 32, 2)]
+    cases += [float(rng.randrange(2**50, 2**52)) for _ in range(500)]
+    for n in (15, 16, 17):  # decimals of n digits, from 1e-20 to 1e15
+        cases += [float(f"{rng.randrange(10 ** (n - 1), 10**n)}e{rng.randrange(-19 - n, 16 - n)}") for _ in range(500)]
     cases += [0.0, DIVERGENCE_AE, 5e-324, math.inf, math.nan]
     return cases + [-x for x in cases]
 
@@ -812,14 +819,24 @@ def test_formatter_writes_repr_where_it_writes_and_refuses_elsewhere(c_formatter
 @pytest.mark.parametrize(
     "slip",
     [
-        ("digits[n++] = (char)('0' + dig);\n        *decpt", "*decpt"),
+        ("    return n;\n}", "    return n - 1;\n}"),
         ("memcpy(p + decpt, \".0\", 2);\n    return p + decpt + 2;", "return p + decpt;"),
+        ("vr == vm || last >= 5", "vr == vm || last > 5"),
+        ("        if (vr_zeros && last == 5 && vr % 2 == 0)\n            last = 4;", ""),
+        ("vr_zeros = q < 64 && !(mv & ((1ull << q) - 1))", "vr_zeros = 0"),
+        ("            vm_zeros &= vm % 10 == 0;\n", ""),
+        ("!memcmp(cell, cell - 8, 8)", "*(const double *)cell == *(const double *)(cell - 8)"),
     ],
-    ids=["last-digit-dropped", "dot-zero-dropped"],
+    ids=[
+        "last-digit-dropped", "dot-zero-dropped", "half-rounded-down", "half-not-rounded-to-even",
+        "exact-value-taken-for-inexact", "exact-bound-kept", "copy-keyed-on-value",
+    ],
 )
 def test_kernel_whose_formatter_slips_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
-    # a formatter that drops a digit, or the .0 of an integral double, fails the load check, so _c_csv gives None
-    # and every CSV write takes the twin; the simulation builds, which leave the formatter out, still load
+    # a formatter that drops a digit or the .0 of an integral double, rounds a removed 5 down in Ryu's common path,
+    # slips in its general path, or copies the cell above where its value is equal but not its bits (-0.0 below 0.0)
+    # fails the load check, so _c_csv gives None and every CSV write takes the twin; the simulation builds, which
+    # leave the formatter out, still load. Ryu's other branches that no cell here can reach are named above shortest.
     if c_kernel is None:
         pytest.skip(NO_CC)
     cache = tmp_path / "evopid"
@@ -828,6 +845,7 @@ def test_kernel_whose_formatter_slips_is_not_used(slip, c_kernel, tmp_path, monk
     source = tmp_path / "_kernel.c"
     source.write_bytes(SOURCE.replace(*(text.encode() for text in slip)))
     monkeypatch.setattr(evopid.plant, "_KERNEL_SOURCE", source)
+    monkeypatch.setattr(evopid.plant, "_CSV_FLAGS", (*_CSV_FLAGS, "-O0"))  # finds the build refused above
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert evopid.plant._c_csv.__wrapped__() is None
 
@@ -837,7 +855,7 @@ def test_build_without_int128_formats_nothing_and_writes_the_same_bytes(c_format
     # to the twin, which writes what the full formatter writes
     if c_formatter is None:
         pytest.skip(NO_CC)
-    stub = _load_kernel(tmp_path, SOURCE, "-Wall", "-Wextra", "-Werror", *_CSV_FLAGS, "-U__SIZEOF_INT128__")
+    stub = _load_kernel(tmp_path, SOURCE, "-Wall", "-Wextra", "-Werror", *_CSV_FLAGS, "-U__SIZEOF_INT128__", "-O0")
     assert stub is not None
     assert formatted(stub, [array("d", [1.0, 0.5])]) == formatted(stub, [array("q", [1])]) == -1
     columns = [array("d", [k * 0.02 for k in range(1200)]), array("q", range(1200)), array("d", [5e-324]) * 1200]
