@@ -11,8 +11,8 @@ grid fills its blocks, and the 60- and 105-point ones end on a partial block. Th
 is more than grid_oracle scores in one kernel call, so it takes a full chunk and a partial one and
 compares the minima across chunks. Each command runs in its
 own empty directory with the relative `--out out`, so result.json, which records its output
-directory, compares too. --twin makes _c_kernel() None, so both Python twins run in place of the C
-kernel: the simulation loop and the CSV cell writer. Diff the lines of two trees, or of one
+directory, compares too. --twin makes _c_kernel() None, so the three Python twins run in place of the C
+kernel: the simulation loop, the time column and the CSV cell writer. Diff the lines of two trees, or of one
 tree with and without --twin, to check that they write the same bytes:
 
     PYTHONPATH=src python scripts/output_digests.py > c.txt
@@ -121,7 +121,8 @@ def digest_lines(command: str, case: Path) -> list[str]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument(
-        "--twin", action="store_true", help="run the Python twins, simulation and CSV writer, in place of the C kernel"
+        "--twin", action="store_true",
+        help="run the Python twins, simulation, time column and CSV writer, in place of the C kernel",
     )
     args = parser.parse_args()
     if args.twin:

@@ -1,7 +1,10 @@
-/* The closed PID loop of both channels along a two-stretch route, for rows of gains: plant._run_rows_py in C; and,
- * at the end of the file, evopid_csv, the CSV cells of harness._write_csv: plant._csv_rows_py in C, byte for byte,
- * in the builds that define EVOPID_CSV.
- * Neither calls a libm function: the loop takes its one exp from the caller, and the cells are worked out on integers.
+/* Three exports, each a Python twin in C, bit for bit, which plant._load_kernel checks against that twin before use:
+ * - evopid_run, the closed PID loop of both channels along a two-stretch route, for rows of gains: plant._run_rows_py;
+ * - evopid_times, the time column of a recorded run: plant._times_py;
+ * - at the end of the file, in the builds that define EVOPID_CSV, evopid_csv, the CSV cells of harness._write_csv:
+ *   plant._csv_rows_py.
+ * evopid_has_avx beside them tells which build this host runs. None calls a libm function: the loop takes its one
+ * exp from the caller, and the cells are worked out on integers.
  *
  * Every double operation of a channel is the Python twin's, in its order, so the results
  * are bit-identical to it when compiled with -ffp-contract=off (no fused multiply-add)
@@ -34,12 +37,12 @@
  * measured.
  */
 #include <float.h>
-#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 /* min_pd and max_pd are the builtins that GCC's and Clang's _mm256_min_pd, _mm_min_pd and their max twins
- * wrap, one instruction each; <immintrin.h> would add 0.4 s to every compile of this file. */
+ * wrap, one instruction each; <immintrin.h> would add 0.4 s to every compile of this file. Likewise
+ * __builtin_isfinite is what <math.h>'s isfinite expands to, without the 13 ms that header adds to each build. */
 #ifdef __AVX__
 #define PER_VECTOR 2
 #define min_pd __builtin_ia32_minpd256
@@ -148,7 +151,7 @@ void evopid_run(int64_t rows, const double *gains, const double *run, double *re
             for (int h = 0; h < PER_VECTOR && PER_VECTOR * v + h < n; h++) {
                 double *out = results + 4 * (r0 + PER_VECTOR * v + h);
                 int l = 2 * h; /* the row's linear lane; its angular one is l + 1 */
-                int finite = isfinite(velocity[v][l]) && isfinite(velocity[v][l + 1]);
+                int finite = __builtin_isfinite(velocity[v][l]) && __builtin_isfinite(velocity[v][l + 1]);
                 out[0] = finite ? ae[l] : DBL_MAX;
                 out[1] = finite ? ae[l + 1] : DBL_MAX;
                 out[2] = velocity[v][l];
@@ -171,6 +174,15 @@ int evopid_has_avx(void)
 #endif
 }
 
+/* The trace's time column, out[k] = k dt for 0 <= k < n: plant._times_py in C. (double)k is exact for k < 2**53,
+ * which _prepare's cap of n at plant._MAX_SAMPLES keeps, so each product is rounded once from the same operands as
+ * Python's k * dt, and is bit-identical to it. */
+void evopid_times(int64_t n, double dt, double *out)
+{
+    for (int64_t k = 0; k < n; k++)
+        out[k] = (double)k * dt;
+}
+
 /* The CSV cells of harness._write_csv: plant._csv_rows_py in C, each the bytes of its repr.
  *
  * evopid_csv writes rows start to start + rows - 1 of width columns to out, each cell followed by ',' and each row's
@@ -181,9 +193,9 @@ int evopid_has_avx(void)
  * unsigned __int128 it is a stub returning -1. A double's digits are Ryu's (shortest), laid out as repr lays them
  * out (put_double). A cell whose bits equal those of the cell above it in the chunk copies that cell's text: bits,
  * not values, so a -0.0 below a 0.0 is written anew, as _csv_rows_py keys its constant columns.
- * On a 2-core x86-64 host (GCC 12, -O2) a double of 17 digits took about 70 ns, against 700 ns for repr, k * 0.02
- * about 70 ns against 360, a repeated cell 5 ns and an int64 below 10**5 12 ns against 105 (one call on 100,000
- * cells; minimums of seven).
+ * On a 2-core x86-64 host (GCC 12, -O2) a double of 17 digits took about 43 ns, against 700 ns for repr, k * 0.02
+ * about 46 ns against 360, one of 1 or 2 digits that Ryu's general path takes (0.5, 0.25) 70 ns, a repeated cell
+ * 5 ns and an int64 below 10**5 12 ns against 105 (one call on 100,000 cells; minimums of nine).
  * It is compiled only where EVOPID_CSV is defined, in a build of its own (plant._c_csv), built on a process's first
  * CSV write: it doubles the compile time (0.10 to 0.21 s a build on that host), which a process that writes no CSV
  * should not pay.
@@ -200,21 +212,36 @@ static inline int pow5bits(int i)
     return (int)(((uint32_t)i * 1217359 >> 19) + 1);
 }
 
-/* 5**i shifted left to 125 bits, i = 0 to 38: Ryu's DOUBLE_POW5_SPLIT, exact here; filled when the library loads,
- * not on first use, since ctypes calls run without the GIL */
+/* 5**i shifted left to 125 bits, i = 0 to 38: Ryu's DOUBLE_POW5_SPLIT, exact here; and Ryu's DIGIT_TABLE, the
+ * digit pairs "00" to "99". Both are filled when the library loads, not on first use, since ctypes calls run without
+ * the GIL. */
 static u128 pow5[39];
+static char pairs[200];
 
-__attribute__((constructor)) static void fill_pow5(void)
+__attribute__((constructor)) static void fill_tables(void)
 {
     u128 p = 1;
     for (int i = 0; i < 39; i++, p *= 5)
         pow5[i] = p << (125 - pow5bits(i));
+    for (int i = 0; i < 100; i++) {
+        pairs[2 * i] = (char)('0' + i / 10);
+        pairs[2 * i + 1] = (char)('0' + i % 10);
+    }
 }
 
 /* floor(m pow5[i] / 2**j) for j >= 64, the 180-bit product taken as two 64 x 64-bit ones */
 static inline uint64_t mul_shift(uint64_t m, int i, int j)
 {
     return (uint64_t)((((u128)m * (uint64_t)pow5[i] >> 64) + (u128)m * (uint64_t)(pow5[i] >> 64)) >> (j - 64));
+}
+
+/* the digits of v < 10**17, counted from the top down, as Ryu's decimalLength17: most cells written have 17 */
+static inline int length(uint64_t v)
+{
+    return v >= (uint64_t)1e16 ? 17 : v >= (uint64_t)1e15 ? 16 : v >= (uint64_t)1e14 ? 15 : v >= (uint64_t)1e13 ? 14
+         : v >= (uint64_t)1e12 ? 13 : v >= (uint64_t)1e11 ? 12 : v >= (uint64_t)1e10 ? 11 : v >= (uint64_t)1e9 ? 10
+         : v >= (uint64_t)1e8 ? 9 : v >= (uint64_t)1e7 ? 8 : v >= (uint64_t)1e6 ? 7 : v >= (uint64_t)1e5 ? 6
+         : v >= (uint64_t)1e4 ? 5 : v >= (uint64_t)1e3 ? 4 : v >= (uint64_t)1e2 ? 3 : v >= (uint64_t)1e1 ? 2 : 1;
 }
 
 /* The shortest digits that read back as x, 1e-20 <= x < 2**52, and of those the nearest to x, as chars; returns
@@ -229,7 +256,19 @@ static inline uint64_t mul_shift(uint64_t m, int i, int j)
  * [2**50, 2**52); Ryu's general path tracks both, for exact halves, which round to even, and for the bounds that
  * round-half-even reading accepts; its common path, where neither holds, is the one nearly every x takes. An exact
  * bound here ends in the digit 5 (x -+ 0.25 or 0.125, in units of 0.01 or 0.001), so vm_zeros never outlives the
- * first removed digit and decides nothing, and vp's decrement never changes vp / 10; both stay as Ryu has them. */
+ * first removed digit and decides nothing, and vp's decrement never changes vp / 10; both stay as Ryu has them.
+ * The common path removes four digits, then two, at a time while vp / 10**k > vm / 10**k, which is k passes of the
+ * one-digit loop: floor(a / 10**k) is floor(floor(a / 10**j) / 10**(k - j)) and floor is monotone, so each of the k
+ * tests that loop would make, vp / 10**j > vm / 10**j for j < k, holds too. Only the last digit removed rounds
+ * there, so last is the highest of the k, vr % 10**k / 10**(k - 1). Once the fours stop, at most one pair and then
+ * one digit are left to remove, so each of those is an if. vp - vm is at most 4 5**-e2 / 10**q <= 400, so a first
+ * four removed, vr's distance to a multiple of 10**4 inside (vm, vp], read 0000 to 0400 or 9600 to 9999, and any
+ * later four 0000 or 9999: their second digit rounds as their highest does, and a last taken from it writes the same
+ * cells.
+ * The output has no trailing 0: were output 10 t, the loop would have gone on, since vm < output <= vp would give
+ * vm / 10 < t <= vp / 10. So it is never a power of ten but 1, and at length's thresholds >= and > write the same
+ * cells. Its low eight digits are split off on 64 bits only where it reaches 2**32; a split from any lower threshold
+ * would write the same digits, on 64 bits. */
 static int shortest(double x, char *digits, int *decpt)
 {
     uint64_t bits;
@@ -254,16 +293,35 @@ static int shortest(double x, char *digits, int *decpt)
             last = 4; /* exactly half way: round to even */
         output = vr + ((vr == vm && (!even || !vm_zeros)) || last >= 5);
     } else {
-        for (; vp / 10 > vm / 10; removed++, vr /= 10, vp /= 10, vm /= 10)
+        for (; vp / 10000 > vm / 10000; removed += 4, vr /= 10000, vp /= 10000, vm /= 10000)
+            last = (int)(vr % 10000 / 1000);
+        if (vp / 100 > vm / 100) {
+            last = (int)(vr % 100 / 10);
+            removed += 2, vr /= 100, vp /= 100, vm /= 100;
+        }
+        if (vp / 10 > vm / 10) {
             last = (int)(vr % 10);
+            removed++, vr /= 10, vp /= 10, vm /= 10;
+        }
         output = vr + (vr == vm || last >= 5);
     }
-    int n = 1;
-    for (uint64_t power = 10; output >= power; power *= 10)
-        n++;
+    int n = length(output);
     *decpt = q + e2 + removed + n;
-    for (int d = n; d--; output /= 10)
-        digits[d] = (char)('0' + output % 10);
+    char *d = digits + n;
+    if (output >> 32) { /* the low eight digits, then the rest, below 10**9, on 32-bit arithmetic */
+        uint64_t high = output / 100000000;
+        uint32_t low = (uint32_t)(output - 100000000 * high);
+        for (int k = 0; k < 4; k++, low /= 100)
+            memcpy(d -= 2, pairs + 2 * (low % 100), 2);
+        output = high;
+    }
+    uint32_t rest = (uint32_t)output;
+    for (; rest >= 100; rest /= 100)
+        memcpy(d -= 2, pairs + 2 * (rest % 100), 2);
+    if (rest >= 10)
+        memcpy(d - 2, pairs + 2 * rest, 2);
+    else
+        d[-1] = (char)('0' + rest);
     return n;
 }
 

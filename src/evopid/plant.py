@@ -299,6 +299,12 @@ def _run_rows_py(rows: int, gains: array, run: array, results: array, actual: ar
             results[4 * r] = results[4 * r + 1] = DIVERGENCE_AE
 
 
+def _times_py(n: int, dt: float, out: array) -> None:
+    """_kernel.c's evopid_times in Python, its fallback and reference: out[k] = k * dt for 0 <= k < n, into the
+    array("d") out, whose cells past n it leaves as they are."""
+    out[:n] = array("d", [k * dt for k in range(n)])
+
+
 def _csv_rows_py(columns: list[array], start: int, rows: int) -> bytes:
     """_kernel.c's evopid_csv in Python, its fallback and reference: rows start to start + rows - 1 of the equal-length
     array("d") or array("q") columns as CSV lines, each cell the `repr` of its Python number, comma-joined.
@@ -387,10 +393,24 @@ def _self_test() -> tuple[tuple, list[array]]:
     return args, want
 
 
+def _times_match(times) -> bool:
+    """Whether a library's evopid_times writes fixed time columns as _times_py does, and leaves the guard cell past
+    each: one sample, then dt = 1/3 and the trace's 0.02, whose running sums t += dt both part from k * dt at sample 6.
+    """
+    for n, dt in ((1, 0.5), (40, 1 / 3), (400, 0.02)):
+        got, want = (array("d", [-7.25]) * (n + 1) for _ in range(2))
+        times(n, dt, got.buffer_info()[0])
+        _times_py(n, dt, want)
+        if got.tobytes() != want.tobytes():
+            return False
+    return True
+
+
 @functools.cache
 def _csv_self_test() -> tuple[list[array], bytes]:
     """The fixed cells every build's evopid_csv must write as _csv_rows_py does: the columns, and the twin's bytes of
-    their rows but the last, whose second cell, 5e-324, evopid_csv does not write.
+    their rows but the last, whose second cell, 5e-324, evopid_csv does not write. The row before it repeats the bits
+    of the row above in every column, so _csv_matches writes it once as a copy and once as a chunk's first row.
 
     Both zeros, the divergence stand-in, both ends of the range written and of the exponent form, powers of two (whose
     lower gap is half the upper), shortest digits that round up through a 9 (1e-20, 1e-16), integral doubles (whose
@@ -399,39 +419,47 @@ def _csv_self_test() -> tuple[list[array], bytes]:
     1.7881393432617188e-07 where the removed digits may all be 0), an exact half that does not round to even (2**-25),
     an exact value taken for inexact (236846469644892.12), an exact lower bound kept past a digit that is not 0
     (1932446087322791.0) and a lower bound of a power of two taken for the upper one (2**-24, 2**-44). 0.0 and -0.0
-    sit in adjacent rows of both double columns, so a repeated cell copied by value shows.
+    sit in adjacent rows of both double columns, so a repeated cell copied by value shows. The digit count and the
+    pairs written meet every length of 1 to 17 digits and both sides of 2**32 (4294967295, 4294967297), and a
+    leading "10" left over after the pairs (0.1023); Ryu's removal meets 1 to 5 digits (3.288828534816 takes 4 + 1),
+    and 0.50235915263107 removes four, 0005, so a rounding digit other than the 0 shows.
     """
     doubles = [
         0.0, -0.0, DIVERGENCE_AE, 1e-20, 1.0000000000000001e-20, 1e-16, 9.999999999999999e-05, 0.0001, 0.001,
         2.0**52 - 0.5, 2.0**52 - 1, 1e15, 1.0, 0.1, 0.30000000000000004, 1 / 3, 2.0**-60, 0.9999999999999999, 0.5,
         123.456, 299.98, 0.08396726102456419, 1.7881393432617188e-07, 2.0**-25, 236846469644892.12,
-        1932446087322791.0, 2.0**-24, 2.0**-44, -2.5,
+        1932446087322791.0, 2.0**-24, 2.0**-44, 12.3, 0.1023, 0.3353279, 0.013826635, 0.000559297441, 4.294967295,
+        4.294967297, 0.49316339843, 0.000605310164985, 3.288828534816, 0.50235915263107, 0.966537976231683, -2.5,
     ]
-    ints = [0, -1, 7, -(2**63), 2**63 - 1, 10, 299, 1000] * 4
+    ints = [0, -1, 7, -(2**63), 2**63 - 1, 10, 299, 1000] * 6
     columns = [
-        array("d", doubles + [1.0]),
-        array("d", [x if x == DIVERGENCE_AE else -x for x in reversed(doubles)] + [5e-324]),
-        array("q", ints[: len(doubles) + 1]),
+        array("d", doubles + doubles[-1:] + [1.0]),
+        array("d", [x if x == DIVERGENCE_AE else -x for x in reversed(doubles)] + [-doubles[0], 5e-324]),
+        array("q", ints[: len(doubles)] + ints[len(doubles) - 1 : len(doubles) + 1]),
     ]
-    return columns, _csv_rows_py(columns, 0, len(doubles))
+    return columns, _csv_rows_py(columns, 0, len(doubles) + 1)
 
 
 def _csv_matches(formatter) -> bool:
-    """Whether a library's evopid_csv writes _csv_self_test's rows as the twin does and refuses its last row at its
-    second cell, or, as a build without __int128 does, refuses every row at its first cell."""
+    """Whether a library's evopid_csv writes _csv_self_test's rows as the twin does, from the first and, alone, the
+    repeated one, and refuses its last row at its second cell; or, as a build without __int128 does, refuses every
+    row at its first cell."""
     columns, want = _csv_self_test()
     table, rows = _csv_table(columns), len(columns[0]) - 1
     out = array("B", bytes(_CSV_CELL * len(columns) * rows))
     written = formatter(0, rows, len(columns), table.buffer_info()[0], out.buffer_info()[0])
     text = out.tobytes()[: max(written, 0)]
+    alone = formatter(rows - 1, 1, len(columns), table.buffer_info()[0], out.buffer_info()[0])
+    repeated = out.tobytes()[: max(alone, 0)]
     refused = formatter(rows, 1, len(columns), table.buffer_info()[0], out.buffer_info()[0])
-    return written == refused == -1 or (text == want and refused == -2)
+    last_line = want[want.rindex(b"\n", 0, -1) + 1 :]
+    return written == alone == refused == -1 or (text == want and repeated == last_line and refused == -2)
 
 
 def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
     """The library of ``source`` built by cc with _KERNEL_FLAGS and ``flags`` in cache_dir, a directory the caller has
-    made and checked, opened once; None on any failure, unless its evopid_run matches the twin on _self_test's run and,
-    in a build with _CSV_FLAGS, its evopid_csv passes _csv_matches.
+    made and checked, opened once; None on any failure, unless its evopid_run matches the twin on _self_test's run, its
+    evopid_times passes _times_match and, in a build with _CSV_FLAGS, its evopid_csv passes _csv_matches.
 
     The library is named by _library_name; a miss compiles these same bytes, on cc's stdin, and writes the build by
     atomic rename, so no process loads a stale or half-written one. Nothing is printed, cc's own output included.
@@ -457,7 +485,7 @@ def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
             finally:
                 Path(partial).unlink(missing_ok=True)
         library = ctypes.CDLL(str(path))
-        kernel = library.evopid_run
+        kernel, times = library.evopid_run, library.evopid_times
         formatter = library.evopid_csv if _CSV_FLAGS[0] in flags else None
     except (OSError, AttributeError):
         return None
@@ -468,6 +496,11 @@ def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
     got = [array("d", [-7.25]) * len(buffer) for buffer in want]
     kernel(rows, *(buffer.buffer_info()[0] for buffer in (*inputs, *got)))
     if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+        return None
+    # the samples, dt, then the address of the output
+    times.argtypes = (ctypes.c_int64, ctypes.c_double, ctypes.c_void_p)
+    times.restype = None
+    if not _times_match(times):
         return None
     if formatter is None:
         return library
@@ -574,6 +607,18 @@ def _simulate(gains: array, run: array, record: bool = False):
     return results, actual
 
 
+def _times(n: int, dt: float) -> array:
+    """The trace's time column, k * dt for 0 <= k < n, as an array("d"): written by the C kernel's evopid_times when
+    it is loaded, else by _times_py; the two give the same bits."""
+    out = array("d", bytes(8 * n))
+    library = _c_kernel()
+    if library is None:
+        _times_py(n, dt, out)
+    else:
+        library.evopid_times(n, dt, out.buffer_info()[0])
+    return out
+
+
 def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams, sim: SimConfig) -> SimTrace:
     """Drive both channels along the route with their own PID controllers.
 
@@ -585,7 +630,6 @@ def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams
     channel and the sample whose step did it, if a final velocity is nonfinite;
     the linear channel is reported first.
     """
-    dt = sim.dt
     schedule, n, run = _prepare(route, params, sim)
     results, actual = _simulate(array("d", individual.as_flat()), run, record=True)
     channels = actual[:n], actual[n:]
@@ -595,7 +639,7 @@ def simulate_route(individual: Individual, route: RouteSpec, params: PlantParams
             k = next((k for k, v in enumerate(channels[c][1:]) if not math.isfinite(v)), n - 1)
             raise SimulationDiverged(name, k)
     (start, first), (end, second) = schedule
-    # float(k) * dt, the bits of NumPy's arange(n) * dt
-    time = array("d", [k * dt for k in range(n)])
+    # k * dt at sample k, one rounding of an exact float(k): the bits of NumPy's arange(n) * dt
+    time = _times(n, sim.dt)
     desired = array("d", [start]) * first + array("d", [end]) * second
     return SimTrace(*(ChannelTrace(time, desired, channel) for channel in channels), FitnessRecord(*results[:2]))

@@ -79,6 +79,7 @@ from evopid.plant import (
     _prepare,
     _run_rows_py,
     _simulate,
+    _times_py,
 )
 from reference import average_error, numpy_grid_oracle
 
@@ -566,19 +567,22 @@ def test_buffers_the_kernel_reads_cannot_be_resized_during_the_call():
 
 
 def test_kernel_signature_agrees_in_c_ctypes_and_the_twin(c_kernel):
-    # evopid_run's prototype in _kernel.c, the argtypes _load_kernel gives ctypes and _run_rows_py's parameters: the
-    # same arguments in the same order, each an integer or a pointer; a mismatch would be undefined behaviour
+    # each simulation export's prototype in _kernel.c, the argtypes _load_kernel gives ctypes and its twin's
+    # parameters: the same arguments in the same order, each an integer, a double or a pointer; a mismatch would be
+    # undefined behaviour
     if c_kernel is None:
         pytest.skip(NO_CC)
-    prototype = re.search(rb"void evopid_run\(([^)]*)\)", SOURCE).group(1).decode()
-    c_params = [re.fullmatch(r"(?:const )?(int64_t |double \*)(\w+)", p.strip()).groups() for p in prototype.split(",")]
-    twin = list(inspect.signature(_run_rows_py).parameters.values())
     # each type as C, ctypes and the twin's annotations name it; any other is a KeyError
-    kinds = {"int64_t ": int, "double *": array, ctypes.c_int64: int, ctypes.c_void_p: array, "int": int}
-    kinds.update({"array": array, "array | None": array})
-    assert len(twin) == 5 and [name for _, name in c_params] == [p.name for p in twin]
-    argtypes = c_kernel.evopid_run.argtypes
-    assert [kinds[t] for t, _ in c_params] == [kinds[t] for t in argtypes] == [kinds[p.annotation] for p in twin]
+    kinds = {"int64_t ": int, "double ": float, "double *": array, ctypes.c_int64: int, ctypes.c_double: float}
+    kinds.update({ctypes.c_void_p: array, "int": int, "float": float, "array": array, "array | None": array})
+    for name, twin, arity in (("evopid_run", _run_rows_py, 5), ("evopid_times", _times_py, 3)):
+        prototype = re.search(rb"void " + name.encode() + rb"\(([^)]*)\)", SOURCE).group(1).decode()
+        c_params = [re.fullmatch(r"(?:const )?(int64_t |double \*?)(\w+)", p.strip()).groups()
+                    for p in prototype.split(",")]
+        params = list(inspect.signature(twin).parameters.values())
+        assert len(params) == arity and [c_name for _, c_name in c_params] == [p.name for p in params], name
+        argtypes = getattr(c_kernel, name).argtypes
+        assert [kinds[t] for t, _ in c_params] == [kinds[t] for t in argtypes] == [kinds[p.annotation] for p in params]
 
 
 def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatch):
@@ -714,7 +718,7 @@ def assert_slip_is_not_used(slip, builds, tmp_path):
         ("min_pd(limit, c)", "min_pd(c, limit)"),
         ("finite ? ae[l] : DBL_MAX", "ae[l]"),
         ("total[v] / (double)samples", "total[v]"),
-        ("isfinite(velocity[v][l]) && isfinite(velocity[v][l + 1])", "isfinite(velocity[v][l + 1])"),
+        ("isfinite(velocity[v][l]) && __builtin_isfinite(velocity[v][l + 1])", "isfinite(velocity[v][l + 1])"),
     ],
     ids=[
         "gains-row-stride", "gains-channel-offset", "plant-channel-offset", "actual-offset", "results-offset",
@@ -753,6 +757,47 @@ def test_kernel_with_a_lane_slip_is_not_used(slip, c_kernel, tmp_path):
     if "four-wide" not in WIDTHS:
         pytest.skip(NO_AVX)
     assert_slip_is_not_used(slip, [WIDTHS["four-wide"]], tmp_path)
+
+
+# ---------------------------------------------------------------- the time column
+
+
+def test_time_column_is_the_twins_bit_for_bit(kernels):
+    # evopid_times, through _times as simulate_route calls it, writes _times_py's k * dt at the trace's 50 Hz for
+    # every k below 2**20, and at rates whose running sums part from k * dt (1/3, 1/7, 1e-3) for k below 2**16; each
+    # C build, for the twin is the reference
+    for dt, n in ((1 / 50, 2**20), (1 / 3, 2**16), (1 / 7, 2**16), (1e-3, 2**16)):
+        want = array("d", bytes(8 * n))
+        _times_py(n, dt, want)
+        for kernel in kernels:
+            if kernel is not None:
+                with using(kernel):
+                    got = evopid.plant._times(n, dt)
+                assert got.typecode == "d" and got.tobytes() == want.tobytes(), (kernel, dt)
+
+
+@pytest.mark.parametrize(
+    "slip",
+    [
+        ("    for (int64_t k = 0; k < n; k++)\n        out[k] = (double)k * dt;",
+         "    double t = 0.0;\n    for (int64_t k = 0; k < n; k++, t += dt)\n        out[k] = t;"),
+    ],
+    ids=["running-sum"],
+)
+def test_kernel_whose_time_column_slips_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
+    # a time column summed as t += dt fails the load check, so no kernel loads and simulate_route takes the twin;
+    # evopid_times is the same code at every width, so the baseline build alone is slipped
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    cache = tmp_path / "evopid"
+    cache.mkdir(mode=0o700)
+    assert_slip_is_not_used(slip, [()], cache)
+    source = tmp_path / "_kernel.c"
+    source.write_bytes(SOURCE.replace(*(text.encode() for text in slip)))
+    monkeypatch.setattr(evopid.plant, "_KERNEL_SOURCE", source)
+    monkeypatch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-O0"))  # finds the build refused above
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert evopid.plant._c_kernel.__wrapped__() is None
 
 
 # ---------------------------------------------------------------- the CSV cell formatter
@@ -826,17 +871,27 @@ def test_formatter_writes_repr_where_it_writes_and_refuses_elsewhere(c_formatter
         ("vr_zeros = q < 64 && !(mv & ((1ull << q) - 1))", "vr_zeros = 0"),
         ("            vm_zeros &= vm % 10 == 0;\n", ""),
         ("!memcmp(cell, cell - 8, 8)", "*(const double *)cell == *(const double *)(cell - 8)"),
+        ("r > start && !memcmp", "r > 0 && !memcmp"),
+        ("last = (int)(vr % 10000 / 1000)", "last = (int)(vr % 10)"),
+        ("last = (int)(vr % 100 / 10)", "last = (int)(vr % 10)"),
+        ("pairs + 2 * (rest % 100)", "pairs + (rest % 100)"),
+        ("v >= (uint64_t)1e9 ? 10", "v >= (uint64_t)1e8 ? 10"),
+        ("(uint32_t)(output - 100000000 * high)", "(uint32_t)(output - 10000000 * high)"),
     ],
     ids=[
         "last-digit-dropped", "dot-zero-dropped", "half-rounded-down", "half-not-rounded-to-even",
-        "exact-value-taken-for-inexact", "exact-bound-kept", "copy-keyed-on-value",
+        "exact-value-taken-for-inexact", "exact-bound-kept", "copy-keyed-on-value", "copy-across-chunk-start",
+        "last-of-four-removed-is-the-lowest", "last-of-two-removed-is-the-lowest", "pair-table-index",
+        "digit-count-threshold", "low-eight-digits-split-at-10**7",
     ],
 )
 def test_kernel_whose_formatter_slips_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
     # a formatter that drops a digit or the .0 of an integral double, rounds a removed 5 down in Ryu's common path,
-    # slips in its general path, or copies the cell above where its value is equal but not its bits (-0.0 below 0.0)
-    # fails the load check, so _c_csv gives None and every CSV write takes the twin; the simulation builds, which
-    # leave the formatter out, still load. Ryu's other branches that no cell here can reach are named above shortest.
+    # slips in its general path, copies the cell above where its value is equal but not its bits (-0.0 below 0.0) or
+    # at a chunk's first row, rounds on the wrong one of several digits removed at once, or counts or writes the
+    # output's digits wrongly fails the load check, so _c_csv gives None and every CSV write takes the twin; the
+    # simulation builds, which leave the formatter out, still load. Slips that no cell here can show are named above
+    # shortest. Each slipped count is one too high: one too low writes a digit before the buffer.
     if c_kernel is None:
         pytest.skip(NO_CC)
     cache = tmp_path / "evopid"
