@@ -189,10 +189,11 @@ void evopid_times(int64_t n, double dt, double *out)
  * last by '\n', and returns the bytes written: at most 24 a cell (plant._CSV_CELL), as "-1.2345678901234567e-05,".
  * columns holds, per column, the address of its first value and 1 for an array("q"), whose cells are plain integers,
  * or 0 for an array("d"). It writes a double only where it is exact: 0.0, -0.0, DBL_MAX (plant.DIVERGENCE_AE) and
- * 1e-20 <= |x| < 2**52; at any other it returns -1 - i, i that cell's index in the chunk, row by row. Without
- * unsigned __int128 it is a stub returning -1. A double's digits are Ryu's (shortest), laid out as repr lays them
- * out (put_double). A cell whose bits equal those of the cell above it in the chunk copies that cell's text: bits,
- * not values, so a -0.0 below a 0.0 is written anew, as _csv_rows_py keys its constant columns.
+ * 1e-20 <= |x| < 2**52; at any other it returns -1 - i, i that cell's index in the chunk, row by row. A compiler
+ * without unsigned __int128 leaves it out, so plant._load_kernel refuses that build and the Python twin writes every
+ * chunk. A double's digits are Ryu's (shortest), laid out as repr lays them out (put_double). A cell whose bits
+ * equal those of the cell above it in the chunk copies that cell's text: bits, not values, so a -0.0 below a 0.0 is
+ * written anew, as _csv_rows_py keys its constant columns.
  * On a 2-core x86-64 host (GCC 12, -O2) a double of 17 digits took about 43 ns, against 700 ns for repr, k * 0.02
  * about 46 ns against 360, one of 1 or 2 digits that Ryu's general path takes (0.5, 0.25) 70 ns, a repeated cell
  * 5 ns and an int64 below 10**5 12 ns against 105 (one call on 100,000 cells; minimums of nine).
@@ -425,12 +426,6 @@ int64_t evopid_csv(int64_t start, int64_t rows, int64_t width, const int64_t *co
     int64_t written = size ? csv_rows(start, rows, width, columns, out, size) : -1;
     free(size);
     return written;
-}
-#else
-int64_t evopid_csv(int64_t start, int64_t rows, int64_t width, const int64_t *columns, char *out)
-{
-    (void)start, (void)rows, (void)width, (void)columns, (void)out;
-    return -1;
 }
 #endif
 #endif

@@ -321,31 +321,15 @@ def build_experiment_spec(
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[array]) -> None:
-    """The one CSV format: the header, then one `\\n` line per row of the equal-length array("d")
-    or array("q") columns, each cell the `repr` of its Python number, comma-joined.
-
-    It writes _CSV_CHUNK rows at a time, through the C kernel's evopid_csv (plant._c_csv), which writes
-    repr's bytes, or through its Python twin plant._csv_rows_py: where no kernel is loaded, and for a chunk
-    with a cell evopid_csv does not write (a double that is nonfinite, or not 0 and outside
-    1e-20 <= |x| < 2**52, DIVERGENCE_AE apart). C trusts its pointers, so it first checks the columns.
-    """
-    columns = list(columns)
-    count, width = len(columns[0]), len(columns)
-    if not all(type(column) is array and column.typecode in "dq" and len(column) == count for column in columns):
-        raise ValueError("the CSV columns must be array('d')s or array('q')s of one length")
-    library = None if plant._c_kernel() is None else plant._c_csv()
-    if library is not None:
-        # held until return: a buffer with an export cannot be resized
-        held = [memoryview(column) for column in columns]
-        table = plant._csv_table(columns)
-        out = array("B", bytes(min(count, _CSV_CHUNK) * width * plant._CSV_CELL))
-        addresses, text = (table.buffer_info()[0], out.buffer_info()[0]), memoryview(out)
+    """The one CSV format: the header, then plant._csv_chunks' lines of the columns, _CSV_CHUNK rows at a time."""
+    chunks = plant._csv_chunks(list(columns), _CSV_CHUNK)
+    # the columns are checked at the first chunk, before the file is made
+    first = next(chunks, b"")
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, count, _CSV_CHUNK):
-            rows = min(_CSV_CHUNK, count - start)
-            size = -1 if library is None else library.evopid_csv(start, rows, width, *addresses)
-            fh.write(text[:size] if size >= 0 else plant._csv_rows_py(columns, start, rows))
+        fh.write(first)
+        for text in chunks:
+            fh.write(text)
 
 
 def _write_json(path: Path, payload) -> None:

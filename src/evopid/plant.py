@@ -16,7 +16,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .ep import Gains, Individual, _require_finite
 
@@ -442,8 +442,7 @@ def _csv_self_test() -> tuple[list[array], bytes]:
 
 def _csv_matches(formatter) -> bool:
     """Whether a library's evopid_csv writes _csv_self_test's rows as the twin does, from the first and, alone, the
-    repeated one, and refuses its last row at its second cell; or, as a build without __int128 does, refuses every
-    row at its first cell."""
+    repeated one, and refuses its last row at its second cell."""
     columns, want = _csv_self_test()
     table, rows = _csv_table(columns), len(columns[0]) - 1
     out = array("B", bytes(_CSV_CELL * len(columns) * rows))
@@ -453,7 +452,7 @@ def _csv_matches(formatter) -> bool:
     repeated = out.tobytes()[: max(alone, 0)]
     refused = formatter(rows, 1, len(columns), table.buffer_info()[0], out.buffer_info()[0])
     last_line = want[want.rindex(b"\n", 0, -1) + 1 :]
-    return written == alone == refused == -1 or (text == want and repeated == last_line and refused == -2)
+    return text == want and repeated == last_line and refused == -2
 
 
 def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
@@ -559,14 +558,39 @@ def _c_kernel():
 
 @functools.cache
 def _c_csv():
-    """The library whose evopid_csv harness._write_csv calls, from the per-user cache, or None; built and loaded once,
+    """The library whose evopid_csv _csv_chunks calls, from the per-user cache, or None; built and loaded once,
     on a process's first CSV write, so that a process that writes none does not pay for its compile.
 
     It is the baseline build of _kernel.c with _CSV_FLAGS, which adds evopid_csv to the simulation, and its load check
-    also runs _csv_matches. _write_csv asks _c_kernel() first, so where that is None the formatter is not built.
+    also runs _csv_matches. _csv_chunks asks _c_kernel() first, so where that is None the formatter is not built.
     """
     found = _cache_and_source()
     return None if found is None else _load_kernel(*found, *_CSV_FLAGS)
+
+
+def _csv_chunks(columns: list[array], chunk: int) -> Iterator[bytes]:
+    """The CSV lines of the equal-length array("d") or array("q") columns, ``chunk`` rows at a time: each cell
+    the `repr` of its Python number, comma-joined, each row ending in `\\n`.
+
+    A chunk is written by the C kernel's evopid_csv (_c_csv), which writes repr's bytes, or by its twin _csv_rows_py:
+    where no kernel is loaded, and for a chunk with a cell evopid_csv does not write (a double that is nonfinite, or
+    not 0 and outside 1e-20 <= |x| < 2**52, DIVERGENCE_AE apart). C's text is a view of one buffer, valid until the
+    next chunk is asked for. C trusts its pointers, so the columns are checked first, at the first chunk asked for.
+    """
+    count, width = len(columns[0]), len(columns)
+    if not all(type(column) is array and column.typecode in "dq" and len(column) == count for column in columns):
+        raise ValueError("the CSV columns must be array('d')s or array('q')s of one length")
+    library = None if _c_kernel() is None else _c_csv()
+    if library is not None:
+        # held until the last chunk: a buffer with an export cannot be resized
+        held = [memoryview(column) for column in columns]
+        table = _csv_table(columns)
+        out = array("B", bytes(min(count, chunk) * width * _CSV_CELL))
+        addresses, text = (table.buffer_info()[0], out.buffer_info()[0]), memoryview(out)
+    for start in range(0, count, chunk):
+        rows = min(chunk, count - start)
+        size = -1 if library is None else library.evopid_csv(start, rows, width, *addresses)
+        yield text[:size] if size >= 0 else _csv_rows_py(columns, start, rows)
 
 
 def _simulate(gains: array, run: array, record: bool = False):

@@ -1,5 +1,8 @@
 import contextlib
+import functools
+import importlib.util
 import signal
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -8,6 +11,15 @@ from evopid import build_environment
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
+
+
+@functools.cache
+def load_script(name: str):
+    """scripts/<name>.py as a module, loaded once: its tables and functions, without running its main()."""
+    spec = importlib.util.spec_from_file_location(name, Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -177,37 +177,15 @@ def test_epconfig_rejects_specs_that_skipped_their_checks(kind):
     value=st.floats(min_value=1e-9, max_value=10.0),
     draw=st.floats(min_value=-100.0, max_value=100.0),
 )
-def test_mutate_absolute_matches_halving_reference(value, draw):
+@pytest.mark.parametrize("kind", list(MutationKind))
+def test_mutate_matches_halving_reference(kind, value, draw):
     # sigma 25 puts every draw within gauss's reach of |z| < 8.5
     uniforms, draws = scripted([draw / 25.0] * 6, 25.0)
-    result = mutated_value(MutationKind.ABSOLUTE, value, 25.0, FakeRng(uniforms))
+    result = mutated_value(kind, value, 25.0, FakeRng(uniforms))
     assert min(result) >= 0.0
     assert all(math.isfinite(v) for v in result)
-    assert result == tuple(halving_reference(value, d) for d in draws)
-
-
-@given(
-    value=st.floats(min_value=1e-9, max_value=10.0),
-    draw=st.floats(min_value=-100.0, max_value=100.0),
-)
-def test_mutate_scaled_matches_halving_reference(value, draw):
-    uniforms, draws = scripted([draw / 25.0] * 6, 25.0)
-    result = mutated_value(MutationKind.SCALED, value, 25.0, FakeRng(uniforms))
-    assert min(result) >= 0.0
-    assert all(math.isfinite(v) for v in result)
-    assert result == tuple(halving_reference(value, value * d) for d in draws)
-
-
-@given(value=st.sampled_from([0.0, 1e-9, 0.01, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
-def test_mutation_operators_nonnegative(value, seed):
-    assert min(mutated_value(MutationKind.ABSOLUTE, value, 0.05, random.Random(seed))) >= 0.0
-    assert min(mutated_value(MutationKind.SCALED, value, 0.5, random.Random(seed))) >= 0.0
-
-
-def test_mutate_individual_zero_parent_stays_zero_under_scaling():
-    parent = Individual.from_flat([0.0] * 6)
-    spec = MutationSpec(MutationKind.SCALED)
-    assert mutants(parent, spec, random.Random(42)) == (parent,)
+    scale = value if kind is MutationKind.SCALED else 1.0
+    assert result == tuple(halving_reference(value, scale * d) for d in draws)
 
 
 def test_mutate_individual_draw_order_is_flat_order():
@@ -216,15 +194,6 @@ def test_mutate_individual_draw_order_is_flat_order():
     uniforms, draws = scripted([0.2, 0.4, 0.6, 0.8, 1.0, 1.2], 0.05)  # draws near 0.01, 0.02, ..., 0.06
     (child,) = mutants(parent, spec, FakeRng(uniforms))
     assert child.as_flat() == tuple(1.0 + d for d in draws)
-
-
-def test_mutate_individual_deterministic_and_valid():
-    parent = Individual(Gains(0.5, 0.01, 0.001), Gains(0.8, 0.05, 0.002))
-    spec = MutationSpec(MutationKind.SCALED)
-    a = mutants(parent, spec, random.Random(7), count=5)
-    b = mutants(parent, spec, random.Random(7), count=5)
-    assert a == b
-    assert all(v >= 0 and math.isfinite(v) for child in a for v in child.as_flat())
 
 
 @pytest.mark.parametrize(
@@ -349,11 +318,6 @@ def test_initial_rows_degenerate_interval():
     assert all(row[0] == 0.5 and row[3] == 0.5 for row in rows)
 
 
-def test_initial_rows_deterministic():
-    config = EPConfig(population_size=10, rng_seed=3)
-    assert _initial_rows(config, random.Random(3)) == _initial_rows(config, random.Random(3))
-
-
 def test_initial_rows_within_bounds():
     config = EPConfig(population_size=10)
     rows = _initial_rows(config, random.Random(0))
@@ -396,20 +360,18 @@ def _fittest(ae_pairs):
     return fittest
 
 
-def test_select_fittest_independent_channels():
-    assert _fittest([(0.3, 0.05), (0.1, 0.4), (0.2, 0.4)]) == (1, 0)
-
-
-def test_select_fittest_single_member():
-    assert _fittest([(0.7, 0.9)]) == (0, 0)
-
-
-def test_select_fittest_tie_breaks_to_lowest_index():
-    assert _fittest([(0.2, 0.5), (0.2, 0.5)]) == (0, 0)
-
-
-def test_select_fittest_skips_nonfinite():
-    assert _fittest([(math.nan, 0.2), (0.5, math.inf), (0.6, 0.3)]) == (1, 0)
+@pytest.mark.parametrize(
+    "ae_pairs, fittest",
+    [
+        ([(0.3, 0.05), (0.1, 0.4), (0.2, 0.4)], (1, 0)),
+        ([(0.7, 0.9)], (0, 0)),
+        ([(0.2, 0.5), (0.2, 0.5)], (0, 0)),
+        ([(math.nan, 0.2), (0.5, math.inf), (0.6, 0.3)], (1, 0)),
+    ],
+    ids=["independent-channels", "single-member", "tie-to-lowest-index", "nonfinite-skipped"],
+)
+def test_select_fittest(ae_pairs, fittest):
+    assert _fittest(ae_pairs) == fittest
 
 
 def test_select_fittest_all_nonfinite_raises():
@@ -557,20 +519,6 @@ def test_mutate_stops_at_the_draw_of_a_later_mutants_nonfinite_step(kind, time_l
 # ---------------------------------------------------------------- run_ep
 
 
-def test_run_ep_stops_immediately_when_target_met():
-    calls = []
-
-    def evaluator(individual):
-        calls.append(individual)
-        return (0.005, 0.005)
-
-    config = EPConfig(population_size=10, rng_seed=1)
-    best, history, stop_reason = run_ep(config, evaluator)
-    assert stop_reason is StopReason.TARGET_REACHED
-    assert len(history) == 1
-    assert len(calls) == 10
-
-
 def test_run_ep_exhausts_generation_limit():
     config = EPConfig(population_size=3, max_generations=7, rng_seed=1)
     best, history, stop_reason = run_ep(config, lambda ind: (0.5, 0.5))
@@ -715,10 +663,11 @@ def test_evolve_scores_a_run_of_one_repeated_individual_once():
 
 def test_evolve_scores_again_a_member_back_after_two_generations(monkeypatch):
     # only the previous generation's scores are kept: the all-zero parent wins every generation and is scored once;
-    # mutant x, back in the next generation, is not scored again, but back two generations after that, it is
+    # mutant x, back in the next generation, is not scored again, but back two generations after that, it is; and a
+    # mutant of -0.0s equals the parent, so it is not scored either
     zero = InitSpec(kp_bounds=(0.0, 0.0), ki_bounds=(0.0, 0.0), kd_bounds=(0.0, 0.0))
     x, y = (0.5,) * 6, (0.25,) * 6
-    mutants = iter([x, x, y, x])
+    mutants = iter([x, x, y, x, (-0.0,) * 6])
     monkeypatch.setattr(evopid.ep, "_mutate", lambda parent, config, rng: [next(mutants)])
     scored = Counter()
 
@@ -727,8 +676,8 @@ def test_evolve_scores_again_a_member_back_after_two_generations(monkeypatch):
         scored.update(rows)
         return [(1.0 + sum(row[:3]), 1.0 + sum(row[3:])) for row in rows]
 
-    _, history, _ = evolve(EPConfig(population_size=2, max_generations=5, init=zero), score)
-    assert [record.members[1].individual.as_flat() for record in history] == [(0.0,) * 6, x, x, y, x]
+    _, history, _ = evolve(EPConfig(population_size=2, max_generations=6, init=zero), score)
+    assert [record.members[1].individual.as_flat() for record in history] == [(0.0,) * 6, x, x, y, x, (-0.0,) * 6]
     assert scored == {(0.0,) * 6: 1, x: 2, y: 1}
 
 
@@ -881,33 +830,6 @@ def test_run_ep_evaluates_each_distinct_individual_once():
         assert (m.ae_linear, m.ae_angular) == evaluator(m.individual)
 
 
-def test_run_ep_deterministic_history():
-    def evaluator(individual):
-        flat = individual.as_flat()
-        return (sum(flat[:3]), sum(flat[3:]))
-
-    config = EPConfig(population_size=4, max_generations=6, rng_seed=21)
-    first = run_ep(config, evaluator)
-    second = run_ep(config, evaluator)
-    assert first.history == second.history
-    assert first.best == second.best
-    assert first.stop_reason == second.stop_reason
-
-
-def test_run_ep_best_is_composite_argmin_over_history():
-    def evaluator(individual):
-        flat = individual.as_flat()
-        return (sum(flat[:3]), sum(flat[3:]))
-
-    config = EPConfig(population_size=5, max_generations=8, rng_seed=2)
-    best, history, _ = run_ep(config, evaluator)
-    all_members = [m for record in history for m in record.members]
-    expected_linear = min(all_members, key=lambda m: m.ae_linear).individual.linear
-    expected_angular = min(all_members, key=lambda m: m.ae_angular).individual.angular
-    assert best.linear == expected_linear
-    assert best.angular == expected_angular
-
-
 def _best_composite(history):
     """Reference for run_ep's best: one scan of every member of every generation, in order.
 
@@ -951,55 +873,45 @@ def test_run_ep_best_matches_a_scan_of_the_history_under_coupled_tied_scores(kin
     assert composite_differs > 0
 
 
-@settings(max_examples=5)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_run_ep_surrogate_best_ae_monotone(seed, plant, sim, train_route):
-    config = EPConfig(population_size=5, max_generations=15, rng_seed=seed)
-    _, history, _ = run_ep(config, lambda ind: fitness_of(ind, train_route, plant, sim))
-    best_lin = [min(m.ae_linear for m in r.members) for r in history]
-    best_ang = [min(m.ae_angular for m in r.members) for r in history]
-    assert all(b <= a for a, b in zip(best_lin, best_lin[1:]))
-    assert all(b <= a for a, b in zip(best_ang, best_ang[1:]))
-
-
 # ---------------------------------------------------------------- type invariants
 
 
-def test_gains_rejects_negative_and_nonfinite():
-    with pytest.raises(ValueError):
-        Gains(-0.1, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Gains(0.1, math.nan, 0.0)
-    with pytest.raises(ValueError):
-        Gains(0.1, 0.0, math.inf)
+RULE_BREAKS = [
+    (lambda: Gains(-0.1, 0.0, 0.0), "kp must be a finite number >= 0, got -0.1"),
+    (lambda: Gains(0.1, math.nan, 0.0), "ki must be a finite number >= 0, got nan"),
+    (lambda: Gains(0.1, 0.0, math.inf), "kd must be a finite number >= 0, got inf"),
     # a bool is not a number: True would count as 1
-    with pytest.raises(ValueError, match="kp must be a finite number >= 0, got True"):
-        Gains(True, 0.0, 0.0)
+    (lambda: Gains(True, 0.0, 0.0), "kp must be a finite number >= 0, got True"),
     # a 0-d array could be written in place and cannot be hashed; a string is no number at all
-    with pytest.raises(ValueError, match=re.escape("kp must be a finite number >= 0, got array(0.5)")):
-        Gains(np.array(0.5), 0.05, 0.005)
-    with pytest.raises(ValueError, match="kp must be a finite number >= 0, got '1'"):
-        Gains("1", 0, 0)
+    (lambda: Gains(np.array(0.5), 0.05, 0.005), "kp must be a finite number >= 0, got array(0.5)"),
+    (lambda: Gains("1", 0, 0), "kp must be a finite number >= 0, got '1'"),
+    (lambda: Individual.from_flat([0.1, 0.2]), "expected 6 gains, got 2"),
+    (lambda: EPConfig(population_size=0), "population_size must be >= 1"),
+    (lambda: EPConfig(population_size=1, max_generations=0), "max_generations must be >= 1"),
+    (lambda: EPConfig(population_size=1, ae_target=0.0), "ae_target must be > 0"),
+    (lambda: EPConfig(population_size=1, rng_seed=-1), "rng_seed must fit in an unsigned 64-bit integer"),
+    (lambda: EPConfig(population_size=1, rng_seed=2**64), "rng_seed must fit in an unsigned 64-bit integer"),
+    (lambda: InitSpec(kp_bounds=(-0.1, 1.0)), "kp_bounds must satisfy 0 <= low <= high, got (-0.1, 1.0)"),
+    (lambda: InitSpec(ki_bounds=(0.2, 0.1)), "ki_bounds must satisfy 0 <= low <= high, got (0.2, 0.1)"),
+    (lambda: MutationSpec(MutationKind.SCALED, sigma_scaled=0.0), "mutation sigmas must be > 0"),
+    (lambda: MutationSpec(MutationKind.ABSOLUTE, sigma_absolute=-0.05), "mutation sigmas must be > 0"),
+    # a kind that is not a MutationKind used to run the scaled operator
+    (lambda: MutationSpec("absolute"), "kind must be a MutationKind, got 'absolute'"),
+    (lambda: MutationSpec(None), "kind must be a MutationKind, got None"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, message", RULE_BREAKS, ids=[f"{row[1].split()[0]}-{i}" for i, row in enumerate(RULE_BREAKS)]
+)
+def test_types_reject_values_outside_their_rules(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_individual_flat_round_trip():
     values = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
     assert Individual.from_flat(values).as_flat() == values
-    with pytest.raises(ValueError):
-        Individual.from_flat([0.1, 0.2])
-
-
-def test_epconfig_validation():
-    with pytest.raises(ValueError):
-        EPConfig(population_size=0)
-    with pytest.raises(ValueError):
-        EPConfig(population_size=1, max_generations=0)
-    with pytest.raises(ValueError):
-        EPConfig(population_size=1, ae_target=0.0)
-    with pytest.raises(ValueError):
-        EPConfig(population_size=1, rng_seed=-1)
-    with pytest.raises(ValueError):
-        EPConfig(population_size=1, rng_seed=2**64)
 
 
 @pytest.mark.parametrize("name", ["population_size", "max_generations", "rng_seed"])
@@ -1017,24 +929,6 @@ def test_epconfig_caps_population_times_generations():
     for size, generations in ((_MAX_MEMBERS + 1, 1), (1, _MAX_MEMBERS + 1), (2_000_000_000, 100)):
         with pytest.raises(ValueError, match="more than the limit of 1,000,000 members per run"):
             EPConfig(population_size=size, max_generations=generations)
-
-
-def test_initspec_validation():
-    with pytest.raises(ValueError):
-        InitSpec(kp_bounds=(-0.1, 1.0))
-    with pytest.raises(ValueError):
-        InitSpec(ki_bounds=(0.2, 0.1))
-
-
-def test_mutationspec_validation():
-    with pytest.raises(ValueError):
-        MutationSpec(MutationKind.SCALED, sigma_scaled=0.0)
-    with pytest.raises(ValueError):
-        MutationSpec(MutationKind.ABSOLUTE, sigma_absolute=-0.05)
-    # a kind that is not a MutationKind used to run the scaled operator
-    for kind in ("absolute", None):
-        with pytest.raises(ValueError, match="kind must be a MutationKind"):
-            MutationSpec(kind)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True])

@@ -29,13 +29,10 @@ from evopid import (
     build_environment,
     build_experiment_spec,
     export_generations,
-    export_trace,
     fitness_of,
-    grid_oracle,
     load_generations,
     parse_config_file,
     parse_grid_file,
-    render_result_table,
     run_experiment,
     run_ep,
     simulate_route,
@@ -49,7 +46,6 @@ from evopid.harness import (
     CONFIG_TABLE,
     EXPERIMENT_TABLE,
     GENERATIONS_HEADER,
-    TRACE_HEADER,
     ConfigError,
     _write_csv,
     result_as_dict,
@@ -312,142 +308,78 @@ def test_each_config_key_sets_its_own_field(small_run, key):
 # ---------------------------------------------------------------- config files
 
 
-def test_parse_config_file(tmp_path):
-    cfg = tmp_path / "overrides.cfg"
-    cfg.write_text(
-        """
-        # comment line
-        plant.linear.time_constant = 0.75
-        ep.population_size = 12   # trailing comment
-        route.test.end = 0.9
-
-        ep.ae_target = 0.02
-        """
-    )
-    overrides = parse_config_file(cfg)
-    assert overrides == {
-        "plant.linear.time_constant": 0.75,
-        "ep.population_size": 12,
-        "route.test.end": 0.9,
-        "ep.ae_target": 0.02,
-    }
-    assert isinstance(overrides["ep.population_size"], int)
-    # a line ends only at \n, \r\n or \r: text after a U+2028 in a comment stays in the comment
-    cfg.write_bytes("# note\u2028ep.population_size = 3\nep.ae_target = 0.5\r\nroute.test.end = 0.9\r".encode())
-    assert parse_config_file(cfg) == {"ep.ae_target": 0.5, "route.test.end": 0.9}
-
-
-def test_parse_config_file_accepts_a_byte_order_mark(tmp_path):
-    cfg = tmp_path / "c.cfg"
-    cfg.write_text("ep.population_size = 3\nep.ae_target = 0.5\n", encoding="utf-8-sig")
-    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
-    assert parse_config_file(cfg) == {"ep.population_size": 3, "ep.ae_target": 0.5}
+@pytest.mark.parametrize(
+    "parse, data, expected",
+    [
+        (
+            parse_config_file,
+            b"\n    # comment line\n    plant.linear.time_constant = 0.75\n"
+            b"    ep.population_size = 12   # trailing comment\n    route.test.end = 0.9\n\n    ep.ae_target = 0.02\n",
+            {"plant.linear.time_constant": 0.75, "ep.population_size": 12, "route.test.end": 0.9, "ep.ae_target": 0.02},
+        ),
+        # a line ends only at \n, \r\n or \r: text after a U+2028 in a comment stays in the comment
+        (parse_config_file, "# note\u2028ep.population_size = 3\nep.ae_target = 0.5\r\nroute.test.end = 0.9\r"
+         .encode(), {"ep.ae_target": 0.5, "route.test.end": 0.9}),
+        (parse_config_file, "ep.population_size = 3\nep.ae_target = 0.5\n".encode("utf-8-sig"),
+         {"ep.population_size": 3, "ep.ae_target": 0.5}),
+        (parse_grid_file, b"kp = 0, 0.5, 1.0\nki = 0 0.05\n", GainGrid((0.0, 0.5, 1.0), (0.0, 0.05), (0.0,))),
+        (parse_grid_file, "kp = 1, 2 # x\u2028ki = 5\n".encode(), GainGrid((1.0, 2.0), (0.0,), (0.0,))),
+        (parse_grid_file, "kp = 0, 0.5\nki = 0.25\n".encode("utf-8-sig"), GainGrid((0.0, 0.5), (0.25,), (0.0,))),
+    ],
+    ids=["config", "config-line-ends", "config-byte-order-mark", "grid", "grid-line-ends", "grid-byte-order-mark"],
+)
+def test_config_and_grid_files_parse(parse, data, expected, tmp_path):
+    path = tmp_path / "f.cfg"
+    path.write_bytes(data)
+    parsed = parse(path)
+    assert parsed == expected
+    if parse is parse_config_file:
+        assert [type(v) for v in parsed.values()] == [type(v) for v in expected.values()]
 
 
-def test_parse_config_file_unknown_key(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("plant.linear.gain = 2\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_file(cfg)
-
-
-def test_parse_config_file_malformed_line(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("just some words\n")
-    with pytest.raises(ConfigError, match="key = value"):
-        parse_config_file(cfg)
-
-
-def test_parse_config_file_bad_number(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("ep.ae_target = tiny\n")
-    with pytest.raises(ConfigError, match="bad value"):
-        parse_config_file(cfg)
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
-def test_parse_config_file_rejects_nonfinite_values(tmp_path, value):
-    path = tmp_path / "c.cfg"
-    path.write_text(f"plant.linear.time_constant = {value}\n")
-    with pytest.raises(ConfigError, match=r"c\.cfg:1: plant\.linear\.time_constant must be finite"):
-        parse_config_file(path)
-
-
-def test_parse_config_file_rejects_a_repeated_key(tmp_path):
-    path = tmp_path / "c.cfg"
-    path.write_text("ep.population_size = 3\n# comment\n\nep.ae_target = 0.5\nep.population_size = 4\n")
-    with pytest.raises(ConfigError, match=r"c\.cfg:5: ep\.population_size is given again; line 1 gave it first"):
-        parse_config_file(path)
+# a file of 1,001 x 1,000 grid points
+OVER_THE_CAP = f"kp = {', '.join(map(str, range(1001)))}\nki = {' '.join(map(str, range(1000)))}\n"
+# each file a parser rejects (None: no file), and what the error says, {path} standing for the file's path
+FILE_REJECTIONS = [
+    (parse_config_file, "plant.linear.gain = 2\n", "{path}:1: unknown key 'plant.linear.gain'"),
+    (parse_config_file, "just some words\n", "{path}:1: expected `key = value`, got 'just some words'"),
+    (parse_config_file, "ep.ae_target = tiny\n", "{path}:1: bad value for ep.ae_target"),
+    *[(parse_config_file, f"plant.linear.time_constant = {value}\n",
+       f"{{path}}:1: plant.linear.time_constant must be finite, got '{value}'")
+      for value in ("nan", "inf", "-inf", "NaN")],
+    (parse_config_file, "ep.population_size = 3\n# comment\n\nep.ae_target = 0.5\nep.population_size = 4\n",
+     "{path}:5: ep.population_size is given again; line 1 gave it first"),
     # a U+2028 does not end a line, so the later lines keep their numbers
-    path.write_text("# a\u2028b\nep.population_size = 3\nep.population_size = 4\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"c\.cfg:3: ep\.population_size is given again; line 2 gave it first"):
-        parse_config_file(path)
-
-
-def test_parse_config_file_missing(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read"):
-        parse_config_file(tmp_path / "nope.cfg")
+    (parse_config_file, "# a\u2028b\nep.population_size = 3\nep.population_size = 4\n",
+     "{path}:3: ep.population_size is given again; line 2 gave it first"),
+    (parse_config_file, None, "cannot read {path}: "),
+    (parse_grid_file, "kq = 0.5\n", "{path}:1: expected `kp|ki|kd = values`, got key 'kq'"),
+    (parse_grid_file, "kp = 1\nki = 0\nkp = 2  # not the last value wins\n",
+     "{path}:3: kp is given again; line 1 gave it first"),
+    (parse_grid_file, "kp = 0.5\nki = 0, x\n",
+     "{path}:2: bad value for ki: could not convert string to float: 'x'"),
+    (parse_grid_file, "kp = 0.5\nkd =\n", "{path}:2: kd lists no values"),
+    (parse_grid_file, "# comments only\n\n", "{path}: grid file defines no gain values"),
+    (parse_grid_file, "kp = 0.5 # \u2028 x\nkd =\n", "{path}:2: kd lists no values"),
+    (parse_grid_file, "kp = 0.5\nki = 0, -2\n", "{path}:2: ki values must be finite and nonnegative, got '0, -2'"),
+    (parse_grid_file, OVER_THE_CAP, "{path}: a grid of 1,001,000 points is more than the limit of 1,000,000"),
     # a file that is not UTF-8 is named too, as a config file and as a grid file
-    path = tmp_path / "bad.cfg"
-    path.write_bytes(b"kp = 0.5\xff\n")
-    for parse in (parse_config_file, parse_grid_file):
-        with pytest.raises(ConfigError, match=re.escape(f"cannot read {path}: ") + ".*can't decode byte 0xff"):
-            parse(path)
-
-
-def test_parse_grid_file(tmp_path):
-    grid_file = tmp_path / "grid.cfg"
-    grid_file.write_text("kp = 0, 0.5, 1.0\nki = 0 0.05\n")
-    grid = parse_grid_file(grid_file)
-    assert grid.kp_values == (0.0, 0.5, 1.0)
-    assert grid.ki_values == (0.0, 0.05)
-    assert grid.kd_values == (0.0,)
-    # text after a U+2028 in a comment stays in the comment
-    grid_file.write_text("kp = 1, 2 # x\u2028ki = 5\n", encoding="utf-8")
-    assert parse_grid_file(grid_file) == GainGrid((1.0, 2.0), (0.0,), (0.0,))
-
-
-def test_parse_grid_file_accepts_a_byte_order_mark(tmp_path):
-    grid_file = tmp_path / "grid.cfg"
-    grid_file.write_text("kp = 0, 0.5\nki = 0.25\n", encoding="utf-8-sig")
-    assert grid_file.read_bytes().startswith(b"\xef\xbb\xbf")
-    assert parse_grid_file(grid_file) == GainGrid((0.0, 0.5), (0.25,), (0.0,))
-
-
-def test_parse_grid_file_rejects_unknown_axis(tmp_path):
-    grid_file = tmp_path / "grid.cfg"
-    grid_file.write_text("kq = 0.5\n")
-    with pytest.raises(ConfigError):
-        parse_grid_file(grid_file)
-
-
-def test_parse_grid_file_rejects_a_repeated_gain(tmp_path):
-    grid_file = tmp_path / "grid.cfg"
-    grid_file.write_text("kp = 1\nki = 0\nkp = 2  # not the last value wins\n")
-    with pytest.raises(ConfigError, match=r"grid\.cfg:3: kp is given again; line 1 gave it first"):
-        parse_grid_file(grid_file)
+    *[(parse, "kp = 0.5\udcff\n", "cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+      for parse in (parse_config_file, parse_grid_file)],
+]
 
 
 @pytest.mark.parametrize(
-    "text, message",
-    [
-        ("kp = 0.5\nki = 0, x\n", "grid.cfg:2: bad value for ki: could not convert string to float: 'x'"),
-        ("kp = 0.5\nkd =\n", "grid.cfg:2: kd lists no values"),
-        ("# comments only\n\n", "grid.cfg: grid file defines no gain values"),
-        ("kp = 0.5 # \u2028 x\nkd =\n", "grid.cfg:2: kd lists no values"),
-        ("kp = 0.5\nki = 0, -2\n", "grid.cfg:2: ki values must be finite and nonnegative, got '0, -2'"),
-        (
-            f"kp = {', '.join(map(str, range(1001)))}\nki = {' '.join(map(str, range(1000)))}\n",
-            "grid.cfg: a grid of 1,001,000 points is more than the limit of 1,000,000",
-        ),
-    ],
-    ids=["bad number", "no values", "no gain lines", "U+2028 in a comment", "negative value", "over the point cap"],
+    "parse, text, message", FILE_REJECTIONS,
+    ids=[f"{row[0].__name__[6:-5]}-{i}" for i, row in enumerate(FILE_REJECTIONS)],
 )
-def test_parse_grid_file_rejects_a_malformed_file(tmp_path, text, message):
-    grid_file = tmp_path / "grid.cfg"
-    grid_file.write_text(text, encoding="utf-8")
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        parse_grid_file(grid_file)
+def test_config_and_grid_files_are_rejected_naming_file_and_line(parse, text, message, tmp_path):
+    path = tmp_path / "f.cfg"
+    if text is not None:
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ConfigError) as excinfo:
+        parse(path)
+    assert message.format(path=path) in str(excinfo.value)
 
 
 def test_gain_grid_caps_its_point_count():
@@ -473,17 +405,6 @@ def test_gain_grid_validation():
 # ---------------------------------------------------------------- generations CSV
 
 
-def test_export_generations_row_count_and_order(tmp_path):
-    history = _toy_history(population_size=4, generations=3)
-    path = tmp_path / "generations.csv"
-    export_generations(history, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 + 3 * 4
-    assert lines[0] == ",".join(GENERATIONS_HEADER)
-    generations = [int(line.split(",")[0]) for line in lines[1:]]
-    assert generations == sorted(generations)
-
-
 def test_export_generations_round_trip(tmp_path):
     history = _toy_history()
     path = tmp_path / "generations.csv"
@@ -501,24 +422,13 @@ def test_export_generations_writes_int_gains_as_floats(tmp_path):
     assert load_generations(path) == history
 
 
-def test_load_generations_rejects_a_foreign_header(tmp_path):
-    path = tmp_path / "generations.csv"
-    path.write_text("generation,member,kp,ki\n0,0,0.5,0.1\n")
-    with pytest.raises(ValueError, match=re.escape("generations.csv: unexpected header ['generation', 'member', 'kp', 'ki']")):
-        load_generations(path)
-
-
-@pytest.mark.parametrize("text", ["", ",".join(GENERATIONS_HEADER) + "\n"], ids=["empty", "header only"])
-def test_load_generations_names_a_file_without_generations(tmp_path, text):
-    path = tmp_path / "generations.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=re.escape(f"{path}: the file holds no generations")):
-        load_generations(path)
-
-
-@pytest.mark.parametrize(
-    "row, message",
-    [
+HEADER, ROW = ",".join(GENERATIONS_HEADER), "0,0,0.5,0.1,0,0.5,0.1,0,0.3,0.2"
+# each generations.csv load_generations rejects, and how its error starts, {path} standing for the file's path
+GENERATIONS_REJECTIONS = [
+    ("generation,member,kp,ki\n0,0,0.5,0.1\n", "{path}: unexpected header ['generation', 'member', 'kp', 'ki']"),
+    ("", "{path}: the file holds no generations"),
+    (HEADER + "\n", "{path}: the file holds no generations"),
+    *[(f"{HEADER}\n{ROW}\n{row}\n", f"{{path}}:3: {message}") for row, message in [
         ("0,0,0.5,0.1,0,0.5,0.1,0", "expected 10 columns, got 8"),  # six gains, no AE columns
         ("0,0,0.5,0.1", "expected 10 columns, got 4"),  # two gains
         ("0,0,0.5,0.1,0,0.5,0.1,0,x,0.2", "could not convert string to float: 'x'"),
@@ -531,52 +441,28 @@ def test_load_generations_names_a_file_without_generations(tmp_path, text):
         ("0,2,0.5,0.1,0,0.5,0.1,0,0.3,0.2", "expected (generation, member) (0, 1) or (1, 0), got (0, 2)"),
         ("0,0,0.5,0.1,0,0.5,0.1,0,0.4,0.2", "expected (generation, member) (0, 1) or (1, 0), got (0, 0)"),
         ("1,1,0.5,0.1,0,0.5,0.1,0,0.3,0.2", "expected (generation, member) (0, 1) or (1, 0), got (1, 1)"),
-    ],
+    ]],
+    *[(f"{HEADER}\n{first},0.5,0.1,0,0.5,0.1,0,0.3,0.2\n",
+       f"{{path}}:2: expected (generation, member) (0, 0), got ({first.replace(',', ', ')})")
+      for first in ("1,0", "0,1", "-1,0")],
+    *[(text, "cannot read {path}: 'utf-8' codec can't decode byte 0xff")
+      for text in (f"{HEADER.replace('member', 'memb')}\udcffer\n{ROW}", f"{HEADER}\n{ROW}\udcff")],
+    (f"{HEADER}\n0,0,0.5,0.1,0,0.5,0.1,0,inf,0.2\n0,1,0.5,0.1,0,0.5,0.1,0,nan,0.3\n",
+     "{path}: generation 0: no member has a finite average error on the linear channel"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", GENERATIONS_REJECTIONS, ids=[f"row-{i}" for i in range(len(GENERATIONS_REJECTIONS))]
 )
-def test_load_generations_names_the_line_of_a_malformed_row(tmp_path, row, message):
+def test_load_generations_names_the_file_and_line_it_rejects(text, message, tmp_path):
     path = tmp_path / "generations.csv"
-    path.write_text(",".join(GENERATIONS_HEADER) + "\n0,0,0.5,0.1,0,0.5,0.1,0,0.3,0.2\n" + row + "\n")
-    with pytest.raises(ValueError, match=re.escape(f"generations.csv:3: {message}")):
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises((ValueError, EvaluationError)) as excinfo:
         load_generations(path)
-
-
-@pytest.mark.parametrize("first", ["1,0", "0,1", "-1,0"])
-def test_load_generations_requires_generation_0_member_0_first(tmp_path, first):
-    path = tmp_path / "generations.csv"
-    path.write_text(",".join(GENERATIONS_HEADER) + f"\n{first},0.5,0.1,0,0.5,0.1,0,0.3,0.2\n")
-    message = f"generations.csv:2: expected (generation, member) (0, 0), got ({first.replace(',', ', ')})"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        load_generations(path)
-
-
-@pytest.mark.parametrize("at", ["header", "row"])
-def test_load_generations_names_a_file_that_is_not_utf8(tmp_path, at):
-    path = tmp_path / "generations.csv"
-    header, row = ",".join(GENERATIONS_HEADER).encode(), b"0,0,0.5,0.1,0,0.5,0.1,0,0.3,0.2"
-    if at == "header":
-        header = header.replace(b"member", b"memb\xffer")
-    else:
-        row = row.replace(b"0.3", b"0.3\xff")
-    path.write_bytes(header + b"\n" + row + b"\n")
-    with pytest.raises(ValueError, match=re.escape(f"cannot read {path}: ") + ".*can't decode byte 0xff"):
-        load_generations(path)
-
-
-def test_load_generations_names_the_file_of_a_generation_without_a_finite_error(tmp_path):
-    path = tmp_path / "generations.csv"
-    rows = ("0,0,0.5,0.1,0,0.5,0.1,0,inf,0.2", "0,1,0.5,0.1,0,0.5,0.1,0,nan,0.3")
-    path.write_text("\n".join((",".join(GENERATIONS_HEADER), *rows)) + "\n")
-    message = f"{path}: generation 0: no member has a finite average error on the linear channel"
-    with pytest.raises(EvaluationError, match=re.escape(message)) as excinfo:
-        load_generations(path)
-    assert excinfo.value.generation == 0
-
-
-def test_export_generations_deterministic_bytes(tmp_path):
-    history = _toy_history()
-    export_generations(history, tmp_path / "a.csv")
-    export_generations(history, tmp_path / "b.csv")
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert str(excinfo.value).startswith(message.format(path=path))
+    # only a generation without a finite error is an EvaluationError, naming that generation
+    assert getattr(excinfo.value, "generation", None) == (0 if "generation 0" in message else None)
 
 
 def test_export_generations_rejects_empty(tmp_path):
@@ -593,14 +479,8 @@ EDGE_FLOATS = (0.0, -0.0, DIVERGENCE_AE, 5e-324, sys.float_info.min / 3, math.in
 
 
 def _c_formats_cells() -> bool:
-    """Whether the C kernel loads here with a formatter that writes cells, not the stub of a compiler without
-    unsigned __int128."""
-    library = None if evopid.plant._c_kernel() is None else evopid.plant._c_csv()
-    if library is None:
-        return False
-    one, out = array("d", [1.0]), array("B", bytes(evopid.plant._CSV_CELL))
-    table = evopid.plant._csv_table([one])
-    return library.evopid_csv(0, 1, 1, table.buffer_info()[0], out.buffer_info()[0]) > 0
+    """Whether the C kernel loads here with its CSV cell formatter."""
+    return evopid.plant._c_kernel() is not None and evopid.plant._c_csv() is not None
 
 
 # the two ways _write_csv writes a chunk: the C kernel's evopid_csv, or its Python twin, as where no kernel loads
@@ -766,49 +646,7 @@ def test_write_csv_rejects_columns_c_cannot_read(columns, tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_export_trace_schema(tmp_path, plant, sim, train_route):
-    trace = simulate_route(Individual.from_flat([0.5, 0.01, 0.0] * 2), train_route, plant, sim)
-    path = tmp_path / "trace.csv"
-    export_trace(trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(TRACE_HEADER)
-    assert len(lines) == 1 + len(trace.linear)
-    parsed = [float(v) for v in lines[1].split(",")]
-    assert parsed[0] == 0.0
-    assert parsed[1] == train_route.start
-
-
 # ---------------------------------------------------------------- grid oracle
-
-
-def test_grid_oracle_single_point(plant, sim, train_route):
-    grid = GainGrid((0.4,), (0.02,), (0.0,))
-    result = grid_oracle(train_route, plant, sim, grid)
-    gains = Gains(0.4, 0.02, 0.0)
-    expected = fitness_of(Individual(gains, gains), train_route, plant, sim)
-    assert result.linear_gains == gains
-    assert result.angular_gains == gains
-    assert result.ae_linear == expected.ae_linear
-    assert result.ae_angular == expected.ae_angular
-
-
-def test_grid_oracle_superset_never_worse(plant, sim, train_route):
-    small = GainGrid((0.2, 0.6), (0.0,), (0.0,))
-    large = GainGrid((0.2, 0.6, 1.0), (0.0, 0.05), (0.0,))
-    res_small = grid_oracle(train_route, plant, sim, small)
-    res_large = grid_oracle(train_route, plant, sim, large)
-    assert res_large.ae_linear <= res_small.ae_linear
-    assert res_large.ae_angular <= res_small.ae_angular
-
-
-def test_grid_oracle_ties_go_to_smallest_gains(plant, sim):
-    # a null route from rest gives AE 0 for every grid point, so all points tie
-    route = RouteSpec(0.0, 0.0)
-    grid = GainGrid((0.3, 0.1), (0.2, 0.0), (0.5, 0.4))
-    result = grid_oracle(route, plant, sim, grid)
-    assert result.linear_gains == Gains(0.1, 0.0, 0.4)
-    assert result.angular_gains == Gains(0.1, 0.0, 0.4)
-    assert result.ae_linear == 0.0
 
 
 # ---------------------------------------------------------------- full experiment
@@ -856,17 +694,19 @@ def test_run_experiment_scores_each_distinct_individual_once_with_pinned_bytes(t
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-@pytest.mark.parametrize("ae_angular", [0.5, DIVERGENCE_AE])
-def test_run_experiment_refuses_a_run_only_when_every_member_diverged_on_both_channels(
-    ae_angular, tmp_path, monkeypatch
-):
-    # every member's linear AE is the divergence stand-in; a finite angular one still leaves gains worth replaying
+@pytest.mark.parametrize(
+    "aes", [(DIVERGENCE_AE, 0.5), (0.5, DIVERGENCE_AE), (DIVERGENCE_AE, DIVERGENCE_AE)],
+    ids=["linear", "angular", "both"],
+)
+def test_run_experiment_refuses_a_run_only_when_every_member_diverged_on_both_channels(aes, tmp_path, monkeypatch):
+    # every member's AE is the divergence stand-in on one channel; a finite one on the other still leaves gains worth
+    # replaying
     def stand_in(rows, route, *args):
-        return array("d", [DIVERGENCE_AE, ae_angular, 0.0, 0.0] * (len(rows) // 6))
+        return array("d", [*aes, 0.0, 0.0] * (len(rows) // 6))
 
     monkeypatch.setattr(evopid.harness, "_fitness_rows", stand_in)
     spec = build_experiment_spec(2, seed=0, output_dir=tmp_path / "out", overrides={"ep.max_generations": 3})
-    if ae_angular == DIVERGENCE_AE:
+    if aes == (DIVERGENCE_AE, DIVERGENCE_AE):
         message = "^all 30 members of 3 generations diverged on the train route; there are no gains to replay$"
         with pytest.raises(EvaluationError, match=message):
             run_experiment(spec)
@@ -893,44 +733,6 @@ def test_run_experiment_writes_pinned_generations_for_experiments_1_and_3(experi
     run_experiment(spec)
     digest = hashlib.sha256((tmp_path / "generations.csv").read_bytes()).hexdigest()
     assert digest == PINNED_GENERATIONS_SEED0_G20[experiment]
-
-
-# SHA-256 of the file each command writes to "out", run where grid.cfg holds PINNED_GRID and
-# long.cfg PINNED_LONG_ROUTE; pinned from the batch kernel that took six gain columns per row,
-# except the long route's, pinned from the row-at-a-time CSV writer
-PINNED_GRID = "kp = 0, 2, 8, 32, 128\nki = 0, 1, 4, 16\nkd = 0, 0.05, 0.2\n"
-# a 300 s test-route phase: 30,000 trace rows, many CSV writer chunks
-PINNED_LONG_ROUTE = "route.test.phase_duration = 300.0\n"
-PINNED_CLI_OUTPUTS = {
-    "oracle --grid grid.cfg --route train --out out": (
-        "816aaf623367d61fa39d061df475c95245f6b440cb593a26da47da77e9ff472e"
-    ),
-    "step --gains 0.5,0.05,0.001,0.4,0.02,0 --route test --out out": (
-        "53ca5dd2e30f5b4bd6b552c4ffb529af8a461edb8a6bb6519b5666eda6a6c720"
-    ),
-    "step --gains 0.5,0.05,0.001,0.4,0.02,0 --route test --config long.cfg --out out": (
-        "907cbd8db3c7d06235b279c257a5fa4ce259a579afb06bdb70724bb2963f4cff"
-    ),
-}
-
-
-@pytest.mark.parametrize(
-    "command",
-    list(PINNED_CLI_OUTPUTS),
-    ids=lambda command: command.split()[0] + ("-long" if "long.cfg" in command else ""),
-)
-def test_oracle_and_step_write_pinned_bytes(command, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "grid.cfg").write_text(PINNED_GRID)
-    (tmp_path / "long.cfg").write_text(PINNED_LONG_ROUTE)
-    assert cli_main(command.split()) == 0
-    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == PINNED_CLI_OUTPUTS[command]
-
-
-def test_run_experiment_writes_all_outputs(small_run):
-    spec, _ = small_run
-    for name in ("generations.csv", "best_train_trace.csv", "best_test_trace.csv", "result.json"):
-        assert (spec.output_dir / name).exists()
 
 
 def test_run_experiment_result_consistency(small_run):
@@ -973,17 +775,6 @@ def test_run_experiment_result_json_contents(small_run):
     assert payload["stop_reason"] in {r.value for r in StopReason}
     assert payload["generations_run"] == record.generations_run
     assert set(payload["step_metrics"]) == {"train", "test"}
-
-
-def test_run_experiment_deterministic_csv(tmp_path):
-    overrides = {"ep.max_generations": 3}
-    spec_a = build_experiment_spec(1, seed=7, output_dir=tmp_path / "a", overrides=overrides)
-    spec_b = build_experiment_spec(1, seed=7, output_dir=tmp_path / "b", overrides=overrides)
-    run_experiment(spec_a)
-    run_experiment(spec_b)
-    assert (tmp_path / "a" / "generations.csv").read_bytes() == (
-        tmp_path / "b" / "generations.csv"
-    ).read_bytes()
 
 
 def test_result_json_alone_reproduces_the_run(tmp_path):
@@ -1032,23 +823,3 @@ def test_result_json_alone_reproduces_the_run(tmp_path):
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
 
 
-def test_render_result_table_columns(small_run):
-    _, record = small_run
-    table = render_result_table([record])
-    lines = table.splitlines()
-    import re
-
-    header = re.split(r"\s{2,}", lines[0].strip())
-    assert header == ["Experiment", "Type", "kp", "ki", "kd", "AE train", "AE test"]
-    assert len(lines) == 3
-    assert "Linear" in lines[1] and "Angular" in lines[2]
-
-
-def test_build_environment_defaults():
-    plant, sim, routes = build_environment()
-    assert plant.linear.time_constant == 0.5
-    assert plant.angular.time_constant == 0.3
-    assert plant.linear.actuator_limit == 2.0
-    assert sim.sample_rate == 50.0
-    assert routes["train"] == RouteSpec(-0.3, 0.3)
-    assert routes["test"] == RouteSpec(0.1, 0.7)

@@ -81,11 +81,19 @@ from evopid.plant import (
     _simulate,
     _times_py,
 )
+from conftest import load_script
 from reference import average_error, numpy_grid_oracle
 
 NO_CC = "no C compiler: cc is not on PATH, so only the Python twin is tested"
 NO_AVX = "the host has no AVX, so the four-wide build cannot run here"
 SOURCE = evopid.plant._KERNEL_SOURCE.read_bytes()
+# the load-check slips of _kernel.c, by the load check that must refuse them
+C_SLIPS = load_script("mutation_check").C_SLIPS
+
+
+def slips(check: str) -> list:
+    """The catalogue's slips of one load check, as (old text, new text) parameters named by the slip."""
+    return [pytest.param((old, new), id=name) for _, old, new, name in C_SLIPS[check]]
 
 
 def host_has_avx() -> bool:
@@ -331,13 +339,19 @@ def test_forced_divergence_matches_reference(channel, sim, train_route, kernels)
 
 
 def test_route_without_samples_matches_reference(plant, kernels):
-    # 2 * 0.1 s at 2 Hz rounds to 0 samples: no average error to take, so no run either
+    # 2 * 0.1 s at 2 Hz rounds to 0 samples: no average error to take, so no run either, on any path
     route, sim = RouteSpec(0.0, 1.0, phase_duration=0.1), SimConfig(2.0)
     individual = Individual(Gains(1.0, 0.0, 0.0), Gains(1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         reference_fitness(individual, route, plant, sim)
-    for kernel, run in itertools.product(kernels, (fitness_of, simulate_route)):
-        with using(kernel), pytest.raises(ValueError, match="the route has no samples at this sample rate"):
+    paths = (
+        fitness_of,
+        simulate_route,
+        lambda individual, *environment: _fitness_rows(packed([individual.as_flat()] * 2), *environment),
+        lambda individual, *environment: grid_oracle(*environment, GainGrid((1.0,), (0.0,), (0.0,))),
+    )
+    for kernel, run in itertools.product(kernels, paths):
+        with using(kernel), pytest.raises(ValueError, match="^the route has no samples at this sample rate$"):
             run(individual, route, plant, sim)
 
 
@@ -705,53 +719,16 @@ def assert_slip_is_not_used(slip, builds, tmp_path):
         assert (tmp_path / _library_name(slipped, (*_KERNEL_FLAGS, *flags, "-O0"))).exists(), flags
 
 
-@pytest.mark.parametrize(
-    "slip",
-    [
-        ("gains + 6 * (row", "gains + 3 * (row"),
-        (" + 3 * (e % 2)", ""),
-        ("run + 4 * (e % 2)", "run"),
-        ("2 * (r0 + PER_VECTOR * v) * samples", "(r0 + PER_VECTOR * v) * samples"),
-        ("out[3] = velocity[v][l + 1]", "out[2] = velocity[v][l + 1]"),
-        ("row = r0 + PER_VECTOR * v", "row = PER_VECTOR * v"),
-        ("3 * (e % 2)", "3 * (1 - e % 2)"),
-        ("min_pd(limit, c)", "min_pd(c, limit)"),
-        ("finite ? ae[l] : DBL_MAX", "ae[l]"),
-        ("total[v] / (double)samples", "total[v]"),
-        ("isfinite(velocity[v][l]) && __builtin_isfinite(velocity[v][l + 1])", "isfinite(velocity[v][l + 1])"),
-    ],
-    ids=[
-        "gains-row-stride", "gains-channel-offset", "plant-channel-offset", "actual-offset", "results-offset",
-        "gains-of-block-0", "channel-swap", "clamp-operand-order", "stand-in-dropped", "sum-undivided",
-        "verdict-of-one-channel",
-    ],
-)
+@pytest.mark.parametrize("slip", slips("simulation"))
 def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_path):
-    # the self-check runs nineteen rows of unlike channels, recorded, so each slip changes some output on every
-    # width: a full block and a partial one, so reading block 0's gains for every block shows too, and a row that
-    # goes NaN on its linear channel only, which min(c, limit) turns into the limit, which a dropped stand-in leaves
-    # NaN, and which a verdict on the angular channel alone misses; no slip reads past a buffer
     if c_kernel is None:
         pytest.skip(NO_CC)
     assert_slip_is_not_used(slip, WIDTHS.values(), tmp_path)
 
 
-@pytest.mark.parametrize(
-    "slip",
-    [
-        (" + e / 2;", ";"),
-        ("int l = 2 * h;", "int l = 2 * (PER_VECTOR - 1 - h);"),
-        (" && PER_VECTOR * v + e / 2 < n", ""),
-        (" && PER_VECTOR * v + h < n", ""),
-    ],
-    ids=[
-        "second-row-reads-the-first-rows-gains", "rows-of-a-vector-swap-results", "trace-past-the-last-row",
-        "results-past-the-last-row",
-    ],
-)
+@pytest.mark.parametrize("slip", slips("lane"))
 def test_kernel_with_a_lane_slip_is_not_used(slip, c_kernel, tmp_path):
-    # slips between the two rows of a 256-bit vector: a two-wide vector holds one row, where they change nothing;
-    # without an end-of-block guard the last vector's rerun writes the row past the self-test's nineteen, its guard row
+    # a two-wide vector holds one row, where these change nothing
     if c_kernel is None:
         pytest.skip(NO_CC)
     if "four-wide" not in WIDTHS:
@@ -776,14 +753,7 @@ def test_time_column_is_the_twins_bit_for_bit(kernels):
                 assert got.typecode == "d" and got.tobytes() == want.tobytes(), (kernel, dt)
 
 
-@pytest.mark.parametrize(
-    "slip",
-    [
-        ("    for (int64_t k = 0; k < n; k++)\n        out[k] = (double)k * dt;",
-         "    double t = 0.0;\n    for (int64_t k = 0; k < n; k++, t += dt)\n        out[k] = t;"),
-    ],
-    ids=["running-sum"],
-)
+@pytest.mark.parametrize("slip", slips("time"))
 def test_kernel_whose_time_column_slips_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
     # a time column summed as t += dt fails the load check, so no kernel loads and simulate_route takes the twin;
     # evopid_times is the same code at every width, so the baseline build alone is slipped
@@ -861,37 +831,10 @@ def test_formatter_writes_repr_where_it_writes_and_refuses_elsewhere(c_formatter
     assert [formatted(c_formatter, columns, r, 1) for r in range(len(refused))] == [-2] * len(refused)
 
 
-@pytest.mark.parametrize(
-    "slip",
-    [
-        ("    return n;\n}", "    return n - 1;\n}"),
-        ("memcpy(p + decpt, \".0\", 2);\n    return p + decpt + 2;", "return p + decpt;"),
-        ("vr == vm || last >= 5", "vr == vm || last > 5"),
-        ("        if (vr_zeros && last == 5 && vr % 2 == 0)\n            last = 4;", ""),
-        ("vr_zeros = q < 64 && !(mv & ((1ull << q) - 1))", "vr_zeros = 0"),
-        ("            vm_zeros &= vm % 10 == 0;\n", ""),
-        ("!memcmp(cell, cell - 8, 8)", "*(const double *)cell == *(const double *)(cell - 8)"),
-        ("r > start && !memcmp", "r > 0 && !memcmp"),
-        ("last = (int)(vr % 10000 / 1000)", "last = (int)(vr % 10)"),
-        ("last = (int)(vr % 100 / 10)", "last = (int)(vr % 10)"),
-        ("pairs + 2 * (rest % 100)", "pairs + (rest % 100)"),
-        ("v >= (uint64_t)1e9 ? 10", "v >= (uint64_t)1e8 ? 10"),
-        ("(uint32_t)(output - 100000000 * high)", "(uint32_t)(output - 10000000 * high)"),
-    ],
-    ids=[
-        "last-digit-dropped", "dot-zero-dropped", "half-rounded-down", "half-not-rounded-to-even",
-        "exact-value-taken-for-inexact", "exact-bound-kept", "copy-keyed-on-value", "copy-across-chunk-start",
-        "last-of-four-removed-is-the-lowest", "last-of-two-removed-is-the-lowest", "pair-table-index",
-        "digit-count-threshold", "low-eight-digits-split-at-10**7",
-    ],
-)
+@pytest.mark.parametrize("slip", slips("formatter"))
 def test_kernel_whose_formatter_slips_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
-    # a formatter that drops a digit or the .0 of an integral double, rounds a removed 5 down in Ryu's common path,
-    # slips in its general path, copies the cell above where its value is equal but not its bits (-0.0 below 0.0) or
-    # at a chunk's first row, rounds on the wrong one of several digits removed at once, or counts or writes the
-    # output's digits wrongly fails the load check, so _c_csv gives None and every CSV write takes the twin; the
-    # simulation builds, which leave the formatter out, still load. Slips that no cell here can show are named above
-    # shortest. Each slipped count is one too high: one too low writes a digit before the buffer.
+    # each fails the load check, so _c_csv gives None and every CSV write takes the twin; the simulation builds,
+    # which leave the formatter out, still load
     if c_kernel is None:
         pytest.skip(NO_CC)
     cache = tmp_path / "evopid"
@@ -905,19 +848,22 @@ def test_kernel_whose_formatter_slips_is_not_used(slip, c_kernel, tmp_path, monk
     assert evopid.plant._c_csv.__wrapped__() is None
 
 
-def test_build_without_int128_formats_nothing_and_writes_the_same_bytes(c_formatter, tmp_path, monkeypatch):
-    # the stub of a compiler without unsigned __int128 writes no cell, and the load check takes it: every chunk goes
-    # to the twin, which writes what the full formatter writes
+def test_build_without_int128_is_refused_and_the_twin_writes_the_same_bytes(c_formatter, tmp_path, monkeypatch):
+    # a compiler without unsigned __int128 leaves evopid_csv out, so _c_csv refuses its build, and every chunk goes to
+    # the twin, which writes what the full formatter writes
     if c_formatter is None:
         pytest.skip(NO_CC)
-    stub = _load_kernel(tmp_path, SOURCE, "-Wall", "-Wextra", "-Werror", *_CSV_FLAGS, "-U__SIZEOF_INT128__", "-O0")
-    assert stub is not None
-    assert formatted(stub, [array("d", [1.0, 0.5])]) == formatted(stub, [array("q", [1])]) == -1
+    monkeypatch.setattr(evopid.plant, "_CSV_FLAGS", (*_CSV_FLAGS, "-U__SIZEOF_INT128__", "-O0"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    refused = evopid.plant._c_csv.__wrapped__()
+    # it compiled, so the load check refused it
+    assert refused is None
+    assert (tmp_path / "evopid" / _library_name(SOURCE, (*_KERNEL_FLAGS, *evopid.plant._CSV_FLAGS))).exists()
     columns = [array("d", [k * 0.02 for k in range(1200)]), array("q", range(1200)), array("d", [5e-324]) * 1200]
-    for name, library in (("stub", stub), ("full", c_formatter)):
+    for name, library in (("refused", refused), ("full", c_formatter)):
         monkeypatch.setattr(evopid.plant, "_c_csv", lambda: library)
         evopid.harness._write_csv(tmp_path / f"{name}.csv", ("t", "k", "tiny"), columns)
-    assert (tmp_path / "stub.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+    assert (tmp_path / "refused.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
 def test_divergence_ae_is_the_dbl_max_each_kernel_writes(sim, train_route, kernels):
@@ -1128,18 +1074,6 @@ def test_batch_divergence_on_either_channel_matches_fitness_of(sim, train_route,
         assert_batch_matches_fitness_of(individuals, train_route, params, sim, kernels)
 
 
-def test_batch_route_without_samples_raises_like_fitness_of(plant, kernels):
-    route, sim = RouteSpec(0.0, 1.0, phase_duration=0.1), SimConfig(2.0)
-    individual = Individual(Gains(1.0, 0.0, 0.0), Gains(1.0, 0.0, 0.0))
-    for kernel in kernels:
-        with using(kernel), pytest.raises(ValueError) as excinfo:
-            fitness_of(individual, route, plant, sim)
-        with pytest.raises(ValueError, match=re.escape(str(excinfo.value))):
-            _fitness_rows(packed([individual.as_flat()] * 2), route, plant, sim)
-        with pytest.raises(ValueError, match=re.escape(str(excinfo.value))):
-            grid_oracle(route, plant, sim, GainGrid((1.0,), (0.0,), (0.0,)))
-
-
 def test_fitness_of_matches_the_replayed_average_error_beyond_2_53(kernels):
     # the kernels' first error and average_error's desired - actual both read 2**53 + 1 as the double 2**53
     route, sim = RouteSpec(2**53 + 1, 0, phase_duration=0.1), SimConfig(50.0)
@@ -1222,9 +1156,12 @@ def test_route_cache_gives_equal_environments_the_same_bits(one, other, kernels)
                 assert held_by_the_entry(*second)
 
 
-def test_route_cache_is_bounded(plant, sim):
-    # one entry: after 128 routes it holds the last one's objects, and no earlier route is kept alive
+def test_route_cache_is_bounded(plant, sim, train_route):
+    # one entry: after 128 routes it holds the last one's objects, and no earlier route is kept alive; the same route
+    # and plant at another sample rate are another entry, with that rate's bits
     individual = Individual(Gains(0.5, 0.0, 0.0), Gains(0.5, 0.0, 0.0))
+    for environment in ((train_route, plant, sim), (train_route, plant, SimConfig(100.0))):
+        assert bits(fitness_of(individual, *environment)) == bits(twin_fitness(individual, *environment))
     routes = [RouteSpec(0.0, 0.01 * (i + 1)) for i in range(128)]
     for route in routes:
         fitness_of(individual, route, plant, sim)
@@ -1327,21 +1264,20 @@ def assert_oracle_matches_reference(route, params, sim, grid, kernels):
     return got
 
 
-def test_oracle_matches_reference_on_a_dense_grid(plant, sim, train_route, kernels):
-    grid = GainGrid(tuple(j / 5 for j in range(8)), tuple(j / 30 for j in range(4)), (0.0, 0.01, 0.02))
-    assert_oracle_matches_reference(train_route, plant, sim, grid, kernels)
-
-
-def test_oracle_matches_reference_on_duplicate_axis_values(plant, sim, train_route, kernels):
-    # 1.0 and 1 are equal values of different types; sorted keeps them in the given order
-    grid = GainGrid((1.0, 0.5, 1, 0.5), (0.0, 0.02, 0.0), (0.0,))
-    assert_oracle_matches_reference(train_route, plant, sim, grid, kernels)
-
-
-def test_oracle_matches_reference_on_integer_grid(plant, sim, train_route, kernels):
-    grid = GainGrid((0, 1, 2, 3), (0, 1), (0,))
+@pytest.mark.parametrize(
+    "grid",
+    [
+        GainGrid(tuple(j / 5 for j in range(8)), tuple(j / 30 for j in range(4)), (0.0, 0.01, 0.02)),
+        # 1.0 and 1 are equal values of different types; sorted keeps them in the given order
+        GainGrid((1.0, 0.5, 1, 0.5), (0.0, 0.02, 0.0), (0.0,)),
+        GainGrid((0, 1, 2, 3), (0, 1), (0,)),
+    ],
+    ids=["dense", "duplicate-axis-values", "integer"],
+)
+def test_oracle_matches_reference(grid, plant, sim, train_route, kernels):
     result = assert_oracle_matches_reference(train_route, plant, sim, grid, kernels)
-    assert all(type(v) is int for v in result.linear_gains.as_tuple() + result.angular_gains.as_tuple())
+    if all(type(v) is int for v in grid.kp_values + grid.ki_values + grid.kd_values):
+        assert all(type(v) is int for v in result.linear_gains.as_tuple() + result.angular_gains.as_tuple())
 
 
 def test_oracle_all_diverged_tie_goes_to_first_point(sim, train_route, kernels):

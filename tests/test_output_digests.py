@@ -6,15 +6,12 @@ test runs one seed of each experiment, both population-1 runs, one seed of each 
 every line. The full set, and the Python twin (`--twin`), stay with the script.
 """
 
-import importlib.util
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-RECORD = Path(__file__).with_name("output_digests.txt")
+from conftest import load_script
 
-_spec = importlib.util.spec_from_file_location("output_digests", ROOT / "scripts" / "output_digests.py")
-digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(digests)
+RECORD = Path(__file__).with_name("output_digests.txt")
+digests = load_script("output_digests")
 
 
 def in_subset(command: str) -> bool:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import load_script
 from evopid import build_experiment_spec, render_result_table, run_experiment
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -44,3 +45,13 @@ def test_kd_collapse_study_prints_a_row_per_seed(tmp_path, monkeypatch, capsys):
     rows = [line.split() for line in out.splitlines() if line.split()[:1] and line.split()[0].isdigit()]
     assert [(row[0], len(row)) for row in rows] == [("0", 5), ("1", 5)]
     assert re.search(r"decreased on both channels for [0-2]/2 seeds$", out.strip())
+
+
+def test_every_slip_of_the_catalogue_applies_once():
+    # scripts/mutation_check.py edits each entry's one occurrence of its old text: a line moved or rewritten shows here;
+    # its runs leave this test out by name, since every slip fails it
+    catalogue = load_script("mutation_check")
+    assert catalogue.APPLIES_ONCE == f"tests/test_scripts.py::{test_every_slip_of_the_catalogue_applies_once.__name__}"
+    slips = [slip for table in catalogue.C_SLIPS.values() for slip in table] + catalogue.PYTHON_SLIPS
+    assert len({name for *_, name in slips}) == len(slips)
+    assert [slip[3] for slip in slips if not catalogue.applies(slip)] == []
