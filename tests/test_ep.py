@@ -140,6 +140,27 @@ def test_mutate_scaled_zero_is_absorbing():
         assert mutated_value(MutationKind.SCALED, 0.0, 0.5, random.Random(seed)) == (0.0,) * 6
 
 
+@given(value=st.sampled_from([0.0, 1e-9, 0.01, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_mutation_operators_nonnegative(value, seed):
+    assert min(mutated_value(MutationKind.ABSOLUTE, value, 0.05, random.Random(seed))) >= 0.0
+    assert min(mutated_value(MutationKind.SCALED, value, 0.5, random.Random(seed))) >= 0.0
+
+
+def test_mutate_individual_zero_parent_stays_zero_under_scaling():
+    parent = Individual.from_flat([0.0] * 6)
+    spec = MutationSpec(MutationKind.SCALED)
+    assert mutants(parent, spec, random.Random(42)) == (parent,)
+
+
+def test_mutate_individual_deterministic_and_valid():
+    parent = Individual(Gains(0.5, 0.01, 0.001), Gains(0.8, 0.05, 0.002))
+    spec = MutationSpec(MutationKind.SCALED)
+    a = mutants(parent, spec, random.Random(7), count=5)
+    b = mutants(parent, spec, random.Random(7), count=5)
+    assert a == b
+    assert all(v >= 0 and math.isfinite(v) for child in a for v in child.as_flat())
+
+
 @pytest.mark.parametrize("op", [mutate_absolute, mutate_scaled])
 @pytest.mark.parametrize(
     "value, sigma, message",
@@ -310,6 +331,11 @@ def test_mutate_individual_matches_the_public_operators(parent, kind, sigma, see
 
 
 # ---------------------------------------------------------------- init
+
+
+def test_initial_rows_deterministic():
+    config = EPConfig(population_size=10, rng_seed=3)
+    assert _initial_rows(config, random.Random(3)) == _initial_rows(config, random.Random(3))
 
 
 def test_initial_rows_degenerate_interval():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from array import array
 
@@ -25,6 +26,7 @@ from evopid.metrics import _mean
 from reference import average_error, member_rows, numpy_step_metrics
 
 DT = 0.02
+ZERO = Individual.from_flat([0.0] * 6)
 
 
 def make_channel(desired, actual, dt=DT):
@@ -52,6 +54,32 @@ def test_average_error_rejects_empty_trace():
 
 
 # ---------------------------------------------------------------- fitness
+
+
+def test_fitness_zero_gains_train_route(plant, sim, train_route):
+    record = fitness_of(ZERO, train_route, plant, sim)
+    assert record.ae_linear == pytest.approx(0.3, abs=1e-9)
+    assert record.ae_angular == pytest.approx(0.3, abs=1e-9)
+
+
+def test_fitness_zero_gains_test_route(plant, sim, test_route):
+    record = fitness_of(ZERO, test_route, plant, sim)
+    assert record.ae_linear == pytest.approx(0.4, abs=1e-9)
+    assert record.ae_angular == pytest.approx(0.4, abs=1e-9)
+
+
+def test_fitness_is_pure(plant, sim, train_route):
+    individual = Individual(Gains(0.6, 0.03, 0.002), Gains(0.2, 0.01, 0.0))
+    assert fitness_of(individual, train_route, plant, sim) == fitness_of(
+        individual, train_route, plant, sim
+    )
+
+
+def test_fitness_values_finite_and_nonnegative(plant, sim, train_route):
+    for flat in ([0.0] * 6, [0.9, 0.1, 0.01] * 2, [5.0, 0.0, 0.0] * 2):
+        record = fitness_of(Individual.from_flat(flat), train_route, plant, sim)
+        assert math.isfinite(record.ae_linear) and record.ae_linear >= 0
+        assert math.isfinite(record.ae_angular) and record.ae_angular >= 0
 
 
 def test_fitness_absorbs_divergence_into_worst_case(sim, train_route):
@@ -84,6 +112,15 @@ def test_divergence_loses_selection_to_a_large_finite_error():
 def _phase_times(route, dt=DT):
     n = int(round(2 * route.phase_duration / dt))
     return np.arange(n) * dt
+
+
+def test_step_metrics_as_dict():
+    route = RouteSpec(0.0, 1.0)
+    t = _phase_times(route)
+    phase2 = t >= route.phase_duration
+    actual = np.where(phase2, 1.0, 0.0)
+    d = dataclasses.asdict(step_metrics(ChannelTrace(t, actual, actual), route))
+    assert set(d) == {"rise_time", "overshoot", "steady_state_error"}
 
 
 def test_step_metrics_instant_jump(train_route):
