@@ -156,8 +156,8 @@ PYTHON_SLIPS = [
     (PLANT, '    if not all(type(column) is array and column.typecode in "dq" and len(column) == count for column '
      'in columns):\n        raise ValueError("the CSV columns must be array(\'d\')s or array(\'q\')s of one length")\n',
      "", "no-column-check"),
-    (PLANT, "for start in range(0, count, chunk):", "for start in range(0, count, chunk + 1):", "chunk-step-one-long"),
-    (PLANT, "rows = min(chunk, count - start)", "rows = min(chunk - 1, count - start)", "chunk-one-row-short"),
+    (PLANT, "for start in range(0, count, _CSV_CHUNK):", "for start in range(0, count, _CSV_CHUNK + 1):", "chunk-step-one-long"),
+    (PLANT, "rows = min(_CSV_CHUNK, count - start)", "rows = min(_CSV_CHUNK - 1, count - start)", "chunk-one-row-short"),
     (PLANT, "chunk = column[start : start + rows]", "chunk = column[start : start + rows + 1]",
      "chunk-slice-one-row-long"),
     (PLANT, "constant = raw == raw[: chunk.itemsize] * rows", "constant = chunk.count(chunk[0]) == rows",
@@ -246,7 +246,8 @@ def applies(slip) -> bool:
 def tier1(tree: Path) -> tuple[int, list[str]]:
     """Run Tier-1 on a copy of the tree, with a fresh kernel cache and hypothesis seeded: its exit status, and the ids
     of the tests that failed or errored. A run still going after 5 minutes, 15 times its usual time, hangs: it is
-    stopped and counts as failed (without the check of a nonfinite mutation step, halving -inf never ends)."""
+    stopped and counts as failed. (The tests that could loop forever under a slip, halving -inf, fail on a time limit
+    of their own.)"""
     with tempfile.TemporaryDirectory(prefix="evopid-cache-") as cache:
         env = {**os.environ, "PYTHONPATH": str(tree / "src"), "XDG_CACHE_HOME": cache}
         command = [sys.executable, "-m", "pytest", "-q", "-rfE", "--continue-on-collection-errors",

@@ -45,8 +45,6 @@ GENERATIONS_HEADER = ("generation", "member", *FLAT_GAIN_FIELDS, "ae_linear", "a
 
 # grid points per batched kernel call in grid_oracle; bounds its memory on large grids
 _ORACLE_CHUNK = 4096
-# rows per formatting pass in _write_csv; small, so its temporaries stay small
-_CSV_CHUNK = 512
 
 TRACE_HEADER = ("t", "desired_linear", "actual_linear", "desired_angular", "actual_angular")
 
@@ -321,15 +319,11 @@ def build_experiment_spec(
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[array]) -> None:
-    """The one CSV format: the header, then plant._csv_chunks' lines of the columns, _CSV_CHUNK rows at a time."""
-    chunks = plant._csv_chunks(list(columns), _CSV_CHUNK)
-    # the columns are checked at the first chunk, before the file is made
-    first = next(chunks, b"")
+    """The one CSV format: the header, then plant._csv_chunks' lines of the columns."""
+    chunks = plant._csv_chunks(list(columns))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        fh.write(first)
-        for text in chunks:
-            fh.write(text)
+        fh.writelines(chunks)
 
 
 def _write_json(path: Path, payload) -> None:

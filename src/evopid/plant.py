@@ -322,6 +322,8 @@ def _csv_rows_py(columns: list[array], start: int, rows: int) -> bytes:
     return "".join(cells).encode()
 
 
+# rows per chunk of _csv_chunks; small, so its temporaries stay small
+_CSV_CHUNK = 512
 # the most bytes evopid_csv writes per cell: "-1.2345678901234567e-05" or an int64, and the separator
 _CSV_CELL = 24
 
@@ -568,29 +570,33 @@ def _c_csv():
     return None if found is None else _load_kernel(*found, *_CSV_FLAGS)
 
 
-def _csv_chunks(columns: list[array], chunk: int) -> Iterator[bytes]:
-    """The CSV lines of the equal-length array("d") or array("q") columns, ``chunk`` rows at a time: each cell
+def _csv_chunks(columns: list[array]) -> Iterator[bytes]:
+    """The CSV lines of the equal-length array("d") or array("q") columns, _CSV_CHUNK rows at a time: each cell
     the `repr` of its Python number, comma-joined, each row ending in `\\n`.
 
     A chunk is written by the C kernel's evopid_csv (_c_csv), which writes repr's bytes, or by its twin _csv_rows_py:
     where no kernel is loaded, and for a chunk with a cell evopid_csv does not write (a double that is nonfinite, or
     not 0 and outside 1e-20 <= |x| < 2**52, DIVERGENCE_AE apart). C's text is a view of one buffer, valid until the
-    next chunk is asked for. C trusts its pointers, so the columns are checked first, at the first chunk asked for.
+    next chunk is asked for. C trusts its pointers, so the columns are checked here, before any chunk is asked for.
     """
     count, width = len(columns[0]), len(columns)
     if not all(type(column) is array and column.typecode in "dq" and len(column) == count for column in columns):
         raise ValueError("the CSV columns must be array('d')s or array('q')s of one length")
     library = None if _c_kernel() is None else _c_csv()
-    if library is not None:
-        # held until the last chunk: a buffer with an export cannot be resized
-        held = [memoryview(column) for column in columns]
-        table = _csv_table(columns)
-        out = array("B", bytes(min(count, chunk) * width * _CSV_CELL))
-        addresses, text = (table.buffer_info()[0], out.buffer_info()[0]), memoryview(out)
-    for start in range(0, count, chunk):
-        rows = min(chunk, count - start)
-        size = -1 if library is None else library.evopid_csv(start, rows, width, *addresses)
-        yield text[:size] if size >= 0 else _csv_rows_py(columns, start, rows)
+
+    def chunks():
+        if library is not None:
+            # held until the last chunk: a buffer with an export cannot be resized
+            held = [memoryview(column) for column in columns]
+            table = _csv_table(columns)
+            out = array("B", bytes(min(count, _CSV_CHUNK) * width * _CSV_CELL))
+            addresses, text = (table.buffer_info()[0], out.buffer_info()[0]), memoryview(out)
+        for start in range(0, count, _CSV_CHUNK):
+            rows = min(_CSV_CHUNK, count - start)
+            size = -1 if library is None else library.evopid_csv(start, rows, width, *addresses)
+            yield text[:size] if size >= 0 else _csv_rows_py(columns, start, rows)
+
+    return chunks()
 
 
 def _simulate(gains: array, run: array, record: bool = False):

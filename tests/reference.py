@@ -28,8 +28,9 @@ from evopid import (
     StopReason,
 )
 from evopid.ep import EPResult
-from evopid.harness import _CSV_CHUNK, _ORACLE_CHUNK
+from evopid.harness import _ORACLE_CHUNK
 from evopid.metrics import StepMetrics, _fitness_rows
+from evopid.plant import _CSV_CHUNK
 
 
 def average_error(channel: ChannelTrace) -> float:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import evopid
@@ -140,27 +140,6 @@ def test_mutate_scaled_zero_is_absorbing():
         assert mutated_value(MutationKind.SCALED, 0.0, 0.5, random.Random(seed)) == (0.0,) * 6
 
 
-@given(value=st.sampled_from([0.0, 1e-9, 0.01, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
-def test_mutation_operators_nonnegative(value, seed):
-    assert min(mutated_value(MutationKind.ABSOLUTE, value, 0.05, random.Random(seed))) >= 0.0
-    assert min(mutated_value(MutationKind.SCALED, value, 0.5, random.Random(seed))) >= 0.0
-
-
-def test_mutate_individual_zero_parent_stays_zero_under_scaling():
-    parent = Individual.from_flat([0.0] * 6)
-    spec = MutationSpec(MutationKind.SCALED)
-    assert mutants(parent, spec, random.Random(42)) == (parent,)
-
-
-def test_mutate_individual_deterministic_and_valid():
-    parent = Individual(Gains(0.5, 0.01, 0.001), Gains(0.8, 0.05, 0.002))
-    spec = MutationSpec(MutationKind.SCALED)
-    a = mutants(parent, spec, random.Random(7), count=5)
-    b = mutants(parent, spec, random.Random(7), count=5)
-    assert a == b
-    assert all(v >= 0 and math.isfinite(v) for child in a for v in child.as_flat())
-
-
 @pytest.mark.parametrize("op", [mutate_absolute, mutate_scaled])
 @pytest.mark.parametrize(
     "value, sigma, message",
@@ -209,12 +188,33 @@ def test_mutate_matches_halving_reference(kind, value, draw):
     assert result == tuple(halving_reference(value, scale * d) for d in draws)
 
 
+@given(value=st.sampled_from([0.0, 1e-9, 0.01, 0.1, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_mutation_operators_nonnegative(value, seed):
+    assert min(mutated_value(MutationKind.ABSOLUTE, value, 0.05, random.Random(seed))) >= 0.0
+    assert min(mutated_value(MutationKind.SCALED, value, 0.5, random.Random(seed))) >= 0.0
+
+
+def test_mutate_individual_zero_parent_stays_zero_under_scaling():
+    parent = Individual.from_flat([0.0] * 6)
+    spec = MutationSpec(MutationKind.SCALED)
+    assert mutants(parent, spec, random.Random(42)) == (parent,)
+
+
 def test_mutate_individual_draw_order_is_flat_order():
     parent = Individual.from_flat([1.0] * 6)
     spec = MutationSpec(MutationKind.ABSOLUTE)
     uniforms, draws = scripted([0.2, 0.4, 0.6, 0.8, 1.0, 1.2], 0.05)  # draws near 0.01, 0.02, ..., 0.06
     (child,) = mutants(parent, spec, FakeRng(uniforms))
     assert child.as_flat() == tuple(1.0 + d for d in draws)
+
+
+def test_mutate_individual_deterministic_and_valid():
+    parent = Individual(Gains(0.5, 0.01, 0.001), Gains(0.8, 0.05, 0.002))
+    spec = MutationSpec(MutationKind.SCALED)
+    a = mutants(parent, spec, random.Random(7), count=5)
+    b = mutants(parent, spec, random.Random(7), count=5)
+    assert a == b
+    assert all(v >= 0 and math.isfinite(v) for child in a for v in child.as_flat())
 
 
 @pytest.mark.parametrize(
@@ -303,7 +303,7 @@ gain_values = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(1e300, 1.7
 triples = st.builds(Gains, gain_values, gain_values, gain_values)
 
 
-@settings(max_examples=100)
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     parent=st.builds(Individual, triples, triples),
     kind=st.sampled_from(MutationKind),
@@ -314,34 +314,35 @@ triples = st.builds(Gains, gain_values, gain_values, gain_values)
 @example(parent=Individual.from_flat([0.5, 0.0, 1.7e308] * 2), kind=MutationKind.SCALED, sigma=0.5, seed=2)  # kd: inf
 @example(parent=Individual.from_flat([1e300] * 6), kind=MutationKind.SCALED, sigma=1e300, seed=0)  # step: inf
 @example(parent=Individual.from_flat([0.5] * 6), kind=MutationKind.ABSOLUTE, sigma=1e308, seed=5)  # step: -inf
-def test_mutate_individual_matches_the_public_operators(parent, kind, sigma, seed):
+def test_mutate_individual_matches_the_public_operators(parent, kind, sigma, seed, time_limit):
     # _mutate's one mutant against the reference operators: the same gains, bit for bit, or the same
     # error, and the generator left in the same state
     spec = MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma)
     rng, reference_rng = random.Random(seed), random.Random(seed)
-    try:
-        expected = mutate_by_operators(parent, spec, reference_rng)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            mutants(parent, spec, rng)
-    else:
-        (got,) = mutants(parent, spec, rng)
-        assert [v.hex() for v in got.as_flat()] == [v.hex() for v in expected.as_flat()]
+    with time_limit(5):
+        try:
+            expected = mutate_by_operators(parent, spec, reference_rng)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                mutants(parent, spec, rng)
+        else:
+            (got,) = mutants(parent, spec, rng)
+            assert [v.hex() for v in got.as_flat()] == [v.hex() for v in expected.as_flat()]
     assert rng.getstate() == reference_rng.getstate()
 
 
 # ---------------------------------------------------------------- init
 
 
-def test_initial_rows_deterministic():
-    config = EPConfig(population_size=10, rng_seed=3)
-    assert _initial_rows(config, random.Random(3)) == _initial_rows(config, random.Random(3))
-
-
 def test_initial_rows_degenerate_interval():
     config = EPConfig(population_size=5, init=InitSpec(kp_bounds=(0.5, 0.5)))
     rows = _initial_rows(config, random.Random(11))
     assert all(row[0] == 0.5 and row[3] == 0.5 for row in rows)
+
+
+def test_initial_rows_deterministic():
+    config = EPConfig(population_size=10, rng_seed=3)
+    assert _initial_rows(config, random.Random(3)) == _initial_rows(config, random.Random(3))
 
 
 def test_initial_rows_within_bounds():
@@ -475,7 +476,7 @@ def assert_same_bits(rows, individuals):
     assert [[v.hex() for v in row] for row in rows] == [[v.hex() for v in m.as_flat()] for m in individuals]
 
 
-@settings(max_examples=6)
+@settings(max_examples=6, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     parent=st.builds(Individual, triples, triples),
     sigma=st.sampled_from([0.05, 0.5, 1e300, 1e308]),
@@ -484,17 +485,18 @@ def assert_same_bits(rows, individuals):
 @example(parent=Individual.from_flat([1e300] * 6), sigma=1e300, seed=0)  # scaled: the first step is inf
 @pytest.mark.parametrize("size", [1, 2, 10, 20])
 @pytest.mark.parametrize("kind", list(MutationKind))
-def test_a_generation_of_mutants_matches_the_public_operators(kind, size, parent, sigma, seed):
+def test_a_generation_of_mutants_matches_the_public_operators(kind, size, parent, sigma, seed, time_limit):
     # the same members, bit for bit, or the same error, and the generator left in the same state
     config = EPConfig(population_size=size, mutation=MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma))
     rng, reference_rng = random.Random(seed), random.Random(seed)
-    try:
-        expected = generation_by_operators(parent, config, reference_rng)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            generation_by_mutate(parent, config, rng)
-    else:
-        assert_same_bits(generation_by_mutate(parent, config, rng), expected)
+    with time_limit(5):
+        try:
+            expected = generation_by_operators(parent, config, reference_rng)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                generation_by_mutate(parent, config, rng)
+        else:
+            assert_same_bits(generation_by_mutate(parent, config, rng), expected)
     assert rng.getstate() == reference_rng.getstate()
 
 
@@ -502,7 +504,7 @@ def test_a_generation_of_mutants_matches_the_public_operators(kind, size, parent
 @pytest.mark.parametrize("sigma", [0.5, 1e308])
 @pytest.mark.parametrize("size", [2, 3, 10])
 @pytest.mark.parametrize("kind", list(MutationKind))
-def test_mutate_starts_from_the_spare_normal_of_an_earlier_gauss_call(kind, size, sigma, seed):
+def test_mutate_starts_from_the_spare_normal_of_an_earlier_gauss_call(kind, size, sigma, seed, time_limit):
     # after one gauss call the generator holds its second normal in gauss_next, and the first draw must be that spare.
     # At sigma 1e308 these seeds draw a nonfinite step in mutant 3, so population 10 raises partway through
     parent = Individual.from_flat([1.0, 0.01, 0.0, 1.0, 0.02, 0.001])
@@ -510,15 +512,16 @@ def test_mutate_starts_from_the_spare_normal_of_an_earlier_gauss_call(kind, size
     rng, reference_rng = random.Random(seed), random.Random(seed)
     rng.gauss(), reference_rng.gauss()
     assert rng.gauss_next is not None
-    try:
-        expected = generation_by_operators(parent, config, reference_rng)
-    except ValueError as exc:
-        assert (size, sigma) == (10, 1e308)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            generation_by_mutate(parent, config, rng)
-    else:
-        assert (size, sigma) != (10, 1e308)
-        assert_same_bits(generation_by_mutate(parent, config, rng), expected)
+    with time_limit(5):
+        try:
+            expected = generation_by_operators(parent, config, reference_rng)
+        except ValueError as exc:
+            assert (size, sigma) == (10, 1e308)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                generation_by_mutate(parent, config, rng)
+        else:
+            assert (size, sigma) != (10, 1e308)
+            assert_same_bits(generation_by_mutate(parent, config, rng), expected)
     assert rng.getstate() == reference_rng.getstate()
 
 

@@ -25,8 +25,8 @@ from evopid import (
 from evopid.metrics import _mean
 from reference import average_error, member_rows, numpy_step_metrics
 
-DT = 0.02
 ZERO = Individual.from_flat([0.0] * 6)
+DT = 0.02
 
 
 def make_channel(desired, actual, dt=DT):
@@ -75,13 +75,6 @@ def test_fitness_is_pure(plant, sim, train_route):
     )
 
 
-def test_fitness_values_finite_and_nonnegative(plant, sim, train_route):
-    for flat in ([0.0] * 6, [0.9, 0.1, 0.01] * 2, [5.0, 0.0, 0.0] * 2):
-        record = fitness_of(Individual.from_flat(flat), train_route, plant, sim)
-        assert math.isfinite(record.ae_linear) and record.ae_linear >= 0
-        assert math.isfinite(record.ae_angular) and record.ae_angular >= 0
-
-
 def test_fitness_absorbs_divergence_into_worst_case(sim, train_route):
     params = PlantParams(
         linear=ChannelParams(dc_gain=1e308, actuator_limit=1e308),
@@ -106,21 +99,19 @@ def test_divergence_loses_selection_to_a_large_finite_error():
     assert members[1].ae_linear > 1e6
 
 
+def test_fitness_values_finite_and_nonnegative(plant, sim, train_route):
+    for flat in ([0.0] * 6, [0.9, 0.1, 0.01] * 2, [5.0, 0.0, 0.0] * 2):
+        record = fitness_of(Individual.from_flat(flat), train_route, plant, sim)
+        assert math.isfinite(record.ae_linear) and record.ae_linear >= 0
+        assert math.isfinite(record.ae_angular) and record.ae_angular >= 0
+
+
 # ---------------------------------------------------------------- step metrics
 
 
 def _phase_times(route, dt=DT):
     n = int(round(2 * route.phase_duration / dt))
     return np.arange(n) * dt
-
-
-def test_step_metrics_as_dict():
-    route = RouteSpec(0.0, 1.0)
-    t = _phase_times(route)
-    phase2 = t >= route.phase_duration
-    actual = np.where(phase2, 1.0, 0.0)
-    d = dataclasses.asdict(step_metrics(ChannelTrace(t, actual, actual), route))
-    assert set(d) == {"rise_time", "overshoot", "steady_state_error"}
 
 
 def test_step_metrics_instant_jump(train_route):
@@ -205,6 +196,15 @@ def test_step_metrics_requires_end_phase_coverage(train_route):
     actual = np.full_like(t, train_route.start)
     with pytest.raises(ValueError):
         step_metrics(ChannelTrace(t, actual, actual), train_route)
+
+
+def test_step_metrics_as_dict():
+    route = RouteSpec(0.0, 1.0)
+    t = _phase_times(route)
+    phase2 = t >= route.phase_duration
+    actual = np.where(phase2, 1.0, 0.0)
+    d = dataclasses.asdict(step_metrics(ChannelTrace(t, actual, actual), route))
+    assert set(d) == {"rise_time", "overshoot", "steady_state_error"}
 
 
 # ---------------------------------------------------------------- the written-out reductions against NumPy's

@@ -214,24 +214,6 @@ def test_overflowing_first_error_is_rejected_on_every_simulation_path(phase_dura
 # ---------------------------------------------------------------- route simulation
 
 
-def test_simulate_route_timestamps_spaced_by_dt(plant, sim, train_route):
-    trace = simulate_route(ZERO, train_route, plant, sim)
-    t = trace.linear.time
-    assert t[0] == 0.0
-    assert np.all(np.diff(t) > 0)
-    assert np.allclose(np.diff(t), sim.dt, rtol=0, atol=1e-12)
-
-
-def test_simulate_route_is_repeatable(plant, sim, train_route):
-    individual = Individual(Gains(0.7, 0.02, 0.001), Gains(0.4, 0.05, 0.0))
-    a = simulate_route(individual, train_route, plant, sim)
-    b = simulate_route(individual, train_route, plant, sim)
-    for ca, cb in ((a.linear, b.linear), (a.angular, b.angular)):
-        assert np.array_equal(ca.time, cb.time)
-        assert np.array_equal(ca.desired, cb.desired)
-        assert np.array_equal(ca.actual, cb.actual)
-
-
 def test_simulate_route_zero_gains_stay_at_rest(plant, sim, train_route):
     trace = simulate_route(ZERO, train_route, plant, sim)
     for channel in (trace.linear, trace.angular):
@@ -251,6 +233,24 @@ def test_simulate_route_nonzero_initial_velocity_holds_without_gains(sim, train_
     # zero command decays toward zero, never past the start magnitude
     assert trace.linear.actual[0] == 0.25
     assert np.all(np.abs(trace.linear.actual) <= 0.25)
+
+
+def test_simulate_route_timestamps_spaced_by_dt(plant, sim, train_route):
+    trace = simulate_route(ZERO, train_route, plant, sim)
+    t = trace.linear.time
+    assert t[0] == 0.0
+    assert np.all(np.diff(t) > 0)
+    assert np.allclose(np.diff(t), sim.dt, rtol=0, atol=1e-12)
+
+
+def test_simulate_route_is_repeatable(plant, sim, train_route):
+    individual = Individual(Gains(0.7, 0.02, 0.001), Gains(0.4, 0.05, 0.0))
+    a = simulate_route(individual, train_route, plant, sim)
+    b = simulate_route(individual, train_route, plant, sim)
+    for ca, cb in ((a.linear, b.linear), (a.angular, b.angular)):
+        assert np.array_equal(ca.time, cb.time)
+        assert np.array_equal(ca.desired, cb.desired)
+        assert np.array_equal(ca.actual, cb.actual)
 
 
 def test_simulate_route_channels_do_not_couple(plant, sim, train_route):
