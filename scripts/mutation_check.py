@@ -5,7 +5,7 @@ A slip is an entry (file, old text, new text, name): the file's one occurrence o
 There are two tables.
 
 C_SLIPS holds the slips of src/evopid/_kernel.c that a load check must refuse, by the load check: the simulation at
-every vector width the host runs, a lane of the four-wide build, the time column and the CSV formatter.
+every vector width the host runs, a lane of the four-wide build, the time column, the mutation and the CSV formatter.
 tests/test_kernel.py reads them from here and compiles each one in every Tier-1 run, requiring its build to be
 refused, so this script only checks that each still applies.
 
@@ -66,6 +66,17 @@ C_SLIPS = {
     "time": [
         (KERNEL, "    for (int64_t k = 0; k < n; k++)\n        out[k] = (double)k * dt;",
          "    double t = 0.0;\n    for (int64_t k = 0; k < n; k++, t += dt)\n        out[k] = t;", "running-sum"),
+    ],
+    # evopid_mutate against the twin's mutants and spare: the pair's normals swapped, a uniform's two words shifted
+    # each by the other's shift, the spare normal passed in not drawn first, and a halving by a quarter
+    "mutation": [
+        (KERNEL, "z = cosine(x2pi) * g2rad;\n            spare = sin(x2pi) * g2rad;",
+         "z = sin(x2pi) * g2rad;\n            spare = cosine(x2pi) * g2rad;", "sin-taken-for-cos"),
+        (KERNEL, "(word(p) >> 5) * 67108864.0 + (word(p + 4) >> 6)", "(word(p) >> 6) * 67108864.0 + (word(p + 4) >> 5)",
+         "word-shifts-swapped"),
+        (KERNEL, "    for (int64_t k = 0; k < 6 * mutants; k++) {\n",
+         "    spares = 0;\n    for (int64_t k = 0; k < 6 * mutants; k++) {\n", "spare-passed-in-dropped"),
+        (KERNEL, "step *= 0.5;", "step *= 0.25;", "halving-by-a-quarter"),
     ],
     # A digit dropped, the .0 of an integral double dropped, a removed 5 rounded down in Ryu's common path, slips in
     # its general path, the cell above copied where its value is equal but not its bits (-0.0 below 0.0) or at a
@@ -162,7 +173,12 @@ PYTHON_SLIPS = [
      "chunk-slice-one-row-long"),
     (PLANT, "constant = raw == raw[: chunk.itemsize] * rows", "constant = chunk.count(chunk[0]) == rows",
      "constant-column-keyed-on-value"),
-    # mutation
+    # mutation: _mutate's choice of the C kernel, and what it leaves in the generator
+    (EP, "kernel is not None and type(rng) is random.Random and", "kernel is not None and",
+     "c-mutation-for-any-generator"),
+    (EP, "        and (1.0 + _Z_BOUND * sigma) * max(1.0, *parent) < sys.float_info.max\n", "",
+     "c-mutation-without-its-step-bound"),
+    (EP, "    rng.gauss_next = None if spare is None else left\n", "", "c-mutation-leaves-gauss-next"),
     (EP, "random, spare = rng.random, rng.gauss_next", "random, spare = rng.random, None", "gauss-next-ignored"),
     (EP, "    finally:\n        rng.gauss_next = spare\n", "    finally:\n        pass\n", "no-gauss-next-write-back"),
     (EP, "    finally:\n        rng.gauss_next = spare\n    return mutants",

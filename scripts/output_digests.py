@@ -11,9 +11,9 @@ grid fills its blocks, and the 60- and 105-point ones end on a partial block. Th
 is more than grid_oracle scores in one kernel call, so it takes a full chunk and a partial one and
 compares the minima across chunks. Each command runs in its
 own empty directory with the relative `--out out`, so result.json, which records its output
-directory, compares too. --twin makes _c_kernel() None, so the three Python twins run in place of the C
-kernel: the simulation loop, the time column and the CSV cell writer. Diff the lines of two trees, or of one
-tree with and without --twin, to check that they write the same bytes:
+directory, compares too. --twin makes _c_kernel() None, so the four Python twins run in place of the C
+kernel: the simulation loop, the time column, the Gaussian mutation (ep._mutate_py) and the CSV cell writer. Diff
+the lines of two trees, or of one tree with and without --twin, to check that they write the same bytes:
 
     PYTHONPATH=src python scripts/output_digests.py > c.txt
     PYTHONPATH=src python scripts/output_digests.py --twin > twin.txt
@@ -122,7 +122,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument(
         "--twin", action="store_true",
-        help="run the Python twins, simulation, time column and CSV writer, in place of the C kernel",
+        help="run the Python twins, simulation, time column, mutation and CSV writer, in place of the C kernel",
     )
     args = parser.parse_args()
     if args.twin:

@@ -1,10 +1,11 @@
-/* Three exports, each a Python twin in C, bit for bit, which plant._load_kernel checks against that twin before use:
+/* Four exports, each a Python twin in C, bit for bit, which plant._load_kernel checks against that twin before use:
  * - evopid_run, the closed PID loop of both channels along a two-stretch route, for rows of gains: plant._run_rows_py;
  * - evopid_times, the time column of a recorded run: plant._times_py;
+ * - evopid_mutate, the Gaussian mutants of one parent row, from the generator's own words: ep._mutate_py;
  * - at the end of the file, in the builds that define EVOPID_CSV, evopid_csv, the CSV cells of harness._write_csv:
  *   plant._csv_rows_py.
- * evopid_has_avx beside them tells which build this host runs. None calls a libm function: the loop takes its one
- * exp from the caller, and the cells are worked out on integers.
+ * evopid_has_avx beside them tells which build this host runs. Only evopid_mutate calls libm, and only the functions
+ * math calls in its twin: the loop takes its one exp from the caller, and the cells are worked out on integers.
  *
  * Every double operation of a channel is the Python twin's, in its order, so the results
  * are bit-identical to it when compiled with -ffp-contract=off (no fused multiply-add)
@@ -25,7 +26,7 @@
  * route's 13: the plant, 2 x 4 (per channel: actuator limit, DC gain, decay, start
  * velocity), then dt, start, end and the two stretches' sample counts first and second,
  * whole doubles that the caller has checked, cast here to int64_t. The caller takes
- * decay = exp(-dt / time_constant) in Python, so no libm function is called here. Each
+ * decay = exp(-dt / time_constant) in Python, so the loop calls no libm function. Each
  * row writes its two average errors, the error sum divided by first + second, and its two
  * final velocities, linear then angular, to results (rows x 4). A nonfinite final velocity
  * on either channel is the divergence verdict: both average errors are then DBL_MAX,
@@ -181,6 +182,70 @@ void evopid_times(int64_t n, double dt, double *out)
 {
     for (int64_t k = 0; k < n; k++)
         out[k] = (double)k * dt;
+}
+
+/* libm's, declared here rather than by <math.h>, which would add 13 ms to every build */
+double log(double);
+double sqrt(double);
+double sin(double);
+double cos(double);
+
+/* The 32-bit word at p, from little-endian bytes */
+static inline uint32_t word(const uint8_t *p)
+{
+    return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16 | (uint32_t)p[3] << 24;
+}
+
+/* random.Random.random() of its next two words, at p: CPython's genrand_res53 */
+static inline double uniform(const uint8_t *p)
+{
+    return ((word(p) >> 5) * 67108864.0 + (word(p + 4) >> 6)) * (1.0 / 9007199254740992.0);
+}
+
+/* cos in a function of its own: GCC at -O2 fuses the cos and sin of one argument into one sincos call, which math
+ * never makes. glibc 2.36's sincos gave sin's and cos's bits on 2e7 arguments in [0, 2 pi), but that is a sample,
+ * not a contract, and the load check could only see a libm where they differ on its own few dozen arguments. */
+__attribute__((noinline)) static double cosine(double x)
+{
+    return cos(x);
+}
+
+/* The mutants of one parent row: ep._mutate_py in C, for a random.Random whose next words ep._mutate has taken by
+ * one getrandbits call. words holds 12 x mutants of them, as that int's little-endian bytes, lowest word first: the
+ * order random() reads them in, two a call. A draw is random.Random.gauss's: the spare normal if there is one (spares
+ * 1), else the cos of a Box-Muller pair, whose sin becomes the spare. Each of the 6 x mutants draws, in flat order,
+ * makes the twin's step, sum and halving of the parent gain, into out (mutants x 6). Returns the spare normal left,
+ * which exists where one was passed in: 6 x mutants draws take 3 x mutants pairs either way. ep._mutate calls it only
+ * where every step and sum is finite, so it never raises or halves a nonfinite step as the twin would.
+ * The bits are the twin's because the arithmetic is its, in its order, and log, sqrt, cos and sin are the very
+ * functions math calls: this library is loaded into the Python process whose math module it is checked against, so
+ * both resolve them in the one libm that process has mapped. */
+double evopid_mutate(int64_t mutants, const double *parent, int64_t scaled, double sigma, int64_t spares, double spare,
+                     const uint8_t *words, double *out)
+{
+    for (int64_t k = 0; k < 6 * mutants; k++) {
+        double z = spare;
+        if (spares)
+            spares = 0;
+        else {
+            double x2pi = uniform(words) * 6.283185307179586, g2rad = sqrt(-2.0 * log(1.0 - uniform(words + 8)));
+            words += 16;
+            z = cosine(x2pi) * g2rad;
+            spare = sin(x2pi) * g2rad;
+            spares = 1;
+        }
+        double v = parent[k % 6], step = scaled ? v * (0.0 + z * sigma) : 0.0 + z * sigma, x = v + step;
+        /* ep._clamp_additive: a 0 stays 0, any other gain's step is halved until the sum is >= 0. A step of -inf,
+         * which halving never leaves, ends the loop too: _mutate passes none, and one it passed by a slip would give
+         * a mutant of -inf, not a hang. */
+        if (x < 0.0) {
+            while (v != 0.0 && v + step < 0.0 && step >= -DBL_MAX)
+                step *= 0.5;
+            x = v == 0.0 ? 0.0 : v + step;
+        }
+        out[k] = x;
+    }
+    return spare;
 }
 
 /* The CSV cells of harness._write_csv: plant._csv_rows_py in C, each the bytes of its repr.

@@ -15,6 +15,8 @@ import itertools
 import math
 import numbers
 import random
+import struct
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -252,13 +254,52 @@ def _initial_rows(config: EPConfig, rng: random.Random) -> list[tuple[float, ...
     return [tuple(rng.uniform(*bound) for bound in bounds) for _ in range(config.population_size)]
 
 
+# every normal gauss draws has |z| <= sqrt(-2 log 2**-53) ~ 8.5716, since 1 - random() >= 2**-53
+_Z_BOUND = 8.58
+
+
 def _mutate(parent: tuple[float, ...], config: EPConfig, rng: random.Random) -> list[tuple[float, ...]]:
-    """The population_size - 1 mutants of a flat parent row of finite gains >= 0, as flat rows.
+    """The population_size - 1 mutants of a flat parent row of finite gains >= 0, as flat rows: _mutate_py's, bit for
+    bit, and the generator left in its state.
+
+    The C kernel's evopid_mutate makes them where it is loaded, the generator is a random.Random itself (a subclass
+    may draw otherwise), the sigma, the spare normal and the gains are floats, and no step can be nonfinite: with
+    |z| <= _Z_BOUND, (1 + _Z_BOUND sigma) max(1, gains) < DBL_MAX bounds every step and sum. It takes the generator's
+    next words in one getrandbits call, the words the twin's random() calls would read, in their order. Anywhere else
+    _mutate_py runs, the one path that raises.
+    """
+    from .plant import _c_kernel  # at call time: plant imports this module
+
+    kernel, spare = _c_kernel(), rng.gauss_next
+    scaled = config.mutation.kind is MutationKind.SCALED
+    sigma = config.mutation.sigma_scaled if scaled else config.mutation.sigma_absolute
+    if not (
+        kernel is not None and type(rng) is random.Random and type(sigma) is float
+        and (spare is None or type(spare) is float and abs(spare) <= _Z_BOUND)
+        and all(type(v) is float and v >= 0.0 for v in parent)
+        and (1.0 + _Z_BOUND * sigma) * max(1.0, *parent) < sys.float_info.max
+    ):
+        return _mutate_py(parent, config, rng)
+    count = config.population_size - 1
+    # three Box-Muller pairs a mutant, each two random() calls of two 32-bit words; getrandbits' int holds the words
+    # from its lowest 32 bits up, in the order random() would read them
+    words = rng.getrandbits(384 * count).to_bytes(48 * count, "little")
+    row, out = array("d", parent), array("d", bytes(48 * count))
+    left = kernel.evopid_mutate(count, row.buffer_info()[0], scaled, sigma, spare is not None,
+                                0.0 if spare is None else spare, words, out.buffer_info()[0])
+    rng.gauss_next = None if spare is None else left
+    return list(struct.iter_unpack("6d", out))
+
+
+def _mutate_py(parent: tuple[float, ...], config: EPConfig, rng: random.Random) -> list[tuple[float, ...]]:
+    """_mutate in Python, its fallback and reference, and _kernel.c's evopid_mutate's: the population_size - 1
+    mutants of a flat parent row of finite gains >= 0, as flat rows.
 
     A mutant adds to each gain, in flat order, N(0, sigma_absolute), or under scaled mutation the gain times
     N(0, sigma_scaled), so a 0 stays 0 though its draw is consumed; a step that takes a gain below 0 is halved until it
     does not. The draws are random.Random.gauss's bit for bit: its Box-Muller over ``rng.random()``, its spare in
-    gauss_next. Population 1 draws nothing.
+    gauss_next. Population 1 draws nothing. A nonfinite step raises _clamp_additive's error, and a sum that overflows
+    Gains' error.
     """
     scaled = config.mutation.kind is MutationKind.SCALED
     sigma = config.mutation.sigma_scaled if scaled else config.mutation.sigma_absolute

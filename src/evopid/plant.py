@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .ep import Gains, Individual, _require_finite
+from .ep import EPConfig, Gains, Individual, MutationKind, MutationSpec, _mutate_py, _require_finite
 
 
 class SimulationDiverged(RuntimeError):
@@ -333,7 +333,7 @@ def _csv_table(columns: list[array]) -> array:
     return array("q", [v for column in columns for v in (column.buffer_info()[0], column.typecode == "q")])
 
 
-# _run_rows_py transcribed to C; -ffp-contract=off keeps a * b + c from fusing into one rounding.
+# the Python twins transcribed to C; -ffp-contract=off keeps a * b + c from fusing into one rounding.
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # what _c_kernel adds to the baseline build where the host runs AVX: two rows per 256-bit vector
@@ -409,6 +409,48 @@ def _times_match(times) -> bool:
 
 
 @functools.cache
+def _mutate_self_test() -> list[tuple]:
+    """The fixed mutations every build's evopid_mutate must make as ep._mutate_py does: per case its arguments but
+    the output's address, then the bytes of the twin's mutants and the spare normal it leaves.
+
+    A scaled case without a spare and an absolute one that carries one in, each on a parent with zero gains and gains
+    that a step of 3 sigma takes below 0, so both rules for a sum below 0 run, a 0 that stays 0 and a halving; the
+    twin's random() reads the words as CPython's does. The first eight words are 0, 0, then four 0xFFFFFFFF, then 0,
+    0, so that random() returns 0 and 1 - 2**-53, both its ends: the first pair draws x2pi = 0 and the longest radius,
+    the second x2pi just below 2 pi and the radius 0 (-0.0, as sqrt(-2 log 1) is).
+    """
+    import random
+    import types
+
+    cases = []
+    for kind, sigma, parent, spare, count in (
+        (MutationKind.SCALED, 3.0, (0.0, 1.5, 1e-3, 2.0, 0.0, 40.0), None, 4),
+        (MutationKind.ABSOLUTE, 0.5, (0.0, 0.25, 0.01, 1.0, 0.0, 3.0), 0.4, 3),
+    ):
+        config = EPConfig(count + 1, mutation=MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma))
+        words = bytes(8) + b"\xff" * 16 + bytes(8) + random.Random(count).randbytes(48 * count - 32)
+        u = [int.from_bytes(words[i : i + 4], "little") for i in range(0, len(words), 4)]
+        uniforms = [((a >> 5) * 67108864.0 + (b >> 6)) * (1.0 / 9007199254740992.0) for a, b in zip(u[::2], u[1::2])]
+        rng = types.SimpleNamespace(random=iter(uniforms).__next__, gauss_next=spare)
+        want = array("d", [v for mutant in _mutate_py(parent, config, rng) for v in mutant])
+        args = (count, array("d", parent), kind is MutationKind.SCALED, sigma, spare is not None,
+                0.0 if spare is None else spare, words)
+        cases.append((args, want.tobytes(), rng.gauss_next))
+    return cases
+
+
+def _mutate_matches(mutate) -> bool:
+    """Whether a library's evopid_mutate makes _mutate_self_test's mutants and spare as _mutate_py does, and leaves
+    the guard cell past the mutants."""
+    for (count, parent, *args), want, spare in _mutate_self_test():
+        got = array("d", [-7.25]) * (6 * count + 1)
+        left = mutate(count, parent.buffer_info()[0], *args, got.buffer_info()[0])
+        if got.tobytes() != want + array("d", [-7.25]).tobytes() or spare is not None and left.hex() != spare.hex():
+            return False
+    return True
+
+
+@functools.cache
 def _csv_self_test() -> tuple[list[array], bytes]:
     """The fixed cells every build's evopid_csv must write as _csv_rows_py does: the columns, and the twin's bytes of
     their rows but the last, whose second cell, 5e-324, evopid_csv does not write. The row before it repeats the bits
@@ -460,7 +502,8 @@ def _csv_matches(formatter) -> bool:
 def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
     """The library of ``source`` built by cc with _KERNEL_FLAGS and ``flags`` in cache_dir, a directory the caller has
     made and checked, opened once; None on any failure, unless its evopid_run matches the twin on _self_test's run, its
-    evopid_times passes _times_match and, in a build with _CSV_FLAGS, its evopid_csv passes _csv_matches.
+    evopid_times passes _times_match, its evopid_mutate _mutate_matches and, in a build with _CSV_FLAGS, its
+    evopid_csv passes _csv_matches.
 
     The library is named by _library_name; a miss compiles these same bytes, on cc's stdin, and writes the build by
     atomic rename, so no process loads a stale or half-written one. Nothing is printed, cc's own output included.
@@ -476,8 +519,10 @@ def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
             fd, partial = tempfile.mkstemp(suffix=".so", prefix=".kernel-", dir=cache_dir)
             os.close(fd)
             try:
+                # -lm after the source, for evopid_mutate's libm calls: a linker that drops libraries no earlier
+                # input needs (--as-needed) would drop it in front of the source
                 subprocess.run(
-                    ["cc", *flags, "-o", partial, "-x", "c", "-"],
+                    ["cc", *flags, "-o", partial, "-x", "c", "-", "-lm"],
                     input=source, capture_output=True, check=True, timeout=120,
                 )
                 os.replace(partial, path)
@@ -486,7 +531,7 @@ def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
             finally:
                 Path(partial).unlink(missing_ok=True)
         library = ctypes.CDLL(str(path))
-        kernel, times = library.evopid_run, library.evopid_times
+        kernel, times, mutate = library.evopid_run, library.evopid_times, library.evopid_mutate
         formatter = library.evopid_csv if _CSV_FLAGS[0] in flags else None
     except (OSError, AttributeError):
         return None
@@ -502,6 +547,13 @@ def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
     times.argtypes = (ctypes.c_int64, ctypes.c_double, ctypes.c_void_p)
     times.restype = None
     if not _times_match(times):
+        return None
+    # the mutants, the parent's address, scaled (1) or absolute (0), sigma, whether a spare normal is passed in, the
+    # spare, the words' bytes, then the address of the output; it returns the spare normal left
+    mutate.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
+                       ctypes.c_double, ctypes.c_char_p, ctypes.c_void_p)
+    mutate.restype = ctypes.c_double
+    if not _mutate_matches(mutate):
         return None
     if formatter is None:
         return library
@@ -529,8 +581,8 @@ def _cache_and_source() -> tuple[Path, bytes] | None:
 
 @functools.cache
 def _c_kernel():
-    """The C kernel library, whose evopid_run _simulate calls, from the per-user cache, or None; loaded once, in one
-    pass.
+    """The C kernel library, whose evopid_run _simulate calls and evopid_mutate ep._mutate, from the per-user cache, or
+    None; loaded once, in one pass.
 
     The cache directory is made and checked once, and _kernel.c read once (_cache_and_source). Its baseline build, one
     row per two-wide vector, loads first and reports whether the host runs AVX; where it does, the -mavx build, two

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import types
 from array import array
 from collections import Counter
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import evopid
+import evopid.plant
 from evopid import (
     EPConfig,
     EvaluationError,
@@ -29,7 +31,7 @@ from evopid import (
     build_experiment_spec,
     run_ep,
 )
-from evopid.ep import _MAX_MEMBERS, _argmin_finite, _initial_rows, _mutate, evolve
+from evopid.ep import _MAX_MEMBERS, _argmin_finite, _initial_rows, _mutate, _mutate_py, evolve
 from evopid.metrics import _fitness_rows, fitness_of
 from reference import evolve_reference, generation_record, member_rows, mutate_absolute, mutate_scaled
 
@@ -88,7 +90,8 @@ def halving_reference(value: float, add: float) -> float:
 
 
 # ---------------------------------------------------------------- mutation
-# _mutate is the one mutation path; these tests drive it through mutants
+# _mutate is evolve's one mutation entry: the C kernel's evopid_mutate where it applies, else its twin _mutate_py;
+# these tests drive it through mutants, and tests/test_kernel.py holds the C path to the twin
 
 
 def mutants(parent, spec, rng, count=1):
@@ -293,7 +296,7 @@ def test_the_package_has_one_mutation_path():
             assert not names & copies, (path.name, node.lineno)
     assert not copies & set(dir(evopid))
     # the reference EP loop shares no code with evolve: tests/reference.py names none of evolve's parts
-    internals = {"evolve", "_initial_rows", "_mutate", "_from_rows", "_argmin_finite"}
+    internals = {"evolve", "_initial_rows", "_mutate", "_mutate_py", "_from_rows", "_argmin_finite"}
     for node, names in names_in(Path(__file__).with_name("reference.py")):
         assert not names & internals, ("reference.py", node.lineno)
 
@@ -441,6 +444,31 @@ def test_evolve_splices_composite_parent():
     assert len(succ) == 3
     assert succ[0].linear == pop[1].linear
     assert succ[0].angular == pop[0].angular
+
+
+def test_mutate_takes_the_twin_for_another_generator_or_a_step_that_may_be_nonfinite(monkeypatch):
+    # evopid_mutate reads the words of a random.Random itself and needs every step finite: a FakeRng, whose random()
+    # is its own, and sigma 1e300 on gains near DBL_MAX run _mutate_py, which raises its error for the latter
+    def evopid_mutate(*args):
+        raise AssertionError("the C kernel was called")
+
+    monkeypatch.setattr(evopid.plant, "_c_kernel", lambda: types.SimpleNamespace(evopid_mutate=evopid_mutate))
+    parent = (1.0, 0.01, 0.0, 1.0, 0.02, 0.001)
+    uniforms, _ = scripted([0.3, -0.2] * 6, 0.5)
+    config = EPConfig(population_size=3)
+    rng, twin = FakeRng(uniforms), FakeRng(uniforms)
+    assert [[v.hex() for v in m] for m in _mutate(parent, config, rng)] == [
+        [v.hex() for v in m] for m in _mutate_py(parent, config, twin)
+    ]
+    assert rng.uniforms == twin.uniforms == []
+    for kind in MutationKind:
+        config = EPConfig(population_size=3, mutation=MutationSpec(kind, sigma_absolute=1e300, sigma_scaled=1e300))
+        rng, twin = random.Random(1), random.Random(1)
+        with pytest.raises(ValueError) as expected:
+            _mutate_py((sys.float_info.max,) * 6, config, twin)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            _mutate((sys.float_info.max,) * 6, config, rng)
+        assert rng.getstate() == twin.getstate()
 
 
 def test_mutate_at_population_1_draws_nothing():

@@ -42,11 +42,14 @@ from evopid import (
     DIVERGENCE_AE,
     ChannelParams,
     ChannelTrace,
+    EPConfig,
     FitnessRecord,
     GainGrid,
     Gains,
     GridOracleResult,
     Individual,
+    MutationKind,
+    MutationSpec,
     PlantParams,
     RouteSpec,
     SimConfig,
@@ -65,6 +68,7 @@ from evopid import (
 import evopid.harness
 import evopid.metrics
 import evopid.plant
+from evopid.ep import _mutate, _mutate_py
 from evopid.metrics import _fitness_rows
 from evopid.plant import (
     _CSV_CELL,
@@ -581,9 +585,9 @@ def test_buffers_the_kernel_reads_cannot_be_resized_during_the_call():
 
 
 def test_kernel_signature_agrees_in_c_ctypes_and_the_twin(c_kernel):
-    # each simulation export's prototype in _kernel.c, the argtypes _load_kernel gives ctypes and its twin's
-    # parameters: the same arguments in the same order, each an integer, a double or a pointer; a mismatch would be
-    # undefined behaviour
+    # each export's prototype in _kernel.c, the argtypes _load_kernel gives ctypes and, where it takes them, its
+    # twin's parameters: the same arguments in the same order, each an integer, a double or a pointer; a mismatch
+    # would be undefined behaviour
     if c_kernel is None:
         pytest.skip(NO_CC)
     # each type as C, ctypes and the twin's annotations name it; any other is a KeyError
@@ -597,6 +601,13 @@ def test_kernel_signature_agrees_in_c_ctypes_and_the_twin(c_kernel):
         assert len(params) == arity and [c_name for _, c_name in c_params] == [p.name for p in params], name
         argtypes = getattr(c_kernel, name).argtypes
         assert [kinds[t] for t, _ in c_params] == [kinds[t] for t in argtypes] == [kinds[p.annotation] for p in params]
+    # evopid_mutate's twin takes a parent row, a config and a generator, which _mutate unpacks into C's arguments
+    prototype = re.search(rb"double evopid_mutate\(([^)]*)\)", SOURCE).group(1).decode()
+    c_types = [re.fullmatch(r"(?:const )?(int64_t |double \*?|uint8_t \*)\w+", p.strip()).group(1)
+               for p in prototype.split(",")]
+    kinds.update({"uint8_t *": bytes, ctypes.c_char_p: bytes})
+    assert [kinds[t] for t in c_types] == [kinds[t] for t in c_kernel.evopid_mutate.argtypes]
+    assert c_kernel.evopid_mutate.restype is ctypes.c_double
 
 
 def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatch):
@@ -753,12 +764,9 @@ def test_time_column_is_the_twins_bit_for_bit(kernels):
                 assert got.typecode == "d" and got.tobytes() == want.tobytes(), (kernel, dt)
 
 
-@pytest.mark.parametrize("slip", slips("time"))
-def test_kernel_whose_time_column_slips_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
-    # a time column summed as t += dt fails the load check, so no kernel loads and simulate_route takes the twin;
-    # evopid_times is the same code at every width, so the baseline build alone is slipped
-    if c_kernel is None:
-        pytest.skip(NO_CC)
+def assert_baseline_slip_is_not_loaded(slip, tmp_path, monkeypatch):
+    """A slip of code that is the same at every width, in the baseline build alone: the build is refused, so
+    _c_kernel loads no kernel, and every path takes its twin."""
     cache = tmp_path / "evopid"
     cache.mkdir(mode=0o700)
     assert_slip_is_not_used(slip, [()], cache)
@@ -768,6 +776,68 @@ def test_kernel_whose_time_column_slips_is_not_used(slip, c_kernel, tmp_path, mo
     monkeypatch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-O0"))  # finds the build refused above
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert evopid.plant._c_kernel.__wrapped__() is None
+
+
+@pytest.mark.parametrize("slip", slips("time"))
+def test_kernel_whose_time_column_slips_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
+    # a time column summed as t += dt fails the load check, so no kernel loads and simulate_route takes the twin
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    assert_baseline_slip_is_not_loaded(slip, tmp_path, monkeypatch)
+
+
+# ---------------------------------------------------------------- the mutation
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    parent=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1e3)), min_size=6, max_size=6),
+    kind=st.sampled_from(MutationKind),
+    sigma=st.floats(1e-3, 1e3),
+    size=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    spare=st.booleans(),
+)
+# zeros, a subnormal and a tiny gain that steps of sigma 1e3 take far below 0: long halvings, and a 0 kept
+@example(parent=[0.0, 5e-324, 1e-300, 0.5, 0.0, 1e3], kind=MutationKind.ABSOLUTE, sigma=1e3, size=40, seed=0,
+         spare=True)
+@example(parent=[0.0, 5e-324, 1e-300, 0.5, 0.0, 1e3], kind=MutationKind.SCALED, sigma=1e3, size=2, seed=1,
+         spare=False)
+def test_mutation_in_c_matches_the_twin(parent, kind, sigma, size, seed, spare, kernels):
+    # evopid_mutate, through _mutate as evolve calls it, against _mutate_py on a generator in the same state, three
+    # calls in a row, each on the last one's first mutant: the same mutants by .hex(), and the generator left in the
+    # same state, gauss_next to the bit; each C build, for the twin is the reference
+    config = EPConfig(size, mutation=MutationSpec(kind, sigma_absolute=sigma, sigma_scaled=sigma))
+    for kernel in kernels:
+        if kernel is None:
+            continue
+        calls = []
+
+        def mutate(*args, kernel=kernel):
+            calls.append(args[0])
+            return kernel.evopid_mutate(*args)
+
+        rng, twin = random.Random(seed), random.Random(seed)
+        if spare:
+            rng.gauss(), twin.gauss()
+        row = tuple(parent)
+        with using(types.SimpleNamespace(evopid_mutate=mutate)):
+            for _ in range(3):
+                got, want = _mutate(row, config, rng), _mutate_py(row, config, twin)
+                assert [[v.hex() for v in m] for m in got] == [[v.hex() for v in m] for m in want]
+                assert rng.getstate() == twin.getstate()
+                assert len({None if g is None else g.hex() for g in (rng.gauss_next, twin.gauss_next)}) == 1
+                row = got[0] if got else row
+        assert calls == [size - 1] * 3
+
+
+@pytest.mark.parametrize("slip", slips("mutation"))
+def test_kernel_whose_mutation_slips_is_not_used(slip, c_kernel, tmp_path, monkeypatch):
+    # a slipped evopid_mutate fails the load check on its fixed mutations, so no kernel loads and _mutate takes the
+    # twin
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    assert_baseline_slip_is_not_loaded(slip, tmp_path, monkeypatch)
 
 
 # ---------------------------------------------------------------- the CSV cell formatter
