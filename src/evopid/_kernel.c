@@ -2,8 +2,8 @@
  * - evopid_run, the closed PID loop of both channels along a two-stretch route, for rows of gains: plant._run_rows_py;
  * - evopid_times, the time column of a recorded run: plant._times_py;
  * - evopid_mutate, the Gaussian mutants of one parent row, from the generator's own words: ep._mutate_py;
- * - at the end of the file, in the builds that define EVOPID_CSV, evopid_csv, the CSV cells of harness._write_csv:
- *   plant._csv_rows_py.
+ * - at the end of the file, evopid_csv, the CSV cells of harness._write_csv: plant._csv_rows_py. It is the one
+ *   export of the build that defines EVOPID_CSV, which leaves the other three (and evopid_has_avx) out.
  * evopid_has_avx beside them tells which build this host runs. Only evopid_mutate calls libm, and only the functions
  * math calls in its twin: the loop takes its one exp from the caller, and the cells are worked out on integers.
  *
@@ -92,6 +92,7 @@ static inline lanes magnitude(lanes x)
     return (lanes)((lanes_bits)x & INT64_MAX);
 }
 
+#ifndef EVOPID_CSV
 void evopid_run(int64_t rows, const double *gains, const double *run, double *results, double *actual)
 {
     /* read once: results and actual may alias run as far as the compiler knows */
@@ -248,6 +249,8 @@ double evopid_mutate(int64_t mutants, const double *parent, int64_t scaled, doub
     return spare;
 }
 
+#endif
+
 /* The CSV cells of harness._write_csv: plant._csv_rows_py in C, each the bytes of its repr.
  *
  * evopid_csv writes rows start to start + rows - 1 of width columns to out, each cell followed by ',' and each row's
@@ -264,7 +267,8 @@ double evopid_mutate(int64_t mutants, const double *parent, int64_t scaled, doub
  * 5 ns and an int64 below 10**5 12 ns against 105 (one call on 100,000 cells; minimums of nine).
  * It is compiled only where EVOPID_CSV is defined, in a build of its own (plant._c_csv), built on a process's first
  * CSV write: it doubles the compile time (0.10 to 0.21 s a build on that host), which a process that writes no CSV
- * should not pay.
+ * should not pay. That build holds it alone: the simulation, the time column and the mutation come from _c_kernel's
+ * build, so compiling them again would only add about 0.13 s of CPU to it.
  */
 #ifdef EVOPID_CSV
 #ifdef __SIZEOF_INT128__

@@ -338,7 +338,7 @@ _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 # what _c_kernel adds to the baseline build where the host runs AVX: two rows per 256-bit vector
 _AVX_FLAGS = ("-mavx",)
-# what _c_csv adds to the baseline build: evopid_csv, the CSV cell formatter
+# what makes _c_csv's build of evopid_csv, the CSV cell formatter, alone
 _CSV_FLAGS = ("-DEVOPID_CSV",)
 
 
@@ -502,8 +502,8 @@ def _csv_matches(formatter) -> bool:
 def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
     """The library of ``source`` built by cc with _KERNEL_FLAGS and ``flags`` in cache_dir, a directory the caller has
     made and checked, opened once; None on any failure, unless its evopid_run matches the twin on _self_test's run, its
-    evopid_times passes _times_match, its evopid_mutate _mutate_matches and, in a build with _CSV_FLAGS, its
-    evopid_csv passes _csv_matches.
+    evopid_times passes _times_match and its evopid_mutate _mutate_matches; or, in a build with _CSV_FLAGS, which holds
+    evopid_csv alone, unless that passes _csv_matches.
 
     The library is named by _library_name; a miss compiles these same bytes, on cc's stdin, and writes the build by
     atomic rename, so no process loads a stale or half-written one. Nothing is printed, cc's own output included.
@@ -531,10 +531,17 @@ def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
             finally:
                 Path(partial).unlink(missing_ok=True)
         library = ctypes.CDLL(str(path))
-        kernel, times, mutate = library.evopid_run, library.evopid_times, library.evopid_mutate
-        formatter = library.evopid_csv if _CSV_FLAGS[0] in flags else None
+        if _CSV_FLAGS[0] in flags:
+            formatter = library.evopid_csv
+        else:
+            kernel, times, mutate = library.evopid_run, library.evopid_times, library.evopid_mutate
     except (OSError, AttributeError):
         return None
+    if _CSV_FLAGS[0] in flags:
+        # the first row, the rows, the columns, then the addresses of the column table and of the output
+        formatter.argtypes = (*[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 2)
+        formatter.restype = ctypes.c_int64
+        return library if _csv_matches(formatter) else None
     # the rows, then the addresses of gains, run, results and actual (or None)
     kernel.argtypes = (ctypes.c_int64, *[ctypes.c_void_p] * 4)
     kernel.restype = None
@@ -553,14 +560,7 @@ def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
     mutate.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
                        ctypes.c_double, ctypes.c_char_p, ctypes.c_void_p)
     mutate.restype = ctypes.c_double
-    if not _mutate_matches(mutate):
-        return None
-    if formatter is None:
-        return library
-    # the first row, the rows, the columns, then the addresses of the column table and of the output
-    formatter.argtypes = (*[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 2)
-    formatter.restype = ctypes.c_int64
-    return library if _csv_matches(formatter) else None
+    return library if _mutate_matches(mutate) else None
 
 
 def _cache_and_source() -> tuple[Path, bytes] | None:
@@ -615,8 +615,8 @@ def _c_csv():
     """The library whose evopid_csv _csv_chunks calls, from the per-user cache, or None; built and loaded once,
     on a process's first CSV write, so that a process that writes none does not pay for its compile.
 
-    It is the baseline build of _kernel.c with _CSV_FLAGS, which adds evopid_csv to the simulation, and its load check
-    also runs _csv_matches. _csv_chunks asks _c_kernel() first, so where that is None the formatter is not built.
+    It is the baseline build of _kernel.c with _CSV_FLAGS, which holds evopid_csv alone, and its load check runs
+    _csv_matches. _csv_chunks asks _c_kernel() first, so where that is None the formatter is not built.
     """
     found = _cache_and_source()
     return None if found is None else _load_kernel(*found, *_CSV_FLAGS)
