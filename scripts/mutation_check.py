@@ -5,7 +5,8 @@ A slip is an entry (file, old text, new text, name): the file's one occurrence o
 There are two tables.
 
 C_SLIPS holds the slips of src/evopid/_kernel.c that a load check must refuse, by the load check: the simulation at
-every vector width the host runs, a lane of the four-wide build, the time column, the mutation and the CSV formatter.
+every vector width the host runs, a lane of the four-wide build, the time column, the mutation, the probe and the CSV
+formatter.
 tests/test_kernel.py reads them from here and compiles each one in every Tier-1 run, requiring its build to be
 refused, so this script only checks that each still applies.
 
@@ -15,9 +16,10 @@ copy: with a fresh XDG_CACHE_HOME, so that no slipped build enters or prunes the
 seeded, so that two runs agree; and without the test that every slip's old text applies, which any edit fails. It
 prints one line per entry, killed (with the ids of the failing tests, split by " | ") or survived, after a run of the
 unslipped copy, which must pass. It exits 1 if that run fails, an entry does not apply (its old text does not occur
-exactly once) or an entry survives. On a 2-core x86-64 host a run takes about 25 minutes:
+exactly once) or an entry survives. On a 2-core x86-64 host a run takes about 25 minutes; given names, it runs
+only those Python entries:
 
-    python scripts/mutation_check.py
+    python scripts/mutation_check.py [NAME ...]
 """
 
 import os
@@ -69,6 +71,11 @@ C_SLIPS = {
     ],
     # evopid_mutate against the twin's mutants and spare: the pair's normals swapped, a uniform's two words shifted
     # each by the other's shift, the spare normal passed in not drawn first, and a halving by a quarter
+    # the two-wide build's probe saying this CPU cannot run it: where the default build cannot run either (an x86
+    # CPU without AVX), no kernel would load
+    "probe": [
+        (KERNEL, "    return 1;\n", "    return 0;\n", "two-wide-probe-returns-0"),
+    ],
     "mutation": [
         (KERNEL, "z = cosine(x2pi) * g2rad;\n            spare = sin(x2pi) * g2rad;",
          "z = sin(x2pi) * g2rad;\n            spare = cosine(x2pi) * g2rad;", "sin-taken-for-cos"),
@@ -116,13 +123,15 @@ PYTHON_SLIPS = [
      "no-owner-check"),
     (PLANT, "input=source, capture_output=True, check=True", "input=source, check=True",
      "compiler-output-not-captured"),
-    (PLANT, "    if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):\n        return None\n", "",
+    (PLANT, "    if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):\n        return False\n", "",
      "no-self-check"),
     (PLANT, "args = (len(rows), gains,", "args = (1, gains,", "one-row-self-check"),
     (PLANT, "for buffer in (*inputs, *got)))\n    if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):",
      "for buffer in (*inputs, got[0])), None)\n    if any(a.tobytes() != b.tobytes() for a, b in zip(got[:1], want)):",
      "unrecorded-self-check"),
     (PLANT, "        if stale.name not in keep:", "        if False:", "cache-pruning-disabled"),
+    (PLANT, "runs_here() and _kernel_matches(kernel, times, mutate)",
+     "_kernel_matches(kernel, times, mutate) and runs_here()", "probe-asked-after-the-self-tests"),
     # the reads as doubles
     (PLANT, "return 1.0 / float(self.sample_rate)", "return 1.0 / self.sample_rate", "no-float-in-dt"),
     (PLANT, "samples = route.total_duration * float(sim.sample_rate)",
@@ -277,8 +286,12 @@ def tier1(tree: Path) -> tuple[int, list[str]]:
     return proc.returncode, failed
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
     c_slips = [slip for slips in C_SLIPS.values() for slip in slips]
+    unknown = set(names) - {slip[3] for slip in PYTHON_SLIPS}
+    if unknown:
+        print(f"no Python slip named {', '.join(sorted(unknown))}")
+        return 2
     stale = [slip[3] for slip in c_slips + PYTHON_SLIPS if not applies(slip)]
     for name in stale:
         print(f"does not apply  {name}")
@@ -295,7 +308,7 @@ def main() -> int:
         if status != 0:
             print(f"the unslipped tree fails Tier-1: {' | '.join(failed) or f'exit status {status}'}")
             return 1
-        run = [slip for slip in PYTHON_SLIPS if slip[3] not in stale]
+        run = [slip for slip in PYTHON_SLIPS if slip[3] not in stale and (not names or slip[3] in names)]
         survived = []
         for file, old, new, name in run:
             path = tree / file
@@ -315,4 +328,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -3,18 +3,21 @@
  * - evopid_times, the time column of a recorded run: plant._times_py;
  * - evopid_mutate, the Gaussian mutants of one parent row, from the generator's own words: ep._mutate_py;
  * - at the end of the file, evopid_csv, the CSV cells of harness._write_csv: plant._csv_rows_py. It is the one
- *   export of the build that defines EVOPID_CSV, which leaves the other three (and evopid_has_avx) out.
- * evopid_has_avx beside them tells which build this host runs. Only evopid_mutate calls libm, and only the functions
- * math calls in its twin: the loop takes its one exp from the caller, and the cells are worked out on integers.
+ *   export of the build that defines EVOPID_CSV, which leaves the other three (and evopid_runs_here) out.
+ * evopid_runs_here beside them tells whether the other three can run on this CPU. Only evopid_mutate calls libm, and
+ * only the functions math calls in its twin: the loop takes its one exp from the caller, and the cells are worked out
+ * on integers.
  *
  * Every double operation of a channel is the Python twin's, in its order, so the results
  * are bit-identical to it when compiled with -ffp-contract=off (no fused multiply-add)
  * and without -ffast-math. The loop runs on vectors of LANES doubles (lanes): each row
  * holds its two channels in two adjacent lanes, linear then angular, and each vector
  * operation is the twin's scalar one on each lane, so no two lanes ever meet. The width
- * is fixed at compile time, for the one body below: under __AVX__ a vector is 256 bits
- * and holds two rows (lanes 0-1 the first, 2-3 the second), otherwise it is a two-wide
- * pair holding one row. One channel's sample step is a serial chain of dependent
+ * is fixed at compile time, for the one body below: on x86, unless EVOPID_TWO_WIDE is
+ * defined, a vector is 256 bits and holds two rows (lanes 0-1 the first, 2-3 the second),
+ * and ISA compiles the three exports and their helpers for AVX, so that one build at the
+ * compiler's own flags holds them; otherwise a vector is a two-wide pair holding one row.
+ * One channel's sample step is a serial chain of dependent
  * operations, a division among them, so the rows run in blocks of BLOCK: each row of a
  * block has its own state and gains, and one sample loop steps every vector of the
  * block, where the processor overlaps their independent chains; the twin runs one
@@ -44,11 +47,14 @@
 /* min_pd and max_pd are the builtins that GCC's and Clang's _mm256_min_pd, _mm_min_pd and their max twins
  * wrap, one instruction each; <immintrin.h> would add 0.4 s to every compile of this file. Likewise
  * __builtin_isfinite is what <math.h>'s isfinite expands to, without the 13 ms that header adds to each build. */
-#ifdef __AVX__
+#if (defined(__x86_64__) || defined(__i386__)) && !defined(EVOPID_TWO_WIDE)
+/* a target attribute, not #pragma GCC target, which Clang does not take */
+#define ISA __attribute__((target("avx")))
 #define PER_VECTOR 2
 #define min_pd __builtin_ia32_minpd256
 #define max_pd __builtin_ia32_maxpd256
 #else
+#define ISA
 #define PER_VECTOR 1
 #ifdef __SSE2__
 #define min_pd __builtin_ia32_minpd
@@ -76,7 +82,7 @@ typedef int64_t lanes_bits __attribute__((vector_size(8 * LANES)));
  * kept for speed: GCC 12 at -O2 builds the ternaries as scalar minsd/maxsd per lane
  * with shuffles, which on a 2-core x86-64 host took 284 against 226 us for 308 rows
  * and 6.9 against 6.6 us for one row (timeit minimums of bare calls). */
-static inline lanes clamp(lanes c, lanes limit)
+ISA static inline lanes clamp(lanes c, lanes limit)
 {
 #ifdef min_pd
     return max_pd(-limit, min_pd(limit, c));
@@ -87,13 +93,13 @@ static inline lanes clamp(lanes c, lanes limit)
 }
 
 /* |x| per lane by clearing the sign bit, as fabs does, also on a NaN */
-static inline lanes magnitude(lanes x)
+ISA static inline lanes magnitude(lanes x)
 {
     return (lanes)((lanes_bits)x & INT64_MAX);
 }
 
 #ifndef EVOPID_CSV
-void evopid_run(int64_t rows, const double *gains, const double *run, double *results, double *actual)
+ISA void evopid_run(int64_t rows, const double *gains, const double *run, double *results, double *actual)
 {
     /* read once: results and actual may alias run as far as the compiler knows */
     const double dt = run[8], start = run[9], end = run[10];
@@ -163,23 +169,24 @@ void evopid_run(int64_t rows, const double *gains, const double *run, double *re
     }
 }
 
-/* 1 where this CPU and its OS run AVX, else 0; asked of the baseline build, which any x86-64 host can run, before
- * the -mavx one is loaded. __builtin_cpu_supports returns a mask, not 1, and libgcc's check there includes the OS
- * saving the YMM registers. */
-int evopid_has_avx(void)
+/* 1 where this build's other exports can run on this CPU and its OS, else 0: in a four-wide build whether they run
+ * AVX, in a two-wide one always. It alone is compiled for any host of its ISA, and plant._load_kernel asks it before
+ * calling any other, so a CPU without AVX never meets an AVX instruction. __builtin_cpu_supports returns a mask, not
+ * 1, and libgcc's check there includes the OS saving the YMM registers. */
+int evopid_runs_here(void)
 {
-#if defined(__x86_64__) || defined(__i386__)
+#if PER_VECTOR == 2
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx") != 0;
 #else
-    return 0;
+    return 1;
 #endif
 }
 
 /* The trace's time column, out[k] = k dt for 0 <= k < n: plant._times_py in C. (double)k is exact for k < 2**53,
  * which _prepare's cap of n at plant._MAX_SAMPLES keeps, so each product is rounded once from the same operands as
  * Python's k * dt, and is bit-identical to it. */
-void evopid_times(int64_t n, double dt, double *out)
+ISA void evopid_times(int64_t n, double dt, double *out)
 {
     for (int64_t k = 0; k < n; k++)
         out[k] = (double)k * dt;
@@ -192,13 +199,13 @@ double sin(double);
 double cos(double);
 
 /* The 32-bit word at p, from little-endian bytes */
-static inline uint32_t word(const uint8_t *p)
+ISA static inline uint32_t word(const uint8_t *p)
 {
     return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16 | (uint32_t)p[3] << 24;
 }
 
 /* random.Random.random() of its next two words, at p: CPython's genrand_res53 */
-static inline double uniform(const uint8_t *p)
+ISA static inline double uniform(const uint8_t *p)
 {
     return ((word(p) >> 5) * 67108864.0 + (word(p + 4) >> 6)) * (1.0 / 9007199254740992.0);
 }
@@ -206,7 +213,7 @@ static inline double uniform(const uint8_t *p)
 /* cos in a function of its own: GCC at -O2 fuses the cos and sin of one argument into one sincos call, which math
  * never makes. glibc 2.36's sincos gave sin's and cos's bits on 2e7 arguments in [0, 2 pi), but that is a sample,
  * not a contract, and the load check could only see a libm where they differ on its own few dozen arguments. */
-__attribute__((noinline)) static double cosine(double x)
+ISA __attribute__((noinline)) static double cosine(double x)
 {
     return cos(x);
 }
@@ -221,8 +228,8 @@ __attribute__((noinline)) static double cosine(double x)
  * The bits are the twin's because the arithmetic is its, in its order, and log, sqrt, cos and sin are the very
  * functions math calls: this library is loaded into the Python process whose math module it is checked against, so
  * both resolve them in the one libm that process has mapped. */
-double evopid_mutate(int64_t mutants, const double *parent, int64_t scaled, double sigma, int64_t spares, double spare,
-                     const uint8_t *words, double *out)
+ISA double evopid_mutate(int64_t mutants, const double *parent, int64_t scaled, double sigma, int64_t spares,
+                         double spare, const uint8_t *words, double *out)
 {
     for (int64_t k = 0; k < 6 * mutants; k++) {
         double z = spare;

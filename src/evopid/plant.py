@@ -247,7 +247,7 @@ def _run_rows_py(rows: int, gains: array, run: array, results: array, actual: ar
     (first + second); run holds _prepare's 13 values, the plant's 2 x 4, then dt, start, end, first and second. For each
     of ``rows`` rows of six gains, linear kp, ki, kd then angular, it runs both channels' closed loops along the route,
     each fused into a single pass: the linear one, then the angular one, row after row, where C holds a row's two
-    channels in two adjacent lanes of a vector, two rows per 256-bit vector when built with AVX and one row per two-wide
+    channels in two adjacent lanes of a vector, two rows per 256-bit vector in an AVX build and one row per two-wide
     vector otherwise, and steps the sixteen rows of a block side by side. No two channels share a value, and each vector
     operation is this loop's scalar one on each lane, so each channel performs the same float operations in C, at either
     width, in the same order; C's branchless clamp equals the if/elif below for a limit > 0, NaN and signed zeros
@@ -336,8 +336,8 @@ def _csv_table(columns: list[array]) -> array:
 # the Python twins transcribed to C; -ffp-contract=off keeps a * b + c from fusing into one rounding.
 _KERNEL_SOURCE = Path(__file__).with_name("_kernel.c")
 _KERNEL_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-# what _c_kernel adds to the baseline build where the host runs AVX: two rows per 256-bit vector
-_AVX_FLAGS = ("-mavx",)
+# what makes _c_kernel's fallback build, one row per two-wide vector, where the default one, four-wide on x86, fails
+_TWO_WIDE_FLAGS = ("-DEVOPID_TWO_WIDE",)
 # what makes _c_csv's build of evopid_csv, the CSV cell formatter, alone
 _CSV_FLAGS = ("-DEVOPID_CSV",)
 
@@ -357,11 +357,6 @@ def _library_name(source: bytes, flags: tuple[str, ...]) -> str:
 
     digest = hashlib.sha256(b"\0".join([source, *map(str.encode, flags)])).hexdigest()
     return f"kernel-{digest[:16]}.so"
-
-
-def _host_has_avx(library) -> bool:
-    """Whether this CPU and its OS run AVX, as ``library``, a baseline build, reports by its evopid_has_avx."""
-    return library.evopid_has_avx() != 0
 
 
 @functools.cache
@@ -499,11 +494,33 @@ def _csv_matches(formatter) -> bool:
     return text == want and repeated == last_line and refused == -2
 
 
+def _kernel_matches(kernel, times, mutate) -> bool:
+    """Whether a library's evopid_run matches the twin on _self_test's run, its evopid_times passes _times_match and
+    its evopid_mutate _mutate_matches, each called with its signature."""
+    # the rows, then the addresses of gains, run, results and actual (or None)
+    kernel.argtypes = (ctypes.c_int64, *[ctypes.c_void_p] * 4)
+    kernel.restype = None
+    (rows, *inputs), want = _self_test()
+    got = [array("d", [-7.25]) * len(buffer) for buffer in want]
+    kernel(rows, *(buffer.buffer_info()[0] for buffer in (*inputs, *got)))
+    if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+        return False
+    # the samples, dt, then the address of the output
+    times.argtypes = (ctypes.c_int64, ctypes.c_double, ctypes.c_void_p)
+    times.restype = None
+    # the mutants, the parent's address, scaled (1) or absolute (0), sigma, whether a spare normal is passed in, the
+    # spare, the words' bytes, then the address of the output; it returns the spare normal left
+    mutate.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
+                       ctypes.c_double, ctypes.c_char_p, ctypes.c_void_p)
+    mutate.restype = ctypes.c_double
+    return _times_match(times) and _mutate_matches(mutate)
+
+
 def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
     """The library of ``source`` built by cc with _KERNEL_FLAGS and ``flags`` in cache_dir, a directory the caller has
-    made and checked, opened once; None on any failure, unless its evopid_run matches the twin on _self_test's run, its
-    evopid_times passes _times_match and its evopid_mutate _mutate_matches; or, in a build with _CSV_FLAGS, which holds
-    evopid_csv alone, unless that passes _csv_matches.
+    made and checked, opened once; None on any failure, where its probe evopid_runs_here, asked before any other
+    export, says this CPU cannot run the build, and where it fails _kernel_matches. A build with _CSV_FLAGS holds
+    evopid_csv alone and no probe: None where that fails _csv_matches.
 
     The library is named by _library_name; a miss compiles these same bytes, on cc's stdin, and writes the build by
     atomic rename, so no process loads a stale or half-written one. Nothing is printed, cc's own output included.
@@ -534,7 +551,8 @@ def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
         if _CSV_FLAGS[0] in flags:
             formatter = library.evopid_csv
         else:
-            kernel, times, mutate = library.evopid_run, library.evopid_times, library.evopid_mutate
+            runs_here, kernel, times, mutate = (
+                library.evopid_runs_here, library.evopid_run, library.evopid_times, library.evopid_mutate)
     except (OSError, AttributeError):
         return None
     if _CSV_FLAGS[0] in flags:
@@ -542,25 +560,9 @@ def _load_kernel(cache_dir: Path, source: bytes, *flags: str):
         formatter.argtypes = (*[ctypes.c_int64] * 3, *[ctypes.c_void_p] * 2)
         formatter.restype = ctypes.c_int64
         return library if _csv_matches(formatter) else None
-    # the rows, then the addresses of gains, run, results and actual (or None)
-    kernel.argtypes = (ctypes.c_int64, *[ctypes.c_void_p] * 4)
-    kernel.restype = None
-    (rows, *inputs), want = _self_test()
-    got = [array("d", [-7.25]) * len(buffer) for buffer in want]
-    kernel(rows, *(buffer.buffer_info()[0] for buffer in (*inputs, *got)))
-    if any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
-        return None
-    # the samples, dt, then the address of the output
-    times.argtypes = (ctypes.c_int64, ctypes.c_double, ctypes.c_void_p)
-    times.restype = None
-    if not _times_match(times):
-        return None
-    # the mutants, the parent's address, scaled (1) or absolute (0), sigma, whether a spare normal is passed in, the
-    # spare, the words' bytes, then the address of the output; it returns the spare normal left
-    mutate.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_double, ctypes.c_int64,
-                       ctypes.c_double, ctypes.c_char_p, ctypes.c_void_p)
-    mutate.restype = ctypes.c_double
-    return library if _mutate_matches(mutate) else None
+    # the probe first, which takes nothing: no other export of a build this CPU cannot run is called
+    runs_here.argtypes, runs_here.restype = (), ctypes.c_int
+    return library if runs_here() and _kernel_matches(kernel, times, mutate) else None
 
 
 def _cache_and_source() -> tuple[Path, bytes] | None:
@@ -584,23 +586,21 @@ def _c_kernel():
     """The C kernel library, whose evopid_run _simulate calls and evopid_mutate ep._mutate, from the per-user cache, or
     None; loaded once, in one pass.
 
-    The cache directory is made and checked once, and _kernel.c read once (_cache_and_source). Its baseline build, one
-    row per two-wide vector, loads first and reports whether the host runs AVX; where it does, the -mavx build, two
-    rows per 256-bit vector, is used instead, unless it fails to compile, load or match. Then the cache's libraries
-    that no build of this source can be, these two and _c_csv's, are removed: those of other versions. Linux keeps a
-    mapped library valid after unlink, so a running process is not harmed, and one of another version builds its own
-    again.
+    The cache directory is made and checked once, and _kernel.c read once (_cache_and_source). One build is made per
+    host: the default one, two rows per 256-bit vector on x86; only where it cannot run (a CPU without AVX) or fails
+    to compile, load or match is the _TWO_WIDE_FLAGS build, one row per two-wide vector, made and used instead. Then
+    the cache's libraries that no build of this source can be, these two and _c_csv's, are removed: those of other
+    versions. Linux keeps a mapped library valid after unlink, so a running process is not harmed, and one of another
+    version builds its own again.
     """
     found = _cache_and_source()
     if found is None:
         return None
     cache_dir, source = found
-    library = _load_kernel(cache_dir, source)
+    library = _load_kernel(cache_dir, source) or _load_kernel(cache_dir, source, *_TWO_WIDE_FLAGS)
     if library is None:
         return None
-    if _host_has_avx(library):
-        library = _load_kernel(cache_dir, source, *_AVX_FLAGS) or library
-    keep = {_library_name(source, (*_KERNEL_FLAGS, *flags)) for flags in ((), _AVX_FLAGS, _CSV_FLAGS)}
+    keep = {_library_name(source, (*_KERNEL_FLAGS, *flags)) for flags in ((), _TWO_WIDE_FLAGS, _CSV_FLAGS)}
     for stale in cache_dir.glob("kernel-*.so"):
         if stale.name not in keep:
             try:
@@ -615,8 +615,8 @@ def _c_csv():
     """The library whose evopid_csv _csv_chunks calls, from the per-user cache, or None; built and loaded once,
     on a process's first CSV write, so that a process that writes none does not pay for its compile.
 
-    It is the baseline build of _kernel.c with _CSV_FLAGS, which holds evopid_csv alone, and its load check runs
-    _csv_matches. _csv_chunks asks _c_kernel() first, so where that is None the formatter is not built.
+    It is the build of _kernel.c with _CSV_FLAGS, which holds evopid_csv alone, with no vector width and no probe, and
+    its load check runs _csv_matches. _csv_chunks asks _c_kernel() first, so where that is None it is not built.
     """
     found = _cache_and_source()
     return None if found is None else _load_kernel(*found, *_CSV_FLAGS)

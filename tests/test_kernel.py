@@ -5,8 +5,8 @@ against a reference that chains route_setpoint, pid_step and plant_step one
 sample at a time and reduces with reference.average_error. It runs on each
 implementation in turn: the C kernel as the host builds it, compiled here with
 warnings as errors; on a host with AVX, where that build runs two rows per
-256-bit vector, the baseline build too, one row per two-wide vector; the
-baseline once more with __SSE2__ undefined; and its Python twin, which it
+256-bit vector, the two-wide build too, one row per two-wide vector; the
+two-wide build once more with __SSE2__ undefined; and its Python twin, which it
 falls back to. A call with many rows is checked row by row against one call per
 row, and grid_oracle against the per-point loop it replaced. Every pair must agree exactly: the same arrays, the same
 average errors and the same divergence sample, not merely close values.
@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import random
 import re
 import shutil
@@ -75,9 +76,9 @@ from evopid.plant import (
     _CSV_FLAGS,
     _KERNEL_FLAGS,
     _MAX_SAMPLES,
+    _TWO_WIDE_FLAGS,
     _cache_dir,
     _csv_table,
-    _host_has_avx,
     _library_name,
     _load_kernel,
     _prepare,
@@ -100,17 +101,25 @@ def slips(check: str) -> list:
     return [pytest.param((old, new), id=name) for _, old, new, name in C_SLIPS[check]]
 
 
-def host_has_avx() -> bool:
-    """Whether the host runs AVX, as the baseline build in the per-user cache reports; False without that build."""
+def default_build_loads() -> bool:
+    """Whether _c_kernel's default build, from the per-user cache, loads here: False where its probe says this CPU
+    cannot run it, or without cc."""
     cache = _cache_dir()
     cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-    baseline = _load_kernel(cache, SOURCE)
-    return baseline is not None and _host_has_avx(baseline)
+    return _load_kernel(cache, SOURCE) is not None
 
 
-# the flags of each vector width _c_kernel may build, the widest first: two rows per 256-bit vector under AVX,
-# one row per two-wide vector otherwise; only those the host runs
-WIDTHS = {"four-wide": ("-mavx",), "two-wide": ()} if host_has_avx() else {"two-wide": ()}
+# the flags of each vector width _c_kernel may build, the widest first: two rows per 256-bit vector in the default
+# build on x86, one row per two-wide vector in the _TWO_WIDE_FLAGS build there and in the default build elsewhere;
+# only those the host runs
+if platform.machine().lower() not in {"x86_64", "amd64", "i386", "i686"}:
+    WIDTHS = {"two-wide": ()}
+elif default_build_loads():
+    WIDTHS = {"four-wide": (), "two-wide": _TWO_WIDE_FLAGS}
+else:
+    WIDTHS = {"two-wide": _TWO_WIDE_FLAGS}
+# the builds a cold _c_kernel makes and opens, in order: the default alone where it runs here, else the two-wide too
+LOADED = [()] if next(iter(WIDTHS.values())) == () else [(), _TWO_WIDE_FLAGS]
 
 
 def build_kernel(tmp_path_factory, *flags):
@@ -132,13 +141,13 @@ def c_kernel(tmp_path_factory):
 @pytest.fixture(scope="session")
 def kernels(c_kernel, tmp_path_factory):
     """Each implementation _simulate can run on: when cc is on PATH the C kernel as the host builds it; on a host
-    with AVX, the baseline two-wide build beside it; the baseline built with __SSE2__ undefined, whose clamp is the
-    portable one that platforms without SSE2 run; then the Python twin (None).
+    with AVX, the two-wide build beside it; the two-wide build with __SSE2__ undefined, whose clamp is the portable
+    one that platforms without SSE2 run; then the Python twin (None).
     """
     if c_kernel is None:
         return [None]
-    baseline = [build_kernel(tmp_path_factory)] if len(WIDTHS) > 1 else []
-    return [c_kernel, *baseline, build_kernel(tmp_path_factory, "-U__SSE2__"), None]
+    two_wide = [build_kernel(tmp_path_factory, *_TWO_WIDE_FLAGS)] if len(WIDTHS) > 1 else []
+    return [c_kernel, *two_wide, build_kernel(tmp_path_factory, *_TWO_WIDE_FLAGS, "-U__SSE2__"), None]
 
 
 @pytest.fixture(scope="session")
@@ -616,15 +625,15 @@ def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatc
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     cache = tmp_path / "evopid"
     assert evopid.plant._c_kernel.__wrapped__() is not None
-    libraries = list(cache.iterdir())  # one per width the host runs, and no partial file beside them
-    assert len(libraries) == len(WIDTHS)
+    libraries = list(cache.iterdir())  # one build where the default runs here, and no partial file beside them
+    assert len(libraries) == len(LOADED)
     assert all(re.fullmatch(r"kernel-[0-9a-f]{16}\.so", library.name) for library in libraries)
     assert cache.stat().st_mode & 0o777 == 0o700
     # other flags name another library
     with monkeypatch.context() as patch:
         patch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-O1"))
         assert _load_kernel(cache, SOURCE) is not None
-    assert len(list(cache.iterdir())) == len(WIDTHS) + 1
+    assert len(list(cache.iterdir())) == len(LOADED) + 1
     # with no compiler the cached library is loaded
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     assert evopid.plant._c_kernel.__wrapped__() is not None
@@ -634,8 +643,8 @@ def test_kernel_cache_is_keyed_reused_and_private(c_kernel, tmp_path, monkeypatc
 
 
 def test_kernel_loads_in_one_pass(c_kernel, tmp_path, monkeypatch):
-    # per process the twin runs the self-test once, and each call opens each build the host loads once, the baseline
-    # first, whether it compiles them or finds them cached
+    # per process the twin runs the self-test once, and each call opens the default build once, and only that where
+    # this CPU runs it, whether it compiles it or finds it cached
     if c_kernel is None:
         pytest.skip(NO_CC)
     twin_runs, opened = [], []
@@ -657,7 +666,7 @@ def test_kernel_loads_in_one_pass(c_kernel, tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
     assert evopid.plant._c_kernel.__wrapped__() is not None
     assert twin_runs == [19]
-    loaded = [_library_name(SOURCE, (*_KERNEL_FLAGS, *flags)) for flags in reversed(WIDTHS.values())]
+    loaded = [_library_name(SOURCE, (*_KERNEL_FLAGS, *flags)) for flags in LOADED]
     assert opened == loaded * 2
 
 
@@ -674,28 +683,31 @@ def test_kernel_cache_ignores_a_relative_xdg_cache_home(value, tmp_path, monkeyp
 
 
 def test_kernel_cache_keeps_only_the_builds_of_this_source(c_kernel, tmp_path, monkeypatch):
-    # once a kernel loads, the libraries no flag set of this source names are removed, and only those
+    # once a kernel loads, the libraries no flag set of this source names are removed, and only those: the default,
+    # two-wide and CSV builds of this source are kept, also where this process opens none of them
     if c_kernel is None:
         pytest.skip(NO_CC)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     cache = tmp_path / "evopid"
     cache.mkdir(mode=0o700)
     kept = [cache / ".kernel-a1b2c3.so", cache / "notes.txt"]  # another process's partial build, and no library
+    kept += [cache / _library_name(SOURCE, (*_KERNEL_FLAGS, *flags)) for flags in (_TWO_WIDE_FLAGS, _CSV_FLAGS)
+             if flags not in LOADED]
     stale = [cache / "kernel-0123456789abcdef.so"]
     for path in kept + stale:
         path.write_text("not a library")
     # another version's library, loaded and held as a running process would hold it
     old_library = _load_kernel(cache, SOURCE + b"/* another version */\n")
     assert old_library is not None
-    stale += [path for path in cache.glob("kernel-*.so") if path not in stale]
+    stale += [path for path in cache.glob("kernel-*.so") if path not in stale + kept]
     assert len(stale) == 2
-    # with no compiler and nothing of this source's cached, no kernel loads, and nothing is removed
+    # with no compiler and no build of this source's cached that loads, no kernel loads, and nothing is removed
     with monkeypatch.context() as patch:
         patch.setenv("PATH", str(tmp_path / "no-bin"))
         assert evopid.plant._c_kernel.__wrapped__() is None
     assert all(path.exists() for path in kept + stale)
     assert evopid.plant._c_kernel.__wrapped__() is not None
-    built = {_library_name(SOURCE, (*_KERNEL_FLAGS, *flags)) for flags in WIDTHS.values()}
+    built = {_library_name(SOURCE, (*_KERNEL_FLAGS, *flags)) for flags in LOADED}
     assert {path.name for path in cache.iterdir()} == built | {path.name for path in kept}
     # the unlinked library stays mapped in this process and still runs: one calm row, as the twin runs it
     gains, run = packed([(0.8, 0.2, 0.01, 2.0, 0.5, 0.0)]), packed_run(((-1.0, 30), (1.0, 30)))
@@ -720,7 +732,7 @@ def test_kernel_that_disagrees_with_the_python_loop_is_not_used(c_kernel, tmp_pa
 
 def assert_slip_is_not_used(slip, builds, tmp_path):
     """Build _kernel.c with one text replaced, into tmp_path, with each of the given tuples of flags and -O0, which
-    compiles in half of -O2's time or less: the self-check must refuse every build."""
+    compiles in half of -O2's time or less: the load check must refuse every build."""
     old, new = (text.encode() for text in slip)
     assert SOURCE.count(old) == 1
     slipped = SOURCE.replace(old, new)
@@ -735,6 +747,15 @@ def test_kernel_with_a_stride_or_offset_slip_is_not_used(slip, c_kernel, tmp_pat
     if c_kernel is None:
         pytest.skip(NO_CC)
     assert_slip_is_not_used(slip, WIDTHS.values(), tmp_path)
+
+
+@pytest.mark.parametrize("slip", slips("probe"))
+def test_kernel_whose_probe_says_no_is_not_used(slip, c_kernel, tmp_path):
+    # a two-wide build whose probe says this CPU cannot run it is refused like a default one, so on an x86 CPU
+    # without AVX no kernel would load; the kernels fixture, which requires the two-wide build to load, fails on it
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    assert_slip_is_not_used(slip, [_TWO_WIDE_FLAGS], tmp_path)
 
 
 @pytest.mark.parametrize("slip", slips("lane"))
@@ -764,18 +785,19 @@ def test_time_column_is_the_twins_bit_for_bit(kernels):
                 assert got.typecode == "d" and got.tobytes() == want.tobytes(), (kernel, dt)
 
 
-def assert_baseline_slip_is_not_loaded(slip, tmp_path, monkeypatch):
-    """A slip of code that is the same at every width, in the baseline build alone: the build is refused, so
-    _c_kernel loads no kernel, and every path takes its twin."""
-    cache = tmp_path / "evopid"
-    cache.mkdir(mode=0o700)
-    assert_slip_is_not_used(slip, [()], cache)
+def assert_slip_loads_no_kernel(slip, tmp_path, monkeypatch):
+    """A slip of code that is the same at every width, built as _c_kernel builds it, at -O0: the default and the
+    two-wide build compile and are refused, so _c_kernel loads no kernel, and every path takes its twin."""
+    old, new = (text.encode() for text in slip)
+    assert SOURCE.count(old) == 1
     source = tmp_path / "_kernel.c"
-    source.write_bytes(SOURCE.replace(*(text.encode() for text in slip)))
+    source.write_bytes(SOURCE.replace(old, new))
     monkeypatch.setattr(evopid.plant, "_KERNEL_SOURCE", source)
-    monkeypatch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-O0"))  # finds the build refused above
+    monkeypatch.setattr(evopid.plant, "_KERNEL_FLAGS", (*_KERNEL_FLAGS, "-O0"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert evopid.plant._c_kernel.__wrapped__() is None
+    # both compiled, so the load check refused them
+    assert len(list((tmp_path / "evopid").glob("kernel-*.so"))) == 2
 
 
 @pytest.mark.parametrize("slip", slips("time"))
@@ -783,7 +805,7 @@ def test_kernel_whose_time_column_slips_is_not_used(slip, c_kernel, tmp_path, mo
     # a time column summed as t += dt fails the load check, so no kernel loads and simulate_route takes the twin
     if c_kernel is None:
         pytest.skip(NO_CC)
-    assert_baseline_slip_is_not_loaded(slip, tmp_path, monkeypatch)
+    assert_slip_loads_no_kernel(slip, tmp_path, monkeypatch)
 
 
 # ---------------------------------------------------------------- the mutation
@@ -837,7 +859,7 @@ def test_kernel_whose_mutation_slips_is_not_used(slip, c_kernel, tmp_path, monke
     # twin
     if c_kernel is None:
         pytest.skip(NO_CC)
-    assert_baseline_slip_is_not_loaded(slip, tmp_path, monkeypatch)
+    assert_slip_loads_no_kernel(slip, tmp_path, monkeypatch)
 
 
 # ---------------------------------------------------------------- the CSV cell formatter
@@ -984,33 +1006,77 @@ def assert_same_outputs(one, other):
     assert results[0] == results[1]
 
 
-def test_failed_avx_build_falls_back_to_the_baseline_build(c_kernel, tmp_path, monkeypatch, capfd):
-    # a compiler that fails on -mavx, on a host taken to have AVX: _c_kernel builds the two-wide baseline first, asks
-    # it, then fails to build -mavx and keeps the baseline, not the Python twin, silently, and it writes what the
-    # host's own build writes
-    if c_kernel is None:
-        pytest.skip(NO_CC)
+def logging_cc(tmp_path, monkeypatch, rule: str = "") -> Path:
+    """Put alone on PATH a cc that appends each call's arguments to the returned log, one line a call, runs the shell
+    line ``rule`` (which may exit), then the host's cc."""
     bin_dir, log = tmp_path / "bin", tmp_path / "cc.log"
     bin_dir.mkdir()
     (bin_dir / "cc").write_text(
-        f'#!/bin/sh\necho "$*" >> "{log}"\ncase " $* " in *" -mavx "*) exit 1;; esac\n'
-        f'PATH="{os.environ["PATH"]}" exec "{shutil.which("cc")}" "$@"\n'
+        f'#!/bin/sh\necho "$*" >> "{log}"\n{rule}\nPATH="{os.environ["PATH"]}" exec "{shutil.which("cc")}" "$@"\n'
     )
     (bin_dir / "cc").chmod(0o755)
     monkeypatch.setenv("PATH", str(bin_dir))
+    return log
+
+
+def test_cold_kernel_load_compiles_only_the_default_build_where_it_runs(c_kernel, tmp_path, monkeypatch):
+    # a cold _c_kernel makes one cc call, the default build's, on a host that runs it (an x86 one with AVX); where
+    # its probe says no, the two-wide build's call follows
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    log = logging_cc(tmp_path, monkeypatch)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(evopid.plant, "_host_has_avx", lambda library: True)
+    assert evopid.plant._c_kernel.__wrapped__() is not None
+    calls = log.read_text().splitlines()
+    assert ["-DEVOPID_TWO_WIDE" in call.split() for call in calls] == [flags == _TWO_WIDE_FLAGS for flags in LOADED]
+
+
+def test_kernel_that_cannot_run_here_is_refused_before_any_other_call(kernels, tmp_path, monkeypatch):
+    # a default build whose probe, evopid_runs_here, says this CPU cannot run it, as on an x86 CPU without AVX:
+    # _load_kernel returns None having called no other export of it, and _c_kernel takes the two-wide build instead
+    if kernels == [None]:
+        pytest.skip(NO_CC)
+    cache = tmp_path / "evopid"
+    cache.mkdir(mode=0o700)
+    default, two_wide = (cache / _library_name(SOURCE, (*_KERNEL_FLAGS, *flags)) for flags in ((), _TWO_WIDE_FLAGS))
+    default.write_text("a stand-in, never opened")
+    shutil.copyfile(kernels[-3]._name, two_wide)  # kernels' two-wide build at the host's ISA: nothing is compiled
+    called = []
+
+    class CannotRunHere:
+        """The default build as a spy: each export records its call and returns 0, the probe's no."""
+
+        def __getattr__(self, name):
+            return lambda *args: called.append(name) or 0
+
+    cdll = ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: CannotRunHere() if name == str(default) else cdll(name))
+    assert _load_kernel(cache, SOURCE) is None
+    assert called == ["evopid_runs_here"]
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setenv("PATH", str(tmp_path / "no-bin"))
+    assert evopid.plant._c_kernel.__wrapped__()._name == str(two_wide)
+    assert called == ["evopid_runs_here"] * 2
+
+
+def test_failed_default_build_falls_back_to_the_two_wide_build(c_kernel, tmp_path, monkeypatch, capfd):
+    # a compiler that fails every build but the two-wide one: _c_kernel fails to build the default, then builds and
+    # keeps the two-wide, not the Python twin, silently, and it writes what the host's own build writes
+    if c_kernel is None:
+        pytest.skip(NO_CC)
+    log = logging_cc(tmp_path, monkeypatch, 'case " $* " in *" -DEVOPID_TWO_WIDE "*) ;; *) exit 1;; esac')
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     # fresh loaders, so that what this environment loads, or fails to, stays in this test
     monkeypatch.setattr(evopid.plant, "_c_kernel", functools.cache(evopid.plant._c_kernel.__wrapped__))
     monkeypatch.setattr(evopid.plant, "_c_csv", functools.cache(evopid.plant._c_csv.__wrapped__))
     assert evopid.plant._c_kernel() is not None
     assert capfd.readouterr() == ("", "")
-    assert ["-mavx" in call.split() for call in log.read_text().splitlines()] == [False, True]
-    spec = build_experiment_spec(3, output_dir=tmp_path / "baseline", overrides={"ep.max_generations": 3})
+    assert ["-DEVOPID_TWO_WIDE" in call.split() for call in log.read_text().splitlines()] == [False, True]
+    spec = build_experiment_spec(3, output_dir=tmp_path / "two-wide", overrides={"ep.max_generations": 3})
     run_experiment(spec)
     with using(c_kernel):
         run_experiment(replace(spec, output_dir=tmp_path / "c"))
-    assert_same_outputs(tmp_path / "baseline", tmp_path / "c")
+    assert_same_outputs(tmp_path / "two-wide", tmp_path / "c")
 
 
 # ---------------------------------------------------------------- many rows in one call
